@@ -18,97 +18,4 @@ The package provides:
   (:mod:`oseenstress.problems`, :mod:`oseenstress.cli`).
 """
 
-from .adaptive import AdaptiveHistory, IndicatorSet, adaptive_solve, compute_indicators, mark_max
-from .assembly import LinearSystem, OseenSolution, assemble, assemble_dirichlet_rhs, solve_oseen
-from .errors import ErrorRow, fit_orders, hdiv_error, l2_error, supercloseness
-from .mesh import (
-    Mesh,
-    MeshStats,
-    build_mesh,
-    load_mesh,
-    make_lshape_mesh,
-    make_square_piecewise_uniform,
-    mesh_stats,
-    refine_marked,
-    save_mesh,
-    uniform_quad_refine,
-)
-from .postprocess import (
-    P1VelocityField,
-    RecoveredTensorField,
-    derived_pressure,
-    postprocess_velocity,
-    recover_pseudostress,
-    symmetric_stress,
-)
-from .problems import ProblemSpec, get_problem, problem_names
-from .quadrature import QuadRule, edge_gauss_rule, triangle_rule
-from .sparsela import CsrMatrix, TripletBuffer, lu_solve, read_matrix_market, to_csr, write_matrix_market
-from .spaces import (
-    HdivSpace,
-    PseudostressField,
-    VelocityField,
-    apply_deviatoric,
-    build_space,
-    eval_basis,
-    interpolate_pseudostress,
-    project_velocity,
-    trace_mean,
-)
-
-__all__ = [
-    "AdaptiveHistory",
-    "CsrMatrix",
-    "ErrorRow",
-    "HdivSpace",
-    "IndicatorSet",
-    "LinearSystem",
-    "Mesh",
-    "MeshStats",
-    "OseenSolution",
-    "P1VelocityField",
-    "ProblemSpec",
-    "PseudostressField",
-    "QuadRule",
-    "RecoveredTensorField",
-    "TripletBuffer",
-    "VelocityField",
-    "adaptive_solve",
-    "apply_deviatoric",
-    "assemble",
-    "assemble_dirichlet_rhs",
-    "build_mesh",
-    "build_space",
-    "compute_indicators",
-    "derived_pressure",
-    "edge_gauss_rule",
-    "eval_basis",
-    "fit_orders",
-    "get_problem",
-    "hdiv_error",
-    "interpolate_pseudostress",
-    "l2_error",
-    "load_mesh",
-    "lu_solve",
-    "make_lshape_mesh",
-    "make_square_piecewise_uniform",
-    "mark_max",
-    "mesh_stats",
-    "postprocess_velocity",
-    "problem_names",
-    "project_velocity",
-    "read_matrix_market",
-    "recover_pseudostress",
-    "refine_marked",
-    "save_mesh",
-    "solve_oseen",
-    "supercloseness",
-    "symmetric_stress",
-    "to_csr",
-    "trace_mean",
-    "triangle_rule",
-    "uniform_quad_refine",
-    "write_matrix_market",
-]
-
 __version__ = "0.1.0"

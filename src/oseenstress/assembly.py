@@ -29,7 +29,7 @@ import numpy as np
 from .mesh import Mesh
 from .problems import ProblemSpec, spot_check_boundary_data
 from .quadrature import edge_gauss_rule, triangle_rule
-from .sparsela import CsrMatrix, SingularMatrixError, TripletBuffer, lu_solve, to_csr
+from .sparsela import CsrMatrix, SingularMatrixError, lu_solve, to_csr
 from .spaces import (
     HdivSpace,
     PseudostressField,
@@ -96,21 +96,29 @@ class OseenSolution:
     ndofs: int
 
 
+def _boundary_data(problem: ProblemSpec, mesh: Mesh, edge_points: int):
+    """Dirichlet data at the Gauss points of every boundary edge.
+
+    Returns the owning triangle and the length of each boundary edge, the
+    points (nbe, q, 2), the Gauss weights, the values of g there
+    (nbe, q, 2) and the outward unit normals (nbe, 2).
+    """
+    bed = mesh.boundary_edges
+    tri, loc = mesh.edge_owners()
+    tris = tri[bed, 0]
+    lengths = mesh.edge_lengths()[bed]
+    tq, wq = edge_gauss_rule(edge_points)
+    pts = mesh.edge_points(tq, bed)
+    gv = np.asarray(problem.g(pts), dtype=np.float64)
+    if gv.shape != pts.shape[:2] + (2,):
+        raise ValueError(f"g must return shape {pts.shape[:2] + (2,)}, got {gv.shape}")
+    n_out = mesh.edge_normals()[bed] * mesh.tri_signs[tris, loc[bed, 0]][:, None]
+    return tris, lengths, pts, wq, gv, n_out
+
+
 def _check_compatibility(problem: ProblemSpec, mesh: Mesh) -> None:
     """Warn when the Dirichlet data has a nonzero net boundary flux."""
-    be = mesh.edges[mesh.boundary_edges]
-    va = mesh.vertices[be[:, 0]]
-    vb = mesh.vertices[be[:, 1]]
-    lengths = np.linalg.norm(vb - va, axis=1)
-    tq, wq = edge_gauss_rule(5)
-    pts = va[:, None, :] + tq[None, :, None] * (vb - va)[:, None, :]
-    gv = np.asarray(problem.g(pts))
-    # owner signs: boundary edges appear in exactly one triangle
-    sign = np.zeros(mesh.ne)
-    for t in range(mesh.nt):
-        for k in range(3):
-            sign[mesh.tri_edges[t, k]] = mesh.tri_signs[t, k]
-    n_out = mesh.edge_normals()[mesh.boundary_edges] * sign[mesh.boundary_edges][:, None]
+    _, lengths, _, wq, gv, n_out = _boundary_data(problem, mesh, 5)
     flux = float(np.sum(lengths * np.einsum("q,eqc,ec->e", wq, gv, n_out)))
     perimeter = float(lengths.sum())
     scale = (1.0 + float(np.abs(gv).max(initial=0.0))) * perimeter
@@ -136,29 +144,7 @@ def assemble_dirichlet_rhs(
     if mesh.boundary_edges.size == 0:
         return rhs
 
-    # locate the owning triangle and local edge of each boundary edge
-    owner_tri = np.full(mesh.ne, -1, dtype=np.int64)
-    owner_loc = np.full(mesh.ne, -1, dtype=np.int64)
-    for t in range(mesh.nt):
-        for k in range(3):
-            e = mesh.tri_edges[t, k]
-            owner_tri[e] = t
-            owner_loc[e] = k
-    bed = mesh.boundary_edges
-    tris = owner_tri[bed]
-    locs = owner_loc[bed]
-
-    va = mesh.vertices[mesh.edges[bed, 0]]
-    vb = mesh.vertices[mesh.edges[bed, 1]]
-    lengths = np.linalg.norm(vb - va, axis=1)
-    tq, wq = edge_gauss_rule(edge_points)
-    pts = va[:, None, :] + tq[None, :, None] * (vb - va)[:, None, :]
-    gv = np.asarray(problem.g(pts), dtype=np.float64)  # (nbe, q, 2)
-    if gv.shape != pts.shape[:2] + (2,):
-        raise ValueError(f"g must return shape {pts.shape[:2] + (2,)}, got {gv.shape}")
-
-    signs = mesh.tri_signs[tris, locs]
-    n_out = mesh.edge_normals()[bed] * signs[:, None]
+    tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points)
     basis = space.eval_cells(tris, pts)  # (nbe, q, nl, 2)
     flux = np.einsum("eqjc,ec->eqj", basis, n_out)
     # contribution of basis j to the row-r equation: |E| sum_q w g_r flux_j
@@ -195,7 +181,7 @@ def assemble(
     nt = mesh.nt
     nl = space.ndof_local
     layout = SystemLayout(n_row_dofs=n, nt=nt)
-    buf = TripletBuffer(layout.size)
+    blocks = []  # (rows, cols, vals) triplet blocks in insertion order
 
     rule = triangle_rule(quad_degree)
     w = rule.weights
@@ -222,14 +208,14 @@ def assemble(
     aloc -= 0.5 * np.transpose(trm, (0, 2, 1, 4, 3))
     rows = np.broadcast_to(row_sigma.transpose(1, 0, 2)[:, :, :, None, None], aloc.shape)
     cols = np.broadcast_to(row_sigma.transpose(1, 0, 2)[:, None, None, :, :], aloc.shape)
-    buf.add(rows, cols, aloc)
+    blocks.append((rows, cols, aloc))
 
     # --- divergence coupling: (div tau, u) and its negative transpose
     divint = area[:, None] * space.basis_div  # (nt, nl): exact, divergences constant
     for r in range(2):
         ucol = np.broadcast_to(row_u[r][:, None], (nt, nl))
-        buf.add(row_sigma[r], ucol, divint)
-        buf.add(ucol, row_sigma[r], -divint)
+        blocks.append((row_sigma[r], ucol, divint))
+        blocks.append((ucol, row_sigma[r], -divint))
 
     # --- convection: ((dev tau) b, v) with row-r trial tensor tau
     conv_par = np.einsum("q,tqjc,tqc->tj", w, phi, bq) * area[:, None]
@@ -240,26 +226,28 @@ def assemble(
             if rp == r:
                 val = val + conv_par
             urow = np.broadcast_to(row_u[rp][:, None], (nt, nl))
-            buf.add(urow, row_sigma[r], val)
+            blocks.append((urow, row_sigma[r], val))
 
     # --- reaction: (c u, v), diagonal per component
     react = area * np.einsum("q,tq->t", w, cq)
     for r in range(2):
-        buf.add(row_u[r], row_u[r], react)
+        blocks.append((row_u[r], row_u[r], react))
 
     # --- trace-mean constraint row/column (symmetric bordering)
     trint = np.einsum("q,tqjr->tjr", w, phi) * area[:, None, None]
     for r in range(2):
         mrow = np.full((nt, nl), layout.multiplier, dtype=np.int64)
-        buf.add(row_sigma[r], mrow, trint[:, :, r])
-        buf.add(mrow, row_sigma[r], trint[:, :, r])
+        blocks.append((row_sigma[r], mrow, trint[:, :, r]))
+        blocks.append((mrow, row_sigma[r], trint[:, :, r]))
 
     rhs = assemble_dirichlet_rhs(problem, mesh, space)
     fint = area[:, None] * np.einsum("q,tqr->tr", w, fq)
     for r in range(2):
         rhs[row_u[r]] += fint[:, r]
 
-    return LinearSystem(matrix=to_csr(buf), rhs=rhs, layout=layout, space=space)
+    rows, cols, vals = (np.concatenate([np.ravel(b[i]) for b in blocks]) for i in range(3))
+    matrix = to_csr(rows, cols, vals, layout.size)
+    return LinearSystem(matrix=matrix, rhs=rhs, layout=layout, space=space)
 
 
 def solve_oseen(
@@ -277,23 +265,18 @@ def solve_oseen(
     space = build_space(mesh, kind)
     system = assemble(problem, mesh, space, quad_degree=quad_degree)
     try:
-        x = lu_solve(system.matrix, system.rhs, rtol=1e-9)
+        x, residual = lu_solve(system.matrix, system.rhs, rtol=1e-9)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"Oseen solve failed on mesh with nt={mesh.nt}: {exc}; "
             "the mesh may be too coarse for this convection field"
         ) from exc
     layout = system.layout
-    n = layout.n_row_dofs
     sigma = PseudostressField(
         space=space, coeffs=np.stack([x[layout.sigma_rows(0)], x[layout.sigma_rows(1)]])
     )
     sigma = apply_trace_correction(sigma)
     u = VelocityField(mesh=mesh, coeffs=np.stack([x[layout.u_rows(0)], x[layout.u_rows(1)]]))
-    a = system.matrix.to_scipy()
-    residual = float(
-        np.linalg.norm(a @ x - system.rhs) / max(np.linalg.norm(system.rhs), 1e-300)
-    )
     return OseenSolution(
         sigma=sigma,
         u=u,

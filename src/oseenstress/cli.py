@@ -22,7 +22,7 @@ from .postprocess import postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec, get_problem, problem_names
 from .spaces import interpolate_pseudostress, project_velocity
 
-__all__ = ["run_convergence", "run_adaptive", "emit", "format_sci", "main"]
+__all__ = ["run_convergence", "emit", "format_sci", "main"]
 
 
 def format_sci(value: Optional[float]) -> str:
@@ -108,23 +108,6 @@ def run_convergence(
             "sigmastar": sigmastar,
         }
     return rows, bundle
-
-
-def run_adaptive(
-    problem: ProblemSpec,
-    theta: Optional[float] = None,
-    max_iters: int = 30,
-    max_dofs: int = 200_000,
-    initial_mesh: Optional[Mesh] = None,
-) -> AdaptiveHistory:
-    """Thin wrapper over :func:`oseenstress.adaptive.adaptive_solve`."""
-    return adaptive_solve(
-        problem,
-        mesh=initial_mesh,
-        theta=theta,
-        max_iters=max_iters,
-        max_dofs=max_dofs,
-    )
 
 
 def _present_columns(rows: Sequence[ErrorRow]) -> List[str]:
@@ -227,6 +210,13 @@ def _dump_fields(out_dir: Path, bundle: dict) -> List[Path]:
 
 
 def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.theta is not None and not 0.0 <= args.theta <= 1.0:
+        parser.error(f"--theta must lie in [0, 1], got {args.theta}")
+    min_levels = 1 if args.mode == "uniform" else 0
+    if args.levels is not None and args.levels < min_levels:
+        parser.error(f"--levels must be >= {min_levels} in {args.mode} mode, got {args.levels}")
+    if args.max_dofs <= 0:
+        parser.error(f"--max-dofs must be positive, got {args.max_dofs}")
     problem = get_problem(args.problem)
     kind = args.element
     if args.mode == "adaptive" and kind != "rt0":
@@ -260,12 +250,12 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     else:
         max_iters = args.levels if args.levels is not None else 30
         theta = args.theta if args.theta is not None else problem.default_theta
-        history = run_adaptive(
+        history = adaptive_solve(
             problem,
+            mesh=initial_mesh,
             theta=theta,
             max_iters=max_iters,
             max_dofs=args.max_dofs,
-            initial_mesh=initial_mesh,
         )
         history_path = out_dir / "history.csv"
         history_path.write_text(emit_history(history))

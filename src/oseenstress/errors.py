@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh
 from .quadrature import triangle_rule
 from .spaces import PseudostressField, VelocityField
 
@@ -50,13 +49,6 @@ class ErrorRow:
         "err_rho",
         "err_zeta",
     )
-
-
-def _mesh_of(field) -> Mesh:
-    mesh = getattr(field, "mesh", None)
-    if mesh is None:
-        mesh = field.space.mesh
-    return mesh
 
 
 def _subdivide_toward(verts: np.ndarray, corner: np.ndarray, depth: int):
@@ -115,7 +107,7 @@ def l2_error(
     Parameters
     ----------
     field
-        Any field object with ``eval_cells(tris, physical_points)``.
+        Any field object with a ``mesh`` and ``eval_cells(tris, physical_points)``.
     exact : callable
         Vectorized analytic field matching the discrete field's value shape.
     degree : int
@@ -125,7 +117,7 @@ def l2_error(
     corner_depth : int
         Number of subdivision levels for corner-touching elements.
     """
-    mesh = _mesh_of(field)
+    mesh = field.mesh
     rule = triangle_rule(degree)
     tris = np.arange(mesh.nt)
     area = mesh.tri_areas()

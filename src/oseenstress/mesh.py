@@ -118,6 +118,36 @@ class Mesh:
         t = d / np.linalg.norm(d, axis=1)[:, None]
         return np.stack([t[:, 1], -t[:, 0]], axis=1)
 
+    def edge_points(self, t: np.ndarray, edges=None) -> np.ndarray:
+        """Points at parameters `t` in [0, 1] along oriented edges.
+
+        Returns an array of shape (len(edges), len(t), 2); `edges` defaults
+        to all edges.
+        """
+        if edges is None:
+            edges = np.arange(self.ne)
+        va = self.vertices[self.edges[edges, 0]]
+        vb = self.vertices[self.edges[edges, 1]]
+        return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
+
+    def edge_owners(self):
+        """Triangle and local edge index of both sides of every edge.
+
+        Returns ``(tri, loc)``, each of shape (ne, 2).  Side 0 is the
+        triangle of lower index; side 1 is -1 on boundary edges.
+        """
+        flat = self.tri_edges.ravel()  # flat index 3 t + k
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=self.ne)
+        start = np.cumsum(counts) - counts
+        sides = np.full((self.ne, 2), -1, dtype=np.int64)
+        sides[:, 0] = order[start]
+        two = counts == 2
+        sides[two, 1] = order[start[two] + 1]
+        tri, loc = np.divmod(sides, 3)  # -1 // 3 is already -1
+        loc[sides < 0] = -1
+        return tri, loc
+
     def map_ref_points(self, ref_pts: np.ndarray, tris=None) -> np.ndarray:
         """Map reference-triangle points into physical triangles.
 
@@ -595,27 +625,14 @@ def is_piecewise_uniform(mesh: Mesh, tol: float = 1e-12) -> bool:
     r1 and r2 of the same region, the union is a parallelogram exactly when
     v_p + v_q = v_r1 + v_r2.
     """
-    owners = np.full((mesh.ne, 2), -1, dtype=np.int64)
-    opposite = np.full((mesh.ne, 2), -1, dtype=np.int64)
-    for t in range(mesh.nt):
-        for k in range(3):
-            e = mesh.tri_edges[t, k]
-            slot = 0 if owners[e, 0] < 0 else 1
-            owners[e, slot] = t
-            opposite[e, slot] = mesh.triangles[t, k]
+    tri, loc = mesh.edge_owners()
+    inner = np.flatnonzero(tri[:, 1] >= 0)
+    e = inner[mesh.region[tri[inner, 0]] == mesh.region[tri[inner, 1]]]
+    opposite = mesh.triangles[tri[e], loc[e]]  # (m, 2): vertex opposite each side
+    lhs = mesh.vertices[mesh.edges[e, 0]] + mesh.vertices[mesh.edges[e, 1]]
+    rhs = mesh.vertices[opposite[:, 0]] + mesh.vertices[opposite[:, 1]]
     scale = mesh.tri_diameters().max()
-    for e in range(mesh.ne):
-        t1, t2 = owners[e]
-        if t2 < 0:
-            continue
-        if mesh.region[t1] != mesh.region[t2]:
-            continue
-        p, q = mesh.edges[e]
-        lhs = mesh.vertices[p] + mesh.vertices[q]
-        rhs = mesh.vertices[opposite[e, 0]] + mesh.vertices[opposite[e, 1]]
-        if np.abs(lhs - rhs).max() > tol * scale:
-            return False
-    return True
+    return not np.any(np.abs(lhs - rhs).max(axis=1) > tol * scale)
 
 
 def save_mesh(mesh: Mesh, path) -> None:

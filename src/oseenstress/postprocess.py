@@ -28,7 +28,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .quadrature import triangle_rule
-from .spaces import PseudostressField, VelocityField
+from .spaces import PseudostressField, VelocityField, trace_mean
 
 __all__ = [
     "P1VelocityField",
@@ -317,8 +317,7 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
 
     field = RecoveredTensorField(mesh=mesh, values=values.reshape(nv, 2, 2))
     # trace-mean correction onto the zero-trace-mean space
-    area = float(np.sum(mesh.tri_areas()))
-    c = field.trace_integral() / (2.0 * area)
+    c = 0.5 * trace_mean(field)
     field.values[:, 0, 0] -= c
     field.values[:, 1, 1] -= c
     return field

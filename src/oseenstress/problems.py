@@ -16,11 +16,9 @@ Registry
 ``p1``  smooth manufactured solution on the unit square,
 ``p2``  singular corner flow (r^(2/3) velocity) on an L-shaped domain,
 ``p3``  boundary-layer flow with convection b = (500, 1), no closed form.
-
-Additional problems can be added with :func:`register_problem`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +26,7 @@ import numpy as np
 from .mesh import Mesh, make_lshape_mesh, make_square_piecewise_uniform
 from .quadrature import edge_gauss_rule
 
-__all__ = ["ProblemSpec", "get_problem", "register_problem", "problem_names"]
+__all__ = ["ProblemSpec", "get_problem", "problem_names"]
 
 
 @dataclass
@@ -84,13 +82,10 @@ def spot_check_boundary_data(problem: ProblemSpec, mesh: Mesh, tol: float = 1e-1
     """
     if problem.exact_u is None:
         return
-    be = mesh.edges[mesh.boundary_edges]
-    if be.size == 0:
+    if mesh.boundary_edges.size == 0:
         return
-    va = mesh.vertices[be[:, 0]]
-    vb = mesh.vertices[be[:, 1]]
     tq, _ = edge_gauss_rule(3)
-    pts = va[:, None, :] + tq[None, :, None] * (vb - va)[:, None, :]
+    pts = mesh.edge_points(tq, mesh.boundary_edges)
     gv = np.asarray(problem.g(pts))
     uv = np.asarray(problem.exact_u(pts))
     err = float(np.abs(gv - uv).max())
@@ -273,13 +268,6 @@ def _make_p3() -> ProblemSpec:
 
 
 _REGISTRY = {"p1": _make_p1, "p2": _make_p2, "p3": _make_p3}
-
-
-def register_problem(name: str, factory: Callable[[], ProblemSpec]) -> None:
-    """Register a user-defined problem factory under a new name."""
-    if name in _REGISTRY:
-        raise ValueError(f"problem name {name!r} is already registered")
-    _REGISTRY[name] = factory
 
 
 def problem_names():

@@ -31,7 +31,6 @@ __all__ = [
     "VelocityField",
     "apply_deviatoric",
     "build_space",
-    "eval_basis",
     "interpolate_pseudostress",
     "project_velocity",
     "trace_mean",
@@ -147,16 +146,13 @@ def build_space(mesh: Mesh, kind: str) -> HdivSpace:
     nt = mesh.nt
 
     centroids = mesh.tri_centroids()
-    va = mesh.vertices[mesh.edges[:, 0]]
-    vb = mesh.vertices[mesh.edges[:, 1]]
-    lengths = np.linalg.norm(vb - va, axis=1)
+    lengths = mesh.edge_lengths()
     normals = mesh.edge_normals()
 
     # 2-point Gauss on each edge is exact for the (at most quadratic)
     # integrands v.n and v.n*q of the construction functionals
     tq, wq = edge_gauss_rule(2)
-    # physical quadrature points per edge: (ne, q, 2)
-    epts = va[:, None, :] + tq[None, :, None] * (vb - va)[:, None, :]
+    epts = mesh.edge_points(tq)  # (ne, q, 2)
     legendre = 2.0 * tq - 1.0
 
     te = mesh.tri_edges  # (nt, 3)
@@ -198,31 +194,6 @@ def build_space(mesh: Mesh, kind: str) -> HdivSpace:
     )
 
 
-def eval_basis(space: HdivSpace, tri: int, point) -> np.ndarray:
-    """Evaluate the local basis of one triangle at a reference point.
-
-    Parameters
-    ----------
-    space : HdivSpace
-    tri : int
-        Triangle index.
-    point : array-like, shape (2,)
-        Reference coordinates (xi, eta) in the unit triangle.
-
-    Returns
-    -------
-    ndarray, shape (nl, 2)
-        Physical vector values of the nl local basis functions (3 for RT0,
-        6 for BDM1).
-    """
-    point = np.asarray(point, dtype=np.float64)
-    mesh = space.mesh
-    v = mesh.vertices[mesh.triangles[tri]]
-    phys = v[0] + point[0] * (v[1] - v[0]) + point[1] * (v[2] - v[0])
-    out = space.eval_cells(np.array([tri]), phys.reshape(1, 1, 2))
-    return out[0, 0]
-
-
 @dataclass
 class PseudostressField:
     """Tensor field with rows in an H(div) space.
@@ -233,6 +204,10 @@ class PseudostressField:
     space: HdivSpace
     coeffs: np.ndarray
     trace_mean_corrected: bool = False
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.space.mesh
 
     def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Tensor values at physical points: (m, nq, 2, 2)."""
@@ -246,6 +221,16 @@ class PseudostressField:
             tris = np.arange(self.space.mesh.nt)
         w = self.coeffs[:, self.space.dof_map[tris]]  # (2, m, nl)
         return np.einsum("rtj,tj->tr", w, self.space.basis_div[tris])
+
+    def trace_integral(self) -> float:
+        """Exact integral of the trace (rows are at most linear per element)."""
+        mesh = self.mesh
+        rule = triangle_rule(2)
+        tris = np.arange(mesh.nt)
+        pts = mesh.map_ref_points(rule.points, tris)
+        vals = self.eval_cells(tris, pts)  # (nt, nq, 2, 2)
+        tr = vals[:, :, 0, 0] + vals[:, :, 1, 1]
+        return float(np.sum(mesh.tri_areas() * (tr @ rule.weights)))
 
 
 @dataclass
@@ -275,21 +260,14 @@ def _constant_row_dofs(space: HdivSpace, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_integral(field: PseudostressField) -> float:
-    """Exact integral of the trace (rows are at most linear per element)."""
-    mesh = field.space.mesh
-    rule = triangle_rule(2)
-    tris = np.arange(mesh.nt)
-    pts = mesh.map_ref_points(rule.points, tris)
-    vals = field.eval_cells(tris, pts)  # (nt, nq, 2, 2)
-    tr = vals[:, :, 0, 0] + vals[:, :, 1, 1]
-    return float(np.sum(mesh.tri_areas() * (tr @ rule.weights)))
+def trace_mean(field) -> float:
+    """Mean of the tensor trace over the domain.
 
-
-def trace_mean(field: PseudostressField) -> float:
-    """Mean of the tensor trace over the domain."""
-    area = float(np.sum(field.space.mesh.tri_areas()))
-    return _trace_integral(field) / area
+    `field` is any tensor field with a ``mesh`` and an exact
+    ``trace_integral()``: a :class:`PseudostressField` or a recovered
+    continuous piecewise-linear field.
+    """
+    return field.trace_integral() / float(np.sum(field.mesh.tri_areas()))
 
 
 def apply_trace_correction(field: PseudostressField) -> PseudostressField:
@@ -300,8 +278,7 @@ def apply_trace_correction(field: PseudostressField) -> PseudostressField:
     roundoff.
     """
     space = field.space
-    area = float(np.sum(space.mesh.tri_areas()))
-    c = _trace_integral(field) / (2.0 * area)
+    c = 0.5 * trace_mean(field)
     coeffs = field.coeffs.copy()
     coeffs[0] -= c * _constant_row_dofs(space, np.array([1.0, 0.0]))
     coeffs[1] -= c * _constant_row_dofs(space, np.array([0.0, 1.0]))
@@ -327,12 +304,10 @@ def interpolate_pseudostress(
         Gauss points per edge for the moment integrals (default 3).
     """
     mesh = space.mesh
-    va = mesh.vertices[mesh.edges[:, 0]]
-    vb = mesh.vertices[mesh.edges[:, 1]]
-    lengths = np.linalg.norm(vb - va, axis=1)
+    lengths = mesh.edge_lengths()
     normals = mesh.edge_normals()
     tq, wq = edge_gauss_rule(edge_points)
-    pts = va[:, None, :] + tq[None, :, None] * (vb - va)[:, None, :]
+    pts = mesh.edge_points(tq)
     vals = np.asarray(sigma(pts), dtype=np.float64)  # (ne, q, 2, 2)
     if vals.shape != pts.shape[:2] + (2, 2):
         raise ValueError(

@@ -1,78 +1,22 @@
-"""Sparse matrix plumbing: triplet accumulation, CSR conversion, direct solve.
+"""Sparse matrix plumbing: CSR conversion and the direct solve.
 
-Assembly accumulates (row, col, value) triplets; :func:`to_csr` sums
+Assembly collects (row, col, value) triplets; :func:`to_csr` sums
 duplicates into compressed sparse row storage and :func:`lu_solve` runs a
-direct LU factorization with partial pivoting (SuperLU).  Matrix-Market
-import/export round-trips the assembled operators for external inspection.
+direct LU factorization with partial pivoting (SuperLU) and checks the
+residual of the solution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 import scipy.sparse.linalg
 
-__all__ = [
-    "TripletBuffer",
-    "CsrMatrix",
-    "SingularMatrixError",
-    "to_csr",
-    "lu_solve",
-    "write_matrix_market",
-    "read_matrix_market",
-]
+__all__ = ["CsrMatrix", "SingularMatrixError", "to_csr", "lu_solve"]
 
 
 class SingularMatrixError(RuntimeError):
     """Raised when the LU factorization detects a singular matrix."""
-
-
-@dataclass
-class TripletBuffer:
-    """Growable COO accumulator for an n-by-n matrix.
-
-    Duplicate (row, col) entries are allowed and are summed by
-    :func:`to_csr`.
-    """
-
-    n: int
-    _rows: list = field(default_factory=list)
-    _cols: list = field(default_factory=list)
-    _vals: list = field(default_factory=list)
-
-    def add(self, rows, cols, vals) -> None:
-        """Append a batch of entries (arrays are flattened)."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not (rows.size == cols.size == vals.size):
-            raise ValueError("rows, cols and vals must have equal sizes")
-        if rows.size == 0:
-            return
-        if rows.min() < 0 or rows.max() >= self.n or cols.min() < 0 or cols.max() >= self.n:
-            raise IndexError(f"triplet index out of range for n={self.n}")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(vals)
-
-    def add_entry(self, row: int, col: int, val: float) -> None:
-        self.add(np.array([row]), np.array([col]), np.array([val]))
-
-    @property
-    def nnz_triplets(self) -> int:
-        return int(sum(a.size for a in self._rows))
-
-    def arrays(self):
-        """Concatenated (rows, cols, vals) in insertion order."""
-        if not self._rows:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        return (
-            np.concatenate(self._rows),
-            np.concatenate(self._cols),
-            np.concatenate(self._vals),
-        )
 
 
 @dataclass
@@ -97,33 +41,32 @@ class CsrMatrix:
             (self.data, self.indices, self.indptr), shape=(self.n, self.n)
         )
 
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ x
+def to_csr(rows, cols, vals, n: int) -> CsrMatrix:
+    """Sum (row, col, value) triplets into an n-by-n CSR matrix.
 
-
-def to_csr(buf: TripletBuffer) -> CsrMatrix:
-    """Convert a triplet buffer to CSR, summing duplicate entries."""
-    rows, cols, vals = buf.arrays()
-    coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(buf.n, buf.n))
+    Raises
+    ------
+    ValueError
+        If the arrays differ in size or an index lies outside 0..n-1.
+    """
+    coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
     csr = coo.tocsr()
     csr.sum_duplicates()
     csr.sort_indices()
     return CsrMatrix(
-        n=buf.n,
+        n=n,
         indptr=np.asarray(csr.indptr, dtype=np.int64),
         indices=np.asarray(csr.indices, dtype=np.int64),
         data=np.asarray(csr.data, dtype=np.float64),
     )
 
 
-def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
     """Solve ``A x = rhs`` by sparse LU with partial pivoting.
 
-    The relative residual ``||A x - rhs|| / max(||rhs||, tiny)`` is checked
-    against `rtol`.
+    Returns ``(x, residual)`` with the relative residual
+    ``||A x - rhs|| / max(||rhs||, tiny)``, which is at most `rtol`.
 
     Raises
     ------
@@ -147,25 +90,4 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9) -> np.ndarr
         raise SingularMatrixError(
             f"direct solve residual {residual:.3e} exceeds tolerance {rtol:.1e}"
         )
-    return x
-
-
-def write_matrix_market(matrix: CsrMatrix, path) -> None:
-    """Export to Matrix-Market coordinate format (real, general)."""
-    scipy.io.mmwrite(str(path), matrix.to_scipy())
-
-
-def read_matrix_market(path) -> CsrMatrix:
-    """Import a square matrix written in Matrix-Market coordinate format."""
-    m = scipy.io.mmread(str(path))
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    csr = scipy.sparse.csr_matrix(m)
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return CsrMatrix(
-        n=m.shape[0],
-        indptr=np.asarray(csr.indptr, dtype=np.int64),
-        indices=np.asarray(csr.indices, dtype=np.int64),
-        data=np.asarray(csr.data, dtype=np.float64),
-    )
+    return x, residual

@@ -26,12 +26,13 @@ import pytest
 from conftest import dense_lu_solve, zero_problem
 
 from oseenstress.assembly import solve_oseen
-from oseenstress.cli import run_adaptive, run_convergence
+from oseenstress.adaptive import adaptive_solve
+from oseenstress.cli import run_convergence
 from oseenstress.errors import fit_orders
 from oseenstress.mesh import make_square_piecewise_uniform
 from oseenstress.postprocess import postprocess_velocity, recover_pseudostress
 from oseenstress.problems import get_problem
-from oseenstress.sparsela import TripletBuffer, lu_solve, to_csr
+from oseenstress.sparsela import lu_solve, to_csr
 from oseenstress.spaces import (
     PseudostressField,
     apply_deviatoric,
@@ -78,14 +79,14 @@ def bdm1_table():
 
 @pytest.fixture(scope="module")
 def p2_history():
-    return run_adaptive(get_problem("p2"), theta=0.7, max_iters=60, max_dofs=30_000)
+    return adaptive_solve(get_problem("p2"), theta=0.7, max_iters=60, max_dofs=30_000)
 
 
 @pytest.fixture(scope="module")
 def p3_history():
     # Completing without an exception is itself part of the acceptance:
     # no stabilization is used despite |b| = O(500).
-    return run_adaptive(get_problem("p3"), theta=0.3, max_iters=10)
+    return adaptive_solve(get_problem("p3"), theta=0.3, max_iters=10)
 
 
 # ----------------------------------------------------------------------
@@ -309,13 +310,13 @@ def test_sparse_solver_matches_dense_oracle():
     rng = np.random.default_rng(2718)
     for _ in range(20):
         n = int(rng.integers(10, 40))
-        buf = TripletBuffer(n)
         nnz = int(rng.integers(3 * n, 6 * n))
-        buf.add(rng.integers(0, n, size=nnz), rng.integers(0, n, size=nnz), rng.standard_normal(nnz))
-        buf.add(np.arange(n), np.arange(n), np.full(n, 10.0))
-        csr = to_csr(buf)
+        rows = np.concatenate([rng.integers(0, n, size=nnz), np.arange(n)])
+        cols = np.concatenate([rng.integers(0, n, size=nnz), np.arange(n)])
+        vals = np.concatenate([rng.standard_normal(nnz), np.full(n, 10.0)])
+        csr = to_csr(rows, cols, vals, n)
         rhs = rng.standard_normal(n)
-        x = lu_solve(csr, rhs)
-        x_ref = dense_lu_solve(csr.to_dense(), rhs)
+        x, _ = lu_solve(csr, rhs)
+        x_ref = dense_lu_solve(csr.to_scipy().toarray(), rhs)
         scale = max(1.0, float(np.abs(x_ref).max()))
         assert np.abs(x - x_ref).max() / scale < 1e-10

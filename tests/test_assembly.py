@@ -45,7 +45,7 @@ def test_stokes_block_structure(kind):
     mesh = make_square_piecewise_uniform()
     space = build_space(mesh, kind)
     system = assemble(stokes_linear_problem(), mesh, space)
-    a = system.matrix.to_dense()
+    a = system.matrix.to_scipy().toarray()
     lay = system.layout
     for r in range(2):
         b_us = a[lay.u_rows(r), lay.sigma_rows(r)]

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from oseenstress import cli
+from oseenstress.adaptive import adaptive_solve
 from oseenstress.cli import (
     emit,
     emit_history,
     emit_orders,
     format_sci,
     main,
-    run_adaptive,
     run_convergence,
 )
 from oseenstress.mesh import load_mesh, make_square_piecewise_uniform, save_mesh
@@ -73,7 +74,7 @@ def test_emit_orders_formats_and_validates(tiny_rows):
 
 
 def test_emit_history_shape():
-    history = run_adaptive(get_problem("p2"), theta=0.5, max_iters=2)
+    history = adaptive_solve(get_problem("p2"), theta=0.5, max_iters=2)
     text = emit_history(history)
     lines = text.strip().split("\n")
     assert lines[0] == "iter,nt,dofs,estimator,true_error,effectivity,marked"
@@ -185,6 +186,29 @@ def test_solve_uniform_rejects_problem_without_closed_form(tmp_path, capsys):
         main(["solve", "--problem", "p3", "--mode", "uniform", "--out", str(tmp_path)])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mode", "adaptive", "--theta", "1.5"], "--theta"),
+        (["--mode", "uniform", "--levels", "0"], "--levels"),
+        (["--mode", "adaptive", "--levels", "-1"], "--levels"),
+        (["--mode", "adaptive", "--max-dofs", "0"], "--max-dofs"),
+    ],
+)
+def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, args, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the input was checked")
+
+    monkeypatch.setattr(cli, "run_convergence", no_solve)
+    monkeypatch.setattr(cli, "adaptive_solve", no_solve)
+    out = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "p2", *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_with_explicit_mesh_file(tmp_path, capsys):

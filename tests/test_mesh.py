@@ -66,6 +66,36 @@ def test_uniform_refinement_sequence():
         assert mesh.tri_areas().sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_edge_owners_match_triangle_incidence():
+    mesh = refine_marked(make_lshape_mesh(), [0, 5, 11])
+    tri, loc = mesh.edge_owners()
+    expected = [[] for _ in range(mesh.ne)]
+    for t in range(mesh.nt):
+        for k in range(3):
+            expected[mesh.tri_edges[t, k]].append((t, k))
+    for e, sides in enumerate(expected):
+        sides += [(-1, -1)] * (2 - len(sides))
+        assert list(zip(tri[e].tolist(), loc[e].tolist())) == sides
+    assert np.array_equal(np.flatnonzero(tri[:, 1] < 0), mesh.boundary_edges)
+
+
+def test_edge_points_run_along_oriented_edges():
+    mesh = make_lshape_mesh()
+    pts = mesh.edge_points(np.array([0.0, 0.5]), mesh.boundary_edges)
+    ends = mesh.vertices[mesh.edges[mesh.boundary_edges]]
+    assert pts.shape == (mesh.boundary_edges.size, 2, 2)
+    assert np.array_equal(pts[:, 0], ends[:, 0])
+    assert np.allclose(pts[:, 1], ends.mean(axis=1), rtol=0.0, atol=1e-15)
+
+
+def test_is_piecewise_uniform_detects_a_moved_vertex():
+    mesh = make_square_piecewise_uniform(1)
+    interior = np.setdiff1d(np.arange(mesh.nv), mesh.boundary_vertices())
+    moved = mesh.vertices.copy()
+    moved[interior[0]] += 1e-3
+    assert not is_piecewise_uniform(build_mesh(moved, mesh.triangles, mesh.region))
+
+
 def test_uniform_quad_refine_preserves_region_and_orientation():
     mesh = make_square_piecewise_uniform()
     fine = uniform_quad_refine(mesh)

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import zero_problem
-
 from oseenstress import problems
 from oseenstress.mesh import make_lshape_mesh, make_square_piecewise_uniform
 from oseenstress.problems import (
     get_problem,
     problem_names,
-    register_problem,
     spot_check_boundary_data,
 )
 from oseenstress.spaces import apply_deviatoric
@@ -52,17 +49,6 @@ def test_registry_contents():
     assert problem_names() == ["p1", "p2", "p3"]
     with pytest.raises(KeyError):
         get_problem("p9")
-
-
-def test_register_problem():
-    register_problem("zero_test", zero_problem)
-    try:
-        assert get_problem("zero_test").name == "zero"
-        with pytest.raises(ValueError):
-            register_problem("zero_test", zero_problem)
-        assert "zero_test" in problem_names()
-    finally:
-        problems._REGISTRY.pop("zero_test", None)
 
 
 @pytest.mark.parametrize("name", ["p1", "p2"])

@@ -10,7 +10,6 @@ from oseenstress.spaces import (
     apply_deviatoric,
     apply_trace_correction,
     build_space,
-    eval_basis,
     interpolate_pseudostress,
     project_velocity,
     trace_mean,
@@ -116,19 +115,6 @@ def test_basis_divergence_matches_net_flux(kind):
         expected = np.zeros_like(integral)
         expected[:, 0::2] = mesh.tri_signs
     assert np.abs(integral - expected).max() < 1e-13
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_eval_basis_shape_and_consistency(kind):
-    mesh = make_square_piecewise_uniform()
-    space = build_space(mesh, kind)
-    ref = np.array([0.25, 0.3])
-    vals = eval_basis(space, 4, ref)
-    assert vals.shape == (space.ndof_local, 2)
-    v = mesh.vertices[mesh.triangles[4]]
-    phys = v[0] + ref[0] * (v[1] - v[0]) + ref[1] * (v[2] - v[0])
-    via_cells = space.eval_cells(np.array([4]), phys.reshape(1, 1, 2))[0, 0]
-    assert np.abs(vals - via_cells).max() < 1e-14
 
 
 # ----------------------------------------------------------------------

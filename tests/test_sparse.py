@@ -1,60 +1,53 @@
-"""Triplet assembly buffer, CSR conversion, direct solve, and I/O."""
+"""CSR conversion and the direct solve."""
 
 import numpy as np
 import pytest
 
 from conftest import dense_lu_solve
 
-from oseenstress.sparsela import (
-    CsrMatrix,
-    SingularMatrixError,
-    TripletBuffer,
-    lu_solve,
-    read_matrix_market,
-    to_csr,
-    write_matrix_market,
-)
+from oseenstress.sparsela import SingularMatrixError, lu_solve, to_csr
 
 
-def random_buffer(rng, n):
-    buf = TripletBuffer(n)
+def random_triplets(rng, n):
     nnz = int(rng.integers(3 * n, 6 * n))
     rows = rng.integers(0, n, size=nnz)
     cols = rng.integers(0, n, size=nnz)
     vals = rng.standard_normal(nnz)
-    buf.add(rows, cols, vals)
     # Dominant diagonal keeps the matrix comfortably nonsingular.
-    buf.add(np.arange(n), np.arange(n), np.full(n, 10.0))
-    return buf
+    diag = np.arange(n)
+    return (
+        np.concatenate([rows, diag]),
+        np.concatenate([cols, diag]),
+        np.concatenate([vals, np.full(n, 10.0)]),
+    )
 
 
-def test_triplet_buffer_validation():
-    buf = TripletBuffer(4)
+def test_to_csr_validation():
     with pytest.raises(ValueError):
-        buf.add([0, 1], [0], [1.0, 2.0])
-    with pytest.raises(IndexError):
-        buf.add([0], [4], [1.0])
-    with pytest.raises(IndexError):
-        buf.add([-1], [0], [1.0])
-    buf.add([], [], [])  # empty batches are a no-op
-    assert buf.nnz_triplets == 0
-    buf.add_entry(1, 2, 3.0)
-    assert buf.nnz_triplets == 1
+        to_csr([0, 1], [0], [1.0, 2.0], 4)
+    with pytest.raises(ValueError):
+        to_csr([0], [4], [1.0], 4)
+    with pytest.raises(ValueError):
+        to_csr([-1], [0], [1.0], 4)
+    empty = np.empty(0, dtype=np.int64)
+    csr = to_csr(empty, empty, np.empty(0), 4)
+    assert csr.nnz == 0
+    assert not np.any(csr.to_scipy().toarray())
 
 
 def test_to_csr_matches_dense_accumulation():
     rng = np.random.default_rng(5)
     n = 12
-    buf = TripletBuffer(n)
+    blocks = []
     dense = np.zeros((n, n))
     for _ in range(5):
         rows = rng.integers(0, n, size=30)
         cols = rng.integers(0, n, size=30)
         vals = rng.standard_normal(30)
-        buf.add(rows, cols, vals)
+        blocks.append((rows, cols, vals))
         np.add.at(dense, (rows, cols), vals)
-    csr = to_csr(buf)
-    assert np.abs(csr.to_dense() - dense).max() < 1e-15
+    csr = to_csr(*(np.concatenate([b[i] for b in blocks]) for i in range(3)), n)
+    assert np.abs(csr.to_scipy().toarray() - dense).max() < 1e-15
     # column indices strictly increasing within each row
     for i in range(n):
         idx = csr.indices[csr.indptr[i] : csr.indptr[i + 1]]
@@ -62,63 +55,36 @@ def test_to_csr_matches_dense_accumulation():
 
 
 def test_to_csr_sums_duplicates():
-    buf = TripletBuffer(3)
-    buf.add([1, 1, 1], [2, 2, 2], [1.0, 2.0, 4.0])
-    csr = to_csr(buf)
+    csr = to_csr([1, 1, 1], [2, 2, 2], [1.0, 2.0, 4.0], 3)
     assert csr.nnz == 1
-    assert csr.to_dense()[1, 2] == 7.0
-
-
-def test_matvec_matches_dense():
-    rng = np.random.default_rng(6)
-    buf = random_buffer(rng, 15)
-    csr = to_csr(buf)
-    x = rng.standard_normal(15)
-    assert np.abs(csr.matvec(x) - csr.to_dense() @ x).max() < 1e-12
+    assert csr.to_scipy().toarray()[1, 2] == 7.0
 
 
 def test_lu_solve_matches_dense_partial_pivot_oracle():
     rng = np.random.default_rng(123)
+    rtol = 1e-9
     for _ in range(20):
         n = int(rng.integers(10, 40))
-        buf = random_buffer(rng, n)
-        csr = to_csr(buf)
+        csr = to_csr(*random_triplets(rng, n), n)
         rhs = rng.standard_normal(n)
-        x = lu_solve(csr, rhs)
-        x_ref = dense_lu_solve(csr.to_dense(), rhs)
+        x, residual = lu_solve(csr, rhs, rtol=rtol)
+        x_ref = dense_lu_solve(csr.to_scipy().toarray(), rhs)
         scale = max(1.0, float(np.abs(x_ref).max()))
         assert np.abs(x - x_ref).max() / scale < 1e-10
-        assert np.linalg.norm(csr.matvec(x) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        assert residual <= rtol
+        assert np.linalg.norm(csr.to_scipy() @ x - rhs) <= rtol * np.linalg.norm(rhs)
 
 
 def test_lu_solve_detects_singular_matrix():
-    buf = TripletBuffer(4)
     # Row 3 left identically zero.
-    buf.add([0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
-    csr = to_csr(buf)
+    csr = to_csr([0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0], 4)
     with pytest.raises(SingularMatrixError):
         lu_solve(csr, np.ones(4))
 
 
 def test_lu_solve_rejects_wrong_rhs_shape():
-    buf = TripletBuffer(3)
-    buf.add(np.arange(3), np.arange(3), np.ones(3))
-    csr = to_csr(buf)
+    csr = to_csr(np.arange(3), np.arange(3), np.ones(3), 3)
     with pytest.raises(ValueError):
         lu_solve(csr, np.ones(4))
     with pytest.raises(ValueError):
         lu_solve(csr, np.ones((3, 1)))
-
-
-def test_matrix_market_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(9)
-    buf = random_buffer(rng, 20)
-    csr = to_csr(buf)
-    path = tmp_path / "matrix.mtx"
-    write_matrix_market(csr, path)
-    back = read_matrix_market(path)
-    assert isinstance(back, CsrMatrix)
-    assert back.n == csr.n
-    assert np.array_equal(back.indptr, csr.indptr)
-    assert np.array_equal(back.indices, csr.indices)
-    assert np.array_equal(back.data, csr.data)
