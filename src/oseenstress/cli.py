@@ -162,21 +162,12 @@ def emit_history(history: AdaptiveHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_pseudostress_csv(path: Path, sigma) -> None:
-    lines = ["dof_index,row,value"]
-    coeffs = sigma.coeffs
+def _write_coeffs_csv(path: Path, header: str, coeffs: np.ndarray) -> None:
+    """One line per column j and row r of the (2, n) `coeffs`: ``j,r,value``."""
+    lines = [header]
     for j in range(coeffs.shape[1]):
         for r in (0, 1):
             lines.append(f"{j},{r},{coeffs[r, j]:.17g}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_velocity_csv(path: Path, u) -> None:
-    lines = ["tri_index,comp,value"]
-    coeffs = u.coeffs
-    for t in range(coeffs.shape[1]):
-        for r in (0, 1):
-            lines.append(f"{t},{r},{coeffs[r, t]:.17g}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -197,10 +188,10 @@ def _dump_fields(out_dir: Path, bundle: dict) -> List[Path]:
     written = []
     solution = bundle["solution"]
     path = out_dir / "field_pseudostress.csv"
-    _write_pseudostress_csv(path, solution.sigma)
+    _write_coeffs_csv(path, "dof_index,row,value", solution.sigma.coeffs)
     written.append(path)
     path = out_dir / "field_velocity.csv"
-    _write_velocity_csv(path, solution.u)
+    _write_coeffs_csv(path, "tri_index,comp,value", solution.u.coeffs)
     written.append(path)
     if bundle.get("sigmastar") is not None:
         path = out_dir / "field_recovered.csv"

@@ -32,6 +32,7 @@ __all__ = [
     "save_mesh",
     "load_mesh",
     "is_piecewise_uniform",
+    "group_rows",
 ]
 
 
@@ -136,14 +137,7 @@ class Mesh:
         Returns ``(tri, loc)``, each of shape (ne, 2).  Side 0 is the
         triangle of lower index; side 1 is -1 on boundary edges.
         """
-        flat = self.tri_edges.ravel()  # flat index 3 t + k
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.ne)
-        start = np.cumsum(counts) - counts
-        sides = np.full((self.ne, 2), -1, dtype=np.int64)
-        sides[:, 0] = order[start]
-        two = counts == 2
-        sides[two, 1] = order[start[two] + 1]
+        sides = group_rows(self.tri_edges, self.ne, width=2)  # flat index 3 t + k
         tri, loc = np.divmod(sides, 3)  # -1 // 3 is already -1
         loc[sides < 0] = -1
         return tri, loc
@@ -171,6 +165,24 @@ class Mesh:
         xi = ref_pts[None, :, 0, None]
         eta = ref_pts[None, :, 1, None]
         return v0 + xi * d1 + eta * d2
+
+
+def group_rows(keys, n: int, width: int = 0, values=None) -> np.ndarray:
+    """Group `values` by key into an (n, w) table padded with -1.
+
+    Row k lists, in their order in the flattened `keys` (a stable
+    argsort), the entries of `values` whose key is k; `values` defaults
+    to the flat positions ``0..keys.size-1``.  w is the largest group
+    size, but at least `width`.
+    """
+    keys = np.asarray(keys, dtype=np.int64).ravel()
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=n)
+    grouped = keys[order]
+    rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[grouped]
+    table = np.full((n, max(width, counts.max(initial=0))), -1, dtype=np.int64)
+    table[grouped, rank] = order if values is None else np.asarray(values).ravel()[order]
+    return table
 
 
 @dataclass(frozen=True)
@@ -640,29 +652,50 @@ def save_mesh(mesh: Mesh, path) -> None:
 
     Format: one header line ``nv nt``, then ``nv`` lines ``x y`` with 17
     significant digits (bit-exact round trip for doubles), then ``nt``
-    lines ``i0 i1 i2 region``.  Green-pair genealogy is not persisted.
+    lines ``i0 i1 i2 region``.  A mesh with green pairs ends with a line
+    ``ng`` and ``ng`` lines ``t1 t2``, so a reloaded mesh refines exactly
+    as the saved one does; a mesh without pairs has no such section.
     """
     lines = [f"{mesh.nv} {mesh.nt}"]
     for x, y in mesh.vertices:
         lines.append(f"{x:.17g} {y:.17g}")
     for (a, b, c), r in zip(mesh.triangles, mesh.region):
         lines.append(f"{a} {b} {c} {r}")
+    if mesh.green_pairs.shape[0]:
+        lines.append(f"{mesh.green_pairs.shape[0]}")
+        lines.extend(f"{t1} {t2}" for t1, t2 in mesh.green_pairs)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_mesh(path) -> Mesh:
-    """Read a mesh written by :func:`save_mesh`."""
+    """Read a mesh written by :func:`save_mesh`, with or without green pairs.
+
+    Raises ``ValueError`` on a file of the wrong length, invalid mesh data,
+    or a green pair out of range or whose triangles share no single edge.
+    """
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"mesh file {path} is truncated")
     nv, nt = int(tokens[0]), int(tokens[1])
-    need = 2 + 2 * nv + 4 * nt
+    body = 2 + 2 * nv + 4 * nt
+    ng = int(tokens[body]) if len(tokens) > body else 0
+    need = body + 1 + 2 * ng if len(tokens) > body else body
     if len(tokens) != need:
         raise ValueError(
             f"mesh file {path}: expected {need} tokens for nv={nv}, nt={nt}, got {len(tokens)}"
         )
     coords = np.array(tokens[2 : 2 + 2 * nv], dtype=np.float64).reshape(nv, 2)
-    rest = np.array(tokens[2 + 2 * nv :], dtype=np.int64).reshape(nt, 4)
-    return build_mesh(coords, rest[:, :3], rest[:, 3])
+    rest = np.array(tokens[2 + 2 * nv : body], dtype=np.int64).reshape(nt, 4)
+    mesh = build_mesh(coords, rest[:, :3], rest[:, 3])
+    pairs = np.array(tokens[body + 1 :], dtype=np.int64).reshape(ng, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= nt):
+        raise ValueError(f"mesh file {path}: green pair index out of range 0..{nt - 1}")
+    te = mesh.tri_edges
+    shared = (te[pairs[:, 0], :, None] == te[pairs[:, 1], None, :]).sum(axis=(1, 2))
+    if np.any(shared != 1):
+        t1, t2 = pairs[np.argmax(shared != 1)]
+        raise ValueError(f"mesh file {path}: green pair ({t1}, {t2}) does not share one edge")
+    mesh.green_pairs = pairs
+    return mesh

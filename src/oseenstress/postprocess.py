@@ -11,22 +11,25 @@ Two constructions:
   constraints + four gradient moments) solved directly.
 
 * :func:`recover_pseudostress` maps an RT0 pseudostress to a continuous
-  piecewise-linear tensor field by patch least squares: for every
-  interior vertex, each tensor component is sampled at the 3-point
-  interior quadrature nodes of the surrounding elements and fitted with a
-  linear polynomial; the fit's value at the vertex is the recovered
-  value.  Boundary vertices take a linear extrapolation through nearby
-  interior vertex values (one-sided patch fits would lose an order
-  there); degenerate cases fall back to the nearest interior fit, the
-  vertex's own patch fit, and finally the patch average.  A trace-mean
-  correction keeps the recovered field in the zero-trace-mean space.
+  piecewise-linear tensor field by superconvergent patch recovery: each
+  tensor component is sampled at the 3-point interior quadrature nodes of
+  the elements around an interior vertex and fitted with a linear
+  polynomial; the fit's value at the vertex is the recovered value.
+  Boundary vertices take a linear extrapolation through nearby interior
+  vertex values (one-sided patch fits would lose an order there);
+  degenerate cases fall back to the nearest interior fit, the vertex's own
+  patch fit, and finally the patch average.  There is no loop over
+  vertices: all patch fits are one batched SVD least-squares solve, all
+  extrapolations another.  A trace-mean correction keeps the recovered
+  field in the zero-trace-mean space.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .mesh import Mesh
+from .mesh import Mesh, group_rows
 from .quadrature import triangle_rule
 from .spaces import PseudostressField, VelocityField, trace_mean
 
@@ -104,7 +107,7 @@ class DerivedPressureField:
 
     def __init__(self, source):
         self.source = source
-        self.mesh = getattr(source, "mesh", None) or source.space.mesh
+        self.mesh = source.mesh
 
     def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         vals = self.source.eval_cells(tris, pts)
@@ -116,7 +119,7 @@ class SymmetricStressField:
 
     def __init__(self, source):
         self.source = source
-        self.mesh = getattr(source, "mesh", None) or source.space.mesh
+        self.mesh = source.mesh
 
     def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         vals = self.source.eval_cells(tris, pts)
@@ -183,30 +186,46 @@ def postprocess_velocity(sigma_h: PseudostressField, u_h: VelocityField) -> P1Ve
     return P1VelocityField(mesh=mesh, coeffs=coeffs, centroids=centroids)
 
 
-def _vertex_neighbors(mesh: Mesh):
-    """CSR-style vertex-to-vertex adjacency built from the edge list."""
-    e = mesh.edges
-    src = np.concatenate([e[:, 0], e[:, 1]])
-    dst = np.concatenate([e[:, 1], e[:, 0]])
-    order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=mesh.nv)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return dst[order], offsets
+def _fit_linear(rel: np.ndarray, vals: np.ndarray, count: np.ndarray):
+    """Batched least-squares fits ``vals ~ c0 + c1 dx/s + c2 dy/s``.
+
+    Fit i uses the first ``count[i]`` rows of `rel` (k, m, 2), the offsets
+    from its centre, and of `vals` (k, m, 4); s is its largest offset
+    component.  Padding rows are zeroed, which changes neither the
+    solution nor the singular values, so one SVD of the stack matches
+    ``np.linalg.lstsq`` fit by fit, rank rule included (cutoff
+    ``eps * max(count, 3) * sv_max``).  Returns ``coef`` (k, 3, 4), ``s``,
+    ``rank`` and ``sv`` (k, 3).
+    """
+    real = (np.arange(rel.shape[1]) < count[:, None])[..., None]
+    rel = np.where(real, rel, 0.0)
+    s = np.abs(rel).max(axis=(1, 2))
+    a = np.concatenate([real.astype(float), rel / np.where(s > 0, s, 1.0)[:, None, None]], axis=2)
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    keep = sv > np.finfo(float).eps * np.maximum(count, 3)[:, None] * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    ub = np.swapaxes(u, 1, 2) @ np.where(real, vals, 0.0)
+    return np.swapaxes(vt, 1, 2) @ (inv[:, :, None] * ub), s, keep.sum(axis=1), sv
 
 
 def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     """Patch least-squares recovery of an RT0 pseudostress at the vertices.
 
-    Interior vertices fit a linear polynomial (per tensor component) to
-    the field sampled at three interior points of every patch element;
-    the fit's value at the vertex is second-order accurate there because
+    Each tensor component is sampled at three interior points of every
+    element.  Interior vertices fit a linear polynomial to the samples of
+    their patch; its value at the vertex is second-order accurate because
     sampling errors cancel on (asymptotically) point-symmetric patches.
     Boundary patches are one-sided, so boundary vertices instead take a
-    linear extrapolation through nearby interior vertex values, which
-    preserves the second-order accuracy.  Fallback chain when a step is
-    not available (too few points, rank-deficient geometry): nearest
-    interior fit evaluated at the vertex, then the vertex's own patch
-    fit, then the plain patch average.
+    linear extrapolation through nearby fitted interior vertex values.
+    Each kind of fit is one batched solve.  A vertex takes the first of:
+
+    1. interior: its patch fit (at least 3 elements, rank 3);
+    2. boundary: the fit through the fitted vertices of its 1-ring, or of
+       its neighbours' 1-rings if the 1-ring has fewer than 3; it needs at
+       least 3 sources, rank 3 and ``sv_min >= 1e-3 sv_max``;
+    3. the nearest fitted interior vertex's polynomial (lowest index on ties);
+    4. its own patch fit;
+    5. the patch average.
 
     Raises
     ------
@@ -217,103 +236,56 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     if space.kind != "rt0":
         raise ValueError("patch recovery is defined for RT0 pseudostress fields only")
     mesh = space.mesh
-    nv, nt = mesh.nv, mesh.nt
+    nv, nt, x = mesh.nv, mesh.nt, mesh.vertices
 
     rule = triangle_rule(2)  # 3 interior sampling nodes per element
-    tris = np.arange(nt)
-    pts = mesh.map_ref_points(rule.points, tris)  # (nt, 3, 2)
-    vals = sigma_h.eval_cells(tris, pts)  # (nt, 3, 2, 2)
-    samples = vals.reshape(nt, 3, 4)  # columns: s11 s12 s21 s22
+    pts = mesh.map_ref_points(rule.points)  # (nt, 3, 2)
+    samples = sigma_h.eval_cells(np.arange(nt), pts).reshape(nt, 3, 4)  # s11 s12 s21 s22
 
-    # vertex -> element adjacency
-    flat = mesh.triangles.ravel()
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=nv)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    patch_elems = order // 3
-
+    # every vertex's own patch fit, over coefficients {1, dx/s, dy/s}
+    patch = group_rows(mesh.triangles, nv) // 3  # (nv, w) patch elements, -1 padded
+    n_elems = (patch >= 0).sum(axis=1)
+    rows = 3 * patch.shape[1]
+    poly, scale, rank, _ = _fit_linear(
+        pts[patch].reshape(nv, rows, 2) - x[:, None], samples[patch].reshape(nv, rows, 4), 3 * n_elems
+    )
+    own = (n_elems >= 3) & (rank == 3)
     on_boundary = np.zeros(nv, dtype=bool)
     on_boundary[mesh.boundary_vertices()] = True
+    fitted = own & ~on_boundary
+    values = np.where(fitted[:, None], poly[:, 0], 0.0)  # fit value at the vertex is the constant term
+    todo = ~fitted
 
-    def own_patch_fit(v: int):
-        """Linear LSQ fit over the vertex's own patch samples, or None."""
-        elems = patch_elems[offsets[v] : offsets[v + 1]]
-        if elems.size < 3:
-            return None
-        p = pts[elems].reshape(-1, 2)
-        b = samples[elems].reshape(-1, 4)
-        rel = p - mesh.vertices[v]
-        s = float(np.abs(rel).max())
-        a = np.column_stack([np.ones(rel.shape[0]), rel[:, 0] / s, rel[:, 1] / s])
-        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        if rank < 3:
-            return None
-        return sol, s
+    # boundary sources: the fitted 1-ring, widened to the 2-ring if short
+    tail, head = mesh.edges.T.ravel(), mesh.edges[:, ::-1].T.ravel()
+    ring1 = on_boundary[tail] & fitted[head]
+    short = np.bincount(tail[ring1], minlength=nv) < 3
+    ring1 &= ~short[tail]
+    wide = np.flatnonzero(on_boundary & short)
+    adj = sparse.csr_matrix((np.ones(tail.size), (tail, head)), shape=(nv, nv))
+    ring2 = (adj[wide] @ adj).tocoo()
+    dst = np.concatenate([tail[ring1], wide[ring2.row]])
+    src = np.concatenate([head[ring1], ring2.col])
+    pick = fitted[src]  # never v itself: boundary vertices are not fitted
+    bnd = np.flatnonzero(on_boundary)
+    src = group_rows(dst[pick], nv, width=3, values=src[pick])[bnd]  # (nb, m), -1 padded
+    count = (src >= 0).sum(axis=1)
+    ext, _, _, sv = _fit_linear(x[src] - x[bnd, None], values[src], count)
+    ok = (count >= 3) & (sv[:, 2] >= 1e-3 * sv[:, 0])  # implies rank 3 and s > 0
+    values[bnd[ok]] = ext[ok, 0]
+    todo[bnd[ok]] = False
 
-    poly = np.zeros((nv, 3, 4))  # per vertex: coefficients over {1, dx/s, dy/s}
-    scale = np.ones(nv)
-    fitted = np.zeros(nv, dtype=bool)
-    for v in np.flatnonzero(~on_boundary):
-        fit = own_patch_fit(v)
-        if fit is None:
-            continue
-        poly[v], scale[v] = fit
-        fitted[v] = True
-
-    values = poly[:, 0, :].copy()  # fit value at the vertex is the constant term
-    interior_fitted = np.flatnonzero(fitted)
-    neigh, noff = _vertex_neighbors(mesh)
-
-    def nearby_sources(v: int) -> np.ndarray:
-        """Fitted interior vertices in the 1-ring, widened to the 2-ring."""
-        ring1 = neigh[noff[v] : noff[v + 1]]
-        src = ring1[fitted[ring1]]
-        if src.size >= 3:
-            return src
-        ring2 = np.unique(np.concatenate([neigh[noff[u] : noff[u + 1]] for u in ring1]))
-        ring2 = ring2[(ring2 != v) & fitted[ring2]]
-        return ring2
-
-    def extrapolate(v: int, src: np.ndarray):
-        """Value at v of the linear fit through the source vertex values."""
-        rel = mesh.vertices[src] - mesh.vertices[v]
-        s = float(np.abs(rel).max())
-        if s == 0.0:
-            return None
-        a = np.column_stack([np.ones(src.size), rel[:, 0] / s, rel[:, 1] / s])
-        sol, _, rank, sv = np.linalg.lstsq(a, values[src], rcond=None)
-        if rank < 3 or sv[-1] < 1e-3 * sv[0]:
-            return None  # (nearly) collinear sources
-        return sol[0]
-
-    def donor_value(v: int):
-        """Nearest interior fit's polynomial evaluated at v."""
-        if interior_fitted.size == 0:
-            return None
-        d = interior_fitted[
-            np.argmin(np.linalg.norm(mesh.vertices[interior_fitted] - mesh.vertices[v], axis=1))
-        ]
-        rel = (mesh.vertices[v] - mesh.vertices[d]) / scale[d]
-        return poly[d, 0] + rel[0] * poly[d, 1] + rel[1] * poly[d, 2]
-
-    def patch_average(v: int) -> np.ndarray:
-        elems = patch_elems[offsets[v] : offsets[v + 1]]
-        return samples[elems].reshape(-1, 4).mean(axis=0)
-
-    for v in range(nv):
-        if fitted[v]:
-            continue
-        value = None
-        if on_boundary[v]:
-            src = nearby_sources(v)
-            if src.size >= 3:
-                value = extrapolate(v, src)
-        if value is None:
-            value = donor_value(v)
-        if value is None:
-            fit = own_patch_fit(v)
-            value = fit[0][0] if fit is not None else patch_average(v)
-        values[v] = value
+    donors = np.flatnonzero(fitted)
+    if donors.size:
+        need = np.flatnonzero(todo)
+        d = donors[np.argmin(np.linalg.norm(x[donors] - x[need, None], axis=2), axis=1)]
+        rel = (x[need] - x[d]) / scale[d, None]
+        values[need] = poly[d, 0] + rel[:, :1] * poly[d, 1] + rel[:, 1:] * poly[d, 2]
+        todo[need] = False
+    values[todo & own] = poly[todo & own, 0]
+    rest = np.flatnonzero(todo & ~own)
+    in_patch = (patch[rest] >= 0)[:, :, None, None]
+    values[rest] = np.where(in_patch, samples[patch[rest]], 0.0).sum(axis=(1, 2)) / (3 * n_elems[rest, None])
 
     field = RecoveredTensorField(mesh=mesh, values=values.reshape(nv, 2, 2))
     # trace-mean correction onto the zero-trace-mean space

@@ -22,7 +22,7 @@ RUNS = {
     ),
     "p2-adaptive": (
         ["--problem", "p2", "--mode", "adaptive", "--levels", "2"],
-        {"loop.adaptive", "adaptive.estimate", "adaptive.mark", "mesh.refine", "mesh.io"},
+        {"loop.adaptive", "adaptive.estimate", "adaptive.mark", "mesh.refine", "mesh.io", "postprocess.recover"},
     ),
 }
 # spans every solve passes through

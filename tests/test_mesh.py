@@ -8,6 +8,7 @@ from conftest import assert_valid_refinement, find_tjunctions, two_triangle_squa
 from oseenstress.mesh import (
     Mesh,
     build_mesh,
+    group_rows,
     load_mesh,
     make_lshape_mesh,
     make_square_piecewise_uniform,
@@ -77,6 +78,17 @@ def test_edge_owners_match_triangle_incidence():
         sides += [(-1, -1)] * (2 - len(sides))
         assert list(zip(tri[e].tolist(), loc[e].tolist())) == sides
     assert np.array_equal(np.flatnonzero(tri[:, 1] < 0), mesh.boundary_edges)
+
+
+def test_group_rows_lists_each_key_in_order():
+    keys = np.array([[2, 0, 2], [3, 2, 0]])
+    expected = [[1, 5, -1], [-1, -1, -1], [0, 2, 4], [3, -1, -1]]
+    assert group_rows(keys, 4).tolist() == expected
+    values = 10 * np.arange(6)
+    assert group_rows(keys, 4, values=values).tolist() == [
+        [10 * i if i >= 0 else -1 for i in row] for row in expected
+    ]
+    assert group_rows(np.empty(0, dtype=np.int64), 2, width=3).tolist() == [[-1] * 3] * 2
 
 
 def test_edge_points_run_along_oriented_edges():
@@ -260,9 +272,52 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "mesh.txt"
     save_mesh(mesh, path)
     back = load_mesh(path)
+    assert mesh.green_pairs.shape[0] > 0
     assert np.array_equal(back.triangles, mesh.triangles)
     assert np.array_equal(back.region, mesh.region)
     assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.green_pairs, mesh.green_pairs)
+
+
+def test_save_mesh_without_green_pairs_has_no_pair_section(tmp_path):
+    mesh = make_square_piecewise_uniform()
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    assert len(path.read_text().splitlines()) == 1 + mesh.nv + mesh.nt
+    assert load_mesh(path).green_pairs.shape == (0, 2)
+
+
+def test_refining_after_save_and_reload_matches_refining_without_restart(tmp_path):
+    # Without the green history a restart re-bisects green triangles and
+    # the shape regularity degrades.
+    mesh = make_lshape_mesh()
+    for _ in range(6):
+        d = np.linalg.norm(mesh.tri_centroids(), axis=1)
+        mesh = refine_marked(mesh, np.argsort(d)[:4])
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    marked = mesh.green_pairs[:, 0]
+    direct = refine_marked(mesh, marked)
+    restarted = refine_marked(load_mesh(path), marked)
+    for name in ("vertices", "triangles", "region", "green_pairs"):
+        assert np.array_equal(getattr(restarted, name), getattr(direct, name))
+
+
+def test_load_mesh_rejects_bad_green_pairs(tmp_path):
+    mesh = refine_marked(make_lshape_mesh(), np.array([0, 5, 7]))
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    body = lines[: 1 + mesh.nv + mesh.nt]
+    t1, t2 = mesh.green_pairs[0]
+    apart = int(np.flatnonzero(~np.isin(mesh.tri_edges, mesh.tri_edges[t1]).any(axis=1))[0])
+    for pairs in ([f"{t1} {mesh.nt}"], [f"-1 {t2}"], [f"{t1} {apart}"], [f"{t1} {t1}"]):
+        path.write_text("\n".join(body + [str(len(pairs))] + pairs) + "\n")
+        with pytest.raises(ValueError, match="green pair"):
+            load_mesh(path)
+    path.write_text("\n".join(lines[:-1]) + "\n")  # pair section cut short
+    with pytest.raises(ValueError, match="expected"):
+        load_mesh(path)
 
 
 def test_load_mesh_rejects_truncated_file(tmp_path):

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import two_triangle_square
+from recovery_oracle import recover_pseudostress as loop_recover_pseudostress
+
 from oseenstress.errors import l2_error
-from oseenstress.mesh import make_square_piecewise_uniform
+from oseenstress.mesh import build_mesh, make_lshape_mesh, make_square_piecewise_uniform, refine_marked
 from oseenstress.postprocess import (
+    _fit_linear,
     derived_pressure,
     postprocess_velocity,
     recover_pseudostress,
@@ -82,8 +86,65 @@ def test_lift_improves_on_piecewise_constant_velocity(p1_solution):
 # ----------------------------------------------------------------------
 
 
-def test_recovery_preserves_constant_tensors():
+def red_green_lshape(seed: int):
+    """L-shape after three rounds of random red-green refinement."""
+    rng = np.random.default_rng(seed)
+    mesh = make_lshape_mesh()
+    for _ in range(3):
+        mesh = refine_marked(mesh, rng.choice(mesh.nt, size=max(1, mesh.nt // 4), replace=False))
+    return mesh
+
+
+def half_disk_fan():
+    """Four triangles fanned around vertex 0, which lies on the boundary."""
+    angles = np.linspace(0.0, np.pi, 5)
+    rim = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    verts = np.vstack([[0.0, 0.0], rim])
+    return build_mesh(verts, [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]])
+
+
+def flat_square(height: float):
+    """The once-refined unit square squeezed to the given height."""
     mesh = make_square_piecewise_uniform(1)
+    return build_mesh(mesh.vertices * [1.0, height], mesh.triangles, mesh.region)
+
+
+# Between them these reach every recovery branch: interior fits and
+# boundary extrapolation (all), the nearest-interior donor (the square's
+# corners, the L-shape's reentrant corner), the own patch fit (the fan's
+# centre) and the patch average (the fan's rim, the two-triangle square).
+RECOVERY_MESHES = {
+    "square-L1": lambda: make_square_piecewise_uniform(1),
+    "red-green-lshape": lambda: red_green_lshape(0),
+    "two-triangle-square": two_triangle_square,
+    "half-disk-fan": half_disk_fan,
+}
+
+
+def test_fit_linear_matches_lstsq_fit_by_fit():
+    rng = np.random.default_rng(11)
+    k, m = 40, 12
+    rel = rng.standard_normal((k, m, 2))
+    vals = rng.standard_normal((k, m, 4))
+    count = rng.integers(1, m + 1, size=k)
+    count[:2] = m
+    rel[0, :, 1] = 2.0 * rel[0, :, 0]  # collinear: rank 2
+    rel[1, :, 1] = 2.0 * rel[1, :, 0] + 1e-6 * rng.standard_normal(m)  # nearly, still rank 3
+    coef, s, rank, sv = _fit_linear(rel, vals, count)
+    for i in range(k):
+        r = rel[i, : count[i]]
+        a = np.column_stack([np.ones(count[i]), r / np.abs(r).max()])
+        expected, _, expected_rank, expected_sv = np.linalg.lstsq(a, vals[i, : count[i]], rcond=None)
+        assert s[i] == np.abs(r).max()
+        assert rank[i] == expected_rank
+        assert np.allclose(sv[i, : expected_sv.size], expected_sv, rtol=1e-12, atol=1e-14)
+        assert np.allclose(coef[i], expected, rtol=1e-8, atol=1e-10)
+    assert rank[0] == 2 and rank[1] == 3
+
+
+@pytest.mark.parametrize("name", list(RECOVERY_MESHES))
+def test_recovery_preserves_constant_tensors(name):
+    mesh = RECOVERY_MESHES[name]()
     space = build_space(mesh, "rt0")
     const = np.array([[0.5, -1.25], [2.0, -0.5]])  # already trace-free
 
@@ -93,6 +154,41 @@ def test_recovery_preserves_constant_tensors():
     field = interpolate_pseudostress(space, sigma)
     rec = recover_pseudostress(field)
     assert np.abs(rec.values - const).max() < 1e-12
+
+
+def _solved(problem, mesh):
+    return lambda: solve_oseen(get_problem(problem), mesh(), kind="rt0").sigma
+
+
+def _random(mesh, seed):
+    def make():
+        space = build_space(mesh(), "rt0")
+        coeffs = np.random.default_rng(seed).standard_normal((2, space.n_dofs_per_row))
+        return PseudostressField(space=space, coeffs=coeffs)
+
+    return make
+
+
+ORACLE_FIELDS = {
+    **{f"p1-level{k}": _solved("p1", lambda k=k: make_square_piecewise_uniform(k)) for k in range(6)},
+    "p2-lshape": _solved("p2", make_lshape_mesh),
+    **{f"p2-red-green-{seed}": _solved("p2", lambda seed=seed: red_green_lshape(seed)) for seed in range(3)},
+    "random-square-L2": _random(lambda: make_square_piecewise_uniform(2), 5),
+    "random-red-green-lshape": _random(lambda: red_green_lshape(3), 6),
+    "random-two-triangle-square": _random(two_triangle_square, 7),
+    "random-half-disk-fan": _random(half_disk_fan, 8),
+    # squeezed 200:1, so some boundary sources sit on either side of the
+    # sv_min >= 1e-3 sv_max collinearity cutoff
+    "random-flat-square": _random(lambda: flat_square(0.005), 9),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_recovery_matches_loop_oracle(name):
+    field = ORACLE_FIELDS[name]()
+    expected = loop_recover_pseudostress(field).values
+    got = recover_pseudostress(field).values
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_recovery_annihilates_identity_interpolant():
