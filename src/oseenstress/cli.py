@@ -218,7 +218,10 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             f"problem {args.problem!r} has no closed-form solution; use --mode adaptive"
         )
 
-    initial_mesh = load_mesh(args.mesh) if args.mesh else None
+    try:
+        initial_mesh = load_mesh(args.mesh) if args.mesh else None
+    except (ValueError, OSError) as exc:
+        parser.error(f"--mesh: {exc}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []

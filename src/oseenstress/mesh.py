@@ -11,7 +11,13 @@ Adaptive refinement is red-green: marked triangles are split into four
 similar children (red), and hanging nodes are removed either by propagating
 red splits or by a single bisection (green).  Green pairs are recorded and
 are coalesced back into their parent before that parent is refined again,
-which keeps the shape regularity of the hierarchy bounded.
+which keeps the shape regularity of the hierarchy bounded.  Refinement is
+array code over int64 edge keys (``lo * 2**32 + hi``, the same keys that
+number the edges of every mesh), run in passes: coalesce the green pairs,
+seed red, sweep the closure, emit the children, then audit the children
+for an edge whose midpoint is already a vertex, which a split on the
+hidden half-edge of a coalesced pair leaves behind; any such edge sends
+the result through one more pass.
 
 Treat ``Mesh`` instances as immutable; all operations return new meshes.
 """
@@ -185,6 +191,23 @@ def group_rows(keys, n: int, width: int = 0, values=None) -> np.ndarray:
     return table
 
 
+def _edge_key(a, b) -> np.ndarray:
+    """One int64 key per unordered vertex pair: ``lo * 2**32 + hi``."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    return (np.minimum(a, b) << 32) | np.maximum(a, b)
+
+
+def _local_edge_keys(tris: np.ndarray) -> np.ndarray:
+    """Edge keys (nt, 3); local edge k is opposite local vertex k."""
+    return _edge_key(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]])
+
+
+def _key_ends(keys: np.ndarray):
+    """The (lo, hi) vertex pair of each edge key."""
+    return np.divmod(keys, 1 << 32)
+
+
 @dataclass(frozen=True)
 class MeshStats:
     """Size and shape summary of a mesh."""
@@ -209,8 +232,9 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     Raises
     ------
     ValueError
-        On duplicate vertices, out-of-range indices, zero-area triangles
-        or an edge shared by more than two triangles.
+        On an empty mesh, duplicate vertices, out-of-range indices, a
+        vertex that no triangle uses, zero-area triangles or an edge
+        shared by more than two triangles.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -222,8 +246,13 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     nt = triangles.shape[0]
     if np.unique(vertices, axis=0).shape[0] != nv:
         raise ValueError("duplicate vertices in input")
-    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
+    if nt == 0:
+        raise ValueError("mesh has no triangles")
+    if triangles.min() < 0 or triangles.max() >= nv:
         raise ValueError("triangle vertex index out of range")
+    unused = np.flatnonzero(np.bincount(triangles.ravel(), minlength=nv) == 0)
+    if unused.size:
+        raise ValueError(f"vertex {unused[0]} belongs to no triangle")
 
     v = vertices[triangles]
     d1 = v[:, 1] - v[:, 0]
@@ -239,12 +268,8 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
         bad = int(np.argmin(area2 / np.maximum(scale**2, 1e-300)))
         raise ValueError(f"zero-area triangle at index {bad}")
 
-    # local edge k is opposite local vertex k
-    raw = np.stack(
-        [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]], axis=1
-    ).reshape(-1, 2)
-    lo_hi = np.sort(raw, axis=1)
-    edges, inverse = np.unique(lo_hi, axis=0, return_inverse=True)
+    keys, inverse = np.unique(_local_edge_keys(triangles), return_inverse=True)
+    edges = np.stack(_key_ends(keys), axis=1)
     tri_edges = inverse.reshape(nt, 3)
     counts = np.bincount(tri_edges.ravel(), minlength=edges.shape[0])
     if np.any(counts > 2):
@@ -255,7 +280,7 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     boundary_edges = np.flatnonzero(counts == 1)
     # +1 when the CCW traversal of the local edge runs low -> high index,
     # i.e. when the outward normal equals the global edge normal
-    tri_signs = np.where(raw[:, 0] < raw[:, 1], 1, -1).reshape(nt, 3).astype(np.int64)
+    tri_signs = np.where(triangles[:, [1, 2, 0]] < triangles[:, [2, 0, 1]], 1, -1).astype(np.int64)
 
     if region is None:
         region = np.zeros(nt, dtype=np.int64)
@@ -294,24 +319,34 @@ def mesh_stats(mesh: Mesh) -> MeshStats:
     )
 
 
+# Children of triangle (a, b, c).  A red split with midpoints m0, m1, m2 of
+# the local edges (opposite a, b, c) indexes the row (a, b, c, m0, m1, m2);
+# a green bisection of local edge k with midpoint m indexes (a, b, c, m).
+_RED_CHILDREN = np.array([[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]])
+_GREEN_CHILDREN = np.array([[[0, 1, 3], [0, 3, 2]], [[1, 2, 3], [1, 3, 0]], [[2, 0, 3], [2, 3, 1]]])
+
+
+def _red_children(tris: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """The four children (n, 4, 3) of each triangle, given its edge midpoints."""
+    return np.hstack([tris, mids])[:, _RED_CHILDREN]
+
+
+def _update(keys, values, new_keys, new_values):
+    """Sorted key/value arrays with `new_keys` added; a new value wins."""
+    keys, first = np.unique(np.concatenate([new_keys, keys]), return_index=True)
+    return keys, np.concatenate([new_values, values])[first]
+
+
 def uniform_quad_refine(mesh: Mesh) -> Mesh:
     """Split every triangle into four similar children via edge midpoints.
 
     Midpoints are created once per edge, so children of neighbouring
     triangles share vertices bit-exactly and the result is conforming.
     """
-    nv = mesh.nv
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    new_vertices = np.vstack([mesh.vertices, mids])
-    m = nv + mesh.tri_edges  # (nt, 3): midpoint of local edge k (opposite vertex k)
-    t = mesh.triangles
-    children = np.empty((4 * mesh.nt, 3), dtype=np.int64)
-    children[0::4] = np.stack([t[:, 0], m[:, 2], m[:, 1]], axis=1)
-    children[1::4] = np.stack([t[:, 1], m[:, 0], m[:, 2]], axis=1)
-    children[2::4] = np.stack([t[:, 2], m[:, 1], m[:, 0]], axis=1)
-    children[3::4] = np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1)
+    children = _red_children(mesh.triangles, mesh.nv + mesh.tri_edges)
     region = np.repeat(mesh.region, 4)
-    return build_mesh(new_vertices, children, region)
+    return build_mesh(np.vstack([mesh.vertices, mids]), children.reshape(-1, 3), region)
 
 
 def _coalesce_green(vertices: np.ndarray, triangles: np.ndarray, region: np.ndarray, green_pairs: np.ndarray):
@@ -320,54 +355,44 @@ def _coalesce_green(vertices: np.ndarray, triangles: np.ndarray, region: np.ndar
     Returns
     -------
     tris : ndarray, shape (nb, 3)
-        Skeleton triangles (all non-green triangles plus green parents).
+        Skeleton triangles: the non-green triangles, then one parent per
+        pair in pair order.
     region : ndarray, shape (nb,)
     origin : ndarray, shape (nt,)
         Skeleton index of each original triangle.
-    seeds : dict
-        Maps a parent's split edge (low, high) to ``(midpoint vertex,
-        skeleton index of the parent)``; these edges are already
-        subdivided on the neighbouring side.
+    seeds : tuple of two ndarrays, each shape (ng,)
+        Per pair: the edge key of the parent's split edge and its midpoint
+        vertex.  These edges are already subdivided on the neighbouring
+        side.
     """
     nt = triangles.shape[0]
-    green_member = np.zeros(nt, dtype=bool)
-    green_member[green_pairs.ravel()] = True
-    keep = np.flatnonzero(~green_member)
-    tris = [triangles[keep]]
-    regions = [region[keep]]
+    member = np.zeros(nt, dtype=bool)
+    member[green_pairs.ravel()] = True
+    keep = np.flatnonzero(~member)
+    t1, t2 = green_pairs.T
+    v1, v2 = triangles[t1], triangles[t2]
+    in2 = (v1[:, :, None] == v2[:, None, :]).any(axis=2)
+    in1 = (v2[:, :, None] == v1[:, None, :]).any(axis=2)
+    shared = np.sort(v1[in2].reshape(-1, 2), axis=1)
+    only1, only2 = v1[~in2], v2[~in1]
+    # the shared vertex nearer the midpoint of the unshared ones is the
+    # bisection midpoint, the other is the parent's apex
+    mid_ab = 0.5 * (vertices[only1] + vertices[only2])
+    d0 = np.linalg.norm(vertices[shared[:, 0]] - mid_ab, axis=1)
+    d1 = np.linalg.norm(vertices[shared[:, 1]] - mid_ab, axis=1)
+    midpoint = np.where(d0 <= d1, shared[:, 0], shared[:, 1])
+    apex = np.where(d0 <= d1, shared[:, 1], shared[:, 0])
+    parent = np.stack([only1, only2, apex], axis=1)
+    pv = vertices[parent]
+    e1 = pv[:, 1] - pv[:, 0]
+    e2 = pv[:, 2] - pv[:, 0]
+    cw = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    parent[cw] = parent[cw][:, [0, 2, 1]]
     origin = np.full(nt, -1, dtype=np.int64)
     origin[keep] = np.arange(keep.size)
-    seeds = {}
-    extra_t = []
-    extra_r = []
-    nb = keep.size
-    for t1, t2 in green_pairs:
-        s1 = set(triangles[t1])
-        s2 = set(triangles[t2])
-        shared = sorted(s1 & s2)
-        only1 = (s1 - s2).pop()
-        only2 = (s2 - s1).pop()
-        mid_ab = 0.5 * (vertices[only1] + vertices[only2])
-        d0 = np.linalg.norm(vertices[shared[0]] - mid_ab)
-        d1 = np.linalg.norm(vertices[shared[1]] - mid_ab)
-        if d0 <= d1:
-            midpoint, apex = shared[0], shared[1]
-        else:
-            midpoint, apex = shared[1], shared[0]
-        parent = np.array([only1, only2, apex], dtype=np.int64)
-        pv = vertices[parent]
-        if (pv[1, 0] - pv[0, 0]) * (pv[2, 1] - pv[0, 1]) - (pv[1, 1] - pv[0, 1]) * (pv[2, 0] - pv[0, 0]) < 0:
-            parent = parent[[0, 2, 1]]
-        extra_t.append(parent)
-        extra_r.append(region[t1])
-        origin[t1] = origin[t2] = nb
-        key = (min(only1, only2), max(only1, only2))
-        seeds[key] = (int(midpoint), nb)
-        nb += 1
-    if extra_t:
-        tris.append(np.array(extra_t, dtype=np.int64))
-        regions.append(np.array(extra_r, dtype=np.int64))
-    return np.vstack(tris), np.concatenate(regions), origin, seeds
+    origin[t1] = origin[t2] = keep.size + np.arange(t1.size)
+    seeds = (_edge_key(only1, only2), midpoint)
+    return np.vstack([triangles[keep], parent]), np.concatenate([region[keep], region[t1]]), origin, seeds
 
 
 def refine_marked(mesh: Mesh, marked) -> Mesh:
@@ -379,6 +404,16 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
     bisected twice.  Unmarked triangles left with one hanging midpoint are
     green-bisected and the pair recorded; those with two or more are
     red-refined (closure propagation).
+
+    Each pass works on the skeleton (the mesh with every green pair merged
+    back into its parent): it seeds red from the marks, sweeps the closure
+    to a fixed point, emits the children and audits them.  A split landing
+    on the hidden half-edge of a coalesced pair is invisible to the
+    skeleton, which only carries the parent edge; so the audit looks for
+    output triangles that keep an edge whose midpoint is already a vertex,
+    and a further pass refines those: such green members are marked, the
+    stale edges of other triangles are forced split.  Most calls need one
+    pass, some two or three; after 64 passes a ``RuntimeError`` is raised.
 
     Parameters
     ----------
@@ -392,134 +427,72 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
     if marked.size == 0 and mesh.green_pairs.shape[0] == 0:
         return build_mesh(mesh.vertices, mesh.triangles, mesh.region)
 
-    def edge_key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    cur_verts = mesh.vertices
-    cur_tris = mesh.triangles
-    cur_region = mesh.region
-    cur_greens = mesh.green_pairs
-    marked_now = marked
-    # `known` maps an edge (vertex-id pair) to its midpoint vertex for every
-    # edge ever split during this call, including the hidden half-edges of
-    # coalesced green pairs.  A split landing on such a half-edge is invisible
-    # to the combinatorial closure (the skeleton only carries the parent
-    # edge), so after each pass any output triangle still holding a known
-    # edge is refined again in a follow-up pass.
-    known: dict = {}
-    forced: set = set()
-
+    verts, tris, region, greens = mesh.vertices, mesh.triangles, mesh.region, mesh.green_pairs
+    # every edge split during this call (sorted keys), the split edges of
+    # coalesced green parents included, and its midpoint vertex
+    known = mids = forced = np.empty(0, dtype=np.int64)
     for _ in range(64):
-        tris, region, origin, seeds = _coalesce_green(cur_verts, cur_tris, cur_region, cur_greens)
-        nb = tris.shape[0]
-        for key, (mid, _parent) in seeds.items():
-            known[key] = mid
-
+        skel, skel_region, origin, (seed, seed_mid) = _coalesce_green(verts, tris, region, greens)
+        nb = skel.shape[0]
+        known, mids = _update(known, mids, seed, seed_mid)
         red = np.zeros(nb, dtype=bool)
-        if marked_now.size:
-            red[origin[marked_now]] = True
-        # if a seeded edge's half is itself already split, re-emitting the
-        # green pair would bury a hanging node; go red so the half-edge
-        # resurfaces as a child's real edge for the next pass to bisect
-        for (a, b), (mid, parent) in seeds.items():
-            half0, half1 = edge_key(a, mid), edge_key(mid, b)
-            if half0 in known or half1 in known or half0 in forced or half1 in forced:
-                red[parent] = True
+        red[origin[marked]] = True
 
-        split = {key for key in seeds}
-        split.update(forced)
-        for t in np.flatnonzero(red):
-            a, b, c = tris[t]
-            split.update((edge_key(a, b), edge_key(b, c), edge_key(c, a)))
+        keys = _local_edge_keys(skel)
+        edges, te = np.unique(keys, return_inverse=True)
+        te = te.reshape(nb, 3)
+        split = np.isin(edges, seed) | np.isin(edges, forced)
+        split[te[red]] = True
+        # closure: a triangle with >= 2 split edges is promoted to red; the
+        # rule is monotone, so whole-skeleton sweeps reach the same red set
+        # as promoting one triangle at a time
+        while True:
+            grow = ~red & (split[te].sum(axis=1) >= 2)
+            if not grow.any():
+                break
+            red |= grow
+            split[te[grow]] = True
 
-        # closure: a triangle with >= 2 split edges is promoted to red
-        changed = True
-        while changed:
-            changed = False
-            for t in range(nb):
-                if red[t]:
-                    continue
-                a, b, c = tris[t]
-                keys = (edge_key(b, c), edge_key(c, a), edge_key(a, b))
-                if sum(k in split for k in keys) >= 2:
-                    red[t] = True
-                    split.update(keys)
-                    changed = True
+        hanging = split[te]
+        green = ~red & hanging.any(axis=1)
+        k = hanging.argmax(axis=1)  # a green triangle bisects its first split edge
+        # midpoints are numbered in first-request order, row-major over
+        # (triangle, local edge)
+        want = red[:, None] | (green[:, None] & (np.arange(3) == k[:, None]))
+        request = keys[want]
+        fresh, first = np.unique(request[~np.isin(request, known)], return_index=True)
+        fresh = fresh[np.argsort(first)]
+        lo, hi = _key_ends(fresh)
+        known, mids = _update(known, mids, fresh, verts.shape[0] + np.arange(fresh.size))
+        verts = np.vstack([verts, 0.5 * (verts[lo] + verts[hi])])
+        m = np.full((nb, 3), -1, dtype=np.int64)
+        m[want] = mids[np.searchsorted(known, request)]
 
-        new_rows = []
-        next_vid = cur_verts.shape[0]
-
-        def get_midpoint(a, b):
-            nonlocal next_vid
-            key = edge_key(a, b)
-            vid = known.get(key)
-            if vid is None:
-                new_rows.append(0.5 * (cur_verts[a] + cur_verts[b]))
-                vid = next_vid
-                known[key] = vid
-                next_vid += 1
-            return vid
-
-        out_t = []
-        out_r = []
-        pairs = []
-        for t in range(nb):
-            a, b, c = tris[t]
-            reg = region[t]
-            if red[t]:
-                m0 = get_midpoint(b, c)
-                m1 = get_midpoint(c, a)
-                m2 = get_midpoint(a, b)
-                out_t.extend([(a, m2, m1), (b, m0, m2), (c, m1, m0), (m0, m1, m2)])
-                out_r.extend([reg] * 4)
-                continue
-            keys = (edge_key(b, c), edge_key(c, a), edge_key(a, b))
-            hanging = [k for k, key in enumerate(keys) if key in split]
-            if len(hanging) == 0:
-                out_t.append((a, b, c))
-                out_r.append(reg)
-            else:
-                # exactly one hanging midpoint: bisect toward the opposite vertex
-                k = hanging[0]
-                verts = (a, b, c)
-                vk = verts[k]
-                vn = verts[(k + 1) % 3]
-                vp = verts[(k + 2) % 3]
-                m = get_midpoint(*keys[k])
-                i1 = len(out_t)
-                out_t.extend([(vk, vn, m), (vk, m, vp)])
-                out_r.extend([reg] * 2)
-                pairs.append((i1, i1 + 1))
-
-        if new_rows:
-            cur_verts = np.vstack([cur_verts, np.array(new_rows)])
-        out_t = np.array(out_t, dtype=np.int64)
-        out_r = np.array(out_r, dtype=np.int64)
-        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        count = np.where(red, 4, np.where(green, 2, 1))
+        start = np.cumsum(count) - count
+        out = np.empty((count.sum(), 3), dtype=np.int64)
+        plain = count == 1
+        out[start[plain]] = skel[plain]
+        out[start[red, None] + np.arange(4)] = _red_children(skel[red], m[red])
+        g = np.flatnonzero(green)
+        corners = np.column_stack([skel[g], m[g, k[g]]])
+        out[start[g, None] + np.arange(2)] = corners[np.arange(g.size)[:, None, None], _GREEN_CHILDREN[k[g]]]
+        out_region = np.repeat(skel_region, count)
+        pairs = start[g, None] + np.arange(2)
 
         # audit: no output triangle may keep an edge whose midpoint already
         # exists as a mesh vertex
-        member = np.zeros(out_t.shape[0], dtype=bool)
-        member[pairs.ravel()] = True
-        bad_marked = []
-        bad_forced = set()
-        for t in range(out_t.shape[0]):
-            a, b, c = out_t[t]
-            for key in (edge_key(b, c), edge_key(c, a), edge_key(a, b)):
-                if key in known:
-                    if member[t]:
-                        bad_marked.append(t)
-                    else:
-                        bad_forced.add(key)
-        if not bad_marked and not bad_forced:
-            refined = build_mesh(cur_verts, out_t, out_r)
+        out_keys = _local_edge_keys(out)
+        stale = np.isin(out_keys, known)
+        if not stale.any():
+            refined = build_mesh(verts, out, out_region)
             refined.green_pairs = pairs
             return refined
-        cur_tris = out_t
-        cur_region = out_r
-        cur_greens = pairs
-        marked_now = np.unique(np.array(bad_marked, dtype=np.int64))
-        forced = bad_forced
+        member = np.zeros(out.shape[0], dtype=bool)
+        member[pairs] = True
+        tris, region, greens = out, out_region, pairs
+        marked = np.flatnonzero(member & stale.any(axis=1))
+        forced = np.unique(out_keys[stale & ~member[:, None]])
     raise RuntimeError("conformity restoration did not converge")
 
 

@@ -195,11 +195,19 @@ def test_solve_uniform_rejects_problem_without_closed_form(tmp_path, capsys):
         (["--mode", "uniform", "--levels", "0"], "--levels"),
         (["--mode", "adaptive", "--levels", "-1"], "--levels"),
         (["--mode", "adaptive", "--max-dofs", "0"], "--max-dofs"),
+        pytest.param(["--mesh", "empty.txt"], "no triangles", id="mesh-empty"),
+        pytest.param(["--mesh", "unused.txt"], "vertex 4 belongs to no triangle", id="mesh-unused-vertex"),
+        pytest.param(["--mesh", "missing.txt"], "--mesh", id="mesh-missing"),
     ],
 )
 def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, args, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the input was checked")
+
+    (tmp_path / "empty.txt").write_text("0 0\n")
+    # the unit square in two triangles plus a point at (5, 5) that no triangle uses
+    (tmp_path / "unused.txt").write_text("5 2\n0 0\n1 0\n1 1\n0 1\n5 5\n0 1 2 0\n0 2 3 0\n")
+    args = [str(tmp_path / a) if a.endswith(".txt") else a for a in args]
 
     monkeypatch.setattr(cli, "run_convergence", no_solve)
     monkeypatch.setattr(cli, "adaptive_solve", no_solve)

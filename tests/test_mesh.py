@@ -152,6 +152,27 @@ def test_build_mesh_validation():
         build_mesh(verts, tris, region=np.zeros(5, dtype=int))
 
 
+def test_build_mesh_rejects_meshes_no_solve_can_use(tmp_path):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    with pytest.raises(ValueError, match="no triangles"):
+        build_mesh(np.empty((0, 2)), np.empty((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="vertex 4 belongs to no triangle"):
+        build_mesh(np.vstack([verts, [[5.0, 5.0]]]), tris)
+    path = tmp_path / "mesh.txt"
+    path.write_text("0 0\n")
+    with pytest.raises(ValueError, match="no triangles"):
+        load_mesh(path)
+
+
+def test_build_mesh_numbers_edges_in_vertex_pair_order():
+    mesh = refine_marked(make_lshape_mesh(), [0, 5, 11])
+    raw = mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+    edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.tri_edges, inverse.reshape(mesh.nt, 3))
+
+
 def test_build_mesh_reorients_clockwise_triangles():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     mesh = build_mesh(verts, np.array([[0, 2, 1], [0, 3, 2]]))
