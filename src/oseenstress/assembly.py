@@ -19,6 +19,17 @@ Unknown layout (n = edge moments per tensor row, nt = triangles):
       n entries     n entries     nt entries      nt entries      1
 
 Total dimension N = 2 n + 2 nt + 1.
+
+:func:`assemble` returns this bordered matrix, but :func:`solve_oseen`
+never factors it.  The identity tensor I lies in the kernel of the
+unbordered operator K on both sides (``dev I = 0``, ``div I = 0``), so
+testing with ``tau = I`` gives the multiplier in closed form,
+``lam = <g, n> / (2 |Omega|)`` (the net boundary flux over twice the
+area), which vanishes for compatible data.  SuperLU then factors K with
+the multiplier row and column removed and one pseudostress unknown
+pinned to zero, a sparse matrix of size N - 2 without the dense border,
+and a multiple of I restores the zero trace mean.  The result is the
+solution of the bordered system, whose residual is checked.
 """
 
 import warnings
@@ -29,13 +40,14 @@ import numpy as np
 from .mesh import Mesh
 from .problems import ProblemSpec, spot_check_boundary_data
 from .quadrature import edge_gauss_rule, triangle_rule
-from .sparsela import CsrMatrix, SingularMatrixError, lu_solve, to_csr
+from .sparsela import CsrMatrix, SingularMatrixError, lu_solve, relative_residual, to_csr
 from .spaces import (
     HdivSpace,
     PseudostressField,
     VelocityField,
     apply_trace_correction,
     build_space,
+    identity_coeffs,
 )
 
 __all__ = [
@@ -250,22 +262,71 @@ def assemble(
     return LinearSystem(matrix=matrix, rhs=rhs, layout=layout, space=space)
 
 
+_RTOL = 1e-9  # relative residual bound of every direct solve
+
+
+def _solve_bordered(system: LinearSystem):
+    """Solve the bordered system without factoring its border.
+
+    With ``t`` the trace-mean column and ``z`` the coefficients of sigma = I
+    (zero on the velocity rows), ``K z = 0`` and ``z^T K = 0`` for the
+    unbordered operator K.  So ``lam = z^T b / z^T t``, ``K s = b - lam t``
+    is consistent, and pinning the entry k where ``|z|`` is largest removes
+    both the kernel and the one dependent row: K without row and column k
+    is nonsingular whenever the bordered matrix is.  Adding a multiple of z
+    then meets the constraint ``t^T s = rhs[-1]``.
+
+    Returns ``(x, residual)`` with the relative residual of x in the
+    bordered system.
+    """
+    m = system.layout.multiplier
+    bordered = system.matrix.to_scipy()
+    t = bordered[m].toarray().ravel()[:m]
+    b = system.rhs[:m]
+    z = np.zeros(m)
+    z[: system.layout.offset_u] = identity_coeffs(system.space).ravel()
+    zt = z @ t  # = 2 |Omega|
+    lam = (z @ b) / zt
+
+    k = int(np.argmax(np.abs(z)))
+    coo = bordered.tocoo()
+    inside = (coo.row < m) & (coo.col < m) & (coo.row != k) & (coo.col != k)
+    rows, cols = coo.row[inside], coo.col[inside]
+    pinned = to_csr(rows - (rows > k), cols - (cols > k), coo.data[inside], m - 1)
+    keep = np.arange(m) != k
+    s = np.zeros(m)
+    s[keep], _ = lu_solve(pinned, (b - lam * t)[keep], rtol=_RTOL)
+    s += (system.rhs[m] - t @ s) / zt * z
+
+    x = np.append(s, lam)
+    residual = relative_residual(bordered, x, system.rhs)
+    if residual > _RTOL:
+        raise SingularMatrixError(f"bordered residual {residual:.3e} exceeds tolerance {_RTOL:.1e}")
+    return x, residual
+
+
 def solve_oseen(
     problem: ProblemSpec, mesh: Mesh, kind: str = "rt0", quad_degree: int = 4
 ) -> OseenSolution:
     """Assemble and solve; returns trace-mean-corrected fields.
 
+    The bordered matrix is never factored: the multiplier has a closed
+    form and SuperLU factors the system without its dense trace-mean row
+    and column and with one pseudostress dof pinned (see
+    :func:`_solve_bordered`).  The reported residual is that of the full
+    bordered system.
+
     Raises
     ------
     SingularMatrixError
-        If the direct factorization fails or the relative residual exceeds
+        If the direct factorization fails or a relative residual exceeds
         1e-9; for convection-dominated data this typically means the mesh
         is too coarse for the discrete system to be invertible.
     """
     space = build_space(mesh, kind)
     system = assemble(problem, mesh, space, quad_degree=quad_degree)
     try:
-        x, residual = lu_solve(system.matrix, system.rhs, rtol=1e-9)
+        x, residual = _solve_bordered(system)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"Oseen solve failed on mesh with nt={mesh.nt}: {exc}; "

@@ -208,6 +208,45 @@ def _key_ends(keys: np.ndarray):
     return np.divmod(keys, 1 << 32)
 
 
+def _hanging_boundary_vertex(vertices: np.ndarray, ends: np.ndarray):
+    """A boundary vertex inside a boundary edge, as ``(vertex, edge row)``.
+
+    `ends` holds the (a, b) vertex pairs of the boundary edges.  A vertex
+    of another edge lying on the open segment (a, b), to 1e-12 of |b - a|,
+    is a hanging node: only the edges on either side of it look like
+    boundary edges.  Candidates are the boundary vertices inside each
+    edge's padded bounding box, taken from the x- or y-sorted vertex list,
+    whichever gives fewer.  Returns None when there is none.
+    """
+    bv = np.unique(ends)
+    a, b = vertices[ends[:, 0]], vertices[ends[:, 1]]
+    d = b - a
+    pad = 1e-12 * np.linalg.norm(d, axis=1)
+    lo, hi, order = [], [], []
+    for axis in range(2):
+        order.append(bv[np.argsort(vertices[bv, axis])])
+        coord = vertices[order[-1], axis]
+        lo.append(np.searchsorted(coord, np.minimum(a, b)[:, axis] - pad, side="left"))
+        hi.append(np.searchsorted(coord, np.maximum(a, b)[:, axis] + pad, side="right"))
+    use_y = hi[1] - lo[1] < hi[0] - lo[0]
+    first = np.where(use_y, lo[1], lo[0])
+    counts = np.where(use_y, hi[1] - lo[1], hi[0] - lo[0])
+    edge = np.repeat(np.arange(ends.shape[0]), counts)
+    pos = np.repeat(first, counts) + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    v = np.where(use_y[edge], order[1][pos], order[0][pos])
+    w = vertices[v] - a[edge]
+    de = d[edge]
+    along = np.einsum("ij,ij->i", w, de)
+    length2 = np.einsum("ij,ij->i", de, de)
+    # the edge's own ends give along = 0 and along = length2 exactly
+    cross = de[:, 0] * w[:, 1] - de[:, 1] * w[:, 0]
+    hit = (np.abs(cross) <= 1e-12 * length2) & (along > 0) & (along < length2)
+    if not np.any(hit):
+        return None
+    first_hit = int(np.argmax(hit))
+    return int(v[first_hit]), int(edge[first_hit])
+
+
 @dataclass(frozen=True)
 class MeshStats:
     """Size and shape summary of a mesh."""
@@ -233,8 +272,9 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     ------
     ValueError
         On an empty mesh, duplicate vertices, out-of-range indices, a
-        vertex that no triangle uses, zero-area triangles or an edge
-        shared by more than two triangles.
+        vertex that no triangle uses, zero-area triangles, an edge
+        shared by more than two triangles or a boundary vertex inside a
+        boundary edge (a hanging node).
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -278,6 +318,13 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
             f"nonconforming mesh: edge {tuple(edges[bad])} shared by {counts[bad]} triangles"
         )
     boundary_edges = np.flatnonzero(counts == 1)
+    hanging = _hanging_boundary_vertex(vertices, edges[boundary_edges])
+    if hanging is not None:
+        v, e = hanging
+        raise ValueError(
+            f"nonconforming mesh: vertex {v} lies inside boundary edge "
+            f"{tuple(int(i) for i in edges[boundary_edges[e]])} (a hanging node)"
+        )
     # +1 when the CCW traversal of the local edge runs low -> high index,
     # i.e. when the outward normal equals the global edge normal
     tri_signs = np.where(triangles[:, [1, 2, 0]] < triangles[:, [2, 0, 1]], 1, -1).astype(np.int64)

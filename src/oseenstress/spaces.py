@@ -31,6 +31,7 @@ __all__ = [
     "VelocityField",
     "apply_deviatoric",
     "build_space",
+    "identity_coeffs",
     "interpolate_pseudostress",
     "project_velocity",
     "trace_mean",
@@ -248,15 +249,19 @@ class VelocityField:
         ).copy()
 
 
-def _constant_row_dofs(space: HdivSpace, vec: np.ndarray) -> np.ndarray:
-    """Exact edge-moment coefficients of a constant vector field."""
+def identity_coeffs(space: HdivSpace) -> np.ndarray:
+    """Exact edge-moment coefficients of the identity tensor, shape (2, n).
+
+    Row r holds the coefficients of the constant vector field e_r: on each
+    edge its zeroth moment ``|E| e_r . n_E``; the odd Legendre moment of a
+    constant is zero.  ``dev`` and ``div`` both annihilate the identity.
+    """
     mesh = space.mesh
-    lengths = mesh.edge_lengths()
-    flux = mesh.edge_normals() @ np.asarray(vec, dtype=np.float64)
+    flux = mesh.edge_lengths()[None, :] * mesh.edge_normals().T  # (2, ne)
     if space.kind == "rt0":
-        return lengths * flux
-    out = np.zeros(space.n_dofs_per_row)
-    out[0::2] = lengths * flux  # odd Legendre moment of a constant is zero
+        return flux
+    out = np.zeros((2, space.n_dofs_per_row))
+    out[:, 0::2] = flux
     return out
 
 
@@ -279,9 +284,7 @@ def apply_trace_correction(field: PseudostressField) -> PseudostressField:
     """
     space = field.space
     c = 0.5 * trace_mean(field)
-    coeffs = field.coeffs.copy()
-    coeffs[0] -= c * _constant_row_dofs(space, np.array([1.0, 0.0]))
-    coeffs[1] -= c * _constant_row_dofs(space, np.array([0.0, 1.0]))
+    coeffs = field.coeffs - c * identity_coeffs(space)
     return PseudostressField(space=space, coeffs=coeffs, trace_mean_corrected=True)
 
 

@@ -3,7 +3,7 @@
 Assembly collects (row, col, value) triplets; :func:`to_csr` sums
 duplicates into compressed sparse row storage and :func:`lu_solve` runs a
 direct LU factorization with partial pivoting (SuperLU) and checks the
-residual of the solution.
+residual of the solution with :func:`relative_residual`.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-__all__ = ["CsrMatrix", "SingularMatrixError", "to_csr", "lu_solve"]
+__all__ = ["CsrMatrix", "SingularMatrixError", "to_csr", "lu_solve", "relative_residual"]
 
 
 class SingularMatrixError(RuntimeError):
@@ -62,11 +62,17 @@ def to_csr(rows, cols, vals, n: int) -> CsrMatrix:
     )
 
 
+def relative_residual(a, x: np.ndarray, rhs: np.ndarray) -> float:
+    """``||a x - rhs|| / max(||rhs||, tiny)`` for a scipy sparse matrix `a`."""
+    denom = max(float(np.linalg.norm(rhs)), 1e-300)
+    return float(np.linalg.norm(a @ x - rhs)) / denom
+
+
 def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
     """Solve ``A x = rhs`` by sparse LU with partial pivoting.
 
-    Returns ``(x, residual)`` with the relative residual
-    ``||A x - rhs|| / max(||rhs||, tiny)``, which is at most `rtol`.
+    Returns ``(x, residual)`` with the :func:`relative_residual` of `x`,
+    which is at most `rtol`.
 
     Raises
     ------
@@ -84,8 +90,7 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
         raise SingularMatrixError(f"sparse LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse LU produced non-finite solution")
-    denom = max(float(np.linalg.norm(rhs)), 1e-300)
-    residual = float(np.linalg.norm(a @ x - rhs)) / denom
+    residual = relative_residual(a, x, rhs)
     if residual > rtol:
         raise SingularMatrixError(
             f"direct solve residual {residual:.3e} exceeds tolerance {rtol:.1e}"

@@ -5,11 +5,15 @@ import pytest
 
 from conftest import stokes_linear_problem, two_triangle_square, zero_problem
 
+from oseenstress.adaptive import adaptive_solve
 from oseenstress.assembly import assemble, assemble_dirichlet_rhs, solve_oseen
 from oseenstress.errors import supercloseness
 from oseenstress.mesh import make_square_piecewise_uniform
 from oseenstress.problems import ProblemSpec, get_problem
+from oseenstress.sparsela import lu_solve
 from oseenstress.spaces import (
+    PseudostressField,
+    apply_trace_correction,
     build_space,
     interpolate_pseudostress,
     project_velocity,
@@ -141,11 +145,10 @@ def test_dirichlet_rhs_edge_resolution_insensitive_for_smooth_data():
     assert np.abs(s3 - s8).max() < 1e-5
 
 
-def test_incompatible_boundary_data_warns():
-    mesh = make_square_piecewise_uniform()
-    space = build_space(mesh, "rt0")
+def leaky_problem() -> ProblemSpec:
+    """Zero data except g = (x, 0): net boundary flux 1 on the unit square."""
     prob = zero_problem()
-    bad = ProblemSpec(
+    return ProblemSpec(
         name="leaky",
         b=prob.b,
         c=prob.c,
@@ -153,13 +156,62 @@ def test_incompatible_boundary_data_warns():
         g=lambda x: np.stack([x[..., 0], np.zeros(x.shape[:-1])], axis=-1),
         initial_mesh=prob.initial_mesh,
     )
+
+
+def test_incompatible_boundary_data_warns():
+    mesh = make_square_piecewise_uniform()
+    space = build_space(mesh, "rt0")
     with pytest.warns(UserWarning, match="net flux"):
-        assemble(bad, mesh, space)
+        assemble(leaky_problem(), mesh, space)
 
 
 # ----------------------------------------------------------------------
 # solves
 # ----------------------------------------------------------------------
+
+
+def _adapted(name, iters):
+    return lambda: adaptive_solve(get_problem(name), max_iters=iters).final_mesh
+
+
+# (problem, element, mesh factory) solved both ways
+BORDERED_CASES = {
+    **{f"p1-rt0-level{k}": ("p1", "rt0", lambda k=k: make_square_piecewise_uniform(k)) for k in range(4)},
+    **{f"p1-bdm1-level{k}": ("p1", "bdm1", lambda k=k: make_square_piecewise_uniform(k)) for k in range(3)},
+    "p2-adaptive": ("p2", "rt0", _adapted("p2", 4)),
+    "p3-adaptive": ("p3", "rt0", _adapted("p3", 3)),
+    "net-flux": ("leaky", "rt0", lambda: make_square_piecewise_uniform(1)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:boundary data for 'leaky'")
+@pytest.mark.parametrize("name", list(BORDERED_CASES))
+def test_solve_matches_factoring_the_bordered_matrix(name):
+    # The oracle factors the whole bordered matrix, dense trace-mean row
+    # and column included.
+    problem_name, kind, make_mesh = BORDERED_CASES[name]
+    problem = leaky_problem() if problem_name == "leaky" else get_problem(problem_name)
+    mesh = make_mesh()
+    sol = solve_oseen(problem, mesh, kind=kind)
+    system = assemble(problem, mesh, build_space(mesh, kind))
+    x, _ = lu_solve(system.matrix, system.rhs)
+    lay = system.layout
+    sigma = PseudostressField(space=system.space, coeffs=np.stack([x[lay.sigma_rows(0)], x[lay.sigma_rows(1)]]))
+    sigma = apply_trace_correction(sigma).coeffs
+    u = np.stack([x[lay.u_rows(0)], x[lay.u_rows(1)]])
+    lam = x[lay.multiplier]
+    assert np.abs(sol.sigma.coeffs - sigma).max() <= 1e-9 * np.abs(sigma).max()
+    assert np.abs(sol.u.coeffs - u).max() <= 1e-9 * np.abs(u).max()
+    # for compatible data lam is round-off, so it is held to the solution's scale
+    assert abs(sol.multiplier - lam) <= 1e-9 * max(abs(lam), np.abs(x).max())
+    if problem_name == "leaky":
+        # lam = (net flux) / (2 |Omega|)
+        assert lam == pytest.approx(0.5, rel=1e-12)
+    # the reported residual is that of the bordered system
+    solved = np.concatenate([sol.sigma.coeffs.ravel(), sol.u.coeffs.ravel(), [sol.multiplier]])
+    a = system.matrix.to_scipy()
+    assert np.linalg.norm(a @ solved - system.rhs) <= 1e-9 * np.linalg.norm(system.rhs)
+    assert sol.residual <= 1e-9
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -165,6 +165,41 @@ def test_build_mesh_rejects_meshes_no_solve_can_use(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize(
+    "verts, tris, vertex, edge",
+    [
+        # one half of the unit square bisected at (0.5, 0.5), the other not
+        pytest.param(
+            [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+            [[0, 1, 2], [0, 4, 3], [4, 2, 3]],
+            4,
+            (0, 2),
+            id="diagonal",
+        ),
+        # a unit square next to a 1x1 square cut at the middle of the shared side
+        pytest.param(
+            [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 0.5]],
+            [[0, 1, 2], [0, 2, 3], [1, 4, 6], [6, 4, 5], [6, 5, 2]],
+            6,
+            (1, 2),
+            id="vertical",
+        ),
+        # a triangle touching the top side of the unit square with one corner
+        pytest.param(
+            [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 1], [0.25, 2], [0.75, 2]],
+            [[0, 1, 2], [0, 2, 3], [4, 6, 5]],
+            4,
+            (2, 3),
+            id="touching",
+        ),
+    ],
+)
+def test_build_mesh_rejects_hanging_boundary_vertex(verts, tris, vertex, edge):
+    expected = rf"vertex {vertex} lies inside boundary edge \({edge[0]}, {edge[1]}\)"
+    with pytest.raises(ValueError, match=expected):
+        build_mesh(np.array(verts, dtype=float), np.array(tris))
+
+
 def test_build_mesh_numbers_edges_in_vertex_pair_order():
     mesh = refine_marked(make_lshape_mesh(), [0, 5, 11])
     raw = mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)

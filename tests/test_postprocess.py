@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import two_triangle_square
 from recovery_oracle import recover_pseudostress as loop_recover_pseudostress
+from test_refine import MARK_ROUNDS, START_MESHES, START_NAMES
 
 from oseenstress.errors import l2_error
 from oseenstress.mesh import build_mesh, make_lshape_mesh, make_square_piecewise_uniform, refine_marked
@@ -186,6 +188,20 @@ ORACLE_FIELDS = {
 @pytest.mark.parametrize("name", list(ORACLE_FIELDS))
 def test_recovery_matches_loop_oracle(name):
     field = ORACLE_FIELDS[name]()
+    expected = loop_recover_pseudostress(field).values
+    got = recover_pseudostress(field).values
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(start=START_NAMES, rounds=MARK_ROUNDS, seed=st.integers(0, 2**32 - 1))
+def test_recovery_matches_loop_oracle_on_random_red_green_meshes(start, rounds, seed):
+    mesh = START_MESHES[start]
+    for picks in rounds:
+        mesh = refine_marked(mesh, np.array(picks, dtype=np.int64) % mesh.nt)
+    space = build_space(mesh, "rt0")
+    coeffs = np.random.default_rng(seed).standard_normal((2, space.n_dofs_per_row))
+    field = PseudostressField(space=space, coeffs=coeffs)
     expected = loop_recover_pseudostress(field).values
     got = recover_pseudostress(field).values
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

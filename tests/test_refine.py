@@ -83,16 +83,16 @@ def _refined_start(name):
     return mesh
 
 
-_START_MESHES = {name: _refined_start(name) for name in ("square", "lshape")}
+START_MESHES = {name: _refined_start(name) for name in ("square", "lshape")}
+# strategies: a start mesh, and 1-3 rounds of marks (taken modulo nt)
+START_NAMES = st.sampled_from(sorted(START_MESHES))
+MARK_ROUNDS = st.lists(st.lists(st.integers(0, 10**6), max_size=12), min_size=1, max_size=3)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(
-    start=st.sampled_from(sorted(_START_MESHES)),
-    rounds=st.lists(st.lists(st.integers(0, 10**6), max_size=12), min_size=1, max_size=3),
-)
+@given(start=START_NAMES, rounds=MARK_ROUNDS)
 def test_random_marks_keep_the_mesh_conforming(tmp_path_factory, start, rounds):
-    mesh = _START_MESHES[start]
+    mesh = START_MESHES[start]
     area = mesh.tri_areas().sum()
     for picks in rounds:
         mesh = refine_like_oracle(mesh, np.array(picks, dtype=np.int64) % mesh.nt)
