@@ -6,10 +6,12 @@ recovers the pseudostress, and measures per-element indicators
     eta_K^2 = ||sigma* - sigma_h||_K^2 + ||u* - u_h||_K^2 ,
 
 i.e. the distance between the discrete solution and its superconvergent
-improvements.  The maximum strategy marks every element whose indicator
-reaches a fraction theta of the largest one; marked elements are
-red-refined with red-green closure.  The loop stops after `max_iters`
-refinements or once the system size reaches `max_dofs`.
+improvements.  All four fields are of degree <= 1 on each element, so the
+indicators are exact cellwise Gram norms.  The maximum strategy marks
+every element whose indicator reaches a fraction theta of the largest
+one; marked elements are red-refined with red-green closure.  The loop
+stops after `max_iters` refinements, once the system size reaches
+`max_dofs`, or when no element is marked (a zero estimator).
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +22,9 @@ import numpy as np
 from .assembly import OseenSolution, solve_oseen
 from .errors import l2_error
 from .mesh import Mesh, refine_marked
-from .postprocess import P1VelocityField, RecoveredTensorField, postprocess_velocity, recover_pseudostress
+from .postprocess import RecoveredTensorField, postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec
-from .quadrature import triangle_rule
-from .spaces import VelocityField
+from .spaces import CellwiseLinear
 
 __all__ = ["IndicatorSet", "AdaptiveRecord", "AdaptiveHistory", "compute_indicators", "mark_max", "adaptive_solve"]
 
@@ -60,7 +61,7 @@ class AdaptiveHistory:
     records: List[AdaptiveRecord] = field(default_factory=list)
     final_mesh: Optional[Mesh] = None
     final_solution: Optional[OseenSolution] = None
-    final_ustar: Optional[P1VelocityField] = None
+    final_ustar: Optional[CellwiseLinear] = None
     final_sigmastar: Optional[RecoveredTensorField] = None
 
     @property
@@ -68,26 +69,11 @@ class AdaptiveHistory:
         return len(self.records)
 
 
-def compute_indicators(
-    sigma_h, sigma_star, u_h: VelocityField, u_star: P1VelocityField
-) -> IndicatorSet:
-    """Recovery-based indicators on every element.
-
-    The integrands are products of piecewise-linear fields, so the
-    degree-4 rule used here is exact.
-    """
-    mesh = u_h.mesh
-    rule = triangle_rule(4)
-    tris = np.arange(mesh.nt)
-    pts = mesh.map_ref_points(rule.points, tris)
-    area = mesh.tri_areas()
-
-    ds = sigma_star.eval_cells(tris, pts) - sigma_h.eval_cells(tris, pts)
-    du = u_star.eval_cells(tris, pts) - u_h.eval_cells(tris, pts)
-    sq = np.sum(ds.reshape(ds.shape[:2] + (-1,)) ** 2, axis=2)
-    sq += np.sum(du**2, axis=2)
-    eta2 = area * (sq @ rule.weights)
-    return IndicatorSet(mesh=mesh, eta=np.sqrt(eta2))
+def compute_indicators(sigma_h, sigma_star, u_h, u_star) -> IndicatorSet:
+    """Recovery-based indicators on every element, as exact Gram norms."""
+    eta2 = (sigma_star.cellwise() - sigma_h.cellwise()).sq_norms()
+    eta2 += (u_star.cellwise() - u_h.cellwise()).sq_norms()
+    return IndicatorSet(mesh=u_h.mesh, eta=np.sqrt(eta2))
 
 
 def mark_max(indicators: IndicatorSet, theta: float) -> np.ndarray:
@@ -108,16 +94,9 @@ def _true_error(problem: ProblemSpec, solution: OseenSolution) -> float:
     """Combined L2 error matching the indicator's content."""
     if not problem.has_exact:
         return float("nan")
-    es = l2_error(
-        solution.sigma,
-        problem.exact_sigma,
-        singular_corner=problem.singular_corner,
-    )
-    eu = l2_error(
-        solution.u,
-        problem.exact_u,
-        singular_corner=problem.singular_corner,
-    )
+    corner = problem.singular_corner
+    es = l2_error(solution.sigma, problem.exact_sigma, singular_corner=corner)
+    eu = l2_error(solution.u, problem.exact_u, singular_corner=corner)
     return float(np.hypot(es, eu))
 
 
@@ -139,9 +118,13 @@ def adaptive_solve(
         Maximum-marking threshold; defaults to the problem's value.
     max_iters : int
         Number of refinement steps (the history then holds
-        ``max_iters + 1`` records unless `max_dofs` stops it earlier).
+        ``max_iters + 1`` records unless it stops earlier).
     max_dofs : int
         Stop once the solved system size reaches this.
+
+    The run also stops when marking selects no element, which happens
+    only for a zero estimator; refining would return the same mesh.  The
+    last record always has ``marked == 0`` and describes the final fields.
     """
     if mesh is None:
         mesh = problem.initial_mesh()
@@ -161,26 +144,9 @@ def adaptive_solve(
         true_err = _true_error(problem, solution)
         effectivity = estimator / true_err if np.isfinite(true_err) and true_err > 0 else float("nan")
 
-        stop = iteration >= max_iters or solution.ndofs >= max_dofs
-        if stop:
-            history.records.append(
-                AdaptiveRecord(
-                    iteration=iteration,
-                    nt=mesh.nt,
-                    dofs=solution.ndofs,
-                    estimator=estimator,
-                    true_error=true_err,
-                    effectivity=effectivity,
-                    marked=0,
-                )
-            )
-            history.final_mesh = mesh
-            history.final_solution = solution
-            history.final_ustar = ustar
-            history.final_sigmastar = sigmastar
-            return history
-
-        marked = mark_max(indicators, theta)
+        marked = np.empty(0, dtype=np.int64)
+        if iteration < max_iters and solution.ndofs < max_dofs:
+            marked = mark_max(indicators, theta)
         history.records.append(
             AdaptiveRecord(
                 iteration=iteration,
@@ -192,5 +158,11 @@ def adaptive_solve(
                 marked=int(marked.size),
             )
         )
+        if marked.size == 0:
+            history.final_mesh = mesh
+            history.final_solution = solution
+            history.final_ustar = ustar
+            history.final_sigmastar = sigmastar
+            return history
         mesh = refine_marked(mesh, marked)
         iteration += 1

@@ -289,11 +289,8 @@ def _solve_bordered(system: LinearSystem):
     lam = (z @ b) / zt
 
     k = int(np.argmax(np.abs(z)))
-    coo = bordered.tocoo()
-    inside = (coo.row < m) & (coo.col < m) & (coo.row != k) & (coo.col != k)
-    rows, cols = coo.row[inside], coo.col[inside]
-    pinned = to_csr(rows - (rows > k), cols - (cols > k), coo.data[inside], m - 1)
-    keep = np.arange(m) != k
+    keep = np.flatnonzero(np.arange(m) != k)
+    pinned = CsrMatrix.from_scipy(bordered[keep][:, keep])  # slicing keeps indices sorted
     s = np.zeros(m)
     s[keep], _ = lu_solve(pinned, (b - lam * t)[keep], rtol=_RTOL)
     s += (system.rhs[m] - t @ s) / zt * z
@@ -322,6 +319,8 @@ def solve_oseen(
         If the direct factorization fails or a relative residual exceeds
         1e-9; for convection-dominated data this typically means the mesh
         is too coarse for the discrete system to be invertible.
+    SolverMemoryError
+        If SuperLU runs out of memory; it passes through unchanged.
     """
     space = build_space(mesh, kind)
     system = assemble(problem, mesh, space, quad_degree=quad_degree)

@@ -1,10 +1,11 @@
 """L2 error norms, supercloseness measures and convergence-order fits.
 
-All norms are quadrature-based.  Norms against analytic functions default
-to a degree-6 triangle rule; differences of discrete fields use a degree-4
-rule, which integrates their (at most quadratic) integrands exactly.  When
-the analytic solution has a corner singularity, elements touching the
-corner are geometrically subdivided toward it before the rule is applied.
+Norms against analytic functions use quadrature, a degree-6 triangle rule
+by default; when the analytic solution has a corner singularity, elements
+touching the corner are geometrically subdivided toward it before the rule
+is applied.  Every discrete field is of degree <= 1 on each element, so
+the distance between two of them is an exact cellwise Gram norm with no
+quadrature (:meth:`~oseenstress.spaces.CellwiseLinear.sq_norms`).
 
 Convergence orders are least-squares slopes of log(error) against log(h)
 with h proportional to nt^(-1/2), excluding the first (coarsest) row.
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .quadrature import triangle_rule
-from .spaces import PseudostressField, VelocityField
+from .spaces import CellwiseLinear, PseudostressField, VelocityField
 
 __all__ = ["ErrorRow", "l2_error", "supercloseness", "hdiv_error", "fit_orders", "fit_order"]
 
@@ -83,7 +84,7 @@ def _subdivide_toward(verts: np.ndarray, corner: np.ndarray, depth: int):
     return np.array(out)
 
 
-def _eval_sq_diff(field, exact, tris, pts):
+def _eval_sq_diff(field: CellwiseLinear, exact, tris, pts):
     """Pointwise squared Frobenius difference, shape (m, nq)."""
     vals = field.eval_cells(tris, pts)
     ref = np.asarray(exact(pts), dtype=np.float64)
@@ -107,7 +108,7 @@ def l2_error(
     Parameters
     ----------
     field
-        Any field object with a ``mesh`` and ``eval_cells(tris, physical_points)``.
+        Any discrete field with a ``mesh`` and a ``cellwise()``.
     exact : callable
         Vectorized analytic field matching the discrete field's value shape.
     degree : int
@@ -117,75 +118,47 @@ def l2_error(
     corner_depth : int
         Number of subdivision levels for corner-touching elements.
     """
+    field = field.cellwise()
     mesh = field.mesh
     rule = triangle_rule(degree)
     tris = np.arange(mesh.nt)
-    area = mesh.tri_areas()
-
-    corner_tris = np.empty(0, dtype=np.int64)
+    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     if singular_corner is not None:
         corner = np.asarray(singular_corner, dtype=np.float64)
-        touch = np.all(np.abs(mesh.vertices - corner) < 1e-12, axis=1)
-        if np.any(touch):
-            corner_tris = np.flatnonzero(np.any(touch[mesh.triangles], axis=1))
+        near = np.all(np.abs(verts - corner) < 1e-12, axis=2).any(axis=1)
+        subs = [_subdivide_toward(verts[t], corner, corner_depth) for t in tris[near]]
+        tris = np.concatenate([tris[~near]] + [np.full(len(sub), t) for sub, t in zip(subs, tris[near])])
+        verts = np.concatenate([verts[~near]] + subs)
 
-    regular = np.setdiff1d(tris, corner_tris, assume_unique=True)
-    total = 0.0
-    if regular.size:
-        pts = mesh.map_ref_points(rule.points, regular)
-        sq = _eval_sq_diff(field, exact, regular, pts)
-        total += float(np.sum(area[regular] * (sq @ rule.weights)))
-
-    if corner_tris.size:
-        corner = np.asarray(singular_corner, dtype=np.float64)
-        for t in corner_tris:
-            sub = _subdivide_toward(
-                mesh.vertices[mesh.triangles[t]], corner, corner_depth
-            )
-            v0 = sub[:, 0]
-            d1 = sub[:, 1] - sub[:, 0]
-            d2 = sub[:, 2] - sub[:, 0]
-            sub_area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-            pts = (
-                v0[:, None, :]
-                + rule.points[None, :, 0, None] * d1[:, None, :]
-                + rule.points[None, :, 1, None] * d2[:, None, :]
-            )
-            tt = np.full(sub.shape[0], t, dtype=np.int64)
-            sq = _eval_sq_diff(field, exact, tt, pts)
-            total += float(np.sum(sub_area * (sq @ rule.weights)))
-    return float(np.sqrt(total))
+    d1 = (verts[:, 1] - verts[:, 0])[:, None, :]
+    d2 = (verts[:, 2] - verts[:, 0])[:, None, :]
+    area = 0.5 * np.abs(d1[:, 0, 0] * d2[:, 0, 1] - d1[:, 0, 1] * d2[:, 0, 0])
+    pts = verts[:, 0][:, None, :] + rule.points[None, :, 0, None] * d1 + rule.points[None, :, 1, None] * d2
+    sq = _eval_sq_diff(field, exact, tris, pts)
+    return float(np.sqrt(np.sum(area * (sq @ rule.weights))))
 
 
 def supercloseness(field_a, field_b) -> float:
     """Exact L2 norm of the difference of two discrete fields.
 
     Both fields must be piecewise-constant velocities on the same mesh or
-    pseudostress fields in the same space; the integrand is a piecewise
-    polynomial, so the norm carries no quadrature error.
+    pseudostress fields in the same space; the difference is of degree
+    <= 1 on each element, so its norm is an exact Gram norm.
     """
     if isinstance(field_a, VelocityField) and isinstance(field_b, VelocityField):
         if field_a.mesh is not field_b.mesh:
             raise ValueError("velocity fields live on different meshes")
-        diff = field_a.coeffs - field_b.coeffs
-        area = field_a.mesh.tri_areas()
-        return float(np.sqrt(np.sum(area * np.sum(diff**2, axis=0))))
-    if isinstance(field_a, PseudostressField) and isinstance(field_b, PseudostressField):
+        diff = VelocityField(mesh=field_a.mesh, coeffs=field_a.coeffs - field_b.coeffs)
+    elif isinstance(field_a, PseudostressField) and isinstance(field_b, PseudostressField):
         if field_a.space is not field_b.space:
             raise ValueError("pseudostress fields live in different spaces")
-        space = field_a.space
-        mesh = space.mesh
-        diff = PseudostressField(space=space, coeffs=field_a.coeffs - field_b.coeffs)
-        rule = triangle_rule(4)
-        tris = np.arange(mesh.nt)
-        pts = mesh.map_ref_points(rule.points, tris)
-        vals = diff.eval_cells(tris, pts)
-        sq = np.sum(vals.reshape(vals.shape[:2] + (-1,)) ** 2, axis=2)
-        return float(np.sqrt(np.sum(mesh.tri_areas() * (sq @ rule.weights))))
-    raise TypeError(
-        "supercloseness expects two velocity fields or two pseudostress fields, "
-        f"got {type(field_a).__name__} and {type(field_b).__name__}"
-    )
+        diff = PseudostressField(space=field_a.space, coeffs=field_a.coeffs - field_b.coeffs)
+    else:
+        raise TypeError(
+            "supercloseness expects two velocity fields or two pseudostress fields, "
+            f"got {type(field_a).__name__} and {type(field_b).__name__}"
+        )
+    return float(np.sqrt(np.sum(diff.cellwise().sq_norms())))
 
 
 def hdiv_error(sigma_h: PseudostressField, exact_div, degree: int = 6) -> float:

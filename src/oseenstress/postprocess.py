@@ -7,8 +7,8 @@ Two constructions:
   triangle the lifted field keeps the cell mean of ``u_h`` and its
   (constant) gradient matches the moments of the discrete pseudostress and
   its derived pressure, i.e. the mean of the deviatoric part of
-  ``sigma_h``.  The local problem is a 6x6 linear system (two mean
-  constraints + four gradient moments) solved directly.
+  ``sigma_h``.  The local problem has a closed form, so the lift is one
+  array expression.
 
 * :func:`recover_pseudostress` maps an RT0 pseudostress to a continuous
   piecewise-linear tensor field by superconvergent patch recovery: each
@@ -31,41 +31,9 @@ from scipy import sparse
 
 from .mesh import Mesh, group_rows
 from .quadrature import triangle_rule
-from .spaces import PseudostressField, VelocityField, trace_mean
+from .spaces import CellwiseLinear, PseudostressField, VelocityField, apply_deviatoric, trace_mean
 
-__all__ = [
-    "P1VelocityField",
-    "RecoveredTensorField",
-    "DerivedPressureField",
-    "SymmetricStressField",
-    "postprocess_velocity",
-    "recover_pseudostress",
-    "derived_pressure",
-    "symmetric_stress",
-]
-
-
-@dataclass
-class P1VelocityField:
-    """Discontinuous piecewise-linear velocity.
-
-    coeffs[t, r] = (a0, a1, a2) represents component r on triangle t as
-    ``a0 + a1 (x - cx) + a2 (y - cy)`` with (cx, cy) the element centroid.
-    """
-
-    mesh: Mesh
-    coeffs: np.ndarray  # (nt, 2, 3)
-    centroids: np.ndarray  # (nt, 2)
-
-    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """(m, nq, 2) values at physical points inside the given triangles."""
-        dx = pts - self.centroids[tris][:, None, :]
-        mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
-        return np.einsum("trm,tqm->tqr", self.coeffs[tris], mono)
-
-    def cell_means(self) -> np.ndarray:
-        """(2, nt) cell means (the constant coefficients, by centering)."""
-        return self.coeffs[:, :, 0].T.copy()
+__all__ = ["RecoveredTensorField", "postprocess_velocity", "recover_pseudostress"]
 
 
 @dataclass
@@ -79,64 +47,25 @@ class RecoveredTensorField:
     mesh: Mesh
     values: np.ndarray  # (nv, 2, 2)
 
-    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """(m, nq, 2, 2) values at physical points inside the triangles."""
+    def cellwise(self) -> CellwiseLinear:
+        """The interpolant on every element, value shape (2, 2).
+
+        The cell mean is the mean of the three vertex values; the gradient
+        solves ``[d1 d2]^T g = [f1 - f0, f2 - f0]`` with ``d_i = x_i - x_0``.
+        """
         mesh = self.mesh
-        v = mesh.vertices[mesh.triangles[tris]]  # (m, 3, 2)
+        v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+        f = self.values[mesh.triangles]  # (nt, 3, 2, 2)
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        rel = pts - v[:, 0][:, None, :]
-        lam1 = (rel[..., 0] * d2[:, None, 1] - rel[..., 1] * d2[:, None, 0]) / det[:, None]
-        lam2 = (d1[:, None, 0] * rel[..., 1] - d1[:, None, 1] * rel[..., 0]) / det[:, None]
-        lam0 = 1.0 - lam1 - lam2
-        lam = np.stack([lam0, lam1, lam2], axis=2)  # (m, nq, 3)
-        vv = self.values[mesh.triangles[tris]]  # (m, 3, 2, 2)
-        return np.einsum("tqk,tkrc->tqrc", lam, vv)
-
-    def trace_integral(self) -> float:
-        """Exact integral of the trace (linear per element)."""
-        mesh = self.mesh
-        tr = self.values[:, 0, 0] + self.values[:, 1, 1]
-        cell = tr[mesh.triangles].mean(axis=1)
-        return float(np.sum(mesh.tri_areas() * cell))
+        det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])[:, None, None]
+        f1, f2 = f[:, 1] - f[:, 0], f[:, 2] - f[:, 0]
+        gx = (d2[:, 1, None, None] * f1 - d1[:, 1, None, None] * f2) / det
+        gy = (d1[:, 0, None, None] * f2 - d2[:, 0, None, None] * f1) / det
+        return CellwiseLinear(mesh, np.stack([f.mean(axis=1), gx, gy], axis=-1))
 
 
-class DerivedPressureField:
-    """Pressure ``-(1/2) tr`` of a tensor field, evaluated on demand."""
-
-    def __init__(self, source):
-        self.source = source
-        self.mesh = source.mesh
-
-    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        vals = self.source.eval_cells(tris, pts)
-        return -0.5 * (vals[..., 0, 0] + vals[..., 1, 1])
-
-
-class SymmetricStressField:
-    """Symmetric part ``(sigma + sigma^T) / 2`` of a tensor field."""
-
-    def __init__(self, source):
-        self.source = source
-        self.mesh = source.mesh
-
-    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        vals = self.source.eval_cells(tris, pts)
-        return 0.5 * (vals + np.swapaxes(vals, -1, -2))
-
-
-def derived_pressure(field) -> DerivedPressureField:
-    """Pressure recovered from a pseudostress-like tensor field."""
-    return DerivedPressureField(field)
-
-
-def symmetric_stress(field) -> SymmetricStressField:
-    """Symmetric (true) stress part of a pseudostress-like tensor field."""
-    return SymmetricStressField(field)
-
-
-def postprocess_velocity(sigma_h: PseudostressField, u_h: VelocityField) -> P1VelocityField:
+def postprocess_velocity(sigma_h: PseudostressField, u_h: VelocityField) -> CellwiseLinear:
     """Element-local lift of the velocity to discontinuous P1.
 
     On each element K the lifted field w satisfies
@@ -145,45 +74,18 @@ def postprocess_velocity(sigma_h: PseudostressField, u_h: VelocityField) -> P1Ve
         (grad w, grad v)_K = (sigma_h, grad v)_K + (p_h, div v)_K
                                                  for linear mean-free v,
 
-    with the derived pressure ``p_h = -(1/2) tr sigma_h``.  The local 6x6
-    systems are assembled with a degree-2 rule (exact here) and solved
-    directly; mean preservation holds by construction.
+    with the derived pressure ``p_h = -(1/2) tr sigma_h``.  Testing with
+    v = x - cx and v = y - cy picks single entries of the constant
+    ``grad w``, so ``grad w = dev(mean_K sigma_h)`` and
+
+        w = u_h + dev(mean_K sigma_h) (x - c_K).
     """
     mesh = u_h.mesh
     if sigma_h.space.mesh is not mesh:
         raise ValueError("sigma and velocity live on different meshes")
-    nt = mesh.nt
-    area = mesh.tri_areas()
-    centroids = mesh.tri_centroids()
-    rule = triangle_rule(2)
-    tris = np.arange(nt)
-    pts = mesh.map_ref_points(rule.points, tris)
-    dx = pts - centroids[:, None, :]
-    mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)  # (nt, nq, 3)
-    mono_int = area[:, None] * np.einsum("q,tqm->tm", rule.weights, mono)
-
-    sig = sigma_h.eval_cells(tris, pts)  # (nt, nq, 2, 2)
-    sig_int = area[:, None, None] * np.einsum("q,tqrc->trc", rule.weights, sig)
-    tr_int = sig_int[:, 0, 0] + sig_int[:, 1, 1]
-    p_int = -0.5 * tr_int  # integral of the derived pressure
-
-    mat = np.zeros((nt, 6, 6))
-    rhs = np.zeros((nt, 6))
-    # mean constraints: rows 0 (component 1) and 1 (component 2)
-    mat[:, 0, 0:3] = mono_int
-    mat[:, 1, 3:6] = mono_int
-    rhs[:, 0] = area * u_h.coeffs[0]
-    rhs[:, 1] = area * u_h.coeffs[1]
-    # gradient moments: test gradients pick single entries of grad w
-    for row, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)), start=2):
-        mat[:, row, 3 * r + 1 + c] = area
-        rhs[:, row] = sig_int[:, r, c] + (p_int if r == c else 0.0)
-    try:
-        sol = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - needs degenerate cell
-        raise RuntimeError(f"singular local postprocessing system: {exc}") from exc
-    coeffs = sol.reshape(nt, 2, 3)
-    return P1VelocityField(mesh=mesh, coeffs=coeffs, centroids=centroids)
+    coeffs = u_h.cellwise().coeffs
+    coeffs[:, :, 1:] = apply_deviatoric(sigma_h.cellwise().coeffs[..., 0])  # the cell means
+    return CellwiseLinear(mesh, coeffs)
 
 
 def _fit_linear(rel: np.ndarray, vals: np.ndarray, count: np.ndarray):
@@ -240,7 +142,7 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
 
     rule = triangle_rule(2)  # 3 interior sampling nodes per element
     pts = mesh.map_ref_points(rule.points)  # (nt, 3, 2)
-    samples = sigma_h.eval_cells(np.arange(nt), pts).reshape(nt, 3, 4)  # s11 s12 s21 s22
+    samples = sigma_h.cellwise().eval_cells(np.arange(nt), pts).reshape(nt, 3, 4)  # s11 s12 s21 s22
 
     # every vertex's own patch fit, over coefficients {1, dx/s, dy/s}
     patch = group_rows(mesh.triangles, nv) // 3  # (nv, w) patch elements, -1 padded

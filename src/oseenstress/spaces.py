@@ -16,6 +16,13 @@ continuity across interior edges holds by construction and orientation
 flips never need explicit sign fixups in assembly.  Basis functions are
 stored as monomial coefficients over {1, x - cx, y - cy} centered at the
 element centroid; their divergences are elementwise constants.
+
+Every discrete field of the method (a pseudostress row, the cellwise
+constant velocity, the lifted velocity and the recovered pseudostress) is
+a polynomial of degree <= 1 on each triangle.  :class:`CellwiseLinear`
+holds any of them in that monomial basis, and each field type converts to
+it with ``cellwise()``; evaluation, cell means and exact L2 norms are
+defined there once.
 """
 
 from dataclasses import dataclass
@@ -26,6 +33,7 @@ from .mesh import Mesh
 from .quadrature import edge_gauss_rule, triangle_rule
 
 __all__ = [
+    "CellwiseLinear",
     "HdivSpace",
     "PseudostressField",
     "VelocityField",
@@ -77,6 +85,59 @@ def apply_deviatoric(m: np.ndarray) -> np.ndarray:
     out[..., 0, 0] -= 0.5 * tr
     out[..., 1, 1] -= 0.5 * tr
     return out
+
+
+@dataclass
+class CellwiseLinear:
+    """Field of degree <= 1 on each triangle, discontinuous across edges.
+
+    coeffs[t, ..., :] = (a0, a1, a2) represents the field on triangle t as
+    ``a0 + a1 (x - cx) + a2 (y - cy)`` with (cx, cy) the element centroid,
+    so a0 is the cell mean.  The middle axes are the value shape: (2,) for
+    a velocity, (2, 2) for a tensor.
+    """
+
+    mesh: Mesh
+    coeffs: np.ndarray  # (nt, *value_shape, 3)
+
+    def cellwise(self) -> "CellwiseLinear":
+        """Itself, so it goes wherever a discrete field does."""
+        return self
+
+    def __sub__(self, other: "CellwiseLinear") -> "CellwiseLinear":
+        if self.mesh is not other.mesh:
+            raise ValueError("cellwise fields live on different meshes")
+        return CellwiseLinear(mesh=self.mesh, coeffs=self.coeffs - other.coeffs)
+
+    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Values at physical points `pts` (m, nq, 2) inside triangles `tris`.
+
+        Returns shape (m, nq, *value_shape).
+        """
+        mesh = self.mesh
+        dx = pts - mesh.vertices[mesh.triangles[tris]].mean(axis=1)[:, None, :]
+        mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
+        c = self.coeffs[tris]
+        vals = mono @ c.reshape(len(tris), -1, 3).transpose(0, 2, 1)
+        return vals.reshape(dx.shape[:2] + c.shape[1:-1])
+
+    def cell_means(self) -> np.ndarray:
+        """Cell means, shape (*value_shape, nt)."""
+        return np.moveaxis(self.coeffs[..., 0], 0, -1).copy()
+
+    def sq_norms(self) -> np.ndarray:
+        """Exact squared L2 norm on each triangle, summed over components.
+
+        With g the gradient and d_i = vertex_i - centroid,
+        ``int_K (a0 + g.(x - c))^2 = |K| (a0^2 + (1/12) sum_i (g.d_i)^2)``.
+        """
+        mesh = self.mesh
+        v = mesh.vertices[mesh.triangles]
+        d = v - v.mean(axis=1)[:, None, :]  # (nt, 3, 2)
+        c = self.coeffs.reshape(mesh.nt, -1, 3)
+        gd = c[:, :, 1:] @ d.transpose(0, 2, 1)  # (nt, k, 3)
+        sq = np.sum(c[:, :, 0] ** 2, axis=1) + np.sum(gd**2, axis=(1, 2)) / 12.0
+        return mesh.tri_areas() * sq
 
 
 @dataclass
@@ -204,17 +265,15 @@ class PseudostressField:
 
     space: HdivSpace
     coeffs: np.ndarray
-    trace_mean_corrected: bool = False
 
     @property
     def mesh(self) -> Mesh:
         return self.space.mesh
 
-    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Tensor values at physical points: (m, nq, 2, 2)."""
-        basis = self.space.eval_cells(tris, pts)  # (m, nq, nl, 2)
-        w = self.coeffs[:, self.space.dof_map[tris]]  # (2, m, nl)
-        return np.einsum("rtj,tqjc->tqrc", w, basis)
+    def cellwise(self) -> CellwiseLinear:
+        """The tensor field on every element, value shape (2, 2)."""
+        w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
+        return CellwiseLinear(self.mesh, np.einsum("rtj,tjcm->trcm", w, self.space.basis_coeff))
 
     def div_cells(self, tris=None) -> np.ndarray:
         """Row-wise divergence, constant per element: (m, 2)."""
@@ -222,16 +281,6 @@ class PseudostressField:
             tris = np.arange(self.space.mesh.nt)
         w = self.coeffs[:, self.space.dof_map[tris]]  # (2, m, nl)
         return np.einsum("rtj,tj->tr", w, self.space.basis_div[tris])
-
-    def trace_integral(self) -> float:
-        """Exact integral of the trace (rows are at most linear per element)."""
-        mesh = self.mesh
-        rule = triangle_rule(2)
-        tris = np.arange(mesh.nt)
-        pts = mesh.map_ref_points(rule.points, tris)
-        vals = self.eval_cells(tris, pts)  # (nt, nq, 2, 2)
-        tr = vals[:, :, 0, 0] + vals[:, :, 1, 1]
-        return float(np.sum(mesh.tri_areas() * (tr @ rule.weights)))
 
 
 @dataclass
@@ -241,12 +290,11 @@ class VelocityField:
     mesh: Mesh
     coeffs: np.ndarray
 
-    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """(m, nq, 2) broadcast of the per-element constants."""
-        nq = pts.shape[1]
-        return np.broadcast_to(
-            self.coeffs[:, tris].T[:, None, :], (len(tris), nq, 2)
-        ).copy()
+    def cellwise(self) -> CellwiseLinear:
+        """The velocity with zero gradient, value shape (2,)."""
+        coeffs = np.zeros((self.mesh.nt, 2, 3))
+        coeffs[:, :, 0] = self.coeffs.T
+        return CellwiseLinear(self.mesh, coeffs)
 
 
 def identity_coeffs(space: HdivSpace) -> np.ndarray:
@@ -268,11 +316,12 @@ def identity_coeffs(space: HdivSpace) -> np.ndarray:
 def trace_mean(field) -> float:
     """Mean of the tensor trace over the domain.
 
-    `field` is any tensor field with a ``mesh`` and an exact
-    ``trace_integral()``: a :class:`PseudostressField` or a recovered
-    continuous piecewise-linear field.
+    `field` is any tensor field with a ``cellwise()``; the integral of a
+    field of degree <= 1 over a triangle is its area times its cell mean.
     """
-    return field.trace_integral() / float(np.sum(field.mesh.tri_areas()))
+    means = field.cellwise().cell_means()  # (2, 2, nt)
+    area = field.mesh.tri_areas()
+    return float(np.sum(area * (means[0, 0] + means[1, 1]))) / float(np.sum(area))
 
 
 def apply_trace_correction(field: PseudostressField) -> PseudostressField:
@@ -285,7 +334,7 @@ def apply_trace_correction(field: PseudostressField) -> PseudostressField:
     space = field.space
     c = 0.5 * trace_mean(field)
     coeffs = field.coeffs - c * identity_coeffs(space)
-    return PseudostressField(space=space, coeffs=coeffs, trace_mean_corrected=True)
+    return PseudostressField(space=space, coeffs=coeffs)
 
 
 def interpolate_pseudostress(
@@ -329,7 +378,7 @@ def interpolate_pseudostress(
         coeffs[0, 1::2] = m1[:, 0]
         coeffs[1, 0::2] = m0[:, 1]
         coeffs[1, 1::2] = m1[:, 1]
-    field = PseudostressField(space=space, coeffs=coeffs, trace_mean_corrected=False)
+    field = PseudostressField(space=space, coeffs=coeffs)
     if trace_correct:
         field = apply_trace_correction(field)
     return field

@@ -12,11 +12,24 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-__all__ = ["CsrMatrix", "SingularMatrixError", "to_csr", "lu_solve", "relative_residual"]
+__all__ = ["CsrMatrix", "SingularMatrixError", "SolverMemoryError", "to_csr", "lu_solve", "relative_residual"]
 
 
 class SingularMatrixError(RuntimeError):
     """Raised when the LU factorization detects a singular matrix."""
+
+
+class SolverMemoryError(MemoryError):
+    """Raised when the LU factorization runs out of memory.
+
+    Carries the size `n` and the stored entries `nnz` of the matrix; it is
+    never a :class:`SingularMatrixError`.
+    """
+
+    def __init__(self, n: int, nnz: int, detail: str):
+        super().__init__(f"sparse LU ran out of memory (n={n}, nnz={nnz}): {detail}")
+        self.n = n
+        self.nnz = nnz
 
 
 @dataclass
@@ -36,6 +49,16 @@ class CsrMatrix:
     def nnz(self) -> int:
         return int(self.data.size)
 
+    @classmethod
+    def from_scipy(cls, csr: scipy.sparse.csr_matrix) -> "CsrMatrix":
+        """Wrap a square scipy CSR matrix whose indices are sorted."""
+        return cls(
+            n=csr.shape[0],
+            indptr=np.asarray(csr.indptr, dtype=np.int64),
+            indices=np.asarray(csr.indices, dtype=np.int64),
+            data=np.asarray(csr.data, dtype=np.float64),
+        )
+
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         return scipy.sparse.csr_matrix(
             (self.data, self.indices, self.indptr), shape=(self.n, self.n)
@@ -54,12 +77,7 @@ def to_csr(rows, cols, vals, n: int) -> CsrMatrix:
     csr = coo.tocsr()
     csr.sum_duplicates()
     csr.sort_indices()
-    return CsrMatrix(
-        n=n,
-        indptr=np.asarray(csr.indptr, dtype=np.int64),
-        indices=np.asarray(csr.indices, dtype=np.int64),
-        data=np.asarray(csr.data, dtype=np.float64),
-    )
+    return CsrMatrix.from_scipy(csr)
 
 
 def relative_residual(a, x: np.ndarray, rhs: np.ndarray) -> float:
@@ -76,8 +94,11 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
 
     Raises
     ------
+    SolverMemoryError
+        If SuperLU fails to allocate memory.
     SingularMatrixError
-        If the factorization fails or the residual check does not pass.
+        If the factorization fails otherwise or the residual check does
+        not pass.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (matrix.n,):
@@ -86,7 +107,11 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
     try:
         lu = scipy.sparse.linalg.splu(a)
         x = lu.solve(rhs)
-    except RuntimeError as exc:  # SuperLU signals singularity this way
+    except MemoryError as exc:
+        raise SolverMemoryError(matrix.n, matrix.nnz, str(exc)) from exc
+    except RuntimeError as exc:  # SuperLU signals singularity and failed mallocs this way
+        if "malloc" in str(exc).lower():
+            raise SolverMemoryError(matrix.n, matrix.nnz, str(exc)) from exc
         raise SingularMatrixError(f"sparse LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse LU produced non-finite solution")

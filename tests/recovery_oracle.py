@@ -52,7 +52,7 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     rule = triangle_rule(2)  # 3 interior sampling nodes per element
     tris = np.arange(nt)
     pts = mesh.map_ref_points(rule.points, tris)  # (nt, 3, 2)
-    vals = sigma_h.eval_cells(tris, pts)  # (nt, 3, 2, 2)
+    vals = sigma_h.cellwise().eval_cells(tris, pts)  # (nt, 3, 2, 2)
     samples = vals.reshape(nt, 3, 4)  # columns: s11 s12 s21 s22
 
     # vertex -> element adjacency

@@ -104,6 +104,18 @@ def test_adaptive_solve_zero_iterations():
     assert rec.dofs == history.final_solution.ndofs
 
 
+def test_adaptive_solve_stops_when_nothing_is_marked():
+    # A zero estimator marks no element; refining would return the same
+    # mesh, so the run ends at once with that iteration as the final one.
+    history = adaptive_solve(zero_problem(), mesh=make_square_piecewise_uniform(), max_iters=4)
+    assert len(history.records) == 1
+    rec = history.records[0]
+    assert (rec.iteration, rec.marked, rec.estimator) == (0, 0, 0.0)
+    assert history.final_mesh.nt == rec.nt == 19
+    assert history.final_solution.ndofs == rec.dofs
+    assert history.final_ustar is not None and history.final_sigmastar is not None
+
+
 def test_adaptive_solve_rejects_negative_iterations():
     with pytest.raises(ValueError):
         adaptive_solve(get_problem("p2"), max_iters=-1)

@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from conftest import stokes_linear_problem, two_triangle_square, zero_problem
 
+from oseenstress import assembly
 from oseenstress.adaptive import adaptive_solve
 from oseenstress.assembly import assemble, assemble_dirichlet_rhs, solve_oseen
 from oseenstress.errors import supercloseness
 from oseenstress.mesh import make_square_piecewise_uniform
 from oseenstress.problems import ProblemSpec, get_problem
-from oseenstress.sparsela import lu_solve
+from oseenstress.sparsela import SolverMemoryError, lu_solve, to_csr
 from oseenstress.spaces import (
     PseudostressField,
     apply_trace_correction,
     build_space,
+    identity_coeffs,
     interpolate_pseudostress,
     project_velocity,
     trace_mean,
@@ -214,6 +217,52 @@ def test_solve_matches_factoring_the_bordered_matrix(name):
     assert sol.residual <= 1e-9
 
 
+def coo_pinned_oracle(system, k):
+    """The pinned matrix by a COO round trip through `to_csr`."""
+    m = system.layout.multiplier
+    coo = system.matrix.to_scipy().tocoo()
+    inside = (coo.row < m) & (coo.col < m) & (coo.row != k) & (coo.col != k)
+    rows, cols = coo.row[inside], coo.col[inside]
+    return to_csr(rows - (rows > k), cols - (cols > k), coo.data[inside], m - 1)
+
+
+@pytest.mark.parametrize("name", ["p1-rt0-level3", "p1-bdm1-level2", "p2-adaptive", "p3-adaptive"])
+def test_pinned_matrix_matches_coo_construction(name, monkeypatch):
+    # The solve slices the bordered CSR matrix; the oracle rebuilds the
+    # same matrix from its triplets.  Both must agree array for array.
+    problem_name, kind, make_mesh = BORDERED_CASES[name]
+    problem, mesh = get_problem(problem_name), make_mesh()
+    factored = []
+
+    def spy(matrix, rhs, rtol):
+        factored.append(matrix)
+        return lu_solve(matrix, rhs, rtol=rtol)
+
+    monkeypatch.setattr(assembly, "lu_solve", spy)
+    solve_oseen(problem, mesh, kind=kind)
+    system = assemble(problem, mesh, build_space(mesh, kind))
+    k = int(np.argmax(np.abs(identity_coeffs(system.space).ravel())))
+    (got,) = factored
+    want = coo_pinned_oracle(system, k)
+    assert got.n == want.n
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_solve_passes_memory_errors_through(monkeypatch):
+    # A failed SuperLU allocation is not reported as a mesh too coarse.
+    def splu(*args, **kwargs):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    mesh = make_square_piecewise_uniform()
+    with pytest.raises(SolverMemoryError) as info:
+        solve_oseen(get_problem("p1"), mesh)
+    assert "too coarse" not in str(info.value)
+    assert info.value.n == 2 * mesh.ne + 2 * mesh.nt - 1
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_zero_data_gives_zero_solution(kind):
     mesh = make_square_piecewise_uniform()
@@ -252,7 +301,6 @@ def test_bdm1_reproduces_linear_pseudostress_exactly():
 def test_solved_pseudostress_has_zero_trace_mean(kind):
     mesh = make_square_piecewise_uniform(1)
     sol = solve_oseen(get_problem("p1"), mesh, kind=kind)
-    assert sol.sigma.trace_mean_corrected
     scale = float(np.abs(sol.sigma.coeffs).max())
     assert abs(trace_mean(sol.sigma)) < 1e-9 * max(scale, 1.0)
     assert sol.residual <= 1e-9

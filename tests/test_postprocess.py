@@ -8,15 +8,10 @@ from conftest import two_triangle_square
 from recovery_oracle import recover_pseudostress as loop_recover_pseudostress
 from test_refine import MARK_ROUNDS, START_MESHES, START_NAMES
 
+from oseenstress.adaptive import adaptive_solve
 from oseenstress.errors import l2_error
 from oseenstress.mesh import build_mesh, make_lshape_mesh, make_square_piecewise_uniform, refine_marked
-from oseenstress.postprocess import (
-    _fit_linear,
-    derived_pressure,
-    postprocess_velocity,
-    recover_pseudostress,
-    symmetric_stress,
-)
+from oseenstress.postprocess import _fit_linear, postprocess_velocity, recover_pseudostress
 from oseenstress.problems import get_problem
 from oseenstress.assembly import solve_oseen
 from oseenstress.quadrature import triangle_rule
@@ -26,6 +21,7 @@ from oseenstress.spaces import (
     build_space,
     interpolate_pseudostress,
     project_velocity,
+    trace_mean,
 )
 
 
@@ -66,6 +62,50 @@ def test_lift_reproduces_affine_divergence_free_velocity():
     tris = np.arange(mesh.nt)
     pts = mesh.map_ref_points(rule.points, tris)
     assert np.abs(ustar.eval_cells(tris, pts) - u(pts)).max() < 1e-12
+
+
+def lift_by_local_solves(sigma_h, u_h):
+    """The lift as 6x6 local systems (two means, four gradient moments)."""
+    mesh = u_h.mesh
+    nt = mesh.nt
+    area = mesh.tri_areas()
+    rule = triangle_rule(2)
+    tris = np.arange(nt)
+    pts = mesh.map_ref_points(rule.points, tris)
+    dx = pts - mesh.tri_centroids()[:, None, :]
+    mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
+    mono_int = area[:, None] * np.einsum("q,tqm->tm", rule.weights, mono)
+    basis = sigma_h.space.eval_cells(tris, pts)
+    sig = np.einsum("rtj,tqjc->tqrc", sigma_h.coeffs[:, sigma_h.space.dof_map], basis)
+    sig_int = area[:, None, None] * np.einsum("q,tqrc->trc", rule.weights, sig)
+    p_int = -0.5 * (sig_int[:, 0, 0] + sig_int[:, 1, 1])
+    mat = np.zeros((nt, 6, 6))
+    rhs = np.zeros((nt, 6))
+    mat[:, 0, 0:3] = mono_int
+    mat[:, 1, 3:6] = mono_int
+    rhs[:, 0] = area * u_h.coeffs[0]
+    rhs[:, 1] = area * u_h.coeffs[1]
+    for row, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)), start=2):
+        mat[:, row, 3 * r + 1 + c] = area
+        rhs[:, row] = sig_int[:, r, c] + (p_int if r == c else 0.0)
+    return np.linalg.solve(mat, rhs[:, :, None])[:, :, 0].reshape(nt, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "name, kind, make_mesh",
+    [
+        ("p1", "rt0", lambda: make_square_piecewise_uniform(2)),
+        ("p1", "bdm1", lambda: make_square_piecewise_uniform(1)),
+        ("p3", "rt0", lambda: adaptive_solve(get_problem("p3"), max_iters=2).final_mesh),
+    ],
+    ids=["p1-rt0", "p1-bdm1", "p3-adaptive"],
+)
+def test_closed_form_lift_matches_local_solves(name, kind, make_mesh):
+    sol = solve_oseen(get_problem(name), make_mesh(), kind=kind)
+    want = lift_by_local_solves(sol.sigma, sol.u)
+    got = postprocess_velocity(sol.sigma, sol.u).coeffs
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_lift_rejects_mismatched_meshes(p1_solution):
@@ -247,7 +287,7 @@ def test_recovery_is_bounded_on_random_fields():
     for _ in range(100):
         coeffs = rng.standard_normal((2, space.n_dofs_per_row))
         field = PseudostressField(space=space, coeffs=coeffs)
-        sup_in = float(np.abs(field.eval_cells(tris, pts)).max())
+        sup_in = float(np.abs(field.cellwise().eval_cells(tris, pts)).max())
         sup_out = float(np.abs(recover_pseudostress(field).values).max())
         worst = max(worst, sup_out / sup_in)
     assert worst <= 15.0
@@ -264,7 +304,7 @@ def test_recovery_rejects_bdm1_fields():
 def test_recovered_field_has_zero_trace_integral(p1_solution):
     rec = recover_pseudostress(p1_solution.sigma)
     scale = max(1.0, float(np.abs(rec.values).max()))
-    assert abs(rec.trace_integral()) < 1e-9 * scale
+    assert abs(trace_mean(rec)) < 1e-9 * scale  # the domain has unit area
 
 
 def test_recovery_beats_raw_field_on_smooth_problem(p1_solution):
@@ -279,33 +319,3 @@ def test_recovery_beats_raw_field_on_smooth_problem(p1_solution):
     ratio2 = l2_error(rec2, prob.exact_sigma) / l2_error(finer.sigma, prob.exact_sigma)
     assert ratio2 < 0.6
     assert ratio2 < ratio1
-
-
-# ----------------------------------------------------------------------
-# derived fields
-# ----------------------------------------------------------------------
-
-
-def test_derived_pressure_error_bounded_by_tensor_error(p1_solution):
-    # |(-1/2) tr E| <= |E|_F / sqrt(2) pointwise, so the L2 errors obey
-    # the same inequality.
-    prob = get_problem("p1")
-    rec = recover_pseudostress(p1_solution.sigma)
-    press = derived_pressure(rec)
-
-    def exact_p(x):
-        return x[..., 0] + x[..., 1] - 1.0
-
-    err_p = l2_error(press, exact_p)
-    err_s = l2_error(rec, prob.exact_sigma)
-    assert err_p <= err_s / np.sqrt(2.0) + 1e-12
-
-
-def test_symmetric_stress_is_symmetric(p1_solution):
-    sym = symmetric_stress(recover_pseudostress(p1_solution.sigma))
-    mesh = p1_solution.u.mesh
-    rule = triangle_rule(2)
-    tris = np.arange(mesh.nt)
-    pts = mesh.map_ref_points(rule.points, tris)
-    vals = sym.eval_cells(tris, pts)
-    assert np.abs(vals - np.swapaxes(vals, -1, -2)).max() == 0.0

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from conftest import dense_lu_solve
 
-from oseenstress.sparsela import SingularMatrixError, lu_solve, to_csr
+from oseenstress.sparsela import SingularMatrixError, SolverMemoryError, lu_solve, to_csr
 
 
 def random_triplets(rng, n):
@@ -80,6 +81,42 @@ def test_lu_solve_detects_singular_matrix():
     csr = to_csr([0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0], 4)
     with pytest.raises(SingularMatrixError):
         lu_solve(csr, np.ones(4))
+
+
+def failing_splu(exc):
+    def splu(*args, **kwargs):
+        raise exc
+
+    return splu
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()"),
+        RuntimeError("Malloc fails for L[]"),
+        MemoryError(),
+    ],
+    ids=["superlu-malloc", "malloc-any-case", "memory-error"],
+)
+def test_lu_solve_reports_memory_failures_as_memory_errors(exc, monkeypatch):
+    # No memory is allocated for real: splu is replaced by a stub that
+    # raises what SuperLU raises when an allocation fails.
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu(exc))
+    csr = to_csr(np.arange(3), np.arange(3), np.ones(3), 3)
+    with pytest.raises(SolverMemoryError) as info:
+        lu_solve(csr, np.ones(3))
+    assert not isinstance(info.value, SingularMatrixError)
+    assert isinstance(info.value, MemoryError)
+    assert (info.value.n, info.value.nnz) == (3, 3)
+    assert "n=3, nnz=3" in str(info.value)
+
+
+def test_lu_solve_reports_singular_factor_as_singular(monkeypatch):
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu(RuntimeError("Factor is exactly singular")))
+    csr = to_csr(np.arange(3), np.arange(3), np.ones(3), 3)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        lu_solve(csr, np.ones(3))
 
 
 def test_lu_solve_rejects_wrong_rhs_shape():
