@@ -1,4 +1,4 @@
-"""Assembly and direct solution of the mixed pseudostress-velocity system.
+"""Assembly and hybridized direct solution of the pseudostress-velocity system.
 
 Discrete problem: find a tensor field ``sigma_h`` with H(div) rows, a
 piecewise-constant velocity ``u_h`` and a scalar multiplier ``lam`` with
@@ -13,23 +13,33 @@ zero-trace-mean normalization of the pseudostress space; restricted to
 trace-mean-free test functions the first equation reduces to the
 constrained formulation, so the solved pair coincides with it.
 
-Unknown layout (n = edge moments per tensor row, nt = triangles):
+Unknown layout of the bordered system (n = edge moments per tensor row,
+nt = triangles):
 
     [ sigma row 1 | sigma row 2 | u component 1 | u component 2 | lam ]
       n entries     n entries     nt entries      nt entries      1
 
-Total dimension N = 2 n + 2 nt + 1.
+Total dimension N = 2 n + 2 nt + 1, the count reported as ``ndofs``.
 
-:func:`assemble` returns this bordered matrix, but :func:`solve_oseen`
-never factors it.  The identity tensor I lies in the kernel of the
-unbordered operator K on both sides (``dev I = 0``, ``div I = 0``), so
-testing with ``tau = I`` gives the multiplier in closed form,
-``lam = <g, n> / (2 |Omega|)`` (the net boundary flux over twice the
-area), which vanishes for compatible data.  SuperLU then factors K with
-the multiplier row and column removed and one pseudostress unknown
-pinned to zero, a sparse matrix of size N - 2 without the dense border,
-and a multiple of I restores the zero trace mean.  The result is the
-solution of the bordered system, whose residual is checked.
+No global matrix of this size is built.  The system is hybridized
+(Arnold & Brezzi, M2AN 19, 1985): each triangle K keeps its own copy of
+the pseudostress edge moments, and the normal continuity of the rows
+across every interior edge is imposed by one multiplier per interior
+edge moment and row (the velocity trace).  Each element then carries
+its local block L_K on m = 2 nl + 2 unknowns ``[sigma row 1 | sigma row
+2 | u_1 | u_2]`` (m = 8 for RT0, 14 for BDM1).
+
+The identity tensor lies in the kernel of L_K on both sides
+(``dev I = 0``, ``div I = 0``); z_K denotes its local coefficients.  So
+each element pins its pseudostress unknown with the largest ``|z_K|``,
+keeps the coefficient c_K of I on K as a global unknown, and eliminates
+the rest with the inverse of L_K without the pinned row and column.
+What is left to factor is the condensed system on the interior edge
+multipliers and the c_K: continuity of the moments on every interior
+edge, and per element the solvability of its local system (L_K tested
+with z_K).  One c is pinned against the global kernel I.  The trace-mean
+multiplier has the closed form ``lam = z^T b / z^T t``, the net boundary
+flux over twice the area, which vanishes for compatible data.
 """
 
 import warnings
@@ -52,6 +62,7 @@ from .spaces import (
 
 __all__ = [
     "SystemLayout",
+    "ElementBlocks",
     "LinearSystem",
     "OseenSolution",
     "assemble",
@@ -88,13 +99,41 @@ class SystemLayout:
 
 
 @dataclass
+class ElementBlocks:
+    """Local blocks and maps of the hybridized system, one row per triangle.
+
+    The m = 2 nl + 2 local unknowns are ``[sigma row 1 | sigma row 2 | u_1
+    | u_2]``; the first 2 nl are the pseudostress unknowns.
+    """
+
+    operator: np.ndarray  # (nt, m, m) local block L_K of the unbordered operator
+    inverse: np.ndarray  # (nt, m, m) inverse of L_K without its pinned row and column, zero there
+    dofs: np.ndarray  # (nt, m) index of each local unknown in the bordered layout
+    owned: np.ndarray  # (nt, m) True on the one local copy that carries each global unknown
+    kernel: np.ndarray  # (nt, m) local coefficients z_K of sigma = I
+    trace: np.ndarray  # (nt, m) local trace-mean column t_K
+    load: np.ndarray  # (nt, m) local right-hand side b_K, nonzero on owned copies only
+    pin: np.ndarray  # (nt,) the pinned sigma unknown, where |z_K| is largest
+    edge: np.ndarray  # (nt, 2 nl) condensed index of the multiplier of each sigma unknown, n_mult on the boundary
+    sign: np.ndarray  # (nt, 2 nl) +1 and -1 on the two sides of an interior edge, 0 on the boundary
+    n_mult: int  # number of edge multipliers
+
+
+@dataclass
 class LinearSystem:
-    """Assembled sparse operator, right-hand side and layout."""
+    """Condensed operator and right-hand sides, with the element blocks.
+
+    The condensed unknowns are the interior edge multipliers followed by
+    c_K for every triangle but the last.  The right-hand side for the
+    trace-mean multiplier lam is ``rhs - lam * rhs_trace``.
+    """
 
     matrix: CsrMatrix
     rhs: np.ndarray
+    rhs_trace: np.ndarray
     layout: SystemLayout
     space: HdivSpace
+    elements: ElementBlocks
 
 
 @dataclass
@@ -168,32 +207,38 @@ def assemble_dirichlet_rhs(
     return rhs
 
 
-def assemble(
-    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_degree: int = 4
-) -> LinearSystem:
-    """Assemble the saddle-point system for a problem on a mesh.
+def _pinned_inverse(operator: np.ndarray, pin: np.ndarray) -> np.ndarray:
+    """Inverse of each block without row and column ``pin``, zero-padded back.
 
-    Parameters
-    ----------
-    problem : ProblemSpec
-    mesh : Mesh
-    space : HdivSpace
-        Must have been built on `mesh`.
-    quad_degree : int
-        Element quadrature exactness; at least 4.
+    Raises
+    ------
+    SingularMatrixError
+        If a block is not finite or is singular once pinned.
     """
-    if space.mesh is not mesh:
-        raise ValueError("space was not built on the given mesh")
-    if quad_degree < 4:
-        raise ValueError(f"element quadrature degree must be >= 4, got {quad_degree}")
-    spot_check_boundary_data(problem, mesh)
-    _check_compatibility(problem, mesh)
+    if not np.all(np.isfinite(operator)):
+        raise SingularMatrixError("a local element block is not finite")
+    k = np.arange(len(operator))
+    a = operator.copy()
+    a[k, pin, :] = 0.0
+    a[k, :, pin] = 0.0
+    a[k, pin, pin] = 1.0
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"a local element block is singular: {exc}") from exc
+    if not np.all(np.isfinite(inverse)):
+        raise SingularMatrixError("a local element block has a non-finite inverse")
+    inverse[k, pin, pin] = 0.0
+    return inverse
 
+
+def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_degree: int) -> ElementBlocks:
+    """Local blocks, loads and maps of every element."""
     n = space.n_dofs_per_row
     nt = mesh.nt
     nl = space.ndof_local
+    ns = 2 * nl
     layout = SystemLayout(n_row_dofs=n, nt=nt)
-    blocks = []  # (rows, cols, vals) triplet blocks in insertion order
 
     rule = triangle_rule(quad_degree)
     w = rule.weights
@@ -205,101 +250,185 @@ def assemble(
     cq = np.asarray(problem.c(pts), dtype=np.float64)
     fq = np.asarray(problem.f(pts), dtype=np.float64)
 
-    gdofs = space.dof_map  # (nt, nl)
-    row_sigma = np.empty((2, nt, nl), dtype=np.int64)
-    row_sigma[0] = gdofs
-    row_sigma[1] = gdofs + n
-    row_u = layout.offset_u + np.stack([tris, nt + tris])  # (2, nt)
-
+    # q[t, r nl + j, k]: row r of basis j at point k; qw adds the weights
+    q = np.ascontiguousarray(phi.transpose(0, 3, 2, 1)).reshape(nt, ns, len(w))
+    qw = q * (area[:, None] * w)[:, None, :]
+    operator = np.zeros((nt, ns + 2, ns + 2))
     # --- deviatoric block: (dev sigma, tau) = (sigma, tau) - 1/2 (tr sigma, tr tau)
-    mass = np.einsum("q,tqic,tqjc->tij", w, phi, phi) * area[:, None, None]
-    trm = np.einsum("q,tqir,tqjs->tirjs", w, phi, phi) * area[:, None, None, None, None]
-    aloc = np.zeros((nt, 2, nl, 2, nl))
+    gram = qw @ q.transpose(0, 2, 1)  # int phi_i[r] phi_j[s]
+    mass = gram[:, :nl, :nl] + gram[:, nl:, nl:]
+    operator[:, :ns, :ns] = -0.5 * gram
+    operator[:, :nl, :nl] += mass
+    operator[:, nl:ns, nl:ns] += mass
+
+    # --- divergence coupling (div tau, u) and its negative transpose, exact
+    divint = area[:, None] * space.basis_div  # (nt, nl)
+    # --- convection ((dev tau) b, v) of the row-r trial tensor in velocity row p
+    conv = qw @ bq  # (nt, ns, 2): int phi_j[r] b_p
+    operator[:, ns:, :ns] = -0.5 * conv.transpose(0, 2, 1)
+    conv_par = conv[:, :nl, 0] + conv[:, nl:, 1]  # int phi_j . b
     for r in range(2):
-        aloc[:, r, :, r, :] = mass
-    aloc -= 0.5 * np.transpose(trm, (0, 2, 1, 4, 3))
-    rows = np.broadcast_to(row_sigma.transpose(1, 0, 2)[:, :, :, None, None], aloc.shape)
-    cols = np.broadcast_to(row_sigma.transpose(1, 0, 2)[:, None, None, :, :], aloc.shape)
-    blocks.append((rows, cols, aloc))
-
-    # --- divergence coupling: (div tau, u) and its negative transpose
-    divint = area[:, None] * space.basis_div  # (nt, nl): exact, divergences constant
-    for r in range(2):
-        ucol = np.broadcast_to(row_u[r][:, None], (nt, nl))
-        blocks.append((row_sigma[r], ucol, divint))
-        blocks.append((ucol, row_sigma[r], -divint))
-
-    # --- convection: ((dev tau) b, v) with row-r trial tensor tau
-    conv_par = np.einsum("q,tqjc,tqc->tj", w, phi, bq) * area[:, None]
-    conv_tr = np.einsum("q,tqjr,tqp->tjrp", w, phi, bq) * area[:, None, None, None]
-    for rp in range(2):
-        for r in range(2):
-            val = -0.5 * conv_tr[:, :, r, rp]
-            if rp == r:
-                val = val + conv_par
-            urow = np.broadcast_to(row_u[rp][:, None], (nt, nl))
-            blocks.append((urow, row_sigma[r], val))
-
-    # --- reaction: (c u, v), diagonal per component
+        rows = slice(r * nl, (r + 1) * nl)
+        operator[:, rows, ns + r] = divint
+        operator[:, ns + r, rows] += conv_par - divint
+    # --- reaction (c u, v), diagonal per component
     react = area * np.einsum("q,tq->t", w, cq)
-    for r in range(2):
-        blocks.append((row_u[r], row_u[r], react))
+    operator[:, ns, ns] = react
+    operator[:, ns + 1, ns + 1] = react
 
-    # --- trace-mean constraint row/column (symmetric bordering)
-    trint = np.einsum("q,tqjr->tjr", w, phi) * area[:, None, None]
-    for r in range(2):
-        mrow = np.full((nt, nl), layout.multiplier, dtype=np.int64)
-        blocks.append((row_sigma[r], mrow, trint[:, :, r]))
-        blocks.append((mrow, row_sigma[r], trint[:, :, r]))
+    dofs = np.empty((nt, ns + 2), dtype=np.int64)
+    dofs[:, :nl] = space.dof_map
+    dofs[:, nl:ns] = space.dof_map + n
+    dofs[:, ns] = layout.offset_u + tris
+    dofs[:, ns + 1] = layout.offset_u + nt + tris
+
+    # one multiplier per interior edge moment and row; each sigma moment is
+    # owned by the lower-index triangle of its edge (side 0)
+    owner, _ = mesh.edge_owners()
+    moments = n // mesh.ne
+    interior = owner[np.arange(n) // moments, 1] >= 0  # (n,) per edge moment
+    n_inner = int(interior.sum())
+    edge_of = space.dof_map // moments  # (nt, nl)
+    side0 = owner[edge_of, 0] == tris[:, None]
+    sign = np.where(interior[space.dof_map], np.where(side0, 1.0, -1.0), 0.0)
+    sign = np.concatenate([sign, sign], axis=1)
+    rank = np.cumsum(interior) - 1
+    edge = np.concatenate([rank[space.dof_map], n_inner + rank[space.dof_map]], axis=1)
+    edge[sign == 0] = 2 * n_inner
+    owned = np.ones((nt, ns + 2), dtype=bool)
+    owned[:, :ns] = np.concatenate([side0, side0], axis=1)
+
+    kernel = np.zeros((nt, ns + 2))
+    kernel[:, :ns] = identity_coeffs(space).ravel()[dofs[:, :ns]]
+    trace = np.zeros((nt, ns + 2))
+    trace[:, :ns] = qw.sum(axis=2)  # (tr tau, 1)
 
     rhs = assemble_dirichlet_rhs(problem, mesh, space)
     fint = area[:, None] * np.einsum("q,tqr->tr", w, fq)
-    for r in range(2):
-        rhs[row_u[r]] += fint[:, r]
+    load = np.where(owned, rhs[dofs], 0.0)
+    load[:, ns:] += fint
 
-    rows, cols, vals = (np.concatenate([np.ravel(b[i]) for b in blocks]) for i in range(3))
-    matrix = to_csr(rows, cols, vals, layout.size)
-    return LinearSystem(matrix=matrix, rhs=rhs, layout=layout, space=space)
+    pin = np.argmax(np.abs(kernel), axis=1)
+    return ElementBlocks(
+        operator=operator,
+        inverse=_pinned_inverse(operator, pin),
+        dofs=dofs,
+        owned=owned,
+        kernel=kernel,
+        trace=trace,
+        load=load,
+        pin=pin,
+        edge=edge,
+        sign=sign,
+        n_mult=2 * n_inner,
+    )
+
+
+def _condensed_rhs(el: ElementBlocks, local: np.ndarray) -> np.ndarray:
+    """Condensed right-hand side of the local right-hand sides `local` (nt, m).
+
+    Edge rows: the jump of the local solutions ``G_K local_K`` across
+    every interior edge.  Element rows: ``z_K^T local_K``, the last element
+    left out.
+    """
+    ns = el.sign.shape[1]
+    solved = (el.inverse[:, :ns] @ local[:, :, None])[:, :, 0]
+    jump = np.bincount(el.edge.ravel(), weights=(el.sign * solved).ravel(), minlength=el.n_mult + 1)
+    return np.concatenate([jump[: el.n_mult], np.sum(el.kernel * local, axis=1)[:-1]])
+
+
+def assemble(
+    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_degree: int = 4
+) -> LinearSystem:
+    """Assemble the element blocks and the condensed system.
+
+    Parameters
+    ----------
+    problem : ProblemSpec
+    mesh : Mesh
+    space : HdivSpace
+        Must have been built on `mesh`.
+    quad_degree : int
+        Element quadrature exactness; at least 4.
+
+    Raises
+    ------
+    SingularMatrixError
+        If a local block is not finite or is singular once pinned.
+    """
+    if space.mesh is not mesh:
+        raise ValueError("space was not built on the given mesh")
+    if quad_degree < 4:
+        raise ValueError(f"element quadrature degree must be >= 4, got {quad_degree}")
+    spot_check_boundary_data(problem, mesh)
+    _check_compatibility(problem, mesh)
+
+    el = _element_blocks(problem, mesh, space, quad_degree)
+    nt = mesh.nt
+    ns = el.sign.shape[1]
+    n_mult = el.n_mult
+
+    # edge rows: jump of the multiplier-driven local solutions G_K C_K^T mu ...
+    live = (el.sign != 0) & (np.arange(ns) != el.pin[:, None])
+    both = live[:, :, None] & live[:, None, :]
+    shape = (nt, ns, ns)
+    rows = [np.broadcast_to(el.edge[:, :, None], shape)[both]]
+    cols = [np.broadcast_to(el.edge[:, None, :], shape)[both]]
+    vals = [(el.inverse[:, :ns, :ns] * el.sign[:, :, None] * el.sign[:, None, :])[both]]
+    # ... minus that of c_K z_K; element rows: z_K^T C_K^T mu
+    zs = el.kernel[:, :ns] * el.sign
+    coupled = (zs != 0) & (np.arange(nt) < nt - 1)[:, None]
+    ctri = np.broadcast_to((n_mult + np.arange(nt))[:, None], zs.shape)[coupled]
+    rows += [el.edge[coupled], ctri]
+    cols += [ctri, el.edge[coupled]]
+    vals += [-zs[coupled], zs[coupled]]
+
+    matrix = to_csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n_mult + nt - 1)
+    return LinearSystem(
+        matrix=matrix,
+        rhs=_condensed_rhs(el, el.load),
+        rhs_trace=_condensed_rhs(el, el.trace),
+        layout=SystemLayout(n_row_dofs=space.n_dofs_per_row, nt=nt),
+        space=space,
+        elements=el,
+    )
 
 
 _RTOL = 1e-9  # relative residual bound of every direct solve
 
 
-def _solve_bordered(system: LinearSystem):
-    """Solve the bordered system without factoring its border.
+def _solve_hybrid(system: LinearSystem):
+    """Solve the condensed system and back-substitute element by element.
 
-    With ``t`` the trace-mean column and ``z`` the coefficients of sigma = I
-    (zero on the velocity rows), ``K z = 0`` and ``z^T K = 0`` for the
-    unbordered operator K.  So ``lam = z^T b / z^T t``, ``K s = b - lam t``
-    is consistent, and pinning the entry k where ``|z|`` is largest removes
-    both the kernel and the one dependent row: K without row and column k
-    is nonsingular whenever the bordered matrix is.  Adding a multiple of z
-    then meets the constraint ``t^T s = rhs[-1]``.
-
-    Returns ``(x, residual)`` with the relative residual of x in the
-    bordered system.
+    Returns ``(s, lam, residual)``: the sigma and u coefficients in the
+    bordered layout, the trace-mean multiplier and the relative residual
+    of ``(s, lam)`` in the bordered system, computed blockwise.
     """
-    m = system.layout.multiplier
-    bordered = system.matrix.to_scipy()
-    t = bordered[m].toarray().ravel()[:m]
-    b = system.rhs[:m]
-    z = np.zeros(m)
-    z[: system.layout.offset_u] = identity_coeffs(system.space).ravel()
-    zt = z @ t  # = 2 |Omega|
-    lam = (z @ b) / zt
+    el = system.elements
+    ns = el.sign.shape[1]
+    nsigma = system.layout.offset_u
+    lam = np.sum(el.kernel * el.load) / np.sum(el.kernel * el.trace)  # z^T b / z^T t
 
-    k = int(np.argmax(np.abs(z)))
-    keep = np.flatnonzero(np.arange(m) != k)
-    pinned = CsrMatrix.from_scipy(bordered[keep][:, keep])  # slicing keeps indices sorted
-    s = np.zeros(m)
-    s[keep], _ = lu_solve(pinned, (b - lam * t)[keep], rtol=_RTOL)
-    s += (system.rhs[m] - t @ s) / zt * z
+    y, _ = lu_solve(system.matrix, system.rhs - lam * system.rhs_trace, rtol=_RTOL)
+    mu = np.append(y[: el.n_mult], 0.0)  # the boundary slot n_mult is zero
+    c = np.append(y[el.n_mult :], 0.0)  # the last element's c is pinned
+    local = el.load - lam * el.trace
+    local[:, :ns] -= el.sign * mu[el.edge]
+    x = c[:, None] * el.kernel + (el.inverse @ local[:, :, None])[:, :, 0]
 
-    x = np.append(s, lam)
-    residual = relative_residual(bordered, x, system.rhs)
+    s = np.empty(system.layout.size - 1)
+    s[el.dofs[el.owned]] = x[el.owned]
+    # restore the zero trace mean with a multiple of I
+    t = np.bincount(el.dofs[:, :ns].ravel(), weights=el.trace[:, :ns].ravel(), minlength=nsigma)
+    z = identity_coeffs(system.space).ravel()
+    s[:nsigma] -= (t @ s[:nsigma]) / (z @ t) * z
+
+    applied = (el.operator @ s[el.dofs][:, :, None])[:, :, 0] + lam * el.trace - el.load
+    misfit = np.append(np.bincount(el.dofs.ravel(), weights=applied.ravel(), minlength=s.size), t @ s[:nsigma])
+    residual = relative_residual(misfit, el.load)  # each entry of b sits in one local copy
     if residual > _RTOL:
         raise SingularMatrixError(f"bordered residual {residual:.3e} exceeds tolerance {_RTOL:.1e}")
-    return x, residual
+    return s, lam, residual
 
 
 def solve_oseen(
@@ -307,25 +436,27 @@ def solve_oseen(
 ) -> OseenSolution:
     """Assemble and solve; returns trace-mean-corrected fields.
 
-    The bordered matrix is never factored: the multiplier has a closed
-    form and SuperLU factors the system without its dense trace-mean row
-    and column and with one pseudostress dof pinned (see
-    :func:`_solve_bordered`).  The reported residual is that of the full
-    bordered system.
+    The bordered system is solved by hybridization (see the module
+    docstring): the multiplier has a closed form, SuperLU factors only the
+    condensed system on the interior edge multipliers and one c_K per
+    element, and each element's (sigma_K, u_K) follows by
+    back-substitution.  A multiple of I then restores the zero trace mean.
+    The reported residual is that of the full bordered system.
 
     Raises
     ------
     SingularMatrixError
-        If the direct factorization fails or a relative residual exceeds
-        1e-9; for convection-dominated data this typically means the mesh
-        is too coarse for the discrete system to be invertible.
+        If a local block or the condensed factorization is singular or a
+        relative residual exceeds 1e-9; for convection-dominated data this
+        typically means the mesh is too coarse for the discrete system to
+        be invertible.
     SolverMemoryError
         If SuperLU runs out of memory; it passes through unchanged.
     """
     space = build_space(mesh, kind)
-    system = assemble(problem, mesh, space, quad_degree=quad_degree)
     try:
-        x, residual = _solve_bordered(system)
+        system = assemble(problem, mesh, space, quad_degree=quad_degree)
+        s, lam, residual = _solve_hybrid(system)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"Oseen solve failed on mesh with nt={mesh.nt}: {exc}; "
@@ -333,14 +464,8 @@ def solve_oseen(
         ) from exc
     layout = system.layout
     sigma = PseudostressField(
-        space=space, coeffs=np.stack([x[layout.sigma_rows(0)], x[layout.sigma_rows(1)]])
+        space=space, coeffs=np.stack([s[layout.sigma_rows(0)], s[layout.sigma_rows(1)]])
     )
     sigma = apply_trace_correction(sigma)
-    u = VelocityField(mesh=mesh, coeffs=np.stack([x[layout.u_rows(0)], x[layout.u_rows(1)]]))
-    return OseenSolution(
-        sigma=sigma,
-        u=u,
-        multiplier=float(x[layout.multiplier]),
-        residual=residual,
-        ndofs=layout.size,
-    )
+    u = VelocityField(mesh=mesh, coeffs=np.stack([s[layout.u_rows(0)], s[layout.u_rows(1)]]))
+    return OseenSolution(sigma=sigma, u=u, multiplier=float(lam), residual=residual, ndofs=layout.size)

@@ -4,7 +4,9 @@
 (error table + fitted orders) or the adaptive loop (per-iteration
 history), writing CSV files into an output directory and printing
 aligned tables.  All output is deterministic: rerunning a configuration
-reproduces the files byte for byte.
+reproduces the files byte for byte.  A solve that fails (a singular
+system or SuperLU out of memory) ends the command with a one-line
+``error:`` message on stderr and exit status 1.
 """
 
 import argparse
@@ -21,6 +23,7 @@ from .mesh import Mesh, load_mesh, save_mesh, uniform_quad_refine
 from .postprocess import postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec, get_problem, problem_names
 from .spaces import interpolate_pseudostress, project_velocity
+from .sparsela import SingularMatrixError, SolverMemoryError
 
 __all__ = ["run_convergence", "emit", "format_sci", "main"]
 
@@ -300,7 +303,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "solve":
-        return _cmd_solve(args, parser)
+        try:
+            return _cmd_solve(args, parser)
+        except (SingularMatrixError, SolverMemoryError) as exc:
+            print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+            return 1
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -80,10 +80,10 @@ def to_csr(rows, cols, vals, n: int) -> CsrMatrix:
     return CsrMatrix.from_scipy(csr)
 
 
-def relative_residual(a, x: np.ndarray, rhs: np.ndarray) -> float:
-    """``||a x - rhs|| / max(||rhs||, tiny)`` for a scipy sparse matrix `a`."""
+def relative_residual(residual: np.ndarray, rhs: np.ndarray) -> float:
+    """``||residual|| / max(||rhs||, tiny)``; `rhs` may have any shape."""
     denom = max(float(np.linalg.norm(rhs)), 1e-300)
-    return float(np.linalg.norm(a @ x - rhs)) / denom
+    return float(np.linalg.norm(residual)) / denom
 
 
 def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
@@ -115,7 +115,7 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
         raise SingularMatrixError(f"sparse LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse LU produced non-finite solution")
-    residual = relative_residual(a, x, rhs)
+    residual = relative_residual(a @ x - rhs, rhs)
     if residual > rtol:
         raise SingularMatrixError(
             f"direct solve residual {residual:.3e} exceeds tolerance {rtol:.1e}"

@@ -6,18 +6,18 @@ import scipy.sparse.linalg
 
 from conftest import stokes_linear_problem, two_triangle_square, zero_problem
 
-from oseenstress import assembly
+import monolithic_oracle
+from oseenstress import adaptive, assembly
 from oseenstress.adaptive import adaptive_solve
 from oseenstress.assembly import assemble, assemble_dirichlet_rhs, solve_oseen
 from oseenstress.errors import supercloseness
 from oseenstress.mesh import make_square_piecewise_uniform
 from oseenstress.problems import ProblemSpec, get_problem
-from oseenstress.sparsela import SolverMemoryError, lu_solve, to_csr
+from oseenstress.sparsela import SingularMatrixError, SolverMemoryError, lu_solve
 from oseenstress.spaces import (
     PseudostressField,
     apply_trace_correction,
     build_space,
-    identity_coeffs,
     interpolate_pseudostress,
     project_velocity,
     trace_mean,
@@ -35,7 +35,7 @@ def test_layout_block_sizes():
     mesh = make_square_piecewise_uniform()
     for kind, n in (("rt0", mesh.ne), ("bdm1", 2 * mesh.ne)):
         space = build_space(mesh, kind)
-        system = assemble(get_problem("p1"), mesh, space)
+        system = monolithic_oracle.assemble(get_problem("p1"), mesh, space)
         layout = system.layout
         assert layout.n_row_dofs == n
         assert layout.size == 2 * n + 2 * mesh.nt + 1
@@ -51,7 +51,7 @@ def test_stokes_block_structure(kind):
     # and the multiplier column mirrors the multiplier row.
     mesh = make_square_piecewise_uniform()
     space = build_space(mesh, kind)
-    system = assemble(stokes_linear_problem(), mesh, space)
+    system = monolithic_oracle.assemble(stokes_linear_problem(), mesh, space)
     a = system.matrix.to_scipy().toarray()
     lay = system.layout
     for r in range(2):
@@ -79,7 +79,9 @@ def test_assembly_is_deterministic():
     s2 = assemble(get_problem("p1"), mesh, space)
     assert np.array_equal(s1.matrix.data, s2.matrix.data)
     assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
+    assert np.array_equal(s1.matrix.indptr, s2.matrix.indptr)
     assert np.array_equal(s1.rhs, s2.rhs)
+    assert np.array_equal(s1.rhs_trace, s2.rhs_trace)
 
 
 def test_assemble_validates_inputs():
@@ -180,7 +182,7 @@ def _adapted(name, iters):
 # (problem, element, mesh factory) solved both ways
 BORDERED_CASES = {
     **{f"p1-rt0-level{k}": ("p1", "rt0", lambda k=k: make_square_piecewise_uniform(k)) for k in range(4)},
-    **{f"p1-bdm1-level{k}": ("p1", "bdm1", lambda k=k: make_square_piecewise_uniform(k)) for k in range(3)},
+    **{f"p1-bdm1-level{k}": ("p1", "bdm1", lambda k=k: make_square_piecewise_uniform(k)) for k in range(4)},
     "p2-adaptive": ("p2", "rt0", _adapted("p2", 4)),
     "p3-adaptive": ("p3", "rt0", _adapted("p3", 3)),
     "net-flux": ("leaky", "rt0", lambda: make_square_piecewise_uniform(1)),
@@ -196,7 +198,7 @@ def test_solve_matches_factoring_the_bordered_matrix(name):
     problem = leaky_problem() if problem_name == "leaky" else get_problem(problem_name)
     mesh = make_mesh()
     sol = solve_oseen(problem, mesh, kind=kind)
-    system = assemble(problem, mesh, build_space(mesh, kind))
+    system = monolithic_oracle.assemble(problem, mesh, build_space(mesh, kind))
     x, _ = lu_solve(system.matrix, system.rhs)
     lay = system.layout
     sigma = PseudostressField(space=system.space, coeffs=np.stack([x[lay.sigma_rows(0)], x[lay.sigma_rows(1)]]))
@@ -217,37 +219,44 @@ def test_solve_matches_factoring_the_bordered_matrix(name):
     assert sol.residual <= 1e-9
 
 
-def coo_pinned_oracle(system, k):
-    """The pinned matrix by a COO round trip through `to_csr`."""
-    m = system.layout.multiplier
-    coo = system.matrix.to_scipy().tocoo()
-    inside = (coo.row < m) & (coo.col < m) & (coo.row != k) & (coo.col != k)
-    rows, cols = coo.row[inside], coo.col[inside]
-    return to_csr(rows - (rows > k), cols - (cols > k), coo.data[inside], m - 1)
+@pytest.mark.parametrize("name", ["p2", "p3"])
+def test_every_adaptive_solve_matches_the_monolithic_solve(name, monkeypatch):
+    # Each solve of the adaptive loop (from the paper mesh; p3 with theta
+    # 0.3 and b = (500, 1)) is repeated by the monolithic oracle, which
+    # factors the bordered operator with one dof pinned.
+    problem = get_problem(name)
+    checked = []
+
+    def spy(problem, mesh, kind="rt0"):
+        sol = solve_oseen(problem, mesh, kind=kind)
+        sigma, u, lam = monolithic_oracle.oracle_solve(problem, mesh, kind)
+        assert np.abs(sol.sigma.coeffs - sigma).max() <= 1e-9 * np.abs(sigma).max()
+        assert np.abs(sol.u.coeffs - u).max() <= 1e-9 * np.abs(u).max()
+        assert abs(sol.multiplier - lam) <= 1e-9 * max(abs(lam), np.abs(sigma).max(), np.abs(u).max())
+        checked.append(mesh.nt)
+        return sol
+
+    monkeypatch.setattr(adaptive, "solve_oseen", spy)
+    history = adaptive_solve(problem, theta=problem.default_theta, max_iters=4)
+    assert len(checked) == history.niter == 5
 
 
-@pytest.mark.parametrize("name", ["p1-rt0-level3", "p1-bdm1-level2", "p2-adaptive", "p3-adaptive"])
-def test_pinned_matrix_matches_coo_construction(name, monkeypatch):
-    # The solve slices the bordered CSR matrix; the oracle rebuilds the
-    # same matrix from its triplets.  Both must agree array for array.
-    problem_name, kind, make_mesh = BORDERED_CASES[name]
-    problem, mesh = get_problem(problem_name), make_mesh()
-    factored = []
+def test_singular_local_block_raises_singular_matrix_error(monkeypatch):
+    # A zeroed element block cannot be condensed; it is reported as a
+    # singular system, never as numpy's LinAlgError.
+    original = assembly._pinned_inverse
 
-    def spy(matrix, rhs, rtol):
-        factored.append(matrix)
-        return lu_solve(matrix, rhs, rtol=rtol)
+    def zero_one_block(operator, pin):
+        operator = operator.copy()
+        operator[3] = 0.0
+        return original(operator, pin)
 
-    monkeypatch.setattr(assembly, "lu_solve", spy)
-    solve_oseen(problem, mesh, kind=kind)
-    system = assemble(problem, mesh, build_space(mesh, kind))
-    k = int(np.argmax(np.abs(identity_coeffs(system.space).ravel())))
-    (got,) = factored
-    want = coo_pinned_oracle(system, k)
-    assert got.n == want.n
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    monkeypatch.setattr(assembly, "_pinned_inverse", zero_one_block)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        solve_oseen(get_problem("p1"), make_square_piecewise_uniform())
+    monkeypatch.setattr(assembly, "_pinned_inverse", lambda op, pin: original(op * np.nan, pin))
+    with pytest.raises(SingularMatrixError, match="not finite"):
+        solve_oseen(get_problem("p1"), make_square_piecewise_uniform())
 
 
 def test_solve_passes_memory_errors_through(monkeypatch):
@@ -260,7 +269,11 @@ def test_solve_passes_memory_errors_through(monkeypatch):
     with pytest.raises(SolverMemoryError) as info:
         solve_oseen(get_problem("p1"), mesh)
     assert "too coarse" not in str(info.value)
-    assert info.value.n == 2 * mesh.ne + 2 * mesh.nt - 1
+    # the condensed system: one multiplier per interior edge and row, and
+    # one identity coefficient per element but the last
+    interior_edges = mesh.ne - mesh.boundary_edges.size
+    assert info.value.n == 2 * interior_edges + mesh.nt - 1
+    assert info.value.nnz == assemble(get_problem("p1"), mesh, build_space(mesh, "rt0")).matrix.nnz
 
 
 @pytest.mark.parametrize("kind", KINDS)

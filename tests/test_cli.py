@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from oseenstress import cli
 from oseenstress.adaptive import adaptive_solve
@@ -243,3 +244,26 @@ def test_solve_with_explicit_mesh_file(tmp_path, capsys):
     capsys.readouterr()
     errors = (out / "errors.csv").read_text().strip().split("\n")
     assert errors[1].split(",")[1] == "19"
+
+
+@pytest.mark.parametrize(
+    "mode, message, expected",
+    [
+        ("uniform", "SUPERLU_MALLOC fails for buf in intCalloc()", "error: sparse LU ran out of memory"),
+        ("adaptive", "SUPERLU_MALLOC fails for buf in intCalloc()", "error: sparse LU ran out of memory"),
+        ("uniform", "factor is exactly singular", "error: Oseen solve failed"),
+    ],
+    ids=["malloc-uniform", "malloc-adaptive", "singular-uniform"],
+)
+def test_solve_failure_is_one_error_line(tmp_path, capsys, monkeypatch, mode, message, expected):
+    # SuperLU failures end the command with exit status 1 and one line on
+    # stderr, not a traceback; nothing is allocated for real.
+    def splu(*args, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    code = main(["solve", "--problem", "p1", "--mode", mode, "--levels", "1", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and message in err
+    assert err.count("\n") == 1
