@@ -40,6 +40,16 @@ edge, and per element the solvability of its local system (L_K tested
 with z_K).  One c is pinned against the global kernel I.  The trace-mean
 multiplier has the closed form ``lam = z^T b / z^T t``, the net boundary
 flux over twice the area, which vanishes for compatible data.
+
+The condensed operator is structurally symmetric, but a third of its
+diagonal is zero: every c_K row and some multiplier rows.  Its
+elimination order is therefore built on the interior edges, not on the
+unknowns: a minimum-degree order of the graph in which two interior
+edges are adjacent when they share a triangle, expanded so that the
+multipliers of each edge are consecutive, with each c_K placed directly
+after the last of its own interior edges.  SuperLU factors the
+equilibrated operator in that order with diagonal pivots; on the finest
+p1 BDM1 level this halves the fill of its COLAMD column order.
 """
 
 import warnings
@@ -50,7 +60,7 @@ import numpy as np
 from .mesh import Mesh
 from .problems import ProblemSpec, spot_check_boundary_data
 from .quadrature import edge_gauss_rule, triangle_rule
-from .sparsela import CsrMatrix, SingularMatrixError, lu_solve, relative_residual, to_csr
+from .sparsela import CsrMatrix, SingularMatrixError, lu_solve, minimum_degree, relative_residual, to_csr
 from .spaces import (
     HdivSpace,
     PseudostressField,
@@ -125,12 +135,14 @@ class LinearSystem:
 
     The condensed unknowns are the interior edge multipliers followed by
     c_K for every triangle but the last.  The right-hand side for the
-    trace-mean multiplier lam is ``rhs - lam * rhs_trace``.
+    trace-mean multiplier lam is ``rhs - lam * rhs_trace``.  `order`
+    lists the condensed unknowns in their elimination order.
     """
 
     matrix: CsrMatrix
     rhs: np.ndarray
     rhs_trace: np.ndarray
+    order: np.ndarray
     layout: SystemLayout
     space: HdivSpace
     elements: ElementBlocks
@@ -147,15 +159,16 @@ class OseenSolution:
     ndofs: int
 
 
-def _boundary_data(problem: ProblemSpec, mesh: Mesh, edge_points: int):
+def _boundary_data(problem: ProblemSpec, mesh: Mesh, edge_points: int, owners):
     """Dirichlet data at the Gauss points of every boundary edge.
 
-    Returns the owning triangle and the length of each boundary edge, the
-    points (nbe, q, 2), the Gauss weights, the values of g there
-    (nbe, q, 2) and the outward unit normals (nbe, 2).
+    `owners` is ``mesh.edge_owners()``.  Returns the owning triangle and
+    the length of each boundary edge, the points (nbe, q, 2), the Gauss
+    weights, the values of g there (nbe, q, 2) and the outward unit
+    normals (nbe, 2).
     """
     bed = mesh.boundary_edges
-    tri, loc = mesh.edge_owners()
+    tri, loc = owners
     tris = tri[bed, 0]
     lengths = mesh.edge_lengths()[bed]
     tq, wq = edge_gauss_rule(edge_points)
@@ -167,9 +180,9 @@ def _boundary_data(problem: ProblemSpec, mesh: Mesh, edge_points: int):
     return tris, lengths, pts, wq, gv, n_out
 
 
-def _check_compatibility(problem: ProblemSpec, mesh: Mesh) -> None:
+def _check_compatibility(problem: ProblemSpec, mesh: Mesh, owners) -> None:
     """Warn when the Dirichlet data has a nonzero net boundary flux."""
-    _, lengths, _, wq, gv, n_out = _boundary_data(problem, mesh, 5)
+    _, lengths, _, wq, gv, n_out = _boundary_data(problem, mesh, 5, owners)
     flux = float(np.sum(lengths * np.einsum("q,eqc,ec->e", wq, gv, n_out)))
     perimeter = float(lengths.sum())
     scale = (1.0 + float(np.abs(gv).max(initial=0.0))) * perimeter
@@ -182,20 +195,23 @@ def _check_compatibility(problem: ProblemSpec, mesh: Mesh) -> None:
 
 
 def assemble_dirichlet_rhs(
-    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, edge_points: int = 3
+    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, edge_points: int = 3, owners=None
 ) -> np.ndarray:
     """Boundary functional ``<g, tau n>`` of the first equation.
 
     Returns the full-length right-hand side vector with only the
     sigma-block entries filled.  ``n`` is the outward domain normal; the
-    integrals use `edge_points`-point Gauss per boundary edge.
+    integrals use `edge_points`-point Gauss per boundary edge.  `owners`
+    is ``mesh.edge_owners()``, computed here if not given.
     """
     layout = SystemLayout(n_row_dofs=space.n_dofs_per_row, nt=mesh.nt)
     rhs = np.zeros(layout.size)
     if mesh.boundary_edges.size == 0:
         return rhs
 
-    tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points)
+    if owners is None:
+        owners = mesh.edge_owners()
+    tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points, owners)
     basis = space.eval_cells(tris, pts)  # (nbe, q, nl, 2)
     flux = np.einsum("eqjc,ec->eqj", basis, n_out)
     # contribution of basis j to the row-r equation: |E| sum_q w g_r flux_j
@@ -232,8 +248,8 @@ def _pinned_inverse(operator: np.ndarray, pin: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_degree: int) -> ElementBlocks:
-    """Local blocks, loads and maps of every element."""
+def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_degree: int, owners) -> ElementBlocks:
+    """Local blocks, loads and maps of every element; `owners` is ``mesh.edge_owners()``."""
     n = space.n_dofs_per_row
     nt = mesh.nt
     nl = space.ndof_local
@@ -284,7 +300,7 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_deg
 
     # one multiplier per interior edge moment and row; each sigma moment is
     # owned by the lower-index triangle of its edge (side 0)
-    owner, _ = mesh.edge_owners()
+    owner = owners[0]
     moments = n // mesh.ne
     interior = owner[np.arange(n) // moments, 1] >= 0  # (n,) per edge moment
     n_inner = int(interior.sum())
@@ -303,7 +319,7 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_deg
     trace = np.zeros((nt, ns + 2))
     trace[:, :ns] = qw.sum(axis=2)  # (tr tau, 1)
 
-    rhs = assemble_dirichlet_rhs(problem, mesh, space)
+    rhs = assemble_dirichlet_rhs(problem, mesh, space, owners=owners)
     fint = area[:, None] * np.einsum("q,tqr->tr", w, fq)
     load = np.where(owned, rhs[dofs], 0.0)
     load[:, ns:] += fint
@@ -337,6 +353,30 @@ def _condensed_rhs(el: ElementBlocks, local: np.ndarray) -> np.ndarray:
     return np.concatenate([jump[: el.n_mult], np.sum(el.kernel * local, axis=1)[:-1]])
 
 
+def _elimination_order(mesh: Mesh, interior: np.ndarray, moments: int) -> np.ndarray:
+    """Fill-reducing order of the condensed unknowns (see the module docstring).
+
+    `interior` marks the interior edges, each with `moments` multipliers
+    per row.  Returns the condensed index of the unknown eliminated k-th.
+    """
+    n_edges = int(interior.sum())
+    if n_edges == 0:
+        return np.arange(mesh.nt - 1)
+    rank = np.cumsum(interior) - 1
+    inner = interior[mesh.tri_edges]  # (nt, 3)
+    ranks = rank[mesh.tri_edges]
+    # the interior edges of one triangle are pairwise adjacent
+    a, b = np.nonzero(~np.eye(3, dtype=bool))
+    pair = inner[:, a] & inner[:, b]
+    position = minimum_degree(ranks[:, a][pair], ranks[:, b][pair], n_edges)
+    # multiplier r n_edges moments + i moments + k sits on interior edge i
+    key_mult = np.tile(2 * np.repeat(position, moments), 2)
+    last = np.where(inner, position[ranks], -1).max(axis=1)[:-1]
+    key_c = 2 * np.where(last >= 0, last, n_edges) + 1
+    key = np.concatenate([key_mult, key_c])
+    return np.argsort(key * key.size + np.arange(key.size))  # ties go by index
+
+
 def assemble(
     problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_degree: int = 4
 ) -> LinearSystem:
@@ -361,9 +401,10 @@ def assemble(
     if quad_degree < 4:
         raise ValueError(f"element quadrature degree must be >= 4, got {quad_degree}")
     spot_check_boundary_data(problem, mesh)
-    _check_compatibility(problem, mesh)
+    owners = mesh.edge_owners()
+    _check_compatibility(problem, mesh, owners)
 
-    el = _element_blocks(problem, mesh, space, quad_degree)
+    el = _element_blocks(problem, mesh, space, quad_degree, owners)
     nt = mesh.nt
     ns = el.sign.shape[1]
     n_mult = el.n_mult
@@ -388,6 +429,7 @@ def assemble(
         matrix=matrix,
         rhs=_condensed_rhs(el, el.load),
         rhs_trace=_condensed_rhs(el, el.trace),
+        order=_elimination_order(mesh, owners[0][:, 1] >= 0, space.n_dofs_per_row // mesh.ne),
         layout=SystemLayout(n_row_dofs=space.n_dofs_per_row, nt=nt),
         space=space,
         elements=el,
@@ -409,7 +451,7 @@ def _solve_hybrid(system: LinearSystem):
     nsigma = system.layout.offset_u
     lam = np.sum(el.kernel * el.load) / np.sum(el.kernel * el.trace)  # z^T b / z^T t
 
-    y, _ = lu_solve(system.matrix, system.rhs - lam * system.rhs_trace, rtol=_RTOL)
+    y, _ = lu_solve(system.matrix, system.rhs - lam * system.rhs_trace, rtol=_RTOL, order=system.order)
     mu = np.append(y[: el.n_mult], 0.0)  # the boundary slot n_mult is zero
     c = np.append(y[el.n_mult :], 0.0)  # the last element's c is pinned
     local = el.load - lam * el.trace
@@ -439,9 +481,10 @@ def solve_oseen(
     The bordered system is solved by hybridization (see the module
     docstring): the multiplier has a closed form, SuperLU factors only the
     condensed system on the interior edge multipliers and one c_K per
-    element, and each element's (sigma_K, u_K) follows by
-    back-substitution.  A multiple of I then restores the zero trace mean.
-    The reported residual is that of the full bordered system.
+    element, in the minimum-degree edge order with diagonal pivots, and
+    each element's (sigma_K, u_K) follows by back-substitution.  A
+    multiple of I then restores the zero trace mean.  The reported
+    residual is that of the full bordered system.
 
     Raises
     ------

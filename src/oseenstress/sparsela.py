@@ -1,9 +1,14 @@
-"""Sparse matrix plumbing: CSR conversion and the direct solve.
+"""Sparse matrix plumbing: CSR conversion, orderings and the direct solve.
 
 Assembly collects (row, col, value) triplets; :func:`to_csr` sums
-duplicates into compressed sparse row storage and :func:`lu_solve` runs a
-direct LU factorization with partial pivoting (SuperLU) and checks the
-residual of the solution with :func:`relative_residual`.
+duplicates into compressed sparse row storage.  :func:`lu_solve` runs a
+direct LU factorization (SuperLU) and checks the residual of the solution
+with :func:`relative_residual`.  Without an elimination order, SuperLU
+orders the columns with COLAMD and pivots by rows (partial pivoting).
+Given a symmetric elimination order, such as one built from
+:func:`minimum_degree`, the matrix is equilibrated, permuted
+symmetrically and factored in that order with a preference for diagonal
+pivots.
 """
 
 from dataclasses import dataclass
@@ -12,7 +17,15 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-__all__ = ["CsrMatrix", "SingularMatrixError", "SolverMemoryError", "to_csr", "lu_solve", "relative_residual"]
+__all__ = [
+    "CsrMatrix",
+    "SingularMatrixError",
+    "SolverMemoryError",
+    "to_csr",
+    "minimum_degree",
+    "lu_solve",
+    "relative_residual",
+]
 
 
 class SingularMatrixError(RuntimeError):
@@ -80,20 +93,110 @@ def to_csr(rows, cols, vals, n: int) -> CsrMatrix:
     return CsrMatrix.from_scipy(csr)
 
 
+def minimum_degree(rows, cols, n: int) -> np.ndarray:
+    """Minimum-degree order of a graph on n nodes with edges (rows, cols).
+
+    Returns ``position``, the new position of each node.  The order is
+    SuperLU's multiple minimum degree of the pattern plus its transpose
+    (Liu, ACM TOMS 11, 1985), read from an incomplete factorization of
+    the pattern with a dominant diagonal that drops every other entry.
+    The panel size does not change the order; a panel of one column
+    makes that factorization about twice as fast.
+    """
+    diag = np.arange(n)
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    pattern = scipy.sparse.csc_matrix(
+        (
+            np.concatenate([np.ones(len(rows)), 1.0 + degree]),
+            (np.concatenate([rows, diag]), np.concatenate([cols, diag])),
+        ),
+        shape=(n, n),
+    )
+    ilu = scipy.sparse.linalg.spilu(
+        pattern,
+        drop_tol=1.0,
+        fill_factor=1.0,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        panel_size=1,
+        options={"SymmetricMode": True},
+    )
+    return np.asarray(ilu.perm_c, dtype=np.int64)
+
+
 def relative_residual(residual: np.ndarray, rhs: np.ndarray) -> float:
     """``||residual|| / max(||rhs||, tiny)``; `rhs` may have any shape."""
     denom = max(float(np.linalg.norm(rhs)), 1e-300)
     return float(np.linalg.norm(residual)) / denom
 
 
-def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
-    """Solve ``A x = rhs`` by sparse LU with partial pivoting.
+def _checked_permutation(order, n: int) -> np.ndarray:
+    """`order` as int64, if it is a permutation of 0..n-1."""
+    order = np.asarray(order)
+    if not (
+        order.shape == (n,)
+        and np.issubdtype(order.dtype, np.integer)
+        and np.array_equal(np.sort(order), np.arange(n))
+    ):
+        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order.dtype} {order.shape}")
+    return order.astype(np.int64, copy=False)
 
-    Returns ``(x, residual)`` with the :func:`relative_residual` of `x`,
-    which is at most `rtol`.
+
+def _segment_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Largest entry of every segment ``values[indptr[i]:indptr[i+1]]``; 1 if empty."""
+    out = np.ones(len(indptr) - 1)
+    full = np.diff(indptr) > 0
+    out[full] = np.maximum.reduceat(values, indptr[:-1][full])
+    out[out == 0.0] = 1.0
+    return out
+
+
+def _equilibrated(matrix: CsrMatrix, order: np.ndarray):
+    """CSC matrix ``B = P R A C P^T`` and the scales ``R`` and ``C P^T``.
+
+    `R` makes the largest entry of every row of A one, then `C` that of
+    every column of ``R A``; ``(P v)[k] = v[order[k]]``.  Returns ``(B,
+    row_scale, col_scale)`` with ``row_scale`` in the original numbering
+    and ``col_scale`` in the new one.
+    """
+    n = matrix.n
+    counts = np.diff(matrix.indptr)
+    row_scale = 1.0 / _segment_max(np.abs(matrix.data), matrix.indptr)
+    # gather the rows in their new order and renumber the columns; the
+    # CSC conversion then lists each column's rows in increasing order,
+    # so SuperLU gets canonical input without a sort
+    lengths = counts[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    take = np.repeat(matrix.indptr[order] - indptr[:-1], lengths) + np.arange(matrix.nnz)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    data = matrix.data[take] * np.repeat(row_scale[order], lengths)
+    csc = scipy.sparse.csr_matrix((data, position[matrix.indices[take]], indptr), shape=(n, n)).tocsc()
+    col_scale = 1.0 / _segment_max(np.abs(csc.data), csc.indptr)
+    csc.data *= np.repeat(col_scale, np.diff(csc.indptr))
+    return csc, row_scale, col_scale
+
+
+def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9, order=None):
+    """Solve ``A x = rhs`` by sparse LU.
+
+    Without `order`, SuperLU orders the columns with COLAMD and pivots by
+    rows (partial pivoting).  With `order`, a permutation of 0..n-1 that
+    lists the unknowns in their elimination order, the rows and then the
+    columns are equilibrated, the scaled matrix is permuted symmetrically
+    and factored in that order, preferring the diagonal pivot unless it
+    is below 0.01 times the largest entry of its column.  This suits a
+    structurally symmetric matrix whose order keeps nonzero pivots on the
+    diagonal.
+
+    Returns ``(x, residual)`` with the :func:`relative_residual` of `x`
+    in the original, unscaled system, which is at most `rtol`.
 
     Raises
     ------
+    ValueError
+        If `rhs` has the wrong shape or `order` is not a permutation.
     SolverMemoryError
         If SuperLU fails to allocate memory.
     SingularMatrixError
@@ -103,10 +206,19 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (matrix.n,):
         raise ValueError(f"rhs must have shape ({matrix.n},), got {rhs.shape}")
-    a = matrix.to_scipy().tocsc()
+    if order is not None:
+        order = _checked_permutation(order, matrix.n)
     try:
-        lu = scipy.sparse.linalg.splu(a)
-        x = lu.solve(rhs)
+        if order is None:
+            a = matrix.to_scipy().tocsc()
+            x = scipy.sparse.linalg.splu(a).solve(rhs)
+        else:
+            a, row_scale, col_scale = _equilibrated(matrix, order)
+            lu = scipy.sparse.linalg.splu(
+                a, permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True}
+            )
+            x = np.empty(matrix.n)
+            x[order] = col_scale * lu.solve((row_scale * rhs)[order])
     except MemoryError as exc:
         raise SolverMemoryError(matrix.n, matrix.nnz, str(exc)) from exc
     except RuntimeError as exc:  # SuperLU signals singularity and failed mallocs this way
@@ -115,7 +227,7 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9):
         raise SingularMatrixError(f"sparse LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse LU produced non-finite solution")
-    residual = relative_residual(a @ x - rhs, rhs)
+    residual = relative_residual(matrix.to_scipy() @ x - rhs, rhs)
     if residual > rtol:
         raise SingularMatrixError(
             f"direct solve residual {residual:.3e} exceeds tolerance {rtol:.1e}"

@@ -55,7 +55,7 @@ def assemble(
     if quad_degree < 4:
         raise ValueError(f"element quadrature degree must be >= 4, got {quad_degree}")
     spot_check_boundary_data(problem, mesh)
-    _check_compatibility(problem, mesh)
+    _check_compatibility(problem, mesh, mesh.edge_owners())
 
     n = space.n_dofs_per_row
     nt = mesh.nt

@@ -318,3 +318,109 @@ def test_solved_pseudostress_has_zero_trace_mean(kind):
     assert abs(trace_mean(sol.sigma)) < 1e-9 * max(scale, 1.0)
     assert sol.residual <= 1e-9
     assert sol.ndofs == sol.sigma.space.n_dofs_per_row * 2 + 2 * mesh.nt + 1
+
+
+# ----------------------------------------------------------------------
+# the elimination order of the condensed system
+# ----------------------------------------------------------------------
+
+
+def _colamd_solve(problem, mesh, kind, monkeypatch):
+    """`solve_oseen` with SuperLU's own column order and row pivoting."""
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "lu_solve", lambda matrix, rhs, rtol, order: lu_solve(matrix, rhs, rtol))
+        return solve_oseen(problem, mesh, kind=kind)
+
+
+def _assert_same_solution(sol, ref):
+    assert np.abs(sol.sigma.coeffs - ref.sigma.coeffs).max() <= 1e-9 * np.abs(ref.sigma.coeffs).max()
+    assert np.abs(sol.u.coeffs - ref.u.coeffs).max() <= 1e-9 * np.abs(ref.u.coeffs).max()
+    scale = max(abs(ref.multiplier), np.abs(ref.sigma.coeffs).max(), np.abs(ref.u.coeffs).max())
+    assert abs(sol.multiplier - ref.multiplier) <= 1e-9 * scale
+    assert sol.residual <= 1e-9
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("level", range(4))
+def test_ordered_solve_matches_the_colamd_solve(kind, level, monkeypatch):
+    orders = []
+
+    def spy(matrix, rhs, rtol, order):
+        orders.append(order)
+        return lu_solve(matrix, rhs, rtol, order=order)
+
+    mesh = make_square_piecewise_uniform(level)
+    ref = _colamd_solve(get_problem("p1"), mesh, kind, monkeypatch)
+    monkeypatch.setattr(assembly, "lu_solve", spy)
+    _assert_same_solution(solve_oseen(get_problem("p1"), mesh, kind=kind), ref)
+    assert len(orders) == 1 and orders[0] is not None
+
+
+@pytest.mark.parametrize("name", ["p2", "p3"])
+def test_every_adaptive_solve_matches_the_colamd_solve(name, monkeypatch):
+    problem = get_problem(name)
+    checked = []
+
+    def spy(problem, mesh, kind="rt0"):
+        sol = solve_oseen(problem, mesh, kind=kind)
+        _assert_same_solution(sol, _colamd_solve(problem, mesh, kind, monkeypatch))
+        checked.append(mesh.nt)
+        return sol
+
+    monkeypatch.setattr(adaptive, "solve_oseen", spy)
+    history = adaptive_solve(problem, theta=problem.default_theta, max_iters=4)
+    assert len(checked) == history.niter == 5
+
+
+@pytest.mark.parametrize(
+    "kind, make_mesh",
+    [
+        ("rt0", lambda: make_square_piecewise_uniform(2)),
+        ("bdm1", lambda: make_square_piecewise_uniform(2)),
+        ("rt0", _adapted("p2", 3)),
+        ("bdm1", lambda: two_triangle_square()),
+    ],
+    ids=["rt0-square", "bdm1-square", "rt0-p2-adapted", "bdm1-two-triangles"],
+)
+def test_elimination_order_keeps_edges_together_and_each_c_after_its_edges(kind, make_mesh):
+    mesh = make_mesh()
+    system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
+    el, order, n = system.elements, system.order, system.matrix.n
+    assert np.array_equal(np.sort(order), np.arange(n))
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    # multiplier r n_inner + q sits on interior edge q // moments
+    moments = 1 if kind == "rt0" else 2
+    n_inner = el.n_mult // 2
+    edge = (np.arange(el.n_mult) % n_inner) // moments
+    first = np.full(n_inner // moments, n)
+    last = np.full(n_inner // moments, -1)
+    np.minimum.at(first, edge, position[: el.n_mult])
+    np.maximum.at(last, edge, position[: el.n_mult])
+    assert np.all(last - first == 2 * moments - 1)
+    # c_K comes after every multiplier of its own edges, with only other
+    # c's in between
+    own = np.where(el.edge < el.n_mult, np.append(position[: el.n_mult], -1)[el.edge], -1).max(axis=1)[:-1]
+    c_position = position[el.n_mult :]
+    assert np.all(own >= 0) and np.all(c_position > own)
+    multipliers_up_to = np.cumsum(order < el.n_mult)
+    assert np.array_equal(multipliers_up_to[c_position], multipliers_up_to[own])
+
+
+@pytest.mark.parametrize("kind, level", [("bdm1", 3), ("rt0", 4)])
+def test_ordered_factorization_has_less_fill_than_colamd(kind, level, monkeypatch):
+    fills = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    mesh = make_square_piecewise_uniform(level)
+    system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
+    lu_solve(system.matrix, system.rhs, order=system.order)
+    lu_solve(system.matrix, system.rhs)
+    ordered, colamd = fills
+    assert ordered < 0.8 * colamd
