@@ -164,5 +164,8 @@ def adaptive_solve(
             history.final_ustar = ustar
             history.final_sigmastar = sigmastar
             return history
+        # release this mesh's fields (and their cached cellwise forms)
+        # before the next solve, whose factorization sets the peak memory
+        del solution, ustar, sigmastar, indicators
         mesh = refine_marked(mesh, marked)
         iteration += 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .adaptive import AdaptiveHistory, adaptive_solve
 from .assembly import solve_oseen
-from .errors import ErrorRow, fit_orders, hdiv_error, l2_error, supercloseness
+from .errors import ErrorRow, fit_orders, hdiv_error, l2_error, project_exact, supercloseness
 from .mesh import Mesh, load_mesh, save_mesh, uniform_quad_refine
 from .postprocess import postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec, get_problem, problem_names
@@ -65,52 +65,54 @@ def run_convergence(
         raise ValueError("levels must be >= 1")
 
     mesh = initial_mesh if initial_mesh is not None else problem.initial_mesh()
-    corner = problem.singular_corner
     rows: List[ErrorRow] = []
-    bundle: dict = {}
     for level in range(levels):
         if level > 0:
             mesh = uniform_quad_refine(mesh)
-        solution = solve_oseen(problem, mesh, kind=kind)
-        space = solution.sigma.space
-
-        ustar = postprocess_velocity(solution.sigma, solution.u)
-        proj_u = project_velocity(mesh, problem.exact_u)
-        interp_sigma = interpolate_pseudostress(space, problem.exact_sigma)
-
-        sigmastar = None
-        err_sigmastar = None
-        if kind == "rt0":
-            sigmastar = recover_pseudostress(solution.sigma)
-            err_sigmastar = l2_error(sigmastar, problem.exact_sigma, singular_corner=corner)
-
-        err_div = None
-        if problem.exact_div_sigma is not None:
-            err_div = hdiv_error(solution.sigma, problem.exact_div_sigma)
-
-        rows.append(
-            ErrorRow(
-                level=level,
-                nt=mesh.nt,
-                ndofs=solution.ndofs,
-                err_u=l2_error(solution.u, problem.exact_u, singular_corner=corner),
-                err_eh=supercloseness(proj_u, solution.u),
-                err_ustar=l2_error(ustar, problem.exact_u, singular_corner=corner),
-                err_sigma=l2_error(solution.sigma, problem.exact_sigma, singular_corner=corner),
-                err_xih=supercloseness(interp_sigma, solution.sigma),
-                err_sigmastar=err_sigmastar,
-                err_div=err_div,
-                err_rho=l2_error(proj_u, problem.exact_u, singular_corner=corner),
-                err_zeta=l2_error(interp_sigma, problem.exact_sigma, singular_corner=corner),
-            )
-        )
-        bundle = {
-            "mesh": mesh,
-            "solution": solution,
-            "ustar": ustar,
-            "sigmastar": sigmastar,
-        }
+        bundle: dict = {}  # release the coarser level's fields before this level's solve
+        row, bundle = _measure_level(problem, kind, level, mesh)
+        rows.append(row)
     return rows, bundle
+
+
+def _measure_level(problem: ProblemSpec, kind: str, level: int, mesh: Mesh) -> Tuple[ErrorRow, dict]:
+    """Solve on one mesh; its error row and its bundle for :func:`run_convergence`."""
+    corner = problem.singular_corner
+    solution = solve_oseen(problem, mesh, kind=kind)
+    space = solution.sigma.space
+
+    ustar = postprocess_velocity(solution.sigma, solution.u)
+    proj_u = project_velocity(mesh, problem.exact_u)
+    interp_sigma = interpolate_pseudostress(space, problem.exact_sigma)
+    # one projection of each exact field serves all its l2_error calls
+    exact_u_proj = project_exact(mesh, problem.exact_u, singular_corner=corner)
+    exact_sigma_proj = project_exact(mesh, problem.exact_sigma, singular_corner=corner)
+
+    sigmastar = None
+    err_sigmastar = None
+    if kind == "rt0":
+        sigmastar = recover_pseudostress(solution.sigma)
+        err_sigmastar = l2_error(sigmastar, exact_sigma_proj)
+
+    err_div = None
+    if problem.exact_div_sigma is not None:
+        err_div = hdiv_error(solution.sigma, problem.exact_div_sigma)
+
+    row = ErrorRow(
+        level=level,
+        nt=mesh.nt,
+        ndofs=solution.ndofs,
+        err_u=l2_error(solution.u, exact_u_proj),
+        err_eh=supercloseness(proj_u, solution.u),
+        err_ustar=l2_error(ustar, exact_u_proj),
+        err_sigma=l2_error(solution.sigma, exact_sigma_proj),
+        err_xih=supercloseness(interp_sigma, solution.sigma),
+        err_sigmastar=err_sigmastar,
+        err_div=err_div,
+        err_rho=l2_error(proj_u, exact_u_proj),
+        err_zeta=l2_error(interp_sigma, exact_sigma_proj),
+    )
+    return row, {"mesh": mesh, "solution": solution, "ustar": ustar, "sigmastar": sigmastar}
 
 
 def _present_columns(rows: Sequence[ErrorRow]) -> List[str]:
@@ -165,26 +167,30 @@ def emit_history(history: AdaptiveHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_rows(path: Path, header: str, row_format: str, columns) -> None:
+    """`header`, then one line per row: `row_format` applied to that row of `columns`.
+
+    The whole body is one ``%``-format over the row-major flattened
+    columns; integer columns stay ``int`` for ``%d``.
+    """
+    n = len(columns[0])
+    flat = [None] * (n * len(columns))
+    for i, column in enumerate(columns):
+        flat[i :: len(columns)] = column
+    path.write_text(header + "\n" + (row_format + "\n") * n % tuple(flat))
+
+
 def _write_coeffs_csv(path: Path, header: str, coeffs: np.ndarray) -> None:
     """One line per column j and row r of the (2, n) `coeffs`: ``j,r,value``."""
-    lines = [header]
-    for j in range(coeffs.shape[1]):
-        for r in (0, 1):
-            lines.append(f"{j},{r},{coeffs[r, j]:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    index = range(coeffs.shape[1])
+    _write_rows(path, header, "%d,0,%.17g\n%d,1,%.17g", [index, coeffs[0].tolist(), index, coeffs[1].tolist()])
 
 
 def _write_recovered_csv(path: Path, recovered) -> None:
-    lines = ["vertex,x,y,s11,s12,s21,s22"]
     verts = recovered.mesh.vertices
-    vals = recovered.values
-    for v in range(verts.shape[0]):
-        lines.append(
-            f"{v},{verts[v, 0]:.17g},{verts[v, 1]:.17g},"
-            f"{vals[v, 0, 0]:.17g},{vals[v, 0, 1]:.17g},"
-            f"{vals[v, 1, 0]:.17g},{vals[v, 1, 1]:.17g}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    vals = recovered.values.reshape(-1, 4)
+    columns = [range(verts.shape[0])] + [verts[:, i].tolist() for i in range(2)] + [vals[:, i].tolist() for i in range(4)]
+    _write_rows(path, "vertex,x,y,s11,s12,s21,s22", "%d" + ",%.17g" * 6, columns)
 
 
 def _dump_fields(out_dir: Path, bundle: dict) -> List[Path]:

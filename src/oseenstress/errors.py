@@ -3,9 +3,18 @@
 Norms against analytic functions use quadrature, a degree-6 triangle rule
 by default; when the analytic solution has a corner singularity, elements
 touching the corner are geometrically subdivided toward it before the rule
-is applied.  Every discrete field is of degree <= 1 on each element, so
-the distance between two of them is an exact cellwise Gram norm with no
-quadrature (:meth:`~oseenstress.spaces.CellwiseLinear.sq_norms`).
+is applied.  Every discrete field f_h is of degree <= 1 on each element,
+and the rule integrates quadratics exactly, so the quadrature sum splits
+exactly as
+
+    sum w |f_h - f|^2 = ||f_h - Pi f||^2 + sum w |f - Pi f|^2 ,
+
+with Pi f the L2 projection of the analytic field f onto cellwise linears
+in the same rule (:func:`project_exact`).  The first term is an exact
+cellwise Gram norm (:meth:`~oseenstress.spaces.CellwiseLinear.sq_norms`),
+the second depends on f alone; so a projection taken once per mesh serves
+the error of every field measured against f.  The distance between two
+discrete fields is likewise an exact Gram norm, with no quadrature.
 
 Convergence orders are least-squares slopes of log(error) against log(h)
 with h proportional to nt^(-1/2), excluding the first (coarsest) row.
@@ -16,10 +25,20 @@ from typing import Optional
 
 import numpy as np
 
+from .mesh import Mesh
 from .quadrature import triangle_rule
 from .spaces import CellwiseLinear, PseudostressField, VelocityField
 
-__all__ = ["ErrorRow", "l2_error", "supercloseness", "hdiv_error", "fit_orders", "fit_order"]
+__all__ = [
+    "ErrorRow",
+    "ExactProjection",
+    "project_exact",
+    "l2_error",
+    "supercloseness",
+    "hdiv_error",
+    "fit_orders",
+    "fit_order",
+]
 
 
 @dataclass
@@ -84,16 +103,110 @@ def _subdivide_toward(verts: np.ndarray, corner: np.ndarray, depth: int):
     return np.array(out)
 
 
-def _eval_sq_diff(field: CellwiseLinear, exact, tris, pts):
-    """Pointwise squared Frobenius difference, shape (m, nq)."""
-    vals = field.eval_cells(tris, pts)
-    ref = np.asarray(exact(pts), dtype=np.float64)
-    if ref.shape != vals.shape:
-        raise ValueError(
-            f"analytic field returned shape {ref.shape}, expected {vals.shape}"
-        )
-    diff = vals - ref
-    return np.sum(diff.reshape(diff.shape[:2] + (-1,)) ** 2, axis=2)
+@dataclass(frozen=True)
+class ExactProjection:
+    """An analytic field projected onto cellwise linears in one quadrature rule.
+
+    `field` is the projection Pi f; `rest` is the rule's sum of
+    ``w |f - Pi f|^2`` over the mesh.
+    """
+
+    field: CellwiseLinear
+    rest: float
+
+
+def project_exact(
+    mesh: Mesh,
+    exact,
+    degree: int = 6,
+    singular_corner=None,
+    corner_depth: int = 1,
+) -> ExactProjection:
+    """L2 projection of an analytic field onto cellwise linears, and its residual.
+
+    Parameters
+    ----------
+    mesh : Mesh
+    exact : callable
+        Vectorized analytic field: points (..., 2) to values
+        (..., *value_shape).
+    degree : int
+        Triangle quadrature exactness.
+    singular_corner : (float, float), optional
+        Corner toward which elements are geometrically subdivided.
+    corner_depth : int
+        Number of subdivision levels for corner-touching elements.
+
+    Returns
+    -------
+    ExactProjection
+        Pi f as a :class:`~oseenstress.spaces.CellwiseLinear` of the
+        analytic field's value shape, and the residual sum.
+
+    The projection's moments are the rule's sums over each element and
+    its subtriangles.  The rule is exact for quadratics, so the Gram
+    matrix of {1, x - cx, y - cy} is ``|K| diag(1, S/12)``, ``S = sum_i
+    d_i d_i^T`` over the vertex offsets d_i from the centroid.  The
+    moments are taken of f minus its value at the element's first point,
+    which is added back to the mean, so a constant f projects exactly.
+    """
+    rule = triangle_rule(degree)
+    tris = np.arange(mesh.nt)
+    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    if singular_corner is not None:
+        corner = np.asarray(singular_corner, dtype=np.float64)
+        near = np.all(np.abs(verts - corner) < 1e-12, axis=2).any(axis=1)
+        subs = [_subdivide_toward(verts[t], corner, corner_depth) for t in tris[near]]
+        tris = np.concatenate([tris[~near]] + [np.full(len(sub), t) for sub, t in zip(subs, tris[near])])
+        verts = np.concatenate([verts[~near]] + subs)
+        order = np.argsort(tris, kind="stable")  # each element's subtriangles together
+        tris, verts = tris[order], verts[order]
+    first = np.searchsorted(tris, np.arange(mesh.nt))  # each element's first subtriangle
+
+    def per_element(a):
+        """Sum the last axis over each element's subtriangles."""
+        return a if tris.size == mesh.nt else np.add.reduceat(a, first, axis=-1)
+
+    # point arrays are (nq, m) and values (k, nq, m), so that every
+    # per-element factor broadcasts along the long last axis
+    d1 = verts[:, 1] - verts[:, 0]
+    d2 = verts[:, 2] - verts[:, 0]
+    w = rule.weights[:, None] * (0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+    bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (nq, 3)
+    px = bary @ verts[:, :, 0].T
+    py = bary @ verts[:, :, 1].T
+    vals = np.asarray(exact(np.stack([px, py], axis=-1)), dtype=np.float64)
+    if vals.shape[:2] != px.shape:
+        raise ValueError(f"analytic field returned shape {vals.shape}, expected {px.shape} + value shape")
+    value_shape = vals.shape[2:]
+    f = np.ascontiguousarray(np.moveaxis(vals.reshape(px.shape + (-1,)), 2, 0))
+    base = f[:, 0, first]  # (k, nt): f at each element's first point
+    f -= base[:, tris][:, None]
+    centroids = mesh.tri_centroids()[tris]
+    dx = px - centroids[:, 0]
+    dy = py - centroids[:, 1]
+    m0, mx, my = (per_element(np.einsum("kqm,qm->km", f, t)) for t in (w, w * dx, w * dy))
+
+    # Gram |K| diag(1, S / 12); S^-1 in closed form
+    d = mesh.tri_offsets()
+    sxx, sxy, syy = (np.sum(d[:, :, a] * d[:, :, b], axis=1) for a, b in ((0, 0), (0, 1), (1, 1)))
+    area = mesh.tri_areas()
+    scale = 12.0 / (area * (sxx * syy - sxy**2))
+    mean = m0 / area
+    gx = scale * (syy * mx - sxy * my)
+    gy = scale * (sxx * my - sxy * mx)
+
+    # rest: the weighted squares of f - Pi f at every point, component by component
+    root_w = np.sqrt(w)
+    for fk, a0, ax, ay in zip(f, mean[:, tris], gx[:, tris], gy[:, tris]):
+        fk -= a0
+        fk -= ax * dx
+        fk -= ay * dy
+        fk *= root_w
+    rest = float(np.vdot(f, f))
+    coeffs = np.stack([mean + base, gx, gy], axis=-1)  # (k, nt, 3)
+    coeffs = np.moveaxis(coeffs, 0, 1).reshape((mesh.nt,) + value_shape + (3,))
+    return ExactProjection(field=CellwiseLinear(mesh, coeffs), rest=rest)
 
 
 def l2_error(
@@ -105,37 +218,42 @@ def l2_error(
 ) -> float:
     """L2 norm of (field - exact) over the field's mesh.
 
+    ``sqrt(||field - Pi f||^2 + rest)`` with the exact Gram norm of the
+    first term; see the module docstring.
+
     Parameters
     ----------
     field
         Any discrete field with a ``mesh`` and a ``cellwise()``.
-    exact : callable
-        Vectorized analytic field matching the discrete field's value shape.
+    exact : callable or ExactProjection
+        Vectorized analytic field matching the discrete field's value
+        shape, projected here with the remaining arguments; or a
+        projection from :func:`project_exact` on the field's mesh, which
+        carries its own rule (the remaining arguments are then unused).
     degree : int
         Triangle quadrature exactness.
     singular_corner : (float, float), optional
         Corner toward which elements are geometrically subdivided.
     corner_depth : int
         Number of subdivision levels for corner-touching elements.
+
+    Raises
+    ------
+    ValueError
+        If a given projection lives on another mesh, or the analytic
+        field's value shape is not the discrete field's.
     """
     field = field.cellwise()
-    mesh = field.mesh
-    rule = triangle_rule(degree)
-    tris = np.arange(mesh.nt)
-    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    if singular_corner is not None:
-        corner = np.asarray(singular_corner, dtype=np.float64)
-        near = np.all(np.abs(verts - corner) < 1e-12, axis=2).any(axis=1)
-        subs = [_subdivide_toward(verts[t], corner, corner_depth) for t in tris[near]]
-        tris = np.concatenate([tris[~near]] + [np.full(len(sub), t) for sub, t in zip(subs, tris[near])])
-        verts = np.concatenate([verts[~near]] + subs)
-
-    d1 = (verts[:, 1] - verts[:, 0])[:, None, :]
-    d2 = (verts[:, 2] - verts[:, 0])[:, None, :]
-    area = 0.5 * np.abs(d1[:, 0, 0] * d2[:, 0, 1] - d1[:, 0, 1] * d2[:, 0, 0])
-    pts = verts[:, 0][:, None, :] + rule.points[None, :, 0, None] * d1 + rule.points[None, :, 1, None] * d2
-    sq = _eval_sq_diff(field, exact, tris, pts)
-    return float(np.sqrt(np.sum(area * (sq @ rule.weights))))
+    if not isinstance(exact, ExactProjection):
+        exact = project_exact(field.mesh, exact, degree, singular_corner, corner_depth)
+    elif exact.field.mesh is not field.mesh:
+        raise ValueError("the projection of the exact field lives on another mesh")
+    if exact.field.coeffs.shape != field.coeffs.shape:
+        raise ValueError(
+            f"analytic field has value shape {exact.field.coeffs.shape[1:-1]}, "
+            f"expected {field.coeffs.shape[1:-1]}"
+        )
+    return float(np.sqrt(np.sum((field - exact.field).sq_norms()) + exact.rest))
 
 
 def supercloseness(field_a, field_b) -> float:

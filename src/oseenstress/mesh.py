@@ -20,9 +20,13 @@ hidden half-edge of a coalesced pair leaves behind; any such edge sends
 the result through one more pass.
 
 Treat ``Mesh`` instances as immutable; all operations return new meshes.
+:func:`build_mesh` stores read-only arrays, so the per-cell and per-edge
+geometry each mesh computes once and keeps (areas, centroids, vertex
+offsets, edge lengths and normals) cannot go stale.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,15 +97,34 @@ class Mesh:
     def ne(self) -> int:
         return self.edges.shape[0]
 
-    def tri_areas(self) -> np.ndarray:
-        """Signed areas (positive for the stored CCW orientation)."""
+    @cached_property
+    def _cell_geometry(self):
+        """Areas (nt,), centroids (nt, 2) and vertex offsets (nt, 3, 2), read-only."""
         v = self.vertices[self.triangles]
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        centroids = v.mean(axis=1)
+        return _read_only(areas, centroids, v - centroids[:, None, :])
+
+    @cached_property
+    def _edge_geometry(self):
+        """Lengths (ne,) and global unit normals (ne, 2), read-only."""
+        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
+        lengths = np.linalg.norm(d, axis=1)
+        t = d / lengths[:, None]
+        return _read_only(lengths, np.stack([t[:, 1], -t[:, 0]], axis=1))
+
+    def tri_areas(self) -> np.ndarray:
+        """Signed areas (positive for the stored CCW orientation)."""
+        return self._cell_geometry[0]
 
     def tri_centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        return self._cell_geometry[1]
+
+    def tri_offsets(self) -> np.ndarray:
+        """Vertex minus centroid for each local vertex, shape (nt, 3, 2)."""
+        return self._cell_geometry[2]
 
     def tri_diameters(self) -> np.ndarray:
         """Longest edge of each triangle."""
@@ -116,14 +139,11 @@ class Mesh:
         return np.unique(self.edges[self.boundary_edges])
 
     def edge_lengths(self) -> np.ndarray:
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.linalg.norm(d, axis=1)
+        return self._edge_geometry[0]
 
     def edge_normals(self) -> np.ndarray:
         """Global unit normals (90-degree clockwise rotation of the tangent)."""
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        t = d / np.linalg.norm(d, axis=1)[:, None]
-        return np.stack([t[:, 1], -t[:, 0]], axis=1)
+        return self._edge_geometry[1]
 
     def edge_points(self, t: np.ndarray, edges=None) -> np.ndarray:
         """Points at parameters `t` in [0, 1] along oriented edges.
@@ -171,6 +191,13 @@ class Mesh:
         xi = ref_pts[None, :, 0, None]
         eta = ref_pts[None, :, 1, None]
         return v0 + xi * d1 + eta * d2
+
+
+def _read_only(*arrays):
+    """The arrays, each flagged read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def group_rows(keys, n: int, width: int = 0, values=None) -> np.ndarray:
@@ -260,6 +287,9 @@ class MeshStats:
 def build_mesh(vertices, triangles, region=None) -> Mesh:
     """Build a validated mesh with full edge topology.
 
+    The mesh stores read-only copies of the input arrays, so its cached
+    geometry cannot go stale; the caller's arrays are left as they are.
+
     Parameters
     ----------
     vertices : array-like, shape (nv, 2)
@@ -276,8 +306,9 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
         shared by more than two triangles or a boundary vertex inside a
         boundary edge (a hanging node).
     """
-    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-    triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+    # own copies, flagged read-only below; the caller's arrays stay writable
+    vertices = np.array(vertices, dtype=np.float64, order="C")
+    triangles = np.array(triangles, dtype=np.int64, order="C")
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise ValueError(f"vertices must have shape (nv, 2), got {vertices.shape}")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -300,7 +331,6 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     flip = area2 < 0
     if np.any(flip):
-        triangles = triangles.copy()
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
         area2 = np.abs(area2)
     scale = np.maximum(np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1))
@@ -332,10 +362,11 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     if region is None:
         region = np.zeros(nt, dtype=np.int64)
     else:
-        region = np.ascontiguousarray(region, dtype=np.int64)
+        region = np.array(region, dtype=np.int64, order="C")
         if region.shape != (nt,):
             raise ValueError(f"region must have shape ({nt},), got {region.shape}")
 
+    _read_only(vertices, triangles, edges, tri_edges, tri_signs, boundary_edges, region)
     return Mesh(
         vertices=vertices,
         triangles=triangles,

@@ -26,6 +26,7 @@ defined there once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,8 +115,7 @@ class CellwiseLinear:
 
         Returns shape (m, nq, *value_shape).
         """
-        mesh = self.mesh
-        dx = pts - mesh.vertices[mesh.triangles[tris]].mean(axis=1)[:, None, :]
+        dx = pts - self.mesh.tri_centroids()[tris][:, None, :]
         mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
         c = self.coeffs[tris]
         vals = mono @ c.reshape(len(tris), -1, 3).transpose(0, 2, 1)
@@ -132,10 +132,8 @@ class CellwiseLinear:
         ``int_K (a0 + g.(x - c))^2 = |K| (a0^2 + (1/12) sum_i (g.d_i)^2)``.
         """
         mesh = self.mesh
-        v = mesh.vertices[mesh.triangles]
-        d = v - v.mean(axis=1)[:, None, :]  # (nt, 3, 2)
         c = self.coeffs.reshape(mesh.nt, -1, 3)
-        gd = c[:, :, 1:] @ d.transpose(0, 2, 1)  # (nt, k, 3)
+        gd = c[:, :, 1:] @ mesh.tri_offsets().transpose(0, 2, 1)  # (nt, k, 3)
         sq = np.sum(c[:, :, 0] ** 2, axis=1) + np.sum(gd**2, axis=(1, 2)) / 12.0
         return mesh.tri_areas() * sq
 
@@ -256,24 +254,37 @@ def build_space(mesh: Mesh, kind: str) -> HdivSpace:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PseudostressField:
     """Tensor field with rows in an H(div) space.
 
-    coeffs[r, :] holds the global edge-moment coefficients of row r.
+    coeffs[r, :] holds the global edge-moment coefficients of row r.  The
+    field keeps a read-only copy of them, so its cellwise form is computed
+    once and cannot go stale.
     """
 
     space: HdivSpace
     coeffs: np.ndarray
 
+    def __post_init__(self):
+        coeffs = np.array(self.coeffs, dtype=np.float64)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
     @property
     def mesh(self) -> Mesh:
         return self.space.mesh
 
-    def cellwise(self) -> CellwiseLinear:
-        """The tensor field on every element, value shape (2, 2)."""
+    @cached_property
+    def _cellwise(self) -> CellwiseLinear:
         w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
-        return CellwiseLinear(self.mesh, np.einsum("rtj,tjcm->trcm", w, self.space.basis_coeff))
+        coeffs = np.einsum("rtj,tjcm->trcm", w, self.space.basis_coeff)
+        coeffs.setflags(write=False)
+        return CellwiseLinear(self.mesh, coeffs)
+
+    def cellwise(self) -> CellwiseLinear:
+        """The tensor field on every element, value shape (2, 2); read-only."""
+        return self._cellwise
 
     def div_cells(self, tris=None) -> np.ndarray:
         """Row-wise divergence, constant per element: (m, 2)."""

@@ -6,6 +6,8 @@ its evaluation, cell means and exact norms, and the norms built on them
 and basis-function evaluations they replaced.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,25 @@ def test_velocity_cellwise_is_constant_and_exact():
     assert np.array_equal(vals, np.broadcast_to(coeffs.T[:, None, :], vals.shape))
     assert np.array_equal(cw.cell_means(), coeffs)
     assert cw.cellwise() is cw
+
+
+def test_pseudostress_cellwise_is_computed_once_and_cannot_go_stale():
+    mesh = graded_lshape()
+    space = build_space(mesh, "rt0")
+    coeffs = np.random.default_rng(14).standard_normal((2, space.n_dofs_per_row))
+    field = PseudostressField(space=space, coeffs=coeffs)
+    cw = field.cellwise()
+    assert field.cellwise() is cw
+    with pytest.raises(ValueError, match="read-only"):
+        field.coeffs[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        cw.coeffs[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.coeffs = np.zeros_like(coeffs)
+    # the field holds its own copy: writing the caller's array changes nothing
+    before = cw.coeffs.copy()
+    coeffs[:] = 0.0
+    assert np.array_equal(field.cellwise().coeffs, before)
 
 
 def test_cell_means_are_centroid_values():

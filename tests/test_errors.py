@@ -3,10 +3,28 @@
 import numpy as np
 import pytest
 
-from oseenstress.errors import ErrorRow, fit_order, fit_orders, hdiv_error, l2_error, supercloseness
-from oseenstress.mesh import make_lshape_mesh, make_square_piecewise_uniform
+import errors_oracle
+from oseenstress import adaptive
+from oseenstress.assembly import solve_oseen
+from oseenstress.errors import (
+    ErrorRow,
+    fit_order,
+    fit_orders,
+    hdiv_error,
+    l2_error,
+    project_exact,
+    supercloseness,
+)
+from oseenstress.mesh import make_lshape_mesh, make_square_piecewise_uniform, uniform_quad_refine
+from oseenstress.postprocess import postprocess_velocity, recover_pseudostress
 from oseenstress.problems import get_problem
-from oseenstress.spaces import PseudostressField, VelocityField, build_space
+from oseenstress.spaces import (
+    PseudostressField,
+    VelocityField,
+    build_space,
+    interpolate_pseudostress,
+    project_velocity,
+)
 
 
 def zero_velocity(mesh):
@@ -63,6 +81,83 @@ def test_corner_grading_ignores_missing_corner():
     a = l2_error(field, prob.exact_u)
     b = l2_error(field, prob.exact_u, singular_corner=(10.0, 10.0))
     assert a == b
+
+
+def level_fields(problem, mesh, kind):
+    """The six fields of one convergence level, with the exact field each is measured against."""
+    solution = solve_oseen(problem, mesh, kind=kind)
+    space = solution.sigma.space
+    fields = {
+        "u_h": (solution.u, problem.exact_u),
+        "u*": (postprocess_velocity(solution.sigma, solution.u), problem.exact_u),
+        "P_h u": (project_velocity(mesh, problem.exact_u), problem.exact_u),
+        "sigma_h": (solution.sigma, problem.exact_sigma),
+        "Pi_h sigma": (interpolate_pseudostress(space, problem.exact_sigma), problem.exact_sigma),
+    }
+    if kind == "rt0":
+        fields["sigma*"] = (recover_pseudostress(solution.sigma), problem.exact_sigma)
+    return fields
+
+
+@pytest.mark.parametrize("name,kind,levels", [("p1", "rt0", 4), ("p1", "bdm1", 3), ("p2", "rt0", 4)])
+def test_l2_error_matches_the_quadrature_oracle(name, kind, levels):
+    # p2 has a singular corner, so its cells there are subdivided
+    problem = get_problem(name)
+    corner = problem.singular_corner
+    mesh = problem.initial_mesh()
+    for level in range(levels):
+        if level > 0:
+            mesh = uniform_quad_refine(mesh)
+        projections = {
+            problem.exact_u: project_exact(mesh, problem.exact_u, singular_corner=corner),
+            problem.exact_sigma: project_exact(mesh, problem.exact_sigma, singular_corner=corner),
+        }
+        for field, exact in level_fields(problem, mesh, kind).values():
+            expected = errors_oracle.l2_error(field, exact, singular_corner=corner)
+            assert l2_error(field, exact, singular_corner=corner) == pytest.approx(expected, rel=1e-12)
+            assert l2_error(field, projections[exact]) == pytest.approx(expected, rel=1e-12)
+
+
+def test_adaptive_true_errors_match_the_quadrature_oracle(monkeypatch):
+    calls = []
+
+    def checked(field, exact, **kwargs):
+        got = l2_error(field, exact, **kwargs)
+        assert got == pytest.approx(errors_oracle.l2_error(field, exact, **kwargs), rel=1e-12)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(adaptive, "l2_error", checked)
+    history = adaptive.adaptive_solve(get_problem("p2"), max_iters=3)
+    assert history.niter == 4
+    assert len(calls) == 8  # sigma and u on every mesh
+
+
+def test_projection_reproduces_linear_fields_with_corner_subdivision():
+    # sigma(x) = A + B x: the projection is exact and leaves no residual,
+    # also on the subdivided cells at the corner
+    mesh = make_lshape_mesh()
+    coef = np.random.default_rng(21).standard_normal((3, 2, 2))
+
+    def linear(x):
+        return coef[0] + x[..., 0, None, None] * coef[1] + x[..., 1, None, None] * coef[2]
+
+    proj = project_exact(mesh, linear, singular_corner=(0.0, 0.0), corner_depth=2)
+    c = mesh.tri_centroids()
+    expected = np.stack([linear(c), np.broadcast_to(coef[1], (mesh.nt, 2, 2)), np.broadcast_to(coef[2], (mesh.nt, 2, 2))], axis=-1)
+    assert np.abs(proj.field.coeffs - expected).max() < 1e-13
+    assert proj.rest < 1e-28
+
+
+def test_l2_error_rejects_a_projection_on_another_mesh():
+    prob = get_problem("p1")
+    mesh = make_square_piecewise_uniform()
+    twin = make_square_piecewise_uniform()  # equal arrays, another mesh
+    with pytest.raises(ValueError, match="another mesh"):
+        l2_error(zero_velocity(mesh), project_exact(twin, prob.exact_u))
+    with pytest.raises(ValueError, match="shape"):
+        l2_error(zero_velocity(mesh), project_exact(mesh, prob.exact_sigma))
+    assert l2_error(zero_velocity(mesh), project_exact(mesh, prob.exact_u)) == l2_error(zero_velocity(mesh), prob.exact_u)
 
 
 def test_hdiv_error_against_analytic_norm():

@@ -200,6 +200,26 @@ def test_build_mesh_rejects_hanging_boundary_vertex(verts, tris, vertex, edge):
         build_mesh(np.array(verts, dtype=float), np.array(tris))
 
 
+def test_build_mesh_stores_read_only_copies():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    mesh = build_mesh(verts, tris)
+    areas = mesh.tri_areas().copy()
+    for array in (mesh.vertices, mesh.triangles, mesh.edges, mesh.tri_edges, mesh.tri_signs, mesh.region):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.vertices[2, 0] += 1.0
+    for cached in (mesh.tri_areas(), mesh.tri_centroids(), mesh.tri_offsets(), mesh.edge_lengths(), mesh.edge_normals()):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0
+    # the caller's arrays stay writable and are not the mesh's
+    verts[2, 0] = 5.0
+    tris[0, 0] = 3
+    assert mesh.vertices[2, 0] == 1.0 and mesh.triangles[0, 0] == 0
+    assert np.array_equal(mesh.tri_areas(), areas)
+
+
 def test_build_mesh_numbers_edges_in_vertex_pair_order():
     mesh = refine_marked(make_lshape_mesh(), [0, 5, 11])
     raw = mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
