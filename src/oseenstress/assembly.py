@@ -47,9 +47,11 @@ elimination order is therefore built on the interior edges, not on the
 unknowns: a minimum-degree order of the graph in which two interior
 edges are adjacent when they share a triangle, expanded so that the
 multipliers of each edge are consecutive, with each c_K placed directly
-after the last of its own interior edges.  SuperLU factors the
-equilibrated operator in that order with diagonal pivots; on the finest
-p1 BDM1 level this halves the fill of its COLAMD column order.
+after the last of its own interior edges.  Every condensed unknown is
+numbered by its position in that order, so the assembled operator is
+already in factor order and SuperLU factors it as numbered, equilibrated
+and with diagonal pivots; on the finest p1 BDM1 level this halves the
+fill of SuperLU's own COLAMD column order.
 """
 
 import warnings
@@ -60,15 +62,8 @@ import numpy as np
 from .mesh import Mesh
 from .problems import ProblemSpec, spot_check_boundary_data
 from .quadrature import edge_gauss_rule, triangle_rule
-from .sparsela import CsrMatrix, SingularMatrixError, lu_solve, minimum_degree, relative_residual, to_csr
-from .spaces import (
-    HdivSpace,
-    PseudostressField,
-    VelocityField,
-    apply_trace_correction,
-    build_space,
-    identity_coeffs,
-)
+from .sparsela import RTOL, CsrMatrix, SingularMatrixError, lu_solve, minimum_degree, relative_residual, to_csr
+from .spaces import HdivSpace, PseudostressField, VelocityField, build_space, identity_coeffs
 
 __all__ = [
     "SystemLayout",
@@ -124,25 +119,25 @@ class ElementBlocks:
     trace: np.ndarray  # (nt, m) local trace-mean column t_K
     load: np.ndarray  # (nt, m) local right-hand side b_K, nonzero on owned copies only
     pin: np.ndarray  # (nt,) the pinned sigma unknown, where |z_K| is largest
-    edge: np.ndarray  # (nt, 2 nl) condensed index of the multiplier of each sigma unknown, n_mult on the boundary
+    edge: np.ndarray  # (nt, 2 nl) condensed index of the multiplier of each sigma unknown, `size` on the boundary
+    c: np.ndarray  # (nt,) condensed index of c_K, `size` for the last (pinned) element
     sign: np.ndarray  # (nt, 2 nl) +1 and -1 on the two sides of an interior edge, 0 on the boundary
-    n_mult: int  # number of edge multipliers
+    size: int  # number N of condensed unknowns, numbered by elimination position
 
 
 @dataclass
 class LinearSystem:
     """Condensed operator and right-hand sides, with the element blocks.
 
-    The condensed unknowns are the interior edge multipliers followed by
-    c_K for every triangle but the last.  The right-hand side for the
-    trace-mean multiplier lam is ``rhs - lam * rhs_trace``.  `order`
-    lists the condensed unknowns in their elimination order.
+    The condensed unknowns are the interior edge multipliers and c_K for
+    every triangle but the last, each numbered by its position in the
+    elimination order.  The right-hand side for the trace-mean multiplier
+    lam is ``rhs - lam * rhs_trace``.
     """
 
     matrix: CsrMatrix
     rhs: np.ndarray
     rhs_trace: np.ndarray
-    order: np.ndarray
     layout: SystemLayout
     space: HdivSpace
     elements: ElementBlocks
@@ -248,7 +243,7 @@ def _pinned_inverse(operator: np.ndarray, pin: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_degree: int, owners) -> ElementBlocks:
+def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) -> ElementBlocks:
     """Local blocks, loads and maps of every element; `owners` is ``mesh.edge_owners()``."""
     n = space.n_dofs_per_row
     nt = mesh.nt
@@ -256,7 +251,7 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_deg
     ns = 2 * nl
     layout = SystemLayout(n_row_dofs=n, nt=nt)
 
-    rule = triangle_rule(quad_degree)
+    rule = triangle_rule(_QUAD_DEGREE)
     w = rule.weights
     tris = np.arange(nt)
     pts = mesh.map_ref_points(rule.points, tris)  # (nt, nq, 2)
@@ -309,8 +304,12 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_deg
     sign = np.where(interior[space.dof_map], np.where(side0, 1.0, -1.0), 0.0)
     sign = np.concatenate([sign, sign], axis=1)
     rank = np.cumsum(interior) - 1
-    edge = np.concatenate([rank[space.dof_map], n_inner + rank[space.dof_map]], axis=1)
-    edge[sign == 0] = 2 * n_inner
+    # the condensed unknowns by elimination position; the boundary slots
+    # and the last, pinned c point past them, at N
+    size = 2 * n_inner + nt - 1
+    position = np.append(_elimination_order(mesh, owner[:, 1] >= 0, moments), size)
+    mult = np.concatenate([rank[space.dof_map], n_inner + rank[space.dof_map]], axis=1)
+    edge = np.where(sign == 0, size, position[mult])
     owned = np.ones((nt, ns + 2), dtype=bool)
     owned[:, :ns] = np.concatenate([side0, side0], axis=1)
 
@@ -335,8 +334,9 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_deg
         load=load,
         pin=pin,
         edge=edge,
+        c=position[2 * n_inner :],
         sign=sign,
-        n_mult=2 * n_inner,
+        size=size,
     )
 
 
@@ -349,15 +349,19 @@ def _condensed_rhs(el: ElementBlocks, local: np.ndarray) -> np.ndarray:
     """
     ns = el.sign.shape[1]
     solved = (el.inverse[:, :ns] @ local[:, :, None])[:, :, 0]
-    jump = np.bincount(el.edge.ravel(), weights=(el.sign * solved).ravel(), minlength=el.n_mult + 1)
-    return np.concatenate([jump[: el.n_mult], np.sum(el.kernel * local, axis=1)[:-1]])
+    index = np.concatenate([el.edge, el.c[:, None]], axis=1)
+    weights = np.concatenate([el.sign * solved, np.sum(el.kernel * local, axis=1)[:, None]], axis=1)
+    return np.bincount(index.ravel(), weights=weights.ravel(), minlength=el.size + 1)[:-1]
 
 
 def _elimination_order(mesh: Mesh, interior: np.ndarray, moments: int) -> np.ndarray:
     """Fill-reducing order of the condensed unknowns (see the module docstring).
 
     `interior` marks the interior edges, each with `moments` multipliers
-    per row.  Returns the condensed index of the unknown eliminated k-th.
+    per row.  The unknowns are listed as the multipliers (row r, moment k
+    of interior edge i at ``r n_edges moments + i moments + k``), then c_K
+    of every triangle but the last.  Returns the position in the
+    elimination order of each.
     """
     n_edges = int(interior.sum())
     if n_edges == 0:
@@ -374,12 +378,16 @@ def _elimination_order(mesh: Mesh, interior: np.ndarray, moments: int) -> np.nda
     last = np.where(inner, position[ranks], -1).max(axis=1)[:-1]
     key_c = 2 * np.where(last >= 0, last, n_edges) + 1
     key = np.concatenate([key_mult, key_c])
-    return np.argsort(key * key.size + np.arange(key.size))  # ties go by index
+    order = np.argsort(key * key.size + np.arange(key.size))  # ties go by index
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return position
 
 
-def assemble(
-    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, quad_degree: int = 4
-) -> LinearSystem:
+_QUAD_DEGREE = 4  # exactness of the element quadrature
+
+
+def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem:
     """Assemble the element blocks and the condensed system.
 
     Parameters
@@ -388,8 +396,6 @@ def assemble(
     mesh : Mesh
     space : HdivSpace
         Must have been built on `mesh`.
-    quad_degree : int
-        Element quadrature exactness; at least 4.
 
     Raises
     ------
@@ -398,16 +404,13 @@ def assemble(
     """
     if space.mesh is not mesh:
         raise ValueError("space was not built on the given mesh")
-    if quad_degree < 4:
-        raise ValueError(f"element quadrature degree must be >= 4, got {quad_degree}")
     spot_check_boundary_data(problem, mesh)
     owners = mesh.edge_owners()
     _check_compatibility(problem, mesh, owners)
 
-    el = _element_blocks(problem, mesh, space, quad_degree, owners)
+    el = _element_blocks(problem, mesh, space, owners)
     nt = mesh.nt
     ns = el.sign.shape[1]
-    n_mult = el.n_mult
 
     # edge rows: jump of the multiplier-driven local solutions G_K C_K^T mu ...
     live = (el.sign != 0) & (np.arange(ns) != el.pin[:, None])
@@ -418,25 +421,21 @@ def assemble(
     vals = [(el.inverse[:, :ns, :ns] * el.sign[:, :, None] * el.sign[:, None, :])[both]]
     # ... minus that of c_K z_K; element rows: z_K^T C_K^T mu
     zs = el.kernel[:, :ns] * el.sign
-    coupled = (zs != 0) & (np.arange(nt) < nt - 1)[:, None]
-    ctri = np.broadcast_to((n_mult + np.arange(nt))[:, None], zs.shape)[coupled]
+    coupled = (zs != 0) & (el.c < el.size)[:, None]
+    ctri = np.broadcast_to(el.c[:, None], zs.shape)[coupled]
     rows += [el.edge[coupled], ctri]
     cols += [ctri, el.edge[coupled]]
     vals += [-zs[coupled], zs[coupled]]
 
-    matrix = to_csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n_mult + nt - 1)
+    matrix = to_csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), el.size)
     return LinearSystem(
         matrix=matrix,
         rhs=_condensed_rhs(el, el.load),
         rhs_trace=_condensed_rhs(el, el.trace),
-        order=_elimination_order(mesh, owners[0][:, 1] >= 0, space.n_dofs_per_row // mesh.ne),
         layout=SystemLayout(n_row_dofs=space.n_dofs_per_row, nt=nt),
         space=space,
         elements=el,
     )
-
-
-_RTOL = 1e-9  # relative residual bound of every direct solve
 
 
 def _solve_hybrid(system: LinearSystem):
@@ -451,12 +450,11 @@ def _solve_hybrid(system: LinearSystem):
     nsigma = system.layout.offset_u
     lam = np.sum(el.kernel * el.load) / np.sum(el.kernel * el.trace)  # z^T b / z^T t
 
-    y, _ = lu_solve(system.matrix, system.rhs - lam * system.rhs_trace, rtol=_RTOL, order=system.order)
-    mu = np.append(y[: el.n_mult], 0.0)  # the boundary slot n_mult is zero
-    c = np.append(y[el.n_mult :], 0.0)  # the last element's c is pinned
+    y, _ = lu_solve(system.matrix, system.rhs - lam * system.rhs_trace)
+    y = np.append(y, 0.0)  # the boundary slots and the last element's c are zero
     local = el.load - lam * el.trace
-    local[:, :ns] -= el.sign * mu[el.edge]
-    x = c[:, None] * el.kernel + (el.inverse @ local[:, :, None])[:, :, 0]
+    local[:, :ns] -= el.sign * y[el.edge]
+    x = y[el.c][:, None] * el.kernel + (el.inverse @ local[:, :, None])[:, :, 0]
 
     s = np.empty(system.layout.size - 1)
     s[el.dofs[el.owned]] = x[el.owned]
@@ -468,14 +466,12 @@ def _solve_hybrid(system: LinearSystem):
     applied = (el.operator @ s[el.dofs][:, :, None])[:, :, 0] + lam * el.trace - el.load
     misfit = np.append(np.bincount(el.dofs.ravel(), weights=applied.ravel(), minlength=s.size), t @ s[:nsigma])
     residual = relative_residual(misfit, el.load)  # each entry of b sits in one local copy
-    if residual > _RTOL:
-        raise SingularMatrixError(f"bordered residual {residual:.3e} exceeds tolerance {_RTOL:.1e}")
+    if residual > RTOL:
+        raise SingularMatrixError(f"bordered residual {residual:.3e} exceeds tolerance {RTOL:.1e}")
     return s, lam, residual
 
 
-def solve_oseen(
-    problem: ProblemSpec, mesh: Mesh, kind: str = "rt0", quad_degree: int = 4
-) -> OseenSolution:
+def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSolution:
     """Assemble and solve; returns trace-mean-corrected fields.
 
     The bordered system is solved by hybridization (see the module
@@ -498,7 +494,7 @@ def solve_oseen(
     """
     space = build_space(mesh, kind)
     try:
-        system = assemble(problem, mesh, space, quad_degree=quad_degree)
+        system = assemble(problem, mesh, space)
         s, lam, residual = _solve_hybrid(system)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
@@ -509,6 +505,5 @@ def solve_oseen(
     sigma = PseudostressField(
         space=space, coeffs=np.stack([s[layout.sigma_rows(0)], s[layout.sigma_rows(1)]])
     )
-    sigma = apply_trace_correction(sigma)
     u = VelocityField(mesh=mesh, coeffs=np.stack([s[layout.u_rows(0)], s[layout.u_rows(1)]]))
     return OseenSolution(sigma=sigma, u=u, multiplier=float(lam), residual=residual, ndofs=layout.size)

@@ -25,34 +25,46 @@ Two constructions:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .mesh import Mesh, group_rows
 from .quadrature import triangle_rule
-from .spaces import CellwiseLinear, PseudostressField, VelocityField, apply_deviatoric, trace_mean
+from .spaces import CellwiseLinear, PseudostressField, VelocityField, apply_deviatoric, trace_mean_of_means
 
 __all__ = ["RecoveredTensorField", "postprocess_velocity", "recover_pseudostress"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveredTensorField:
     """Continuous piecewise-linear tensor field from vertex values.
 
     values[v] is the 2x2 recovered tensor at vertex v; inside an element
-    the field is the barycentric interpolation of its vertex values.
+    the field is the barycentric interpolation of its vertex values.  The
+    field keeps a read-only copy of them, so its cellwise form is computed
+    once and cannot go stale.
     """
 
     mesh: Mesh
     values: np.ndarray  # (nv, 2, 2)
 
+    def __post_init__(self):
+        values = np.array(self.values, dtype=np.float64)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
     def cellwise(self) -> CellwiseLinear:
-        """The interpolant on every element, value shape (2, 2).
+        """The interpolant on every element, value shape (2, 2); read-only.
 
         The cell mean is the mean of the three vertex values; the gradient
         solves ``[d1 d2]^T g = [f1 - f0, f2 - f0]`` with ``d_i = x_i - x_0``.
         """
+        return self._cellwise
+
+    @cached_property
+    def _cellwise(self) -> CellwiseLinear:
         mesh = self.mesh
         v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
         f = self.values[mesh.triangles]  # (nt, 3, 2, 2)
@@ -62,7 +74,9 @@ class RecoveredTensorField:
         f1, f2 = f[:, 1] - f[:, 0], f[:, 2] - f[:, 0]
         gx = (d2[:, 1, None, None] * f1 - d1[:, 1, None, None] * f2) / det
         gy = (d1[:, 0, None, None] * f2 - d2[:, 0, None, None] * f1) / det
-        return CellwiseLinear(mesh, np.stack([f.mean(axis=1), gx, gy], axis=-1))
+        coeffs = np.stack([f.mean(axis=1), gx, gy], axis=-1)
+        coeffs.setflags(write=False)
+        return CellwiseLinear(mesh, coeffs)
 
 
 def postprocess_velocity(sigma_h: PseudostressField, u_h: VelocityField) -> CellwiseLinear:
@@ -189,9 +203,10 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     in_patch = (patch[rest] >= 0)[:, :, None, None]
     values[rest] = np.where(in_patch, samples[patch[rest]], 0.0).sum(axis=(1, 2)) / (3 * n_elems[rest, None])
 
-    field = RecoveredTensorField(mesh=mesh, values=values.reshape(nv, 2, 2))
-    # trace-mean correction onto the zero-trace-mean space
-    c = 0.5 * trace_mean(field)
-    field.values[:, 0, 0] -= c
-    field.values[:, 1, 1] -= c
-    return field
+    values = values.reshape(nv, 2, 2)
+    # trace-mean correction onto the zero-trace-mean space; the cell mean
+    # of the interpolant is the mean of its three vertex values
+    c = 0.5 * trace_mean_of_means(mesh, np.moveaxis(values[mesh.triangles].mean(axis=1), 0, -1))
+    values[:, 0, 0] -= c
+    values[:, 1, 1] -= c
+    return RecoveredTensorField(mesh=mesh, values=values)

@@ -44,6 +44,7 @@ __all__ = [
     "interpolate_pseudostress",
     "project_velocity",
     "trace_mean",
+    "trace_mean_of_means",
 ]
 
 _KINDS = ("rt0", "bdm1")
@@ -327,11 +328,18 @@ def identity_coeffs(space: HdivSpace) -> np.ndarray:
 def trace_mean(field) -> float:
     """Mean of the tensor trace over the domain.
 
-    `field` is any tensor field with a ``cellwise()``; the integral of a
-    field of degree <= 1 over a triangle is its area times its cell mean.
+    `field` is any tensor field with a ``cellwise()``.
     """
-    means = field.cellwise().cell_means()  # (2, 2, nt)
-    area = field.mesh.tri_areas()
+    return trace_mean_of_means(field.mesh, field.cellwise().cell_means())
+
+
+def trace_mean_of_means(mesh: Mesh, means: np.ndarray) -> float:
+    """Mean of the tensor trace over the domain, from the cell means (2, 2, nt).
+
+    The integral of a field of degree <= 1 over a triangle is its area
+    times its cell mean.
+    """
+    area = mesh.tri_areas()
     return float(np.sum(area * (means[0, 0] + means[1, 1]))) / float(np.sum(area))
 
 

@@ -1,14 +1,12 @@
 """Sparse matrix plumbing: CSR conversion, orderings and the direct solve.
 
 Assembly collects (row, col, value) triplets; :func:`to_csr` sums
-duplicates into compressed sparse row storage.  :func:`lu_solve` runs a
-direct LU factorization (SuperLU) and checks the residual of the solution
-with :func:`relative_residual`.  Without an elimination order, SuperLU
-orders the columns with COLAMD and pivots by rows (partial pivoting).
-Given a symmetric elimination order, such as one built from
-:func:`minimum_degree`, the matrix is equilibrated, permuted
-symmetrically and factored in that order with a preference for diagonal
-pivots.
+duplicates into compressed sparse row storage.  :func:`lu_solve`
+equilibrates the matrix, factors it by sparse LU (SuperLU) in the
+numbering it is given, with a preference for diagonal pivots, and checks
+the residual of the solution with :func:`relative_residual`.  The caller
+numbers the unknowns in their elimination order, for instance with
+:func:`minimum_degree`.
 """
 
 from dataclasses import dataclass
@@ -18,6 +16,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 __all__ = [
+    "RTOL",
     "CsrMatrix",
     "SingularMatrixError",
     "SolverMemoryError",
@@ -26,6 +25,8 @@ __all__ = [
     "lu_solve",
     "relative_residual",
 ]
+
+RTOL = 1e-9  # relative residual bound of every direct solve
 
 
 class SingularMatrixError(RuntimeError):
@@ -130,18 +131,6 @@ def relative_residual(residual: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.linalg.norm(residual)) / denom
 
 
-def _checked_permutation(order, n: int) -> np.ndarray:
-    """`order` as int64, if it is a permutation of 0..n-1."""
-    order = np.asarray(order)
-    if not (
-        order.shape == (n,)
-        and np.issubdtype(order.dtype, np.integer)
-        and np.array_equal(np.sort(order), np.arange(n))
-    ):
-        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order.dtype} {order.shape}")
-    return order.astype(np.int64, copy=False)
-
-
 def _segment_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Largest entry of every segment ``values[indptr[i]:indptr[i+1]]``; 1 if empty."""
     out = np.ones(len(indptr) - 1)
@@ -151,52 +140,38 @@ def _segment_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _equilibrated(matrix: CsrMatrix, order: np.ndarray):
-    """CSC matrix ``B = P R A C P^T`` and the scales ``R`` and ``C P^T``.
+def _equilibrated(matrix: CsrMatrix):
+    """CSC matrix ``B = R A C`` and the scales ``R`` and ``C``.
 
     `R` makes the largest entry of every row of A one, then `C` that of
-    every column of ``R A``; ``(P v)[k] = v[order[k]]``.  Returns ``(B,
-    row_scale, col_scale)`` with ``row_scale`` in the original numbering
-    and ``col_scale`` in the new one.
+    every column of ``R A``.  The CSC conversion lists each column's rows
+    in increasing order, so SuperLU gets canonical input without a sort.
     """
     n = matrix.n
-    counts = np.diff(matrix.indptr)
     row_scale = 1.0 / _segment_max(np.abs(matrix.data), matrix.indptr)
-    # gather the rows in their new order and renumber the columns; the
-    # CSC conversion then lists each column's rows in increasing order,
-    # so SuperLU gets canonical input without a sort
-    lengths = counts[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    take = np.repeat(matrix.indptr[order] - indptr[:-1], lengths) + np.arange(matrix.nnz)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    data = matrix.data[take] * np.repeat(row_scale[order], lengths)
-    csc = scipy.sparse.csr_matrix((data, position[matrix.indices[take]], indptr), shape=(n, n)).tocsc()
+    data = matrix.data * np.repeat(row_scale, np.diff(matrix.indptr))
+    csc = scipy.sparse.csr_matrix((data, matrix.indices, matrix.indptr), shape=(n, n)).tocsc()
     col_scale = 1.0 / _segment_max(np.abs(csc.data), csc.indptr)
     csc.data *= np.repeat(col_scale, np.diff(csc.indptr))
     return csc, row_scale, col_scale
 
 
-def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9, order=None):
-    """Solve ``A x = rhs`` by sparse LU.
+def lu_solve(matrix: CsrMatrix, rhs: np.ndarray):
+    """Solve ``A x = rhs`` by sparse LU in the given numbering.
 
-    Without `order`, SuperLU orders the columns with COLAMD and pivots by
-    rows (partial pivoting).  With `order`, a permutation of 0..n-1 that
-    lists the unknowns in their elimination order, the rows and then the
-    columns are equilibrated, the scaled matrix is permuted symmetrically
-    and factored in that order, preferring the diagonal pivot unless it
-    is below 0.01 times the largest entry of its column.  This suits a
-    structurally symmetric matrix whose order keeps nonzero pivots on the
-    diagonal.
+    The rows and then the columns of A are equilibrated, and the scaled
+    matrix is factored with the unknowns eliminated in their index order,
+    preferring the diagonal pivot unless it is below 0.01 times the
+    largest entry of its column.  This suits a structurally symmetric
+    matrix numbered so that its nonzero pivots stay on the diagonal.
 
     Returns ``(x, residual)`` with the :func:`relative_residual` of `x`
-    in the original, unscaled system, which is at most `rtol`.
+    in the original, unscaled system, which is at most :data:`RTOL`.
 
     Raises
     ------
     ValueError
-        If `rhs` has the wrong shape or `order` is not a permutation.
+        If `rhs` has the wrong shape.
     SolverMemoryError
         If SuperLU fails to allocate memory.
     SingularMatrixError
@@ -206,19 +181,12 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9, order=None)
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (matrix.n,):
         raise ValueError(f"rhs must have shape ({matrix.n},), got {rhs.shape}")
-    if order is not None:
-        order = _checked_permutation(order, matrix.n)
     try:
-        if order is None:
-            a = matrix.to_scipy().tocsc()
-            x = scipy.sparse.linalg.splu(a).solve(rhs)
-        else:
-            a, row_scale, col_scale = _equilibrated(matrix, order)
-            lu = scipy.sparse.linalg.splu(
-                a, permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True}
-            )
-            x = np.empty(matrix.n)
-            x[order] = col_scale * lu.solve((row_scale * rhs)[order])
+        a, row_scale, col_scale = _equilibrated(matrix)
+        lu = scipy.sparse.linalg.splu(
+            a, permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True}
+        )
+        x = col_scale * lu.solve(row_scale * rhs)
     except MemoryError as exc:
         raise SolverMemoryError(matrix.n, matrix.nnz, str(exc)) from exc
     except RuntimeError as exc:  # SuperLU signals singularity and failed mallocs this way
@@ -228,8 +196,8 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray, rtol: float = 1e-9, order=None)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse LU produced non-finite solution")
     residual = relative_residual(matrix.to_scipy() @ x - rhs, rhs)
-    if residual > rtol:
+    if residual > RTOL:
         raise SingularMatrixError(
-            f"direct solve residual {residual:.3e} exceeds tolerance {rtol:.1e}"
+            f"direct solve residual {residual:.3e} exceeds tolerance {RTOL:.1e}"
         )
     return x, residual

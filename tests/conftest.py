@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import scipy.sparse.linalg
 
 from oseenstress.mesh import Mesh, build_mesh, make_square_piecewise_uniform
 from oseenstress.problems import ProblemSpec
+from oseenstress.sparsela import RTOL, CsrMatrix, relative_residual
 
 
 def two_triangle_square() -> Mesh:
@@ -81,6 +83,19 @@ def stokes_linear_problem() -> ProblemSpec:
         exact_u=_stokes_linear_u,
         exact_sigma=_stokes_linear_sigma,
     )
+
+
+def colamd_lu_solve(matrix: CsrMatrix, rhs: np.ndarray):
+    """SuperLU with its own COLAMD column order and partial pivoting.
+
+    The reference that ``lu_solve``, which factors in the numbering it is
+    given, is compared against.  Returns ``(x, residual)``; the relative
+    residual must be at most ``RTOL``.
+    """
+    x = scipy.sparse.linalg.splu(matrix.to_scipy().tocsc()).solve(rhs)
+    residual = relative_residual(matrix.to_scipy() @ x - rhs, rhs)
+    assert residual <= RTOL, f"COLAMD solve residual {residual:.3e}"
+    return x, residual
 
 
 def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

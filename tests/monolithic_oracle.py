@@ -4,19 +4,21 @@ This is the assembly of the whole saddle-point matrix, trace-mean border
 included, and its solve with the multiplier in closed form and one
 pseudostress dof pinned, which ``assembly.assemble`` and
 ``assembly.solve_oseen`` replaced with the hybridized (element-condensed)
-solve.  It is kept verbatim as the oracle the hybridized solve is checked
-against (``tests/test_assembly.py``).
+solve.  It is kept as the oracle the hybridized solve is checked against
+(``tests/test_assembly.py``), factored with SuperLU's own column order
+and partial pivoting (``conftest.colamd_lu_solve``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from conftest import colamd_lu_solve
 from oseenstress.assembly import SystemLayout, _check_compatibility, assemble_dirichlet_rhs
 from oseenstress.mesh import Mesh
 from oseenstress.problems import ProblemSpec, spot_check_boundary_data
 from oseenstress.quadrature import triangle_rule
-from oseenstress.sparsela import CsrMatrix, SingularMatrixError, lu_solve, relative_residual, to_csr
+from oseenstress.sparsela import RTOL, CsrMatrix, SingularMatrixError, relative_residual, to_csr
 from oseenstress.spaces import (
     HdivSpace,
     PseudostressField,
@@ -130,9 +132,6 @@ def assemble(
     return LinearSystem(matrix=matrix, rhs=rhs, layout=layout, space=space)
 
 
-_RTOL = 1e-9  # relative residual bound of every direct solve
-
-
 def _solve_bordered(system: LinearSystem):
     """Solve the bordered system without factoring its border.
 
@@ -160,13 +159,13 @@ def _solve_bordered(system: LinearSystem):
     keep = np.flatnonzero(np.arange(m) != k)
     pinned = CsrMatrix.from_scipy(bordered[keep][:, keep])  # slicing keeps indices sorted
     s = np.zeros(m)
-    s[keep], _ = lu_solve(pinned, (b - lam * t)[keep], rtol=_RTOL)
+    s[keep], _ = colamd_lu_solve(pinned, (b - lam * t)[keep])
     s += (system.rhs[m] - t @ s) / zt * z
 
     x = np.append(s, lam)
     residual = relative_residual(bordered @ x - system.rhs, system.rhs)
-    if residual > _RTOL:
-        raise SingularMatrixError(f"bordered residual {residual:.3e} exceeds tolerance {_RTOL:.1e}")
+    if residual > RTOL:
+        raise SingularMatrixError(f"bordered residual {residual:.3e} exceeds tolerance {RTOL:.1e}")
     return x, residual
 
 

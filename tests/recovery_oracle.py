@@ -145,9 +145,9 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
             value = fit[0][0] if fit is not None else patch_average(v)
         values[v] = value
 
-    field = RecoveredTensorField(mesh=mesh, values=values.reshape(nv, 2, 2))
+    values = values.reshape(nv, 2, 2)
     # trace-mean correction onto the zero-trace-mean space
-    c = 0.5 * trace_mean(field)
-    field.values[:, 0, 0] -= c
-    field.values[:, 1, 1] -= c
-    return field
+    c = 0.5 * trace_mean(RecoveredTensorField(mesh=mesh, values=values))
+    values[:, 0, 0] -= c
+    values[:, 1, 1] -= c
+    return RecoveredTensorField(mesh=mesh, values=values)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import stokes_linear_problem, two_triangle_square, zero_problem
+from conftest import colamd_lu_solve, stokes_linear_problem, two_triangle_square, zero_problem
 
 import monolithic_oracle
 from oseenstress import adaptive, assembly
@@ -88,8 +88,6 @@ def test_assemble_validates_inputs():
     mesh = make_square_piecewise_uniform()
     other = make_square_piecewise_uniform(1)
     space = build_space(mesh, "rt0")
-    with pytest.raises(ValueError):
-        assemble(get_problem("p1"), mesh, space, quad_degree=3)
     with pytest.raises(ValueError):
         assemble(get_problem("p1"), other, space)
 
@@ -199,7 +197,7 @@ def test_solve_matches_factoring_the_bordered_matrix(name):
     mesh = make_mesh()
     sol = solve_oseen(problem, mesh, kind=kind)
     system = monolithic_oracle.assemble(problem, mesh, build_space(mesh, kind))
-    x, _ = lu_solve(system.matrix, system.rhs)
+    x, _ = colamd_lu_solve(system.matrix, system.rhs)
     lay = system.layout
     sigma = PseudostressField(space=system.space, coeffs=np.stack([x[lay.sigma_rows(0)], x[lay.sigma_rows(1)]]))
     sigma = apply_trace_correction(sigma).coeffs
@@ -328,7 +326,7 @@ def test_solved_pseudostress_has_zero_trace_mean(kind):
 def _colamd_solve(problem, mesh, kind, monkeypatch):
     """`solve_oseen` with SuperLU's own column order and row pivoting."""
     with monkeypatch.context() as m:
-        m.setattr(assembly, "lu_solve", lambda matrix, rhs, rtol, order: lu_solve(matrix, rhs, rtol))
+        m.setattr(assembly, "lu_solve", colamd_lu_solve)
         return solve_oseen(problem, mesh, kind=kind)
 
 
@@ -343,17 +341,9 @@ def _assert_same_solution(sol, ref):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("level", range(4))
 def test_ordered_solve_matches_the_colamd_solve(kind, level, monkeypatch):
-    orders = []
-
-    def spy(matrix, rhs, rtol, order):
-        orders.append(order)
-        return lu_solve(matrix, rhs, rtol, order=order)
-
     mesh = make_square_piecewise_uniform(level)
     ref = _colamd_solve(get_problem("p1"), mesh, kind, monkeypatch)
-    monkeypatch.setattr(assembly, "lu_solve", spy)
     _assert_same_solution(solve_oseen(get_problem("p1"), mesh, kind=kind), ref)
-    assert len(orders) == 1 and orders[0] is not None
 
 
 @pytest.mark.parametrize("name", ["p2", "p3"])
@@ -384,27 +374,32 @@ def test_every_adaptive_solve_matches_the_colamd_solve(name, monkeypatch):
 )
 def test_elimination_order_keeps_edges_together_and_each_c_after_its_edges(kind, make_mesh):
     mesh = make_mesh()
-    system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
-    el, order, n = system.elements, system.order, system.matrix.n
-    assert np.array_equal(np.sort(order), np.arange(n))
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    # multiplier r n_inner + q sits on interior edge q // moments
+    space = build_space(mesh, kind)
+    system = assemble(get_problem("p1"), mesh, space)
+    el, n = system.elements, system.matrix.n
+    # every condensed unknown is numbered by its elimination position; the
+    # boundary slots and the last element's c point at the sentinel n
+    inner = el.edge < n
+    assert el.size == n and el.c[-1] == n and np.all(el.edge[~inner] == n)
+    assert np.array_equal(inner, el.sign != 0)
+    mult = np.unique(el.edge[inner])
+    assert np.array_equal(np.sort(np.concatenate([mult, el.c[:-1]])), np.arange(n))
+    # the multipliers of each interior edge are consecutive
     moments = 1 if kind == "rt0" else 2
-    n_inner = el.n_mult // 2
-    edge = (np.arange(el.n_mult) % n_inner) // moments
-    first = np.full(n_inner // moments, n)
-    last = np.full(n_inner // moments, -1)
-    np.minimum.at(first, edge, position[: el.n_mult])
-    np.maximum.at(last, edge, position[: el.n_mult])
-    assert np.all(last - first == 2 * moments - 1)
+    mesh_edge = np.tile(space.dof_map // moments, 2)[inner]
+    first = np.full(mesh.ne, n)
+    last = np.full(mesh.ne, -1)
+    np.minimum.at(first, mesh_edge, el.edge[inner])
+    np.maximum.at(last, mesh_edge, el.edge[inner])
+    used = last >= 0
+    assert np.all(last[used] - first[used] == 2 * moments - 1)
+    assert np.count_nonzero(used) * 2 * moments == mult.size
     # c_K comes after every multiplier of its own edges, with only other
     # c's in between
-    own = np.where(el.edge < el.n_mult, np.append(position[: el.n_mult], -1)[el.edge], -1).max(axis=1)[:-1]
-    c_position = position[el.n_mult :]
-    assert np.all(own >= 0) and np.all(c_position > own)
-    multipliers_up_to = np.cumsum(order < el.n_mult)
-    assert np.array_equal(multipliers_up_to[c_position], multipliers_up_to[own])
+    own = np.where(inner, el.edge, -1).max(axis=1)[:-1]
+    assert np.all(own >= 0) and np.all(el.c[:-1] > own)
+    multipliers_up_to = np.cumsum(np.isin(np.arange(n), mult))
+    assert np.array_equal(multipliers_up_to[el.c[:-1]], multipliers_up_to[own])
 
 
 @pytest.mark.parametrize("kind, level", [("bdm1", 3), ("rt0", 4)])
@@ -420,7 +415,7 @@ def test_ordered_factorization_has_less_fill_than_colamd(kind, level, monkeypatc
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     mesh = make_square_piecewise_uniform(level)
     system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
-    lu_solve(system.matrix, system.rhs, order=system.order)
     lu_solve(system.matrix, system.rhs)
+    colamd_lu_solve(system.matrix, system.rhs)
     ordered, colamd = fills
     assert ordered < 0.8 * colamd

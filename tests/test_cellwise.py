@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oseenstress import postprocess
 from oseenstress.adaptive import compute_indicators
 from oseenstress.assembly import solve_oseen
 from oseenstress.errors import supercloseness
@@ -131,6 +132,36 @@ def test_pseudostress_cellwise_is_computed_once_and_cannot_go_stale():
     before = cw.coeffs.copy()
     coeffs[:] = 0.0
     assert np.array_equal(field.cellwise().coeffs, before)
+
+
+def test_recovered_cellwise_is_computed_once_and_cannot_go_stale(monkeypatch):
+    mesh = graded_lshape()
+    sigma_h = random_pseudostress(mesh, "rt0", seed=15)
+    conversions = []
+
+    def counting(*args):
+        conversions.append(args)
+        return CellwiseLinear(*args)
+
+    # recovery converts its result to cellwise form only when asked, once
+    monkeypatch.setattr(postprocess, "CellwiseLinear", counting)
+    field = recover_pseudostress(sigma_h)
+    assert not conversions
+    cw = field.cellwise()
+    assert field.cellwise() is cw
+    assert len(conversions) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        field.values[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        cw.coeffs[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.values = np.zeros_like(field.values)
+    # the field holds its own copy: writing the caller's array changes nothing
+    values = np.random.default_rng(16).standard_normal((mesh.nv, 2, 2))
+    other = RecoveredTensorField(mesh=mesh, values=values)
+    before = other.cellwise().coeffs.copy()
+    values[:] = 0.0
+    assert np.array_equal(other.cellwise().coeffs, before)
 
 
 def test_cell_means_are_centroid_values():
