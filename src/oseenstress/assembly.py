@@ -29,6 +29,13 @@ edge moment and row (the velocity trace).  Each element then carries
 its local block L_K on m = 2 nl + 2 unknowns ``[sigma row 1 | sigma row
 2 | u_1 | u_2]`` (m = 8 for RT0, 14 for BDM1).
 
+Every entry of L_K and of the element load integrates over K a basis
+function times another or times the data b, c or f.  The data are
+projected onto cellwise linears in a degree-4 rule
+(``spaces.project_exact``), which changes no such integral in that rule,
+and each entry is then an exact Gram product of cellwise linears
+(``CellwiseLinear.inner``) or a cell mean times |K|.
+
 The identity tensor lies in the kernel of L_K on both sides
 (``dev I = 0``, ``div I = 0``); z_K denotes its local coefficients.  So
 each element pins its pseudostress unknown with the largest ``|z_K|``,
@@ -61,9 +68,9 @@ import numpy as np
 
 from .mesh import Mesh
 from .problems import ProblemSpec, spot_check_boundary_data
-from .quadrature import edge_gauss_rule, triangle_rule
+from .quadrature import edge_gauss_rule
 from .sparsela import RTOL, CsrMatrix, SingularMatrixError, lu_solve, minimum_degree, relative_residual, to_csr
-from .spaces import HdivSpace, PseudostressField, VelocityField, build_space, identity_coeffs
+from .spaces import CellwiseLinear, HdivSpace, PseudostressField, VelocityField, build_space, identity_coeffs, project_exact
 
 __all__ = [
     "SystemLayout",
@@ -207,7 +214,7 @@ def assemble_dirichlet_rhs(
     if owners is None:
         owners = mesh.edge_owners()
     tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points, owners)
-    basis = space.eval_cells(tris, pts)  # (nbe, q, nl, 2)
+    basis = CellwiseLinear(mesh, space.basis_coeff).eval_cells(tris, pts)  # (nbe, q, nl, 2)
     flux = np.einsum("eqjc,ec->eqj", basis, n_out)
     # contribution of basis j to the row-r equation: |E| sum_q w g_r flux_j
     contrib = lengths[:, None, None] * np.einsum("q,eqr,eqj->erj", wq, gv, flux)
@@ -243,6 +250,14 @@ def _pinned_inverse(operator: np.ndarray, pin: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _projected_data(mesh: Mesh, data, name: str, value_shape: tuple) -> CellwiseLinear:
+    """Problem data projected in the element rule; ValueError unless of `value_shape`."""
+    field = project_exact(mesh, data, degree=_QUAD_DEGREE).field
+    if field.coeffs.shape[1:-1] != value_shape:
+        raise ValueError(f"{name} must return value shape {value_shape} per point, got {field.coeffs.shape[1:-1]}")
+    return field
+
+
 def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) -> ElementBlocks:
     """Local blocks, loads and maps of every element; `owners` is ``mesh.edge_owners()``."""
     n = space.n_dofs_per_row
@@ -251,22 +266,17 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) 
     ns = 2 * nl
     layout = SystemLayout(n_row_dofs=n, nt=nt)
 
-    rule = triangle_rule(_QUAD_DEGREE)
-    w = rule.weights
     tris = np.arange(nt)
-    pts = mesh.map_ref_points(rule.points, tris)  # (nt, nq, 2)
     area = mesh.tri_areas()
-    phi = space.eval_cells(tris, pts)  # (nt, nq, nl, 2)
-    bq = np.asarray(problem.b(pts), dtype=np.float64)
-    cq = np.asarray(problem.c(pts), dtype=np.float64)
-    fq = np.asarray(problem.f(pts), dtype=np.float64)
+    # the local bases as one stack: component r of basis j at r nl + j
+    basis = CellwiseLinear(mesh, space.basis_coeff.transpose(0, 2, 1, 3).reshape(nt, ns, 3))
+    b = _projected_data(mesh, problem.b, "b", (2,))
+    c = _projected_data(mesh, problem.c, "c", ())
+    f = _projected_data(mesh, problem.f, "f", (2,))
 
-    # q[t, r nl + j, k]: row r of basis j at point k; qw adds the weights
-    q = np.ascontiguousarray(phi.transpose(0, 3, 2, 1)).reshape(nt, ns, len(w))
-    qw = q * (area[:, None] * w)[:, None, :]
     operator = np.zeros((nt, ns + 2, ns + 2))
     # --- deviatoric block: (dev sigma, tau) = (sigma, tau) - 1/2 (tr sigma, tr tau)
-    gram = qw @ q.transpose(0, 2, 1)  # int phi_i[r] phi_j[s]
+    gram = basis.inner(basis)  # int phi_i[r] phi_j[s]
     mass = gram[:, :nl, :nl] + gram[:, nl:, nl:]
     operator[:, :ns, :ns] = -0.5 * gram
     operator[:, :nl, :nl] += mass
@@ -275,7 +285,7 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) 
     # --- divergence coupling (div tau, u) and its negative transpose, exact
     divint = area[:, None] * space.basis_div  # (nt, nl)
     # --- convection ((dev tau) b, v) of the row-r trial tensor in velocity row p
-    conv = qw @ bq  # (nt, ns, 2): int phi_j[r] b_p
+    conv = basis.inner(b)  # (nt, ns, 2): int phi_j[r] b_p
     operator[:, ns:, :ns] = -0.5 * conv.transpose(0, 2, 1)
     conv_par = conv[:, :nl, 0] + conv[:, nl:, 1]  # int phi_j . b
     for r in range(2):
@@ -283,7 +293,7 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) 
         operator[:, rows, ns + r] = divint
         operator[:, ns + r, rows] += conv_par - divint
     # --- reaction (c u, v), diagonal per component
-    react = area * np.einsum("q,tq->t", w, cq)
+    react = area * c.cell_means()
     operator[:, ns, ns] = react
     operator[:, ns + 1, ns + 1] = react
 
@@ -316,12 +326,11 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) 
     kernel = np.zeros((nt, ns + 2))
     kernel[:, :ns] = identity_coeffs(space).ravel()[dofs[:, :ns]]
     trace = np.zeros((nt, ns + 2))
-    trace[:, :ns] = qw.sum(axis=2)  # (tr tau, 1)
+    trace[:, :ns] = (area * basis.cell_means()).T  # (tr tau, 1)
 
     rhs = assemble_dirichlet_rhs(problem, mesh, space, owners=owners)
-    fint = area[:, None] * np.einsum("q,tqr->tr", w, fq)
     load = np.where(owned, rhs[dofs], 0.0)
-    load[:, ns:] += fint
+    load[:, ns:] += (area * f.cell_means()).T
 
     pin = np.argmax(np.abs(kernel), axis=1)
     return ElementBlocks(
@@ -384,7 +393,7 @@ def _elimination_order(mesh: Mesh, interior: np.ndarray, moments: int) -> np.nda
     return position
 
 
-_QUAD_DEGREE = 4  # exactness of the element quadrature
+_QUAD_DEGREE = 4  # exactness of the rule the data b, c and f are projected in
 
 
 def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem:

@@ -18,11 +18,11 @@ import numpy as np
 
 from .adaptive import AdaptiveHistory, adaptive_solve
 from .assembly import solve_oseen
-from .errors import ErrorRow, fit_orders, hdiv_error, l2_error, project_exact, supercloseness
+from .errors import ErrorRow, fit_orders, hdiv_error, l2_error, supercloseness
 from .mesh import Mesh, load_mesh, save_mesh, uniform_quad_refine
 from .postprocess import postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec, get_problem, problem_names
-from .spaces import interpolate_pseudostress, project_velocity
+from .spaces import interpolate_pseudostress, project_exact, project_velocity
 from .sparsela import SingularMatrixError, SolverMemoryError
 
 __all__ = ["run_convergence", "emit", "format_sci", "main"]

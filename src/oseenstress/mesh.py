@@ -99,13 +99,14 @@ class Mesh:
 
     @cached_property
     def _cell_geometry(self):
-        """Areas (nt,), centroids (nt, 2) and vertex offsets (nt, 3, 2), read-only."""
+        """Areas (nt,), centroids (nt, 2) and second moments (nt, 2, 2), read-only."""
         v = self.vertices[self.triangles]
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
         areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         centroids = v.mean(axis=1)
-        return _read_only(areas, centroids, v - centroids[:, None, :])
+        d = v - centroids[:, None, :]
+        return _read_only(areas, centroids, d.transpose(0, 2, 1) @ d / 12.0)
 
     @cached_property
     def _edge_geometry(self):
@@ -122,8 +123,12 @@ class Mesh:
     def tri_centroids(self) -> np.ndarray:
         return self._cell_geometry[1]
 
-    def tri_offsets(self) -> np.ndarray:
-        """Vertex minus centroid for each local vertex, shape (nt, 3, 2)."""
+    def tri_second_moments(self) -> np.ndarray:
+        """``M = (1/|K|) int_K (x - c)(x - c)^T = S / 12``, ``S = sum_i d_i d_i^T``, shape (nt, 2, 2).
+
+        d_i are the offsets of the vertices from the centroid c; ``|K| diag(1, M)``
+        is the Gram matrix of {1, x - cx, y - cy}.
+        """
         return self._cell_geometry[2]
 
     def tri_diameters(self) -> np.ndarray:

@@ -21,8 +21,11 @@ Every discrete field of the method (a pseudostress row, the cellwise
 constant velocity, the lifted velocity and the recovered pseudostress) is
 a polynomial of degree <= 1 on each triangle.  :class:`CellwiseLinear`
 holds any of them in that monomial basis, and each field type converts to
-it with ``cellwise()``; evaluation, cell means and exact L2 norms are
-defined there once.
+it with ``cellwise()``; evaluation, cell means, exact L2 norms and the
+exact cell integrals of products of two such fields are defined there
+once.  An analytic field enters only through :func:`project_exact`, its
+projection onto cellwise linears in one triangle rule; every cell
+integral of the package is then an exact product of cellwise linears.
 """
 
 from dataclasses import dataclass
@@ -35,6 +38,7 @@ from .quadrature import edge_gauss_rule, triangle_rule
 
 __all__ = [
     "CellwiseLinear",
+    "ExactProjection",
     "HdivSpace",
     "PseudostressField",
     "VelocityField",
@@ -42,6 +46,7 @@ __all__ = [
     "build_space",
     "identity_coeffs",
     "interpolate_pseudostress",
+    "project_exact",
     "project_velocity",
     "trace_mean",
     "trace_mean_of_means",
@@ -129,14 +134,32 @@ class CellwiseLinear:
     def sq_norms(self) -> np.ndarray:
         """Exact squared L2 norm on each triangle, summed over components.
 
-        With g the gradient and d_i = vertex_i - centroid,
-        ``int_K (a0 + g.(x - c))^2 = |K| (a0^2 + (1/12) sum_i (g.d_i)^2)``.
+        With g the gradient and M the cell's second moments
+        (:meth:`~oseenstress.mesh.Mesh.tri_second_moments`),
+        ``int_K (a0 + g.(x - c))^2 = |K| (a0^2 + g^T M g)``.
         """
         mesh = self.mesh
         c = self.coeffs.reshape(mesh.nt, -1, 3)
-        gd = c[:, :, 1:] @ mesh.tri_offsets().transpose(0, 2, 1)  # (nt, k, 3)
-        sq = np.sum(c[:, :, 0] ** 2, axis=1) + np.sum(gd**2, axis=(1, 2)) / 12.0
-        return mesh.tri_areas() * sq
+        m = mesh.tri_second_moments()[:, None]  # (nt, 1, 2, 2)
+        a0, gx, gy = c[:, :, 0], c[:, :, 1], c[:, :, 2]
+        sq = a0**2 + m[..., 0, 0] * gx**2 + 2.0 * m[..., 0, 1] * gx * gy + m[..., 1, 1] * gy**2
+        return mesh.tri_areas() * np.sum(sq, axis=1)
+
+    def inner(self, other: "CellwiseLinear") -> np.ndarray:
+        """Exact integral over each triangle of every product of two components.
+
+        Returns shape (nt, m, k): entry (t, i, j) is the integral over
+        triangle t of component i of this field times component j of
+        `other`, each value shape flattened.  For linears a and b,
+        ``int_K a b = |K| (a0 b0 + g_a^T M g_b)``.
+        """
+        if self.mesh is not other.mesh:
+            raise ValueError("cellwise fields live on different meshes")
+        mesh = self.mesh
+        a = self.coeffs.reshape(mesh.nt, -1, 3)
+        b = other.coeffs.reshape(mesh.nt, -1, 3)
+        weighted = np.concatenate([a[:, :, :1], a[:, :, 1:] @ mesh.tri_second_moments()], axis=2)
+        return mesh.tri_areas()[:, None, None] * (weighted @ b.transpose(0, 2, 1))
 
 
 @dataclass
@@ -152,48 +175,24 @@ class HdivSpace:
         Edge-moment count: ne (RT0) or 2*ne (BDM1).
     dof_map : ndarray, shape (nt, nl)
         Global dof index of each local basis function.
-    dof_signs : ndarray, shape (nt, nl)
-        Orientation of the local edge relative to the global edge (+1 when
-        the outward normal equals the global normal).  The local bases are
-        dual to the *global* functionals, so these signs are bookkeeping
-        for flux identities, not assembly fixups.
     basis_coeff : ndarray, shape (nt, nl, 2, 3)
         Monomial coefficients of each local basis function over
-        {1, x-cx, y-cy} centered at the element centroid.
+        {1, x-cx, y-cy} centered at the element centroid, so
+        ``CellwiseLinear(mesh, basis_coeff)`` evaluates the local bases.
     basis_div : ndarray, shape (nt, nl)
         Constant divergence of each local basis function.
-    centroids : ndarray, shape (nt, 2)
     """
 
     kind: str
     mesh: Mesh
     n_dofs_per_row: int
     dof_map: np.ndarray
-    dof_signs: np.ndarray
     basis_coeff: np.ndarray
     basis_div: np.ndarray
-    centroids: np.ndarray
 
     @property
     def ndof_local(self) -> int:
         return self.dof_map.shape[1]
-
-    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Evaluate all local basis functions at physical points.
-
-        Parameters
-        ----------
-        tris : ndarray, shape (m,)
-        pts : ndarray, shape (m, nq, 2)
-            Physical points inside the respective triangles.
-
-        Returns
-        -------
-        ndarray, shape (m, nq, nl, 2)
-        """
-        dx = pts - self.centroids[tris][:, None, :]
-        mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
-        return np.einsum("tjcm,tqm->tqjc", self.basis_coeff[tris], mono)
 
 
 def build_space(mesh: Mesh, kind: str) -> HdivSpace:
@@ -241,17 +240,14 @@ def build_space(mesh: Mesh, kind: str) -> HdivSpace:
     ginv = np.linalg.inv(gmat)  # (nt, k, j): coeff of monomial k in basis j
     basis_coeff = np.einsum("tkj,kcm->tjcm", ginv, mono)
     basis_div = np.einsum("tkj,k->tj", ginv, mono_div)
-    dof_signs = mesh.tri_signs if kind == "rt0" else np.repeat(mesh.tri_signs, 2, axis=1)
 
     return HdivSpace(
         kind=kind,
         mesh=mesh,
         n_dofs_per_row=moments * mesh.ne,
         dof_map=dof_map,
-        dof_signs=dof_signs.copy(),
         basis_coeff=basis_coeff,
         basis_div=basis_div,
-        centroids=centroids,
     )
 
 
@@ -356,10 +352,13 @@ def apply_trace_correction(field: PseudostressField) -> PseudostressField:
     return PseudostressField(space=space, coeffs=coeffs)
 
 
-def interpolate_pseudostress(
-    space: HdivSpace, sigma, trace_correct: bool = True, edge_points: int = 3
-) -> PseudostressField:
+def interpolate_pseudostress(space: HdivSpace, sigma) -> PseudostressField:
     """Canonical (edge-moment) interpolation of an analytic tensor field.
+
+    The moments are 3-point Gauss sums on every edge, and the trace mean
+    is subtracted afterwards (:func:`apply_trace_correction`).  Without
+    that correction the interpolant commutes with the cellwise projection
+    of the divergence; the correction changes no divergence.
 
     Parameters
     ----------
@@ -367,17 +366,11 @@ def interpolate_pseudostress(
     sigma : callable
         Vectorized map from points of shape (..., 2) to tensors of shape
         (..., 2, 2).
-    trace_correct : bool
-        Subtract the trace mean after interpolation (default).  The
-        uncorrected interpolant commutes with the cellwise projection of
-        the divergence; the correction does not change any divergence.
-    edge_points : int
-        Gauss points per edge for the moment integrals (default 3).
     """
     mesh = space.mesh
     lengths = mesh.edge_lengths()
     normals = mesh.edge_normals()
-    tq, wq = edge_gauss_rule(edge_points)
+    tq, wq = edge_gauss_rule(3)
     pts = mesh.edge_points(tq)
     vals = np.asarray(sigma(pts), dtype=np.float64)  # (ne, q, 2, 2)
     if vals.shape != pts.shape[:2] + (2, 2):
@@ -397,14 +390,154 @@ def interpolate_pseudostress(
         coeffs[0, 1::2] = m1[:, 0]
         coeffs[1, 0::2] = m0[:, 1]
         coeffs[1, 1::2] = m1[:, 1]
-    field = PseudostressField(space=space, coeffs=coeffs)
-    if trace_correct:
-        field = apply_trace_correction(field)
-    return field
+    return apply_trace_correction(PseudostressField(space=space, coeffs=coeffs))
 
 
-def project_velocity(mesh: Mesh, u, degree: int = 6) -> VelocityField:
+def _subdivide_toward(verts: np.ndarray, corner: np.ndarray, depth: int):
+    """Geometric subdivision of one triangle toward a corner vertex.
+
+    Red-splits the triangle; children still touching the corner are split
+    again until `depth` levels are reached.  Returns an array of
+    subtriangle vertex coordinates, shape (m, 3, 2).
+    """
+    work = [(verts, depth)]
+    out = []
+    while work:
+        v, d = work.pop()
+        if d == 0:
+            out.append(v)
+            continue
+        m01 = 0.5 * (v[0] + v[1])
+        m12 = 0.5 * (v[1] + v[2])
+        m20 = 0.5 * (v[2] + v[0])
+        children = [
+            np.array([v[0], m01, m20]),
+            np.array([v[1], m12, m01]),
+            np.array([v[2], m20, m12]),
+            np.array([m01, m12, m20]),
+        ]
+        for child in children:
+            touches = np.any(np.all(np.abs(child - corner) < 1e-14, axis=1))
+            if touches:
+                work.append((child, d - 1))
+            else:
+                out.append(child)
+    return np.array(out)
+
+
+@dataclass(frozen=True)
+class ExactProjection:
+    """An analytic field projected onto cellwise linears in one quadrature rule.
+
+    `field` is the projection Pi f; `rest` is the rule's sum of
+    ``w |f - Pi f|^2`` over the mesh.
+    """
+
+    field: CellwiseLinear
+    rest: float
+
+
+def project_exact(
+    mesh: Mesh,
+    exact,
+    degree: int = 6,
+    singular_corner=None,
+    corner_depth: int = 1,
+) -> ExactProjection:
+    """L2 projection of an analytic field onto cellwise linears, and its residual.
+
+    Parameters
+    ----------
+    mesh : Mesh
+    exact : callable
+        Vectorized analytic field: points (..., 2) to values
+        (..., *value_shape).
+    degree : int
+        Triangle quadrature exactness.
+    singular_corner : (float, float), optional
+        Corner toward which elements are geometrically subdivided.
+    corner_depth : int
+        Number of subdivision levels for corner-touching elements.
+
+    Returns
+    -------
+    ExactProjection
+        Pi f as a :class:`CellwiseLinear` of the analytic field's value
+        shape, and the residual sum.
+
+    The projection's moments are the rule's sums over each element and
+    its subtriangles.  The rule is exact for quadratics, so the Gram
+    matrix of {1, x - cx, y - cy} is ``|K| diag(1, M)`` with M the cell's
+    second moments (:meth:`~oseenstress.mesh.Mesh.tri_second_moments`),
+    and for every cellwise linear v the rule's sum of ``w v f`` is the
+    exact ``int_K v Pi f``.  The moments are taken of f minus its value at
+    the element's first point, which is added back to the mean, so a
+    constant f projects exactly.
+    """
+    rule = triangle_rule(degree)
+    tris = np.arange(mesh.nt)
+    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    if singular_corner is not None:
+        corner = np.asarray(singular_corner, dtype=np.float64)
+        near = np.all(np.abs(verts - corner) < 1e-12, axis=2).any(axis=1)
+        subs = [_subdivide_toward(verts[t], corner, corner_depth) for t in tris[near]]
+        tris = np.concatenate([tris[~near]] + [np.full(len(sub), t) for sub, t in zip(subs, tris[near])])
+        verts = np.concatenate([verts[~near]] + subs)
+        order = np.argsort(tris, kind="stable")  # each element's subtriangles together
+        tris, verts = tris[order], verts[order]
+    first = np.searchsorted(tris, np.arange(mesh.nt))  # each element's first subtriangle
+
+    def per_element(a):
+        """Sum the last axis over each element's subtriangles."""
+        return a if tris.size == mesh.nt else np.add.reduceat(a, first, axis=-1)
+
+    # point arrays are (nq, m) and values (k, nq, m), so that every
+    # per-element factor broadcasts along the long last axis
+    d1 = verts[:, 1] - verts[:, 0]
+    d2 = verts[:, 2] - verts[:, 0]
+    w = rule.weights[:, None] * (0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+    bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (nq, 3)
+    px = bary @ verts[:, :, 0].T
+    py = bary @ verts[:, :, 1].T
+    vals = np.asarray(exact(np.stack([px, py], axis=-1)), dtype=np.float64)
+    if vals.shape[:2] != px.shape:
+        raise ValueError(f"analytic field returned shape {vals.shape}, expected {px.shape} + value shape")
+    value_shape = vals.shape[2:]
+    f = np.ascontiguousarray(np.moveaxis(vals.reshape(px.shape + (-1,)), 2, 0))
+    base = f[:, 0, first]  # (k, nt): f at each element's first point
+    f -= base[:, tris][:, None]
+    centroids = mesh.tri_centroids()[tris]
+    dx = px - centroids[:, 0]
+    dy = py - centroids[:, 1]
+    m0, mx, my = (per_element(np.einsum("kqm,qm->km", f, t)) for t in (w, w * dx, w * dy))
+
+    # Gram |K| diag(1, M); M^-1 in closed form
+    m = mesh.tri_second_moments()
+    mxx, mxy, myy = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+    area = mesh.tri_areas()
+    scale = 1.0 / (area * (mxx * myy - mxy**2))
+    mean = m0 / area
+    gx = scale * (myy * mx - mxy * my)
+    gy = scale * (mxx * my - mxy * mx)
+
+    # rest: the weighted squares of f - Pi f at every point, component by component
+    root_w = np.sqrt(w)
+    for fk, a0, ax, ay in zip(f, mean[:, tris], gx[:, tris], gy[:, tris]):
+        fk -= a0
+        fk -= ax * dx
+        fk -= ay * dy
+        fk *= root_w
+    rest = float(np.vdot(f, f))
+    coeffs = np.stack([mean + base, gx, gy], axis=-1)  # (k, nt, 3)
+    coeffs = np.moveaxis(coeffs, 0, 1).reshape((mesh.nt,) + value_shape + (3,))
+    return ExactProjection(field=CellwiseLinear(mesh, coeffs), rest=rest)
+
+
+def project_velocity(mesh: Mesh, u) -> VelocityField:
     """Cellwise mean (L2 projection onto piecewise constants) of a velocity.
+
+    The means of :func:`project_exact` in its degree-6 rule, without
+    corner subdivision.
 
     Parameters
     ----------
@@ -412,14 +545,8 @@ def project_velocity(mesh: Mesh, u, degree: int = 6) -> VelocityField:
     u : callable
         Vectorized map from points of shape (..., 2) to velocities of the
         same leading shape plus a trailing component axis.
-    degree : int
-        Triangle quadrature exactness for the cell means.
     """
-    rule = triangle_rule(degree)
-    tris = np.arange(mesh.nt)
-    pts = mesh.map_ref_points(rule.points, tris)
-    vals = np.asarray(u(pts), dtype=np.float64)  # (nt, nq, 2)
-    if vals.shape != pts.shape[:2] + (2,):
-        raise ValueError(f"u must return shape {pts.shape[:2] + (2,)}, got {vals.shape}")
-    means = np.einsum("q,tqr->rt", rule.weights, vals)
-    return VelocityField(mesh=mesh, coeffs=means)
+    field = project_exact(mesh, u).field
+    if field.coeffs.shape[1:-1] != (2,):
+        raise ValueError(f"u must return value shape (2,), got {field.coeffs.shape[1:-1]}")
+    return VelocityField(mesh=mesh, coeffs=field.cell_means())

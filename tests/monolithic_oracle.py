@@ -20,6 +20,7 @@ from oseenstress.problems import ProblemSpec, spot_check_boundary_data
 from oseenstress.quadrature import triangle_rule
 from oseenstress.sparsela import RTOL, CsrMatrix, SingularMatrixError, relative_residual, to_csr
 from oseenstress.spaces import (
+    CellwiseLinear,
     HdivSpace,
     PseudostressField,
     apply_trace_correction,
@@ -70,7 +71,7 @@ def assemble(
     tris = np.arange(nt)
     pts = mesh.map_ref_points(rule.points, tris)  # (nt, nq, 2)
     area = mesh.tri_areas()
-    phi = space.eval_cells(tris, pts)  # (nt, nq, nl, 2)
+    phi = CellwiseLinear(mesh, space.basis_coeff).eval_cells(tris, pts)  # (nt, nq, nl, 2)
     bq = np.asarray(problem.b(pts), dtype=np.float64)
     cq = np.asarray(problem.c(pts), dtype=np.float64)
     fq = np.asarray(problem.f(pts), dtype=np.float64)

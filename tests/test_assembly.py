@@ -1,5 +1,7 @@
 """Saddle-point assembly and the direct Oseen solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -92,6 +94,21 @@ def test_assemble_validates_inputs():
         assemble(get_problem("p1"), other, space)
 
 
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("b", lambda x: np.ones(x.shape[:-1])),  # one value per point, not a vector
+        ("c", lambda x: np.ones(x.shape)),
+        ("f", lambda x: np.ones(x.shape + (2,))),
+    ],
+)
+def test_assemble_rejects_data_of_the_wrong_value_shape(name, data):
+    mesh = make_square_piecewise_uniform()
+    bad = dataclasses.replace(zero_problem(), **{name: data})
+    with pytest.raises(ValueError, match=f"{name} must return value shape"):
+        assemble(bad, mesh, build_space(mesh, "rt0"))
+
+
 # ----------------------------------------------------------------------
 # boundary data functional
 # ----------------------------------------------------------------------
@@ -161,6 +178,11 @@ def leaky_problem() -> ProblemSpec:
     )
 
 
+def reaction_problem() -> ProblemSpec:
+    """p1 with the variable reaction c = 1 + xy; no test problem has c != 0."""
+    return dataclasses.replace(get_problem("p1"), name="reaction", c=lambda x: 1.0 + x[..., 0] * x[..., 1])
+
+
 def test_incompatible_boundary_data_warns():
     mesh = make_square_piecewise_uniform()
     space = build_space(mesh, "rt0")
@@ -184,7 +206,41 @@ BORDERED_CASES = {
     "p2-adaptive": ("p2", "rt0", _adapted("p2", 4)),
     "p3-adaptive": ("p3", "rt0", _adapted("p3", 3)),
     "net-flux": ("leaky", "rt0", lambda: make_square_piecewise_uniform(1)),
+    "reaction": ("reaction", "bdm1", lambda: make_square_piecewise_uniform(2)),
 }
+CUSTOM_PROBLEMS = {"leaky": leaky_problem, "reaction": reaction_problem}
+
+
+def _case(name):
+    """Problem, element and mesh of one of the `BORDERED_CASES`."""
+    problem_name, kind, make_mesh = BORDERED_CASES[name]
+    problem = CUSTOM_PROBLEMS[problem_name]() if problem_name in CUSTOM_PROBLEMS else get_problem(problem_name)
+    return problem, kind, make_mesh()
+
+
+@pytest.mark.filterwarnings("ignore:boundary data for 'leaky'")
+@pytest.mark.parametrize("name", list(BORDERED_CASES))
+def test_element_blocks_add_up_to_the_quadrature_assembled_matrix(name):
+    # The element blocks are exact Gram products against the projected
+    # data; scattered through their dofs they give the oracle's
+    # quadrature-assembled operator, trace-mean border and load.
+    problem, kind, mesh = _case(name)
+    space = build_space(mesh, kind)
+    el = assemble(problem, mesh, space).elements
+    system = monolithic_oracle.assemble(problem, mesh, space)
+    m = system.layout.multiplier
+    a = system.matrix.to_scipy()
+    rows = np.broadcast_to(el.dofs[:, :, None], el.operator.shape).ravel()
+    cols = np.broadcast_to(el.dofs[:, None, :], el.operator.shape).ravel()
+    operator = scipy.sparse.csr_matrix((el.operator.ravel(), (rows, cols)), shape=(m, m))
+    misfit = (operator - a[:m, :m]).data
+    assert np.abs(misfit).max(initial=0.0) <= 1e-12 * np.abs(a[:m, :m].data).max()
+    trace = np.bincount(el.dofs.ravel(), weights=el.trace.ravel(), minlength=m)
+    load = np.bincount(el.dofs.ravel(), weights=el.load.ravel(), minlength=m)
+    border_row = a[m].toarray().ravel()[:m]
+    border_col = a[:, [m]].toarray().ravel()[:m]
+    for got, want in ((trace, border_row), (trace, border_col), (load, system.rhs[:m])):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.filterwarnings("ignore:boundary data for 'leaky'")
@@ -192,9 +248,7 @@ BORDERED_CASES = {
 def test_solve_matches_factoring_the_bordered_matrix(name):
     # The oracle factors the whole bordered matrix, dense trace-mean row
     # and column included.
-    problem_name, kind, make_mesh = BORDERED_CASES[name]
-    problem = leaky_problem() if problem_name == "leaky" else get_problem(problem_name)
-    mesh = make_mesh()
+    problem, kind, mesh = _case(name)
     sol = solve_oseen(problem, mesh, kind=kind)
     system = monolithic_oracle.assemble(problem, mesh, build_space(mesh, kind))
     x, _ = colamd_lu_solve(system.matrix, system.rhs)
@@ -207,7 +261,7 @@ def test_solve_matches_factoring_the_bordered_matrix(name):
     assert np.abs(sol.u.coeffs - u).max() <= 1e-9 * np.abs(u).max()
     # for compatible data lam is round-off, so it is held to the solution's scale
     assert abs(sol.multiplier - lam) <= 1e-9 * max(abs(lam), np.abs(x).max())
-    if problem_name == "leaky":
+    if problem.name == "leaky":
         # lam = (net flux) / (2 |Omega|)
         assert lam == pytest.approx(0.5, rel=1e-12)
     # the reported residual is that of the bordered system

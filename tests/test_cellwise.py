@@ -50,7 +50,7 @@ def quadrature_sq_norms(field, degree=4):
 
 def basis_eval(field: PseudostressField, tris, pts):
     """Tensor values as a sum over the basis functions of the space."""
-    basis = field.space.eval_cells(tris, pts)  # (m, nq, nl, 2)
+    basis = CellwiseLinear(field.mesh, field.space.basis_coeff).eval_cells(tris, pts)  # (m, nq, nl, 2)
     w = field.coeffs[:, field.space.dof_map[tris]]  # (2, m, nl)
     return np.einsum("rtj,tqjc->tqrc", w, basis)
 
@@ -188,6 +188,28 @@ def test_sq_norms_match_exact_quadrature(make_field):
     mesh = graded_lshape()
     field = make_field(mesh)
     assert_close(field.cellwise().sq_norms(), quadrature_sq_norms(field), 1e-13)
+
+
+def test_inner_products_match_exact_quadrature():
+    # every cross product a_i b_j of a tensor and a vector field, so a
+    # wrong factor on the mixed gradient terms cannot cancel
+    mesh = graded_lshape()
+    rng = np.random.default_rng(10)
+    a = CellwiseLinear(mesh, rng.standard_normal((mesh.nt, 2, 2, 3)))
+    b = CellwiseLinear(mesh, rng.standard_normal((mesh.nt, 2, 3)))
+    rule, tris, pts = quadrature_points(mesh, 6)
+    va = a.eval_cells(tris, pts).reshape(mesh.nt, len(rule.weights), 4)
+    vb = b.eval_cells(tris, pts)
+    expected = mesh.tri_areas()[:, None, None] * np.einsum("q,tqi,tqj->tij", rule.weights, va, vb)
+    got = a.inner(b)
+    assert got.shape == (mesh.nt, 4, 2)
+    assert_close(got, expected, 1e-13)
+    assert_close(b.inner(a), expected.transpose(0, 2, 1), 1e-13)
+    # the diagonal of a field with itself is its squared norm
+    assert_close(np.trace(a.inner(a), axis1=1, axis2=2), a.sq_norms(), 1e-13)
+    other = make_lshape_mesh()
+    with pytest.raises(ValueError, match="different meshes"):
+        a.inner(CellwiseLinear(other, np.zeros((other.nt, 3))))
 
 
 def test_sq_norm_of_the_coordinate_function():

@@ -12,17 +12,18 @@ from oseenstress.errors import (
     fit_orders,
     hdiv_error,
     l2_error,
-    project_exact,
     supercloseness,
 )
 from oseenstress.mesh import make_lshape_mesh, make_square_piecewise_uniform, uniform_quad_refine
 from oseenstress.postprocess import postprocess_velocity, recover_pseudostress
 from oseenstress.problems import get_problem
 from oseenstress.spaces import (
+    CellwiseLinear,
     PseudostressField,
     VelocityField,
     build_space,
     interpolate_pseudostress,
+    project_exact,
     project_velocity,
 )
 
@@ -166,6 +167,27 @@ def test_hdiv_error_against_analytic_norm():
     field = zero_pseudostress(mesh)
     exact = float(np.sqrt(4.0 * np.pi**4 + 2.0))
     assert hdiv_error(field, prob.exact_div_sigma) == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["rt0", "bdm1"])
+def test_hdiv_error_matches_the_quadrature_oracle(kind):
+    # the divergence of the solved field, constant per cell, measured by
+    # direct degree-6 quadrature
+    prob = get_problem("p1")
+    mesh = make_square_piecewise_uniform(2)
+    sigma_h = solve_oseen(prob, mesh, kind=kind).sigma
+    coeffs = np.zeros((mesh.nt, 2, 3))
+    coeffs[:, :, 0] = sigma_h.div_cells()
+    expected = errors_oracle.l2_error(CellwiseLinear(mesh, coeffs), prob.exact_div_sigma)
+    assert hdiv_error(sigma_h, prob.exact_div_sigma) == pytest.approx(expected, rel=1e-12)
+
+
+def test_hdiv_error_rejects_wrong_exact_shape():
+    mesh = make_square_piecewise_uniform()
+    with pytest.raises(ValueError, match="shape"):
+        hdiv_error(zero_pseudostress(mesh), lambda x: x[..., 0])
+    with pytest.raises(ValueError, match="shape"):
+        hdiv_error(zero_pseudostress(mesh), lambda x: np.zeros(x.shape + (2,)))
 
 
 def test_supercloseness_exact_norm_and_homogeneity():

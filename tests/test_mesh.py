@@ -210,7 +210,7 @@ def test_build_mesh_stores_read_only_copies():
             array[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         mesh.vertices[2, 0] += 1.0
-    for cached in (mesh.tri_areas(), mesh.tri_centroids(), mesh.tri_offsets(), mesh.edge_lengths(), mesh.edge_normals()):
+    for cached in (mesh.tri_areas(), mesh.tri_centroids(), mesh.tri_second_moments(), mesh.edge_lengths(), mesh.edge_normals()):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0
     # the caller's arrays stay writable and are not the mesh's

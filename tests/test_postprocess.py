@@ -16,6 +16,7 @@ from oseenstress.problems import get_problem
 from oseenstress.assembly import solve_oseen
 from oseenstress.quadrature import triangle_rule
 from oseenstress.spaces import (
+    CellwiseLinear,
     PseudostressField,
     VelocityField,
     build_space,
@@ -75,7 +76,7 @@ def lift_by_local_solves(sigma_h, u_h):
     dx = pts - mesh.tri_centroids()[:, None, :]
     mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
     mono_int = area[:, None] * np.einsum("q,tqm->tm", rule.weights, mono)
-    basis = sigma_h.space.eval_cells(tris, pts)
+    basis = CellwiseLinear(mesh, sigma_h.space.basis_coeff).eval_cells(tris, pts)
     sig = np.einsum("rtj,tqjc->tqrc", sigma_h.coeffs[:, sigma_h.space.dof_map], basis)
     sig_int = area[:, None, None] * np.einsum("q,tqrc->trc", rule.weights, sig)
     p_int = -0.5 * (sig_int[:, 0, 0] + sig_int[:, 1, 1])

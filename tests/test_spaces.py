@@ -6,10 +6,12 @@ import pytest
 from oseenstress.mesh import make_square_piecewise_uniform
 from oseenstress.quadrature import edge_gauss_rule, triangle_rule
 from oseenstress.spaces import (
+    CellwiseLinear,
     PseudostressField,
     apply_deviatoric,
     apply_trace_correction,
     build_space,
+    identity_coeffs,
     interpolate_pseudostress,
     project_velocity,
     trace_mean,
@@ -85,12 +87,13 @@ def test_local_basis_is_dual_to_global_edge_moments(kind):
     legendre = 2.0 * tq - 1.0
     moments = 1 if kind == "rt0" else 2
     nl = space.ndof_local
+    basis = CellwiseLinear(mesh, space.basis_coeff)
     for t in range(mesh.nt):
         fm = np.empty((nl, nl))
         for le in range(3):
             e = int(mesh.tri_edges[t, le])
             pts = va[e] + tq[:, None] * (vb[e] - va[e])
-            vals = space.eval_cells(np.array([t]), pts[None])[0]  # (q, nl, 2)
+            vals = basis.eval_cells(np.array([t]), pts[None])[0]  # (q, nl, 2)
             flux = vals @ normals[e]  # (q, nl)
             fm[moments * le] = lengths[e] * (wq @ flux)
             if moments == 2:
@@ -110,7 +113,7 @@ def test_basis_divergence_matches_net_flux(kind):
     areas = mesh.tri_areas()
     integral = areas[:, None] * space.basis_div
     if kind == "rt0":
-        expected = space.dof_signs.astype(float)
+        expected = mesh.tri_signs.astype(float)
     else:
         expected = np.zeros_like(integral)
         expected[:, 0::2] = mesh.tri_signs
@@ -122,8 +125,16 @@ def test_basis_divergence_matches_net_flux(kind):
 # ----------------------------------------------------------------------
 
 
+def smooth_sigma(x):
+    row1 = np.stack([1.0 + x[..., 0], x[..., 1] ** 2], axis=-1)
+    row2 = np.stack([np.sin(x[..., 0]), 2.0 - x[..., 1]], axis=-1)
+    return np.stack([row1, row2], axis=-2)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_interpolation_reproduces_constant_tensors(kind):
+    # The moments reproduce a constant tensor, and the trace correction
+    # leaves its deviatoric part.
     mesh = make_square_piecewise_uniform()
     space = build_space(mesh, kind)
     const = np.array([[1.5, -0.25], [0.75, 2.0]])
@@ -131,32 +142,38 @@ def test_interpolation_reproduces_constant_tensors(kind):
     def sigma(x):
         return np.broadcast_to(const, x.shape[:-1] + (2, 2)).copy()
 
-    field = interpolate_pseudostress(space, sigma, trace_correct=False)
     rule = triangle_rule(2)
     tris = np.arange(mesh.nt)
     pts = mesh.map_ref_points(rule.points, tris)
-    vals = field.cellwise().eval_cells(tris, pts)
-    assert np.abs(vals - const).max() < 1e-13
-    # With the trace correction the result is the deviatoric part.
+    vals = interpolate_pseudostress(space, sigma).cellwise().eval_cells(tris, pts)
     dev = apply_deviatoric(const[None])[0]
-    corrected = interpolate_pseudostress(space, sigma, trace_correct=True)
-    vals = corrected.cellwise().eval_cells(tris, pts)
     assert np.abs(vals - dev).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_identity_tensor_interpolation_and_trace_mean(kind):
+    # identity_coeffs represents I exactly (trace mean 2), and the
+    # interpolant of I is zero once its trace mean is removed.
     mesh = make_square_piecewise_uniform()
     space = build_space(mesh, kind)
 
     def identity(x):
         return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
 
-    raw = interpolate_pseudostress(space, identity, trace_correct=False)
-    assert trace_mean(raw) == pytest.approx(2.0, abs=1e-12)
-    corrected = interpolate_pseudostress(space, identity, trace_correct=True)
+    assert trace_mean(PseudostressField(space=space, coeffs=identity_coeffs(space))) == pytest.approx(2.0, abs=1e-12)
+    corrected = interpolate_pseudostress(space, identity)
     assert np.abs(corrected.coeffs).max() < 1e-12
     assert abs(trace_mean(corrected)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_interpolation_ignores_multiples_of_the_identity(kind):
+    mesh = make_square_piecewise_uniform()
+    space = build_space(mesh, kind)
+    plain = interpolate_pseudostress(space, smooth_sigma)
+    shifted = interpolate_pseudostress(space, lambda x: smooth_sigma(x) + 3.7 * np.eye(2))
+    assert np.abs(shifted.coeffs - plain.coeffs).max() < 1e-12 * np.abs(plain.coeffs).max()
+    assert abs(trace_mean(plain)) < 1e-13
 
 
 def test_interpolation_rejects_wrong_return_shape():
@@ -167,8 +184,7 @@ def test_interpolation_rejects_wrong_return_shape():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("trace_correct", [False, True])
-def test_interpolation_commutes_with_divergence_projection(kind, trace_correct):
+def test_interpolation_commutes_with_divergence_projection(kind):
     # div(interpolant) must equal the cellwise projection of div(sigma);
     # for tensor fields with affine entries both sides are the constant
     # exact divergence, so the comparison is exact up to roundoff.
@@ -184,7 +200,7 @@ def test_interpolation_commutes_with_divergence_projection(kind, trace_correct):
             return a + lin
 
         exact_div = np.array([b[0, 0, 0] + b[0, 1, 1], b[1, 0, 0] + b[1, 1, 1]])
-        field = interpolate_pseudostress(space, sigma, trace_correct=trace_correct)
+        field = interpolate_pseudostress(space, sigma)
         dv = field.div_cells()  # (nt, 2)
         assert np.abs(dv - exact_div).max() < 1e-10
 
@@ -193,16 +209,13 @@ def test_interpolation_commutes_with_divergence_projection(kind, trace_correct):
 def test_trace_correction_zeroes_mean_and_keeps_divergence(kind):
     mesh = make_square_piecewise_uniform()
     space = build_space(mesh, kind)
-
-    def sigma(x):
-        row1 = np.stack([1.0 + x[..., 0], x[..., 1] ** 2], axis=-1)
-        row2 = np.stack([np.sin(x[..., 0]), 2.0 - x[..., 1]], axis=-1)
-        return np.stack([row1, row2], axis=-2)
-
-    raw = interpolate_pseudostress(space, sigma, trace_correct=False)
+    plain = interpolate_pseudostress(space, smooth_sigma)
+    raw = PseudostressField(space=space, coeffs=plain.coeffs + 1.5 * identity_coeffs(space))
+    assert trace_mean(raw) == pytest.approx(3.0, abs=1e-12)
     fixed = apply_trace_correction(raw)
     assert abs(trace_mean(fixed)) < 1e-13
     assert np.abs(fixed.div_cells() - raw.div_cells()).max() < 1e-12
+    assert np.abs(fixed.coeffs - plain.coeffs).max() < 1e-12
 
 
 # ----------------------------------------------------------------------
