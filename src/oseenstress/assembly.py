@@ -68,46 +68,25 @@ import numpy as np
 
 from .mesh import Mesh
 from .problems import ProblemSpec, spot_check_boundary_data
-from .quadrature import edge_gauss_rule
-from .sparsela import RTOL, CsrMatrix, SingularMatrixError, lu_solve, minimum_degree, relative_residual, to_csr
-from .spaces import CellwiseLinear, HdivSpace, PseudostressField, VelocityField, build_space, identity_coeffs, project_exact
+from .sparsela import CsrMatrix, SingularMatrixError, checked_residual, lu_solve, minimum_degree, to_csr
+from .spaces import (
+    CellwiseLinear,
+    HdivSpace,
+    PseudostressField,
+    VelocityField,
+    build_space,
+    edge_rule,
+    identity_coeffs,
+    project_exact,
+)
 
 __all__ = [
-    "SystemLayout",
     "ElementBlocks",
     "LinearSystem",
     "OseenSolution",
     "assemble",
-    "assemble_dirichlet_rhs",
     "solve_oseen",
 ]
-
-
-@dataclass(frozen=True)
-class SystemLayout:
-    """Block offsets of the saddle-point system."""
-
-    n_row_dofs: int
-    nt: int
-
-    @property
-    def offset_u(self) -> int:
-        return 2 * self.n_row_dofs
-
-    @property
-    def multiplier(self) -> int:
-        return 2 * self.n_row_dofs + 2 * self.nt
-
-    @property
-    def size(self) -> int:
-        return 2 * self.n_row_dofs + 2 * self.nt + 1
-
-    def sigma_rows(self, r: int) -> slice:
-        return slice(r * self.n_row_dofs, (r + 1) * self.n_row_dofs)
-
-    def u_rows(self, r: int) -> slice:
-        base = self.offset_u + r * self.nt
-        return slice(base, base + self.nt)
 
 
 @dataclass
@@ -145,7 +124,6 @@ class LinearSystem:
     matrix: CsrMatrix
     rhs: np.ndarray
     rhs_trace: np.ndarray
-    layout: SystemLayout
     space: HdivSpace
     elements: ElementBlocks
 
@@ -161,68 +139,35 @@ class OseenSolution:
     ndofs: int
 
 
-def _boundary_data(problem: ProblemSpec, mesh: Mesh, edge_points: int, owners):
-    """Dirichlet data at the Gauss points of every boundary edge.
+def _dirichlet_load(problem: ProblemSpec, space: HdivSpace, owners):
+    """Boundary functional ``<g, tau n>`` on the sigma dofs, shape (2, n), and its flux scale.
 
-    `owners` is ``mesh.edge_owners()``.  Returns the owning triangle and
-    the length of each boundary edge, the points (nbe, q, 2), the Gauss
-    weights, the values of g there (nbe, q, 2) and the outward unit
-    normals (nbe, 2).
+    ``n`` is the outward domain normal and `owners` is
+    ``mesh.edge_owners()``.  The local bases are dual to the edge moments,
+    so on its own edge E a basis function has the normal trace
+    ``(2k + 1) P_k / |E|`` along n_E (:func:`~oseenstress.spaces.edge_rule`).
+    Row r of the moment-k dof of a boundary edge is then
+    ``sign_E sum_q w_q g_r(x_q) (2k + 1) P_k(t_q)`` in 3-point Gauss,
+    without evaluating a basis function; sign_E is +1 where n_E points
+    out of the domain.  g is sampled once, and checked there against the
+    exact velocity (:func:`~oseenstress.problems.spot_check_boundary_data`).
+    The flux scale is ``(1 + max |g|)`` times the perimeter.
     """
+    mesh = space.mesh
     bed = mesh.boundary_edges
     tri, loc = owners
-    tris = tri[bed, 0]
-    lengths = mesh.edge_lengths()[bed]
-    tq, wq = edge_gauss_rule(edge_points)
+    tq, weights = edge_rule(3, space.moments)
     pts = mesh.edge_points(tq, bed)
     gv = np.asarray(problem.g(pts), dtype=np.float64)
-    if gv.shape != pts.shape[:2] + (2,):
-        raise ValueError(f"g must return shape {pts.shape[:2] + (2,)}, got {gv.shape}")
-    n_out = mesh.edge_normals()[bed] * mesh.tri_signs[tris, loc[bed, 0]][:, None]
-    return tris, lengths, pts, wq, gv, n_out
-
-
-def _check_compatibility(problem: ProblemSpec, mesh: Mesh, owners) -> None:
-    """Warn when the Dirichlet data has a nonzero net boundary flux."""
-    _, lengths, _, wq, gv, n_out = _boundary_data(problem, mesh, 5, owners)
-    flux = float(np.sum(lengths * np.einsum("q,eqc,ec->e", wq, gv, n_out)))
-    perimeter = float(lengths.sum())
-    scale = (1.0 + float(np.abs(gv).max(initial=0.0))) * perimeter
-    if abs(flux) > 1e-4 * scale:
-        warnings.warn(
-            f"boundary data for {problem.name!r} has net flux {flux:.3e}; "
-            "the incompressibility constraint is incompatible",
-            stacklevel=3,
-        )
-
-
-def assemble_dirichlet_rhs(
-    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, edge_points: int = 3, owners=None
-) -> np.ndarray:
-    """Boundary functional ``<g, tau n>`` of the first equation.
-
-    Returns the full-length right-hand side vector with only the
-    sigma-block entries filled.  ``n`` is the outward domain normal; the
-    integrals use `edge_points`-point Gauss per boundary edge.  `owners`
-    is ``mesh.edge_owners()``, computed here if not given.
-    """
-    layout = SystemLayout(n_row_dofs=space.n_dofs_per_row, nt=mesh.nt)
-    rhs = np.zeros(layout.size)
-    if mesh.boundary_edges.size == 0:
-        return rhs
-
-    if owners is None:
-        owners = mesh.edge_owners()
-    tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points, owners)
-    basis = CellwiseLinear(mesh, space.basis_coeff).eval_cells(tris, pts)  # (nbe, q, nl, 2)
-    flux = np.einsum("eqjc,ec->eqj", basis, n_out)
-    # contribution of basis j to the row-r equation: |E| sum_q w g_r flux_j
-    contrib = lengths[:, None, None] * np.einsum("q,eqr,eqj->erj", wq, gv, flux)
-
-    gdofs = space.dof_map[tris]  # (nbe, nl)
-    for r in range(2):
-        np.add.at(rhs, r * space.n_dofs_per_row + gdofs, contrib[:, r, :])
-    return rhs
+    if gv.shape != pts.shape:
+        raise ValueError(f"g must return shape {pts.shape}, got {gv.shape}")
+    spot_check_boundary_data(problem, pts, gv)
+    dual = np.array([1.0, 3.0])[: space.moments, None] * weights  # (2k + 1) w_q P_k(t_q)
+    sign = mesh.tri_signs[tri[bed, 0], loc[bed, 0]]
+    load = np.zeros((2, mesh.ne, space.moments))
+    load[:, bed] = sign[:, None] * np.einsum("kq,eqr->rek", dual, gv)
+    scale = (1.0 + float(np.abs(gv).max(initial=0.0))) * float(mesh.edge_lengths()[bed].sum())
+    return load.reshape(2, -1), scale
 
 
 def _pinned_inverse(operator: np.ndarray, pin: np.ndarray) -> np.ndarray:
@@ -258,13 +203,18 @@ def _projected_data(mesh: Mesh, data, name: str, value_shape: tuple) -> Cellwise
     return field
 
 
-def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) -> ElementBlocks:
-    """Local blocks, loads and maps of every element; `owners` is ``mesh.edge_owners()``."""
+def _element_blocks(
+    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners, dirichlet: np.ndarray
+) -> ElementBlocks:
+    """Local blocks, loads and maps of every element.
+
+    `owners` is ``mesh.edge_owners()`` and `dirichlet` the boundary
+    functional on the sigma dofs (:func:`_dirichlet_load`).
+    """
     n = space.n_dofs_per_row
     nt = mesh.nt
     nl = space.ndof_local
     ns = 2 * nl
-    layout = SystemLayout(n_row_dofs=n, nt=nt)
 
     tris = np.arange(nt)
     area = mesh.tri_areas()
@@ -300,13 +250,13 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) 
     dofs = np.empty((nt, ns + 2), dtype=np.int64)
     dofs[:, :nl] = space.dof_map
     dofs[:, nl:ns] = space.dof_map + n
-    dofs[:, ns] = layout.offset_u + tris
-    dofs[:, ns + 1] = layout.offset_u + nt + tris
+    dofs[:, ns] = 2 * n + tris
+    dofs[:, ns + 1] = 2 * n + nt + tris
 
     # one multiplier per interior edge moment and row; each sigma moment is
     # owned by the lower-index triangle of its edge (side 0)
     owner = owners[0]
-    moments = n // mesh.ne
+    moments = space.moments
     interior = owner[np.arange(n) // moments, 1] >= 0  # (n,) per edge moment
     n_inner = int(interior.sum())
     edge_of = space.dof_map // moments  # (nt, nl)
@@ -328,9 +278,10 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners) 
     trace = np.zeros((nt, ns + 2))
     trace[:, :ns] = (area * basis.cell_means()).T  # (tr tau, 1)
 
-    rhs = assemble_dirichlet_rhs(problem, mesh, space, owners=owners)
-    load = np.where(owned, rhs[dofs], 0.0)
-    load[:, ns:] += (area * f.cell_means()).T
+    # a boundary edge has one side, so its load sits in one local copy
+    load = np.empty((nt, ns + 2))
+    load[:, :ns] = dirichlet.ravel()[dofs[:, :ns]]
+    load[:, ns:] = (area * f.cell_means()).T
 
     pin = np.argmax(np.abs(kernel), axis=1)
     return ElementBlocks(
@@ -408,16 +359,30 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
 
     Raises
     ------
+    ValueError
+        If g returns the wrong shape or differs from the exact velocity on
+        the boundary, or if b, c or f return the wrong value shape.
     SingularMatrixError
         If a local block is not finite or is singular once pinned.
+
+    Warns
+    -----
+    UserWarning
+        If g has a net boundary flux ``z^T b`` above 1e-4 times its scale
+        (:func:`_dirichlet_load`).
     """
     if space.mesh is not mesh:
         raise ValueError("space was not built on the given mesh")
-    spot_check_boundary_data(problem, mesh)
     owners = mesh.edge_owners()
-    _check_compatibility(problem, mesh, owners)
-
-    el = _element_blocks(problem, mesh, space, owners)
+    dirichlet, scale = _dirichlet_load(problem, space, owners)
+    el = _element_blocks(problem, mesh, space, owners, dirichlet)
+    flux = np.sum(el.kernel * el.load)  # z^T b, the net boundary flux of g
+    if abs(flux) > 1e-4 * scale:
+        warnings.warn(
+            f"boundary data for {problem.name!r} has net flux {flux:.3e}; "
+            "the incompressibility constraint is incompatible",
+            stacklevel=2,
+        )
     nt = mesh.nt
     ns = el.sign.shape[1]
 
@@ -441,7 +406,6 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
         matrix=matrix,
         rhs=_condensed_rhs(el, el.load),
         rhs_trace=_condensed_rhs(el, el.trace),
-        layout=SystemLayout(n_row_dofs=space.n_dofs_per_row, nt=nt),
         space=space,
         elements=el,
     )
@@ -456,7 +420,7 @@ def _solve_hybrid(system: LinearSystem):
     """
     el = system.elements
     ns = el.sign.shape[1]
-    nsigma = system.layout.offset_u
+    nsigma = 2 * system.space.n_dofs_per_row
     lam = np.sum(el.kernel * el.load) / np.sum(el.kernel * el.trace)  # z^T b / z^T t
 
     y, _ = lu_solve(system.matrix, system.rhs - lam * system.rhs_trace)
@@ -465,7 +429,7 @@ def _solve_hybrid(system: LinearSystem):
     local[:, :ns] -= el.sign * y[el.edge]
     x = y[el.c][:, None] * el.kernel + (el.inverse @ local[:, :, None])[:, :, 0]
 
-    s = np.empty(system.layout.size - 1)
+    s = np.empty(nsigma + 2 * system.space.mesh.nt)
     s[el.dofs[el.owned]] = x[el.owned]
     # restore the zero trace mean with a multiple of I
     t = np.bincount(el.dofs[:, :ns].ravel(), weights=el.trace[:, :ns].ravel(), minlength=nsigma)
@@ -474,9 +438,7 @@ def _solve_hybrid(system: LinearSystem):
 
     applied = (el.operator @ s[el.dofs][:, :, None])[:, :, 0] + lam * el.trace - el.load
     misfit = np.append(np.bincount(el.dofs.ravel(), weights=applied.ravel(), minlength=s.size), t @ s[:nsigma])
-    residual = relative_residual(misfit, el.load)  # each entry of b sits in one local copy
-    if residual > RTOL:
-        raise SingularMatrixError(f"bordered residual {residual:.3e} exceeds tolerance {RTOL:.1e}")
+    residual = checked_residual(misfit, el.load, "bordered")  # each entry of b sits in one local copy
     return s, lam, residual
 
 
@@ -510,9 +472,7 @@ def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSol
             f"Oseen solve failed on mesh with nt={mesh.nt}: {exc}; "
             "the mesh may be too coarse for this convection field"
         ) from exc
-    layout = system.layout
-    sigma = PseudostressField(
-        space=space, coeffs=np.stack([s[layout.sigma_rows(0)], s[layout.sigma_rows(1)]])
-    )
-    u = VelocityField(mesh=mesh, coeffs=np.stack([s[layout.u_rows(0)], s[layout.u_rows(1)]]))
-    return OseenSolution(sigma=sigma, u=u, multiplier=float(lam), residual=residual, ndofs=layout.size)
+    nsigma = 2 * space.n_dofs_per_row
+    sigma = PseudostressField(space=space, coeffs=s[:nsigma].reshape(2, -1))
+    u = VelocityField(mesh=mesh, coeffs=s[nsigma:].reshape(2, mesh.nt))
+    return OseenSolution(sigma=sigma, u=u, multiplier=float(lam), residual=residual, ndofs=s.size + 1)

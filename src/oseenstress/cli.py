@@ -82,11 +82,11 @@ def _measure_level(problem: ProblemSpec, kind: str, level: int, mesh: Mesh) -> T
     space = solution.sigma.space
 
     ustar = postprocess_velocity(solution.sigma, solution.u)
-    proj_u = project_velocity(mesh, problem.exact_u)
-    interp_sigma = interpolate_pseudostress(space, problem.exact_sigma)
-    # one projection of each exact field serves all its l2_error calls
+    # one projection of each exact field serves all its l2_error calls, and P_h u
     exact_u_proj = project_exact(mesh, problem.exact_u, singular_corner=corner)
     exact_sigma_proj = project_exact(mesh, problem.exact_sigma, singular_corner=corner)
+    proj_u = project_velocity(exact_u_proj)
+    interp_sigma = interpolate_pseudostress(space, problem.exact_sigma)
 
     sigmastar = None
     err_sigmastar = None

@@ -13,7 +13,10 @@ tangent):
 Local bases are constructed per element as the dual basis of these global
 functionals (a small generalized Vandermonde solve), so normal-trace
 continuity across interior edges holds by construction and orientation
-flips never need explicit sign fixups in assembly.  Basis functions are
+flips never need explicit sign fixups in assembly.  The moments are taken
+in one place, ``_edge_moments``, for the bases and for the canonical
+interpolant; by the duality, a basis function's normal trace on its own
+edge is ``(2k + 1) P_k / |E|``, which the Dirichlet load uses directly.  Basis functions are
 stored as monomial coefficients over {1, x - cx, y - cy} centered at the
 element centroid; their divergences are elementwise constants.
 
@@ -44,6 +47,7 @@ __all__ = [
     "VelocityField",
     "apply_deviatoric",
     "build_space",
+    "edge_rule",
     "identity_coeffs",
     "interpolate_pseudostress",
     "project_exact",
@@ -51,8 +55,6 @@ __all__ = [
     "trace_mean",
     "trace_mean_of_means",
 ]
-
-_KINDS = ("rt0", "bdm1")
 
 # vector monomials over {1, dx, dy}: shape (ndof_local, component, monomial)
 _MONO_RT0 = np.array(
@@ -75,6 +77,9 @@ _MONO_BDM1 = np.array(
     ]
 )
 _DIV_BDM1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+
+# monomials and their divergences; 3 edges times 1 (RT0) or 2 (BDM1) moments
+_KINDS = {"rt0": (_MONO_RT0, _DIV_RT0), "bdm1": (_MONO_BDM1, _DIV_BDM1)}
 
 
 def apply_deviatoric(m: np.ndarray) -> np.ndarray:
@@ -194,60 +199,71 @@ class HdivSpace:
     def ndof_local(self) -> int:
         return self.dof_map.shape[1]
 
+    @property
+    def moments(self) -> int:
+        """Edge moments per edge and row: 1 (RT0) or 2 (BDM1)."""
+        return self.n_dofs_per_row // self.mesh.ne
+
+
+def edge_rule(npoints: int, moments: int):
+    """Points and weights of the edge-moment functionals in an `npoints` Gauss rule.
+
+    Returns the points t_q on [0, 1] along the oriented edge and the
+    weights ``w_q P_k(t_q)``, shape (moments, npoints), with P_0 = 1 and
+    P_1 = 2t - 1 the odd Legendre polynomial; moment k of v on edge E is
+    then ``|E| sum_q w_q P_k(t_q) v(x_q).n_E``.
+    """
+    tq, wq = edge_gauss_rule(npoints)
+    return tq, wq * np.stack([np.ones_like(tq), 2.0 * tq - 1.0])[:moments]
+
+
+def _edge_moments(mesh: Mesh, edges: np.ndarray, npoints: int, moments: int, field) -> np.ndarray:
+    """The first `moments` edge moments of vector fields on the edges `edges`.
+
+    These are the degrees of freedom of both spaces (see the module
+    docstring), taken in the `npoints` Gauss rule (:func:`edge_rule`).
+    `field` maps the rule's points, shape ``edges.shape + (npoints, 2)``,
+    to k vector fields there, ``edges.shape + (npoints, k, 2)``.  Returns
+    ``edges.shape + (moments, k)``; moment j of edge e is global dof
+    ``moments e + j``.
+    """
+    tq, weights = edge_rule(npoints, moments)
+    pts = mesh.edge_points(tq, edges.ravel()).reshape(edges.shape + (npoints, 2))
+    flux = np.einsum("...qkc,...c->...qk", field(pts), mesh.edge_normals()[edges])
+    w_int = mesh.edge_lengths()[edges][..., None, None] * weights  # (..., moments, q)
+    return np.einsum("...mq,...qk->...mk", w_int, flux)
+
 
 def build_space(mesh: Mesh, kind: str) -> HdivSpace:
-    """Construct the RT0 or BDM1 space over a mesh."""
+    """Construct the RT0 or BDM1 space over a mesh.
+
+    The local bases are dual to the edge moments (:func:`_edge_moments`),
+    each taken in 2-point Gauss, which is exact for the at most quadratic
+    ``v.n P_k`` of a linear v.
+    """
     if kind not in _KINDS:
-        raise ValueError(f"unknown element kind {kind!r}; expected one of {_KINDS}")
-    mono = _MONO_RT0 if kind == "rt0" else _MONO_BDM1
-    mono_div = _DIV_RT0 if kind == "rt0" else _DIV_BDM1
-    moments = 1 if kind == "rt0" else 2
-    nl = 3 * moments
+        raise ValueError(f"unknown element kind {kind!r}; expected one of {tuple(_KINDS)}")
+    mono, mono_div = _KINDS[kind]
+    nl = len(mono)
+    moments = nl // 3
     nt = mesh.nt
-
     centroids = mesh.tri_centroids()
-    lengths = mesh.edge_lengths()
-    normals = mesh.edge_normals()
-
-    # 2-point Gauss on each edge is exact for the (at most quadratic)
-    # integrands v.n and v.n*q of the construction functionals
-    tq, wq = edge_gauss_rule(2)
-    epts = mesh.edge_points(tq)  # (ne, q, 2)
-    legendre = 2.0 * tq - 1.0
-
     te = mesh.tri_edges  # (nt, 3)
-    # dx of edge points relative to the owning element centroid: (nt, 3, q, 2)
-    dx = epts[te] - centroids[:, None, None, :]
-    mono_pts = np.concatenate([np.ones(dx.shape[:-1] + (1,)), dx], axis=3)
-    # monomial values at edge points: (nt, 3, q, k, comp)
-    vals = np.einsum("kcm,teqm->teqkc", mono, mono_pts)
-    # normal flux of each monomial: (nt, 3, q, k)
-    flux = np.einsum("teqkc,tec->teqk", vals, normals[te])
-    w_int = lengths[te][:, :, None] * wq[None, None, :]  # (nt, 3, q)
-    g0 = np.einsum("teq,teqk->tek", w_int, flux)  # zeroth moments
-    if kind == "rt0":
-        gmat = g0.reshape(nt, 3, nl)
-        dof_map = te.copy()
-    else:
-        g1 = np.einsum("teq,q,teqk->tek", w_int, legendre, flux)
-        gmat = np.empty((nt, nl, nl))
-        gmat[:, 0::2, :] = g0
-        gmat[:, 1::2, :] = g1
-        dof_map = np.empty((nt, nl), dtype=np.int64)
-        dof_map[:, 0::2] = 2 * te
-        dof_map[:, 1::2] = 2 * te + 1
 
+    def monomials(pts):  # (nt, 3, q, 2) -> (nt, 3, q, nl, 2), about each element's centroid
+        dx = pts - centroids[:, None, None, :]
+        mono_pts = np.concatenate([np.ones(dx.shape[:-1] + (1,)), dx], axis=3)
+        return np.einsum("kcm,teqm->teqkc", mono, mono_pts)
+
+    gmat = _edge_moments(mesh, te, 2, moments, monomials).reshape(nt, nl, nl)
     ginv = np.linalg.inv(gmat)  # (nt, k, j): coeff of monomial k in basis j
-    basis_coeff = np.einsum("tkj,kcm->tjcm", ginv, mono)
-    basis_div = np.einsum("tkj,k->tj", ginv, mono_div)
-
     return HdivSpace(
         kind=kind,
         mesh=mesh,
         n_dofs_per_row=moments * mesh.ne,
-        dof_map=dof_map,
-        basis_coeff=basis_coeff,
-        basis_div=basis_div,
+        dof_map=(moments * te[:, :, None] + np.arange(moments)).reshape(nt, nl),
+        basis_coeff=np.einsum("tkj,kcm->tjcm", ginv, mono),
+        basis_div=np.einsum("tkj,k->tj", ginv, mono_div),
     )
 
 
@@ -283,12 +299,10 @@ class PseudostressField:
         """The tensor field on every element, value shape (2, 2); read-only."""
         return self._cellwise
 
-    def div_cells(self, tris=None) -> np.ndarray:
-        """Row-wise divergence, constant per element: (m, 2)."""
-        if tris is None:
-            tris = np.arange(self.space.mesh.nt)
-        w = self.coeffs[:, self.space.dof_map[tris]]  # (2, m, nl)
-        return np.einsum("rtj,tj->tr", w, self.space.basis_div[tris])
+    def div_cells(self) -> np.ndarray:
+        """Row-wise divergence, constant per element: (nt, 2)."""
+        w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
+        return np.einsum("rtj,tj->tr", w, self.space.basis_div)
 
 
 @dataclass
@@ -313,11 +327,8 @@ def identity_coeffs(space: HdivSpace) -> np.ndarray:
     constant is zero.  ``dev`` and ``div`` both annihilate the identity.
     """
     mesh = space.mesh
-    flux = mesh.edge_lengths()[None, :] * mesh.edge_normals().T  # (2, ne)
-    if space.kind == "rt0":
-        return flux
     out = np.zeros((2, space.n_dofs_per_row))
-    out[:, 0::2] = flux
+    out[:, :: space.moments] = mesh.edge_lengths() * mesh.edge_normals().T
     return out
 
 
@@ -355,10 +366,11 @@ def apply_trace_correction(field: PseudostressField) -> PseudostressField:
 def interpolate_pseudostress(space: HdivSpace, sigma) -> PseudostressField:
     """Canonical (edge-moment) interpolation of an analytic tensor field.
 
-    The moments are 3-point Gauss sums on every edge, and the trace mean
-    is subtracted afterwards (:func:`apply_trace_correction`).  Without
-    that correction the interpolant commutes with the cellwise projection
-    of the divergence; the correction changes no divergence.
+    The moments of both rows (:func:`_edge_moments`) are 3-point Gauss
+    sums on every edge, and the trace mean is subtracted afterwards
+    (:func:`apply_trace_correction`).  Without that correction the
+    interpolant commutes with the cellwise projection of the divergence;
+    the correction changes no divergence.
 
     Parameters
     ----------
@@ -368,28 +380,15 @@ def interpolate_pseudostress(space: HdivSpace, sigma) -> PseudostressField:
         (..., 2, 2).
     """
     mesh = space.mesh
-    lengths = mesh.edge_lengths()
-    normals = mesh.edge_normals()
-    tq, wq = edge_gauss_rule(3)
-    pts = mesh.edge_points(tq)
-    vals = np.asarray(sigma(pts), dtype=np.float64)  # (ne, q, 2, 2)
-    if vals.shape != pts.shape[:2] + (2, 2):
-        raise ValueError(
-            f"sigma must return shape {pts.shape[:2] + (2, 2)}, got {vals.shape}"
-        )
-    flux = np.einsum("eqrc,ec->eqr", vals, normals)  # (ne, q, 2)
-    coeffs = np.empty((2, space.n_dofs_per_row))
-    m0 = lengths[:, None] * np.einsum("q,eqr->er", wq, flux)
-    if space.kind == "rt0":
-        coeffs[0] = m0[:, 0]
-        coeffs[1] = m0[:, 1]
-    else:
-        legendre = 2.0 * tq - 1.0
-        m1 = lengths[:, None] * np.einsum("q,q,eqr->er", wq, legendre, flux)
-        coeffs[0, 0::2] = m0[:, 0]
-        coeffs[0, 1::2] = m1[:, 0]
-        coeffs[1, 0::2] = m0[:, 1]
-        coeffs[1, 1::2] = m1[:, 1]
+
+    def rows(pts):
+        vals = np.asarray(sigma(pts), dtype=np.float64)  # (ne, q, 2, 2)
+        if vals.shape != pts.shape[:2] + (2, 2):
+            raise ValueError(f"sigma must return shape {pts.shape[:2] + (2, 2)}, got {vals.shape}")
+        return vals
+
+    moments = _edge_moments(mesh, np.arange(mesh.ne), 3, space.moments, rows)
+    coeffs = moments.reshape(space.n_dofs_per_row, 2).T
     return apply_trace_correction(PseudostressField(space=space, coeffs=coeffs))
 
 
@@ -533,20 +532,18 @@ def project_exact(
     return ExactProjection(field=CellwiseLinear(mesh, coeffs), rest=rest)
 
 
-def project_velocity(mesh: Mesh, u) -> VelocityField:
+def project_velocity(projection: ExactProjection) -> VelocityField:
     """Cellwise mean (L2 projection onto piecewise constants) of a velocity.
 
-    The means of :func:`project_exact` in its degree-6 rule, without
-    corner subdivision.
+    The cell means of the velocity's :func:`project_exact`, so one
+    projection serves both P_h u and the L2 errors against u.
 
-    Parameters
-    ----------
-    mesh : Mesh
-    u : callable
-        Vectorized map from points of shape (..., 2) to velocities of the
-        same leading shape plus a trailing component axis.
+    Raises
+    ------
+    ValueError
+        If the projected field is not a vector field, value shape (2,).
     """
-    field = project_exact(mesh, u).field
+    field = projection.field
     if field.coeffs.shape[1:-1] != (2,):
         raise ValueError(f"u must return value shape (2,), got {field.coeffs.shape[1:-1]}")
-    return VelocityField(mesh=mesh, coeffs=field.cell_means())
+    return VelocityField(mesh=field.mesh, coeffs=field.cell_means())

@@ -4,7 +4,7 @@ Assembly collects (row, col, value) triplets; :func:`to_csr` sums
 duplicates into compressed sparse row storage.  :func:`lu_solve`
 equilibrates the matrix, factors it by sparse LU (SuperLU) in the
 numbering it is given, with a preference for diagonal pivots, and checks
-the residual of the solution with :func:`relative_residual`.  The caller
+the residual of the solution with :func:`checked_residual`.  The caller
 numbers the unknowns in their elimination order, for instance with
 :func:`minimum_degree`.
 """
@@ -24,6 +24,7 @@ __all__ = [
     "minimum_degree",
     "lu_solve",
     "relative_residual",
+    "checked_residual",
 ]
 
 RTOL = 1e-9  # relative residual bound of every direct solve
@@ -131,6 +132,20 @@ def relative_residual(residual: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.linalg.norm(residual)) / denom
 
 
+def checked_residual(residual: np.ndarray, rhs: np.ndarray, label: str) -> float:
+    """The :func:`relative_residual`, at most :data:`RTOL`.
+
+    Raises
+    ------
+    SingularMatrixError
+        Naming the `label` of the solve, if the residual exceeds RTOL.
+    """
+    relative = relative_residual(residual, rhs)
+    if relative > RTOL:
+        raise SingularMatrixError(f"{label} residual {relative:.3e} exceeds tolerance {RTOL:.1e}")
+    return relative
+
+
 def _segment_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Largest entry of every segment ``values[indptr[i]:indptr[i+1]]``; 1 if empty."""
     out = np.ones(len(indptr) - 1)
@@ -195,9 +210,4 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray):
         raise SingularMatrixError(f"sparse LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse LU produced non-finite solution")
-    residual = relative_residual(matrix.to_scipy() @ x - rhs, rhs)
-    if residual > RTOL:
-        raise SingularMatrixError(
-            f"direct solve residual {residual:.3e} exceeds tolerance {RTOL:.1e}"
-        )
-    return x, residual
+    return x, checked_residual(matrix.to_scipy() @ x - rhs, rhs, "direct solve")

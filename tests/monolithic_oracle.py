@@ -7,17 +7,22 @@ pseudostress dof pinned, which ``assembly.assemble`` and
 solve.  It is kept as the oracle the hybridized solve is checked against
 (``tests/test_assembly.py``), factored with SuperLU's own column order
 and partial pivoting (``conftest.colamd_lu_solve``).
+
+It also keeps the boundary functional as it was assembled before the
+Dirichlet load became the dual edge moments of g: a quadrature over the
+basis functions' normal traces, at any number of edge Gauss points, plus
+the net-flux check in 5-point Gauss.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from conftest import colamd_lu_solve
-from oseenstress.assembly import SystemLayout, _check_compatibility, assemble_dirichlet_rhs
 from oseenstress.mesh import Mesh
-from oseenstress.problems import ProblemSpec, spot_check_boundary_data
-from oseenstress.quadrature import triangle_rule
+from oseenstress.problems import ProblemSpec
+from oseenstress.quadrature import edge_gauss_rule, triangle_rule
 from oseenstress.sparsela import RTOL, CsrMatrix, SingularMatrixError, relative_residual, to_csr
 from oseenstress.spaces import (
     CellwiseLinear,
@@ -27,6 +32,97 @@ from oseenstress.spaces import (
     build_space,
     identity_coeffs,
 )
+
+
+@dataclass(frozen=True)
+class SystemLayout:
+    """Block offsets of the saddle-point system."""
+
+    n_row_dofs: int
+    nt: int
+
+    @property
+    def offset_u(self) -> int:
+        return 2 * self.n_row_dofs
+
+    @property
+    def multiplier(self) -> int:
+        return 2 * self.n_row_dofs + 2 * self.nt
+
+    @property
+    def size(self) -> int:
+        return 2 * self.n_row_dofs + 2 * self.nt + 1
+
+    def sigma_rows(self, r: int) -> slice:
+        return slice(r * self.n_row_dofs, (r + 1) * self.n_row_dofs)
+
+    def u_rows(self, r: int) -> slice:
+        base = self.offset_u + r * self.nt
+        return slice(base, base + self.nt)
+
+
+def _boundary_data(problem: ProblemSpec, mesh: Mesh, edge_points: int, owners):
+    """Dirichlet data at the Gauss points of every boundary edge.
+
+    `owners` is ``mesh.edge_owners()``.  Returns the owning triangle and
+    the length of each boundary edge, the points (nbe, q, 2), the Gauss
+    weights, the values of g there (nbe, q, 2) and the outward unit
+    normals (nbe, 2).
+    """
+    bed = mesh.boundary_edges
+    tri, loc = owners
+    tris = tri[bed, 0]
+    lengths = mesh.edge_lengths()[bed]
+    tq, wq = edge_gauss_rule(edge_points)
+    pts = mesh.edge_points(tq, bed)
+    gv = np.asarray(problem.g(pts), dtype=np.float64)
+    if gv.shape != pts.shape[:2] + (2,):
+        raise ValueError(f"g must return shape {pts.shape[:2] + (2,)}, got {gv.shape}")
+    n_out = mesh.edge_normals()[bed] * mesh.tri_signs[tris, loc[bed, 0]][:, None]
+    return tris, lengths, pts, wq, gv, n_out
+
+
+def _check_compatibility(problem: ProblemSpec, mesh: Mesh, owners) -> None:
+    """Warn when the Dirichlet data has a nonzero net boundary flux."""
+    _, lengths, _, wq, gv, n_out = _boundary_data(problem, mesh, 5, owners)
+    flux = float(np.sum(lengths * np.einsum("q,eqc,ec->e", wq, gv, n_out)))
+    perimeter = float(lengths.sum())
+    scale = (1.0 + float(np.abs(gv).max(initial=0.0))) * perimeter
+    if abs(flux) > 1e-4 * scale:
+        warnings.warn(
+            f"boundary data for {problem.name!r} has net flux {flux:.3e}; "
+            "the incompressibility constraint is incompatible",
+            stacklevel=3,
+        )
+
+
+def assemble_dirichlet_rhs(
+    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, edge_points: int = 3, owners=None
+) -> np.ndarray:
+    """Boundary functional ``<g, tau n>`` of the first equation.
+
+    Returns the full-length right-hand side vector with only the
+    sigma-block entries filled.  ``n`` is the outward domain normal; the
+    integrals use `edge_points`-point Gauss per boundary edge.  `owners`
+    is ``mesh.edge_owners()``, computed here if not given.
+    """
+    layout = SystemLayout(n_row_dofs=space.n_dofs_per_row, nt=mesh.nt)
+    rhs = np.zeros(layout.size)
+    if mesh.boundary_edges.size == 0:
+        return rhs
+
+    if owners is None:
+        owners = mesh.edge_owners()
+    tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points, owners)
+    basis = CellwiseLinear(mesh, space.basis_coeff).eval_cells(tris, pts)  # (nbe, q, nl, 2)
+    flux = np.einsum("eqjc,ec->eqj", basis, n_out)
+    # contribution of basis j to the row-r equation: |E| sum_q w g_r flux_j
+    contrib = lengths[:, None, None] * np.einsum("q,eqr,eqj->erj", wq, gv, flux)
+
+    gdofs = space.dof_map[tris]  # (nbe, nl)
+    for r in range(2):
+        np.add.at(rhs, r * space.n_dofs_per_row + gdofs, contrib[:, r, :])
+    return rhs
 
 
 @dataclass
@@ -57,7 +153,6 @@ def assemble(
         raise ValueError("space was not built on the given mesh")
     if quad_degree < 4:
         raise ValueError(f"element quadrature degree must be >= 4, got {quad_degree}")
-    spot_check_boundary_data(problem, mesh)
     _check_compatibility(problem, mesh, mesh.edge_owners())
 
     n = space.n_dofs_per_row

@@ -1,6 +1,7 @@
 """Saddle-point assembly and the direct Oseen solve."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from conftest import colamd_lu_solve, stokes_linear_problem, two_triangle_square
 import monolithic_oracle
 from oseenstress import adaptive, assembly
 from oseenstress.adaptive import adaptive_solve
-from oseenstress.assembly import assemble, assemble_dirichlet_rhs, solve_oseen
+from oseenstress.assembly import assemble, solve_oseen
 from oseenstress.errors import supercloseness
-from oseenstress.mesh import make_square_piecewise_uniform
+from oseenstress.mesh import make_square_piecewise_uniform, uniform_quad_refine
 from oseenstress.problems import ProblemSpec, get_problem
 from oseenstress.sparsela import SingularMatrixError, SolverMemoryError, lu_solve
 from oseenstress.spaces import (
@@ -21,6 +22,7 @@ from oseenstress.spaces import (
     apply_trace_correction,
     build_space,
     interpolate_pseudostress,
+    project_exact,
     project_velocity,
     trace_mean,
 )
@@ -44,6 +46,7 @@ def test_layout_block_sizes():
         assert layout.multiplier == layout.size - 1
         assert system.matrix.n == layout.size
         assert system.rhs.shape == (layout.size,)
+        assert solve_oseen(get_problem("p1"), mesh, kind=kind).ndofs == 2 * n + 2 * mesh.nt + 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -114,6 +117,11 @@ def test_assemble_rejects_data_of_the_wrong_value_shape(name, data):
 # ----------------------------------------------------------------------
 
 
+def _dirichlet(problem, mesh, space):
+    """The boundary functional on the sigma dofs, shape (2, n)."""
+    return assembly._dirichlet_load(problem, space, mesh.edge_owners())[0]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_dirichlet_rhs_for_constant_data(kind):
     # For g = (1, 0) the boundary functional of a zeroth-moment basis
@@ -121,17 +129,8 @@ def test_dirichlet_rhs_for_constant_data(kind):
     # to one); first-moment functions and the second row see nothing.
     mesh = make_square_piecewise_uniform()
     space = build_space(mesh, kind)
-    prob = zero_problem()
-    g_const = ProblemSpec(
-        name="gconst",
-        b=prob.b,
-        c=prob.c,
-        f=prob.f,
-        g=lambda x: np.broadcast_to(np.array([1.0, 0.0]), x.shape).copy(),
-        initial_mesh=prob.initial_mesh,
-    )
-    rhs = assemble_dirichlet_rhs(g_const, mesh, space)
-    layout_n = space.n_dofs_per_row
+    g_const = dataclasses.replace(zero_problem(), g=lambda x: np.broadcast_to(np.array([1.0, 0.0]), x.shape).copy())
+    rhs = _dirichlet(g_const, mesh, space)
     boundary = set(int(e) for e in mesh.boundary_edges)
     owner_sign = np.zeros(mesh.ne)
     for t in range(mesh.nt):
@@ -139,30 +138,69 @@ def test_dirichlet_rhs_for_constant_data(kind):
             e = int(mesh.tri_edges[t, k])
             if e in boundary:
                 owner_sign[e] = mesh.tri_signs[t, k]
-    expected_row0 = np.zeros(layout_n)
-    if kind == "rt0":
-        expected_row0[:] = owner_sign
-    else:
-        expected_row0[0::2] = owner_sign
-    assert np.abs(rhs[:layout_n] - expected_row0).max() < 1e-13
-    assert not np.any(rhs[layout_n:])
+    expected_row0 = np.zeros(space.n_dofs_per_row)
+    expected_row0[:: space.moments] = owner_sign
+    assert np.abs(rhs[0] - expected_row0).max() < 1e-13
+    assert not np.any(rhs[1])
 
 
 def test_dirichlet_rhs_edge_resolution_insensitive_for_smooth_data():
+    # The 3-point load against the oracle's quadrature over the basis
+    # traces at 8 points.
     mesh = make_square_piecewise_uniform()
     space = build_space(mesh, "rt0")
     prob = get_problem("p2")
     lmesh = prob.initial_mesh()
     lspace = build_space(lmesh, "rt0")
-    r3 = assemble_dirichlet_rhs(prob, lmesh, lspace, edge_points=3)
-    r8 = assemble_dirichlet_rhs(prob, lmesh, lspace, edge_points=8)
+    r3 = _dirichlet(prob, lmesh, lspace)
+    r8 = monolithic_oracle.assemble_dirichlet_rhs(prob, lmesh, lspace, edge_points=8)
+    r8 = r8[: 2 * lspace.n_dofs_per_row].reshape(2, -1)
     assert np.all(np.isfinite(r3)) and np.all(np.isfinite(r8))
     assert np.abs(r3 - r8).max() < 5e-3
     # smooth data on the square: already converged at 3 points
     p1 = get_problem("p1")
-    s3 = assemble_dirichlet_rhs(p1, mesh, space, edge_points=3)
-    s8 = assemble_dirichlet_rhs(p1, mesh, space, edge_points=8)
-    assert np.abs(s3 - s8).max() < 1e-5
+    s3 = _dirichlet(p1, mesh, space)
+    s8 = monolithic_oracle.assemble_dirichlet_rhs(p1, mesh, space, edge_points=8)
+    assert np.abs(s3.ravel() - s8[: 2 * space.n_dofs_per_row]).max() < 1e-5
+
+
+def test_g_is_evaluated_once_per_assembly():
+    problem = get_problem("p2")
+    calls = []
+
+    def g(x):
+        calls.append(x.shape)
+        return problem.exact_u(x)
+
+    mesh = problem.initial_mesh()
+    for kind in KINDS:
+        calls.clear()
+        assemble(dataclasses.replace(problem, g=g), mesh, build_space(mesh, kind))
+        assert calls == [(mesh.boundary_edges.size, 3, 2)]
+
+
+def test_assemble_spot_checks_the_boundary_data():
+    p1 = get_problem("p1")
+    mesh = make_square_piecewise_uniform()
+    bad = dataclasses.replace(p1, g=lambda x: p1.g(x) + 0.5)
+    with pytest.raises(ValueError, match="boundary data"):
+        assemble(bad, mesh, build_space(mesh, "rt0"))
+    with pytest.raises(ValueError, match="g must return shape"):
+        assemble(dataclasses.replace(p1, g=lambda x: x[..., 0]), mesh, build_space(mesh, "rt0"))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_compatible_data_solves_without_a_warning(name):
+    # The net-flux check reads the 3-point flux z^T b; on the p2 L-mesh
+    # it is 4.06e-4 against the bound 1.79e-3.
+    problem = get_problem(name)
+    mesh = problem.initial_mesh()
+    for level in range(4):
+        if level > 0:
+            mesh = uniform_quad_refine(mesh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_oseen(problem, mesh)
 
 
 def leaky_problem() -> ProblemSpec:
@@ -357,7 +395,7 @@ def test_bdm1_reproduces_linear_pseudostress_exactly():
     mesh = two_triangle_square()
     sol = solve_oseen(prob, mesh, kind="bdm1")
     interp = interpolate_pseudostress(sol.sigma.space, prob.exact_sigma)
-    proj = project_velocity(mesh, prob.exact_u)
+    proj = project_velocity(project_exact(mesh, prob.exact_u))
     assert supercloseness(interp, sol.sigma) < 1e-12
     assert supercloseness(proj, sol.u) < 1e-12
 

@@ -88,10 +88,11 @@ def level_fields(problem, mesh, kind):
     """The six fields of one convergence level, with the exact field each is measured against."""
     solution = solve_oseen(problem, mesh, kind=kind)
     space = solution.sigma.space
+    corner = problem.singular_corner
     fields = {
         "u_h": (solution.u, problem.exact_u),
         "u*": (postprocess_velocity(solution.sigma, solution.u), problem.exact_u),
-        "P_h u": (project_velocity(mesh, problem.exact_u), problem.exact_u),
+        "P_h u": (project_velocity(project_exact(mesh, problem.exact_u, singular_corner=corner)), problem.exact_u),
         "sigma_h": (solution.sigma, problem.exact_sigma),
         "Pi_h sigma": (interpolate_pseudostress(space, problem.exact_sigma), problem.exact_sigma),
     }

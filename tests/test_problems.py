@@ -99,9 +99,19 @@ def test_p2_velocity_magnitude_follows_corner_power_law():
         assert mag == pytest.approx(r ** (2.0 / 3.0), rel=1e-12)
 
 
+def boundary_points(mesh):
+    """Three points on every boundary edge."""
+    return mesh.edge_points(np.array([0.1, 0.5, 0.8]), mesh.boundary_edges)
+
+
+def spot_check(problem, mesh):
+    pts = boundary_points(mesh)
+    spot_check_boundary_data(problem, pts, problem.g(pts))
+
+
 def test_boundary_data_matches_exact_velocity():
-    spot_check_boundary_data(get_problem("p1"), make_square_piecewise_uniform())
-    spot_check_boundary_data(get_problem("p2"), make_lshape_mesh())
+    spot_check(get_problem("p1"), make_square_piecewise_uniform())
+    spot_check(get_problem("p2"), make_lshape_mesh())
 
 
 def test_boundary_spot_check_rejects_mismatched_data():
@@ -117,9 +127,10 @@ def test_boundary_spot_check_rejects_mismatched_data():
         exact_sigma=prob.exact_sigma,
     )
     with pytest.raises(ValueError, match="boundary data"):
-        spot_check_boundary_data(bad, make_square_piecewise_uniform())
-    # no closed form -> nothing to check, must not raise
-    spot_check_boundary_data(get_problem("p3"), make_square_piecewise_uniform())
+        spot_check(bad, make_square_piecewise_uniform())
+    # no closed form -> nothing to check, must not raise, even for values of g that are off
+    pts = boundary_points(make_square_piecewise_uniform())
+    spot_check_boundary_data(get_problem("p3"), pts, np.ones_like(pts))
 
 
 def test_p3_has_no_closed_form_and_low_default_theta():

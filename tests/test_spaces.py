@@ -13,6 +13,7 @@ from oseenstress.spaces import (
     build_space,
     identity_coeffs,
     interpolate_pseudostress,
+    project_exact,
     project_velocity,
     trace_mean,
 )
@@ -251,14 +252,14 @@ def test_project_velocity_matches_composite_subdivision_oracle():
         s = np.sin(np.pi * (x[..., 0] + x[..., 1]))
         return np.stack([s, -s], axis=-1)
 
-    proj = project_velocity(mesh, u)
+    proj = project_velocity(project_exact(mesh, u))
     oracle = composite_cell_means(mesh, u)
     assert np.abs(proj.coeffs - oracle).max() < 1e-6
 
 
 def test_project_velocity_exact_for_constants():
     mesh = make_square_piecewise_uniform()
-    proj = project_velocity(mesh, lambda x: np.broadcast_to([2.0, -1.0], x.shape).copy())
+    proj = project_velocity(project_exact(mesh, lambda x: np.broadcast_to([2.0, -1.0], x.shape).copy()))
     assert np.abs(proj.coeffs[0] - 2.0).max() < 1e-14
     assert np.abs(proj.coeffs[1] + 1.0).max() < 1e-14
     vals = proj.cellwise().eval_cells(np.arange(3), np.zeros((3, 2, 2)))
@@ -268,4 +269,4 @@ def test_project_velocity_exact_for_constants():
 def test_project_velocity_rejects_wrong_return_shape():
     mesh = make_square_piecewise_uniform()
     with pytest.raises(ValueError):
-        project_velocity(mesh, lambda x: x[..., 0])
+        project_velocity(project_exact(mesh, lambda x: x[..., 0]))

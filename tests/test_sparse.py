@@ -10,6 +10,7 @@ from oseenstress.sparsela import (
     RTOL,
     SingularMatrixError,
     SolverMemoryError,
+    checked_residual,
     lu_solve,
     minimum_degree,
     relative_residual,
@@ -159,3 +160,10 @@ def test_lu_solve_rejects_wrong_rhs_shape():
         lu_solve(csr, np.ones(4))
     with pytest.raises(ValueError):
         lu_solve(csr, np.ones((3, 1)))
+
+
+def test_checked_residual_names_the_solve_above_rtol():
+    rhs = np.array([3.0, 4.0])
+    assert checked_residual(np.array([0.0, 5e-9]), rhs, "direct solve") == pytest.approx(1e-9)
+    with pytest.raises(SingularMatrixError, match="bordered residual 2.000e-09 exceeds"):
+        checked_residual(np.array([0.0, 1e-8]), rhs, "bordered")
