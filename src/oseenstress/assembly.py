@@ -46,7 +46,10 @@ multipliers and the c_K: continuity of the moments on every interior
 edge, and per element the solvability of its local system (L_K tested
 with z_K).  One c is pinned against the global kernel I.  The trace-mean
 multiplier has the closed form ``lam = z^T b / z^T t``, the net boundary
-flux over twice the area, which vanishes for compatible data.
+flux over twice the area, which vanishes for compatible data.  Each
+element adds one dense block ``[[S G_K S, -S z_K], [z_K^T S, 0]]`` on its
+multipliers and c_K (G_K the pinned inverse, S = ``tri_signs``, opposite
+on the two sides of an edge, whose +1 copy carries the global unknown).
 
 The condensed operator is structurally symmetric, but a third of its
 diagonal is zero: every c_K row and some multiplier rows.  Its
@@ -100,30 +103,28 @@ class ElementBlocks:
     operator: np.ndarray  # (nt, m, m) local block L_K of the unbordered operator
     inverse: np.ndarray  # (nt, m, m) inverse of L_K without its pinned row and column, zero there
     dofs: np.ndarray  # (nt, m) index of each local unknown in the bordered layout
-    owned: np.ndarray  # (nt, m) True on the one local copy that carries each global unknown
     kernel: np.ndarray  # (nt, m) local coefficients z_K of sigma = I
     trace: np.ndarray  # (nt, m) local trace-mean column t_K
-    load: np.ndarray  # (nt, m) local right-hand side b_K, nonzero on owned copies only
+    load: np.ndarray  # (nt, m) local right-hand side b_K; each entry of b sits in one local copy
     pin: np.ndarray  # (nt,) the pinned sigma unknown, where |z_K| is largest
-    edge: np.ndarray  # (nt, 2 nl) condensed index of the multiplier of each sigma unknown, `size` on the boundary
-    c: np.ndarray  # (nt,) condensed index of c_K, `size` for the last (pinned) element
-    sign: np.ndarray  # (nt, 2 nl) +1 and -1 on the two sides of an interior edge, 0 on the boundary
+    index: np.ndarray  # (nt, 2 nl + 1) condensed index of each sigma multiplier, then c_K; `size` where none
+    sign: np.ndarray  # (nt, 2 nl) tri_signs of each sigma unknown's interior edge, 0 on the boundary
     size: int  # number N of condensed unknowns, numbered by elimination position
 
 
 @dataclass
 class LinearSystem:
-    """Condensed operator and right-hand sides, with the element blocks.
+    """Condensed operator and right-hand side, with the element blocks.
 
     The condensed unknowns are the interior edge multipliers and c_K for
     every triangle but the last, each numbered by its position in the
-    elimination order.  The right-hand side for the trace-mean multiplier
-    lam is ``rhs - lam * rhs_trace``.
+    elimination order.  The right-hand side already carries the
+    trace-mean multiplier.
     """
 
     matrix: CsrMatrix
     rhs: np.ndarray
-    rhs_trace: np.ndarray
+    multiplier: float
     space: HdivSpace
     elements: ElementBlocks
 
@@ -139,12 +140,11 @@ class OseenSolution:
     ndofs: int
 
 
-def _dirichlet_load(problem: ProblemSpec, space: HdivSpace, owners):
+def _dirichlet_load(problem: ProblemSpec, space: HdivSpace):
     """Boundary functional ``<g, tau n>`` on the sigma dofs, shape (2, n), and its flux scale.
 
-    ``n`` is the outward domain normal and `owners` is
-    ``mesh.edge_owners()``.  The local bases are dual to the edge moments,
-    so on its own edge E a basis function has the normal trace
+    ``n`` is the outward domain normal.  The local bases are dual to the edge
+    moments, so on its own edge E a basis function has the normal trace
     ``(2k + 1) P_k / |E|`` along n_E (:func:`~oseenstress.spaces.edge_rule`).
     Row r of the moment-k dof of a boundary edge is then
     ``sign_E sum_q w_q g_r(x_q) (2k + 1) P_k(t_q)`` in 3-point Gauss,
@@ -155,7 +155,6 @@ def _dirichlet_load(problem: ProblemSpec, space: HdivSpace, owners):
     """
     mesh = space.mesh
     bed = mesh.boundary_edges
-    tri, loc = owners
     tq, weights = edge_rule(3, space.moments)
     pts = mesh.edge_points(tq, bed)
     gv = np.asarray(problem.g(pts), dtype=np.float64)
@@ -163,7 +162,8 @@ def _dirichlet_load(problem: ProblemSpec, space: HdivSpace, owners):
         raise ValueError(f"g must return shape {pts.shape}, got {gv.shape}")
     spot_check_boundary_data(problem, pts, gv)
     dual = np.array([1.0, 3.0])[: space.moments, None] * weights  # (2k + 1) w_q P_k(t_q)
-    sign = mesh.tri_signs[tri[bed, 0], loc[bed, 0]]
+    # the two signs of an interior edge cancel, leaving that of the one side
+    sign = np.bincount(mesh.tri_edges.ravel(), weights=mesh.tri_signs.ravel())[bed]
     load = np.zeros((2, mesh.ne, space.moments))
     load[:, bed] = sign[:, None] * np.einsum("kq,eqr->rek", dual, gv)
     scale = (1.0 + float(np.abs(gv).max(initial=0.0))) * float(mesh.edge_lengths()[bed].sum())
@@ -203,13 +203,11 @@ def _projected_data(mesh: Mesh, data, name: str, value_shape: tuple) -> Cellwise
     return field
 
 
-def _element_blocks(
-    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, owners, dirichlet: np.ndarray
-) -> ElementBlocks:
+def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichlet: np.ndarray) -> ElementBlocks:
     """Local blocks, loads and maps of every element.
 
-    `owners` is ``mesh.edge_owners()`` and `dirichlet` the boundary
-    functional on the sigma dofs (:func:`_dirichlet_load`).
+    `dirichlet` is the boundary functional on the sigma dofs
+    (:func:`_dirichlet_load`).
     """
     n = space.n_dofs_per_row
     nt = mesh.nt
@@ -253,25 +251,23 @@ def _element_blocks(
     dofs[:, ns] = 2 * n + tris
     dofs[:, ns + 1] = 2 * n + nt + tris
 
-    # one multiplier per interior edge moment and row; each sigma moment is
-    # owned by the lower-index triangle of its edge (side 0)
-    owner = owners[0]
+    # one multiplier per interior edge moment and row, which ties the two
+    # local copies of that moment, with opposite tri_signs, together
     moments = space.moments
-    interior = owner[np.arange(n) // moments, 1] >= 0  # (n,) per edge moment
-    n_inner = int(interior.sum())
-    edge_of = space.dof_map // moments  # (nt, nl)
-    side0 = owner[edge_of, 0] == tris[:, None]
-    sign = np.where(interior[space.dof_map], np.where(side0, 1.0, -1.0), 0.0)
+    interior = np.ones(mesh.ne, dtype=bool)
+    interior[mesh.boundary_edges] = False
+    inner = np.repeat(interior, moments)  # (n,) per edge moment
+    n_inner = int(inner.sum())
+    sign = np.where(inner[space.dof_map], np.repeat(mesh.tri_signs, moments, axis=1), 0.0)
     sign = np.concatenate([sign, sign], axis=1)
-    rank = np.cumsum(interior) - 1
+    rank = np.cumsum(inner) - 1
     # the condensed unknowns by elimination position; the boundary slots
     # and the last, pinned c point past them, at N
     size = 2 * n_inner + nt - 1
-    position = np.append(_elimination_order(mesh, owner[:, 1] >= 0, moments), size)
-    mult = np.concatenate([rank[space.dof_map], n_inner + rank[space.dof_map]], axis=1)
-    edge = np.where(sign == 0, size, position[mult])
-    owned = np.ones((nt, ns + 2), dtype=bool)
-    owned[:, :ns] = np.concatenate([side0, side0], axis=1)
+    position = np.append(_elimination_order(mesh, interior, moments), size)
+    index = np.empty((nt, ns + 1), dtype=np.int64)
+    index[:, :ns] = np.where(sign == 0, size, position[np.concatenate([rank, n_inner + rank])[dofs[:, :ns]]])
+    index[:, ns] = position[2 * n_inner + tris]
 
     kernel = np.zeros((nt, ns + 2))
     kernel[:, :ns] = identity_coeffs(space).ravel()[dofs[:, :ns]]
@@ -288,13 +284,11 @@ def _element_blocks(
         operator=operator,
         inverse=_pinned_inverse(operator, pin),
         dofs=dofs,
-        owned=owned,
         kernel=kernel,
         trace=trace,
         load=load,
         pin=pin,
-        edge=edge,
-        c=position[2 * n_inner :],
+        index=index,
         sign=sign,
         size=size,
     )
@@ -309,9 +303,8 @@ def _condensed_rhs(el: ElementBlocks, local: np.ndarray) -> np.ndarray:
     """
     ns = el.sign.shape[1]
     solved = (el.inverse[:, :ns] @ local[:, :, None])[:, :, 0]
-    index = np.concatenate([el.edge, el.c[:, None]], axis=1)
     weights = np.concatenate([el.sign * solved, np.sum(el.kernel * local, axis=1)[:, None]], axis=1)
-    return np.bincount(index.ravel(), weights=weights.ravel(), minlength=el.size + 1)[:-1]
+    return np.bincount(el.index.ravel(), weights=weights.ravel(), minlength=el.size + 1)[:-1]
 
 
 def _elimination_order(mesh: Mesh, interior: np.ndarray, moments: int) -> np.ndarray:
@@ -373,9 +366,8 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
     """
     if space.mesh is not mesh:
         raise ValueError("space was not built on the given mesh")
-    owners = mesh.edge_owners()
-    dirichlet, scale = _dirichlet_load(problem, space, owners)
-    el = _element_blocks(problem, mesh, space, owners, dirichlet)
+    dirichlet, scale = _dirichlet_load(problem, space)
+    el = _element_blocks(problem, mesh, space, dirichlet)
     flux = np.sum(el.kernel * el.load)  # z^T b, the net boundary flux of g
     if abs(flux) > 1e-4 * scale:
         warnings.warn(
@@ -383,63 +375,66 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
             "the incompressibility constraint is incompatible",
             stacklevel=2,
         )
-    nt = mesh.nt
+    lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
     ns = el.sign.shape[1]
 
-    # edge rows: jump of the multiplier-driven local solutions G_K C_K^T mu ...
-    live = (el.sign != 0) & (np.arange(ns) != el.pin[:, None])
-    both = live[:, :, None] & live[:, None, :]
-    shape = (nt, ns, ns)
-    rows = [np.broadcast_to(el.edge[:, :, None], shape)[both]]
-    cols = [np.broadcast_to(el.edge[:, None, :], shape)[both]]
-    vals = [(el.inverse[:, :ns, :ns] * el.sign[:, :, None] * el.sign[:, None, :])[both]]
-    # ... minus that of c_K z_K; element rows: z_K^T C_K^T mu
+    # the condensed block of each element on its multipliers and c_K, with
+    # S = diag(sign): [[S G_K S, -S z_K], [z_K^T S, 0]]; G_K enters on its
+    # unpinned interior entries, zeros included, the coupling where S z_K != 0
     zs = el.kernel[:, :ns] * el.sign
-    coupled = (zs != 0) & (el.c < el.size)[:, None]
-    ctri = np.broadcast_to(el.c[:, None], zs.shape)[coupled]
-    rows += [el.edge[coupled], ctri]
-    cols += [ctri, el.edge[coupled]]
-    vals += [-zs[coupled], zs[coupled]]
-
-    matrix = to_csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), el.size)
+    block = np.zeros((mesh.nt, ns + 1, ns + 1))
+    block[:, :ns, :ns] = el.inverse[:, :ns, :ns] * el.sign[:, :, None] * el.sign[:, None, :]
+    block[:, :ns, ns] = -zs
+    block[:, ns, :ns] = zs
+    live = (el.sign != 0) & (np.arange(ns) != el.pin[:, None])
+    keep = np.zeros(block.shape, dtype=bool)
+    keep[:, :ns, :ns] = live[:, :, None] & live[:, None, :]
+    keep[:, :ns, ns] = keep[:, ns, :ns] = (zs != 0) & (el.index[:, ns:] < el.size)
+    rows = np.broadcast_to(el.index[:, :, None], block.shape)[keep]
+    cols = np.broadcast_to(el.index[:, None, :], block.shape)[keep]
     return LinearSystem(
-        matrix=matrix,
-        rhs=_condensed_rhs(el, el.load),
-        rhs_trace=_condensed_rhs(el, el.trace),
+        matrix=to_csr(rows, cols, block[keep], el.size),
+        rhs=_condensed_rhs(el, el.load - lam * el.trace),
+        multiplier=float(lam),
         space=space,
         elements=el,
     )
 
 
+def _owned_copies(el: ElementBlocks) -> np.ndarray:
+    """(nt, m) mask of one local copy per unknown: an edge's +1 or only side, every velocity."""
+    return np.pad(el.sign, ((0, 0), (0, 2)), constant_values=1.0) >= 0
+
+
 def _solve_hybrid(system: LinearSystem):
     """Solve the condensed system and back-substitute element by element.
 
-    Returns ``(s, lam, residual)``: the sigma and u coefficients in the
-    bordered layout, the trace-mean multiplier and the relative residual
-    of ``(s, lam)`` in the bordered system, computed blockwise.
+    Returns ``(s, residual)``: the sigma and u coefficients in the bordered
+    layout and the relative residual of ``(s, lam)`` in the bordered
+    system, computed blockwise.
     """
     el = system.elements
     ns = el.sign.shape[1]
-    nsigma = 2 * system.space.n_dofs_per_row
-    lam = np.sum(el.kernel * el.load) / np.sum(el.kernel * el.trace)  # z^T b / z^T t
+    lam = system.multiplier
 
-    y, _ = lu_solve(system.matrix, system.rhs - lam * system.rhs_trace)
+    y, _ = lu_solve(system.matrix, system.rhs)
     y = np.append(y, 0.0)  # the boundary slots and the last element's c are zero
     local = el.load - lam * el.trace
-    local[:, :ns] -= el.sign * y[el.edge]
-    x = y[el.c][:, None] * el.kernel + (el.inverse @ local[:, :, None])[:, :, 0]
-
-    s = np.empty(nsigma + 2 * system.space.mesh.nt)
-    s[el.dofs[el.owned]] = x[el.owned]
+    local[:, :ns] -= el.sign * y[el.index[:, :ns]]
+    x = y[el.index[:, ns]][:, None] * el.kernel + (el.inverse @ local[:, :, None])[:, :, 0]
     # restore the zero trace mean with a multiple of I
-    t = np.bincount(el.dofs[:, :ns].ravel(), weights=el.trace[:, :ns].ravel(), minlength=nsigma)
-    z = identity_coeffs(system.space).ravel()
-    s[:nsigma] -= (t @ s[:nsigma]) / (z @ t) * z
+    x -= np.sum(el.trace * x) / np.sum(el.kernel * el.trace) * el.kernel
 
-    applied = (el.operator @ s[el.dofs][:, :, None])[:, :, 0] + lam * el.trace - el.load
-    misfit = np.append(np.bincount(el.dofs.ravel(), weights=applied.ravel(), minlength=s.size), t @ s[:nsigma])
+    owned = _owned_copies(el)
+    s = np.empty(2 * system.space.n_dofs_per_row + 2 * system.space.mesh.nt)
+    s[el.dofs[owned]] = x[owned]
+
+    gathered = s[el.dofs]
+    applied = (el.operator @ gathered[:, :, None])[:, :, 0] + lam * el.trace - el.load
+    misfit = np.bincount(el.dofs.ravel(), weights=applied.ravel(), minlength=s.size)
+    misfit = np.append(misfit, np.sum(el.trace * gathered))
     residual = checked_residual(misfit, el.load, "bordered")  # each entry of b sits in one local copy
-    return s, lam, residual
+    return s, residual
 
 
 def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSolution:
@@ -466,7 +461,7 @@ def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSol
     space = build_space(mesh, kind)
     try:
         system = assemble(problem, mesh, space)
-        s, lam, residual = _solve_hybrid(system)
+        s, residual = _solve_hybrid(system)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"Oseen solve failed on mesh with nt={mesh.nt}: {exc}; "
@@ -475,4 +470,4 @@ def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSol
     nsigma = 2 * space.n_dofs_per_row
     sigma = PseudostressField(space=space, coeffs=s[:nsigma].reshape(2, -1))
     u = VelocityField(mesh=mesh, coeffs=s[nsigma:].reshape(2, mesh.nt))
-    return OseenSolution(sigma=sigma, u=u, multiplier=float(lam), residual=residual, ndofs=s.size + 1)
+    return OseenSolution(sigma=sigma, u=u, multiplier=system.multiplier, residual=residual, ndofs=s.size + 1)

@@ -133,11 +133,7 @@ class Mesh:
 
     def tri_diameters(self) -> np.ndarray:
         """Longest edge of each triangle."""
-        v = self.vertices[self.triangles]
-        e = np.stack(
-            [v[:, 1] - v[:, 2], v[:, 2] - v[:, 0], v[:, 0] - v[:, 1]], axis=1
-        )
-        return np.linalg.norm(e, axis=2).max(axis=1)
+        return self.edge_lengths()[self.tri_edges].max(axis=1)
 
     def boundary_vertices(self) -> np.ndarray:
         """Sorted indices of vertices lying on the boundary."""
@@ -308,8 +304,8 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     ValueError
         On an empty mesh, duplicate vertices, out-of-range indices, a
         vertex that no triangle uses, zero-area triangles, an edge
-        shared by more than two triangles or a boundary vertex inside a
-        boundary edge (a hanging node).
+        shared by more than two triangles or by two on the same side of
+        it, or a boundary vertex inside a boundary edge (a hanging node).
     """
     # own copies, flagged read-only below; the caller's arrays stay writable
     vertices = np.array(vertices, dtype=np.float64, order="C")
@@ -363,6 +359,11 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     # +1 when the CCW traversal of the local edge runs low -> high index,
     # i.e. when the outward normal equals the global edge normal
     tri_signs = np.where(triangles[:, [1, 2, 0]] < triangles[:, [2, 0, 1]], 1, -1).astype(np.int64)
+    # two CCW triangles on opposite sides of an edge give it opposite signs
+    folded = (counts == 2) & (np.bincount(tri_edges.ravel(), weights=tri_signs.ravel()) != 0)
+    if np.any(folded):
+        bad = tuple(int(i) for i in edges[np.argmax(folded)])
+        raise ValueError(f"folded mesh: both triangles of edge {bad} lie on the same side of it")
 
     if region is None:
         region = np.zeros(nt, dtype=np.int64)
@@ -385,10 +386,7 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
     """Triangle count, extreme diameters and worst circum/in-radius ratio."""
-    v = mesh.vertices[mesh.triangles]
-    a = np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
-    b = np.linalg.norm(v[:, 2] - v[:, 0], axis=1)
-    c = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
+    a, b, c = mesh.edge_lengths()[mesh.tri_edges].T
     area = mesh.tri_areas()
     s = 0.5 * (a + b + c)
     circum = a * b * c / (4.0 * area)
@@ -712,16 +710,16 @@ def save_mesh(mesh: Mesh, path) -> None:
     ``ng`` and ``ng`` lines ``t1 t2``, so a reloaded mesh refines exactly
     as the saved one does; a mesh without pairs has no such section.
     """
-    lines = [f"{mesh.nv} {mesh.nt}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
-    for (a, b, c), r in zip(mesh.triangles, mesh.region):
-        lines.append(f"{a} {b} {c} {r}")
+
+    def rows(row_format, array):  # one %-format over the flattened rows
+        return (row_format + "\n") * len(array) % tuple(array.ravel().tolist())
+
+    text = f"{mesh.nv} {mesh.nt}\n" + rows("%.17g %.17g", mesh.vertices)
+    text += rows("%d %d %d %d", np.column_stack([mesh.triangles, mesh.region]))
     if mesh.green_pairs.shape[0]:
-        lines.append(f"{mesh.green_pairs.shape[0]}")
-        lines.extend(f"{t1} {t2}" for t1, t2 in mesh.green_pairs)
+        text += f"{mesh.green_pairs.shape[0]}\n" + rows("%d %d", mesh.green_pairs)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def load_mesh(path) -> Mesh:

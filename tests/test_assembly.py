@@ -86,7 +86,7 @@ def test_assembly_is_deterministic():
     assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
     assert np.array_equal(s1.matrix.indptr, s2.matrix.indptr)
     assert np.array_equal(s1.rhs, s2.rhs)
-    assert np.array_equal(s1.rhs_trace, s2.rhs_trace)
+    assert s1.multiplier == s2.multiplier
 
 
 def test_assemble_validates_inputs():
@@ -119,7 +119,7 @@ def test_assemble_rejects_data_of_the_wrong_value_shape(name, data):
 
 def _dirichlet(problem, mesh, space):
     """The boundary functional on the sigma dofs, shape (2, n)."""
-    return assembly._dirichlet_load(problem, space, mesh.edge_owners())[0]
+    return assembly._dirichlet_load(problem, space)[0]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -454,7 +454,7 @@ def test_every_adaptive_solve_matches_the_colamd_solve(name, monkeypatch):
     assert len(checked) == history.niter == 5
 
 
-@pytest.mark.parametrize(
+CONDENSED_CASES = pytest.mark.parametrize(
     "kind, make_mesh",
     [
         ("rt0", lambda: make_square_piecewise_uniform(2)),
@@ -464,34 +464,57 @@ def test_every_adaptive_solve_matches_the_colamd_solve(name, monkeypatch):
     ],
     ids=["rt0-square", "bdm1-square", "rt0-p2-adapted", "bdm1-two-triangles"],
 )
+
+
+@CONDENSED_CASES
 def test_elimination_order_keeps_edges_together_and_each_c_after_its_edges(kind, make_mesh):
     mesh = make_mesh()
     space = build_space(mesh, kind)
     system = assemble(get_problem("p1"), mesh, space)
     el, n = system.elements, system.matrix.n
+    edge, c = el.index[:, :-1], el.index[:, -1]
     # every condensed unknown is numbered by its elimination position; the
     # boundary slots and the last element's c point at the sentinel n
-    inner = el.edge < n
-    assert el.size == n and el.c[-1] == n and np.all(el.edge[~inner] == n)
+    inner = edge < n
+    assert el.size == n and c[-1] == n and np.all(edge[~inner] == n)
     assert np.array_equal(inner, el.sign != 0)
-    mult = np.unique(el.edge[inner])
-    assert np.array_equal(np.sort(np.concatenate([mult, el.c[:-1]])), np.arange(n))
+    mult = np.unique(edge[inner])
+    assert np.array_equal(np.sort(np.concatenate([mult, c[:-1]])), np.arange(n))
     # the multipliers of each interior edge are consecutive
     moments = 1 if kind == "rt0" else 2
     mesh_edge = np.tile(space.dof_map // moments, 2)[inner]
     first = np.full(mesh.ne, n)
     last = np.full(mesh.ne, -1)
-    np.minimum.at(first, mesh_edge, el.edge[inner])
-    np.maximum.at(last, mesh_edge, el.edge[inner])
+    np.minimum.at(first, mesh_edge, edge[inner])
+    np.maximum.at(last, mesh_edge, edge[inner])
     used = last >= 0
     assert np.all(last[used] - first[used] == 2 * moments - 1)
     assert np.count_nonzero(used) * 2 * moments == mult.size
     # c_K comes after every multiplier of its own edges, with only other
     # c's in between
-    own = np.where(inner, el.edge, -1).max(axis=1)[:-1]
-    assert np.all(own >= 0) and np.all(el.c[:-1] > own)
+    own = np.where(inner, edge, -1).max(axis=1)[:-1]
+    assert np.all(own >= 0) and np.all(c[:-1] > own)
     multipliers_up_to = np.cumsum(np.isin(np.arange(n), mult))
-    assert np.array_equal(multipliers_up_to[el.c[:-1]], multipliers_up_to[own])
+    assert np.array_equal(multipliers_up_to[c[:-1]], multipliers_up_to[own])
+
+
+@CONDENSED_CASES
+def test_owned_copies_partition_the_bordered_unknowns(kind, make_mesh):
+    # the back-substitution writes the solution into an np.empty vector,
+    # one owned local copy per unknown, so every sigma dof and u unknown
+    # must be owned exactly once
+    mesh = make_mesh()
+    space = build_space(mesh, kind)
+    el = assemble(get_problem("p1"), mesh, space).elements
+    owned = assembly._owned_copies(el)
+    counts = np.bincount(el.dofs[owned], minlength=2 * space.n_dofs_per_row + 2 * mesh.nt)
+    assert np.all(counts == 1)
+    # the two copies of an interior moment sit on opposite sides, the one
+    # copy of a boundary moment has sign 0
+    ns = el.sign.shape[1]
+    copies = np.bincount(el.dofs[:, :ns].ravel(), minlength=2 * space.n_dofs_per_row)
+    assert np.array_equal(copies[el.dofs[:, :ns]] == 2, el.sign != 0)
+    assert not np.any(np.bincount(el.dofs[:, :ns].ravel(), weights=el.sign.ravel()))
 
 
 @pytest.mark.parametrize("kind, level", [("bdm1", 3), ("rt0", 4)])

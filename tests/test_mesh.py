@@ -150,6 +150,9 @@ def test_build_mesh_validation():
         build_mesh(v5, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
     with pytest.raises(ValueError):
         build_mesh(verts, tris, region=np.zeros(5, dtype=int))
+    with pytest.raises(ValueError, match=r"folded mesh: both triangles of edge \(0, 1\)"):
+        # two counterclockwise triangles stacked on the same side of (0, 1)
+        build_mesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0]], [[0, 1, 2], [0, 1, 3]])
 
 
 def test_build_mesh_rejects_meshes_no_solve_can_use(tmp_path):
