@@ -24,7 +24,7 @@ from .errors import l2_error
 from .mesh import Mesh, refine_marked
 from .postprocess import RecoveredTensorField, postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec
-from .spaces import CellwiseLinear
+from .spaces import CellwiseLinear, project_exact
 
 __all__ = ["IndicatorSet", "AdaptiveRecord", "AdaptiveHistory", "compute_indicators", "mark_max", "adaptive_solve"]
 
@@ -94,9 +94,9 @@ def _true_error(problem: ProblemSpec, solution: OseenSolution) -> float:
     """Combined L2 error matching the indicator's content."""
     if not problem.has_exact:
         return float("nan")
-    corner = problem.singular_corner
-    es = l2_error(solution.sigma, problem.exact_sigma, singular_corner=corner)
-    eu = l2_error(solution.u, problem.exact_u, singular_corner=corner)
+    mesh, corner = solution.u.mesh, problem.singular_corner
+    es = l2_error(solution.sigma, project_exact(mesh, problem.exact_sigma, singular_corner=corner))
+    eu = l2_error(solution.u, project_exact(mesh, problem.exact_u, singular_corner=corner))
     return float(np.hypot(es, eu))
 
 

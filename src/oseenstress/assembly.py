@@ -50,6 +50,10 @@ flux over twice the area, which vanishes for compatible data.  Each
 element adds one dense block ``[[S G_K S, -S z_K], [z_K^T S, 0]]`` on its
 multipliers and c_K (G_K the pinned inverse, S = ``tri_signs``, opposite
 on the two sides of an edge, whose +1 copy carries the global unknown).
+After the back-substitution the owned copies are scattered to the
+bordered layout, and ``spaces.apply_trace_correction``, the correction
+the interpolant uses, subtracts the multiple of I that restores the zero
+trace mean, which the pinned c leaves open.
 
 The condensed operator is structurally symmetric, but a third of its
 diagonal is zero: every c_K row and some multiplier rows.  Its
@@ -77,6 +81,7 @@ from .spaces import (
     HdivSpace,
     PseudostressField,
     VelocityField,
+    apply_trace_correction,
     build_space,
     edge_rule,
     identity_coeffs,
@@ -410,8 +415,8 @@ def _solve_hybrid(system: LinearSystem):
     """Solve the condensed system and back-substitute element by element.
 
     Returns ``(s, residual)``: the sigma and u coefficients in the bordered
-    layout and the relative residual of ``(s, lam)`` in the bordered
-    system, computed blockwise.
+    layout, sigma with zero trace mean, and the relative residual of
+    ``(s, lam)`` in the bordered system, computed blockwise.
     """
     el = system.elements
     ns = el.sign.shape[1]
@@ -422,12 +427,15 @@ def _solve_hybrid(system: LinearSystem):
     local = el.load - lam * el.trace
     local[:, :ns] -= el.sign * y[el.index[:, :ns]]
     x = y[el.index[:, ns]][:, None] * el.kernel + (el.inverse @ local[:, :, None])[:, :, 0]
-    # restore the zero trace mean with a multiple of I
-    x -= np.sum(el.trace * x) / np.sum(el.kernel * el.trace) * el.kernel
 
     owned = _owned_copies(el)
-    s = np.empty(2 * system.space.n_dofs_per_row + 2 * system.space.mesh.nt)
+    space = system.space
+    nsigma = 2 * space.n_dofs_per_row
+    s = np.empty(nsigma + 2 * space.mesh.nt)
     s[el.dofs[owned]] = x[owned]
+    # restore the zero trace mean with a multiple of I, as the interpolant does
+    sigma = apply_trace_correction(PseudostressField(space=space, coeffs=s[:nsigma].reshape(2, -1)))
+    s[:nsigma] = sigma.coeffs.ravel()
 
     gathered = s[el.dofs]
     applied = (el.operator @ gathered[:, :, None])[:, :, 0] + lam * el.trace - el.load
@@ -444,9 +452,10 @@ def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSol
     docstring): the multiplier has a closed form, SuperLU factors only the
     condensed system on the interior edge multipliers and one c_K per
     element, in the minimum-degree edge order with diagonal pivots, and
-    each element's (sigma_K, u_K) follows by back-substitution.  A
-    multiple of I then restores the zero trace mean.  The reported
-    residual is that of the full bordered system.
+    each element's (sigma_K, u_K) follows by back-substitution.
+    ``spaces.apply_trace_correction`` then restores the zero trace mean
+    of the assembled sigma.  The reported residual is that of the full
+    bordered system.
 
     Raises
     ------

@@ -1,21 +1,21 @@
 """L2 error norms, supercloseness measures and convergence-order fits.
 
-Norms against analytic functions use quadrature, a degree-6 triangle rule;
-when the analytic solution has a corner singularity, elements touching the
-corner are geometrically subdivided toward it before the rule is applied.
-Every discrete field f_h is of degree <= 1 on each element, and the rule
-integrates quadratics exactly, so the quadrature sum splits exactly as
+Every reported error is one distance: the exact cellwise Gram norm
+(:meth:`~oseenstress.spaces.CellwiseLinear.sq_norms`) of the difference
+of two cellwise-linear forms, every discrete field being of degree <= 1
+on each element.  An analytic field f enters through its projection Pi f
+onto cellwise linears in a degree-6 triangle rule
+(:func:`~oseenstress.spaces.project_exact`), whose elements touching a
+singular corner are red-split once.  The rule integrates quadratics
+exactly, so its sum splits exactly as
 
     sum w |f_h - f|^2 = ||f_h - Pi f||^2 + sum w |f - Pi f|^2 ,
 
-with Pi f the L2 projection of the analytic field f onto cellwise linears
-in the same rule (:func:`~oseenstress.spaces.project_exact`).  The first
-term is an exact cellwise Gram norm
-(:meth:`~oseenstress.spaces.CellwiseLinear.sq_norms`), the second depends
-on f alone; so a projection taken once per mesh serves the error of every
-field measured against f.  The divergence error is such a norm too, of the
-cellwise-constant divergence.  The distance between two discrete fields is
-likewise an exact Gram norm, with no quadrature.
+and the second term, the projection's ``rest``, depends on f alone; so a
+projection taken once per mesh serves the error of every field measured
+against f.  The divergence error is such a norm too, of the
+cellwise-constant divergence.  The distance between two discrete fields
+is the first term alone.
 
 Convergence orders are least-squares slopes of log(error) against log(h)
 with h proportional to nt^(-1/2), excluding the first (coarsest) row.
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import CellwiseLinear, ExactProjection, PseudostressField, VelocityField, project_exact
+from .spaces import CellwiseLinear, ExactProjection, PseudostressField, project_exact
 
 __all__ = [
     "ErrorRow",
@@ -68,67 +68,29 @@ class ErrorRow:
     )
 
 
-def l2_error(field, exact, singular_corner=None, corner_depth: int = 1) -> float:
-    """L2 norm of (field - exact) over the field's mesh.
+def _sq_distance(field_a, field_b) -> float:
+    """Squared exact L2 distance of two fields of degree <= 1 per cell.
 
-    ``sqrt(||field - Pi f||^2 + rest)`` with the exact Gram norm of the
-    first term; see the module docstring.
-
-    Parameters
-    ----------
-    field
-        Any discrete field with a ``mesh`` and a ``cellwise()``.
-    exact : callable or ExactProjection
-        Vectorized analytic field matching the discrete field's value
-        shape, projected here with the remaining arguments; or a
-        projection from :func:`~oseenstress.spaces.project_exact` on the
-        field's mesh, which carries its own rule (the remaining arguments
-        are then unused).
-    singular_corner : (float, float), optional
-        Corner toward which elements are geometrically subdivided.
-    corner_depth : int
-        Number of subdivision levels for corner-touching elements.
-
-    Raises
-    ------
-    ValueError
-        If a given projection lives on another mesh, or the analytic
-        field's value shape is not the discrete field's.
+    ValueError unless both live on one mesh with one value shape
+    (``CellwiseLinear.__sub__``).
     """
-    field = field.cellwise()
-    if not isinstance(exact, ExactProjection):
-        exact = project_exact(field.mesh, exact, singular_corner=singular_corner, corner_depth=corner_depth)
-    elif exact.field.mesh is not field.mesh:
-        raise ValueError("the projection of the exact field lives on another mesh")
-    if exact.field.coeffs.shape != field.coeffs.shape:
-        raise ValueError(
-            f"analytic field has value shape {exact.field.coeffs.shape[1:-1]}, "
-            f"expected {field.coeffs.shape[1:-1]}"
-        )
-    return float(np.sqrt(np.sum((field - exact.field).sq_norms()) + exact.rest))
+    return float(np.sum((field_a.cellwise() - field_b.cellwise()).sq_norms()))
+
+
+def l2_error(field, projection: ExactProjection) -> float:
+    """L2 norm of (field - f) over the field's mesh, f an analytic field.
+
+    ``sqrt(||field - Pi f||^2 + rest)`` with `projection` the
+    :func:`~oseenstress.spaces.project_exact` of f on the field's mesh;
+    see the module docstring.  ValueError if the projection lives on
+    another mesh or has another value shape.
+    """
+    return float(np.sqrt(_sq_distance(field, projection.field) + projection.rest))
 
 
 def supercloseness(field_a, field_b) -> float:
-    """Exact L2 norm of the difference of two discrete fields.
-
-    Both fields must be piecewise-constant velocities on the same mesh or
-    pseudostress fields in the same space; the difference is of degree
-    <= 1 on each element, so its norm is an exact Gram norm.
-    """
-    if isinstance(field_a, VelocityField) and isinstance(field_b, VelocityField):
-        if field_a.mesh is not field_b.mesh:
-            raise ValueError("velocity fields live on different meshes")
-        diff = VelocityField(mesh=field_a.mesh, coeffs=field_a.coeffs - field_b.coeffs)
-    elif isinstance(field_a, PseudostressField) and isinstance(field_b, PseudostressField):
-        if field_a.space is not field_b.space:
-            raise ValueError("pseudostress fields live in different spaces")
-        diff = PseudostressField(space=field_a.space, coeffs=field_a.coeffs - field_b.coeffs)
-    else:
-        raise TypeError(
-            "supercloseness expects two velocity fields or two pseudostress fields, "
-            f"got {type(field_a).__name__} and {type(field_b).__name__}"
-        )
-    return float(np.sqrt(np.sum(diff.cellwise().sq_norms())))
+    """Exact L2 norm of the difference of two discrete fields on one mesh."""
+    return float(np.sqrt(_sq_distance(field_a, field_b)))
 
 
 def hdiv_error(sigma_h: PseudostressField, exact_div) -> float:
@@ -143,7 +105,7 @@ def hdiv_error(sigma_h: PseudostressField, exact_div) -> float:
     mesh = sigma_h.mesh
     coeffs = np.zeros((mesh.nt, 2, 3))
     coeffs[:, :, 0] = sigma_h.div_cells()
-    return l2_error(CellwiseLinear(mesh, coeffs), exact_div)
+    return l2_error(CellwiseLinear(mesh, coeffs), project_exact(mesh, exact_div))
 
 
 def fit_order(nts, errs) -> float:

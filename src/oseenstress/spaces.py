@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _red_children
 from .quadrature import edge_gauss_rule, triangle_rule
 
 __all__ = [
@@ -117,8 +117,13 @@ class CellwiseLinear:
         return self
 
     def __sub__(self, other: "CellwiseLinear") -> "CellwiseLinear":
+        """The difference of two fields on one mesh, of one value shape; ValueError otherwise."""
         if self.mesh is not other.mesh:
             raise ValueError("cellwise fields live on different meshes")
+        if self.coeffs.shape != other.coeffs.shape:
+            raise ValueError(
+                f"cellwise fields have value shapes {self.coeffs.shape[1:-1]} and {other.coeffs.shape[1:-1]}"
+            )
         return CellwiseLinear(mesh=self.mesh, coeffs=self.coeffs - other.coeffs)
 
     def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -392,38 +397,6 @@ def interpolate_pseudostress(space: HdivSpace, sigma) -> PseudostressField:
     return apply_trace_correction(PseudostressField(space=space, coeffs=coeffs))
 
 
-def _subdivide_toward(verts: np.ndarray, corner: np.ndarray, depth: int):
-    """Geometric subdivision of one triangle toward a corner vertex.
-
-    Red-splits the triangle; children still touching the corner are split
-    again until `depth` levels are reached.  Returns an array of
-    subtriangle vertex coordinates, shape (m, 3, 2).
-    """
-    work = [(verts, depth)]
-    out = []
-    while work:
-        v, d = work.pop()
-        if d == 0:
-            out.append(v)
-            continue
-        m01 = 0.5 * (v[0] + v[1])
-        m12 = 0.5 * (v[1] + v[2])
-        m20 = 0.5 * (v[2] + v[0])
-        children = [
-            np.array([v[0], m01, m20]),
-            np.array([v[1], m12, m01]),
-            np.array([v[2], m20, m12]),
-            np.array([m01, m12, m20]),
-        ]
-        for child in children:
-            touches = np.any(np.all(np.abs(child - corner) < 1e-14, axis=1))
-            if touches:
-                work.append((child, d - 1))
-            else:
-                out.append(child)
-    return np.array(out)
-
-
 @dataclass(frozen=True)
 class ExactProjection:
     """An analytic field projected onto cellwise linears in one quadrature rule.
@@ -436,13 +409,7 @@ class ExactProjection:
     rest: float
 
 
-def project_exact(
-    mesh: Mesh,
-    exact,
-    degree: int = 6,
-    singular_corner=None,
-    corner_depth: int = 1,
-) -> ExactProjection:
+def project_exact(mesh: Mesh, exact, degree: int = 6, singular_corner=None) -> ExactProjection:
     """L2 projection of an analytic field onto cellwise linears, and its residual.
 
     Parameters
@@ -454,9 +421,8 @@ def project_exact(
     degree : int
         Triangle quadrature exactness.
     singular_corner : (float, float), optional
-        Corner toward which elements are geometrically subdivided.
-    corner_depth : int
-        Number of subdivision levels for corner-touching elements.
+        Corner of a singular solution; the elements touching it are
+        red-split once, and the rule is applied on their four children.
 
     Returns
     -------
@@ -474,17 +440,18 @@ def project_exact(
     constant f projects exactly.
     """
     rule = triangle_rule(degree)
-    tris = np.arange(mesh.nt)
     verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    near = np.zeros(mesh.nt, dtype=bool)
     if singular_corner is not None:
-        corner = np.asarray(singular_corner, dtype=np.float64)
-        near = np.all(np.abs(verts - corner) < 1e-12, axis=2).any(axis=1)
-        subs = [_subdivide_toward(verts[t], corner, corner_depth) for t in tris[near]]
-        tris = np.concatenate([tris[~near]] + [np.full(len(sub), t) for sub, t in zip(subs, tris[near])])
-        verts = np.concatenate([verts[~near]] + subs)
-        order = np.argsort(tris, kind="stable")  # each element's subtriangles together
-        tris, verts = tris[order], verts[order]
-    first = np.searchsorted(tris, np.arange(mesh.nt))  # each element's first subtriangle
+        near = np.all(np.abs(verts - np.asarray(singular_corner, dtype=np.float64)) < 1e-12, axis=2).any(axis=1)
+    # each element's subtriangles are consecutive: itself, or its four red children
+    count = np.where(near, 4, 1)
+    first = np.cumsum(count) - count
+    tris = np.repeat(np.arange(mesh.nt), count)
+    split = verts[near]
+    mids = 0.5 * (split[:, [1, 2, 0]] + split[:, [2, 0, 1]])  # local edge k is opposite vertex k
+    verts = np.repeat(verts, count, axis=0)
+    verts[first[near, None] + np.arange(4)] = _red_children(split, mids)
 
     def per_element(a):
         """Sum the last axis over each element's subtriangles."""

@@ -15,7 +15,7 @@ from oseenstress import postprocess
 from oseenstress.adaptive import compute_indicators
 from oseenstress.assembly import solve_oseen
 from oseenstress.errors import supercloseness
-from oseenstress.mesh import make_lshape_mesh, make_square_piecewise_uniform, refine_marked
+from oseenstress.mesh import build_mesh, make_lshape_mesh, make_square_piecewise_uniform, refine_marked
 from oseenstress.postprocess import RecoveredTensorField, postprocess_velocity, recover_pseudostress
 from oseenstress.problems import get_problem
 from oseenstress.quadrature import triangle_rule
@@ -230,6 +230,17 @@ def test_difference_rejects_different_meshes():
     b = VelocityField(mesh=fine, coeffs=np.zeros((2, fine.nt))).cellwise()
     with pytest.raises(ValueError, match="different meshes"):
         a - b
+
+
+def test_difference_rejects_different_value_shapes():
+    # a tensor minus a velocity would broadcast to (nt, 2, 2, 3) and measure 0
+    mesh = build_mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]])
+    tensor = CellwiseLinear(mesh, np.ones((mesh.nt, 2, 2, 3)))
+    velocity = VelocityField(mesh=mesh, coeffs=np.ones((2, mesh.nt))).cellwise()
+    with pytest.raises(ValueError, match=r"value shapes \(2, 2\) and \(2,\)"):
+        tensor - velocity
+    with pytest.raises(ValueError, match="value shapes"):
+        velocity - tensor
 
 
 @pytest.mark.parametrize("kind", KINDS)

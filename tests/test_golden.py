@@ -1,10 +1,12 @@
-"""Golden outputs: four small CLI runs against stored files.
+"""Golden outputs: five small CLI runs against stored files.
 
-`tests/golden/<case>/` holds the files the CLI wrote for each case below
-before the discrete fields were given one cellwise-linear representation.
-A restructuring must reproduce the tables, the adaptive history and the
-final mesh byte for byte; the coefficient dumps may move by round-off
-only.
+`tests/golden/<case>/` holds the files the CLI wrote for each case below:
+the first four before the discrete fields were given one cellwise-linear
+representation, and p2-uniform, whose errors.csv measures the exact
+solution on the cells red-split at the singular corner, before that split
+became one array operation.  A restructuring must reproduce the tables,
+the adaptive history and the final mesh byte for byte; the coefficient
+dumps may move by round-off only.
 """
 
 from pathlib import Path
@@ -18,6 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "p1-rt0": ["--problem", "p1", "--element", "rt0", "--levels", "4"],
     "p1-bdm1": ["--problem", "p1", "--element", "bdm1", "--levels", "3"],
+    "p2-uniform": ["--problem", "p2", "--levels", "3"],
     "p2-adaptive": ["--problem", "p2", "--mode", "adaptive", "--levels", "4"],
     "p3-adaptive": ["--problem", "p3", "--mode", "adaptive", "--levels", "3"],
 }
