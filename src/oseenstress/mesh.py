@@ -27,6 +27,7 @@ offsets, edge lengths and normals) cannot go stale.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -74,6 +75,11 @@ class Mesh:
         Coarse-patch tag, inherited under refinement.
     green_pairs : ndarray, shape (ng, 2)
         Triangle index pairs created by green (bisection) closure.
+    coarse : Mesh or None
+        The mesh this one was uniformly refined from
+        (:func:`uniform_quad_refine`): the children of its triangle P are
+        triangles 4P..4P+3, the last one the middle child.  None for a
+        mesh built any other way.
     """
 
     vertices: np.ndarray
@@ -84,6 +90,7 @@ class Mesh:
     boundary_edges: np.ndarray
     region: np.ndarray
     green_pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
+    coarse: Optional["Mesh"] = field(default=None, repr=False)
 
     @property
     def nv(self) -> int:
@@ -423,11 +430,15 @@ def uniform_quad_refine(mesh: Mesh) -> Mesh:
 
     Midpoints are created once per edge, so children of neighbouring
     triangles share vertices bit-exactly and the result is conforming.
+    The children of triangle P are triangles 4P..4P+3, and the result
+    records `mesh` as its ``coarse`` mesh.
     """
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     children = _red_children(mesh.triangles, mesh.nv + mesh.tri_edges)
     region = np.repeat(mesh.region, 4)
-    return build_mesh(np.vstack([mesh.vertices, mids]), children.reshape(-1, 3), region)
+    refined = build_mesh(np.vstack([mesh.vertices, mids]), children.reshape(-1, 3), region)
+    refined.coarse = mesh
+    return refined
 
 
 def _coalesce_green(vertices: np.ndarray, triangles: np.ndarray, region: np.ndarray, green_pairs: np.ndarray):

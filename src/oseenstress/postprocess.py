@@ -32,7 +32,7 @@ from scipy import sparse
 
 from .mesh import Mesh, group_rows
 from .quadrature import triangle_rule
-from .spaces import CellwiseLinear, PseudostressField, VelocityField, apply_deviatoric, trace_mean_of_means
+from .spaces import CellwiseLinear, PseudostressField, VelocityField, apply_deviatoric, trace_mean
 
 __all__ = ["RecoveredTensorField", "postprocess_velocity", "recover_pseudostress"]
 
@@ -54,6 +54,10 @@ class RecoveredTensorField:
         values = np.array(self.values, dtype=np.float64)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    def cell_means(self) -> np.ndarray:
+        """Cell means, shape (2, 2, nt): the mean of each cell's three vertex values."""
+        return np.moveaxis(self.values[self.mesh.triangles].mean(axis=1), 0, -1)
 
     def cellwise(self) -> CellwiseLinear:
         """The interpolant on every element, value shape (2, 2); read-only.
@@ -203,10 +207,6 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     in_patch = (patch[rest] >= 0)[:, :, None, None]
     values[rest] = np.where(in_patch, samples[patch[rest]], 0.0).sum(axis=(1, 2)) / (3 * n_elems[rest, None])
 
-    values = values.reshape(nv, 2, 2)
-    # trace-mean correction onto the zero-trace-mean space; the cell mean
-    # of the interpolant is the mean of its three vertex values
-    c = 0.5 * trace_mean_of_means(mesh, np.moveaxis(values[mesh.triangles].mean(axis=1), 0, -1))
-    values[:, 0, 0] -= c
-    values[:, 1, 1] -= c
-    return RecoveredTensorField(mesh=mesh, values=values)
+    # trace-mean correction onto the zero-trace-mean space
+    recovered = RecoveredTensorField(mesh=mesh, values=values.reshape(nv, 2, 2))
+    return RecoveredTensorField(mesh=mesh, values=recovered.values - 0.5 * trace_mean(recovered) * np.eye(2))

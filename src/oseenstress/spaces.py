@@ -53,7 +53,6 @@ __all__ = [
     "project_exact",
     "project_velocity",
     "trace_mean",
-    "trace_mean_of_means",
 ]
 
 # vector monomials over {1, dx, dy}: shape (ndof_local, component, monomial)
@@ -304,6 +303,11 @@ class PseudostressField:
         """The tensor field on every element, value shape (2, 2); read-only."""
         return self._cellwise
 
+    def cell_means(self) -> np.ndarray:
+        """Cell means, shape (2, 2, nt): the coefficients times the bases' cell means."""
+        w = self.coeffs[:, self.space.dof_map, None]  # (2, nt, nl, 1)
+        return np.moveaxis(np.sum(w * self.space.basis_coeff[..., 0], axis=2), 1, 2)
+
     def div_cells(self) -> np.ndarray:
         """Row-wise divergence, constant per element: (nt, 2)."""
         w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
@@ -340,18 +344,12 @@ def identity_coeffs(space: HdivSpace) -> np.ndarray:
 def trace_mean(field) -> float:
     """Mean of the tensor trace over the domain.
 
-    `field` is any tensor field with a ``cellwise()``.
-    """
-    return trace_mean_of_means(field.mesh, field.cellwise().cell_means())
-
-
-def trace_mean_of_means(mesh: Mesh, means: np.ndarray) -> float:
-    """Mean of the tensor trace over the domain, from the cell means (2, 2, nt).
-
-    The integral of a field of degree <= 1 over a triangle is its area
+    `field` is a tensor field with ``cell_means()`` of shape (2, 2, nt);
+    the integral of a field of degree <= 1 over a triangle is its area
     times its cell mean.
     """
-    area = mesh.tri_areas()
+    means = field.cell_means()
+    area = field.mesh.tri_areas()
     return float(np.sum(area * (means[0, 0] + means[1, 1]))) / float(np.sum(area))
 
 

@@ -14,6 +14,11 @@ def two_triangle_square() -> Mesh:
     return build_mesh(verts, tris)
 
 
+def without_hierarchy(mesh: Mesh) -> Mesh:
+    """The same triangulation rebuilt without its coarse meshes, so it is solved on one level."""
+    return build_mesh(mesh.vertices, mesh.triangles, mesh.region)
+
+
 def find_tjunctions(mesh: Mesh):
     """Edges whose midpoint coincides with an existing vertex.
 

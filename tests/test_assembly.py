@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import colamd_lu_solve, stokes_linear_problem, two_triangle_square, zero_problem
+from conftest import colamd_lu_solve, stokes_linear_problem, two_triangle_square, without_hierarchy, zero_problem
 
 import monolithic_oracle
 from oseenstress import adaptive, assembly
@@ -457,8 +457,8 @@ def test_every_adaptive_solve_matches_the_colamd_solve(name, monkeypatch):
 CONDENSED_CASES = pytest.mark.parametrize(
     "kind, make_mesh",
     [
-        ("rt0", lambda: make_square_piecewise_uniform(2)),
-        ("bdm1", lambda: make_square_piecewise_uniform(2)),
+        ("rt0", lambda: without_hierarchy(make_square_piecewise_uniform(2))),
+        ("bdm1", lambda: without_hierarchy(make_square_piecewise_uniform(2))),
         ("rt0", _adapted("p2", 3)),
         ("bdm1", lambda: two_triangle_square()),
     ],
@@ -472,11 +472,11 @@ def test_elimination_order_keeps_edges_together_and_each_c_after_its_edges(kind,
     space = build_space(mesh, kind)
     system = assemble(get_problem("p1"), mesh, space)
     el, n = system.elements, system.matrix.n
-    edge, c = el.index[:, :-1], el.index[:, -1]
+    edge, c = system.index[:, :-1], system.index[:, -1]
     # every condensed unknown is numbered by its elimination position; the
     # boundary slots and the last element's c point at the sentinel n
     inner = edge < n
-    assert el.size == n and c[-1] == n and np.all(edge[~inner] == n)
+    assert system.sizes == (n,) and c[-1] == n and np.all(edge[~inner] == n)
     assert np.array_equal(inner, el.sign != 0)
     mult = np.unique(edge[inner])
     assert np.array_equal(np.sort(np.concatenate([mult, c[:-1]])), np.arange(n))
@@ -528,9 +528,141 @@ def test_ordered_factorization_has_less_fill_than_colamd(kind, level, monkeypatc
         return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
-    mesh = make_square_piecewise_uniform(level)
+    mesh = without_hierarchy(make_square_piecewise_uniform(level))
     system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
     lu_solve(system.matrix, system.rhs)
     colamd_lu_solve(system.matrix, system.rhs)
     ordered, colamd = fills
     assert ordered < 0.8 * colamd
+
+
+# ----------------------------------------------------------------------
+# multilevel condensation over the uniform refinement hierarchy
+# ----------------------------------------------------------------------
+
+
+def _uniform(name, levels):
+    """The paper mesh of `name` uniformly refined `levels` times, with its hierarchy."""
+
+    def make():
+        mesh = get_problem(name).initial_mesh()
+        for _ in range(levels):
+            mesh = uniform_quad_refine(mesh)
+        return mesh
+
+    return make
+
+
+# (problem, element, mesh factory, expected depth): every depth the suite can afford
+MULTILEVEL_CASES = {
+    **{f"p1-rt0-level{k}": ("p1", "rt0", _uniform("p1", k), min(k, 3)) for k in range(1, 5)},
+    **{f"p1-bdm1-level{k}": ("p1", "bdm1", _uniform("p1", k), min(k, 2)) for k in range(1, 4)},
+    "net-flux": ("leaky", "rt0", lambda: make_square_piecewise_uniform(2), 2),
+    "reaction": ("reaction", "bdm1", lambda: make_square_piecewise_uniform(2), 2),
+    "p2-uniform": ("p2", "rt0", _uniform("p2", 3), 3),
+    "p3-uniform": ("p3", "rt0", _uniform("p3", 3), 3),
+    "p3-uniform-bdm1": ("p3", "bdm1", _uniform("p3", 2), 2),
+}
+
+
+@pytest.mark.filterwarnings("ignore:boundary data for 'leaky'")
+@pytest.mark.parametrize("name", list(MULTILEVEL_CASES))
+def test_multilevel_solve_matches_the_single_level_solve(name):
+    # the single-level solve, on the same triangles rebuilt without their
+    # coarse meshes, is the oracle
+    problem_name, kind, make_mesh, depth = MULTILEVEL_CASES[name]
+    problem = CUSTOM_PROBLEMS[problem_name]() if problem_name in CUSTOM_PROBLEMS else get_problem(problem_name)
+    mesh = make_mesh()
+    assert assemble(problem, mesh, build_space(mesh, kind)).depth == depth
+    _assert_same_solution(solve_oseen(problem, mesh, kind=kind), solve_oseen(problem, without_hierarchy(mesh), kind=kind))
+
+
+@pytest.mark.parametrize("kind, moments, depth", [("rt0", 1, 3), ("bdm1", 2, 2)])
+def test_linear_system_records_every_level(kind, moments, depth):
+    # at most 8 multipliers per edge and row on the top mesh
+    mesh = make_square_piecewise_uniform(4)
+    system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
+    assert system.depth == len(system.steps) == depth
+    assert len(system.sizes) == depth + 1 and system.sizes[-1] == system.matrix.n
+    top = mesh
+    for level, size in enumerate(system.sizes):
+        if level:
+            top = top.coarse
+        interior = top.ne - top.boundary_edges.size
+        assert size == 2 * interior * (moments << level) + top.nt - 1
+    # the top unknowns in the edge order of the top mesh: the multipliers
+    # of each interior edge consecutive, each c after its own edges
+    n, q = system.matrix.n, moments << depth
+    assert system.index.shape == (top.nt, 6 * q + 1)
+    edge, c = system.index[:, :-1], system.index[:, -1]
+    inner = edge < n
+    top_edge = np.tile(np.repeat(top.tri_edges, q, axis=1), 2)
+    first = np.full(top.ne, n)
+    last = np.full(top.ne, -1)
+    np.minimum.at(first, top_edge[inner], edge[inner])
+    np.maximum.at(last, top_edge[inner], edge[inner])
+    used = last >= 0
+    assert np.count_nonzero(used) == top.ne - top.boundary_edges.size
+    assert np.all(last[used] - first[used] == 2 * q - 1)
+    assert np.array_equal(np.sort(np.concatenate([np.unique(edge[inner]), c[:-1]])), np.arange(n))
+    assert c[-1] == n and np.all(c[:-1] > np.where(inner, edge, -1).max(axis=1)[:-1])
+
+
+def test_a_mesh_without_hierarchy_is_depth_zero():
+    mesh = make_square_piecewise_uniform(2)
+    single = without_hierarchy(mesh)
+    flat = assemble(get_problem("p1"), single, build_space(single, "rt0"))
+    assert flat.depth == 0 and flat.steps == () and flat.sizes == (flat.matrix.n,)
+    assert assemble(get_problem("p1"), mesh.coarse, build_space(mesh.coarse, "rt0")).depth == 1
+
+
+@pytest.mark.parametrize("kind, level", [("rt0", 4), ("bdm1", 3)])
+def test_top_system_has_less_fill_than_the_single_level_system(kind, level, monkeypatch):
+    fills = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    mesh = make_square_piecewise_uniform(level)
+    for each in (mesh, without_hierarchy(mesh)):
+        system = assemble(get_problem("p1"), each, build_space(each, kind))
+        lu_solve(system.matrix, system.rhs)
+    top, single = fills
+    assert top < 0.5 * single
+
+
+def test_bordered_residual_check_catches_a_wrong_back_substitution(monkeypatch):
+    expand = assembly.CondensationStep.expand
+    monkeypatch.setattr(assembly.CondensationStep, "expand", lambda step, kept: expand(step, kept) * (1.0 + 1e-6))
+    with pytest.raises(SingularMatrixError, match="bordered residual"):
+        solve_oseen(get_problem("p1"), make_square_piecewise_uniform(2))
+
+
+def _nan(block):
+    block[0, 0, 0] = np.nan
+
+
+def _zero(block):
+    block[:] = 0.0
+
+
+@pytest.mark.parametrize("doctor, defect", [(_nan, "not finite"), (_zero, "singular")])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_bad_group_block_raises_singular_matrix_error_naming_depth_and_parent(depth, doctor, defect, monkeypatch):
+    # the children 20..23 of parent 5 are doctored before the step that
+    # condenses them; never numpy's LinAlgError
+    step = assembly._condense_step
+
+    def doctored(blocks, at):
+        if at == depth:
+            blocks = dataclasses.replace(blocks, block=blocks.block.copy())
+            doctor(blocks.block[20:24])
+        return step(blocks, at)
+
+    monkeypatch.setattr(assembly, "_condense_step", doctored)
+    with pytest.raises(SingularMatrixError, match=f"depth {depth}: the group block of parent 5 is {defect}"):
+        solve_oseen(get_problem("p1"), make_square_piecewise_uniform(3))

@@ -417,3 +417,30 @@ def test_find_tjunctions_detects_constructed_one():
         edges = np.array([[0, 1], [0, 3], [1, 3], [2, 3]])
 
     assert find_tjunctions(Fake()) == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("make", [make_square_piecewise_uniform, make_lshape_mesh, two_triangle_square])
+def test_uniform_quad_refine_numbers_the_children_of_p_at_4p_and_records_the_coarse_mesh(make):
+    coarse = make()
+    fine = uniform_quad_refine(coarse)
+    assert coarse.coarse is None and fine.coarse is coarse
+    assert uniform_quad_refine(fine).coarse.coarse is coarse
+    parent = coarse.vertices[coarse.triangles]  # (nt, 3, 2)
+    children = fine.vertices[fine.triangles].reshape(coarse.nt, 4, 3, 2)
+    # each child lies inside its parent and covers a quarter of it
+    d = np.stack([parent[:, 1] - parent[:, 0], parent[:, 2] - parent[:, 0]], axis=2)  # columns b - a, c - a
+    bary = np.linalg.solve(d[:, None], (children - parent[:, None, None, 0]).transpose(0, 1, 3, 2))
+    assert bary.min() >= -1e-12 and bary.sum(axis=2).max() <= 1.0 + 1e-12
+    assert np.allclose(fine.tri_areas().reshape(-1, 4), coarse.tri_areas()[:, None] / 4, rtol=1e-12, atol=0)
+    # the last child is the middle one, with the parent's edge midpoints as vertices
+    mids = 0.5 * (parent[:, [1, 2, 0]] + parent[:, [2, 0, 1]])
+    assert np.array_equal(children[:, 3], mids)
+
+
+def test_built_loaded_and_adapted_meshes_carry_no_hierarchy(tmp_path):
+    fine = uniform_quad_refine(make_square_piecewise_uniform())
+    assert build_mesh(fine.vertices, fine.triangles, fine.region).coarse is None
+    save_mesh(fine, tmp_path / "mesh.txt")
+    assert load_mesh(tmp_path / "mesh.txt").coarse is None
+    assert refine_marked(fine, [0]).coarse is None
+    assert refine_marked(fine, np.arange(fine.nt)).coarse is None

@@ -152,6 +152,16 @@ def test_interpolation_reproduces_constant_tensors(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_pseudostress_cell_means_are_those_of_its_cellwise_form(kind):
+    mesh = make_square_piecewise_uniform(1)
+    space = build_space(mesh, kind)
+    field = PseudostressField(space=space, coeffs=np.random.default_rng(3).standard_normal((2, space.n_dofs_per_row)))
+    means = field.cell_means()
+    assert means.shape == (2, 2, mesh.nt)
+    assert np.abs(means - field.cellwise().cell_means()).max() <= 1e-14 * np.abs(means).max()
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_identity_tensor_interpolation_and_trace_mean(kind):
     # identity_coeffs represents I exactly (trace mean 2), and the
     # interpolant of I is zero once its trace mean is removed.
