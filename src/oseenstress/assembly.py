@@ -84,7 +84,8 @@ the factorization together is flat or lowest.  Only the top system is
 numbered in the edge order of the top mesh, with all the multipliers of
 an edge consecutive, and factored by SuperLU; each level keeps its solved
 group blocks, and the back-substitution runs from the top down.  A mesh
-without a hierarchy is condensed once, on its own triangles.
+without a hierarchy is condensed once, on its own triangles.  At every
+depth SuperLU gets the nonzero entries of the top blocks on live unknowns.
 """
 
 import warnings
@@ -130,7 +131,6 @@ class ElementBlocks:
     kernel: np.ndarray  # (nt, m) local coefficients z_K of sigma = I
     trace: np.ndarray  # (nt, m) local trace-mean column t_K
     load: np.ndarray  # (nt, m) local right-hand side b_K; each entry of b sits in one local copy
-    pin: np.ndarray  # (nt,) the pinned sigma unknown, where |z_K| is largest
     sign: np.ndarray  # (nt, 2 nl) tri_signs of each sigma unknown's interior edge, 0 on the boundary
 
 
@@ -237,29 +237,28 @@ def _dirichlet_load(problem: ProblemSpec, space: HdivSpace):
     return load.reshape(2, -1), scale
 
 
-def _pinned_inverse(operator: np.ndarray, pin: np.ndarray) -> np.ndarray:
-    """Inverse of each block without row and column ``pin``, zero-padded back.
+def _checked_solve(a: np.ndarray, b: np.ndarray, name: str, inputs=()) -> np.ndarray:
+    """Solve every dense block ``a[k] x = b[k]``.
 
     Raises
     ------
     SingularMatrixError
-        If a block is not finite or is singular once pinned.
+        ``"{name} k is not finite"`` if block k of `a`, `b` or the
+        `inputs` they were taken from has a non-finite entry, else ``"{name}
+        k is singular"`` if a[k] is singular or gives a non-finite solution,
+        for the first such k; never numpy's ``LinAlgError``.
     """
-    if not np.all(np.isfinite(operator)):
-        raise SingularMatrixError("a local element block is not finite")
-    k = np.arange(len(operator))
-    a = operator.copy()
-    a[k, pin, :] = 0.0
-    a[k, :, pin] = 0.0
-    a[k, pin, pin] = 1.0
+    finite = np.all([np.isfinite(array).reshape(len(a), -1).all(axis=1) for array in (a, b, *inputs)], axis=0)
+    if not finite.all():
+        raise SingularMatrixError(f"{name} {np.argmin(finite)} is not finite")
     try:
-        inverse = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"a local element block is singular: {exc}") from exc
-    if not np.all(np.isfinite(inverse)):
-        raise SingularMatrixError("a local element block has a non-finite inverse")
-    inverse[k, pin, pin] = 0.0
-    return inverse
+        x = np.linalg.solve(a, b)
+        regular = np.all(np.isfinite(x), axis=(1, 2))
+    except np.linalg.LinAlgError:
+        regular = np.linalg.slogdet(a)[0] != 0
+    if not regular.all():
+        raise SingularMatrixError(f"{name} {np.argmin(regular)} is singular")
+    return x
 
 
 def _projected_data(mesh: Mesh, data, name: str, value_shape: tuple) -> CellwiseLinear:
@@ -342,16 +341,16 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichle
     load[:, :ns] = dirichlet.ravel()[dofs[:, :ns]]
     load[:, ns:] = (area * f.cell_means()).T
 
+    # G_K: L_K with a unit row and column at the largest |z_K|, inverted, then zero there
     pin = np.argmax(np.abs(kernel), axis=1)
+    pinned = operator.copy()
+    pinned[tris, pin, :] = 0.0
+    pinned[tris, :, pin] = 0.0
+    pinned[tris, pin, pin] = 1.0
+    inverse = _checked_solve(pinned, np.broadcast_to(np.eye(ns + 2), pinned.shape), "the local block of element")
+    inverse[tris, pin, pin] = 0.0
     return ElementBlocks(
-        operator=operator,
-        inverse=_pinned_inverse(operator, pin),
-        dofs=dofs,
-        kernel=kernel,
-        trace=trace,
-        load=load,
-        pin=pin,
-        sign=sign,
+        operator=operator, inverse=inverse, dofs=dofs, kernel=kernel, trace=trace, load=load, sign=sign
     ), ids
 
 
@@ -360,10 +359,8 @@ def _element_condensed(el: ElementBlocks, ids: np.ndarray, local: np.ndarray):
 
     Each element's block on its multipliers and c_K is ``[[S G_K S, -S z_K],
     [z_K^T S, 0]]`` with S = diag(sign); its right-hand side is the jump
-    ``S G_K local_K`` of the local solution, then ``z_K^T local_K``.  Also
-    returns the mask of the entries that go into the matrix when the
-    elements are the top level: G_K on its unpinned entries, zeros
-    included, and the coupling where ``S z_K != 0``.
+    ``S G_K local_K`` of the local solution, then ``z_K^T local_K``.  G_K
+    is zero on the pinned row and column, and the c_K-c_K entry is zero.
     """
     nt, ns = el.sign.shape
     zs = el.kernel[:, :ns] * el.sign
@@ -373,11 +370,7 @@ def _element_condensed(el: ElementBlocks, ids: np.ndarray, local: np.ndarray):
     block[:, ns, :ns] = zs
     solved = (el.inverse[:, :ns] @ local[:, :, None])[:, :, 0]
     rhs = np.concatenate([el.sign * solved, np.sum(el.kernel * local, axis=1)[:, None]], axis=1)
-    unpinned = np.arange(ns) != el.pin[:, None]
-    keep = np.zeros(block.shape, dtype=bool)
-    keep[:, :ns, :ns] = unpinned[:, :, None] & unpinned[:, None, :]
-    keep[:, :ns, ns] = keep[:, ns, :ns] = zs != 0
-    return CondensedBlocks(block=block, rhs=rhs, ids=ids), keep
+    return CondensedBlocks(block=block, rhs=rhs, ids=ids)
 
 
 def _group_slots(ids: np.ndarray, q: int):
@@ -451,29 +444,23 @@ def _condense_step(blocks: CondensedBlocks, depth: int):
     Raises
     ------
     SingularMatrixError
-        Naming `depth` and the parent, if a group block is not finite or
-        its eliminated block is singular.
+        Naming `depth` and the parent, if a group block or its right-hand
+        side is not finite, or its eliminated block is singular.
     """
     n, s = blocks.rhs.shape
     q = (s - 1) // 6
     kept = 12 * q + 1
     size = 18 * q + 4
     slots, source = _group_slots(blocks.ids, q)
-    where = f"condensation at depth {depth}"
-    finite = np.all(np.isfinite(blocks.block), axis=(1, 2)) & np.all(np.isfinite(blocks.rhs), axis=1)
-    if not finite.all():
-        raise SingularMatrixError(f"{where}: the group block of parent {np.argmin(finite) // 4} is not finite")
     pairs = (slots[:, :, None] * size + slots[:, None, :]).ravel()
     group = _summed(blocks.block.reshape(n // 4, -1), pairs, size * size).reshape(-1, size, size)
     rhs = _summed(blocks.rhs.reshape(n // 4, -1), slots.ravel(), size)
-    eliminated = group[:, kept:, kept:]
-    try:
-        solved = np.linalg.solve(eliminated, np.concatenate([group[:, kept:, :kept], rhs[:, kept:, None]], axis=2))
-        regular = np.all(np.isfinite(solved), axis=(1, 2))
-    except np.linalg.LinAlgError:
-        solved, regular = None, np.linalg.slogdet(eliminated)[0] != 0
-    if solved is None or not regular.all():
-        raise SingularMatrixError(f"{where}: the group block of parent {np.argmin(regular)} is singular")
+    solved = _checked_solve(
+        group[:, kept:, kept:],
+        np.concatenate([group[:, kept:, :kept], rhs[:, kept:, None]], axis=2),
+        f"condensation at depth {depth}: the group block of parent",
+        inputs=(group, rhs),
+    )
     coupling = group[:, :kept, kept:]
     schur = group[:, :kept, :kept] - coupling @ solved[:, :, :kept]
     schur[:, -1, -1] = 0.0  # a c couples to no c (see the module docstring)
@@ -598,7 +585,7 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
             stacklevel=2,
         )
     lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
-    blocks, keep = _element_condensed(el, ids, el.load - lam * el.trace)
+    blocks = _element_condensed(el, ids, el.load - lam * el.trace)
     steps, sizes = [], [_condensed_size(blocks)]
     top = mesh
     for depth in range(1, _condensation_depth(mesh, space.moments) + 1):
@@ -606,13 +593,10 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
         steps.append(step)
         sizes.append(_condensed_size(blocks))
         top = top.coarse
-    if steps:
-        keep = np.ones(blocks.block.shape, dtype=bool)
-        keep[:, -1, -1] = False
+    # the nonzero entries of the top blocks on live unknowns, at every depth
     index, size = _numbering(top, blocks.ids)
     inside = index < size
-    keep &= inside[:, :, None]
-    keep &= inside[:, None, :]
+    keep = (blocks.block != 0) & inside[:, :, None] & inside[:, None, :]
     rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
     cols = np.broadcast_to(index[:, None, :], keep.shape)[keep]
     return LinearSystem(

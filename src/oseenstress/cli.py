@@ -232,7 +232,10 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except (ValueError, OSError) as exc:
         parser.error(f"--mesh: {exc}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out: {exc}")
     written: List[Path] = []
 
     if args.mode == "uniform":

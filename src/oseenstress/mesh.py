@@ -737,7 +737,10 @@ def load_mesh(path) -> Mesh:
     """Read a mesh written by :func:`save_mesh`, with or without green pairs.
 
     Raises ``ValueError`` on a file of the wrong length, invalid mesh data,
-    or a green pair out of range or whose triangles share no single edge.
+    or a green pair that refinement could not merge back into its parent:
+    out of range, not sharing a single edge, sharing a triangle with
+    another pair, or without a shared vertex at the midpoint of its two
+    unshared ones (to 1e-12 times their distance).
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -762,5 +765,15 @@ def load_mesh(path) -> Mesh:
     if np.any(shared != 1):
         t1, t2 = pairs[np.argmax(shared != 1)]
         raise ValueError(f"mesh file {path}: green pair ({t1}, {t2}) does not share one edge")
+    twice = np.bincount(pairs.ravel(), minlength=nt) > 1
+    if np.any(twice):
+        raise ValueError(f"mesh file {path}: triangle {np.argmax(twice)} is in two green pairs")
+    # the merge refinement makes: the split edge and the shared vertex nearer its midpoint
+    _, _, _, (split, mid) = _coalesce_green(mesh.vertices, mesh.triangles, mesh.region, pairs)
+    a, b = (mesh.vertices[end] for end in _key_ends(split))
+    off = np.linalg.norm(mesh.vertices[mid] - 0.5 * (a + b), axis=1) > 1e-12 * np.linalg.norm(a - b, axis=1)
+    if np.any(off):
+        t1, t2 = pairs[np.argmax(off)]
+        raise ValueError(f"mesh file {path}: green pair ({t1}, {t2}) has no shared vertex at the midpoint of its other two")
     mesh.green_pairs = pairs
     return mesh

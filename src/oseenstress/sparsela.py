@@ -138,10 +138,11 @@ def checked_residual(residual: np.ndarray, rhs: np.ndarray, label: str) -> float
     Raises
     ------
     SingularMatrixError
-        Naming the `label` of the solve, if the residual exceeds RTOL.
+        Naming the `label` of the solve, if the residual exceeds RTOL or
+        is NaN.
     """
     relative = relative_residual(residual, rhs)
-    if relative > RTOL:
+    if not relative <= RTOL:
         raise SingularMatrixError(f"{label} residual {relative:.3e} exceeds tolerance {RTOL:.1e}")
     return relative
 

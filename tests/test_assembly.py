@@ -18,6 +18,7 @@ from oseenstress.mesh import make_square_piecewise_uniform, uniform_quad_refine
 from oseenstress.problems import ProblemSpec, get_problem
 from oseenstress.sparsela import SingularMatrixError, SolverMemoryError, lu_solve
 from oseenstress.spaces import (
+    CellwiseLinear,
     PseudostressField,
     apply_trace_correction,
     build_space,
@@ -332,21 +333,21 @@ def test_every_adaptive_solve_matches_the_monolithic_solve(name, monkeypatch):
 
 
 def test_singular_local_block_raises_singular_matrix_error(monkeypatch):
-    # A zeroed element block cannot be condensed; it is reported as a
-    # singular system, never as numpy's LinAlgError.
-    original = assembly._pinned_inverse
+    # Element 3's operator is doctored through its Gram block of the
+    # bases.  Zeroed, it cannot be condensed and is reported as a singular
+    # system naming the element, never as numpy's LinAlgError.
+    inner = CellwiseLinear.inner
+    for factor, defect in ((0.0, "singular"), (np.nan, "not finite")):
 
-    def zero_one_block(operator, pin):
-        operator = operator.copy()
-        operator[3] = 0.0
-        return original(operator, pin)
+        def doctored(self, other, factor=factor):
+            products = inner(self, other)
+            if other is self:
+                products[3] *= factor
+            return products
 
-    monkeypatch.setattr(assembly, "_pinned_inverse", zero_one_block)
-    with pytest.raises(SingularMatrixError, match="singular"):
-        solve_oseen(get_problem("p1"), make_square_piecewise_uniform())
-    monkeypatch.setattr(assembly, "_pinned_inverse", lambda op, pin: original(op * np.nan, pin))
-    with pytest.raises(SingularMatrixError, match="not finite"):
-        solve_oseen(get_problem("p1"), make_square_piecewise_uniform())
+        monkeypatch.setattr(CellwiseLinear, "inner", doctored)
+        with pytest.raises(SingularMatrixError, match=f"the local block of element 3 is {defect}"):
+            solve_oseen(get_problem("p1"), make_square_piecewise_uniform())
 
 
 def test_solve_passes_memory_errors_through(monkeypatch):
@@ -608,6 +609,47 @@ def test_linear_system_records_every_level(kind, moments, depth):
     assert c[-1] == n and np.all(c[:-1] > np.where(inner, edge, -1).max(axis=1)[:-1])
 
 
+@pytest.mark.parametrize(
+    "kind, make_mesh, depth",
+    [
+        ("bdm1", lambda: without_hierarchy(make_square_piecewise_uniform(3)), 0),
+        ("rt0", lambda: make_square_piecewise_uniform(3), 3),
+    ],
+    ids=["flat-bdm1-level3", "rt0-level3-hierarchy"],
+)
+def test_top_matrix_is_the_sum_of_the_top_blocks_on_live_unknowns(kind, make_mesh, depth, monkeypatch):
+    # one entry rule at every depth: the matrix holds the top blocks summed
+    # on their live unknowns, and no position whose contributions all vanish
+    top = []
+    for name in ("_element_condensed", "_condense_step"):
+
+        def spy(*args, original=getattr(assembly, name)):
+            result = original(*args)
+            top.append(result[0] if isinstance(result, tuple) else result)
+            return result
+
+        monkeypatch.setattr(assembly, name, spy)
+    mesh = make_mesh()
+    system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
+    assert system.depth == depth
+    blocks, n = top[-1], system.matrix.n
+    live = system.index < n
+    on = live[:, :, None] & live[:, None, :]
+    rows = np.broadcast_to(system.index[:, :, None], on.shape)[on]
+    cols = np.broadcast_to(system.index[:, None, :], on.shape)[on]
+    # a sum per distinct position: a dense n-by-n array of the flat BDM1 system would take 0.5 GB
+    position, slot = np.unique(rows * n + cols, return_inverse=True)
+    total = np.zeros(position.size)
+    np.add.at(total, slot, blocks.block[on])
+    contributions = np.zeros(position.size, dtype=np.int64)
+    np.add.at(contributions, slot, blocks.block[on] != 0)
+    assert np.any(contributions == 0)  # the rule drops some positions
+    stored = contributions > 0
+    matrix = system.matrix
+    assert np.array_equal(np.repeat(np.arange(n), np.diff(matrix.indptr)) * n + matrix.indices, position[stored])
+    assert np.array_equal(matrix.data, total[stored])  # at most two contributions per position, so exact
+
+
 def test_a_mesh_without_hierarchy_is_depth_zero():
     mesh = make_square_piecewise_uniform(2)
     single = without_hierarchy(mesh)
@@ -650,7 +692,13 @@ def _zero(block):
     block[:] = 0.0
 
 
-@pytest.mark.parametrize("doctor, defect", [(_nan, "not finite"), (_zero, "singular")])
+def _nan_kept(block):
+    # the first multiplier of child 4P's edge 1, which parent P keeps
+    q = (block.shape[-1] - 1) // 6
+    block[0, q, q] = np.nan
+
+
+@pytest.mark.parametrize("doctor, defect", [(_nan, "not finite"), (_zero, "singular"), (_nan_kept, "not finite")])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_bad_group_block_raises_singular_matrix_error_naming_depth_and_parent(depth, doctor, defect, monkeypatch):
     # the children 20..23 of parent 5 are doctored before the step that

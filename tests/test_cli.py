@@ -200,6 +200,8 @@ def test_solve_uniform_rejects_problem_without_closed_form(tmp_path, capsys):
         pytest.param(["--mesh", "unused.txt"], "vertex 4 belongs to no triangle", id="mesh-unused-vertex"),
         pytest.param(["--mesh", "missing.txt"], "--mesh", id="mesh-missing"),
         pytest.param(["--mesh", "hanging.txt"], "vertex 4 lies inside boundary edge (0, 2)", id="mesh-hanging-node"),
+        pytest.param(["--mesh", "twice.txt"], "triangle 0 is in two green pairs", id="mesh-green-pair-twice"),
+        pytest.param(["--mesh", "diagonal.txt"], "(0, 1) has no shared vertex at the midpoint", id="mesh-green-unsplit"),
     ],
 )
 def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, args, message):
@@ -211,6 +213,10 @@ def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, a
     (tmp_path / "unused.txt").write_text("5 2\n0 0\n1 0\n1 1\n0 1\n5 5\n0 1 2 0\n0 2 3 0\n")
     # the unit square with one half bisected at (0.5, 0.5) and the other not
     (tmp_path / "hanging.txt").write_text("5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 2 0\n0 4 3 0\n4 2 3 0\n")
+    # a triangle bisected at its hypotenuse's midpoint, the pair listed twice
+    (tmp_path / "twice.txt").write_text("4 2\n0 0\n1 0\n0 1\n0.5 0.5\n0 1 3 0\n0 3 2 0\n2\n0 1\n0 1\n")
+    # the unit square's two diagonal halves listed as a pair
+    (tmp_path / "diagonal.txt").write_text("4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2 0\n0 2 3 0\n1\n0 1\n")
     args = [str(tmp_path / a) if a.endswith(".txt") else a for a in args]
 
     monkeypatch.setattr(cli, "run_convergence", no_solve)
@@ -221,6 +227,20 @@ def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, a
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_solve_rejects_an_out_path_that_is_a_file(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_convergence", no_solve)
+    out = tmp_path / "taken"
+    out.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "p1", "--levels", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--out: [Errno 17] File exists: '{out}'" in err and "Traceback" not in err
 
 
 def test_solve_with_explicit_mesh_file(tmp_path, capsys):

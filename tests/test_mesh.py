@@ -390,7 +390,12 @@ def test_load_mesh_rejects_bad_green_pairs(tmp_path):
     body = lines[: 1 + mesh.nv + mesh.nt]
     t1, t2 = mesh.green_pairs[0]
     apart = int(np.flatnonzero(~np.isin(mesh.tri_edges, mesh.tri_edges[t1]).any(axis=1))[0])
-    for pairs in ([f"{t1} {mesh.nt}"], [f"-1 {t2}"], [f"{t1} {apart}"], [f"{t1} {t1}"]):
+    beside = np.flatnonzero(np.isin(mesh.tri_edges, mesh.tri_edges[t2]).any(axis=1))
+    other = int(beside[~np.isin(beside, [t1, t2])][0])  # shares an edge with t2, but no bisection midpoint
+    # a triangle in two pairs made a later refine_marked fail, and a pair
+    # without a bisection midpoint was silently merged into a worse mesh
+    twice = ([f"{t1} {t2}", f"{t1} {t2}"], [f"{t1} {t2}", f"{t2} {other}"])
+    for pairs in ([f"{t1} {mesh.nt}"], [f"-1 {t2}"], [f"{t1} {apart}"], [f"{t1} {t1}"], *twice, [f"{t2} {other}"]):
         path.write_text("\n".join(body + [str(len(pairs))] + pairs) + "\n")
         with pytest.raises(ValueError, match="green pair"):
             load_mesh(path)

@@ -167,3 +167,13 @@ def test_checked_residual_names_the_solve_above_rtol():
     assert checked_residual(np.array([0.0, 5e-9]), rhs, "direct solve") == pytest.approx(1e-9)
     with pytest.raises(SingularMatrixError, match="bordered residual 2.000e-09 exceeds"):
         checked_residual(np.array([0.0, 1e-8]), rhs, "bordered")
+
+
+def test_checked_residual_rejects_a_nan_residual():
+    with pytest.raises(SingularMatrixError, match="bordered residual nan"):
+        checked_residual(np.array([np.nan]), np.array([1.0]), "bordered")
+
+
+def test_checked_residual_rejects_a_nan_rhs():
+    with pytest.raises(SingularMatrixError, match="direct solve residual nan"):
+        checked_residual(np.array([0.0, 0.0]), np.array([np.nan, 1.0]), "direct solve")
