@@ -57,35 +57,44 @@ trace mean, which the pinned c leaves open.
 
 The condensed operator is structurally symmetric, but a third of its
 diagonal is zero: every c_K row and some multiplier rows.  Its
-elimination order is therefore built on the interior edges, not on the
-unknowns: a minimum-degree order of the graph in which two interior
-edges are adjacent when they share a triangle, expanded so that the
-multipliers of each edge are consecutive, with each c_K placed directly
-after the last of its own interior edges.  Every condensed unknown is
+elimination order is therefore built on edges, not on the unknowns: a
+minimum-degree order of the graph in which two edges are adjacent when
+they share a unit (below: a triangle or a condensed red group), expanded
+so that the multipliers of each edge are consecutive, with each c placed
+directly after the last of its unit's edges.  Every condensed unknown is
 numbered by its position in that order, so the assembled operator is
 already in factor order and SuperLU factors it as numbered, equilibrated
 and with diagonal pivots; on the finest p1 BDM1 level this halves the
 fill of SuperLU's own COLAMD column order.
 
-On a mesh made by uniform refinement the condensation goes on up the
-refinement hierarchy (``Mesh.coarse``), which serves as nested-dissection
-separators (George, SINUM 10, 1973).  The four children 4P..4P+3 of a
-coarse triangle P sum their condensed blocks into one dense group block;
-the multipliers on the three edges inside P and the c of the three
+Before that, the condensation goes on through the red groups of the
+mesh, which serve as nested-dissection separators (George, SINUM 10,
+1973).  Both refinements write the four children of a red split as
+consecutive rows, the middle child last, and the groups are read back
+off the triangle array (``mesh.red_groups``).  The four children of a
+group sum their condensed blocks into one dense group block; the
+multipliers on the three edges inside the parent and the c of the three
 corner children are eliminated in one batched solve, and the middle
-child's c is kept as P's.  The four c columns sum to zero on every
-eliminated row (I is continuous across the inner edges), so the Schur
-complement on the rest is again a block ``[[A, -v], [w^T, 0]]`` on P's
-edge multipliers, twice as many per edge and row, and on its c; its c-c
-entry is exactly zero.  The step repeats while the top mesh has a
-coarser one and its edges carry at most 8 multipliers per row: 3 levels
-for RT0 and 2 for BDM1, where the measured time of the condensation and
-the factorization together is flat or lowest.  Only the top system is
-numbered in the edge order of the top mesh, with all the multipliers of
-an edge consecutive, and factored by SuperLU; each level keeps its solved
-group blocks, and the back-substitution runs from the top down.  A mesh
-without a hierarchy is condensed once, on its own triangles.  At every
-depth SuperLU gets the nonzero entries of the top blocks on live unknowns.
+child's c is kept as the parent's.  The four c columns sum to zero on
+every eliminated row (I is continuous across the inner edges), so the
+Schur complement on the rest is again a block ``[[A, -v], [w^T, 0]]`` on
+the parent's edge multipliers, twice as many per edge and row, and on
+its c; its c-c entry is exactly zero.  A triangle in no red group is a
+unit of its own, its block padded to the parent's size with dead slots.
+The units of a level are condensed again, with the parents' triangles
+read off the groups, while the last level left no triangle alone and
+the parents' edges carry at most 8 multipliers per row.  On a uniform
+refinement that gives 3 levels for RT0 and 2 for BDM1, where the
+measured time of the condensation and the factorization together is
+flat or lowest; an adaptive mesh, whose red groups sit beside green
+pairs and unrefined triangles, stops after one.  The edges of the top
+system are the sets of fine edges that two top units share, numbered by
+their first fine edge (on a uniform hierarchy, the interior edges of
+the coarse mesh in its own order), and only the top system is factored
+by SuperLU; each level keeps its solved group blocks, and the
+back-substitution runs from the top down.  A mesh without red groups is
+condensed once, on its own triangles.  At every depth SuperLU gets the
+nonzero entries of the top blocks on live unknowns.
 """
 
 import warnings
@@ -93,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, group_rows
+from .mesh import _RED_CHILDREN, Mesh, group_rows, red_groups
 from .problems import ProblemSpec, spot_check_boundary_data
 from .sparsela import CsrMatrix, SingularMatrixError, checked_residual, lu_solve, minimum_degree, to_csr
 from .spaces import (
@@ -136,46 +145,57 @@ class ElementBlocks:
 
 @dataclass
 class CondensedBlocks:
-    """The condensed system of one mesh of the hierarchy, one dense block per triangle.
+    """The condensed system of one level, one dense block per unit.
 
-    A triangle's s = 6 q + 1 unknowns are the multipliers on its edges,
-    ``[row 1: edge 0, 1, 2 | row 2: edge 0, 1, 2]`` with q per edge and row,
-    then its kept identity coefficient c.  Each multiplier is named by
-    its id among the multipliers of the finest mesh (see
-    :func:`_element_blocks`), -1 where the edge lies on the boundary and
-    the slot is dead.
+    A unit is a triangle or, above the finest level, a red group condensed
+    into its parent.  A unit's s = 6 q + 1 unknowns are the multipliers on
+    its edges, ``[row 1: edge 0, 1, 2 | row 2: edge 0, 1, 2]`` with q slots
+    per edge and row, then its kept identity coefficient c.  Each
+    multiplier is named by its id among the multipliers of the finest mesh
+    (see :func:`_element_blocks`), -1 where the slot is dead: on the
+    boundary, or in the second half of each edge of a block that a level
+    left alone.
     """
 
-    block: np.ndarray  # (nt, s, s)
-    rhs: np.ndarray  # (nt, s)
-    ids: np.ndarray  # (nt, s - 1)
+    block: np.ndarray  # (nu, s, s)
+    rhs: np.ndarray  # (nu, s)
+    ids: np.ndarray  # (nu, s - 1)
 
 
 @dataclass
 class CondensationStep:
-    """One level of the multilevel condensation: four children into each parent.
+    """One level of the condensation: each red group into its parent, every other block padded.
 
-    A parent's group unknowns are its kept ones (its block's s' = 12 q + 1
+    A group's unknowns are its parent's (its block's s' = 12 q + 1
     unknowns) followed by the eliminated ones: the multipliers on the
-    three edges inside it, then the c of three children.
+    three edges inside it, then the c of three children.  A block that
+    the level leaves alone is its own unit, with the unknowns of each edge
+    in the first half of the parent-sized edge.
     """
 
-    slots: np.ndarray  # (4, s) group position of each child's unknowns
-    solved: np.ndarray  # (np, e, s' + 1): the eliminated block solved against [coupling to the kept | rhs]
+    unit: np.ndarray  # (n,) unit of the next level that each block goes into
+    member: np.ndarray  # (n,) row of `slots` for each block: its child index in a red group, 4 if alone
+    slots: np.ndarray  # (5, s) position of each block unknown among its unit's [kept | eliminated] unknowns
+    groups: np.ndarray  # (ng,) unit of each red group
+    solved: np.ndarray  # (ng, e, s' + 1): the eliminated block solved against [coupling to the kept | rhs]
 
     def expand(self, kept: np.ndarray) -> np.ndarray:
-        """The children's unknowns (4 np, s), child 4P + i of parent P, from the parents' (np, s')."""
-        eliminated = self.solved[:, :, -1] - (self.solved[:, :, :-1] @ kept[:, :, None])[:, :, 0]
-        group = np.concatenate([kept, eliminated], axis=1)
-        return group[:, self.slots].reshape(-1, self.slots.shape[1])
+        """The unknowns (n, s) of this level's blocks, from those of its units (nu, s')."""
+        nu, s = kept.shape
+        group = kept[self.groups]
+        eliminated = self.solved[:, :, -1] - (self.solved[:, :, :-1] @ group[:, :, None])[:, :, 0]
+        values = np.zeros((nu, s + eliminated.shape[1]))
+        values[:, :s] = kept
+        values[self.groups, s:] = eliminated
+        return values[self.unit[:, None], self.slots[self.member]]
 
 
 @dataclass
 class LinearSystem:
     """Top condensed operator and right-hand side, with the levels below it.
 
-    The condensed unknowns of the top mesh are its interior edge
-    multipliers and c for every triangle but the last, each numbered by
+    The condensed unknowns of the top units are the multipliers on the
+    edges they share and c for every unit but the last, each numbered by
     its position in the elimination order.  The right-hand side already
     carries the trace-mean multiplier.  `sizes` lists the condensed size
     of every level, finest first; the last is ``matrix.n``.
@@ -186,7 +206,7 @@ class LinearSystem:
     multiplier: float
     space: HdivSpace
     elements: ElementBlocks
-    index: np.ndarray  # (nt_top, s) condensed index of each top unknown; matrix.n where none
+    index: np.ndarray  # (nu, s) condensed index of each top unknown; matrix.n where none
     steps: tuple  # the CondensationStep of every level, finest first
     sizes: tuple
 
@@ -373,55 +393,49 @@ def _element_condensed(el: ElementBlocks, ids: np.ndarray, local: np.ndarray):
     return CondensedBlocks(block=block, rhs=rhs, ids=ids)
 
 
-def _group_slots(ids: np.ndarray, q: int):
-    """Where the unknowns of four children go in their parent's group.
+def _red_slots(q: int, fine: int) -> np.ndarray:
+    """Group position (4, 6 q + 1) of every unknown of the four children of a red group.
 
-    Child slot ``r 3q + k q + j`` holds multiplier j of row r on its edge
-    k (opposite its vertex k), slot 6q its c.  Corner child i's edge 2 is
-    the first half of parent edge i - 1 and its edge 1 the second half of
-    parent edge i + 1, in the parent's counterclockwise order; its edge 0
-    is edge i of the middle child, which lists the multipliers in its own
-    order, read off the `ids` of the first parent.  The middle child
-    keeps its c.
-
-    Returns ``(slots, source)``: the group position (4, 6q + 1) of each
-    child unknown, and for each of the parent's 12 q multipliers its
-    child slot ``6 q i + t`` among its children's.
-
-    Raises
-    ------
-    ValueError
-        If the children of some parent do not share their inner edges as
-        those of the first parent do.
+    The children are in the :data:`~oseenstress.mesh._RED_CHILDREN`
+    layout, from which every rule here follows; each child edge holds
+    `fine` fine edges with q / `fine` multipliers each.  A child edge with
+    both ends at midpoints of the parent's edges lies inside the parent,
+    and its multipliers are eliminated in the order of the middle child,
+    which holds all of them.  A unit lists the fine edges of its edge
+    counterclockwise around itself and the multipliers of one fine edge in
+    their global order, so a corner child holds the fine edges of an
+    inner edge in the middle child's order reversed.  Any other child edge
+    is the half of parent edge e at the child's corner, half 0 at the
+    edge's first vertex counterclockwise, and multiplier j of row r on it
+    keeps slot ``r 6q + e 2q + h q + j``.  The middle child keeps its c;
+    the corner children's are eliminated last.
     """
     kept = 12 * q + 1
     j = np.arange(q)
-    inner = ids.reshape(-1, 4, 2, 3, q)  # parent, child, row, edge, multiplier
-    slots = np.empty((4, 6 * q + 1), dtype=np.int64)
-    for r in range(2):
-        row = r * 3 * q
-        for i in range(3):
-            slots[i, row + 2 * q + j] = r * 6 * q + (i - 1) % 3 * 2 * q + j
-            slots[i, row + q + j] = r * 6 * q + (i + 1) % 3 * 2 * q + q + j
-            slots[3, row + i * q + j] = kept + row + i * q + j
-            match = np.argmax(inner[0, i, r, 0][:, None] == inner[0, 3, r, i], axis=1)
-            if not np.array_equal(inner[:, i, r, 0], inner[:, 3, r, i][:, match]):
-                raise ValueError("the mesh hierarchy is inconsistent: children do not share their inner edges")
-            slots[i, row + j] = kept + row + i * q + match
-    slots[:3, -1] = kept + 6 * q + np.arange(3)
-    slots[3, -1] = kept - 1
-    source = np.empty(18 * q + 4, dtype=np.int64)
-    source[slots[:, :-1]] = np.arange(4 * 6 * q).reshape(4, -1)
-    return slots, source[: kept - 1]
+    row = np.arange(2)[:, None]
+    per = q // fine  # multipliers per fine edge
+    reversed_fine = (fine - 1 - j // per) * per + j % per
+    slots = np.empty((4, 2, 3, q), dtype=np.int64)  # child, row, edge, multiplier
+    slots[3] = kept + 3 * q * row[:, :, None] + q * np.arange(3)[:, None] + j
+    for child in range(3):
+        for k in range(3):
+            a, b = sorted(_RED_CHILDREN[child, [(k + 1) % 3, (k + 2) % 3]])
+            if a >= 3:  # the middle child's edge opposite the third midpoint of 3, 4 and 5
+                slots[child, :, k] = slots[3, :, 9 - a - b][:, reversed_fine]
+            else:  # corner a on parent edge e, whose midpoint is b
+                e = b - 3
+                slots[child, :, k] = 6 * q * row + 2 * q * e + q * int(a != (e + 1) % 3) + j
+    c = np.append(kept + 6 * q + np.arange(3), kept - 1)
+    return np.concatenate([slots.reshape(4, 6 * q), c[:, None]], axis=1)
 
 
 def _summed(children: np.ndarray, target: np.ndarray, size: int) -> np.ndarray:
-    """Sum the children's entries of every parent into `size` group entries.
+    """Sum the children's entries of every group into `size` group entries.
 
-    `children` (np, k) holds the flattened entries of each parent's four
+    `children` (ng, k) holds the flattened entries of each group's four
     children and `target` (k,) the group entry of each.  A group entry
     takes one child entry, or two where both lie on an edge inside the
-    parent.  Every right-hand side entry takes one; a block entry that
+    group.  Every right-hand side entry takes one; a block entry that
     takes none reads index -1, the last child's c-c entry, which is zero
     in every block.
     """
@@ -432,29 +446,45 @@ def _summed(children: np.ndarray, target: np.ndarray, size: int) -> np.ndarray:
     return summed
 
 
-def _condense_step(blocks: CondensedBlocks, depth: int):
-    """Condense the blocks of every four children 4P..4P+3 into their parent P's block.
+def _condense_step(blocks: CondensedBlocks, starts: np.ndarray, depth: int):
+    """Condense every red group into its parent's block, and pad every other block to that size.
 
-    The children's blocks are summed into one dense group block per
-    parent; the multipliers inside the parent and three c are eliminated
-    in one batched solve, and the Schur complement on the rest is the
-    parent's block.  Returns the parents' ``CondensedBlocks`` and the
-    ``CondensationStep`` that recovers the children's unknowns.
+    `starts` holds the first block of each red group
+    (:func:`~oseenstress.mesh.red_groups`).  The four children's blocks
+    are summed into one dense group block; the multipliers inside the
+    parent and three c are eliminated in one batched solve, and the Schur
+    complement on the rest is the parent's block.  Every other block is
+    its own unit and passes up unchanged, the slots of each edge in the
+    first half of the parent-sized edge.  The units keep the order of
+    their first block.  Returns the units' ``CondensedBlocks`` and the
+    ``CondensationStep`` that recovers the blocks' unknowns.
 
     Raises
     ------
     SingularMatrixError
-        Naming `depth` and the parent, if a group block or its right-hand
-        side is not finite, or its eliminated block is singular.
+        Naming `depth` and the parent, the red group's index among the
+        groups of this level, if a group block or its right-hand side is
+        not finite, or its eliminated block is singular.
     """
     n, s = blocks.rhs.shape
     q = (s - 1) // 6
     kept = 12 * q + 1
     size = 18 * q + 4
-    slots, source = _group_slots(blocks.ids, q)
-    pairs = (slots[:, :, None] * size + slots[:, None, :]).ravel()
-    group = _summed(blocks.block.reshape(n // 4, -1), pairs, size * size).reshape(-1, size, size)
-    rhs = _summed(blocks.rhs.reshape(n // 4, -1), slots.ravel(), size)
+    members = starts[:, None] + np.arange(4)
+    member = np.full(n, 4, dtype=np.int8)
+    member[members] = np.arange(4)
+    alone = member == 4
+    unit = np.cumsum(member % 4 == 0) - 1
+    groups = unit[starts]
+    red = _red_slots(q, 1 << (depth - 1))
+    # a block alone: its slot t of edge t // q goes to the first half of that edge, c to c
+    slots = np.vstack([red, np.arange(s) + np.arange(s) // q * q])
+    slot = slots[member]
+
+    rows = members if alone.any() else slice(None)  # every block grouped: group k is blocks 4k..4k+3, in place
+    pairs = (red[:, :, None] * size + red[:, None, :]).ravel()
+    group = _summed(blocks.block[rows].reshape(len(starts), -1), pairs, size * size).reshape(-1, size, size)
+    rhs = _summed(blocks.rhs[rows].reshape(len(starts), -1), red.ravel(), size)
     solved = _checked_solve(
         group[:, kept:, kept:],
         np.concatenate([group[:, kept:, :kept], rhs[:, kept:, None]], axis=2),
@@ -464,77 +494,94 @@ def _condense_step(blocks: CondensedBlocks, depth: int):
     coupling = group[:, :kept, kept:]
     schur = group[:, :kept, :kept] - coupling @ solved[:, :, :kept]
     schur[:, -1, -1] = 0.0  # a c couples to no c (see the module docstring)
-    parent = CondensedBlocks(
-        block=schur,
-        rhs=rhs[:, :kept] - (coupling @ solved[:, :, kept:])[:, :, 0],
-        ids=blocks.ids.reshape(n // 4, -1)[:, source],
-    )
-    return parent, CondensationStep(slots=slots, solved=solved)
+    nu = unit[-1] + 1
+    block = np.zeros((nu, kept, kept))
+    block[groups] = schur
+    parent_rhs = np.zeros((nu, kept))
+    parent_rhs[groups] = rhs[:, :kept] - (coupling @ solved[:, :, kept:])[:, :, 0]
+    at, padded = unit[alone], slot[alone]
+    block[at[:, None, None], padded[:, :, None], padded[:, None, :]] = blocks.block[alone]
+    parent_rhs[at[:, None], padded] = blocks.rhs[alone]
+    ids = np.full((nu, size), -1)
+    ids[unit[:, None], slot[:, :-1]] = blocks.ids
+    parent = CondensedBlocks(block=block, rhs=parent_rhs, ids=ids[:, : kept - 1])
+    return parent, CondensationStep(unit=unit, member=member, slots=slots, groups=groups, solved=solved)
 
 
-def _condensation_depth(mesh: Mesh, moments: int) -> int:
-    """Levels to condense: as many as the hierarchy has, while an edge of the
-    top mesh carries at most :data:`_TOP_EDGE_MULTIPLIERS` per row."""
-    depth = 0
-    while mesh.coarse is not None and moments << (depth + 1) <= _TOP_EDGE_MULTIPLIERS:
-        mesh = mesh.coarse
-        depth += 1
-    return depth
-
-
-def _numbering(mesh: Mesh, ids: np.ndarray):
+def _numbering(ids: np.ndarray, moments: int):
     """Condensed index of every unknown of the top blocks, and their number N.
 
-    `mesh` is the top mesh and `ids` (nt, 6 q) names the multipliers of
-    its blocks.  The multipliers of one row on one interior edge, ordered
-    by id, are the edge's q multipliers of :func:`_elimination_order`,
-    which gives every unknown its elimination position.  Returns the
-    index (nt, 6 q + 1) with N where no unknown is: on the boundary and
-    at the last triangle's c, which is pinned.
+    `ids` (nu, 6 q) names the multipliers of the top units' blocks; a
+    row-2 slot lies on the fine edge of the row-1 slot 3 q before it, and
+    a row-1 id over `moments` is the rank of its fine edge among the
+    interior ones.  A top edge is the set of fine edges that the same two
+    top units share; the top edges are numbered by their first fine edge,
+    which on a uniform hierarchy numbers the interior edges of the top
+    mesh in its own order.  The multipliers of one row on one top edge,
+    ordered by id, are the edge's multipliers of
+    :func:`_elimination_order`, which gives every unknown its elimination
+    position.  Returns the index (nu, 6 q + 1) with N where no unknown is:
+    on dead slots and at the last unit's c, which is pinned.
     """
-    nt = mesh.nt
-    q = ids.shape[1] // 6
-    interior = np.ones(mesh.ne, dtype=bool)
-    interior[mesh.boundary_edges] = False
-    n_edges = int(interior.sum())
-    size = 2 * n_edges * q + nt - 1
-    position = np.append(_elimination_order(mesh, interior, q), size)
-    local = np.arange(6 * q)
-    edge = mesh.tri_edges[:, local % (3 * q) // q]  # (nt, 6 q) top edge of each slot
+    nu, width = ids.shape
+    half = width // 2
     live = ids >= 0
+    first = live[:, :half]
+    unit = np.broadcast_to(np.arange(nu)[:, None], first.shape)
+    fine = np.where(first, ids[:, :half] // moments, -1)
+    # each fine edge on the top lies in two units, which name its top edge
+    lo = np.full(fine.max(initial=-1) + 1, nu)
+    hi = np.full_like(lo, -1)
+    np.minimum.at(lo, fine[first], unit[first])
+    np.maximum.at(hi, fine[first], unit[first])
+    on_top = hi >= 0
+    _, first_fine, top = np.unique((lo * nu + hi)[on_top], return_index=True, return_inverse=True)
+    n_edges = first_fine.size
+    rank = np.empty(n_edges, dtype=np.int64)
+    rank[np.argsort(first_fine)] = np.arange(n_edges)
+    edge = np.full(lo.size + 1, -1)  # top edge of each fine edge, then -1 for the dead slots
+    edge[:-1][on_top] = rank[top]
+    count = moments * np.bincount(rank[top], minlength=n_edges)  # multipliers per row of each top edge
+    slot_edge = np.tile(edge[fine], 2)
+
+    row = np.arange(width) // half
     key = np.full(ids.max(initial=-1) + 1, -1)
-    key[ids[live]] = ((local // (3 * q)) * n_edges + (np.cumsum(interior) - 1)[edge])[live]
+    key[ids[live]] = (row * n_edges + slot_edge)[live]
     present = np.flatnonzero(key >= 0)
     unknown = np.empty_like(key)
     unknown[present[np.argsort(key[present], kind="stable")]] = np.arange(present.size)
-    index = np.full((nt, 6 * q + 1), size)
+
+    owned = np.unique((unit * n_edges + slot_edge[:, :half])[first])
+    unit_edges = group_rows(owned // n_edges, nu, values=owned % n_edges)
+    n_mult = 2 * int(count.sum())
+    size = n_mult + nu - 1
+    position = np.append(_elimination_order(unit_edges, count), size)
+    index = np.full((nu, width + 1), size)
     index[:, :-1][live] = position[unknown[ids[live]]]
-    index[:, -1] = position[2 * n_edges * q + np.arange(nt)]
+    index[:, -1] = position[n_mult + np.arange(nu)]
     return index, size
 
 
-def _elimination_order(mesh: Mesh, interior: np.ndarray, moments: int) -> np.ndarray:
+def _elimination_order(unit_edges: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Fill-reducing order of the condensed unknowns (see the module docstring).
 
-    `interior` marks the interior edges, each with `moments` multipliers
-    per row.  The unknowns are listed as the multipliers (row r, moment k
-    of interior edge i at ``r n_edges moments + i moments + k``), then c_K
-    of every triangle but the last.  Returns the position in the
-    elimination order of each.
+    `unit_edges` (nu, w) lists the top edges of each top unit, -1 padded,
+    and `count` the multipliers per row of each top edge.  The unknowns
+    are listed as the multipliers, row 1 then row 2, each in top-edge
+    order with `count` per edge, then c of every unit but the last.
+    Returns the position in the elimination order of each.
     """
-    n_edges = int(interior.sum())
+    n_edges = count.size
+    nu, w = unit_edges.shape
     if n_edges == 0:
-        return np.arange(mesh.nt - 1)
-    rank = np.cumsum(interior) - 1
-    inner = interior[mesh.tri_edges]  # (nt, 3)
-    ranks = rank[mesh.tri_edges]
-    # the interior edges of one triangle are pairwise adjacent
-    a, b = np.nonzero(~np.eye(3, dtype=bool))
+        return np.arange(nu - 1)
+    inner = unit_edges >= 0
+    # the top edges of one unit are pairwise adjacent
+    a, b = np.nonzero(~np.eye(w, dtype=bool))
     pair = inner[:, a] & inner[:, b]
-    position = minimum_degree(ranks[:, a][pair], ranks[:, b][pair], n_edges)
-    # multiplier r n_edges moments + i moments + k sits on interior edge i
-    key_mult = np.tile(2 * np.repeat(position, moments), 2)
-    last = np.where(inner, position[ranks], -1).max(axis=1)[:-1]
+    position = minimum_degree(unit_edges[:, a][pair], unit_edges[:, b][pair], n_edges)
+    key_mult = np.tile(2 * np.repeat(position, count), 2)
+    last = np.where(inner, position[unit_edges], -1).max(axis=1)[:-1]
     key_c = 2 * np.where(last >= 0, last, n_edges) + 1
     key = np.concatenate([key_mult, key_c])
     order = np.argsort(key * key.size + np.arange(key.size))  # ties go by index
@@ -544,11 +591,11 @@ def _elimination_order(mesh: Mesh, interior: np.ndarray, moments: int) -> np.nda
 
 
 _QUAD_DEGREE = 4  # exactness of the rule the data b, c and f are projected in
-_TOP_EDGE_MULTIPLIERS = 8  # most multipliers per edge and row on the top mesh
+_TOP_EDGE_MULTIPLIERS = 8  # most multipliers per edge and row of a condensed parent
 
 
 def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem:
-    """Assemble the element blocks, condense them up the hierarchy, and form the top system.
+    """Assemble the element blocks, condense them through the red groups, and form the top system.
 
     Parameters
     ----------
@@ -587,14 +634,19 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
     lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
     blocks = _element_condensed(el, ids, el.load - lam * el.trace)
     steps, sizes = [], [_condensed_size(blocks)]
-    top = mesh
-    for depth in range(1, _condensation_depth(mesh, space.moments) + 1):
-        blocks, step = _condense_step(blocks, depth)
+    units, q = mesh.triangles, space.moments
+    while 2 * q <= _TOP_EDGE_MULTIPLIERS:
+        starts = red_groups(units)
+        if starts.size == 0:
+            break
+        blocks, step = _condense_step(blocks, starts, len(steps) + 1)
         steps.append(step)
         sizes.append(_condensed_size(blocks))
-        top = top.coarse
+        if 4 * starts.size < len(units):  # the padded blocks left alone end the condensation
+            break
+        units, q = units[starts[:, None] + np.arange(3), 0], 2 * q
     # the nonzero entries of the top blocks on live unknowns, at every depth
-    index, size = _numbering(top, blocks.ids)
+    index, size = _numbering(blocks.ids, space.moments)
     inside = index < size
     keep = (blocks.block != 0) & inside[:, :, None] & inside[:, None, :]
     rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
@@ -663,9 +715,9 @@ def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSol
     The bordered system is solved by hybridization (see the module
     docstring): the multiplier has a closed form, and the system on the
     interior edge multipliers and one c_K per element is condensed further
-    up the uniform refinement hierarchy of `mesh`, if it has one.
-    SuperLU factors only the top system, in the minimum-degree edge order
-    of the top mesh with diagonal pivots; the levels below it and then
+    through the red groups of `mesh`, if it has any.  SuperLU factors
+    only the top system, in the minimum-degree order of its edges with
+    diagonal pivots; the levels below it and then
     each element's (sigma_K, u_K) follow by back-substitution.
     ``spaces.apply_trace_correction`` then restores the zero trace mean
     of the assembled sigma.  The reported residual is that of the full

@@ -9,15 +9,19 @@ uniform quad-refinement keeps each region an exactly uniform sub-grid
 
 Adaptive refinement is red-green: marked triangles are split into four
 similar children (red), and hanging nodes are removed either by propagating
-red splits or by a single bisection (green).  Green pairs are recorded and
-are coalesced back into their parent before that parent is refined again,
-which keeps the shape regularity of the hierarchy bounded.  Refinement is
-array code over int64 edge keys (``lo * 2**32 + hi``, the same keys that
-number the edges of every mesh), run in passes: coalesce the green pairs,
-seed red, sweep the closure, emit the children, then audit the children
-for an edge whose midpoint is already a vertex, which a split on the
-hidden half-edge of a coalesced pair leaves behind; any such edge sends
-the result through one more pass.
+red splits or by a single bisection (green).  Both refinements write the
+four children of a red split as consecutive rows, the middle child last,
+and a later refinement copies untouched rows in order, so
+:func:`red_groups` reads the red groups back off the triangle array; a
+mesh rebuilt or reloaded from its rows keeps them.  Green pairs are
+recorded and are coalesced back into their parent before that parent is
+refined again, which keeps the shape regularity of the hierarchy
+bounded.  Refinement is array code over int64 edge keys (``lo * 2**32 +
+hi``, the same keys that number the edges of every mesh), run in passes:
+coalesce the green pairs, seed red, sweep the closure, emit the
+children, then audit the children for an edge whose midpoint is already
+a vertex, which a split on the hidden half-edge of a coalesced pair
+leaves behind; any such edge sends the result through one more pass.
 
 Treat ``Mesh`` instances as immutable; all operations return new meshes.
 :func:`build_mesh` stores read-only arrays, so the per-cell and per-edge
@@ -27,7 +31,6 @@ offsets, edge lengths and normals) cannot go stale.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -44,6 +47,7 @@ __all__ = [
     "load_mesh",
     "is_piecewise_uniform",
     "group_rows",
+    "red_groups",
 ]
 
 
@@ -75,11 +79,6 @@ class Mesh:
         Coarse-patch tag, inherited under refinement.
     green_pairs : ndarray, shape (ng, 2)
         Triangle index pairs created by green (bisection) closure.
-    coarse : Mesh or None
-        The mesh this one was uniformly refined from
-        (:func:`uniform_quad_refine`): the children of its triangle P are
-        triangles 4P..4P+3, the last one the middle child.  None for a
-        mesh built any other way.
     """
 
     vertices: np.ndarray
@@ -90,7 +89,6 @@ class Mesh:
     boundary_edges: np.ndarray
     region: np.ndarray
     green_pairs: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
-    coarse: Optional["Mesh"] = field(default=None, repr=False)
 
     @property
     def nv(self) -> int:
@@ -353,7 +351,7 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     if np.any(counts > 2):
         bad = int(np.argmax(counts))
         raise ValueError(
-            f"nonconforming mesh: edge {tuple(edges[bad])} shared by {counts[bad]} triangles"
+            f"nonconforming mesh: edge {tuple(int(i) for i in edges[bad])} shared by {counts[bad]} triangles"
         )
     boundary_edges = np.flatnonzero(counts == 1)
     hanging = _hanging_boundary_vertex(vertices, edges[boundary_edges])
@@ -419,6 +417,25 @@ def _red_children(tris: np.ndarray, mids: np.ndarray) -> np.ndarray:
     return np.hstack([tris, mids])[:, _RED_CHILDREN]
 
 
+def red_groups(triangles) -> np.ndarray:
+    """First row of every red group of `triangles`, ascending.
+
+    A red group is four consecutive rows in the :data:`_RED_CHILDREN`
+    layout: corner child k starts at vertex k of the parent (a, b, c),
+    and the middle child, last, shares its edge k with corner child k,
+    whose other two vertices are that edge's ends.  So the parent of the
+    group at row i is ``triangles[i:i + 3, 0]``.  Two groups never overlap
+    in a conforming mesh, since each edge of a middle child has one other
+    side.
+    """
+    tris = np.asarray(triangles)
+    n = max(len(tris) - 3, 0)
+    match = np.ones(n, dtype=bool)
+    for k in range(3):
+        match &= np.all(tris[k : k + n, 1:] == tris[3 : 3 + n, _RED_CHILDREN[k, 1:] - 3], axis=1)
+    return np.flatnonzero(match)
+
+
 def _update(keys, values, new_keys, new_values):
     """Sorted key/value arrays with `new_keys` added; a new value wins."""
     keys, first = np.unique(np.concatenate([new_keys, keys]), return_index=True)
@@ -430,15 +447,14 @@ def uniform_quad_refine(mesh: Mesh) -> Mesh:
 
     Midpoints are created once per edge, so children of neighbouring
     triangles share vertices bit-exactly and the result is conforming.
-    The children of triangle P are triangles 4P..4P+3, and the result
-    records `mesh` as its ``coarse`` mesh.
+    The children of triangle P are the red group at rows 4P..4P+3
+    (:func:`red_groups`), and ``mesh.vertices`` is a prefix of the
+    result's vertices.
     """
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     children = _red_children(mesh.triangles, mesh.nv + mesh.tri_edges)
     region = np.repeat(mesh.region, 4)
-    refined = build_mesh(np.vstack([mesh.vertices, mids]), children.reshape(-1, 3), region)
-    refined.coarse = mesh
-    return refined
+    return build_mesh(np.vstack([mesh.vertices, mids]), children.reshape(-1, 3), region)
 
 
 def _coalesce_green(vertices: np.ndarray, triangles: np.ndarray, region: np.ndarray, green_pairs: np.ndarray):

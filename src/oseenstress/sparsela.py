@@ -180,6 +180,9 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray):
     preferring the diagonal pivot unless it is below 0.01 times the
     largest entry of its column.  This suits a structurally symmetric
     matrix numbered so that its nonzero pivots stay on the diagonal.
+    Supernodes are not relaxed and panels are one column wide: on the
+    adaptive top systems that factors faster and in less memory, and
+    on the uniform ones it is neutral.
 
     Returns ``(x, residual)`` with the :func:`relative_residual` of `x`
     in the original, unscaled system, which is at most :data:`RTOL`.
@@ -200,7 +203,12 @@ def lu_solve(matrix: CsrMatrix, rhs: np.ndarray):
     try:
         a, row_scale, col_scale = _equilibrated(matrix)
         lu = scipy.sparse.linalg.splu(
-            a, permc_spec="NATURAL", diag_pivot_thresh=0.01, options={"SymmetricMode": True}
+            a,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.01,
+            relax=1,
+            panel_size=1,
+            options={"SymmetricMode": True},
         )
         x = col_scale * lu.solve(row_scale * rhs)
     except MemoryError as exc:

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse.linalg
 
-from oseenstress.mesh import Mesh, build_mesh, make_square_piecewise_uniform
+from oseenstress.mesh import Mesh, build_mesh, make_square_piecewise_uniform, red_groups
 from oseenstress.problems import ProblemSpec
 from oseenstress.sparsela import RTOL, CsrMatrix, relative_residual
 
@@ -15,8 +15,13 @@ def two_triangle_square() -> Mesh:
 
 
 def without_hierarchy(mesh: Mesh) -> Mesh:
-    """The same triangulation rebuilt without its coarse meshes, so it is solved on one level."""
-    return build_mesh(mesh.vertices, mesh.triangles, mesh.region)
+    """The same triangles, each row's vertices rotated, so no rows form a red group and it is solved on one level.
+
+    The triangles keep their rows, so the velocities of the two meshes compare entry by entry.
+    """
+    rotated = build_mesh(mesh.vertices, np.roll(mesh.triangles, 1, axis=1), mesh.region)
+    assert red_groups(rotated.triangles).size == 0
+    return rotated
 
 
 def find_tjunctions(mesh: Mesh):

@@ -14,7 +14,7 @@ from oseenstress import adaptive, assembly
 from oseenstress.adaptive import adaptive_solve
 from oseenstress.assembly import assemble, solve_oseen
 from oseenstress.errors import supercloseness
-from oseenstress.mesh import make_square_piecewise_uniform, uniform_quad_refine
+from oseenstress.mesh import build_mesh, load_mesh, make_square_piecewise_uniform, red_groups, save_mesh, uniform_quad_refine
 from oseenstress.problems import ProblemSpec, get_problem
 from oseenstress.sparsela import SingularMatrixError, SolverMemoryError, lu_solve
 from oseenstress.spaces import (
@@ -460,7 +460,7 @@ CONDENSED_CASES = pytest.mark.parametrize(
     [
         ("rt0", lambda: without_hierarchy(make_square_piecewise_uniform(2))),
         ("bdm1", lambda: without_hierarchy(make_square_piecewise_uniform(2))),
-        ("rt0", _adapted("p2", 3)),
+        ("rt0", lambda: without_hierarchy(_adapted("p2", 3)())),
         ("bdm1", lambda: two_triangle_square()),
     ],
     ids=["rt0-square", "bdm1-square", "rt0-p2-adapted", "bdm1-two-triangles"],
@@ -585,10 +585,8 @@ def test_linear_system_records_every_level(kind, moments, depth):
     system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
     assert system.depth == len(system.steps) == depth
     assert len(system.sizes) == depth + 1 and system.sizes[-1] == system.matrix.n
-    top = mesh
     for level, size in enumerate(system.sizes):
-        if level:
-            top = top.coarse
+        top = make_square_piecewise_uniform(4 - level)  # the parents of the red groups at `level`
         interior = top.ne - top.boundary_edges.size
         assert size == 2 * interior * (moments << level) + top.nt - 1
     # the top unknowns in the edge order of the top mesh: the multipliers
@@ -655,26 +653,86 @@ def test_a_mesh_without_hierarchy_is_depth_zero():
     single = without_hierarchy(mesh)
     flat = assemble(get_problem("p1"), single, build_space(single, "rt0"))
     assert flat.depth == 0 and flat.steps == () and flat.sizes == (flat.matrix.n,)
-    assert assemble(get_problem("p1"), mesh.coarse, build_space(mesh.coarse, "rt0")).depth == 1
+    coarse = make_square_piecewise_uniform(1)
+    assert assemble(get_problem("p1"), coarse, build_space(coarse, "rt0")).depth == 1
 
 
-@pytest.mark.parametrize("kind, level", [("rt0", 4), ("bdm1", 3)])
-def test_top_system_has_less_fill_than_the_single_level_system(kind, level, monkeypatch):
-    fills = []
+@pytest.mark.parametrize(
+    "name, kind, make_mesh, fill, pivots",
+    [
+        pytest.param("p1", "rt0", lambda: make_square_piecewise_uniform(4), 0.5, 0.25, id="rt0-4"),
+        pytest.param("p1", "bdm1", lambda: make_square_piecewise_uniform(3), 0.5, 0.25, id="bdm1-3"),
+        # condensed through its red groups, one level
+        pytest.param("p3", "rt0", _adapted("p3", 8), 0.75, 0.25, id="rt0-p3-adapted"),
+    ],
+)
+def test_top_system_has_less_fill_than_the_single_level_system(name, kind, make_mesh, fill, pivots, monkeypatch):
+    # fill and off-diagonal pivots, top system against the single-level system
+    mesh = make_mesh()
+    factors = []
     splu = scipy.sparse.linalg.splu
 
     def counting_splu(*args, **kwargs):
         lu = splu(*args, **kwargs)
-        fills.append(lu.nnz)
+        factors.append((lu.nnz, np.count_nonzero(lu.perm_r != lu.perm_c)))
         return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
-    mesh = make_square_piecewise_uniform(level)
     for each in (mesh, without_hierarchy(mesh)):
-        system = assemble(get_problem("p1"), each, build_space(each, kind))
+        system = assemble(get_problem(name), each, build_space(each, kind))
         lu_solve(system.matrix, system.rhs)
-    top, single = fills
-    assert top < 0.5 * single
+    (top, top_pivots), (single, single_pivots) = factors
+    assert top < fill * single
+    assert top_pivots <= pivots * single_pivots
+
+
+# ----------------------------------------------------------------------
+# one level of condensation through the red groups of an adaptive mesh
+# ----------------------------------------------------------------------
+
+
+def _red_green_and_alone():
+    """The crossed unit square with its bottom triangle red-split: one red group,
+    the green pairs of its two neighbours, and the top triangle alone."""
+    vertices = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [0.75, 0.25], [0.25, 0.25], [0.5, 0]]
+    red = [[0, 7, 6], [1, 5, 7], [4, 6, 5], [5, 6, 7]]  # the children of (0, 1, 4)
+    triangles = red + [[1, 2, 5], [2, 4, 5], [2, 3, 4], [3, 0, 6], [3, 6, 4]]
+    mesh = build_mesh(vertices, triangles)
+    mesh.green_pairs = np.array([[4, 5], [7, 8]])
+    return mesh
+
+
+GROUPED_CASES = {
+    "p2-adapted": ("p2", _adapted("p2", 8)),
+    "p3-adapted": ("p3", _adapted("p3", 6)),
+    "red-green-and-alone": ("p1", _red_green_and_alone),
+}
+
+
+@pytest.mark.parametrize("name", list(GROUPED_CASES))
+def test_grouped_solve_matches_the_single_level_solve(name):
+    # red groups beside green pairs and triangles left alone, condensed one
+    # level; the same triangles with no red group are the oracle
+    problem_name, make_mesh = GROUPED_CASES[name]
+    problem, mesh = get_problem(problem_name), make_mesh()
+    starts = red_groups(mesh.triangles)
+    assert 0 < 4 * starts.size < mesh.nt
+    flat = without_hierarchy(mesh)
+    system = assemble(problem, mesh, build_space(mesh, "rt0"))
+    single = assemble(problem, flat, build_space(flat, "rt0")).matrix.n
+    assert system.depth == 1 and system.sizes == (single, system.matrix.n)
+    assert system.index.shape == (mesh.nt - 3 * starts.size, 13)
+    _assert_same_solution(solve_oseen(problem, mesh), solve_oseen(problem, flat))
+
+
+def test_a_saved_and_loaded_adapted_mesh_gives_the_same_top_system(tmp_path):
+    mesh = _adapted("p3", 5)()
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    loaded = load_mesh(tmp_path / "mesh.txt")
+    systems = [assemble(get_problem("p3"), each, build_space(each, "rt0")) for each in (mesh, loaded)]
+    assert systems[0].depth == systems[1].depth == 1
+    for a, b in zip(*(dataclasses.astuple(s.matrix) + (s.rhs,) for s in systems)):
+        assert np.array_equal(a, b)
 
 
 def test_bordered_residual_check_catches_a_wrong_back_substitution(monkeypatch):
@@ -705,11 +763,11 @@ def test_bad_group_block_raises_singular_matrix_error_naming_depth_and_parent(de
     # condenses them; never numpy's LinAlgError
     step = assembly._condense_step
 
-    def doctored(blocks, at):
+    def doctored(blocks, starts, at):
         if at == depth:
             blocks = dataclasses.replace(blocks, block=blocks.block.copy())
             doctor(blocks.block[20:24])
-        return step(blocks, at)
+        return step(blocks, starts, at)
 
     monkeypatch.setattr(assembly, "_condense_step", doctored)
     with pytest.raises(SingularMatrixError, match=f"depth {depth}: the group block of parent 5 is {defect}"):

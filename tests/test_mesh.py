@@ -14,6 +14,7 @@ from oseenstress.mesh import (
     make_square_piecewise_uniform,
     mesh_stats,
     is_piecewise_uniform,
+    red_groups,
     refine_marked,
     save_mesh,
     uniform_quad_refine,
@@ -144,10 +145,11 @@ def test_build_mesh_validation():
         build_mesh(verts, np.array([[0, 1, 7]]))
     with pytest.raises(ValueError):
         build_mesh(verts, np.array([[0, 1, 1]]))  # degenerate triangle
-    with pytest.raises(ValueError, match="nonconforming"):
+    with pytest.raises(ValueError, match=r"nonconforming mesh: edge \(0, 1\) shared by 3 triangles") as info:
         # Three triangles sharing one edge cannot be a planar 2-manifold.
         v5 = np.vstack([verts, [[0.5, -1.0]]])
         build_mesh(v5, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+    assert "np." not in str(info.value)
     with pytest.raises(ValueError):
         build_mesh(verts, tris, region=np.zeros(5, dtype=int))
     with pytest.raises(ValueError, match=r"folded mesh: both triangles of edge \(0, 1\)"):
@@ -425,11 +427,15 @@ def test_find_tjunctions_detects_constructed_one():
 
 
 @pytest.mark.parametrize("make", [make_square_piecewise_uniform, make_lshape_mesh, two_triangle_square])
-def test_uniform_quad_refine_numbers_the_children_of_p_at_4p_and_records_the_coarse_mesh(make):
+def test_uniform_quad_refine_writes_the_children_of_p_as_the_red_group_at_4p(make):
     coarse = make()
     fine = uniform_quad_refine(coarse)
-    assert coarse.coarse is None and fine.coarse is coarse
-    assert uniform_quad_refine(fine).coarse.coarse is coarse
+    assert red_groups(coarse.triangles).size == 0
+    assert np.array_equal(red_groups(fine.triangles), 4 * np.arange(coarse.nt))
+    assert np.array_equal(red_groups(uniform_quad_refine(fine).triangles), 4 * np.arange(fine.nt))
+    # the corner children start at the parent's vertices, which keep their indices
+    assert np.array_equal(fine.vertices[: coarse.nv], coarse.vertices)
+    assert np.array_equal(fine.triangles.reshape(coarse.nt, 4, 3)[:, :3, 0], coarse.triangles)
     parent = coarse.vertices[coarse.triangles]  # (nt, 3, 2)
     children = fine.vertices[fine.triangles].reshape(coarse.nt, 4, 3, 2)
     # each child lies inside its parent and covers a quarter of it
@@ -442,10 +448,26 @@ def test_uniform_quad_refine_numbers_the_children_of_p_at_4p_and_records_the_coa
     assert np.array_equal(children[:, 3], mids)
 
 
-def test_built_loaded_and_adapted_meshes_carry_no_hierarchy(tmp_path):
+def _group_rows(mesh):
+    """The rows of every red group of `mesh`, as a set of tuples."""
+    return {tuple(mesh.triangles[g : g + 4].ravel().tolist()) for g in red_groups(mesh.triangles)}
+
+
+def test_built_loaded_and_adapted_meshes_keep_their_red_groups(tmp_path):
+    # the groups live in the rows, so every mesh made from the rows has them
     fine = uniform_quad_refine(make_square_piecewise_uniform())
-    assert build_mesh(fine.vertices, fine.triangles, fine.region).coarse is None
+    groups = _group_rows(fine)
+    assert len(groups) == fine.nt // 4
+    assert _group_rows(build_mesh(fine.vertices, fine.triangles, fine.region)) == groups
     save_mesh(fine, tmp_path / "mesh.txt")
-    assert load_mesh(tmp_path / "mesh.txt").coarse is None
-    assert refine_marked(fine, [0]).coarse is None
-    assert refine_marked(fine, np.arange(fine.nt)).coarse is None
+    assert _group_rows(load_mesh(tmp_path / "mesh.txt")) == groups
+    assert _group_rows(refine_marked(fine, [])) == groups
+    # a red split is written as a group, and the groups no refinement touched are carried
+    once = refine_marked(fine, [0])
+    rows = {tuple(t) for t in once.triangles.tolist()}
+    carried = {g for g in groups if all(tuple(t) in rows for t in np.reshape(g, (4, 3)).tolist())}
+    split = tuple(once.triangles[:4].ravel().tolist())
+    assert 0 < len(carried) < len(groups) and _group_rows(once) == carried | {split}
+    assert np.array_equal(once.triangles[:3, 0], fine.triangles[0])
+    everywhere = refine_marked(fine, np.arange(fine.nt))
+    assert np.array_equal(red_groups(everywhere.triangles), 4 * np.arange(fine.nt))
