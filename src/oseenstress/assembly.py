@@ -95,6 +95,17 @@ by SuperLU; each level keeps its solved group blocks, and the
 back-substitution runs from the top down.  A mesh without red groups is
 condensed once, on its own triangles.  At every depth SuperLU gets the
 nonzero entries of the top blocks on live unknowns.
+
+The condensation holds one chunk of the mesh at a time.  The red groups
+of every level are read off the triangles first.  Then runs of about
+``_CHUNK`` = 2048 fine triangles, each made of whole top units, go from
+their element blocks through every level to their top blocks, which
+are written, with each level's solved group blocks and maps, into
+arrays allocated once at full size.  So beside what the solve keeps
+(the element blocks, every level's solved group blocks and the top
+system) the assembly holds the dense blocks of one chunk, not those of
+a whole level.  The top blocks are freed before the CSR conversion,
+whose int32 indices are passed on to SuperLU without a copy.
 """
 
 import warnings
@@ -206,7 +217,7 @@ class LinearSystem:
     multiplier: float
     space: HdivSpace
     elements: ElementBlocks
-    index: np.ndarray  # (nu, s) condensed index of each top unknown; matrix.n where none
+    index: np.ndarray  # (nu, s) int32 condensed index of each top unknown; matrix.n where none
     steps: tuple  # the CondensationStep of every level, finest first
     sizes: tuple
 
@@ -257,7 +268,7 @@ def _dirichlet_load(problem: ProblemSpec, space: HdivSpace):
     return load.reshape(2, -1), scale
 
 
-def _checked_solve(a: np.ndarray, b: np.ndarray, name: str, inputs=()) -> np.ndarray:
+def _checked_solve(a: np.ndarray, b: np.ndarray, name: str, inputs=(), first: int = 0) -> np.ndarray:
     """Solve every dense block ``a[k] x = b[k]``.
 
     Raises
@@ -266,18 +277,19 @@ def _checked_solve(a: np.ndarray, b: np.ndarray, name: str, inputs=()) -> np.nda
         ``"{name} k is not finite"`` if block k of `a`, `b` or the
         `inputs` they were taken from has a non-finite entry, else ``"{name}
         k is singular"`` if a[k] is singular or gives a non-finite solution,
-        for the first such k; never numpy's ``LinAlgError``.
+        for the first such k, counted from `first`; never numpy's
+        ``LinAlgError``.
     """
-    finite = np.all([np.isfinite(array).reshape(len(a), -1).all(axis=1) for array in (a, b, *inputs)], axis=0)
+    finite = np.all([np.isfinite(array).all(axis=tuple(range(1, array.ndim))) for array in (a, b, *inputs)], axis=0)
     if not finite.all():
-        raise SingularMatrixError(f"{name} {np.argmin(finite)} is not finite")
+        raise SingularMatrixError(f"{name} {first + np.argmin(finite)} is not finite")
     try:
         x = np.linalg.solve(a, b)
         regular = np.all(np.isfinite(x), axis=(1, 2))
     except np.linalg.LinAlgError:
         regular = np.linalg.slogdet(a)[0] != 0
     if not regular.all():
-        raise SingularMatrixError(f"{name} {np.argmin(regular)} is singular")
+        raise SingularMatrixError(f"{name} {first + np.argmin(regular)} is singular")
     return x
 
 
@@ -374,23 +386,24 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichle
     ), ids
 
 
-def _element_condensed(el: ElementBlocks, ids: np.ndarray, local: np.ndarray):
-    """The condensed blocks of the elements, with multiplier `ids`, for local right-hand sides `local` (nt, m).
+def _element_condensed(el: ElementBlocks, ids: np.ndarray, local: np.ndarray, rows: slice):
+    """The condensed blocks of the elements in `rows`, with multiplier `ids`, for local right-hand sides `local` (nt, m).
 
     Each element's block on its multipliers and c_K is ``[[S G_K S, -S z_K],
     [z_K^T S, 0]]`` with S = diag(sign); its right-hand side is the jump
     ``S G_K local_K`` of the local solution, then ``z_K^T local_K``.  G_K
     is zero on the pinned row and column, and the c_K-c_K entry is zero.
     """
-    nt, ns = el.sign.shape
-    zs = el.kernel[:, :ns] * el.sign
+    sign, kernel, inverse, local = el.sign[rows], el.kernel[rows], el.inverse[rows], local[rows]
+    nt, ns = sign.shape
+    zs = kernel[:, :ns] * sign
     block = np.zeros((nt, ns + 1, ns + 1))
-    block[:, :ns, :ns] = el.inverse[:, :ns, :ns] * el.sign[:, :, None] * el.sign[:, None, :]
+    block[:, :ns, :ns] = inverse[:, :ns, :ns] * sign[:, :, None] * sign[:, None, :]
     block[:, :ns, ns] = -zs
     block[:, ns, :ns] = zs
-    solved = (el.inverse[:, :ns] @ local[:, :, None])[:, :, 0]
-    rhs = np.concatenate([el.sign * solved, np.sum(el.kernel * local, axis=1)[:, None]], axis=1)
-    return CondensedBlocks(block=block, rhs=rhs, ids=ids)
+    solved = (inverse[:, :ns] @ local[:, :, None])[:, :, 0]
+    rhs = np.concatenate([sign * solved, np.sum(kernel * local, axis=1)[:, None]], axis=1)
+    return CondensedBlocks(block=block, rhs=rhs, ids=ids[rows])
 
 
 def _red_slots(q: int, fine: int) -> np.ndarray:
@@ -446,50 +459,60 @@ def _summed(children: np.ndarray, target: np.ndarray, size: int) -> np.ndarray:
     return summed
 
 
-def _condense_step(blocks: CondensedBlocks, starts: np.ndarray, depth: int):
+def _level_slots(q: int, depth: int) -> np.ndarray:
+    """The ``CondensationStep.slots`` (5, 6 q + 1) at `depth`: the four children of a red group, then a block alone."""
+    s = 6 * q + 1
+    # a block alone: its slot t of edge t // q goes to the first half of that edge, c to c
+    return np.vstack([_red_slots(q, 1 << (depth - 1)), np.arange(s) + np.arange(s) // q * q])
+
+
+def _condense_step(blocks: CondensedBlocks, starts: np.ndarray, depth: int, first: int):
     """Condense every red group into its parent's block, and pad every other block to that size.
 
     `starts` holds the first block of each red group
-    (:func:`~oseenstress.mesh.red_groups`).  The four children's blocks
-    are summed into one dense group block; the multipliers inside the
-    parent and three c are eliminated in one batched solve, and the Schur
-    complement on the rest is the parent's block.  Every other block is
-    its own unit and passes up unchanged, the slots of each edge in the
-    first half of the parent-sized edge.  The units keep the order of
-    their first block.  Returns the units' ``CondensedBlocks`` and the
-    ``CondensationStep`` that recovers the blocks' unknowns.
+    (:func:`~oseenstress.mesh.red_groups`), possibly none.  The four
+    children's blocks are summed into one dense group block; the
+    multipliers inside the parent and three c are eliminated in one
+    batched solve, and the Schur complement on the rest is the parent's
+    block.  Every other block is its own unit and passes up unchanged, the
+    slots of each edge in the first half of the parent-sized edge.  The
+    units keep the order of their first block.  Returns the units'
+    ``CondensedBlocks`` and the ``CondensationStep`` that recovers the
+    blocks' unknowns.
 
     Raises
     ------
     SingularMatrixError
         Naming `depth` and the parent, the red group's index among the
-        groups of this level, if a group block or its right-hand side is
-        not finite, or its eliminated block is singular.
+        groups of this level, which `first` is for the first group here,
+        if a group block or its right-hand side is not finite, or its
+        eliminated block is singular.
     """
     n, s = blocks.rhs.shape
     q = (s - 1) // 6
     kept = 12 * q + 1
     size = 18 * q + 4
+    ng = len(starts)
     members = starts[:, None] + np.arange(4)
     member = np.full(n, 4, dtype=np.int8)
     member[members] = np.arange(4)
     alone = member == 4
     unit = np.cumsum(member % 4 == 0) - 1
     groups = unit[starts]
-    red = _red_slots(q, 1 << (depth - 1))
-    # a block alone: its slot t of edge t // q goes to the first half of that edge, c to c
-    slots = np.vstack([red, np.arange(s) + np.arange(s) // q * q])
+    slots = _level_slots(q, depth)
+    red = slots[:4]
     slot = slots[member]
 
     rows = members if alone.any() else slice(None)  # every block grouped: group k is blocks 4k..4k+3, in place
     pairs = (red[:, :, None] * size + red[:, None, :]).ravel()
-    group = _summed(blocks.block[rows].reshape(len(starts), -1), pairs, size * size).reshape(-1, size, size)
-    rhs = _summed(blocks.rhs[rows].reshape(len(starts), -1), red.ravel(), size)
+    group = _summed(blocks.block[rows].reshape(ng, 4 * s * s), pairs, size * size).reshape(ng, size, size)
+    rhs = _summed(blocks.rhs[rows].reshape(ng, 4 * s), red.ravel(), size)
     solved = _checked_solve(
         group[:, kept:, kept:],
         np.concatenate([group[:, kept:, :kept], rhs[:, kept:, None]], axis=2),
         f"condensation at depth {depth}: the group block of parent",
         inputs=(group, rhs),
+        first=first,
     )
     coupling = group[:, :kept, kept:]
     schur = group[:, :kept, :kept] - coupling @ solved[:, :, :kept]
@@ -556,7 +579,7 @@ def _numbering(ids: np.ndarray, moments: int):
     n_mult = 2 * int(count.sum())
     size = n_mult + nu - 1
     position = np.append(_elimination_order(unit_edges, count), size)
-    index = np.full((nu, width + 1), size)
+    index = np.full((nu, width + 1), size, dtype=np.int32)
     index[:, :-1][live] = position[unknown[ids[live]]]
     index[:, -1] = position[n_mult + np.arange(nu)]
     return index, size
@@ -592,10 +615,98 @@ def _elimination_order(unit_edges: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 _QUAD_DEGREE = 4  # exactness of the rule the data b, c and f are projected in
 _TOP_EDGE_MULTIPLIERS = 8  # most multipliers per edge and row of a condensed parent
+_CHUNK = 2048  # fine triangles condensed at a time, up to the next top unit
+
+
+def _hierarchy(triangles: np.ndarray, q: int) -> list:
+    """The red-group starts of every level that is condensed, finest first.
+
+    Each level's units are the parents of the groups below, read off the
+    triangles, and the levels go on while the last one left no block alone
+    and the parents' edges carry at most 8 multipliers per row.
+    """
+    levels = []
+    while 2 * q <= _TOP_EDGE_MULTIPLIERS:
+        starts = red_groups(triangles)
+        if starts.size == 0:
+            break
+        levels.append(starts)
+        if 4 * starts.size < len(triangles):  # the padded blocks left alone end the condensation
+            break
+        triangles, q = triangles[starts[:, None] + np.arange(3), 0], 2 * q
+    return levels
+
+
+def _chunks(levels: list, nt: int) -> np.ndarray:
+    """Bounds of the fine-row chunks: row 0, then every :data:`_CHUNK` rows the start of the next top unit.
+
+    Every level below the last groups all its blocks, so block i of the
+    last level is fine rows ``i 4^(d-1)`` on, and a top unit starts at each
+    such block but the three after a group's first.  A chunk so holds
+    whole units on every level.
+    """
+    shift = 2 * max(len(levels) - 1, 0)
+    start = np.ones((nt >> shift) + 1, dtype=bool)  # the end of the mesh last
+    if levels:
+        start[levels[-1][:, None] + np.arange(1, 4)] = False
+    cuts = np.flatnonzero(start) << shift
+    return np.unique(cuts[np.searchsorted(cuts, np.append(np.arange(0, nt, _CHUNK), nt))])
+
+
+def _condense(el: ElementBlocks, ids: np.ndarray, local: np.ndarray, levels: list):
+    """Condense the element blocks through the red groups of `levels` (:func:`_hierarchy`), chunk by chunk.
+
+    Each chunk of :func:`_chunks` goes from its element blocks
+    (:func:`_element_condensed`, with multiplier `ids` and local
+    right-hand sides `local`) through every level to its top blocks.  Each
+    level's ``CondensationStep`` and the top ``CondensedBlocks`` are
+    allocated once at full size and filled chunk by chunk, so no dense
+    block of a whole level below the top is ever held.  Returns the top
+    blocks, the steps and the condensed size of every level, finest first.
+    """
+    nt, ns = el.sign.shape
+    steps, units, q = [], [nt], ns // 6
+    for depth, starts in enumerate(levels, 1):
+        n, ng = units[-1], starts.size
+        steps.append(
+            CondensationStep(
+                unit=np.empty(n, dtype=np.int64),
+                member=np.empty(n, dtype=np.int8),
+                slots=_level_slots(q, depth),
+                groups=np.empty(ng, dtype=np.int64),
+                solved=np.empty((ng, 6 * q + 3, 12 * q + 2)),
+            )
+        )
+        units.append(n - 3 * ng)
+        q *= 2
+    nu, s = units[-1], 6 * q + 1
+    top = CondensedBlocks(block=np.empty((nu, s, s)), rhs=np.empty((nu, s)), ids=np.empty((nu, s - 1), dtype=np.int64))
+    live = np.zeros(len(units), dtype=np.int64)  # live multiplier slots of every level
+    bounds = _chunks(levels, nt)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        blocks = _element_condensed(el, ids, local, slice(lo, hi))
+        for depth, (starts, step) in enumerate(zip(levels, steps), 1):
+            live[depth - 1] += np.count_nonzero(blocks.ids >= 0)
+            first, last = np.searchsorted(starts, [lo, hi])
+            blocks, part = _condense_step(blocks, starts[first:last] - lo, depth, first)
+            above = lo - 3 * first  # the chunk's first unit on the level above
+            step.unit[lo:hi] = part.unit + above
+            step.member[lo:hi] = part.member
+            step.groups[first:last] = part.groups + above
+            step.solved[first:last] = part.solved
+            lo, hi = above, hi - 3 * last
+        live[-1] += np.count_nonzero(blocks.ids >= 0)
+        top.block[lo:hi], top.rhs[lo:hi], top.ids[lo:hi] = blocks.block, blocks.rhs, blocks.ids
+    # every live multiplier on its two sides, and c but one
+    return top, tuple(steps), tuple(int(count) // 2 + n - 1 for count, n in zip(live, units))
 
 
 def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem:
     """Assemble the element blocks, condense them through the red groups, and form the top system.
+
+    The red groups of every level are read off the triangles first, and the
+    condensation then runs chunk by chunk (:func:`_condense`).  The top
+    blocks are freed before the CSR conversion.
 
     Parameters
     ----------
@@ -632,40 +743,26 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
             stacklevel=2,
         )
     lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
-    blocks = _element_condensed(el, ids, el.load - lam * el.trace)
-    steps, sizes = [], [_condensed_size(blocks)]
-    units, q = mesh.triangles, space.moments
-    while 2 * q <= _TOP_EDGE_MULTIPLIERS:
-        starts = red_groups(units)
-        if starts.size == 0:
-            break
-        blocks, step = _condense_step(blocks, starts, len(steps) + 1)
-        steps.append(step)
-        sizes.append(_condensed_size(blocks))
-        if 4 * starts.size < len(units):  # the padded blocks left alone end the condensation
-            break
-        units, q = units[starts[:, None] + np.arange(3), 0], 2 * q
+    top, steps, sizes = _condense(el, ids, el.load - lam * el.trace, _hierarchy(mesh.triangles, space.moments))
     # the nonzero entries of the top blocks on live unknowns, at every depth
-    index, size = _numbering(blocks.ids, space.moments)
+    index, size = _numbering(top.ids, space.moments)
     inside = index < size
-    keep = (blocks.block != 0) & inside[:, :, None] & inside[:, None, :]
+    keep = (top.block != 0) & inside[:, :, None] & inside[:, None, :]
     rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
     cols = np.broadcast_to(index[:, None, :], keep.shape)[keep]
+    values = top.block[keep]
+    rhs = np.bincount(index.ravel(), weights=top.rhs.ravel(), minlength=size + 1)[:-1]
+    del top, keep
     return LinearSystem(
-        matrix=to_csr(rows, cols, blocks.block[keep], size),
-        rhs=np.bincount(index.ravel(), weights=blocks.rhs.ravel(), minlength=size + 1)[:-1],
+        matrix=to_csr(rows, cols, values, size),
+        rhs=rhs,
         multiplier=float(lam),
         space=space,
         elements=el,
         index=index,
-        steps=tuple(steps),
-        sizes=tuple(sizes),
+        steps=steps,
+        sizes=sizes,
     )
-
-
-def _condensed_size(blocks: CondensedBlocks) -> int:
-    """Unknowns of the condensed system of `blocks`: every live multiplier, on two sides, and c but one."""
-    return int(np.count_nonzero(blocks.ids >= 0)) // 2 + len(blocks.ids) - 1
 
 
 def _owned_copies(el: ElementBlocks) -> np.ndarray:

@@ -53,6 +53,8 @@ class CsrMatrix:
 
     Column indices within each row are strictly increasing; duplicate
     triplets have been summed.  Explicitly inserted zeros are retained.
+    `indptr` and `indices` keep the integer dtype scipy gave them, int32
+    while the entries fit it.
     """
 
     n: int
@@ -66,13 +68,8 @@ class CsrMatrix:
 
     @classmethod
     def from_scipy(cls, csr: scipy.sparse.csr_matrix) -> "CsrMatrix":
-        """Wrap a square scipy CSR matrix whose indices are sorted."""
-        return cls(
-            n=csr.shape[0],
-            indptr=np.asarray(csr.indptr, dtype=np.int64),
-            indices=np.asarray(csr.indices, dtype=np.int64),
-            data=np.asarray(csr.data, dtype=np.float64),
-        )
+        """Wrap a square scipy CSR matrix whose indices are sorted, without copying its index arrays."""
+        return cls(n=csr.shape[0], indptr=csr.indptr, indices=csr.indices, data=np.asarray(csr.data, dtype=np.float64))
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         return scipy.sparse.csr_matrix(

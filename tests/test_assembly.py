@@ -1,6 +1,7 @@
 """Saddle-point assembly and the direct Oseen solve."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -759,16 +760,113 @@ def _nan_kept(block):
 @pytest.mark.parametrize("doctor, defect", [(_nan, "not finite"), (_zero, "singular"), (_nan_kept, "not finite")])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_bad_group_block_raises_singular_matrix_error_naming_depth_and_parent(depth, doctor, defect, monkeypatch):
-    # the children 20..23 of parent 5 are doctored before the step that
-    # condenses them; never numpy's LinAlgError
+    # the four children of parent 5 are doctored before the step that
+    # condenses them; never numpy's LinAlgError.  With chunks of 64 fine
+    # triangles (one top unit each), parent 5 lies in a later chunk at
+    # depths 2 and 3, and the message still counts it over the whole level
     step = assembly._condense_step
+    firsts = []
 
-    def doctored(blocks, starts, at):
-        if at == depth:
+    def doctored(blocks, starts, at, first):
+        if at == depth and first <= 5 < first + len(starts):
+            firsts.append(first)
             blocks = dataclasses.replace(blocks, block=blocks.block.copy())
-            doctor(blocks.block[20:24])
-        return step(blocks, starts, at)
+            doctor(blocks.block[starts[5 - first] : starts[5 - first] + 4])
+        return step(blocks, starts, at, first)
 
     monkeypatch.setattr(assembly, "_condense_step", doctored)
-    with pytest.raises(SingularMatrixError, match=f"depth {depth}: the group block of parent 5 is {defect}"):
-        solve_oseen(get_problem("p1"), make_square_piecewise_uniform(3))
+    for chunk in (assembly._CHUNK, 64):
+        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+        with pytest.raises(SingularMatrixError, match=f"depth {depth}: the group block of parent 5 is {defect}"):
+            solve_oseen(get_problem("p1"), make_square_piecewise_uniform(3))
+    # the first group of parent 5's chunk: one chunk, then one per top unit of 4 ** (3 - depth) groups
+    assert firsts == [0, {1: 0, 2: 4, 3: 5}[depth]]
+
+
+# ----------------------------------------------------------------------
+# condensation in chunks of top units
+# ----------------------------------------------------------------------
+
+
+# (problem, element, mesh factory, depth)
+CHUNKED_CASES = {
+    "rt0-level3-hierarchy": ("p1", "rt0", lambda: make_square_piecewise_uniform(3), 3),
+    "bdm1-level3": ("p1", "bdm1", lambda: make_square_piecewise_uniform(3), 2),
+    "p2-adapted": ("p2", "rt0", _adapted("p2", 8), 1),
+    "no-red-group": ("p1", "bdm1", lambda: without_hierarchy(make_square_piecewise_uniform(2)), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNKED_CASES))
+def test_condensation_in_small_chunks_matches_one_chunk(name, monkeypatch):
+    # chunks of a few dozen triangles, and of one top unit each, against one
+    # chunk larger than the mesh: the same SuperLU matrix, numbering and
+    # levels, bit for bit
+    problem_name, kind, make_mesh, depth = CHUNKED_CASES[name]
+    problem, mesh = get_problem(problem_name), make_mesh()
+    space = build_space(mesh, kind)
+    levels = assembly._hierarchy(mesh.triangles, space.moments)
+    systems, bounds = [], {}
+    for chunk in (mesh.nt + 1, 40, 1):
+        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+        systems.append(assemble(problem, mesh, space))
+        bounds[chunk] = assembly._chunks(levels, mesh.nt)
+    assert len(bounds[40]) > 4 and bounds[40][0] == 0 and bounds[40][-1] == mesh.nt
+    if name == "p2-adapted":  # some chunk starts with triangles outside any group, and some holds no group
+        assert np.setdiff1d(bounds[40][:-1], red_groups(mesh.triangles)).size > 0
+        assert np.any(np.diff(np.searchsorted(levels[0], bounds[1])) == 0)
+    whole = systems[0]
+    for chunked in systems[1:]:
+        assert whole.depth == chunked.depth == depth
+        assert whole.sizes == chunked.sizes
+        assert np.array_equal(whole.index, chunked.index)
+        for a, b in zip(dataclasses.astuple(whole.matrix), dataclasses.astuple(chunked.matrix)):
+            assert np.array_equal(a, b)
+        for a, b in zip(whole.steps, chunked.steps):
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+        assert np.abs(whole.rhs - chunked.rhs).max() <= 1e-14 * np.abs(whole.rhs).max()
+        s_whole, s_chunked = assembly._solve_hybrid(whole)[0], assembly._solve_hybrid(chunked)[0]
+        assert np.abs(s_whole - s_chunked).max() <= 1e-12 * np.abs(s_whole).max()
+
+
+def _owned_bytes(obj, seen: set) -> int:
+    """Bytes of the arrays that own the data of every array in `obj`, each counted once."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sum(_owned_bytes(getattr(obj, field.name), seen) for field in dataclasses.fields(obj))
+    if isinstance(obj, tuple):
+        return sum(_owned_bytes(each, seen) for each in obj)
+    return 0
+
+
+def test_assembly_holds_its_output_and_one_chunk():
+    # the BDM1 level-4 hierarchy, 4,864 triangles in three chunks: the
+    # traced peak of `assemble` is at most the arrays it returns plus the
+    # dense blocks of one chunk, on every level its group blocks, their
+    # solved blocks and the parents' blocks; whole-level group blocks
+    # would exceed that by about 8 MB
+    mesh = make_square_piecewise_uniform(4)
+    space = build_space(mesh, "bdm1")
+    problem = get_problem("p1")
+    tracemalloc.start()
+    try:
+        system = assemble(problem, mesh, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.depth == 2 and len(assembly._chunks(assembly._hierarchy(mesh.triangles, 2), mesh.nt)) == 4
+    output = _owned_bytes((system.matrix, system.rhs, system.index, system.elements, system.steps), set())
+    q, chunk = space.moments, assembly._CHUNK
+    dense = chunk * (6 * q + 1) ** 2  # its element blocks
+    for level in range(system.depth):
+        groups = chunk >> 2 * (level + 1)
+        dense += groups * ((18 * q + 4) ** 2 + (6 * q + 3) * (12 * q + 2) + (12 * q + 1) ** 2)
+        q *= 2
+    assert peak <= output + 8 * dense

@@ -70,6 +70,23 @@ def test_to_csr_sums_duplicates():
     assert csr.to_scipy().toarray()[1, 2] == 7.0
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_to_csr_keeps_scipys_int32_indices(dtype):
+    # the same entries as scipy's own conversion, and no int64 copy of its
+    # index arrays for a small n, whatever the dtype of the triplets
+    rng = np.random.default_rng(9)
+    n = 25
+    rows, cols, vals = random_triplets(rng, n)
+    csr = to_csr(rows.astype(dtype), cols.astype(dtype), vals, n)
+    ref = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    ref.sum_duplicates()
+    assert csr.indptr.dtype == csr.indices.dtype == np.int32
+    assert np.array_equal(csr.indptr, ref.indptr) and np.array_equal(csr.indices, ref.indices)
+    assert np.array_equal(csr.data, ref.data)
+    x, residual = lu_solve(csr, np.ones(n))
+    assert residual <= RTOL
+
+
 def test_lu_solve_matches_dense_partial_pivot_oracle():
     rng = np.random.default_rng(123)
     for _ in range(20):
