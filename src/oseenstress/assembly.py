@@ -96,15 +96,18 @@ back-substitution runs from the top down.  A mesh without red groups is
 condensed once, on its own triangles.  At every depth SuperLU gets the
 nonzero entries of the top blocks on live unknowns.
 
-The condensation holds one chunk of the mesh at a time.  The red groups
-of every level are read off the triangles first.  Then runs of about
-``_CHUNK`` = 2048 fine triangles, each made of whole top units, go from
-their element blocks through every level to their top blocks, which
-are written, with each level's solved group blocks and maps, into
-arrays allocated once at full size.  So beside what the solve keeps
-(the element blocks, every level's solved group blocks and the top
-system) the assembly holds the dense blocks of one chunk, not those of
-a whole level.  The top blocks are freed before the CSR conversion,
+The condensation holds one chunk of the mesh at a time.  Its structure
+is read first, from whole levels: the red groups of every
+level, the unit each block goes into and the slots of its unknowns
+there, and from those the multiplier ids of the top units, which number
+the top system.  Then runs of about ``_CHUNK`` = 2048 fine triangles,
+each made of whole top units, go from their element blocks through
+every level to their top blocks; only numbers are condensed there, and
+they are written, with each level's solved group blocks, into arrays
+allocated once at full size.  So beside what the solve keeps (the
+element blocks, every level's solved group blocks and the top system)
+the assembly holds the dense blocks of one chunk, not those of a whole
+level.  The top blocks are freed before the CSR conversion,
 whose int32 indices are passed on to SuperLU without a copy.
 """
 
@@ -161,16 +164,11 @@ class CondensedBlocks:
     A unit is a triangle or, above the finest level, a red group condensed
     into its parent.  A unit's s = 6 q + 1 unknowns are the multipliers on
     its edges, ``[row 1: edge 0, 1, 2 | row 2: edge 0, 1, 2]`` with q slots
-    per edge and row, then its kept identity coefficient c.  Each
-    multiplier is named by its id among the multipliers of the finest mesh
-    (see :func:`_element_blocks`), -1 where the slot is dead: on the
-    boundary, or in the second half of each edge of a block that a level
-    left alone.
+    per edge and row, then its kept identity coefficient c.
     """
 
     block: np.ndarray  # (nu, s, s)
     rhs: np.ndarray  # (nu, s)
-    ids: np.ndarray  # (nu, s - 1)
 
 
 @dataclass
@@ -181,7 +179,9 @@ class CondensationStep:
     unknowns) followed by the eliminated ones: the multipliers on the
     three edges inside it, then the c of three children.  A block that
     the level leaves alone is its own unit, with the unknowns of each edge
-    in the first half of the parent-sized edge.
+    in the first half of the parent-sized edge.  The maps are read off the
+    whole level before any block is condensed (:func:`_hierarchy`);
+    `solved` is filled chunk by chunk (:func:`_condense_step`).
     """
 
     unit: np.ndarray  # (n,) unit of the next level that each block goes into
@@ -386,8 +386,8 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichle
     ), ids
 
 
-def _element_condensed(el: ElementBlocks, ids: np.ndarray, local: np.ndarray, rows: slice):
-    """The condensed blocks of the elements in `rows`, with multiplier `ids`, for local right-hand sides `local` (nt, m).
+def _element_condensed(el: ElementBlocks, local: np.ndarray, rows: slice):
+    """The condensed blocks of the elements in `rows`, for local right-hand sides `local` (nt, m).
 
     Each element's block on its multipliers and c_K is ``[[S G_K S, -S z_K],
     [z_K^T S, 0]]`` with S = diag(sign); its right-hand side is the jump
@@ -403,7 +403,7 @@ def _element_condensed(el: ElementBlocks, ids: np.ndarray, local: np.ndarray, ro
     block[:, ns, :ns] = zs
     solved = (inverse[:, :ns] @ local[:, :, None])[:, :, 0]
     rhs = np.concatenate([sign * solved, np.sum(kernel * local, axis=1)[:, None]], axis=1)
-    return CondensedBlocks(block=block, rhs=rhs, ids=ids[rows])
+    return CondensedBlocks(block=block, rhs=rhs)
 
 
 def _red_slots(q: int, fine: int) -> np.ndarray:
@@ -459,55 +459,41 @@ def _summed(children: np.ndarray, target: np.ndarray, size: int) -> np.ndarray:
     return summed
 
 
-def _level_slots(q: int, depth: int) -> np.ndarray:
-    """The ``CondensationStep.slots`` (5, 6 q + 1) at `depth`: the four children of a red group, then a block alone."""
-    s = 6 * q + 1
-    # a block alone: its slot t of edge t // q goes to the first half of that edge, c to c
-    return np.vstack([_red_slots(q, 1 << (depth - 1)), np.arange(s) + np.arange(s) // q * q])
+def _condense_step(blocks: CondensedBlocks, step: CondensationStep, lo: int, hi: int, depth: int):
+    """Condense the red groups among blocks `lo`..`hi` of a level into their parents' blocks, and pad the rest.
 
-
-def _condense_step(blocks: CondensedBlocks, starts: np.ndarray, depth: int, first: int):
-    """Condense every red group into its parent's block, and pad every other block to that size.
-
-    `starts` holds the first block of each red group
-    (:func:`~oseenstress.mesh.red_groups`), possibly none.  The four
-    children's blocks are summed into one dense group block; the
+    `blocks` are those blocks, whole units of `step`.  The four children's
+    blocks of each red group are summed into one dense group block; the
     multipliers inside the parent and three c are eliminated in one
-    batched solve, and the Schur complement on the rest is the parent's
-    block.  Every other block is its own unit and passes up unchanged, the
-    slots of each edge in the first half of the parent-sized edge.  The
-    units keep the order of their first block.  Returns the units'
-    ``CondensedBlocks`` and the ``CondensationStep`` that recovers the
-    blocks' unknowns.
+    batched solve, written to the group's rows of ``step.solved``, and the
+    Schur complement on the rest is the parent's block.  Every other block
+    is its own unit and passes up unchanged, the slots of each edge in the
+    first half of the parent-sized edge.  Returns the units'
+    ``CondensedBlocks`` and their first and end row on the level above.
 
     Raises
     ------
     SingularMatrixError
         Naming `depth` and the parent, the red group's index among the
-        groups of this level, which `first` is for the first group here,
-        if a group block or its right-hand side is not finite, or its
-        eliminated block is singular.
+        groups of the whole level, if a group block or its right-hand side
+        is not finite, or its eliminated block is singular.
     """
-    n, s = blocks.rhs.shape
+    s = blocks.rhs.shape[1]
     q = (s - 1) // 6
     kept = 12 * q + 1
     size = 18 * q + 4
-    ng = len(starts)
-    members = starts[:, None] + np.arange(4)
-    member = np.full(n, 4, dtype=np.int8)
-    member[members] = np.arange(4)
-    alone = member == 4
-    unit = np.cumsum(member % 4 == 0) - 1
-    groups = unit[starts]
-    slots = _level_slots(q, depth)
-    red = slots[:4]
-    slot = slots[member]
+    unit, alone = step.unit[lo:hi], step.member[lo:hi] == 4
+    above, end = int(unit[0]), int(unit[-1]) + 1
+    first, last = np.searchsorted(step.groups, [above, end])
+    ng = last - first
+    red = step.slots[:4]
 
-    rows = members if alone.any() else slice(None)  # every block grouped: group k is blocks 4k..4k+3, in place
+    rows = np.flatnonzero(~alone) if alone.any() else slice(None)  # every block grouped: group k is blocks 4k..4k+3, in place
     pairs = (red[:, :, None] * size + red[:, None, :]).ravel()
     group = _summed(blocks.block[rows].reshape(ng, 4 * s * s), pairs, size * size).reshape(ng, size, size)
     rhs = _summed(blocks.rhs[rows].reshape(ng, 4 * s), red.ravel(), size)
-    solved = _checked_solve(
+    solved = step.solved[first:last]
+    solved[:] = _checked_solve(
         group[:, kept:, kept:],
         np.concatenate([group[:, kept:, :kept], rhs[:, kept:, None]], axis=2),
         f"condensation at depth {depth}: the group block of parent",
@@ -517,18 +503,15 @@ def _condense_step(blocks: CondensedBlocks, starts: np.ndarray, depth: int, firs
     coupling = group[:, :kept, kept:]
     schur = group[:, :kept, :kept] - coupling @ solved[:, :, :kept]
     schur[:, -1, -1] = 0.0  # a c couples to no c (see the module docstring)
-    nu = unit[-1] + 1
-    block = np.zeros((nu, kept, kept))
+    groups = step.groups[first:last] - above
+    block = np.zeros((end - above, kept, kept))
     block[groups] = schur
-    parent_rhs = np.zeros((nu, kept))
+    parent_rhs = np.zeros((end - above, kept))
     parent_rhs[groups] = rhs[:, :kept] - (coupling @ solved[:, :, kept:])[:, :, 0]
-    at, padded = unit[alone], slot[alone]
-    block[at[:, None, None], padded[:, :, None], padded[:, None, :]] = blocks.block[alone]
-    parent_rhs[at[:, None], padded] = blocks.rhs[alone]
-    ids = np.full((nu, size), -1)
-    ids[unit[:, None], slot[:, :-1]] = blocks.ids
-    parent = CondensedBlocks(block=block, rhs=parent_rhs, ids=ids[:, : kept - 1])
-    return parent, CondensationStep(unit=unit, member=member, slots=slots, groups=groups, solved=solved)
+    at, padded = unit[alone] - above, step.slots[4]
+    block[np.ix_(at, padded, padded)] = blocks.block[alone]
+    parent_rhs[np.ix_(at, padded)] = blocks.rhs[alone]
+    return CondensedBlocks(block=block, rhs=parent_rhs), (above, end)
 
 
 def _numbering(ids: np.ndarray, moments: int):
@@ -619,94 +602,102 @@ _CHUNK = 2048  # fine triangles condensed at a time, up to the next top unit
 
 
 def _hierarchy(triangles: np.ndarray, q: int) -> list:
-    """The red-group starts of every level that is condensed, finest first.
+    """The ``CondensationStep`` of every level that is condensed, finest first, with `solved` not yet filled.
 
-    Each level's units are the parents of the groups below, read off the
-    triangles, and the levels go on while the last one left no block alone
-    and the parents' edges carry at most 8 multipliers per row.
+    A level's red groups are read off its triangles, and the next level's
+    triangles, the parents, off the groups.  The levels go on while the
+    last one left no block alone and the parents' edges carry at most 8
+    multipliers per row; `q` is the element's moments per edge.
     """
-    levels = []
+    steps = []
     while 2 * q <= _TOP_EDGE_MULTIPLIERS:
         starts = red_groups(triangles)
         if starts.size == 0:
             break
-        levels.append(starts)
+        member = np.full(len(triangles), 4, dtype=np.int8)
+        member[starts[:, None] + np.arange(4)] = np.arange(4)
+        unit = np.cumsum(member % 4 == 0) - 1  # the units keep the order of their first block
+        # a block alone: its slot t of edge t // q goes to the first half of that edge, c to c
+        alone = np.arange(6 * q + 1) + np.arange(6 * q + 1) // q * q
+        steps.append(
+            CondensationStep(
+                unit=unit,
+                member=member,
+                slots=np.vstack([_red_slots(q, 1 << len(steps)), alone]),
+                groups=unit[starts],
+                solved=np.empty((starts.size, 6 * q + 3, 12 * q + 2)),
+            )
+        )
         if 4 * starts.size < len(triangles):  # the padded blocks left alone end the condensation
             break
         triangles, q = triangles[starts[:, None] + np.arange(3), 0], 2 * q
-    return levels
+    return steps
 
 
-def _chunks(levels: list, nt: int) -> np.ndarray:
-    """Bounds of the fine-row chunks: row 0, then every :data:`_CHUNK` rows the start of the next top unit.
+def _top_ids(ids: np.ndarray, steps: list):
+    """The multiplier ids of the top units' unknowns, and the condensed size of every level, finest first.
 
-    Every level below the last groups all its blocks, so block i of the
-    last level is fine rows ``i 4^(d-1)`` on, and a top unit starts at each
-    such block but the three after a group's first.  A chunk so holds
-    whole units on every level.
+    `ids` (nt, 6 q) names the multipliers of the element blocks
+    (:func:`_element_blocks`).  Each level moves them to their slots in
+    its units, where the eliminated ones are dropped and -1 marks a dead
+    slot: on the boundary, or in the second half of each edge of a block
+    that a level left alone.  A level's size counts every live multiplier
+    on its two sides, and c of every unit but one.
     """
-    shift = 2 * max(len(levels) - 1, 0)
-    start = np.ones((nt >> shift) + 1, dtype=bool)  # the end of the mesh last
-    if levels:
-        start[levels[-1][:, None] + np.arange(1, 4)] = False
-    cuts = np.flatnonzero(start) << shift
+    sizes = []
+    for step in steps:
+        n, width = ids.shape
+        sizes.append(np.count_nonzero(ids >= 0) // 2 + n - 1)
+        parent = np.full((int(step.unit[-1]) + 1, 3 * width + 4), -1)
+        parent[step.unit[:, None], step.slots[step.member, :-1]] = ids
+        ids = parent[:, : 2 * width]
+    sizes.append(np.count_nonzero(ids >= 0) // 2 + len(ids) - 1)
+    return ids, tuple(sizes)
+
+
+def _chunks(steps: list, nt: int) -> np.ndarray:
+    """Bounds of the fine-row chunks: row 0, then every :data:`_CHUNK` rows the start of the next top unit, then `nt`.
+
+    Every level's units keep the order of their blocks, so each top unit
+    is a run of fine rows, and a chunk holds whole units on every level.
+    """
+    unit = np.arange(nt)
+    for step in steps:
+        unit = step.unit[unit]
+    cuts = np.append(np.flatnonzero(np.diff(unit, prepend=-1)), nt)
     return np.unique(cuts[np.searchsorted(cuts, np.append(np.arange(0, nt, _CHUNK), nt))])
 
 
-def _condense(el: ElementBlocks, ids: np.ndarray, local: np.ndarray, levels: list):
-    """Condense the element blocks through the red groups of `levels` (:func:`_hierarchy`), chunk by chunk.
+def _condense(el: ElementBlocks, local: np.ndarray, steps: list) -> CondensedBlocks:
+    """Condense the element blocks through `steps` (:func:`_hierarchy`), chunk by chunk; the top blocks.
 
     Each chunk of :func:`_chunks` goes from its element blocks
-    (:func:`_element_condensed`, with multiplier `ids` and local
-    right-hand sides `local`) through every level to its top blocks.  Each
-    level's ``CondensationStep`` and the top ``CondensedBlocks`` are
-    allocated once at full size and filled chunk by chunk, so no dense
-    block of a whole level below the top is ever held.  Returns the top
-    blocks, the steps and the condensed size of every level, finest first.
+    (:func:`_element_condensed`, for local right-hand sides `local`)
+    through every level (:func:`_condense_step`) to its top blocks, which
+    are written into arrays allocated once at full size, as the steps'
+    solved group blocks are.  So no dense block of a whole level below the
+    top is ever held.
     """
     nt, ns = el.sign.shape
-    steps, units, q = [], [nt], ns // 6
-    for depth, starts in enumerate(levels, 1):
-        n, ng = units[-1], starts.size
-        steps.append(
-            CondensationStep(
-                unit=np.empty(n, dtype=np.int64),
-                member=np.empty(n, dtype=np.int8),
-                slots=_level_slots(q, depth),
-                groups=np.empty(ng, dtype=np.int64),
-                solved=np.empty((ng, 6 * q + 3, 12 * q + 2)),
-            )
-        )
-        units.append(n - 3 * ng)
-        q *= 2
-    nu, s = units[-1], 6 * q + 1
-    top = CondensedBlocks(block=np.empty((nu, s, s)), rhs=np.empty((nu, s)), ids=np.empty((nu, s - 1), dtype=np.int64))
-    live = np.zeros(len(units), dtype=np.int64)  # live multiplier slots of every level
-    bounds = _chunks(levels, nt)
+    nu = int(steps[-1].unit[-1]) + 1 if steps else nt
+    s = (ns << len(steps)) + 1
+    top = CondensedBlocks(block=np.empty((nu, s, s)), rhs=np.empty((nu, s)))
+    bounds = _chunks(steps, nt)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        blocks = _element_condensed(el, ids, local, slice(lo, hi))
-        for depth, (starts, step) in enumerate(zip(levels, steps), 1):
-            live[depth - 1] += np.count_nonzero(blocks.ids >= 0)
-            first, last = np.searchsorted(starts, [lo, hi])
-            blocks, part = _condense_step(blocks, starts[first:last] - lo, depth, first)
-            above = lo - 3 * first  # the chunk's first unit on the level above
-            step.unit[lo:hi] = part.unit + above
-            step.member[lo:hi] = part.member
-            step.groups[first:last] = part.groups + above
-            step.solved[first:last] = part.solved
-            lo, hi = above, hi - 3 * last
-        live[-1] += np.count_nonzero(blocks.ids >= 0)
-        top.block[lo:hi], top.rhs[lo:hi], top.ids[lo:hi] = blocks.block, blocks.rhs, blocks.ids
-    # every live multiplier on its two sides, and c but one
-    return top, tuple(steps), tuple(int(count) // 2 + n - 1 for count, n in zip(live, units))
+        blocks = _element_condensed(el, local, slice(lo, hi))
+        for depth, step in enumerate(steps, 1):
+            blocks, (lo, hi) = _condense_step(blocks, step, lo, hi, depth)
+        top.block[lo:hi], top.rhs[lo:hi] = blocks.block, blocks.rhs
+    return top
 
 
 def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem:
     """Assemble the element blocks, condense them through the red groups, and form the top system.
 
-    The red groups of every level are read off the triangles first, and the
-    condensation then runs chunk by chunk (:func:`_condense`).  The top
-    blocks are freed before the CSR conversion.
+    The levels (:func:`_hierarchy`) and the multiplier ids of the top
+    units (:func:`_top_ids`) are read first, and the condensation then
+    runs chunk by chunk (:func:`_condense`).  The top blocks are freed
+    before the CSR conversion.
 
     Parameters
     ----------
@@ -743,9 +734,11 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
             stacklevel=2,
         )
     lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
-    top, steps, sizes = _condense(el, ids, el.load - lam * el.trace, _hierarchy(mesh.triangles, space.moments))
+    steps = _hierarchy(mesh.triangles, space.moments)
+    ids, sizes = _top_ids(ids, steps)
+    top = _condense(el, el.load - lam * el.trace, steps)
     # the nonzero entries of the top blocks on live unknowns, at every depth
-    index, size = _numbering(top.ids, space.moments)
+    index, size = _numbering(ids, space.moments)
     inside = index < size
     keep = (top.block != 0) & inside[:, :, None] & inside[:, None, :]
     rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
@@ -760,7 +753,7 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
         space=space,
         elements=el,
         index=index,
-        steps=steps,
+        steps=tuple(steps),
         sizes=sizes,
     )
 

@@ -307,7 +307,8 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     Raises
     ------
     ValueError
-        On an empty mesh, duplicate vertices, out-of-range indices, a
+        On a non-finite vertex coordinate, an empty mesh, duplicate
+        vertices, out-of-range indices, a
         vertex that no triangle uses, zero-area triangles, an edge
         shared by more than two triangles or by two on the same side of
         it, or a boundary vertex inside a boundary edge (a hanging node).
@@ -319,6 +320,9 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
         raise ValueError(f"vertices must have shape (nv, 2), got {vertices.shape}")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise ValueError(f"triangles must have shape (nt, 3), got {triangles.shape}")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"vertex {np.argmin(finite)} has a non-finite coordinate")
     nv = vertices.shape[0]
     nt = triangles.shape[0]
     if np.unique(vertices, axis=0).shape[0] != nv:

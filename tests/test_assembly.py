@@ -764,15 +764,17 @@ def test_bad_group_block_raises_singular_matrix_error_naming_depth_and_parent(de
     # condenses them; never numpy's LinAlgError.  With chunks of 64 fine
     # triangles (one top unit each), parent 5 lies in a later chunk at
     # depths 2 and 3, and the message still counts it over the whole level
-    step = assembly._condense_step
+    condense_step = assembly._condense_step
     firsts = []
 
-    def doctored(blocks, starts, at, first):
-        if at == depth and first <= 5 < first + len(starts):
+    def doctored(blocks, step, lo, hi, at):
+        first, last = np.searchsorted(step.groups, [step.unit[lo], step.unit[hi - 1] + 1])
+        if at == depth and first <= 5 < last:
             firsts.append(first)
             blocks = dataclasses.replace(blocks, block=blocks.block.copy())
-            doctor(blocks.block[starts[5 - first] : starts[5 - first] + 4])
-        return step(blocks, starts, at, first)
+            child = np.flatnonzero(step.unit[lo:hi] == step.groups[5])[0]
+            doctor(blocks.block[child : child + 4])
+        return condense_step(blocks, step, lo, hi, at)
 
     monkeypatch.setattr(assembly, "_condense_step", doctored)
     for chunk in (assembly._CHUNK, 64):
@@ -805,16 +807,17 @@ def test_condensation_in_small_chunks_matches_one_chunk(name, monkeypatch):
     problem_name, kind, make_mesh, depth = CHUNKED_CASES[name]
     problem, mesh = get_problem(problem_name), make_mesh()
     space = build_space(mesh, kind)
-    levels = assembly._hierarchy(mesh.triangles, space.moments)
+    steps = assembly._hierarchy(mesh.triangles, space.moments)
     systems, bounds = [], {}
     for chunk in (mesh.nt + 1, 40, 1):
         monkeypatch.setattr(assembly, "_CHUNK", chunk)
         systems.append(assemble(problem, mesh, space))
-        bounds[chunk] = assembly._chunks(levels, mesh.nt)
+        bounds[chunk] = assembly._chunks(steps, mesh.nt)
     assert len(bounds[40]) > 4 and bounds[40][0] == 0 and bounds[40][-1] == mesh.nt
     if name == "p2-adapted":  # some chunk starts with triangles outside any group, and some holds no group
-        assert np.setdiff1d(bounds[40][:-1], red_groups(mesh.triangles)).size > 0
-        assert np.any(np.diff(np.searchsorted(levels[0], bounds[1])) == 0)
+        starts = red_groups(mesh.triangles)
+        assert np.setdiff1d(bounds[40][:-1], starts).size > 0
+        assert np.any(np.diff(np.searchsorted(starts, bounds[1])) == 0)
     whole = systems[0]
     for chunked in systems[1:]:
         assert whole.depth == chunked.depth == depth

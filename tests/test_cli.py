@@ -198,6 +198,7 @@ def test_solve_uniform_rejects_problem_without_closed_form(tmp_path, capsys):
         (["--mode", "adaptive", "--max-dofs", "0"], "--max-dofs"),
         pytest.param(["--mesh", "empty.txt"], "no triangles", id="mesh-empty"),
         pytest.param(["--mesh", "unused.txt"], "vertex 4 belongs to no triangle", id="mesh-unused-vertex"),
+        pytest.param(["--mesh", "nonfinite.txt"], "vertex 2 has a non-finite coordinate", id="mesh-nonfinite"),
         pytest.param(["--mesh", "missing.txt"], "--mesh", id="mesh-missing"),
         pytest.param(["--mesh", "hanging.txt"], "vertex 4 lies inside boundary edge (0, 2)", id="mesh-hanging-node"),
         pytest.param(["--mesh", "twice.txt"], "triangle 0 is in two green pairs", id="mesh-green-pair-twice"),
@@ -211,6 +212,8 @@ def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, a
     (tmp_path / "empty.txt").write_text("0 0\n")
     # the unit square in two triangles plus a point at (5, 5) that no triangle uses
     (tmp_path / "unused.txt").write_text("5 2\n0 0\n1 0\n1 1\n0 1\n5 5\n0 1 2 0\n0 2 3 0\n")
+    # the unit square in two triangles with one coordinate not a number
+    (tmp_path / "nonfinite.txt").write_text("4 2\n0 0\n1 0\n1 nan\n0 1\n0 1 2 0\n0 2 3 0\n")
     # the unit square with one half bisected at (0.5, 0.5) and the other not
     (tmp_path / "hanging.txt").write_text("5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 2 0\n0 4 3 0\n4 2 3 0\n")
     # a triangle bisected at its hypotenuse's midpoint, the pair listed twice

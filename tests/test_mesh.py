@@ -141,6 +141,11 @@ def test_build_mesh_validation():
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     with pytest.raises(ValueError, match="duplicate"):
         build_mesh(np.vstack([verts, verts[:1]]), tris)
+    for bad in (np.nan, np.inf):
+        moved = verts.copy()
+        moved[2, 1] = bad
+        with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
+            build_mesh(moved, tris)
     with pytest.raises((ValueError, IndexError)):
         build_mesh(verts, np.array([[0, 1, 7]]))
     with pytest.raises(ValueError):
