@@ -21,7 +21,7 @@ import numpy as np
 
 from .assembly import OseenSolution, solve_oseen
 from .errors import l2_error
-from .mesh import Mesh, refine_marked
+from .mesh import Mesh, MeshQualityError, max_ratio_bound, mesh_stats, refine_marked
 from .postprocess import RecoveredTensorField, postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec
 from .spaces import CellwiseLinear, project_exact
@@ -125,6 +125,13 @@ def adaptive_solve(
     The run also stops when marking selects no element, which happens
     only for a zero estimator; refining would return the same mesh.  The
     last record always has ``marked == 0`` and describes the final fields.
+
+    Raises
+    ------
+    MeshQualityError
+        If a refinement raises ``mesh_stats`` max_ratio above the bound
+        of the start mesh's shapes (:func:`~oseenstress.mesh.max_ratio_bound`),
+        with a relative slack of 1e-9 for rounding.
     """
     if mesh is None:
         mesh = problem.initial_mesh()
@@ -134,6 +141,7 @@ def adaptive_solve(
         raise ValueError("max_iters must be >= 0")
 
     history = AdaptiveHistory()
+    bound = max_ratio_bound(mesh)
     iteration = 0
     while True:
         solution = solve_oseen(problem, mesh, kind="rt0")
@@ -169,3 +177,9 @@ def adaptive_solve(
         del solution, ustar, sigmastar, indicators
         mesh = refine_marked(mesh, marked)
         iteration += 1
+        ratio = mesh_stats(mesh).max_ratio
+        if ratio > bound * (1.0 + 1e-9):
+            raise MeshQualityError(
+                f"refinement {iteration} left a triangle with circumradius/inradius {ratio:.6g}, "
+                f"above the bound {bound:.6g} of the start mesh's shapes"
+            )

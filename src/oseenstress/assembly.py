@@ -101,14 +101,16 @@ is read first, from whole levels: the red groups of every
 level, the unit each block goes into and the slots of its unknowns
 there, and from those the multiplier ids of the top units, which number
 the top system.  Then runs of about ``_CHUNK`` = 2048 fine triangles,
-each made of whole top units, go from their element blocks through
-every level to their top blocks; only numbers are condensed there, and
-they are written, with each level's solved group blocks, into arrays
+each made of whole top units, go from their local blocks L_K, built for
+the chunk's rows, through their pinned inverses and every level to their
+top blocks; only numbers are condensed there, and they are written, with
+each level's solved group blocks and the inverses G_K, into arrays
 allocated once at full size.  So beside what the solve keeps (the
-element blocks, every level's solved group blocks and the top system)
-the assembly holds the dense blocks of one chunk, not those of a whole
-level.  The top blocks are freed before the CSR conversion,
-whose int32 indices are passed on to SuperLU without a copy.
+element maps, loads and inverses, every level's solved group blocks and
+the top system) the assembly holds the dense blocks of one chunk, not
+those of a whole level.  L_K is not kept: the residual check builds it
+again chunk by chunk.  The top blocks are freed before the CSR
+conversion, whose int32 indices are passed on to SuperLU without a copy.
 """
 
 import warnings
@@ -128,7 +130,7 @@ from .spaces import (
     build_space,
     edge_rule,
     identity_coeffs,
-    project_exact,
+    project_moments,
 )
 
 __all__ = [
@@ -142,19 +144,22 @@ __all__ = [
 
 @dataclass
 class ElementBlocks:
-    """Local blocks and maps of the hybridized system, one row per triangle.
+    """Local maps, loads and inverses of the hybridized system, one row per triangle.
 
     The m = 2 nl + 2 local unknowns are ``[sigma row 1 | sigma row 2 | u_1
-    | u_2]``; the first 2 nl are the pseudostress unknowns.
+    | u_2]``; the first 2 nl are the pseudostress unknowns.  The local
+    blocks L_K are not kept: :func:`_local_operator` builds them for a run
+    of rows from the data held here.
     """
 
-    operator: np.ndarray  # (nt, m, m) local block L_K of the unbordered operator
     inverse: np.ndarray  # (nt, m, m) inverse of L_K without its pinned row and column, zero there
     dofs: np.ndarray  # (nt, m) index of each local unknown in the bordered layout
     kernel: np.ndarray  # (nt, m) local coefficients z_K of sigma = I
     trace: np.ndarray  # (nt, m) local trace-mean column t_K
     load: np.ndarray  # (nt, m) local right-hand side b_K; each entry of b sits in one local copy
     sign: np.ndarray  # (nt, 2 nl) tri_signs of each sigma unknown's interior edge, 0 on the boundary
+    b: np.ndarray  # (nt, 2, 3) the projected convection field's CellwiseLinear coefficients
+    reaction: np.ndarray  # (nt,) |K| times the cell mean of the projected c
 
 
 @dataclass
@@ -295,20 +300,21 @@ def _checked_solve(a: np.ndarray, b: np.ndarray, name: str, inputs=(), first: in
 
 def _projected_data(mesh: Mesh, data, name: str, value_shape: tuple) -> CellwiseLinear:
     """Problem data projected in the element rule; ValueError unless of `value_shape`."""
-    field = project_exact(mesh, data, degree=_QUAD_DEGREE).field
+    field, _ = project_moments(mesh, data, degree=_QUAD_DEGREE)
     if field.coeffs.shape[1:-1] != value_shape:
         raise ValueError(f"{name} must return value shape {value_shape} per point, got {field.coeffs.shape[1:-1]}")
     return field
 
 
 def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichlet: np.ndarray):
-    """Local blocks, loads and maps of every element, and the multiplier ids of its sigma unknowns.
+    """Loads, maps and projected data of every element, and the multiplier ids of its sigma unknowns.
 
     `dirichlet` is the boundary functional on the sigma dofs
-    (:func:`_dirichlet_load`).  Returns the ``ElementBlocks`` and the
-    ids (nt, 2 nl): the multiplier on each sigma unknown's edge moment
-    and row, numbered by interior moment, row 2 after row 1; -1 on the
-    boundary.
+    (:func:`_dirichlet_load`).  Returns the ``ElementBlocks``, whose
+    `inverse` is allocated but not filled (:func:`_condense` fills it
+    chunk by chunk), and the ids (nt, 2 nl): the multiplier on each sigma
+    unknown's edge moment and row, numbered by interior moment, row 2
+    after row 1; -1 on the boundary.
     """
     n = space.n_dofs_per_row
     nt = mesh.nt
@@ -317,34 +323,9 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichle
 
     tris = np.arange(nt)
     area = mesh.tri_areas()
-    # the local bases as one stack: component r of basis j at r nl + j
-    basis = CellwiseLinear(mesh, space.basis_coeff.transpose(0, 2, 1, 3).reshape(nt, ns, 3))
     b = _projected_data(mesh, problem.b, "b", (2,))
     c = _projected_data(mesh, problem.c, "c", ())
     f = _projected_data(mesh, problem.f, "f", (2,))
-
-    operator = np.zeros((nt, ns + 2, ns + 2))
-    # --- deviatoric block: (dev sigma, tau) = (sigma, tau) - 1/2 (tr sigma, tr tau)
-    gram = basis.inner(basis)  # int phi_i[r] phi_j[s]
-    mass = gram[:, :nl, :nl] + gram[:, nl:, nl:]
-    operator[:, :ns, :ns] = -0.5 * gram
-    operator[:, :nl, :nl] += mass
-    operator[:, nl:ns, nl:ns] += mass
-
-    # --- divergence coupling (div tau, u) and its negative transpose, exact
-    divint = area[:, None] * space.basis_div  # (nt, nl)
-    # --- convection ((dev tau) b, v) of the row-r trial tensor in velocity row p
-    conv = basis.inner(b)  # (nt, ns, 2): int phi_j[r] b_p
-    operator[:, ns:, :ns] = -0.5 * conv.transpose(0, 2, 1)
-    conv_par = conv[:, :nl, 0] + conv[:, nl:, 1]  # int phi_j . b
-    for r in range(2):
-        rows = slice(r * nl, (r + 1) * nl)
-        operator[:, rows, ns + r] = divint
-        operator[:, ns + r, rows] += conv_par - divint
-    # --- reaction (c u, v), diagonal per component
-    react = area * c.cell_means()
-    operator[:, ns, ns] = react
-    operator[:, ns + 1, ns + 1] = react
 
     dofs = np.empty((nt, ns + 2), dtype=np.int64)
     dofs[:, :nl] = space.dof_map
@@ -366,24 +347,75 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichle
     kernel = np.zeros((nt, ns + 2))
     kernel[:, :ns] = identity_coeffs(space).ravel()[dofs[:, :ns]]
     trace = np.zeros((nt, ns + 2))
-    trace[:, :ns] = (area * basis.cell_means()).T  # (tr tau, 1)
+    # (tr tau, 1): the cell means of the local bases, component r of basis j at r nl + j
+    trace[:, :ns] = area[:, None] * space.basis_coeff[..., 0].transpose(0, 2, 1).reshape(nt, ns)
 
     # a boundary edge has one side, so its load sits in one local copy
     load = np.empty((nt, ns + 2))
     load[:, :ns] = dirichlet.ravel()[dofs[:, :ns]]
     load[:, ns:] = (area * f.cell_means()).T
-
-    # G_K: L_K with a unit row and column at the largest |z_K|, inverted, then zero there
-    pin = np.argmax(np.abs(kernel), axis=1)
-    pinned = operator.copy()
-    pinned[tris, pin, :] = 0.0
-    pinned[tris, :, pin] = 0.0
-    pinned[tris, pin, pin] = 1.0
-    inverse = _checked_solve(pinned, np.broadcast_to(np.eye(ns + 2), pinned.shape), "the local block of element")
-    inverse[tris, pin, pin] = 0.0
     return ElementBlocks(
-        operator=operator, inverse=inverse, dofs=dofs, kernel=kernel, trace=trace, load=load, sign=sign
+        inverse=np.empty((nt, ns + 2, ns + 2)),
+        dofs=dofs,
+        kernel=kernel,
+        trace=trace,
+        load=load,
+        sign=sign,
+        b=b.coeffs,
+        reaction=area * c.cell_means(),
     ), ids
+
+
+def _local_operator(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndarray:
+    """The local blocks L_K (k, m, m) of the unbordered operator, for the elements in `rows`."""
+    mesh = space.mesh
+    nl = space.ndof_local
+    ns = 2 * nl
+    area = mesh.tri_areas()[rows]
+    # the local bases as one stack: component r of basis j at r nl + j
+    basis = CellwiseLinear(mesh, space.basis_coeff[rows].transpose(0, 2, 1, 3).reshape(len(area), ns, 3), rows)
+
+    operator = np.zeros((len(area), ns + 2, ns + 2))
+    # --- deviatoric block: (dev sigma, tau) = (sigma, tau) - 1/2 (tr sigma, tr tau)
+    gram = basis.inner(basis)  # int phi_i[r] phi_j[s]
+    mass = gram[:, :nl, :nl] + gram[:, nl:, nl:]
+    operator[:, :ns, :ns] = -0.5 * gram
+    operator[:, :nl, :nl] += mass
+    operator[:, nl:ns, nl:ns] += mass
+
+    # --- divergence coupling (div tau, u) and its negative transpose, exact
+    divint = area[:, None] * space.basis_div[rows]  # (k, nl)
+    # --- convection ((dev tau) b, v) of the row-r trial tensor in velocity row p
+    conv = basis.inner(CellwiseLinear(mesh, el.b[rows], rows))  # (k, ns, 2): int phi_j[r] b_p
+    operator[:, ns:, :ns] = -0.5 * conv.transpose(0, 2, 1)
+    conv_par = conv[:, :nl, 0] + conv[:, nl:, 1]  # int phi_j . b
+    for r in range(2):
+        block = slice(r * nl, (r + 1) * nl)
+        operator[:, block, ns + r] = divint
+        operator[:, ns + r, block] += conv_par - divint
+    # --- reaction (c u, v), diagonal per component
+    operator[:, ns, ns] = el.reaction[rows]
+    operator[:, ns + 1, ns + 1] = el.reaction[rows]
+    return operator
+
+
+def _invert_pinned(el: ElementBlocks, space: HdivSpace, lo: int, hi: int) -> None:
+    """Write G_K of the elements `lo`..`hi` into ``el.inverse``.
+
+    G_K is L_K with a unit row and column at the largest |z_K|, inverted,
+    then zero there; a failing element is named by its index in the mesh.
+    """
+    operator = _local_operator(el, space, slice(lo, hi))
+    tris = np.arange(hi - lo)
+    pin = np.argmax(np.abs(el.kernel[lo:hi]), axis=1)
+    operator[tris, pin, :] = 0.0
+    operator[tris, :, pin] = 0.0
+    operator[tris, pin, pin] = 1.0
+    inverse = el.inverse[lo:hi]
+    inverse[:] = _checked_solve(
+        operator, np.broadcast_to(np.eye(operator.shape[1]), operator.shape), "the local block of element", first=lo
+    )
+    inverse[tris, pin, pin] = 0.0
 
 
 def _element_condensed(el: ElementBlocks, local: np.ndarray, rows: slice):
@@ -668,15 +700,17 @@ def _chunks(steps: list, nt: int) -> np.ndarray:
     return np.unique(cuts[np.searchsorted(cuts, np.append(np.arange(0, nt, _CHUNK), nt))])
 
 
-def _condense(el: ElementBlocks, local: np.ndarray, steps: list) -> CondensedBlocks:
+def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: list) -> CondensedBlocks:
     """Condense the element blocks through `steps` (:func:`_hierarchy`), chunk by chunk; the top blocks.
 
-    Each chunk of :func:`_chunks` goes from its element blocks
-    (:func:`_element_condensed`, for local right-hand sides `local`)
-    through every level (:func:`_condense_step`) to its top blocks, which
-    are written into arrays allocated once at full size, as the steps'
-    solved group blocks are.  So no dense block of a whole level below the
-    top is ever held.
+    Each chunk of :func:`_chunks` builds its local blocks and writes their
+    pinned inverses into ``el.inverse`` (:func:`_invert_pinned`), then goes
+    from its element blocks (:func:`_element_condensed`, for local
+    right-hand sides `local`) through every level
+    (:func:`_condense_step`) to its top blocks, which are written into
+    arrays allocated once at full size, as the steps' solved group blocks
+    are.  So no dense block of a whole level below the top is ever held,
+    nor any local block L_K beyond the chunk.
     """
     nt, ns = el.sign.shape
     nu = int(steps[-1].unit[-1]) + 1 if steps else nt
@@ -684,6 +718,7 @@ def _condense(el: ElementBlocks, local: np.ndarray, steps: list) -> CondensedBlo
     top = CondensedBlocks(block=np.empty((nu, s, s)), rhs=np.empty((nu, s)))
     bounds = _chunks(steps, nt)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
+        _invert_pinned(el, space, lo, hi)
         blocks = _element_condensed(el, local, slice(lo, hi))
         for depth, step in enumerate(steps, 1):
             blocks, (lo, hi) = _condense_step(blocks, step, lo, hi, depth)
@@ -736,7 +771,7 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
     lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
     steps = _hierarchy(mesh.triangles, space.moments)
     ids, sizes = _top_ids(ids, steps)
-    top = _condense(el, el.load - lam * el.trace, steps)
+    top = _condense(el, space, el.load - lam * el.trace, steps)
     # the nonzero entries of the top blocks on live unknowns, at every depth
     index, size = _numbering(ids, space.moments)
     inside = index < size
@@ -791,8 +826,15 @@ def _solve_hybrid(system: LinearSystem):
     sigma = apply_trace_correction(PseudostressField(space=space, coeffs=s[:nsigma].reshape(2, -1)))
     s[:nsigma] = sigma.coeffs.ravel()
 
+    # the bordered residual, from the local blocks rebuilt chunk by chunk
     gathered = s[el.dofs]
-    applied = (el.operator @ gathered[:, :, None])[:, :, 0] + lam * el.trace - el.load
+    applied = np.empty_like(gathered)
+    bounds = _chunks(system.steps, space.mesh.nt)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = slice(lo, hi)
+        applied[rows] = (_local_operator(el, space, rows) @ gathered[rows, :, None])[:, :, 0]
+    applied += lam * el.trace
+    applied -= el.load
     misfit = np.bincount(el.dofs.ravel(), weights=applied.ravel(), minlength=s.size)
     misfit = np.append(misfit, np.sum(el.trace * gathered))
     residual = checked_residual(misfit, el.load, "bordered")  # each entry of b sits in one local copy

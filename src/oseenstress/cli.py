@@ -5,8 +5,9 @@
 history), writing CSV files into an output directory and printing
 aligned tables.  All output is deterministic: rerunning a configuration
 reproduces the files byte for byte.  A solve that fails (a singular
-system or SuperLU out of memory) ends the command with a one-line
-``error:`` message on stderr and exit status 1.
+system or SuperLU out of memory), or an adaptive refinement that loses
+shape regularity, ends the command with a one-line ``error:`` message on
+stderr and exit status 1.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import numpy as np
 from .adaptive import AdaptiveHistory, adaptive_solve
 from .assembly import solve_oseen
 from .errors import ErrorRow, fit_orders, hdiv_error, l2_error, supercloseness
-from .mesh import Mesh, load_mesh, save_mesh, uniform_quad_refine
+from .mesh import Mesh, MeshQualityError, load_mesh, save_mesh, uniform_quad_refine
 from .postprocess import postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec, get_problem, problem_names
 from .spaces import interpolate_pseudostress, project_exact, project_velocity
@@ -314,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "solve":
         try:
             return _cmd_solve(args, parser)
-        except (SingularMatrixError, SolverMemoryError) as exc:
+        except (SingularMatrixError, SolverMemoryError, MeshQualityError) as exc:
             print("error: " + " ".join(str(exc).split()), file=sys.stderr)
             return 1
     parser.error(f"unknown command {args.command!r}")

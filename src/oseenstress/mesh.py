@@ -36,12 +36,14 @@ import numpy as np
 
 __all__ = [
     "Mesh",
+    "MeshQualityError",
     "MeshStats",
     "build_mesh",
     "uniform_quad_refine",
     "refine_marked",
     "make_square_piecewise_uniform",
     "make_lshape_mesh",
+    "max_ratio_bound",
     "mesh_stats",
     "save_mesh",
     "load_mesh",
@@ -280,6 +282,10 @@ def _hanging_boundary_vertex(vertices: np.ndarray, ends: np.ndarray):
     return int(v[first_hit]), int(edge[first_hit])
 
 
+class MeshQualityError(RuntimeError):
+    """A refinement made a triangle less regular than the shapes of its start mesh allow."""
+
+
 @dataclass(frozen=True)
 class MeshStats:
     """Size and shape summary of a mesh."""
@@ -396,17 +402,47 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
 def mesh_stats(mesh: Mesh) -> MeshStats:
     """Triangle count, extreme diameters and worst circum/in-radius ratio."""
     a, b, c = mesh.edge_lengths()[mesh.tri_edges].T
-    area = mesh.tri_areas()
-    s = 0.5 * (a + b + c)
-    circum = a * b * c / (4.0 * area)
-    inr = area / s
     h = np.maximum(a, np.maximum(b, c))
     return MeshStats(
         nt=mesh.nt,
         h_max=float(h.max()),
         h_min=float(h.min()),
-        max_ratio=float((circum / inr).max()),
+        max_ratio=float(_radius_ratios(a, b, c, mesh.tri_areas()).max()),
     )
+
+
+def _radius_ratios(a, b, c, area):
+    """Circumradius over inradius of triangles with edge lengths a, b, c and the given areas."""
+    s = 0.5 * (a + b + c)
+    circum = a * b * c / (4.0 * area)
+    inr = area / s
+    return circum / inr
+
+
+def max_ratio_bound(mesh: Mesh) -> float:
+    """The largest ``mesh_stats`` max_ratio that red-green refinement of `mesh` can reach.
+
+    A red split makes four children similar to their parent, and a green
+    bisection two halves that are never bisected again
+    (:func:`refine_marked`).  So every triangle refined from `mesh` is
+    similar to a triangle of its skeleton (its green pairs merged into
+    their parents) or to one of that triangle's six bisection halves
+    (Bank, Sherman & Weiser, IMACS 1983), and the bound is the largest
+    ratio of those seven shapes.
+    """
+    tris = mesh.triangles
+    if len(mesh.green_pairs):
+        tris = _coalesce_green(mesh.vertices, tris, mesh.region, mesh.green_pairs)[0]
+    corners = mesh.vertices[tris]
+    mids = 0.5 * (corners[:, [1, 2, 0]] + corners[:, [2, 0, 1]])  # of local edge k, opposite corner k
+    points = np.concatenate([corners, mids], axis=1)  # (a, b, c, m0, m1, m2)
+    halves = np.where(_GREEN_CHILDREN == 3, 3 + np.arange(3)[:, None, None], _GREEN_CHILDREN).reshape(6, 3)
+    shapes = points[:, np.vstack([[0, 1, 2], halves])]  # (n, 7, 3, 2)
+    a, b, c = np.moveaxis(np.linalg.norm(shapes[:, :, [1, 2, 0]] - shapes[:, :, [2, 0, 1]], axis=-1), -1, 0)
+    d1 = shapes[:, :, 1] - shapes[:, :, 0]
+    d2 = shapes[:, :, 2] - shapes[:, :, 0]
+    area = 0.5 * np.abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    return float(_radius_ratios(a, b, c, area).max())
 
 
 # Children of triangle (a, b, c).  A red split with midpoints m0, m1, m2 of

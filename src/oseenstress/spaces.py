@@ -27,11 +27,13 @@ holds any of them in that monomial basis, and each field type converts to
 it with ``cellwise()``; evaluation, cell means, exact L2 norms and the
 exact cell integrals of products of two such fields are defined there
 once.  An analytic field enters only through :func:`project_exact`, its
-projection onto cellwise linears in one triangle rule; every cell
-integral of the package is then an exact product of cellwise linears.
+projection onto cellwise linears in one triangle rule (or that
+projection's moment part, :func:`project_moments`, without the residual);
+every cell integral of the package is then an exact product of cellwise
+linears.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
     "identity_coeffs",
     "interpolate_pseudostress",
     "project_exact",
+    "project_moments",
     "project_velocity",
     "trace_mean",
 ]
@@ -105,11 +108,14 @@ class CellwiseLinear:
     coeffs[t, ..., :] = (a0, a1, a2) represents the field on triangle t as
     ``a0 + a1 (x - cx) + a2 (y - cy)`` with (cx, cy) the element centroid,
     so a0 is the cell mean.  The middle axes are the value shape: (2,) for
-    a velocity, (2, 2) for a tensor.
+    a velocity, (2, 2) for a tensor.  :meth:`inner` also takes a field on
+    a run of the mesh's triangles, `rows`, whose coefficients are those
+    rows only; every other method takes the whole mesh.
     """
 
     mesh: Mesh
-    coeffs: np.ndarray  # (nt, *value_shape, 3)
+    coeffs: np.ndarray  # (nt, *value_shape, 3), or one row per triangle in `rows`
+    rows: slice = field(default_factory=lambda: slice(None))
 
     def cellwise(self) -> "CellwiseLinear":
         """Itself, so it goes wherever a discrete field does."""
@@ -157,18 +163,18 @@ class CellwiseLinear:
     def inner(self, other: "CellwiseLinear") -> np.ndarray:
         """Exact integral over each triangle of every product of two components.
 
-        Returns shape (nt, m, k): entry (t, i, j) is the integral over
-        triangle t of component i of this field times component j of
-        `other`, each value shape flattened.  For linears a and b,
-        ``int_K a b = |K| (a0 b0 + g_a^T M g_b)``.
+        Returns shape (nt, m, k), or one row per triangle in `rows`: entry
+        (t, i, j) is the integral over triangle t of component i of this
+        field times component j of `other`, each value shape flattened.
+        For linears a and b, ``int_K a b = |K| (a0 b0 + g_a^T M g_b)``.
         """
-        if self.mesh is not other.mesh:
-            raise ValueError("cellwise fields live on different meshes")
-        mesh = self.mesh
-        a = self.coeffs.reshape(mesh.nt, -1, 3)
-        b = other.coeffs.reshape(mesh.nt, -1, 3)
-        weighted = np.concatenate([a[:, :, :1], a[:, :, 1:] @ mesh.tri_second_moments()], axis=2)
-        return mesh.tri_areas()[:, None, None] * (weighted @ b.transpose(0, 2, 1))
+        if self.mesh is not other.mesh or self.rows != other.rows:
+            raise ValueError("cellwise fields live on different meshes or rows")
+        mesh, rows = self.mesh, self.rows
+        a = self.coeffs.reshape(len(self.coeffs), -1, 3)
+        b = other.coeffs.reshape(len(other.coeffs), -1, 3)
+        weighted = np.concatenate([a[:, :, :1], a[:, :, 1:] @ mesh.tri_second_moments()[rows]], axis=2)
+        return mesh.tri_areas()[rows, None, None] * (weighted @ b.transpose(0, 2, 1))
 
 
 @dataclass
@@ -437,6 +443,18 @@ def project_exact(mesh: Mesh, exact, degree: int = 6, singular_corner=None) -> E
     the element's first point, which is added back to the mean, so a
     constant f projects exactly.
     """
+    field, rest = project_moments(mesh, exact, degree, singular_corner)
+    return ExactProjection(field=field, rest=rest())
+
+
+def project_moments(mesh: Mesh, exact, degree: int = 6, singular_corner=None):
+    """The moment part of :func:`project_exact`: Pi f, and a function that returns its residual sum.
+
+    Pi f is bitwise the field of :func:`project_exact`.  The residual pass
+    over the sampled values is left to the caller, since the projected
+    data of the assembly do not use it; the function reuses the samples
+    in place, so it is called at most once.
+    """
     rule = triangle_rule(degree)
     verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     near = np.zeros(mesh.nt, dtype=bool)
@@ -484,17 +502,20 @@ def project_exact(mesh: Mesh, exact, degree: int = 6, singular_corner=None) -> E
     gx = scale * (myy * mx - mxy * my)
     gy = scale * (mxx * my - mxy * mx)
 
-    # rest: the weighted squares of f - Pi f at every point, component by component
-    root_w = np.sqrt(w)
-    for fk, a0, ax, ay in zip(f, mean[:, tris], gx[:, tris], gy[:, tris]):
-        fk -= a0
-        fk -= ax * dx
-        fk -= ay * dy
-        fk *= root_w
-    rest = float(np.vdot(f, f))
     coeffs = np.stack([mean + base, gx, gy], axis=-1)  # (k, nt, 3)
     coeffs = np.moveaxis(coeffs, 0, 1).reshape((mesh.nt,) + value_shape + (3,))
-    return ExactProjection(field=CellwiseLinear(mesh, coeffs), rest=rest)
+
+    def rest() -> float:
+        """The weighted squares of f - Pi f at every point, component by component."""
+        root_w = np.sqrt(w)
+        for fk, a0, ax, ay in zip(f, mean[:, tris], gx[:, tris], gy[:, tris]):
+            fk -= a0
+            fk -= ax * dx
+            fk -= ay * dy
+            fk *= root_w
+        return float(np.vdot(f, f))
+
+    return CellwiseLinear(mesh, coeffs), rest
 
 
 def project_velocity(projection: ExactProjection) -> VelocityField:

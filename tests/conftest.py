@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse.linalg
 
-from oseenstress.mesh import Mesh, build_mesh, make_square_piecewise_uniform, red_groups
+from oseenstress.mesh import _GREEN_CHILDREN, Mesh, build_mesh, make_square_piecewise_uniform, red_groups, refine_marked
 from oseenstress.problems import ProblemSpec
 from oseenstress.sparsela import RTOL, CsrMatrix, relative_residual
 
@@ -50,6 +50,32 @@ def assert_valid_refinement(mesh: Mesh):
         for t1, t2 in pairs:
             shared = set(mesh.triangles[t1]) & set(mesh.triangles[t2])
             assert len(shared) == 2, "green pair members must share an edge"
+
+
+def refine_bisecting_green_halves_again(mesh: Mesh, marked) -> Mesh:
+    """``refine_marked``, then each green half bisected again, as refinement never does.
+
+    The two halves of a pair share the edge from their parent's apex to
+    its split midpoint; a new vertex at that edge's midpoint bisects both,
+    so the mesh stays conforming.  The pairs are not recorded.
+    """
+    refined = refine_marked(mesh, marked)
+    pairs = refined.green_pairs
+    vertices, triangles = refined.vertices, refined.triangles
+    halves = triangles[pairs]  # (ng, 2, 3)
+    inner = (halves[:, :, :, None] == halves[:, ::-1, None, :]).any(axis=3)  # vertices on the shared edge
+    corner = np.argmin(inner, axis=2)  # each half's vertex off it, opposite the shared local edge
+    ends = halves[:, 0][inner[:, 0]].reshape(-1, 2)
+    new = len(vertices) + np.arange(len(pairs))
+    children = np.concatenate([halves, np.broadcast_to(new[:, None, None], (len(pairs), 2, 1))], axis=2)
+    split = np.take_along_axis(children[:, :, None, :], _GREEN_CHILDREN[corner].reshape(len(pairs), 2, 6, 1), axis=3)
+    keep = np.ones(len(triangles), dtype=bool)
+    keep[pairs.ravel()] = False
+    return build_mesh(
+        np.vstack([vertices, vertices[ends].mean(axis=1)]),
+        np.vstack([triangles[keep], split.reshape(-1, 3)]),
+        np.concatenate([refined.region[keep], np.repeat(refined.region[pairs.ravel()], 2)]),
+    )
 
 
 def zero_problem() -> ProblemSpec:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import zero_problem
+from conftest import refine_bisecting_green_halves_again, zero_problem
 
+from oseenstress import adaptive
 from oseenstress.adaptive import (
     IndicatorSet,
     adaptive_solve,
@@ -12,7 +13,7 @@ from oseenstress.adaptive import (
     mark_max,
 )
 from oseenstress.assembly import solve_oseen
-from oseenstress.mesh import make_square_piecewise_uniform
+from oseenstress.mesh import MeshQualityError, load_mesh, make_square_piecewise_uniform, max_ratio_bound, mesh_stats, save_mesh
 from oseenstress.postprocess import postprocess_velocity, recover_pseudostress
 from oseenstress.problems import get_problem
 
@@ -154,3 +155,27 @@ def test_adaptive_solve_respects_dof_budget():
     # no record after the first to exceed the budget
     over = [rec for rec in history.records if rec.dofs >= 2000]
     assert len(over) <= 1
+
+
+# ----------------------------------------------------------------------
+# shape regularity
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, theta, bound", [("p2", 0.7, 4.794404345508253), ("p3", 0.3, 5.343331155222114)])
+def test_refinement_reaches_the_seven_shape_bound_and_never_exceeds_it(name, theta, bound, tmp_path):
+    # the start skeleton's triangles and their six bisection halves; a saved
+    # adapted mesh, with its green pairs merged into their parents first, has the same bound
+    problem = get_problem(name)
+    assert max_ratio_bound(problem.initial_mesh()) == pytest.approx(bound, rel=1e-12)
+    final = adaptive_solve(problem, theta=theta, max_iters=8).final_mesh
+    assert len(final.green_pairs) > 0
+    assert bound * (1 - 1e-12) <= mesh_stats(final).max_ratio <= bound * (1 + 1e-9)
+    save_mesh(final, tmp_path / "mesh.txt")
+    assert max_ratio_bound(load_mesh(tmp_path / "mesh.txt")) == pytest.approx(bound, rel=1e-12)
+
+
+def test_a_green_half_bisected_again_stops_the_run(monkeypatch):
+    monkeypatch.setattr(adaptive, "refine_marked", refine_bisecting_green_halves_again)
+    with pytest.raises(MeshQualityError, match="refinement 1 left a triangle with circumradius/inradius .* above the bound 4.7944"):
+        adaptive_solve(get_problem("p2"), max_iters=2)

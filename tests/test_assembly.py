@@ -10,6 +10,7 @@ import scipy.sparse.linalg
 
 from conftest import colamd_lu_solve, stokes_linear_problem, two_triangle_square, without_hierarchy, zero_problem
 
+import element_oracle
 import monolithic_oracle
 from oseenstress import adaptive, assembly
 from oseenstress.adaptive import adaptive_solve
@@ -262,17 +263,21 @@ def _case(name):
 @pytest.mark.parametrize("name", list(BORDERED_CASES))
 def test_element_blocks_add_up_to_the_quadrature_assembled_matrix(name):
     # The element blocks are exact Gram products against the projected
-    # data; scattered through their dofs they give the oracle's
-    # quadrature-assembled operator, trace-mean border and load.
+    # data; built chunk by chunk and scattered through their dofs they
+    # give the oracle's quadrature-assembled operator, trace-mean border
+    # and load.
     problem, kind, mesh = _case(name)
     space = build_space(mesh, kind)
-    el = assemble(problem, mesh, space).elements
+    hybrid = assemble(problem, mesh, space)
+    el = hybrid.elements
+    bounds = assembly._chunks(hybrid.steps, mesh.nt)
+    blocks = np.concatenate([assembly._local_operator(el, space, slice(*r)) for r in zip(bounds[:-1], bounds[1:])])
     system = monolithic_oracle.assemble(problem, mesh, space)
     m = system.layout.multiplier
     a = system.matrix.to_scipy()
-    rows = np.broadcast_to(el.dofs[:, :, None], el.operator.shape).ravel()
-    cols = np.broadcast_to(el.dofs[:, None, :], el.operator.shape).ravel()
-    operator = scipy.sparse.csr_matrix((el.operator.ravel(), (rows, cols)), shape=(m, m))
+    rows = np.broadcast_to(el.dofs[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(el.dofs[:, None, :], blocks.shape).ravel()
+    operator = scipy.sparse.csr_matrix((blocks.ravel(), (rows, cols)), shape=(m, m))
     misfit = (operator - a[:m, :m]).data
     assert np.abs(misfit).max(initial=0.0) <= 1e-12 * np.abs(a[:m, :m].data).max()
     trace = np.bincount(el.dofs.ravel(), weights=el.trace.ravel(), minlength=m)
@@ -349,6 +354,27 @@ def test_singular_local_block_raises_singular_matrix_error(monkeypatch):
         monkeypatch.setattr(CellwiseLinear, "inner", doctored)
         with pytest.raises(SingularMatrixError, match=f"the local block of element 3 is {defect}"):
             solve_oseen(get_problem("p1"), make_square_piecewise_uniform())
+
+
+@pytest.mark.parametrize("factor, defect", [(0.0, "singular"), (np.nan, "not finite")])
+def test_singular_local_block_in_a_later_chunk_is_named_by_its_mesh_index(factor, defect, monkeypatch):
+    # With chunks of 40 fine triangles, cut at the top units of 64, element
+    # 100 lies in the second chunk, whose Gram products start at row 64.
+    inner = CellwiseLinear.inner
+
+    def doctored(self, other):
+        products = inner(self, other)
+        first = self.rows.start or 0
+        if other is self and first <= 100 < first + len(products):
+            products[100 - first] *= factor
+        return products
+
+    monkeypatch.setattr(CellwiseLinear, "inner", doctored)
+    monkeypatch.setattr(assembly, "_CHUNK", 40)
+    mesh = make_square_piecewise_uniform(3)
+    assert list(assembly._chunks(assembly._hierarchy(mesh.triangles, 1), mesh.nt)[:3]) == [0, 64, 128]
+    with pytest.raises(SingularMatrixError, match=f"the local block of element 100 is {defect}"):
+        solve_oseen(get_problem("p1"), mesh)
 
 
 def test_solve_passes_memory_errors_through(monkeypatch):
@@ -833,6 +859,26 @@ def test_condensation_in_small_chunks_matches_one_chunk(name, monkeypatch):
         assert np.abs(s_whole - s_chunked).max() <= 1e-12 * np.abs(s_whole).max()
 
 
+@pytest.mark.parametrize("name", list(CHUNKED_CASES))
+def test_chunked_element_blocks_equal_the_whole_mesh_oracle(name, monkeypatch):
+    # the pinned inverses written chunk by chunk, and the local blocks the
+    # residual rebuilds chunk by chunk, against the whole-mesh formulas,
+    # bit for bit, for one chunk, chunks of a few dozen triangles and
+    # chunks of one top unit
+    problem_name, kind, make_mesh, _ = CHUNKED_CASES[name]
+    problem, mesh = get_problem(problem_name), make_mesh()
+    space = build_space(mesh, kind)
+    operator = element_oracle.operator(problem, space)
+    inverse = element_oracle.pinned_inverse(operator, space)
+    for chunk in (mesh.nt + 1, 40, 1):
+        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+        system = assemble(problem, mesh, space)
+        bounds = assembly._chunks(system.steps, mesh.nt)
+        rebuilt = [assembly._local_operator(system.elements, space, slice(*r)) for r in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(np.concatenate(rebuilt), operator)
+        assert np.array_equal(system.elements.inverse, inverse)
+
+
 def _owned_bytes(obj, seen: set) -> int:
     """Bytes of the arrays that own the data of every array in `obj`, each counted once."""
     if isinstance(obj, np.ndarray):
@@ -873,3 +919,48 @@ def test_assembly_holds_its_output_and_one_chunk():
         dense += groups * ((18 * q + 4) ** 2 + (6 * q + 3) * (12 * q + 2) + (12 * q + 1) ** 2)
         q *= 2
     assert peak <= output + 8 * dense
+
+
+def test_solve_holds_what_it_keeps_and_one_chunk_of_element_work(monkeypatch):
+    # The BDM1 level-4 hierarchy, 4,864 triangles in three chunks.  Of the
+    # (nt, m, m) arrays only the pinned inverses G_K are kept; the local
+    # blocks L_K exist one chunk at a time, in the condensation and in the
+    # residual check.  So outside the factorization, whose memory is the
+    # top system's, the traced peak of `assemble` and `_solve_hybrid` is
+    # at most the arrays they keep plus the dense blocks of one chunk and
+    # a few chunks' worth of element work (one more whole-mesh L_K would
+    # add 7.6 MB to it).
+    mesh = make_square_piecewise_uniform(4)
+    space = build_space(mesh, "bdm1")
+    problem = get_problem("p1")
+    peaks = []
+
+    def factored_apart(matrix, rhs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        solved = lu_solve(matrix, rhs)
+        tracemalloc.reset_peak()
+        return solved
+
+    monkeypatch.setattr(assembly, "lu_solve", factored_apart)
+    tracemalloc.start()
+    try:
+        system = assemble(problem, mesh, space)
+        s, _ = assembly._solve_hybrid(system)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    el = system.elements
+    nt, m = el.dofs.shape
+    blocks = [field.name for field in dataclasses.fields(el) if getattr(el, field.name).shape == (nt, m, m)]
+    assert blocks == ["inverse"] and m == 14
+    kept = _owned_bytes((system.matrix, system.rhs, system.index, el, system.steps, s), set())
+    q, chunk = space.moments, assembly._CHUNK
+    element_work = 8 * 5 * chunk * m * m
+    dense = chunk * (6 * q + 1) ** 2
+    for level in range(system.depth):
+        groups = chunk >> 2 * (level + 1)
+        dense += groups * ((18 * q + 4) ** 2 + (6 * q + 3) * (12 * q + 2) + (12 * q + 1) ** 2)
+        q *= 2
+    assemble_peak, solve_peak = peaks
+    assert assemble_peak <= kept + 8 * dense + element_work
+    assert solve_peak <= kept + element_work

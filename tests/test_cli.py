@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from oseenstress import cli
+from conftest import refine_bisecting_green_halves_again
+
+from oseenstress import adaptive, cli
 from oseenstress.adaptive import adaptive_solve
 from oseenstress.cli import (
     emit,
@@ -289,4 +291,13 @@ def test_solve_failure_is_one_error_line(tmp_path, capsys, monkeypatch, mode, me
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(expected) and message in err
+    assert err.count("\n") == 1
+
+
+def test_a_refinement_that_loses_shape_regularity_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(adaptive, "refine_marked", refine_bisecting_green_halves_again)
+    code = main(["solve", "--problem", "p2", "--mode", "adaptive", "--levels", "2", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: refinement 1 left a triangle") and "Traceback" not in err
     assert err.count("\n") == 1

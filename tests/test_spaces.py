@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oseenstress.mesh import make_square_piecewise_uniform
+from oseenstress.problems import get_problem
 from oseenstress.quadrature import edge_gauss_rule, triangle_rule
 from oseenstress.spaces import (
     CellwiseLinear,
@@ -14,6 +15,7 @@ from oseenstress.spaces import (
     identity_coeffs,
     interpolate_pseudostress,
     project_exact,
+    project_moments,
     project_velocity,
     trace_mean,
 )
@@ -280,3 +282,20 @@ def test_project_velocity_rejects_wrong_return_shape():
     mesh = make_square_piecewise_uniform()
     with pytest.raises(ValueError):
         project_velocity(project_exact(mesh, lambda x: x[..., 0]))
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_moment_part_of_the_projection_is_bitwise_the_projected_field(name):
+    # the assembly's data in the degree-4 rule, and the exact fields in the
+    # degree-6 rule with the singular corner's cells split
+    problem = get_problem(name)
+    mesh = problem.initial_mesh()
+    cases = [(problem.b, 4, None), (problem.c, 4, None), (problem.f, 4, None)]
+    if problem.has_exact:
+        cases += [(problem.exact_u, 6, problem.singular_corner), (problem.exact_sigma, 6, problem.singular_corner)]
+    for data, degree, corner in cases:
+        whole = project_exact(mesh, data, degree=degree, singular_corner=corner)
+        field, rest = project_moments(mesh, data, degree=degree, singular_corner=corner)
+        assert field.mesh is mesh and field.coeffs.dtype == whole.field.coeffs.dtype
+        assert np.array_equal(field.coeffs, whole.field.coeffs)
+        assert rest() == whole.rest
