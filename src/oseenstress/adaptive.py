@@ -26,19 +26,7 @@ from .postprocess import RecoveredTensorField, postprocess_velocity, recover_pse
 from .problems import ProblemSpec
 from .spaces import CellwiseLinear, project_exact
 
-__all__ = ["IndicatorSet", "AdaptiveRecord", "AdaptiveHistory", "compute_indicators", "mark_max", "adaptive_solve"]
-
-
-@dataclass
-class IndicatorSet:
-    """Per-element refinement indicators and their l2 total."""
-
-    mesh: Mesh
-    eta: np.ndarray  # (nt,)
-
-    @property
-    def total(self) -> float:
-        return float(np.sqrt(np.sum(self.eta**2)))
+__all__ = ["AdaptiveRecord", "AdaptiveHistory", "compute_indicators", "mark_max", "adaptive_solve"]
 
 
 @dataclass
@@ -69,14 +57,14 @@ class AdaptiveHistory:
         return len(self.records)
 
 
-def compute_indicators(sigma_h, sigma_star, u_h, u_star) -> IndicatorSet:
-    """Recovery-based indicators on every element, as exact Gram norms."""
+def compute_indicators(sigma_h, sigma_star, u_h, u_star) -> np.ndarray:
+    """Recovery-based indicators eta (nt,) on every element, as exact Gram norms."""
     eta2 = (sigma_star.cellwise() - sigma_h.cellwise()).sq_norms()
     eta2 += (u_star.cellwise() - u_h.cellwise()).sq_norms()
-    return IndicatorSet(mesh=u_h.mesh, eta=np.sqrt(eta2))
+    return np.sqrt(eta2)
 
 
-def mark_max(indicators: IndicatorSet, theta: float) -> np.ndarray:
+def mark_max(eta: np.ndarray, theta: float) -> np.ndarray:
     """Maximum marking: elements with ``eta >= theta * max(eta)``.
 
     Ties at the threshold are included.  For theta = 0 every element is
@@ -84,10 +72,10 @@ def mark_max(indicators: IndicatorSet, theta: float) -> np.ndarray:
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    eta_max = float(indicators.eta.max(initial=0.0))
+    eta_max = float(eta.max(initial=0.0))
     if eta_max == 0.0:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(indicators.eta >= theta * eta_max)
+    return np.flatnonzero(eta >= theta * eta_max)
 
 
 def _true_error(problem: ProblemSpec, solution: OseenSolution) -> float:
@@ -147,14 +135,14 @@ def adaptive_solve(
         solution = solve_oseen(problem, mesh, kind="rt0")
         ustar = postprocess_velocity(solution.sigma, solution.u)
         sigmastar = recover_pseudostress(solution.sigma)
-        indicators = compute_indicators(solution.sigma, sigmastar, solution.u, ustar)
-        estimator = indicators.total
+        eta = compute_indicators(solution.sigma, sigmastar, solution.u, ustar)
+        estimator = float(np.sqrt(np.sum(eta**2)))
         true_err = _true_error(problem, solution)
         effectivity = estimator / true_err if np.isfinite(true_err) and true_err > 0 else float("nan")
 
         marked = np.empty(0, dtype=np.int64)
         if iteration < max_iters and solution.ndofs < max_dofs:
-            marked = mark_max(indicators, theta)
+            marked = mark_max(eta, theta)
         history.records.append(
             AdaptiveRecord(
                 iteration=iteration,
@@ -174,7 +162,7 @@ def adaptive_solve(
             return history
         # release this mesh's fields (and their cached cellwise forms)
         # before the next solve, whose factorization sets the peak memory
-        del solution, ustar, sigmastar, indicators
+        del solution, ustar, sigmastar, eta
         mesh = refine_marked(mesh, marked)
         iteration += 1
         ratio = mesh_stats(mesh).max_ratio

@@ -34,7 +34,7 @@ function times another or times the data b, c or f.  The data are
 projected onto cellwise linears in a degree-4 rule
 (``spaces.project_exact``), which changes no such integral in that rule,
 and each entry is then an exact Gram product of cellwise linears
-(``CellwiseLinear.inner``) or a cell mean times |K|.
+(``spaces.cell_gram``) or a cell mean times |K|.
 
 The identity tensor lies in the kernel of L_K on both sides
 (``dev I = 0``, ``div I = 0``); z_K denotes its local coefficients.  So
@@ -128,6 +128,7 @@ from .spaces import (
     VelocityField,
     apply_trace_correction,
     build_space,
+    cell_gram,
     edge_rule,
     identity_coeffs,
     project_moments,
@@ -160,20 +161,6 @@ class ElementBlocks:
     sign: np.ndarray  # (nt, 2 nl) tri_signs of each sigma unknown's interior edge, 0 on the boundary
     b: np.ndarray  # (nt, 2, 3) the projected convection field's CellwiseLinear coefficients
     reaction: np.ndarray  # (nt,) |K| times the cell mean of the projected c
-
-
-@dataclass
-class CondensedBlocks:
-    """The condensed system of one level, one dense block per unit.
-
-    A unit is a triangle or, above the finest level, a red group condensed
-    into its parent.  A unit's s = 6 q + 1 unknowns are the multipliers on
-    its edges, ``[row 1: edge 0, 1, 2 | row 2: edge 0, 1, 2]`` with q slots
-    per edge and row, then its kept identity coefficient c.
-    """
-
-    block: np.ndarray  # (nu, s, s)
-    rhs: np.ndarray  # (nu, s)
 
 
 @dataclass
@@ -371,13 +358,13 @@ def _local_operator(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndar
     mesh = space.mesh
     nl = space.ndof_local
     ns = 2 * nl
-    area = mesh.tri_areas()[rows]
+    area, moments = mesh.tri_areas()[rows], mesh.tri_second_moments()[rows]
     # the local bases as one stack: component r of basis j at r nl + j
-    basis = CellwiseLinear(mesh, space.basis_coeff[rows].transpose(0, 2, 1, 3).reshape(len(area), ns, 3), rows)
+    basis = space.basis_coeff[rows].transpose(0, 2, 1, 3).reshape(len(area), ns, 3)
 
     operator = np.zeros((len(area), ns + 2, ns + 2))
     # --- deviatoric block: (dev sigma, tau) = (sigma, tau) - 1/2 (tr sigma, tr tau)
-    gram = basis.inner(basis)  # int phi_i[r] phi_j[s]
+    gram = cell_gram(area, moments, basis, basis)  # int phi_i[r] phi_j[s]
     mass = gram[:, :nl, :nl] + gram[:, nl:, nl:]
     operator[:, :ns, :ns] = -0.5 * gram
     operator[:, :nl, :nl] += mass
@@ -386,7 +373,7 @@ def _local_operator(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndar
     # --- divergence coupling (div tau, u) and its negative transpose, exact
     divint = area[:, None] * space.basis_div[rows]  # (k, nl)
     # --- convection ((dev tau) b, v) of the row-r trial tensor in velocity row p
-    conv = basis.inner(CellwiseLinear(mesh, el.b[rows], rows))  # (k, ns, 2): int phi_j[r] b_p
+    conv = cell_gram(area, moments, basis, el.b[rows])  # (k, ns, 2): int phi_j[r] b_p
     operator[:, ns:, :ns] = -0.5 * conv.transpose(0, 2, 1)
     conv_par = conv[:, :nl, 0] + conv[:, nl:, 1]  # int phi_j . b
     for r in range(2):
@@ -419,7 +406,7 @@ def _invert_pinned(el: ElementBlocks, space: HdivSpace, lo: int, hi: int) -> Non
 
 
 def _element_condensed(el: ElementBlocks, local: np.ndarray, rows: slice):
-    """The condensed blocks of the elements in `rows`, for local right-hand sides `local` (nt, m).
+    """The condensed (block, rhs) pair of the elements in `rows`, for local right-hand sides `local` (nt, m).
 
     Each element's block on its multipliers and c_K is ``[[S G_K S, -S z_K],
     [z_K^T S, 0]]`` with S = diag(sign); its right-hand side is the jump
@@ -435,7 +422,7 @@ def _element_condensed(el: ElementBlocks, local: np.ndarray, rows: slice):
     block[:, ns, :ns] = zs
     solved = (inverse[:, :ns] @ local[:, :, None])[:, :, 0]
     rhs = np.concatenate([sign * solved, np.sum(kernel * local, axis=1)[:, None]], axis=1)
-    return CondensedBlocks(block=block, rhs=rhs)
+    return block, rhs
 
 
 def _red_slots(q: int, fine: int) -> np.ndarray:
@@ -491,17 +478,22 @@ def _summed(children: np.ndarray, target: np.ndarray, size: int) -> np.ndarray:
     return summed
 
 
-def _condense_step(blocks: CondensedBlocks, step: CondensationStep, lo: int, hi: int, depth: int):
+def _condense_step(blocks: tuple, step: CondensationStep, lo: int, hi: int, depth: int):
     """Condense the red groups among blocks `lo`..`hi` of a level into their parents' blocks, and pad the rest.
 
-    `blocks` are those blocks, whole units of `step`.  The four children's
+    `blocks` is the (block, rhs) pair of those blocks, shapes (n, s, s)
+    and (n, s), whole units of `step`.  A unit is a triangle or, above
+    the finest level, a red group condensed into its parent.  A unit's
+    s = 6 q + 1 unknowns are the multipliers on its edges, ``[row 1: edge
+    0, 1, 2 | row 2: edge 0, 1, 2]`` with q slots per edge and row, then
+    its kept identity coefficient c.  The four children's
     blocks of each red group are summed into one dense group block; the
     multipliers inside the parent and three c are eliminated in one
     batched solve, written to the group's rows of ``step.solved``, and the
     Schur complement on the rest is the parent's block.  Every other block
     is its own unit and passes up unchanged, the slots of each edge in the
-    first half of the parent-sized edge.  Returns the units'
-    ``CondensedBlocks`` and their first and end row on the level above.
+    first half of the parent-sized edge.  Returns the units' (block, rhs)
+    pair and their first and end row on the level above.
 
     Raises
     ------
@@ -510,7 +502,8 @@ def _condense_step(blocks: CondensedBlocks, step: CondensationStep, lo: int, hi:
         groups of the whole level, if a group block or its right-hand side
         is not finite, or its eliminated block is singular.
     """
-    s = blocks.rhs.shape[1]
+    block_in, rhs_in = blocks
+    s = rhs_in.shape[1]
     q = (s - 1) // 6
     kept = 12 * q + 1
     size = 18 * q + 4
@@ -522,8 +515,8 @@ def _condense_step(blocks: CondensedBlocks, step: CondensationStep, lo: int, hi:
 
     rows = np.flatnonzero(~alone) if alone.any() else slice(None)  # every block grouped: group k is blocks 4k..4k+3, in place
     pairs = (red[:, :, None] * size + red[:, None, :]).ravel()
-    group = _summed(blocks.block[rows].reshape(ng, 4 * s * s), pairs, size * size).reshape(ng, size, size)
-    rhs = _summed(blocks.rhs[rows].reshape(ng, 4 * s), red.ravel(), size)
+    group = _summed(block_in[rows].reshape(ng, 4 * s * s), pairs, size * size).reshape(ng, size, size)
+    rhs = _summed(rhs_in[rows].reshape(ng, 4 * s), red.ravel(), size)
     solved = step.solved[first:last]
     solved[:] = _checked_solve(
         group[:, kept:, kept:],
@@ -541,9 +534,9 @@ def _condense_step(blocks: CondensedBlocks, step: CondensationStep, lo: int, hi:
     parent_rhs = np.zeros((end - above, kept))
     parent_rhs[groups] = rhs[:, :kept] - (coupling @ solved[:, :, kept:])[:, :, 0]
     at, padded = unit[alone] - above, step.slots[4]
-    block[np.ix_(at, padded, padded)] = blocks.block[alone]
-    parent_rhs[np.ix_(at, padded)] = blocks.rhs[alone]
-    return CondensedBlocks(block=block, rhs=parent_rhs), (above, end)
+    block[np.ix_(at, padded, padded)] = block_in[alone]
+    parent_rhs[np.ix_(at, padded)] = rhs_in[alone]
+    return (block, parent_rhs), (above, end)
 
 
 def _numbering(ids: np.ndarray, moments: int):
@@ -700,8 +693,8 @@ def _chunks(steps: list, nt: int) -> np.ndarray:
     return np.unique(cuts[np.searchsorted(cuts, np.append(np.arange(0, nt, _CHUNK), nt))])
 
 
-def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: list) -> CondensedBlocks:
-    """Condense the element blocks through `steps` (:func:`_hierarchy`), chunk by chunk; the top blocks.
+def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: list):
+    """Condense the element blocks through `steps` (:func:`_hierarchy`), chunk by chunk; the top (block, rhs) pair.
 
     Each chunk of :func:`_chunks` builds its local blocks and writes their
     pinned inverses into ``el.inverse`` (:func:`_invert_pinned`), then goes
@@ -715,15 +708,15 @@ def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: lis
     nt, ns = el.sign.shape
     nu = int(steps[-1].unit[-1]) + 1 if steps else nt
     s = (ns << len(steps)) + 1
-    top = CondensedBlocks(block=np.empty((nu, s, s)), rhs=np.empty((nu, s)))
+    top, top_rhs = np.empty((nu, s, s)), np.empty((nu, s))
     bounds = _chunks(steps, nt)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         _invert_pinned(el, space, lo, hi)
         blocks = _element_condensed(el, local, slice(lo, hi))
         for depth, step in enumerate(steps, 1):
             blocks, (lo, hi) = _condense_step(blocks, step, lo, hi, depth)
-        top.block[lo:hi], top.rhs[lo:hi] = blocks.block, blocks.rhs
-    return top
+        top[lo:hi], top_rhs[lo:hi] = blocks
+    return top, top_rhs
 
 
 def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem:
@@ -771,16 +764,16 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
     lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
     steps = _hierarchy(mesh.triangles, space.moments)
     ids, sizes = _top_ids(ids, steps)
-    top = _condense(el, space, el.load - lam * el.trace, steps)
+    top, top_rhs = _condense(el, space, el.load - lam * el.trace, steps)
     # the nonzero entries of the top blocks on live unknowns, at every depth
     index, size = _numbering(ids, space.moments)
     inside = index < size
-    keep = (top.block != 0) & inside[:, :, None] & inside[:, None, :]
+    keep = (top != 0) & inside[:, :, None] & inside[:, None, :]
     rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
     cols = np.broadcast_to(index[:, None, :], keep.shape)[keep]
-    values = top.block[keep]
-    rhs = np.bincount(index.ravel(), weights=top.rhs.ravel(), minlength=size + 1)[:-1]
-    del top, keep
+    values = top[keep]
+    rhs = np.bincount(index.ravel(), weights=top_rhs.ravel(), minlength=size + 1)[:-1]
+    del top, top_rhs, keep
     return LinearSystem(
         matrix=to_csr(rows, cols, values, size),
         rhs=rhs,

@@ -5,9 +5,10 @@
 history), writing CSV files into an output directory and printing
 aligned tables.  All output is deterministic: rerunning a configuration
 reproduces the files byte for byte.  A solve that fails (a singular
-system or SuperLU out of memory), or an adaptive refinement that loses
-shape regularity, ends the command with a one-line ``error:`` message on
-stderr and exit status 1.
+system or out of memory), or an adaptive refinement that loses shape
+regularity, ends the command with a one-line ``error:`` message on
+stderr (the exception's type name if it has no message) and exit
+status 1.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .mesh import Mesh, MeshQualityError, load_mesh, save_mesh, uniform_quad_ref
 from .postprocess import postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec, get_problem, problem_names
 from .spaces import interpolate_pseudostress, project_exact, project_velocity
-from .sparsela import SingularMatrixError, SolverMemoryError
+from .sparsela import SingularMatrixError
 
 __all__ = ["run_convergence", "emit", "format_sci", "main"]
 
@@ -315,8 +316,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "solve":
         try:
             return _cmd_solve(args, parser)
-        except (SingularMatrixError, SolverMemoryError, MeshQualityError) as exc:
-            print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        except (SingularMatrixError, MemoryError, MeshQualityError) as exc:
+            print("error: " + (" ".join(str(exc).split()) or type(exc).__name__), file=sys.stderr)
             return 1
     parser.error(f"unknown command {args.command!r}")
     return 2

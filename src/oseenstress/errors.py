@@ -21,7 +21,7 @@ Convergence orders are least-squares slopes of log(error) against log(h)
 with h proportional to nt^(-1/2), excluding the first (coarsest) row.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass
 class ErrorRow:
-    """Error norms measured on one mesh level."""
+    """Error norms measured on one mesh level; ``ERROR_COLUMNS`` names the error fields in order."""
 
     level: int
     nt: int
@@ -55,17 +55,8 @@ class ErrorRow:
     err_rho: Optional[float] = None  # ||u - P_h u|| (projection error)
     err_zeta: Optional[float] = None  # ||sigma - Pi_h sigma|| (interpolation error)
 
-    ERROR_COLUMNS = (
-        "err_u",
-        "err_eh",
-        "err_ustar",
-        "err_sigma",
-        "err_xih",
-        "err_sigmastar",
-        "err_div",
-        "err_rho",
-        "err_zeta",
-    )
+
+ErrorRow.ERROR_COLUMNS = tuple(f.name for f in fields(ErrorRow))[3:]  # every field after level, nt and ndofs
 
 
 def _sq_distance(field_a, field_b) -> float:

@@ -108,9 +108,7 @@ class Mesh:
     def _cell_geometry(self):
         """Areas (nt,), centroids (nt, 2) and second moments (nt, 2, 2), read-only."""
         v = self.vertices[self.triangles]
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        areas = 0.5 * _frame(v)[2]
         centroids = v.mean(axis=1)
         d = v - centroids[:, None, :]
         return _read_only(areas, centroids, d.transpose(0, 2, 1) @ d / 12.0)
@@ -193,12 +191,8 @@ class Mesh:
         if tris is None:
             tris = np.arange(self.nt)
         v = self.vertices[self.triangles[tris]]
-        v0 = v[:, 0][:, None, :]
-        d1 = (v[:, 1] - v[:, 0])[:, None, :]
-        d2 = (v[:, 2] - v[:, 0])[:, None, :]
-        xi = ref_pts[None, :, 0, None]
-        eta = ref_pts[None, :, 1, None]
-        return v0 + xi * d1 + eta * d2
+        d1, d2, _ = _frame(v)
+        return v[:, :1] + ref_pts[None, :, 0, None] * d1[:, None] + ref_pts[None, :, 1, None] * d2[:, None]
 
 
 def _read_only(*arrays):
@@ -206,6 +200,17 @@ def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def _frame(corners: np.ndarray):
+    """Edge vectors ``d1 = x1 - x0``, ``d2 = x2 - x0`` of triangles `corners` (..., 3, 2), and ``d1 x d2``.
+
+    The cross product is twice the signed area, positive for a
+    counterclockwise triangle.
+    """
+    d1 = corners[..., 1, :] - corners[..., 0, :]
+    d2 = corners[..., 2, :] - corners[..., 0, :]
+    return d1, d2, d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
 
 
 def group_rows(keys, n: int, width: int = 0, values=None) -> np.ndarray:
@@ -341,10 +346,7 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     if unused.size:
         raise ValueError(f"vertex {unused[0]} belongs to no triangle")
 
-    v = vertices[triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    d1, d2, area2 = _frame(vertices[triangles])
     flip = area2 < 0
     if np.any(flip):
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
@@ -439,10 +441,7 @@ def max_ratio_bound(mesh: Mesh) -> float:
     halves = np.where(_GREEN_CHILDREN == 3, 3 + np.arange(3)[:, None, None], _GREEN_CHILDREN).reshape(6, 3)
     shapes = points[:, np.vstack([[0, 1, 2], halves])]  # (n, 7, 3, 2)
     a, b, c = np.moveaxis(np.linalg.norm(shapes[:, :, [1, 2, 0]] - shapes[:, :, [2, 0, 1]], axis=-1), -1, 0)
-    d1 = shapes[:, :, 1] - shapes[:, :, 0]
-    d2 = shapes[:, :, 2] - shapes[:, :, 0]
-    area = 0.5 * np.abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
-    return float(_radius_ratios(a, b, c, area).max())
+    return float(_radius_ratios(a, b, c, 0.5 * np.abs(_frame(shapes)[2])).max())
 
 
 # Children of triangle (a, b, c).  A red split with midpoints m0, m1, m2 of
@@ -531,10 +530,7 @@ def _coalesce_green(vertices: np.ndarray, triangles: np.ndarray, region: np.ndar
     midpoint = np.where(d0 <= d1, shared[:, 0], shared[:, 1])
     apex = np.where(d0 <= d1, shared[:, 1], shared[:, 0])
     parent = np.stack([only1, only2, apex], axis=1)
-    pv = vertices[parent]
-    e1 = pv[:, 1] - pv[:, 0]
-    e2 = pv[:, 2] - pv[:, 0]
-    cw = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    cw = _frame(vertices[parent])[2] < 0
     parent[cw] = parent[cw][:, [0, 2, 1]]
     origin = np.full(nt, -1, dtype=np.int64)
     origin[keep] = np.arange(keep.size)
@@ -572,8 +568,6 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.nt):
         raise IndexError(f"marked triangle index out of range 0..{mesh.nt - 1}")
-    if marked.size == 0 and mesh.green_pairs.shape[0] == 0:
-        return build_mesh(mesh.vertices, mesh.triangles, mesh.region)
 
     verts, tris, region, greens = mesh.vertices, mesh.triangles, mesh.region, mesh.green_pairs
     # every edge split during this call (sorted keys), the split edges of
@@ -722,33 +716,16 @@ def make_lshape_mesh() -> Mesh:
     The reentrant corner (0, 0) is a mesh vertex.  Each triangle is its own
     region.
     """
-    squares = []
-    for x0 in (-1.0, -0.5, 0.0, 0.5):
-        for y0 in (-1.0, -0.5, 0.0, 0.5):
-            if x0 >= 0.0 and y0 < 0.0:
-                continue  # the removed quadrant
-            squares.append((x0, y0))
-    vid = {}
-    vertices = []
-
-    def vertex(x, y):
-        key = (round(x * 2), round(y * 2))
-        if key in vid:
-            return vid[key]
-        vid[key] = len(vertices)
-        vertices.append((x, y))
-        return vid[key]
-
-    tris = []
-    for x0, y0 in squares:
-        ll = vertex(x0, y0)
-        lr = vertex(x0 + 0.5, y0)
-        ur = vertex(x0 + 0.5, y0 + 0.5)
-        ul = vertex(x0, y0 + 0.5)
-        tris.append((ll, lr, ur))
-        tris.append((ll, ur, ul))
-    tris = np.array(tris, dtype=np.int64)
-    return build_mesh(np.array(vertices), tris, np.arange(tris.shape[0], dtype=np.int64))
+    # lower-left corners of the squares of side 1/2, x-major, in units of 1/2
+    x0, y0 = np.indices((4, 4)).reshape(2, -1) - 2
+    keep = (x0 < 0) | (y0 >= 0)  # all but the removed quadrant
+    corners = np.stack([x0[keep], y0[keep]], axis=1)[:, None] + np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+    # vertices numbered in order of first use
+    points, first, inverse = np.unique(corners.reshape(-1, 2), axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    quads = np.argsort(order)[inverse.ravel()].reshape(-1, 4)
+    tris = quads[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3)  # (ll, lr, ur), (ll, ur, ul)
+    return build_mesh(0.5 * points[order], tris, np.arange(tris.shape[0], dtype=np.int64))
 
 
 def is_piecewise_uniform(mesh: Mesh, tol: float = 1e-12) -> bool:

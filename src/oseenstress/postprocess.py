@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .mesh import Mesh, group_rows
+from .mesh import Mesh, _frame, _read_only, group_rows
 from .quadrature import triangle_rule
 from .spaces import CellwiseLinear, PseudostressField, VelocityField, apply_deviatoric, trace_mean
 
@@ -51,9 +51,7 @@ class RecoveredTensorField:
     values: np.ndarray  # (nv, 2, 2)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", *_read_only(np.array(self.values, dtype=np.float64)))
 
     def cell_means(self) -> np.ndarray:
         """Cell means, shape (2, 2, nt): the mean of each cell's three vertex values."""
@@ -70,17 +68,12 @@ class RecoveredTensorField:
     @cached_property
     def _cellwise(self) -> CellwiseLinear:
         mesh = self.mesh
-        v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
         f = self.values[mesh.triangles]  # (nt, 3, 2, 2)
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])[:, None, None]
+        d1, d2, det = _frame(mesh.vertices[mesh.triangles])
         f1, f2 = f[:, 1] - f[:, 0], f[:, 2] - f[:, 0]
-        gx = (d2[:, 1, None, None] * f1 - d1[:, 1, None, None] * f2) / det
-        gy = (d1[:, 0, None, None] * f2 - d2[:, 0, None, None] * f1) / det
-        coeffs = np.stack([f.mean(axis=1), gx, gy], axis=-1)
-        coeffs.setflags(write=False)
-        return CellwiseLinear(mesh, coeffs)
+        gx = (d2[:, 1, None, None] * f1 - d1[:, 1, None, None] * f2) / det[:, None, None]
+        gy = (d1[:, 0, None, None] * f2 - d2[:, 0, None, None] * f1) / det[:, None, None]
+        return CellwiseLinear(mesh, *_read_only(np.stack([f.mean(axis=1), gx, gy], axis=-1)))
 
 
 def postprocess_velocity(sigma_h: PseudostressField, u_h: VelocityField) -> CellwiseLinear:

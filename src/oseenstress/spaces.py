@@ -33,12 +33,12 @@ every cell integral of the package is then an exact product of cellwise
 linears.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .mesh import Mesh, _red_children
+from .mesh import Mesh, _frame, _read_only, _red_children
 from .quadrature import edge_gauss_rule, triangle_rule
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "VelocityField",
     "apply_deviatoric",
     "build_space",
+    "cell_gram",
     "edge_rule",
     "identity_coeffs",
     "interpolate_pseudostress",
@@ -108,14 +109,11 @@ class CellwiseLinear:
     coeffs[t, ..., :] = (a0, a1, a2) represents the field on triangle t as
     ``a0 + a1 (x - cx) + a2 (y - cy)`` with (cx, cy) the element centroid,
     so a0 is the cell mean.  The middle axes are the value shape: (2,) for
-    a velocity, (2, 2) for a tensor.  :meth:`inner` also takes a field on
-    a run of the mesh's triangles, `rows`, whose coefficients are those
-    rows only; every other method takes the whole mesh.
+    a velocity, (2, 2) for a tensor.
     """
 
     mesh: Mesh
-    coeffs: np.ndarray  # (nt, *value_shape, 3), or one row per triangle in `rows`
-    rows: slice = field(default_factory=lambda: slice(None))
+    coeffs: np.ndarray  # (nt, *value_shape, 3)
 
     def cellwise(self) -> "CellwiseLinear":
         """Itself, so it goes wherever a discrete field does."""
@@ -163,18 +161,27 @@ class CellwiseLinear:
     def inner(self, other: "CellwiseLinear") -> np.ndarray:
         """Exact integral over each triangle of every product of two components.
 
-        Returns shape (nt, m, k), or one row per triangle in `rows`: entry
-        (t, i, j) is the integral over triangle t of component i of this
-        field times component j of `other`, each value shape flattened.
-        For linears a and b, ``int_K a b = |K| (a0 b0 + g_a^T M g_b)``.
+        Returns shape (nt, m, k): entry (t, i, j) is the integral over
+        triangle t of component i of this field times component j of
+        `other`, each value shape flattened (:func:`cell_gram`).
         """
-        if self.mesh is not other.mesh or self.rows != other.rows:
-            raise ValueError("cellwise fields live on different meshes or rows")
-        mesh, rows = self.mesh, self.rows
-        a = self.coeffs.reshape(len(self.coeffs), -1, 3)
-        b = other.coeffs.reshape(len(other.coeffs), -1, 3)
-        weighted = np.concatenate([a[:, :, :1], a[:, :, 1:] @ mesh.tri_second_moments()[rows]], axis=2)
-        return mesh.tri_areas()[rows, None, None] * (weighted @ b.transpose(0, 2, 1))
+        if self.mesh is not other.mesh:
+            raise ValueError("cellwise fields live on different meshes")
+        mesh = self.mesh
+        a, b = (field.coeffs.reshape(mesh.nt, -1, 3) for field in (self, other))
+        return cell_gram(mesh.tri_areas(), mesh.tri_second_moments(), a, b)
+
+
+def cell_gram(area: np.ndarray, moments: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integrals (k, m, n) over k cells of every product of two stacks of linears.
+
+    `a` (k, m, 3) and `b` (k, n, 3) hold monomial coefficients over {1,
+    x - cx, y - cy} on cells of areas `area` (k,) and second moments
+    `moments` (k, 2, 2) (:meth:`~oseenstress.mesh.Mesh.tri_second_moments`).
+    For linears a and b, ``int_K a b = |K| (a0 b0 + g_a^T M g_b)``.
+    """
+    weighted = np.concatenate([a[:, :, :1], a[:, :, 1:] @ moments], axis=2)
+    return area[:, None, None] * (weighted @ b.transpose(0, 2, 1))
 
 
 @dataclass
@@ -290,9 +297,7 @@ class PseudostressField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=np.float64)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", *_read_only(np.array(self.coeffs, dtype=np.float64)))
 
     @property
     def mesh(self) -> Mesh:
@@ -301,9 +306,7 @@ class PseudostressField:
     @cached_property
     def _cellwise(self) -> CellwiseLinear:
         w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
-        coeffs = np.einsum("rtj,tjcm->trcm", w, self.space.basis_coeff)
-        coeffs.setflags(write=False)
-        return CellwiseLinear(self.mesh, coeffs)
+        return CellwiseLinear(self.mesh, *_read_only(np.einsum("rtj,tjcm->trcm", w, self.space.basis_coeff)))
 
     def cellwise(self) -> CellwiseLinear:
         """The tensor field on every element, value shape (2, 2); read-only."""
@@ -475,9 +478,7 @@ def project_moments(mesh: Mesh, exact, degree: int = 6, singular_corner=None):
 
     # point arrays are (nq, m) and values (k, nq, m), so that every
     # per-element factor broadcasts along the long last axis
-    d1 = verts[:, 1] - verts[:, 0]
-    d2 = verts[:, 2] - verts[:, 0]
-    w = rule.weights[:, None] * (0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+    w = rule.weights[:, None] * (0.5 * np.abs(_frame(verts)[2]))
     bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (nq, 3)
     px = bary @ verts[:, :, 0].T
     py = bary @ verts[:, :, 1].T

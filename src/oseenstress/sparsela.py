@@ -86,10 +86,7 @@ def to_csr(rows, cols, vals, n: int) -> CsrMatrix:
         If the arrays differ in size or an index lies outside 0..n-1.
     """
     coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return CsrMatrix.from_scipy(csr)
+    return CsrMatrix.from_scipy(coo.tocsr())  # scipy's tocsr sums duplicates and sorts the indices
 
 
 def minimum_degree(rows, cols, n: int) -> np.ndarray:

@@ -7,7 +7,6 @@ from conftest import refine_bisecting_green_halves_again, zero_problem
 
 from oseenstress import adaptive
 from oseenstress.adaptive import (
-    IndicatorSet,
     adaptive_solve,
     compute_indicators,
     mark_max,
@@ -34,21 +33,19 @@ def test_mark_max_thresholding_and_ties():
     mesh = make_square_piecewise_uniform()
     eta = np.zeros(mesh.nt)
     eta[:5] = [4.0, 2.0, 2.0, 1.9, 0.1]
-    ind = IndicatorSet(mesh=mesh, eta=eta)
-    assert ind.total == pytest.approx(np.sqrt(np.sum(eta**2)), rel=1e-15)
-    marked = mark_max(ind, 0.5)
+    marked = mark_max(eta, 0.5)
     assert np.array_equal(marked, [0, 1, 2])  # ties at the threshold included
-    assert np.array_equal(mark_max(ind, 1.0), [0])
-    assert np.array_equal(mark_max(ind, 0.0), np.arange(mesh.nt))  # includes eta=0
+    assert np.array_equal(mark_max(eta, 1.0), [0])
+    assert np.array_equal(mark_max(eta, 0.0), np.arange(mesh.nt))  # includes eta=0
 
 
 def test_mark_max_is_monotone_in_theta():
     mesh = make_square_piecewise_uniform()
     rng = np.random.default_rng(8)
-    ind = IndicatorSet(mesh=mesh, eta=rng.random(mesh.nt))
+    eta = rng.random(mesh.nt)
     previous = None
     for theta in (0.1, 0.3, 0.5, 0.7, 0.9):
-        marked = set(mark_max(ind, theta).tolist())
+        marked = set(mark_max(eta, theta).tolist())
         if previous is not None:
             assert marked.issubset(previous)
         previous = marked
@@ -56,12 +53,12 @@ def test_mark_max_is_monotone_in_theta():
 
 def test_mark_max_validates_theta_and_handles_zero_field():
     mesh = make_square_piecewise_uniform()
-    ind = IndicatorSet(mesh=mesh, eta=np.zeros(mesh.nt))
-    assert mark_max(ind, 0.5).size == 0
+    eta = np.zeros(mesh.nt)
+    assert mark_max(eta, 0.5).size == 0
     with pytest.raises(ValueError):
-        mark_max(ind, -0.1)
+        mark_max(eta, -0.1)
     with pytest.raises(ValueError):
-        mark_max(ind, 1.5)
+        mark_max(eta, 1.5)
 
 
 # ----------------------------------------------------------------------
@@ -71,17 +68,17 @@ def test_mark_max_validates_theta_and_handles_zero_field():
 
 def test_indicators_vanish_for_zero_data():
     mesh = make_square_piecewise_uniform()
-    ind = indicators_for(zero_problem(), mesh)
-    assert ind.eta.shape == (mesh.nt,)
-    assert np.abs(ind.eta).max() < 1e-12
-    assert mark_max(ind, 0.5).size == 0
+    eta = indicators_for(zero_problem(), mesh)
+    assert eta.shape == (mesh.nt,)
+    assert np.abs(eta).max() < 1e-12
+    assert mark_max(eta, 0.5).size == 0
 
 
 def test_largest_indicator_sits_at_the_reentrant_corner():
     prob = get_problem("p2")
     mesh = prob.initial_mesh()
-    ind = indicators_for(prob, mesh)
-    worst = int(np.argmax(ind.eta))
+    eta = indicators_for(prob, mesh)
+    worst = int(np.argmax(eta))
     dist = np.linalg.norm(mesh.vertices[mesh.triangles[worst]], axis=1).min()
     assert dist == 0.0
 
@@ -103,6 +100,10 @@ def test_adaptive_solve_zero_iterations():
     assert history.final_sigmastar is not None
     assert rec.nt == history.final_mesh.nt
     assert rec.dofs == history.final_solution.ndofs
+    # the estimator is the l2 total of the indicators
+    sol = history.final_solution
+    eta = compute_indicators(sol.sigma, history.final_sigmastar, sol.u, history.final_ustar)
+    assert rec.estimator == pytest.approx(np.sqrt(np.sum(eta**2)), rel=1e-15)
 
 
 def test_adaptive_solve_stops_when_nothing_is_marked():

@@ -20,7 +20,6 @@ from oseenstress.mesh import build_mesh, load_mesh, make_square_piecewise_unifor
 from oseenstress.problems import ProblemSpec, get_problem
 from oseenstress.sparsela import SingularMatrixError, SolverMemoryError, lu_solve
 from oseenstress.spaces import (
-    CellwiseLinear,
     PseudostressField,
     apply_trace_correction,
     build_space,
@@ -342,16 +341,16 @@ def test_singular_local_block_raises_singular_matrix_error(monkeypatch):
     # Element 3's operator is doctored through its Gram block of the
     # bases.  Zeroed, it cannot be condensed and is reported as a singular
     # system naming the element, never as numpy's LinAlgError.
-    inner = CellwiseLinear.inner
+    gram = assembly.cell_gram
     for factor, defect in ((0.0, "singular"), (np.nan, "not finite")):
 
-        def doctored(self, other, factor=factor):
-            products = inner(self, other)
-            if other is self:
+        def doctored(area, moments, a, b, factor=factor):
+            products = gram(area, moments, a, b)
+            if b is a:
                 products[3] *= factor
             return products
 
-        monkeypatch.setattr(CellwiseLinear, "inner", doctored)
+        monkeypatch.setattr(assembly, "cell_gram", doctored)
         with pytest.raises(SingularMatrixError, match=f"the local block of element 3 is {defect}"):
             solve_oseen(get_problem("p1"), make_square_piecewise_uniform())
 
@@ -359,17 +358,17 @@ def test_singular_local_block_raises_singular_matrix_error(monkeypatch):
 @pytest.mark.parametrize("factor, defect", [(0.0, "singular"), (np.nan, "not finite")])
 def test_singular_local_block_in_a_later_chunk_is_named_by_its_mesh_index(factor, defect, monkeypatch):
     # With chunks of 40 fine triangles, cut at the top units of 64, element
-    # 100 lies in the second chunk, whose Gram products start at row 64.
-    inner = CellwiseLinear.inner
+    # 100 lies in the second chunk, whose local blocks start at row 64.  Its
+    # sigma-sigma block, linear in the Gram products of the bases, is scaled.
+    local_operator = assembly._local_operator
 
-    def doctored(self, other):
-        products = inner(self, other)
-        first = self.rows.start or 0
-        if other is self and first <= 100 < first + len(products):
-            products[100 - first] *= factor
-        return products
+    def doctored(el, space, rows):
+        operator = local_operator(el, space, rows)
+        if rows.start <= 100 < rows.stop:
+            operator[100 - rows.start, :6, :6] *= factor  # 2 nl = 6 sigma unknowns for RT0
+        return operator
 
-    monkeypatch.setattr(CellwiseLinear, "inner", doctored)
+    monkeypatch.setattr(assembly, "_local_operator", doctored)
     monkeypatch.setattr(assembly, "_CHUNK", 40)
     mesh = make_square_piecewise_uniform(3)
     assert list(assembly._chunks(assembly._hierarchy(mesh.triangles, 1), mesh.nt)[:3]) == [0, 64, 128]
@@ -648,16 +647,16 @@ def test_top_matrix_is_the_sum_of_the_top_blocks_on_live_unknowns(kind, make_mes
     top = []
     for name in ("_element_condensed", "_condense_step"):
 
-        def spy(*args, original=getattr(assembly, name)):
+        def spy(*args, name=name, original=getattr(assembly, name)):
             result = original(*args)
-            top.append(result[0] if isinstance(result, tuple) else result)
+            top.append(result[0] if name == "_condense_step" else result)  # the (block, rhs) pair
             return result
 
         monkeypatch.setattr(assembly, name, spy)
     mesh = make_mesh()
     system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
     assert system.depth == depth
-    blocks, n = top[-1], system.matrix.n
+    (block, _), n = top[-1], system.matrix.n
     live = system.index < n
     on = live[:, :, None] & live[:, None, :]
     rows = np.broadcast_to(system.index[:, :, None], on.shape)[on]
@@ -665,9 +664,9 @@ def test_top_matrix_is_the_sum_of_the_top_blocks_on_live_unknowns(kind, make_mes
     # a sum per distinct position: a dense n-by-n array of the flat BDM1 system would take 0.5 GB
     position, slot = np.unique(rows * n + cols, return_inverse=True)
     total = np.zeros(position.size)
-    np.add.at(total, slot, blocks.block[on])
+    np.add.at(total, slot, block[on])
     contributions = np.zeros(position.size, dtype=np.int64)
-    np.add.at(contributions, slot, blocks.block[on] != 0)
+    np.add.at(contributions, slot, block[on] != 0)
     assert np.any(contributions == 0)  # the rule drops some positions
     stored = contributions > 0
     matrix = system.matrix
@@ -797,9 +796,9 @@ def test_bad_group_block_raises_singular_matrix_error_naming_depth_and_parent(de
         first, last = np.searchsorted(step.groups, [step.unit[lo], step.unit[hi - 1] + 1])
         if at == depth and first <= 5 < last:
             firsts.append(first)
-            blocks = dataclasses.replace(blocks, block=blocks.block.copy())
+            blocks = (blocks[0].copy(), blocks[1])
             child = np.flatnonzero(step.unit[lo:hi] == step.groups[5])[0]
-            doctor(blocks.block[child : child + 4])
+            doctor(blocks[0][child : child + 4])
         return condense_step(blocks, step, lo, hi, at)
 
     monkeypatch.setattr(assembly, "_condense_step", doctored)

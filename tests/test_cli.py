@@ -272,25 +272,34 @@ def test_solve_with_explicit_mesh_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mode, message, expected",
+    "mode, failure, expected",
     [
-        ("uniform", "SUPERLU_MALLOC fails for buf in intCalloc()", "error: sparse LU ran out of memory"),
-        ("adaptive", "SUPERLU_MALLOC fails for buf in intCalloc()", "error: sparse LU ran out of memory"),
-        ("uniform", "factor is exactly singular", "error: Oseen solve failed"),
+        ("uniform", RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()"), "error: sparse LU ran out of memory"),
+        ("adaptive", RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()"), "error: sparse LU ran out of memory"),
+        ("uniform", RuntimeError("factor is exactly singular"), "error: Oseen solve failed"),
+        ("uniform", MemoryError("Unable to allocate 3.00 GiB for an array with shape (4, 100663296)"), "error: Unable"),
+        ("adaptive", MemoryError(), "error: MemoryError"),
     ],
-    ids=["malloc-uniform", "malloc-adaptive", "singular-uniform"],
+    ids=["malloc-uniform", "malloc-adaptive", "singular-uniform", "numpy-uniform", "numpy-adaptive"],
 )
-def test_solve_failure_is_one_error_line(tmp_path, capsys, monkeypatch, mode, message, expected):
-    # SuperLU failures end the command with exit status 1 and one line on
-    # stderr, not a traceback; nothing is allocated for real.
-    def splu(*args, **kwargs):
-        raise RuntimeError(message)
+def test_solve_failure_is_one_error_line(tmp_path, capsys, monkeypatch, mode, failure, expected):
+    # SuperLU failures, and a numpy allocation failing in the refinement
+    # after the first solve, end the command with exit status 1 and one
+    # line on stderr (the type name for an empty message), not a
+    # traceback; nothing is allocated for real.
+    def fail(*args, **kwargs):
+        raise failure
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    code = main(["solve", "--problem", "p1", "--mode", mode, "--levels", "1", "--out", str(tmp_path / "run")])
+    if isinstance(failure, RuntimeError):  # SuperLU signals singularity and failed mallocs this way
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
+    elif mode == "uniform":
+        monkeypatch.setattr(cli, "uniform_quad_refine", fail)
+    else:
+        monkeypatch.setattr(adaptive, "refine_marked", fail)
+    code = main(["solve", "--problem", "p1", "--mode", mode, "--levels", "2", "--out", str(tmp_path / "run")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(expected) and message in err
+    assert err.startswith(expected) and str(failure) in err
     assert err.count("\n") == 1
 
 

@@ -55,6 +55,25 @@ def test_lshape_mesh_basic_counts():
     assert d.min() == 0.0
 
 
+def test_lshape_mesh_matches_the_square_by_square_loop():
+    # the reference: squares x-major, each numbering its new corners
+    # (ll, lr, ur, ul) on first use and split along its ll-ur diagonal
+    vid, tris = {}, []
+    for x0 in (-1.0, -0.5, 0.0, 0.5):
+        for y0 in (-1.0, -0.5, 0.0, 0.5):
+            if x0 >= 0.0 and y0 < 0.0:
+                continue
+            ll, lr, ur, ul = (
+                vid.setdefault(p, len(vid)) for p in ((x0, y0), (x0 + 0.5, y0), (x0 + 0.5, y0 + 0.5), (x0, y0 + 0.5))
+            )
+            tris += [(ll, lr, ur), (ll, ur, ul)]
+    vertices = sorted(vid, key=vid.get)
+    mesh = make_lshape_mesh()
+    assert np.array_equal(mesh.vertices, np.array(vertices)) and mesh.vertices.dtype == np.float64
+    assert np.array_equal(mesh.triangles, np.array(tris)) and mesh.triangles.dtype == np.int64
+    assert np.array_equal(mesh.region, np.arange(24))
+
+
 def test_uniform_refinement_sequence():
     h_prev = None
     for level in range(4):
