@@ -24,7 +24,7 @@ from .errors import l2_error
 from .mesh import Mesh, MeshQualityError, max_ratio_bound, mesh_stats, refine_marked
 from .postprocess import RecoveredTensorField, postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec
-from .spaces import CellwiseLinear, project_exact
+from .spaces import project_exact
 
 __all__ = ["AdaptiveRecord", "AdaptiveHistory", "compute_indicators", "mark_max", "adaptive_solve"]
 
@@ -49,7 +49,6 @@ class AdaptiveHistory:
     records: List[AdaptiveRecord] = field(default_factory=list)
     final_mesh: Optional[Mesh] = None
     final_solution: Optional[OseenSolution] = None
-    final_ustar: Optional[CellwiseLinear] = None
     final_sigmastar: Optional[RecoveredTensorField] = None
 
     @property
@@ -157,7 +156,6 @@ def adaptive_solve(
         if marked.size == 0:
             history.final_mesh = mesh
             history.final_solution = solution
-            history.final_ustar = ustar
             history.final_sigmastar = sigmastar
             return history
         # release this mesh's fields (and their cached cellwise forms)

@@ -59,10 +59,13 @@ The condensed operator is structurally symmetric, but a third of its
 diagonal is zero: every c_K row and some multiplier rows.  Its
 elimination order is therefore built on edges, not on the unknowns: a
 minimum-degree order of the graph in which two edges are adjacent when
-they share a unit (below: a triangle or a condensed red group), expanded
-so that the multipliers of each edge are consecutive, with each c placed
-directly after the last of its unit's edges.  Every condensed unknown is
-numbered by its position in that order, so the assembled operator is
+they share a unit (below: a triangle or a condensed red group).  One
+stable sort numbers every condensed unknown by its position in the
+elimination: a multiplier on the edge at position p of that order has
+the key 2 p, the c of a unit 2 p + 1 with p the position of the unit's
+last edge, and ties go by multiplier and then by unit.  So the
+multipliers of each edge are consecutive, and each c comes directly
+after the last of its unit's edges.  The assembled operator is then
 already in factor order and SuperLU factors it as numbered, equilibrated
 and with diagonal pivots; on the finest p1 BDM1 level this halves the
 fill of SuperLU's own COLAMD column order.
@@ -97,19 +100,19 @@ condensed once, on its own triangles.  At every depth SuperLU gets the
 nonzero entries of the top blocks on live unknowns.
 
 The condensation holds one chunk of the mesh at a time.  Its structure
-is read first, from whole levels: the red groups of every
-level, the unit each block goes into and the slots of its unknowns
-there, and from those the multiplier ids of the top units, which number
-the top system.  Then runs of about ``_CHUNK`` = 2048 fine triangles,
-each made of whole top units, go from their local blocks L_K, built for
-the chunk's rows, through their pinned inverses and every level to their
-top blocks; only numbers are condensed there, and they are written, with
-each level's solved group blocks and the inverses G_K, into arrays
-allocated once at full size.  So beside what the solve keeps (the
-element maps, loads and inverses, every level's solved group blocks and
-the top system) the assembly holds the dense blocks of one chunk, not
-those of a whole level.  L_K is not kept: the residual check builds it
-again chunk by chunk.  The top blocks are freed before the CSR
+is read first, in one pass over whole levels: the red groups of every
+level, the unit each block goes into, the slots of its unknowns there
+and the multiplier ids moved into them, up to the ids of the top units,
+which number the top system.  Then runs of about ``_CHUNK`` = 2048 fine
+triangles, each made of whole top units, go from their local blocks L_K,
+built for the chunk's rows, through their pinned inverses and every
+level to their top blocks; only numbers are condensed there, and they
+are written, with each level's solved group blocks and the inverses G_K,
+into arrays allocated once at full size.  So beside what the solve keeps
+(the element maps, loads and inverses, every level's solved group blocks
+and the top system) the assembly holds the dense blocks of one chunk,
+not those of a whole level.  L_K is not kept: the residual check builds
+it again chunk by chunk.  The top blocks are freed before the CSR
 conversion, whose int32 indices are passed on to SuperLU without a copy.
 """
 
@@ -386,35 +389,29 @@ def _local_operator(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndar
     return operator
 
 
-def _invert_pinned(el: ElementBlocks, space: HdivSpace, lo: int, hi: int) -> None:
-    """Write G_K of the elements `lo`..`hi` into ``el.inverse``.
+def _element_condensed(el: ElementBlocks, space: HdivSpace, local: np.ndarray, lo: int, hi: int):
+    """Write G_K of the elements `lo`..`hi` into ``el.inverse``, and return their condensed (block, rhs) pair.
 
     G_K is L_K with a unit row and column at the largest |z_K|, inverted,
     then zero there; a failing element is named by its index in the mesh.
+    Each element's block on its multipliers and c_K is ``[[S G_K S, -S
+    z_K], [z_K^T S, 0]]`` with S = diag(sign); its right-hand side is the
+    jump ``S G_K local_K`` of the local solution, for the local right-hand
+    sides `local` (nt, m), then ``z_K^T local_K``.  The c_K-c_K entry is
+    zero.
     """
     operator = _local_operator(el, space, slice(lo, hi))
-    tris = np.arange(hi - lo)
-    pin = np.argmax(np.abs(el.kernel[lo:hi]), axis=1)
+    sign, kernel, inverse, local = el.sign[lo:hi], el.kernel[lo:hi], el.inverse[lo:hi], local[lo:hi]
+    nt, ns = sign.shape
+    tris = np.arange(nt)
+    pin = np.argmax(np.abs(kernel), axis=1)
     operator[tris, pin, :] = 0.0
     operator[tris, :, pin] = 0.0
     operator[tris, pin, pin] = 1.0
-    inverse = el.inverse[lo:hi]
     inverse[:] = _checked_solve(
         operator, np.broadcast_to(np.eye(operator.shape[1]), operator.shape), "the local block of element", first=lo
     )
     inverse[tris, pin, pin] = 0.0
-
-
-def _element_condensed(el: ElementBlocks, local: np.ndarray, rows: slice):
-    """The condensed (block, rhs) pair of the elements in `rows`, for local right-hand sides `local` (nt, m).
-
-    Each element's block on its multipliers and c_K is ``[[S G_K S, -S z_K],
-    [z_K^T S, 0]]`` with S = diag(sign); its right-hand side is the jump
-    ``S G_K local_K`` of the local solution, then ``z_K^T local_K``.  G_K
-    is zero on the pinned row and column, and the c_K-c_K entry is zero.
-    """
-    sign, kernel, inverse, local = el.sign[rows], el.kernel[rows], el.inverse[rows], local[rows]
-    nt, ns = sign.shape
     zs = kernel[:, :ns] * sign
     block = np.zeros((nt, ns + 1, ns + 1))
     block[:, :ns, :ns] = inverse[:, :ns, :ns] * sign[:, :, None] * sign[:, None, :]
@@ -543,16 +540,20 @@ def _numbering(ids: np.ndarray, moments: int):
     """Condensed index of every unknown of the top blocks, and their number N.
 
     `ids` (nu, 6 q) names the multipliers of the top units' blocks; a
-    row-2 slot lies on the fine edge of the row-1 slot 3 q before it, and
-    a row-1 id over `moments` is the rank of its fine edge among the
-    interior ones.  A top edge is the set of fine edges that the same two
-    top units share; the top edges are numbered by their first fine edge,
-    which on a uniform hierarchy numbers the interior edges of the top
-    mesh in its own order.  The multipliers of one row on one top edge,
-    ordered by id, are the edge's multipliers of
-    :func:`_elimination_order`, which gives every unknown its elimination
-    position.  Returns the index (nu, 6 q + 1) with N where no unknown is:
-    on dead slots and at the last unit's c, which is pinned.
+    row-2 slot lies on the fine edge of the row-1 slot 3 q before it, a
+    row-1 id over `moments` is the rank of its fine edge among the
+    interior ones, and every row-2 id exceeds every row-1 id.  A top edge
+    is the set of fine edges that the same two top units share; the top
+    edges are numbered by their first fine edge, which on a uniform
+    hierarchy numbers the interior edges of the top mesh in its own
+    order, and two top edges are adjacent when they share a unit.  One
+    stable sort then gives every unknown its elimination position (see
+    the module docstring): a multiplier on the top edge at position p of
+    the minimum-degree order of that graph has the key 2 p, and c of
+    every unit but the last 2 p + 1, with p the position of the unit's
+    last edge, or the number of top edges if it has none; ties go by id,
+    then by unit.  Returns the index (nu, 6 q + 1) with N where no
+    unknown is: on dead slots and at the last unit's c, which is pinned.
     """
     nu, width = ids.shape
     half = width // 2
@@ -572,53 +573,28 @@ def _numbering(ids: np.ndarray, moments: int):
     rank[np.argsort(first_fine)] = np.arange(n_edges)
     edge = np.full(lo.size + 1, -1)  # top edge of each fine edge, then -1 for the dead slots
     edge[:-1][on_top] = rank[top]
-    count = moments * np.bincount(rank[top], minlength=n_edges)  # multipliers per row of each top edge
-    slot_edge = np.tile(edge[fine], 2)
+    slot_edge = edge[fine]
 
-    row = np.arange(width) // half
-    key = np.full(ids.max(initial=-1) + 1, -1)
-    key[ids[live]] = (row * n_edges + slot_edge)[live]
-    present = np.flatnonzero(key >= 0)
-    unknown = np.empty_like(key)
-    unknown[present[np.argsort(key[present], kind="stable")]] = np.arange(present.size)
-
-    owned = np.unique((unit * n_edges + slot_edge[:, :half])[first])
+    owned = np.unique((unit * n_edges + slot_edge)[first])
     unit_edges = group_rows(owned // n_edges, nu, values=owned % n_edges)
-    n_mult = 2 * int(count.sum())
-    size = n_mult + nu - 1
-    position = np.append(_elimination_order(unit_edges, count), size)
-    index = np.full((nu, width + 1), size, dtype=np.int32)
-    index[:, :-1][live] = position[unknown[ids[live]]]
-    index[:, -1] = position[n_mult + np.arange(nu)]
-    return index, size
-
-
-def _elimination_order(unit_edges: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Fill-reducing order of the condensed unknowns (see the module docstring).
-
-    `unit_edges` (nu, w) lists the top edges of each top unit, -1 padded,
-    and `count` the multipliers per row of each top edge.  The unknowns
-    are listed as the multipliers, row 1 then row 2, each in top-edge
-    order with `count` per edge, then c of every unit but the last.
-    Returns the position in the elimination order of each.
-    """
-    n_edges = count.size
-    nu, w = unit_edges.shape
-    if n_edges == 0:
-        return np.arange(nu - 1)
     inner = unit_edges >= 0
     # the top edges of one unit are pairwise adjacent
-    a, b = np.nonzero(~np.eye(w, dtype=bool))
+    a, b = np.nonzero(~np.eye(unit_edges.shape[1], dtype=bool))
     pair = inner[:, a] & inner[:, b]
     position = minimum_degree(unit_edges[:, a][pair], unit_edges[:, b][pair], n_edges)
-    key_mult = np.tile(2 * np.repeat(position, count), 2)
-    last = np.where(inner, position[unit_edges], -1).max(axis=1)[:-1]
-    key_c = 2 * np.where(last >= 0, last, n_edges) + 1
-    key = np.concatenate([key_mult, key_c])
-    order = np.argsort(key * key.size + np.arange(key.size))  # ties go by index
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    return position
+    slot_position = np.append(position, -1)[slot_edge]
+    last = slot_position.max(axis=1)[:-1]
+    # an id eliminated below the top sorts after every unknown
+    key = np.full(ids.max(initial=-1) + 1, 2 * n_edges + 2)
+    key[ids[live]] = 2 * np.tile(slot_position, 2)[live]
+    key = np.concatenate([key, 2 * np.where(last >= 0, last, n_edges) + 1])
+    place = np.empty_like(key)
+    place[np.argsort(key, kind="stable")] = np.arange(key.size)
+    size = np.count_nonzero(live) // 2 + nu - 1
+    index = np.full((nu, width + 1), size, dtype=np.int32)
+    index[:, :-1][live] = place[ids[live]]
+    index[:-1, -1] = place[key.size - nu + 1 :]
+    return index, size
 
 
 _QUAD_DEGREE = 4  # exactness of the rule the data b, c and f are projected in
@@ -626,15 +602,23 @@ _TOP_EDGE_MULTIPLIERS = 8  # most multipliers per edge and row of a condensed pa
 _CHUNK = 2048  # fine triangles condensed at a time, up to the next top unit
 
 
-def _hierarchy(triangles: np.ndarray, q: int) -> list:
-    """The ``CondensationStep`` of every level that is condensed, finest first, with `solved` not yet filled.
+def _hierarchy(triangles: np.ndarray, ids: np.ndarray):
+    """Every condensed level, finest first; the top units' multiplier ids, and the size of each level below the top.
 
-    A level's red groups are read off its triangles, and the next level's
+    `ids` (nt, 6 q) names the multipliers of the element blocks
+    (:func:`_element_blocks`), q the element's moments per edge.  A
+    level's red groups are read off its triangles, and the next level's
     triangles, the parents, off the groups.  The levels go on while the
     last one left no block alone and the parents' edges carry at most 8
-    multipliers per row; `q` is the element's moments per edge.
+    multipliers per row.  Each level gives its ``CondensationStep``, with
+    `solved` not yet filled, and moves the ids to their slots in its
+    units, where the eliminated ones are dropped and -1 marks a dead slot:
+    on the boundary, or in the second half of each edge of a block that a
+    level left alone.  A level's condensed size counts every live
+    multiplier on its two sides, and c of every unit but one.
     """
-    steps = []
+    steps, sizes = [], []
+    q = ids.shape[1] // 6
     while 2 * q <= _TOP_EDGE_MULTIPLIERS:
         starts = red_groups(triangles)
         if starts.size == 0:
@@ -644,40 +628,17 @@ def _hierarchy(triangles: np.ndarray, q: int) -> list:
         unit = np.cumsum(member % 4 == 0) - 1  # the units keep the order of their first block
         # a block alone: its slot t of edge t // q goes to the first half of that edge, c to c
         alone = np.arange(6 * q + 1) + np.arange(6 * q + 1) // q * q
-        steps.append(
-            CondensationStep(
-                unit=unit,
-                member=member,
-                slots=np.vstack([_red_slots(q, 1 << len(steps)), alone]),
-                groups=unit[starts],
-                solved=np.empty((starts.size, 6 * q + 3, 12 * q + 2)),
-            )
-        )
+        slots = np.vstack([_red_slots(q, 1 << len(steps)), alone])
+        solved = np.empty((starts.size, 6 * q + 3, 12 * q + 2))
+        steps.append(CondensationStep(unit=unit, member=member, slots=slots, groups=unit[starts], solved=solved))
+        sizes.append(np.count_nonzero(ids >= 0) // 2 + len(ids) - 1)
+        parent = np.full((int(unit[-1]) + 1, 18 * q + 4), -1)
+        parent[unit[:, None], slots[member, :-1]] = ids
+        ids = parent[:, : 12 * q]
         if 4 * starts.size < len(triangles):  # the padded blocks left alone end the condensation
             break
         triangles, q = triangles[starts[:, None] + np.arange(3), 0], 2 * q
-    return steps
-
-
-def _top_ids(ids: np.ndarray, steps: list):
-    """The multiplier ids of the top units' unknowns, and the condensed size of every level, finest first.
-
-    `ids` (nt, 6 q) names the multipliers of the element blocks
-    (:func:`_element_blocks`).  Each level moves them to their slots in
-    its units, where the eliminated ones are dropped and -1 marks a dead
-    slot: on the boundary, or in the second half of each edge of a block
-    that a level left alone.  A level's size counts every live multiplier
-    on its two sides, and c of every unit but one.
-    """
-    sizes = []
-    for step in steps:
-        n, width = ids.shape
-        sizes.append(np.count_nonzero(ids >= 0) // 2 + n - 1)
-        parent = np.full((int(step.unit[-1]) + 1, 3 * width + 4), -1)
-        parent[step.unit[:, None], step.slots[step.member, :-1]] = ids
-        ids = parent[:, : 2 * width]
-    sizes.append(np.count_nonzero(ids >= 0) // 2 + len(ids) - 1)
-    return ids, tuple(sizes)
+    return steps, ids, sizes
 
 
 def _chunks(steps: list, nt: int) -> np.ndarray:
@@ -696,11 +657,11 @@ def _chunks(steps: list, nt: int) -> np.ndarray:
 def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: list):
     """Condense the element blocks through `steps` (:func:`_hierarchy`), chunk by chunk; the top (block, rhs) pair.
 
-    Each chunk of :func:`_chunks` builds its local blocks and writes their
-    pinned inverses into ``el.inverse`` (:func:`_invert_pinned`), then goes
-    from its element blocks (:func:`_element_condensed`, for local
-    right-hand sides `local`) through every level
-    (:func:`_condense_step`) to its top blocks, which are written into
+    Each chunk of :func:`_chunks` builds its local blocks, writes their
+    pinned inverses into ``el.inverse`` and condenses them
+    (:func:`_element_condensed`, for local right-hand sides `local`), then
+    goes through every level (:func:`_condense_step`) to its top blocks,
+    which are written into
     arrays allocated once at full size, as the steps' solved group blocks
     are.  So no dense block of a whole level below the top is ever held,
     nor any local block L_K beyond the chunk.
@@ -711,8 +672,7 @@ def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: lis
     top, top_rhs = np.empty((nu, s, s)), np.empty((nu, s))
     bounds = _chunks(steps, nt)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        _invert_pinned(el, space, lo, hi)
-        blocks = _element_condensed(el, local, slice(lo, hi))
+        blocks = _element_condensed(el, space, local, lo, hi)
         for depth, step in enumerate(steps, 1):
             blocks, (lo, hi) = _condense_step(blocks, step, lo, hi, depth)
         top[lo:hi], top_rhs[lo:hi] = blocks
@@ -722,10 +682,11 @@ def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: lis
 def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem:
     """Assemble the element blocks, condense them through the red groups, and form the top system.
 
-    The levels (:func:`_hierarchy`) and the multiplier ids of the top
-    units (:func:`_top_ids`) are read first, and the condensation then
-    runs chunk by chunk (:func:`_condense`).  The top blocks are freed
-    before the CSR conversion.
+    The levels and the multiplier ids of the top units
+    (:func:`_hierarchy`) are read first, and the condensation then runs
+    chunk by chunk (:func:`_condense`).  One sort numbers the top system
+    (:func:`_numbering`).  The top blocks are freed before the CSR
+    conversion.
 
     Parameters
     ----------
@@ -762,8 +723,7 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
             stacklevel=2,
         )
     lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
-    steps = _hierarchy(mesh.triangles, space.moments)
-    ids, sizes = _top_ids(ids, steps)
+    steps, ids, sizes = _hierarchy(mesh.triangles, ids)
     top, top_rhs = _condense(el, space, el.load - lam * el.trace, steps)
     # the nonzero entries of the top blocks on live unknowns, at every depth
     index, size = _numbering(ids, space.moments)
@@ -782,7 +742,7 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
         elements=el,
         index=index,
         steps=tuple(steps),
-        sizes=sizes,
+        sizes=(*sizes, size),
     )
 
 

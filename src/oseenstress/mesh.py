@@ -288,7 +288,7 @@ def _hanging_boundary_vertex(vertices: np.ndarray, ends: np.ndarray):
 
 
 class MeshQualityError(RuntimeError):
-    """A refinement made a triangle less regular than the shapes of its start mesh allow."""
+    """A refinement made a triangle less regular than its start mesh's shapes allow, or did not restore conformity."""
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,6 @@ class MeshStats:
     """Size and shape summary of a mesh."""
 
     nt: int
-    h_max: float
-    h_min: float
     max_ratio: float
 
 
@@ -402,15 +400,9 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
 
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
-    """Triangle count, extreme diameters and worst circum/in-radius ratio."""
+    """Triangle count and worst circum/in-radius ratio."""
     a, b, c = mesh.edge_lengths()[mesh.tri_edges].T
-    h = np.maximum(a, np.maximum(b, c))
-    return MeshStats(
-        nt=mesh.nt,
-        h_max=float(h.max()),
-        h_min=float(h.min()),
-        max_ratio=float(_radius_ratios(a, b, c, mesh.tri_areas()).max()),
-    )
+    return MeshStats(nt=mesh.nt, max_ratio=float(_radius_ratios(a, b, c, mesh.tri_areas()).max()))
 
 
 def _radius_ratios(a, b, c, area):
@@ -557,7 +549,8 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
     output triangles that keep an edge whose midpoint is already a vertex,
     and a further pass refines those: such green members are marked, the
     stale edges of other triangles are forced split.  Most calls need one
-    pass, some two or three; after 64 passes a ``RuntimeError`` is raised.
+    pass, some two or three; after 64 passes a :class:`MeshQualityError`
+    is raised.
 
     Parameters
     ----------
@@ -635,7 +628,7 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
         tris, region, greens = out, out_region, pairs
         marked = np.flatnonzero(member & stale.any(axis=1))
         forced = np.unique(out_keys[stale & ~member[:, None]])
-    raise RuntimeError("conformity restoration did not converge")
+    raise MeshQualityError("conformity restoration did not converge in 64 passes")
 
 
 # Irregular 19-triangle Delaunay triangulation of the unit square used as the

@@ -34,10 +34,6 @@ class QuadRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def npoints(self) -> int:
-        return self.points.shape[0]
-
 
 def monomial_integral_reference(a: int, b: int) -> float:
     """Exact integral of ``x**a * y**b`` over the reference triangle."""

@@ -96,13 +96,12 @@ def test_adaptive_solve_zero_iterations():
     assert rec.marked == 0
     assert history.final_mesh is not None
     assert history.final_solution is not None
-    assert history.final_ustar is not None
     assert history.final_sigmastar is not None
     assert rec.nt == history.final_mesh.nt
     assert rec.dofs == history.final_solution.ndofs
     # the estimator is the l2 total of the indicators
     sol = history.final_solution
-    eta = compute_indicators(sol.sigma, history.final_sigmastar, sol.u, history.final_ustar)
+    eta = compute_indicators(sol.sigma, history.final_sigmastar, sol.u, postprocess_velocity(sol.sigma, sol.u))
     assert rec.estimator == pytest.approx(np.sqrt(np.sum(eta**2)), rel=1e-15)
 
 
@@ -115,7 +114,7 @@ def test_adaptive_solve_stops_when_nothing_is_marked():
     assert (rec.iteration, rec.marked, rec.estimator) == (0, 0, 0.0)
     assert history.final_mesh.nt == rec.nt == 19
     assert history.final_solution.ndofs == rec.dofs
-    assert history.final_ustar is not None and history.final_sigmastar is not None
+    assert history.final_sigmastar is not None
 
 
 def test_adaptive_solve_rejects_negative_iterations():

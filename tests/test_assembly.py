@@ -368,10 +368,11 @@ def test_singular_local_block_in_a_later_chunk_is_named_by_its_mesh_index(factor
             operator[100 - rows.start, :6, :6] *= factor  # 2 nl = 6 sigma unknowns for RT0
         return operator
 
+    mesh = make_square_piecewise_uniform(3)
+    steps = assemble(get_problem("p1"), mesh, build_space(mesh, "rt0")).steps
     monkeypatch.setattr(assembly, "_local_operator", doctored)
     monkeypatch.setattr(assembly, "_CHUNK", 40)
-    mesh = make_square_piecewise_uniform(3)
-    assert list(assembly._chunks(assembly._hierarchy(mesh.triangles, 1), mesh.nt)[:3]) == [0, 64, 128]
+    assert list(assembly._chunks(steps, mesh.nt)[:3]) == [0, 64, 128]
     with pytest.raises(SingularMatrixError, match=f"the local block of element 100 is {defect}"):
         solve_oseen(get_problem("p1"), mesh)
 
@@ -751,6 +752,61 @@ def test_grouped_solve_matches_the_single_level_solve(name):
     _assert_same_solution(solve_oseen(problem, mesh), solve_oseen(problem, flat))
 
 
+@pytest.mark.parametrize("name", list(GROUPED_CASES))
+def test_adaptive_top_order_keeps_edges_together_and_each_c_after_its_edges(name):
+    # a top edge is named by the two top units whose index rows hold its
+    # multipliers; here it holds one or two fine edges
+    problem_name, make_mesh = GROUPED_CASES[name]
+    mesh = make_mesh()
+    system = assemble(get_problem(problem_name), mesh, build_space(mesh, "rt0"))
+    n, nu = system.matrix.n, system.index.shape[0]
+    edge, c = system.index[:, :-1], system.index[:, -1]
+    inner = edge < n
+    unit = np.broadcast_to(np.arange(nu)[:, None], edge.shape)[inner]
+    lo = np.full(n, nu)
+    hi = np.full(n, -1)
+    np.minimum.at(lo, edge[inner], unit)
+    np.maximum.at(hi, edge[inner], unit)
+    mult = np.flatnonzero(hi >= 0)
+    assert np.all(np.bincount(edge[inner], minlength=n)[mult] == 2) and np.all(lo[mult] < hi[mult])
+    assert np.array_equal(np.sort(np.concatenate([mult, c[:-1]])), np.arange(n)) and c[-1] == n
+    # the multipliers of each top edge are consecutive: 2 or 4 of them (RT0, both rows)
+    _, top_edge, count = np.unique(lo[mult] * nu + hi[mult], return_inverse=True, return_counts=True)
+    first = np.full(count.size, n)
+    last = np.full(count.size, -1)
+    np.minimum.at(first, top_edge, mult)
+    np.maximum.at(last, top_edge, mult)
+    assert np.all(last - first == count - 1) and set(count) <= {2, 4}
+    # c comes after every multiplier of its unit's edges, with only other c's in between
+    own = np.where(inner, edge, -1).max(axis=1)[:-1]
+    assert np.all(own >= 0) and np.all(c[:-1] > own)
+    multipliers_up_to = np.cumsum(np.isin(np.arange(n), mult))
+    assert np.array_equal(multipliers_up_to[c[:-1]], multipliers_up_to[own])
+
+
+def _one_triangle():
+    return build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "make_mesh, depth",
+    [(_one_triangle, 0), (lambda: uniform_quad_refine(_one_triangle()), 1)],
+    ids=["one-triangle", "one-red-group"],
+)
+def test_a_top_system_without_edges_matches_the_monolithic_solve(kind, make_mesh, depth):
+    # the whole mesh condenses to one top unit, whose c is pinned: N = 0
+    problem, mesh = get_problem("p1"), make_mesh()
+    system = assemble(problem, mesh, build_space(mesh, kind))
+    assert system.depth == depth and system.matrix.n == 0 and system.index.shape[0] == 1
+    sol = solve_oseen(problem, mesh, kind=kind)
+    sigma, u, lam = monolithic_oracle.oracle_solve(problem, mesh, kind)
+    assert np.abs(sol.sigma.coeffs - sigma).max() <= 1e-9 * np.abs(sigma).max()
+    assert np.abs(sol.u.coeffs - u).max() <= 1e-9 * np.abs(u).max()
+    assert abs(sol.multiplier - lam) <= 1e-9 * max(abs(lam), np.abs(sigma).max(), np.abs(u).max())
+    assert sol.residual <= 1e-9
+
+
 def test_a_saved_and_loaded_adapted_mesh_gives_the_same_top_system(tmp_path):
     mesh = _adapted("p3", 5)()
     save_mesh(mesh, tmp_path / "mesh.txt")
@@ -832,12 +888,11 @@ def test_condensation_in_small_chunks_matches_one_chunk(name, monkeypatch):
     problem_name, kind, make_mesh, depth = CHUNKED_CASES[name]
     problem, mesh = get_problem(problem_name), make_mesh()
     space = build_space(mesh, kind)
-    steps = assembly._hierarchy(mesh.triangles, space.moments)
     systems, bounds = [], {}
     for chunk in (mesh.nt + 1, 40, 1):
         monkeypatch.setattr(assembly, "_CHUNK", chunk)
         systems.append(assemble(problem, mesh, space))
-        bounds[chunk] = assembly._chunks(steps, mesh.nt)
+        bounds[chunk] = assembly._chunks(systems[-1].steps, mesh.nt)
     assert len(bounds[40]) > 4 and bounds[40][0] == 0 and bounds[40][-1] == mesh.nt
     if name == "p2-adapted":  # some chunk starts with triangles outside any group, and some holds no group
         starts = red_groups(mesh.triangles)
@@ -909,7 +964,7 @@ def test_assembly_holds_its_output_and_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert system.depth == 2 and len(assembly._chunks(assembly._hierarchy(mesh.triangles, 2), mesh.nt)) == 4
+    assert system.depth == 2 and len(assembly._chunks(system.steps, mesh.nt)) == 4
     output = _owned_bytes((system.matrix, system.rhs, system.index, system.elements, system.steps), set())
     q, chunk = space.moments, assembly._CHUNK
     dense = chunk * (6 * q + 1) ** 2  # its element blocks

@@ -16,7 +16,7 @@ from oseenstress.cli import (
     main,
     run_convergence,
 )
-from oseenstress.mesh import load_mesh, make_square_piecewise_uniform, save_mesh
+from oseenstress.mesh import MeshQualityError, load_mesh, make_square_piecewise_uniform, save_mesh
 from oseenstress.problems import get_problem
 
 
@@ -279,18 +279,26 @@ def test_solve_with_explicit_mesh_file(tmp_path, capsys):
         ("uniform", RuntimeError("factor is exactly singular"), "error: Oseen solve failed"),
         ("uniform", MemoryError("Unable to allocate 3.00 GiB for an array with shape (4, 100663296)"), "error: Unable"),
         ("adaptive", MemoryError(), "error: MemoryError"),
+        ("adaptive", MeshQualityError("conformity restoration did not converge in 64 passes"), "error: conformity"),
     ],
-    ids=["malloc-uniform", "malloc-adaptive", "singular-uniform", "numpy-uniform", "numpy-adaptive"],
+    ids=[
+        "malloc-uniform",
+        "malloc-adaptive",
+        "singular-uniform",
+        "numpy-uniform",
+        "numpy-adaptive",
+        "conformity-adaptive",
+    ],
 )
 def test_solve_failure_is_one_error_line(tmp_path, capsys, monkeypatch, mode, failure, expected):
-    # SuperLU failures, and a numpy allocation failing in the refinement
-    # after the first solve, end the command with exit status 1 and one
-    # line on stderr (the type name for an empty message), not a
-    # traceback; nothing is allocated for real.
+    # SuperLU failures, and a numpy allocation or the conformity loop
+    # failing in the refinement after the first solve, end the command
+    # with exit status 1 and one line on stderr (the type name for an
+    # empty message), not a traceback; nothing is allocated for real.
     def fail(*args, **kwargs):
         raise failure
 
-    if isinstance(failure, RuntimeError):  # SuperLU signals singularity and failed mallocs this way
+    if type(failure) is RuntimeError:  # SuperLU signals singularity and failed mallocs this way
         monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
     elif mode == "uniform":
         monkeypatch.setattr(cli, "uniform_quad_refine", fail)

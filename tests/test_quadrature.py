@@ -39,7 +39,6 @@ def test_triangle_rule_integrates_monomials_exactly(degree):
 def test_triangle_rule_weights_and_points():
     for degree in range(7):
         rule = triangle_rule(degree)
-        assert rule.npoints == rule.weights.shape[0]
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(rule.weights > 0)
         # Points inside the closed reference triangle.

@@ -9,7 +9,14 @@ import refine_oracle
 from conftest import find_tjunctions, two_triangle_square
 
 from oseenstress import adaptive, mesh as mesh_module
-from oseenstress.mesh import load_mesh, make_lshape_mesh, make_square_piecewise_uniform, refine_marked, save_mesh
+from oseenstress.mesh import (
+    MeshQualityError,
+    load_mesh,
+    make_lshape_mesh,
+    make_square_piecewise_uniform,
+    refine_marked,
+    save_mesh,
+)
 from oseenstress.problems import get_problem
 
 FIELDS = ("vertices", "triangles", "region", "green_pairs")
@@ -107,3 +114,13 @@ def test_random_marks_keep_the_mesh_conforming(tmp_path_factory, start, rounds):
     back = load_mesh(path)
     for name in FIELDS:
         assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
+
+
+def test_a_conformity_loop_that_does_not_converge_raises_mesh_quality_error(monkeypatch):
+    # The loop is given no pass, so it ends as if its 64 passes had not
+    # converged; no real pass runs, since each can quadruple the mesh.
+    mesh = two_triangle_square()
+    monkeypatch.setattr(mesh_module, "range", lambda passes: range(0), raising=False)
+    with pytest.raises(MeshQualityError, match="conformity restoration did not converge in 64 passes") as excinfo:
+        refine_marked(mesh, [0])
+    assert isinstance(excinfo.value, RuntimeError)  # every existing `except RuntimeError` still catches it
