@@ -86,11 +86,13 @@ its c; its c-c entry is exactly zero.  A triangle in no red group is a
 unit of its own, its block padded to the parent's size with dead slots.
 The units of a level are condensed again, with the parents' triangles
 read off the groups, while the last level left no triangle alone and
-the parents' edges carry at most 8 multipliers per row.  On a uniform
-refinement that gives 3 levels for RT0 and 2 for BDM1, where the
-measured time of the condensation and the factorization together is
-flat or lowest; an adaptive mesh, whose red groups sit beside green
-pairs and unrefined triangles, stops after one.  The edges of the top
+the parents' edges carry at most 32 multipliers per row, so a top unit
+holds at most 1,024 fine triangles.  On a uniform refinement that gives
+up to 5 levels for RT0 and 4 for BDM1: the finest p1 levels of both
+condense down to the 19-triangle start mesh, and SuperLU factors 1,426
+unknowns with 0.56M fill, against 7,183 with 1.72M at 8 multipliers
+per row.  An adaptive mesh, whose red groups sit beside green pairs and
+unrefined triangles, stops after one level.  The edges of the top
 system are the sets of fine edges that two top units share, numbered by
 their first fine edge (on a uniform hierarchy, the interior edges of
 the coarse mesh in its own order), and only the top system is factored
@@ -176,7 +178,9 @@ class CondensationStep:
     the level leaves alone is its own unit, with the unknowns of each edge
     in the first half of the parent-sized edge.  The maps are read off the
     whole level before any block is condensed (:func:`_hierarchy`);
-    `solved` is filled chunk by chunk (:func:`_condense_step`).
+    `solved` is filled chunk by chunk (:func:`_condense_step`).  The
+    gather tables that sum a group's children are held only while
+    :func:`_condense` runs.
     """
 
     unit: np.ndarray  # (n,) unit of the next level that each block goes into
@@ -184,6 +188,7 @@ class CondensationStep:
     slots: np.ndarray  # (5, s) position of each block unknown among its unit's [kept | eliminated] unknowns
     groups: np.ndarray  # (ng,) unit of each red group
     solved: np.ndarray  # (ng, e, s' + 1): the eliminated block solved against [coupling to the kept | rhs]
+    tables: tuple = ()  # the _sum_table of the group blocks and of their right-hand sides, while condensing
 
     def expand(self, kept: np.ndarray) -> np.ndarray:
         """The unknowns (n, s) of this level's blocks, from those of its units (nu, s')."""
@@ -266,16 +271,20 @@ def _dirichlet_load(problem: ProblemSpec, space: HdivSpace):
 def _checked_solve(a: np.ndarray, b: np.ndarray, name: str, inputs=(), first: int = 0) -> np.ndarray:
     """Solve every dense block ``a[k] x = b[k]``.
 
+    `inputs`, if given, are the arrays `a` and `b` were taken from, and
+    are checked in their place.
+
     Raises
     ------
     SingularMatrixError
-        ``"{name} k is not finite"`` if block k of `a`, `b` or the
-        `inputs` they were taken from has a non-finite entry, else ``"{name}
-        k is singular"`` if a[k] is singular or gives a non-finite solution,
-        for the first such k, counted from `first`; never numpy's
+        ``"{name} k is not finite"`` if block k of the `inputs`, or of `a`
+        and `b` without them, has a non-finite entry, else ``"{name} k is
+        singular"`` if a[k] is singular or gives a non-finite solution, for
+        the first such k, counted from `first`; never numpy's
         ``LinAlgError``.
     """
-    finite = np.all([np.isfinite(array).all(axis=tuple(range(1, array.ndim))) for array in (a, b, *inputs)], axis=0)
+    checked = inputs or (a, b)
+    finite = np.all([np.isfinite(array).all(axis=tuple(range(1, array.ndim))) for array in checked], axis=0)
     if not finite.all():
         raise SingularMatrixError(f"{name} {first + np.argmin(finite)} is not finite")
     try:
@@ -458,20 +467,31 @@ def _red_slots(q: int, fine: int) -> np.ndarray:
     return np.concatenate([slots.reshape(4, 6 * q), c[:, None]], axis=1)
 
 
-def _summed(children: np.ndarray, target: np.ndarray, size: int) -> np.ndarray:
-    """Sum the children's entries of every group into `size` group entries.
+def _sum_table(target: np.ndarray, size: int):
+    """Gather table of :func:`_summed`, for child entries whose group entries are `target` (k,), out of `size`.
 
-    `children` (ng, k) holds the flattened entries of each group's four
-    children and `target` (k,) the group entry of each.  A group entry
-    takes one child entry, or two where both lie on an edge inside the
-    group.  Every right-hand side entry takes one; a block entry that
-    takes none reads index -1, the last child's c-c entry, which is zero
-    in every block.
+    A group entry takes one child entry, or two where both lie on an edge
+    inside the group.  Every right-hand side entry takes one; a block
+    entry that takes none reads index -1, the last child's c-c entry,
+    which is zero in every block.  Returns the child entry each group
+    entry takes first, the group entries that take a second, and that
+    second child entry.
     """
     table = group_rows(target, size, width=2)  # child entries summed into each group entry, -1 padded
-    summed = children[:, table[:, 0]]
     twice = np.flatnonzero(table[:, 1] >= 0)
-    summed[:, twice] += children[:, table[twice, 1]]
+    return table[:, 0], twice, table[twice, 1]
+
+
+def _summed(children: np.ndarray, table: tuple) -> np.ndarray:
+    """Sum the children's entries of every group, `children` (ng, k) flattened, by a :func:`_sum_table`.
+
+    `take` returns the groups C-contiguous, where indexing ``children[:,
+    first]`` would interleave them; so the batched solve and products of
+    :func:`_condense_step` read contiguous blocks and run on BLAS.
+    """
+    first, twice, second = table
+    summed = children.take(first, axis=1)
+    summed[:, twice] += children.take(second, axis=1)
     return summed
 
 
@@ -508,12 +528,11 @@ def _condense_step(blocks: tuple, step: CondensationStep, lo: int, hi: int, dept
     above, end = int(unit[0]), int(unit[-1]) + 1
     first, last = np.searchsorted(step.groups, [above, end])
     ng = last - first
-    red = step.slots[:4]
 
     rows = np.flatnonzero(~alone) if alone.any() else slice(None)  # every block grouped: group k is blocks 4k..4k+3, in place
-    pairs = (red[:, :, None] * size + red[:, None, :]).ravel()
-    group = _summed(block_in[rows].reshape(ng, 4 * s * s), pairs, size * size).reshape(ng, size, size)
-    rhs = _summed(rhs_in[rows].reshape(ng, 4 * s), red.ravel(), size)
+    block_table, rhs_table = step.tables
+    group = _summed(block_in[rows].reshape(ng, 4 * s * s), block_table).reshape(ng, size, size)
+    rhs = _summed(rhs_in[rows].reshape(ng, 4 * s), rhs_table)
     solved = step.solved[first:last]
     solved[:] = _checked_solve(
         group[:, kept:, kept:],
@@ -598,7 +617,9 @@ def _numbering(ids: np.ndarray, moments: int):
 
 
 _QUAD_DEGREE = 4  # exactness of the rule the data b, c and f are projected in
-_TOP_EDGE_MULTIPLIERS = 8  # most multipliers per edge and row of a condensed parent
+# most multipliers per edge and row of a condensed parent: RT0 condenses 5
+# uniform levels and BDM1 4, and the top unit 1,024 fine triangles at most
+_TOP_EDGE_MULTIPLIERS = 32
 _CHUNK = 2048  # fine triangles condensed at a time, up to the next top unit
 
 
@@ -609,13 +630,14 @@ def _hierarchy(triangles: np.ndarray, ids: np.ndarray):
     (:func:`_element_blocks`), q the element's moments per edge.  A
     level's red groups are read off its triangles, and the next level's
     triangles, the parents, off the groups.  The levels go on while the
-    last one left no block alone and the parents' edges carry at most 8
-    multipliers per row.  Each level gives its ``CondensationStep``, with
-    `solved` not yet filled, and moves the ids to their slots in its
-    units, where the eliminated ones are dropped and -1 marks a dead slot:
-    on the boundary, or in the second half of each edge of a block that a
-    level left alone.  A level's condensed size counts every live
-    multiplier on its two sides, and c of every unit but one.
+    last one left no block alone and the parents' edges carry at most
+    :data:`_TOP_EDGE_MULTIPLIERS` (32) multipliers per row.  Each level
+    gives its ``CondensationStep``, with `solved` not yet filled, and
+    moves the ids to their slots in its units, where the eliminated ones
+    are dropped and -1 marks a dead slot: on the boundary, or in the
+    second half of each edge of a block that a level left alone.  A
+    level's condensed size counts every live multiplier on its two sides,
+    and c of every unit but one.
     """
     steps, sizes = [], []
     q = ids.shape[1] // 6
@@ -664,18 +686,29 @@ def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: lis
     which are written into
     arrays allocated once at full size, as the steps' solved group blocks
     are.  So no dense block of a whole level below the top is ever held,
-    nor any local block L_K beyond the chunk.
+    nor any local block L_K beyond the chunk.  Each level's gather tables
+    (:func:`_sum_table`) are built once, before the first chunk, and
+    dropped on return.
     """
     nt, ns = el.sign.shape
     nu = int(steps[-1].unit[-1]) + 1 if steps else nt
     s = (ns << len(steps)) + 1
     top, top_rhs = np.empty((nu, s, s)), np.empty((nu, s))
     bounds = _chunks(steps, nt)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        blocks = _element_condensed(el, space, local, lo, hi)
-        for depth, step in enumerate(steps, 1):
-            blocks, (lo, hi) = _condense_step(blocks, step, lo, hi, depth)
-        top[lo:hi], top_rhs[lo:hi] = blocks
+    for step in steps:
+        red = step.slots[:4]
+        size = 3 * red.shape[1] + 1
+        pairs = red[:, :, None] * size + red[:, None, :]
+        step.tables = (_sum_table(pairs.ravel(), size * size), _sum_table(red.ravel(), size))
+    try:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            blocks = _element_condensed(el, space, local, lo, hi)
+            for depth, step in enumerate(steps, 1):
+                blocks, (lo, hi) = _condense_step(blocks, step, lo, hi, depth)
+            top[lo:hi], top_rhs[lo:hi] = blocks
+    finally:
+        for step in steps:
+            step.tables = ()
     return top, top_rhs
 
 

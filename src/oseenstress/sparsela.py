@@ -156,11 +156,11 @@ def _equilibrated(matrix: CsrMatrix):
     `R` makes the largest entry of every row of A one, then `C` that of
     every column of ``R A``.  The CSC conversion lists each column's rows
     in increasing order, so SuperLU gets canonical input without a sort.
+    Both scales are applied to the CSC copy in place.
     """
-    n = matrix.n
     row_scale = 1.0 / _segment_max(np.abs(matrix.data), matrix.indptr)
-    data = matrix.data * np.repeat(row_scale, np.diff(matrix.indptr))
-    csc = scipy.sparse.csr_matrix((data, matrix.indices, matrix.indptr), shape=(n, n)).tocsc()
+    csc = matrix.to_scipy().tocsc()
+    csc.data *= row_scale[csc.indices]
     col_scale = 1.0 / _segment_max(np.abs(csc.data), csc.indptr)
     csc.data *= np.repeat(col_scale, np.diff(csc.indptr))
     return csc, row_scale, col_scale

@@ -583,12 +583,13 @@ def _uniform(name, levels):
 
 # (problem, element, mesh factory, expected depth): every depth the suite can afford
 MULTILEVEL_CASES = {
-    **{f"p1-rt0-level{k}": ("p1", "rt0", _uniform("p1", k), min(k, 3)) for k in range(1, 5)},
-    **{f"p1-bdm1-level{k}": ("p1", "bdm1", _uniform("p1", k), min(k, 2)) for k in range(1, 4)},
+    **{f"p1-rt0-level{k}": ("p1", "rt0", _uniform("p1", k), min(k, 5)) for k in range(1, 5)},
+    **{f"p1-bdm1-level{k}": ("p1", "bdm1", _uniform("p1", k), min(k, 4)) for k in range(1, 4)},
     "net-flux": ("leaky", "rt0", lambda: make_square_piecewise_uniform(2), 2),
     "reaction": ("reaction", "bdm1", lambda: make_square_piecewise_uniform(2), 2),
     "p2-uniform": ("p2", "rt0", _uniform("p2", 3), 3),
     "p3-uniform": ("p3", "rt0", _uniform("p3", 3), 3),
+    "p3-uniform-level4": ("p3", "rt0", _uniform("p3", 4), 4),
     "p3-uniform-bdm1": ("p3", "bdm1", _uniform("p3", 2), 2),
 }
 
@@ -605,9 +606,18 @@ def test_multilevel_solve_matches_the_single_level_solve(name):
     _assert_same_solution(solve_oseen(problem, mesh, kind=kind), solve_oseen(problem, without_hierarchy(mesh), kind=kind))
 
 
-@pytest.mark.parametrize("kind, moments, depth", [("rt0", 1, 3), ("bdm1", 2, 2)])
+def test_the_top_edge_cap_ends_the_condensation():
+    # six uniform levels, but RT0 stops after five: a sixth would put 64
+    # multipliers on each top edge and row, over the cap of 32
+    mesh = make_square_piecewise_uniform(6)
+    system = assemble(get_problem("p1"), mesh, build_space(mesh, "rt0"))
+    assert system.depth == 5 and system.index.shape == (4 * 19, 6 * 32 + 1)
+
+
+@pytest.mark.parametrize("kind, moments, depth", [("rt0", 1, 4), ("bdm1", 2, 4)])
 def test_linear_system_records_every_level(kind, moments, depth):
-    # at most 8 multipliers per edge and row on the top mesh
+    # every level of the hierarchy, down to the 19-triangle mesh: at most
+    # 32 multipliers per edge and row on the top mesh
     mesh = make_square_piecewise_uniform(4)
     system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
     assert system.depth == len(system.steps) == depth
@@ -874,7 +884,7 @@ def test_bad_group_block_raises_singular_matrix_error_naming_depth_and_parent(de
 # (problem, element, mesh factory, depth)
 CHUNKED_CASES = {
     "rt0-level3-hierarchy": ("p1", "rt0", lambda: make_square_piecewise_uniform(3), 3),
-    "bdm1-level3": ("p1", "bdm1", lambda: make_square_piecewise_uniform(3), 2),
+    "bdm1-level3": ("p1", "bdm1", lambda: make_square_piecewise_uniform(3), 3),
     "p2-adapted": ("p2", "rt0", _adapted("p2", 8), 1),
     "no-red-group": ("p1", "bdm1", lambda: without_hierarchy(make_square_piecewise_uniform(2)), 0),
 }
@@ -964,7 +974,7 @@ def test_assembly_holds_its_output_and_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert system.depth == 2 and len(assembly._chunks(system.steps, mesh.nt)) == 4
+    assert system.depth == 4 and len(assembly._chunks(system.steps, mesh.nt)) == 4
     output = _owned_bytes((system.matrix, system.rhs, system.index, system.elements, system.steps), set())
     q, chunk = space.moments, assembly._CHUNK
     dense = chunk * (6 * q + 1) ** 2  # its element blocks

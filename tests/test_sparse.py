@@ -14,6 +14,8 @@ from oseenstress.sparsela import (
     lu_solve,
     minimum_degree,
     relative_residual,
+    _equilibrated,
+    _segment_max,
     to_csr,
 )
 
@@ -117,6 +119,25 @@ def test_lu_solve_in_a_given_order_matches_dense_oracle():
         assert np.abs(x - x_ref).max() <= 1e-8 * np.abs(x_ref).max()
         assert residual == relative_residual(csr.to_scipy() @ x - rhs, rhs)
         assert residual <= RTOL
+
+
+def test_equilibration_scales_the_csc_copy_as_the_row_scaled_csr_would():
+    # both scales applied in place to the CSC copy, against scaling the
+    # rows in CSR and converting that copy: the same products, bit for bit
+    rng = np.random.default_rng(77)
+    for _ in range(10):
+        n = int(rng.integers(10, 40))
+        rows, cols, vals = random_triplets(rng, n)
+        csr = to_csr(rows, cols, vals * 10.0 ** rng.uniform(-6, 6, size=vals.size), n)
+        csc, row_scale, col_scale = _equilibrated(csr)
+        expected_rows = 1.0 / _segment_max(np.abs(csr.data), csr.indptr)
+        data = csr.data * np.repeat(expected_rows, np.diff(csr.indptr))
+        ref = scipy.sparse.csr_matrix((data, csr.indices, csr.indptr), shape=(n, n)).tocsc()
+        expected_cols = 1.0 / _segment_max(np.abs(ref.data), ref.indptr)
+        ref.data *= np.repeat(expected_cols, np.diff(ref.indptr))
+        assert np.array_equal(row_scale, expected_rows) and np.array_equal(col_scale, expected_cols)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(csc, field), getattr(ref, field))
 
 
 def test_lu_solve_detects_singular_matrix():
