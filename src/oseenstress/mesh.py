@@ -174,26 +174,6 @@ class Mesh:
         loc[sides < 0] = -1
         return tri, loc
 
-    def map_ref_points(self, ref_pts: np.ndarray, tris=None) -> np.ndarray:
-        """Map reference-triangle points into physical triangles.
-
-        Parameters
-        ----------
-        ref_pts : ndarray, shape (nq, 2)
-            Points in reference coordinates.
-        tris : array of triangle indices, optional
-            Defaults to all triangles.
-
-        Returns
-        -------
-        ndarray, shape (len(tris), nq, 2)
-        """
-        if tris is None:
-            tris = np.arange(self.nt)
-        v = self.vertices[self.triangles[tris]]
-        d1, d2, _ = _frame(v)
-        return v[:, :1] + ref_pts[None, :, 0, None] * d1[:, None] + ref_pts[None, :, 1, None] * d2[:, None]
-
 
 def _read_only(*arrays):
     """The arrays, each flagged read-only."""

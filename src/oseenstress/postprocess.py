@@ -19,9 +19,9 @@ Two constructions:
   vertex values (one-sided patch fits would lose an order there);
   degenerate cases fall back to the nearest interior fit, the vertex's own
   patch fit, and finally the patch average.  There is no loop over
-  vertices: all patch fits are one batched SVD least-squares solve, all
-  extrapolations another.  A trace-mean correction keeps the recovered
-  field in the zero-trace-mean space.
+  vertices: the patch fits are solved in closed form from cell moments,
+  the extrapolations by one batched SVD.  A trace-mean correction keeps
+  the recovered field in the zero-trace-mean space.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,6 @@ import numpy as np
 from scipy import sparse
 
 from .mesh import Mesh, _frame, _read_only, group_rows
-from .quadrature import triangle_rule
 from .spaces import CellwiseLinear, PseudostressField, VelocityField, apply_deviatoric, trace_mean
 
 __all__ = ["RecoveredTensorField", "postprocess_velocity", "recover_pseudostress"]
@@ -121,6 +120,44 @@ def _fit_linear(rel: np.ndarray, vals: np.ndarray, count: np.ndarray):
     return np.swapaxes(vt, 1, 2) @ (inv[:, :, None] * ub), s, keep.sum(axis=1), sv
 
 
+def _patch_fits(sigma_h: PseudostressField):
+    """Each vertex's least-squares fit ``c0 + g.(x - x_v)`` to sigma_h at the degree-2 nodes of its patch.
+
+    sigma_h is ``mean + grad.(x - c_K)`` on each cell, and the rule has
+    equal weights and is exact for quadratics, so with e = c_K - x_v and
+    M_K the second moments a cell's three nodes add 3x (1, e, e e^T + M_K,
+    mean, e mean + M_K grad) to the normal equations; ``np.bincount`` sums
+    them per vertex.  Returns ``own`` (nv,), true for at least 3 elements
+    and a positive determinant (a cell's nodes are never collinear), and
+    per vertex, components s11 s12 s21 s22 last: c0 (nv, 4), g (nv, 2, 4)
+    and the patch average (nv, 4).
+    """
+    mesh = sigma_h.space.mesh
+    nv, nt, x = mesh.nv, mesh.nt, mesh.vertices
+    corner = mesh.triangles.T  # (3, nt)
+    ex, ey = mesh.tri_centroids().T[:, None] - x.T[:, corner]  # (3, nt) each
+    m = mesh.tri_second_moments()
+    mxx, mxy, myy = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
+    mean, gx, gy = sigma_h.cellwise().coeffs.reshape(nt, 4, 3).T[:, :, None]  # (4, 1, nt) each: s11 s12 s21 s22
+    rows = np.empty((17, 3, nt))
+    rows[0], rows[1], rows[2:6] = ex, ey, mean
+    rows[6], rows[7], rows[8] = ex * ex + mxx, ex * ey + mxy, ey * ey + myy
+    rows[9:13] = ex * mean + (mxx * gx + mxy * gy)
+    rows[13:] = ey * mean + (mxy * gx + myy * gy)
+    corner = corner.ravel()
+    n_elems = np.bincount(corner, minlength=nv)
+    avg = np.array([np.bincount(corner, r, minlength=nv) for r in rows.reshape(17, -1)]) / n_elems  # patch means
+    # eliminating c0 leaves the centred 2x2 system [[cxx, cxy], [cxy, cyy]] g = (bx, by)
+    ax, ay, average = avg[0], avg[1], avg[2:6]
+    cxx, cxy, cyy = avg[6] - ax * ax, avg[7] - ax * ay, avg[8] - ay * ay
+    bx, by = avg[9:13] - ax * average, avg[13:] - ay * average
+    det = cxx * cyy - cxy**2
+    own = (n_elems >= 3) & np.isfinite(det) & (det > 0)
+    det = np.where(own, det, 1.0)
+    grad = np.stack([cyy * bx - cxy * by, cxx * by - cxy * bx]) / det  # (2, 4, nv)
+    return own, (average - ax * grad[0] - ay * grad[1]).T, grad.transpose(2, 0, 1), average.T
+
+
 def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     """Patch least-squares recovery of an RT0 pseudostress at the vertices.
 
@@ -130,9 +167,10 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     sampling errors cancel on (asymptotically) point-symmetric patches.
     Boundary patches are one-sided, so boundary vertices instead take a
     linear extrapolation through nearby fitted interior vertex values.
-    Each kind of fit is one batched solve.  A vertex takes the first of:
+    The patch fits are solved in closed form (:func:`_patch_fits`), the
+    extrapolations by one batched SVD.  A vertex takes the first of:
 
-    1. interior: its patch fit (at least 3 elements, rank 3);
+    1. interior: its patch fit (at least 3 elements, determinant > 0);
     2. boundary: the fit through the fitted vertices of its 1-ring, or of
        its neighbours' 1-rings if the 1-ring has fewer than 3; it needs at
        least 3 sources, rank 3 and ``sv_min >= 1e-3 sv_max``;
@@ -149,24 +187,13 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     if space.kind != "rt0":
         raise ValueError("patch recovery is defined for RT0 pseudostress fields only")
     mesh = space.mesh
-    nv, nt, x = mesh.nv, mesh.nt, mesh.vertices
+    nv, x = mesh.nv, mesh.vertices
 
-    rule = triangle_rule(2)  # 3 interior sampling nodes per element
-    pts = mesh.map_ref_points(rule.points)  # (nt, 3, 2)
-    samples = sigma_h.cellwise().eval_cells(np.arange(nt), pts).reshape(nt, 3, 4)  # s11 s12 s21 s22
-
-    # every vertex's own patch fit, over coefficients {1, dx/s, dy/s}
-    patch = group_rows(mesh.triangles, nv) // 3  # (nv, w) patch elements, -1 padded
-    n_elems = (patch >= 0).sum(axis=1)
-    rows = 3 * patch.shape[1]
-    poly, scale, rank, _ = _fit_linear(
-        pts[patch].reshape(nv, rows, 2) - x[:, None], samples[patch].reshape(nv, rows, 4), 3 * n_elems
-    )
-    own = (n_elems >= 3) & (rank == 3)
+    own, at_vertex, grad, average = _patch_fits(sigma_h)
     on_boundary = np.zeros(nv, dtype=bool)
     on_boundary[mesh.boundary_vertices()] = True
     fitted = own & ~on_boundary
-    values = np.where(fitted[:, None], poly[:, 0], 0.0)  # fit value at the vertex is the constant term
+    values = np.where(fitted[:, None], at_vertex, 0.0)
     todo = ~fitted
 
     # boundary sources: the fitted 1-ring, widened to the 2-ring if short
@@ -192,13 +219,10 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     if donors.size:
         need = np.flatnonzero(todo)
         d = donors[np.argmin(np.linalg.norm(x[donors] - x[need, None], axis=2), axis=1)]
-        rel = (x[need] - x[d]) / scale[d, None]
-        values[need] = poly[d, 0] + rel[:, :1] * poly[d, 1] + rel[:, 1:] * poly[d, 2]
+        values[need] = at_vertex[d] + np.einsum("ni,nik->nk", x[need] - x[d], grad[d])
         todo[need] = False
-    values[todo & own] = poly[todo & own, 0]
-    rest = np.flatnonzero(todo & ~own)
-    in_patch = (patch[rest] >= 0)[:, :, None, None]
-    values[rest] = np.where(in_patch, samples[patch[rest]], 0.0).sum(axis=(1, 2)) / (3 * n_elems[rest, None])
+    values[todo & own] = at_vertex[todo & own]
+    values[todo & ~own] = average[todo & ~own]
 
     # trace-mean correction onto the zero-trace-mean space
     recovered = RecoveredTensorField(mesh=mesh, values=values.reshape(nv, 2, 2))

@@ -24,13 +24,12 @@ Every discrete field of the method (a pseudostress row, the cellwise
 constant velocity, the lifted velocity and the recovered pseudostress) is
 a polynomial of degree <= 1 on each triangle.  :class:`CellwiseLinear`
 holds any of them in that monomial basis, and each field type converts to
-it with ``cellwise()``; evaluation, cell means, exact L2 norms and the
-exact cell integrals of products of two such fields are defined there
-once.  An analytic field enters only through :func:`project_exact`, its
-projection onto cellwise linears in one triangle rule (or that
-projection's moment part, :func:`project_moments`, without the residual);
-every cell integral of the package is then an exact product of cellwise
-linears.
+it with ``cellwise()``; cell means, exact L2 norms and the exact cell
+integrals of products of two such fields are defined there once.  An
+analytic field enters only through :func:`project_exact`, its projection
+onto cellwise linears in one triangle rule (or that projection's moment
+part, :func:`project_moments`, without the residual); every cell integral
+of the package is then an exact product of cellwise linears.
 """
 
 from dataclasses import dataclass
@@ -128,17 +127,6 @@ class CellwiseLinear:
                 f"cellwise fields have value shapes {self.coeffs.shape[1:-1]} and {other.coeffs.shape[1:-1]}"
             )
         return CellwiseLinear(mesh=self.mesh, coeffs=self.coeffs - other.coeffs)
-
-    def eval_cells(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Values at physical points `pts` (m, nq, 2) inside triangles `tris`.
-
-        Returns shape (m, nq, *value_shape).
-        """
-        dx = pts - self.mesh.tri_centroids()[tris][:, None, :]
-        mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
-        c = self.coeffs[tris]
-        vals = mono @ c.reshape(len(tris), -1, 3).transpose(0, 2, 1)
-        return vals.reshape(dx.shape[:2] + c.shape[1:-1])
 
     def cell_means(self) -> np.ndarray:
         """Cell means, shape (*value_shape, nt)."""

@@ -80,13 +80,21 @@ class CsrMatrix:
 def to_csr(rows, cols, vals, n: int) -> CsrMatrix:
     """Sum (row, col, value) triplets into an n-by-n CSR matrix.
 
+    scipy's ``tocsr`` sums duplicates and sorts the indices; when over half
+    of the triplets are left it hands out the leading parts of its buffers,
+    which are shrunk in place, as a copy would raise the peak resident set.
+
     Raises
     ------
     ValueError
         If the arrays differ in size or an index lies outside 0..n-1.
     """
-    coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return CsrMatrix.from_scipy(coo.tocsr())  # scipy's tocsr sums duplicates and sorts the indices
+    csr = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    indptr, indices, data = csr.indptr, *(a if a.base is None else a.base for a in (csr.indices, csr.data))
+    del csr  # it held the only views into the buffers
+    indices.resize(indptr[-1], refcheck=False)  # a realloc; refcheck would also count a debugger's references
+    data.resize(indptr[-1], refcheck=False)
+    return CsrMatrix(n, indptr, indices, np.asarray(data, dtype=np.float64))
 
 
 def minimum_degree(rows, cols, n: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 
 from oseenstress.mesh import _GREEN_CHILDREN, Mesh, build_mesh, make_square_piecewise_uniform, red_groups, refine_marked
 from oseenstress.problems import ProblemSpec
+from oseenstress.spaces import CellwiseLinear
 from oseenstress.sparsela import RTOL, CsrMatrix, relative_residual
 
 
@@ -12,6 +13,23 @@ def two_triangle_square() -> Mesh:
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     return build_mesh(verts, tris)
+
+
+def map_ref_points(mesh: Mesh, ref_pts: np.ndarray, tris=None) -> np.ndarray:
+    """Reference-triangle points `ref_pts` (nq, 2) mapped into triangles `tris` (default all): (len(tris), nq, 2)."""
+    if tris is None:
+        tris = np.arange(mesh.nt)
+    v0, v1, v2 = np.moveaxis(mesh.vertices[mesh.triangles[tris]][:, None], 2, 0)  # (m, 1, 2) each
+    return v0 + ref_pts[:, :1] * (v1 - v0) + ref_pts[:, 1:] * (v2 - v0)
+
+
+def eval_cells(field: CellwiseLinear, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Values of `field` at physical points `pts` (m, nq, 2) inside triangles `tris`: (m, nq, *value_shape)."""
+    dx = pts - field.mesh.tri_centroids()[tris][:, None, :]
+    mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
+    c = field.coeffs[tris]
+    vals = mono @ c.reshape(len(tris), -1, 3).transpose(0, 2, 1)
+    return vals.reshape(dx.shape[:2] + c.shape[1:-1])
 
 
 def without_hierarchy(mesh: Mesh) -> Mesh:

@@ -11,6 +11,7 @@ which is the same sum in exact arithmetic.
 
 import numpy as np
 
+from conftest import eval_cells
 from oseenstress.quadrature import triangle_rule
 from oseenstress.spaces import CellwiseLinear
 
@@ -49,7 +50,7 @@ def _subdivide_toward(verts: np.ndarray, corner: np.ndarray, depth: int):
 
 def _eval_sq_diff(field: CellwiseLinear, exact, tris, pts):
     """Pointwise squared Frobenius difference, shape (m, nq)."""
-    vals = field.eval_cells(tris, pts)
+    vals = eval_cells(field, tris, pts)
     ref = np.asarray(exact(pts), dtype=np.float64)
     if ref.shape != vals.shape:
         raise ValueError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conftest import colamd_lu_solve
+from conftest import colamd_lu_solve, eval_cells, map_ref_points
 from oseenstress.mesh import Mesh
 from oseenstress.problems import ProblemSpec
 from oseenstress.quadrature import edge_gauss_rule, triangle_rule
@@ -114,7 +114,7 @@ def assemble_dirichlet_rhs(
     if owners is None:
         owners = mesh.edge_owners()
     tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points, owners)
-    basis = CellwiseLinear(mesh, space.basis_coeff).eval_cells(tris, pts)  # (nbe, q, nl, 2)
+    basis = eval_cells(CellwiseLinear(mesh, space.basis_coeff), tris, pts)  # (nbe, q, nl, 2)
     flux = np.einsum("eqjc,ec->eqj", basis, n_out)
     # contribution of basis j to the row-r equation: |E| sum_q w g_r flux_j
     contrib = lengths[:, None, None] * np.einsum("q,eqr,eqj->erj", wq, gv, flux)
@@ -164,9 +164,9 @@ def assemble(
     rule = triangle_rule(quad_degree)
     w = rule.weights
     tris = np.arange(nt)
-    pts = mesh.map_ref_points(rule.points, tris)  # (nt, nq, 2)
+    pts = map_ref_points(mesh, rule.points, tris)  # (nt, nq, 2)
     area = mesh.tri_areas()
-    phi = CellwiseLinear(mesh, space.basis_coeff).eval_cells(tris, pts)  # (nt, nq, nl, 2)
+    phi = eval_cells(CellwiseLinear(mesh, space.basis_coeff), tris, pts)  # (nt, nq, nl, 2)
     bq = np.asarray(problem.b(pts), dtype=np.float64)
     cq = np.asarray(problem.c(pts), dtype=np.float64)
     fq = np.asarray(problem.f(pts), dtype=np.float64)

@@ -1,12 +1,15 @@
 """Reference loop implementation of the RT0 pseudostress patch recovery.
 
 This is the per-vertex version that ``postprocess.recover_pseudostress``
-replaced with array code, kept verbatim as the oracle the array version
-is checked against (``tests/test_postprocess.py``).
+replaced with array code, kept as the oracle the array version is checked
+against (``tests/test_postprocess.py``).  It samples the field at the
+three points of the degree-2 rule in every element and fits them with
+``np.linalg.lstsq`` vertex by vertex.
 """
 
 import numpy as np
 
+from conftest import eval_cells, map_ref_points
 from oseenstress.mesh import Mesh
 from oseenstress.postprocess import RecoveredTensorField
 from oseenstress.quadrature import triangle_rule
@@ -51,8 +54,8 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
 
     rule = triangle_rule(2)  # 3 interior sampling nodes per element
     tris = np.arange(nt)
-    pts = mesh.map_ref_points(rule.points, tris)  # (nt, 3, 2)
-    vals = sigma_h.cellwise().eval_cells(tris, pts)  # (nt, 3, 2, 2)
+    pts = map_ref_points(mesh, rule.points, tris)  # (nt, 3, 2)
+    vals = eval_cells(sigma_h.cellwise(), tris, pts)  # (nt, 3, 2, 2)
     samples = vals.reshape(nt, 3, 4)  # columns: s11 s12 s21 s22
 
     # vertex -> element adjacency

@@ -11,6 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import eval_cells, map_ref_points
+
 from oseenstress import postprocess
 from oseenstress.adaptive import compute_indicators
 from oseenstress.assembly import solve_oseen
@@ -36,21 +38,21 @@ def graded_lshape():
 def quadrature_points(mesh, degree):
     rule = triangle_rule(degree)
     tris = np.arange(mesh.nt)
-    return rule, tris, mesh.map_ref_points(rule.points, tris)
+    return rule, tris, map_ref_points(mesh, rule.points, tris)
 
 
 def quadrature_sq_norms(field, degree=4):
     """Per-element squared L2 norms by a rule exact for quadratics."""
     mesh = field.mesh
     rule, tris, pts = quadrature_points(mesh, degree)
-    vals = field.cellwise().eval_cells(tris, pts)
+    vals = eval_cells(field.cellwise(), tris, pts)
     sq = np.sum(vals.reshape(vals.shape[:2] + (-1,)) ** 2, axis=2)
     return mesh.tri_areas() * (sq @ rule.weights)
 
 
 def basis_eval(field: PseudostressField, tris, pts):
     """Tensor values as a sum over the basis functions of the space."""
-    basis = CellwiseLinear(field.mesh, field.space.basis_coeff).eval_cells(tris, pts)  # (m, nq, nl, 2)
+    basis = eval_cells(CellwiseLinear(field.mesh, field.space.basis_coeff), tris, pts)  # (m, nq, nl, 2)
     w = field.coeffs[:, field.space.dof_map[tris]]  # (2, m, nl)
     return np.einsum("rtj,tqjc->tqrc", w, basis)
 
@@ -90,17 +92,17 @@ def test_pseudostress_cellwise_matches_basis_evaluation(kind):
     mesh = graded_lshape()
     field = random_pseudostress(mesh, kind, seed=1)
     _, tris, pts = quadrature_points(mesh, 6)
-    assert_close(field.cellwise().eval_cells(tris, pts), basis_eval(field, tris, pts), 1e-13)
+    assert_close(eval_cells(field.cellwise(), tris, pts), basis_eval(field, tris, pts), 1e-13)
 
 
 def test_recovered_cellwise_matches_barycentric_interpolation():
     mesh = graded_lshape()
     field = random_recovered(mesh, seed=2)
     _, tris, pts = quadrature_points(mesh, 6)
-    assert_close(field.cellwise().eval_cells(tris, pts), barycentric_eval(field, tris, pts), 1e-13)
+    assert_close(eval_cells(field.cellwise(), tris, pts), barycentric_eval(field, tris, pts), 1e-13)
     # at the vertices the interpolant takes the vertex values
     corners = mesh.vertices[mesh.triangles]
-    vals = field.cellwise().eval_cells(tris, corners)
+    vals = eval_cells(field.cellwise(), tris, corners)
     assert_close(vals, field.values[mesh.triangles], 1e-13)
 
 
@@ -109,7 +111,7 @@ def test_velocity_cellwise_is_constant_and_exact():
     coeffs = np.random.default_rng(3).standard_normal((2, mesh.nt))
     cw = VelocityField(mesh=mesh, coeffs=coeffs).cellwise()
     _, tris, pts = quadrature_points(mesh, 4)
-    vals = cw.eval_cells(tris, pts)
+    vals = eval_cells(cw, tris, pts)
     assert np.array_equal(vals, np.broadcast_to(coeffs.T[:, None, :], vals.shape))
     assert np.array_equal(cw.cell_means(), coeffs)
     assert cw.cellwise() is cw
@@ -169,7 +171,7 @@ def test_cell_means_are_centroid_values():
     cw = random_pseudostress(mesh, "bdm1", seed=4).cellwise()
     means = cw.cell_means()
     assert means.shape == (2, 2, mesh.nt)
-    at_centroid = cw.eval_cells(np.arange(mesh.nt), mesh.tri_centroids()[:, None, :])[:, 0]
+    at_centroid = eval_cells(cw, np.arange(mesh.nt), mesh.tri_centroids()[:, None, :])[:, 0]
     assert_close(np.moveaxis(means, -1, 0), at_centroid, 1e-14)
 
 
@@ -198,8 +200,8 @@ def test_inner_products_match_exact_quadrature():
     a = CellwiseLinear(mesh, rng.standard_normal((mesh.nt, 2, 2, 3)))
     b = CellwiseLinear(mesh, rng.standard_normal((mesh.nt, 2, 3)))
     rule, tris, pts = quadrature_points(mesh, 6)
-    va = a.eval_cells(tris, pts).reshape(mesh.nt, len(rule.weights), 4)
-    vb = b.eval_cells(tris, pts)
+    va = eval_cells(a, tris, pts).reshape(mesh.nt, len(rule.weights), 4)
+    vb = eval_cells(b, tris, pts)
     expected = mesh.tri_areas()[:, None, None] * np.einsum("q,tqi,tqj->tij", rule.weights, va, vb)
     got = a.inner(b)
     assert got.shape == (mesh.nt, 4, 2)
@@ -258,7 +260,7 @@ def test_trace_mean_matches_quadrature(make_field):
     mesh = graded_lshape()
     field = make_field(mesh)
     rule, tris, pts = quadrature_points(mesh, 2)
-    vals = field.cellwise().eval_cells(tris, pts)
+    vals = eval_cells(field.cellwise(), tris, pts)
     area = mesh.tri_areas()
     oracle = np.sum(area * ((vals[..., 0, 0] + vals[..., 1, 1]) @ rule.weights)) / area.sum()
     assert trace_mean(field) == pytest.approx(oracle, rel=1e-12, abs=1e-15)
@@ -271,8 +273,8 @@ def test_indicators_match_quadrature(name):
     ustar = postprocess_velocity(sol.sigma, sol.u)
     sigmastar = recover_pseudostress(sol.sigma)
     rule, tris, pts = quadrature_points(mesh, 4)
-    ds = sigmastar.cellwise().eval_cells(tris, pts) - basis_eval(sol.sigma, tris, pts)
-    du = ustar.eval_cells(tris, pts) - sol.u.cellwise().eval_cells(tris, pts)
+    ds = eval_cells(sigmastar.cellwise(), tris, pts) - basis_eval(sol.sigma, tris, pts)
+    du = eval_cells(ustar, tris, pts) - eval_cells(sol.u.cellwise(), tris, pts)
     sq = np.sum(ds.reshape(ds.shape[:2] + (-1,)) ** 2, axis=2) + np.sum(du**2, axis=2)
     oracle = np.sqrt(mesh.tri_areas() * (sq @ rule.weights))
     assert_close(compute_indicators(sol.sigma, sigmastar, sol.u, ustar), oracle, 1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_valid_refinement, find_tjunctions, two_triangle_square
+from conftest import assert_valid_refinement, find_tjunctions, map_ref_points, two_triangle_square
 
 from oseenstress.mesh import (
     Mesh,
@@ -267,7 +267,7 @@ def test_build_mesh_reorients_clockwise_triangles():
 def test_map_ref_points_hits_vertices():
     mesh = make_square_piecewise_uniform()
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    pts = mesh.map_ref_points(ref, np.arange(mesh.nt))
+    pts = map_ref_points(mesh, ref, np.arange(mesh.nt))
     assert pts.shape == (mesh.nt, 3, 2)
     expected = mesh.vertices[mesh.triangles]
     assert np.abs(pts - expected).max() < 1e-14

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import two_triangle_square
+from conftest import eval_cells, map_ref_points, two_triangle_square
 from recovery_oracle import recover_pseudostress as loop_recover_pseudostress
 from test_refine import MARK_ROUNDS, START_MESHES, START_NAMES
 
 from oseenstress.adaptive import adaptive_solve
 from oseenstress.errors import l2_error
 from oseenstress.mesh import build_mesh, make_lshape_mesh, make_square_piecewise_uniform, refine_marked
-from oseenstress.postprocess import _fit_linear, postprocess_velocity, recover_pseudostress
+from oseenstress.postprocess import _fit_linear, _patch_fits, postprocess_velocity, recover_pseudostress
 from oseenstress.problems import get_problem
 from oseenstress.assembly import solve_oseen
 from oseenstress.quadrature import triangle_rule
@@ -62,8 +62,8 @@ def test_lift_reproduces_affine_divergence_free_velocity():
     ustar = postprocess_velocity(sigma_h, u_h)
     rule = triangle_rule(2)
     tris = np.arange(mesh.nt)
-    pts = mesh.map_ref_points(rule.points, tris)
-    assert np.abs(ustar.eval_cells(tris, pts) - u(pts)).max() < 1e-12
+    pts = map_ref_points(mesh, rule.points, tris)
+    assert np.abs(eval_cells(ustar, tris, pts) - u(pts)).max() < 1e-12
 
 
 def lift_by_local_solves(sigma_h, u_h):
@@ -73,11 +73,11 @@ def lift_by_local_solves(sigma_h, u_h):
     area = mesh.tri_areas()
     rule = triangle_rule(2)
     tris = np.arange(nt)
-    pts = mesh.map_ref_points(rule.points, tris)
+    pts = map_ref_points(mesh, rule.points, tris)
     dx = pts - mesh.tri_centroids()[:, None, :]
     mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
     mono_int = area[:, None] * np.einsum("q,tqm->tm", rule.weights, mono)
-    basis = CellwiseLinear(mesh, sigma_h.space.basis_coeff).eval_cells(tris, pts)
+    basis = eval_cells(CellwiseLinear(mesh, sigma_h.space.basis_coeff), tris, pts)
     sig = np.einsum("rtj,tqjc->tqrc", sigma_h.coeffs[:, sigma_h.space.dof_map], basis)
     sig_int = area[:, None, None] * np.einsum("q,tqrc->trc", rule.weights, sig)
     p_int = -0.5 * (sig_int[:, 0, 0] + sig_int[:, 1, 1])
@@ -167,6 +167,7 @@ RECOVERY_MESHES = {
 
 
 def test_fit_linear_matches_lstsq_fit_by_fit():
+    # the boundary extrapolation's fit; the patch fits are checked below
     rng = np.random.default_rng(11)
     k, m = 40, 12
     rel = rng.standard_normal((k, m, 2))
@@ -185,6 +186,44 @@ def test_fit_linear_matches_lstsq_fit_by_fit():
         assert np.allclose(sv[i, : expected_sv.size], expected_sv, rtol=1e-12, atol=1e-14)
         assert np.allclose(coef[i], expected, rtol=1e-8, atol=1e-10)
     assert rank[0] == 2 and rank[1] == 3
+
+
+def test_patch_fits_match_lstsq_on_the_samples_vertex_by_vertex():
+    # each interior vertex's polynomial against np.linalg.lstsq on its 3 n
+    # samples at the degree-2 rule's nodes, over {1, dx/s, dy/s} as in the
+    # loop oracle
+    mesh = red_green_lshape(4)
+    field = _random(lambda: mesh, 12)()
+    own, at_vertex, grad, average = _patch_fits(field)
+    pts = map_ref_points(mesh, triangle_rule(2).points)
+    samples = eval_cells(field.cellwise(), np.arange(mesh.nt), pts).reshape(mesh.nt, 3, 4)
+    interior = np.setdiff1d(np.arange(mesh.nv), mesh.boundary_vertices())
+    assert interior.size > 50 and own[interior].all()
+    for v in interior:
+        elems = np.flatnonzero((mesh.triangles == v).any(axis=1))
+        rel = pts[elems].reshape(-1, 2) - mesh.vertices[v]
+        s = np.abs(rel).max()
+        vals = samples[elems].reshape(-1, 4)
+        expected = np.linalg.lstsq(np.column_stack([np.ones(len(rel)), rel / s]), vals, rcond=None)[0]
+        got = np.vstack([at_vertex[v], s * grad[v]])
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(average[v] - vals.mean(axis=0)).max() <= 1e-12 * np.abs(vals).max()
+
+
+def test_recovery_makes_one_svd_call_no_taller_than_the_boundary(monkeypatch):
+    # the patch fits make no LAPACK call; the boundary extrapolations are
+    # one SVD of a stack of at most one fit per boundary vertex
+    mesh = red_green_lshape(4)
+    field = _random(lambda: mesh, 13)()
+    svd, shapes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    recover_pseudostress(field)
+    assert len(shapes) == 1 and shapes[0][0] <= mesh.boundary_vertices().size
 
 
 @pytest.mark.parametrize("name", list(RECOVERY_MESHES))
@@ -284,13 +323,13 @@ def test_recovery_is_bounded_on_random_fields():
     space = build_space(mesh, "rt0")
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.arange(mesh.nt)
-    pts = mesh.map_ref_points(corners, tris)
+    pts = map_ref_points(mesh, corners, tris)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
         coeffs = rng.standard_normal((2, space.n_dofs_per_row))
         field = PseudostressField(space=space, coeffs=coeffs)
-        sup_in = float(np.abs(field.cellwise().eval_cells(tris, pts)).max())
+        sup_in = float(np.abs(eval_cells(field.cellwise(), tris, pts)).max())
         sup_out = float(np.abs(recover_pseudostress(field).values).max())
         worst = max(worst, sup_out / sup_in)
     assert worst <= 15.0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import eval_cells, map_ref_points
+
 from oseenstress.mesh import make_square_piecewise_uniform
 from oseenstress.problems import get_problem
 from oseenstress.quadrature import edge_gauss_rule, triangle_rule
@@ -96,7 +98,7 @@ def test_local_basis_is_dual_to_global_edge_moments(kind):
         for le in range(3):
             e = int(mesh.tri_edges[t, le])
             pts = va[e] + tq[:, None] * (vb[e] - va[e])
-            vals = basis.eval_cells(np.array([t]), pts[None])[0]  # (q, nl, 2)
+            vals = eval_cells(basis, np.array([t]), pts[None])[0]  # (q, nl, 2)
             flux = vals @ normals[e]  # (q, nl)
             fm[moments * le] = lengths[e] * (wq @ flux)
             if moments == 2:
@@ -147,8 +149,8 @@ def test_interpolation_reproduces_constant_tensors(kind):
 
     rule = triangle_rule(2)
     tris = np.arange(mesh.nt)
-    pts = mesh.map_ref_points(rule.points, tris)
-    vals = interpolate_pseudostress(space, sigma).cellwise().eval_cells(tris, pts)
+    pts = map_ref_points(mesh, rule.points, tris)
+    vals = eval_cells(interpolate_pseudostress(space, sigma).cellwise(), tris, pts)
     dev = apply_deviatoric(const[None])[0]
     assert np.abs(vals - dev).max() < 1e-12
 
@@ -252,7 +254,7 @@ def composite_cell_means(mesh, u, k=48):
     ref = np.concatenate(chunks)
     w = np.tile(rule.weights, len(chunks)) / (k * k)
     tris = np.arange(mesh.nt)
-    pts = mesh.map_ref_points(ref, tris)
+    pts = map_ref_points(mesh, ref, tris)
     vals = np.asarray(u(pts))
     return np.einsum("q,tqr->rt", w, vals)
 
@@ -274,7 +276,7 @@ def test_project_velocity_exact_for_constants():
     proj = project_velocity(project_exact(mesh, lambda x: np.broadcast_to([2.0, -1.0], x.shape).copy()))
     assert np.abs(proj.coeffs[0] - 2.0).max() < 1e-14
     assert np.abs(proj.coeffs[1] + 1.0).max() < 1e-14
-    vals = proj.cellwise().eval_cells(np.arange(3), np.zeros((3, 2, 2)))
+    vals = eval_cells(proj.cellwise(), np.arange(3), np.zeros((3, 2, 2)))
     assert vals.shape == (3, 2, 2)
 
 
