@@ -38,9 +38,25 @@ and each entry is then an exact Gram product of cellwise linears
 
 The identity tensor lies in the kernel of L_K on both sides
 (``dev I = 0``, ``div I = 0``); z_K denotes its local coefficients.  So
-each element pins its pseudostress unknown with the largest ``|z_K|``,
-keeps the coefficient c_K of I on K as a global unknown, and eliminates
-the rest with the inverse of L_K without the pinned row and column.
+each element pins one pseudostress unknown, keeps the coefficient c_K
+of I on K as a global unknown, and eliminates the rest with the inverse
+G_K of L_K without the pinned row and column.
+
+These inverses go by shape class (``Mesh.shape_classes``): under red
+refinement every triangle is a scaled, moved or point-reflected copy of
+a start triangle, and the triangles of one class are scaled and moved
+copies of its first, with the same edge orientations.  In the dual bases
+L_K without its convection and reaction, ``[[A, B], [-B^T, 0]]`` with A
+the deviatoric mass and B the divergence, is then the same on every
+member, and so is z_K up to the scale.  So that block is pinned at its
+largest ``|z_K|`` and inverted once per class, on the class's first
+triangle, and each element adds its two velocity rows V_K (convection
+and reaction) by a rank-2 Woodbury update with a 2x2 inverse in closed
+form.  No dense solve is made per element.  On the finest p1 levels of
+the benchmark this leaves 469 class inverses for 19,456 RT0 triangles
+and 463 for 4,864 BDM1 ones; a mesh with no repeated shape has one class
+per triangle and takes the same path.
+
 What is left to factor is the condensed system on the interior edge
 multipliers and the c_K: continuity of the moments on every interior
 edge, and per element the solvability of its local system (L_K tested
@@ -106,16 +122,23 @@ is read first, in one pass over whole levels: the red groups of every
 level, the unit each block goes into, the slots of its unknowns there
 and the multiplier ids moved into them, up to the ids of the top units,
 which number the top system.  Then runs of about ``_CHUNK`` = 2048 fine
-triangles, each made of whole top units, go from their local blocks L_K,
-built for the chunk's rows, through their pinned inverses and every
-level to their top blocks; only numbers are condensed there, and they
-are written, with each level's solved group blocks and the inverses G_K,
-into arrays allocated once at full size.  So beside what the solve keeps
-(the element maps, loads and inverses, every level's solved group blocks
-and the top system) the assembly holds the dense blocks of one chunk,
-not those of a whole level.  L_K is not kept: the residual check builds
-it again chunk by chunk.  The top blocks are freed before the CSR
-conversion, whose int32 indices are passed on to SuperLU without a copy.
+triangles, each made of whole top units, go from their inverses G_K,
+updated from their classes', through every level to their top blocks;
+only numbers are condensed there, and they are written, with each
+level's solved group blocks and the inverses G_K, into arrays allocated
+once at full size.  So beside what the solve keeps (the element maps,
+loads and inverses, every level's solved group blocks and the top
+system) and the class inverses, the assembly holds the dense blocks of
+one chunk, not those of a whole level.  L_K is never built whole by the
+assembly: the residual check builds it, element by element, chunk by
+chunk.  The top blocks are freed before the CSR conversion, whose int32
+indices are passed on to SuperLU without a copy.
+
+Every batched dense solve is counted in the ``ledger`` of the returned
+``LinearSystem``, by kind: the class Vandermonde inverse of the space,
+the class inverse, and the condensation at each depth, each with its
+calls, matrices, block size and right-hand sides, summed over chunks
+(``sparsela.DenseSolves``).
 """
 
 import warnings
@@ -125,7 +148,7 @@ import numpy as np
 
 from .mesh import _RED_CHILDREN, Mesh, group_rows, red_groups
 from .problems import ProblemSpec, spot_check_boundary_data
-from .sparsela import CsrMatrix, SingularMatrixError, checked_residual, lu_solve, minimum_degree, to_csr
+from .sparsela import CsrMatrix, SingularMatrixError, checked_residual, lu_solve, minimum_degree, tally, to_csr
 from .spaces import (
     CellwiseLinear,
     HdivSpace,
@@ -220,6 +243,7 @@ class LinearSystem:
     index: np.ndarray  # (nu, s) int32 condensed index of each top unknown; matrix.n where none
     steps: tuple  # the CondensationStep of every level, finest first
     sizes: tuple
+    ledger: dict  # the DenseSolves of the space and the assembly, by kind
 
     @property
     def depth(self) -> int:
@@ -268,32 +292,32 @@ def _dirichlet_load(problem: ProblemSpec, space: HdivSpace):
     return load.reshape(2, -1), scale
 
 
-def _checked_solve(a: np.ndarray, b: np.ndarray, name: str, inputs=(), first: int = 0) -> np.ndarray:
+def _checked_solve(a: np.ndarray, b: np.ndarray, name: str, labels, inputs=()) -> np.ndarray:
     """Solve every dense block ``a[k] x = b[k]``.
 
-    `inputs`, if given, are the arrays `a` and `b` were taken from, and
-    are checked in their place.
+    `labels[k]` names block k in a message.  `inputs`, if given, are the
+    arrays `a` and `b` were taken from, and are checked in their place.
 
     Raises
     ------
     SingularMatrixError
-        ``"{name} k is not finite"`` if block k of the `inputs`, or of `a`
-        and `b` without them, has a non-finite entry, else ``"{name} k is
-        singular"`` if a[k] is singular or gives a non-finite solution, for
-        the first such k, counted from `first`; never numpy's
+        ``"{name} {labels[k]} is not finite"`` if block k of the `inputs`,
+        or of `a` and `b` without them, has a non-finite entry, else
+        ``"{name} {labels[k]} is singular"`` if a[k] is singular or gives a
+        non-finite solution, for the first such k; never numpy's
         ``LinAlgError``.
     """
     checked = inputs or (a, b)
     finite = np.all([np.isfinite(array).all(axis=tuple(range(1, array.ndim))) for array in checked], axis=0)
     if not finite.all():
-        raise SingularMatrixError(f"{name} {first + np.argmin(finite)} is not finite")
+        raise SingularMatrixError(f"{name} {labels[np.argmin(finite)]} is not finite")
     try:
         x = np.linalg.solve(a, b)
         regular = np.all(np.isfinite(x), axis=(1, 2))
     except np.linalg.LinAlgError:
         regular = np.linalg.slogdet(a)[0] != 0
     if not regular.all():
-        raise SingularMatrixError(f"{name} {first + np.argmin(regular)} is singular")
+        raise SingularMatrixError(f"{name} {labels[np.argmin(regular)]} is singular")
     return x
 
 
@@ -365,14 +389,38 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichle
     ), ids
 
 
-def _local_operator(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndarray:
-    """The local blocks L_K (k, m, m) of the unbordered operator, for the elements in `rows`."""
+def _bases(space: HdivSpace, rows):
+    """Areas, second moments and local bases of the elements `rows`, the bases as one stack (k, 2 nl, 3).
+
+    Component r of basis j is at r nl + j; `rows` is a slice or indices.
+    """
     mesh = space.mesh
+    basis = space.basis_coeff[rows]
+    return mesh.tri_areas()[rows], mesh.tri_second_moments()[rows], basis.transpose(0, 2, 1, 3).reshape(len(basis), -1, 3)
+
+
+def _convection(area, moments, basis, b):
+    """The convection terms ((dev tau) b, v) of the row-r trial tensor in velocity row p, in two parts.
+
+    For the elements of :func:`_bases` and their projected b (k, 2, 3):
+    ``-1/2 int phi_j[r] b_p`` (k, 2, 2 nl), and ``int phi_j . b`` (k, nl),
+    which adds to row r in the sigma unknowns of row r.
+    """
+    nl = basis.shape[1] // 2
+    conv = cell_gram(area, moments, basis, b)  # (k, ns, 2): int phi_j[r] b_p
+    return -0.5 * conv.transpose(0, 2, 1), conv[:, :nl, 0] + conv[:, nl:, 1]
+
+
+def _local_operator(el: ElementBlocks, space: HdivSpace, rows, velocity: bool = True) -> np.ndarray:
+    """The local blocks L_K (k, m, m) of the unbordered operator, for the elements `rows` (a slice or indices).
+
+    Without `velocity`, the convection and the reaction are left out: the
+    block ``[[A, B], [-B^T, 0]]`` of the deviatoric mass A and the
+    divergence B, which depends on the element's shape alone.
+    """
     nl = space.ndof_local
     ns = 2 * nl
-    area, moments = mesh.tri_areas()[rows], mesh.tri_second_moments()[rows]
-    # the local bases as one stack: component r of basis j at r nl + j
-    basis = space.basis_coeff[rows].transpose(0, 2, 1, 3).reshape(len(area), ns, 3)
+    area, moments, basis = _bases(space, rows)
 
     operator = np.zeros((len(area), ns + 2, ns + 2))
     # --- deviatoric block: (dev sigma, tau) = (sigma, tau) - 1/2 (tr sigma, tr tau)
@@ -384,43 +432,95 @@ def _local_operator(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndar
 
     # --- divergence coupling (div tau, u) and its negative transpose, exact
     divint = area[:, None] * space.basis_div[rows]  # (k, nl)
-    # --- convection ((dev tau) b, v) of the row-r trial tensor in velocity row p
-    conv = cell_gram(area, moments, basis, el.b[rows])  # (k, ns, 2): int phi_j[r] b_p
-    operator[:, ns:, :ns] = -0.5 * conv.transpose(0, 2, 1)
-    conv_par = conv[:, :nl, 0] + conv[:, nl:, 1]  # int phi_j . b
+    # --- convection ((dev tau) b, v) and reaction (c u, v), diagonal per component
+    along = 0.0
+    if velocity:
+        half, along = _convection(area, moments, basis, el.b[rows])
+        operator[:, ns:, :ns] = half
+        operator[:, ns, ns] = operator[:, ns + 1, ns + 1] = el.reaction[rows]
     for r in range(2):
         block = slice(r * nl, (r + 1) * nl)
         operator[:, block, ns + r] = divint
-        operator[:, ns + r, block] += conv_par - divint
-    # --- reaction (c u, v), diagonal per component
-    operator[:, ns, ns] = el.reaction[rows]
-    operator[:, ns + 1, ns + 1] = el.reaction[rows]
+        operator[:, ns + r, block] += along - divint
     return operator
 
 
-def _element_condensed(el: ElementBlocks, space: HdivSpace, local: np.ndarray, lo: int, hi: int):
+def _velocity_rows(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndarray:
+    """V_K (k, 2, m): the convection and reaction in the velocity rows of L_K, for the elements `rows`."""
+    nl = space.ndof_local
+    ns = 2 * nl
+    area, moments, basis = _bases(space, rows)
+    half, along = _convection(area, moments, basis, el.b[rows])
+    v = np.zeros((len(area), 2, ns + 2))
+    v[:, :, :ns] = half
+    v[:, 0, :nl] += along
+    v[:, 1, nl:ns] += along
+    v[:, 0, ns] = v[:, 1, ns + 1] = el.reaction[rows]
+    return v
+
+
+def _class_inverses(el: ElementBlocks, space: HdivSpace, ledger: dict) -> np.ndarray:
+    """Ĝ (nc, m, m) of every shape class: the pinned inverse of L_K without convection and reaction.
+
+    It is taken on the first triangle of each class
+    (:meth:`~oseenstress.mesh.Mesh.shape_classes`).  That block, the
+    operator of :func:`_local_operator` without `velocity`, is the same
+    on every member: in the dual bases a member h times the size has
+    bases h**-1 and gradients h**-2 times the class's, second moments and
+    area h**2 times, so each Gram product keeps its value; so is the pin,
+    since z_K scales by h.  The block is pinned at the largest |z_K|, with
+    a unit row and column there, inverted, and then zero there: the
+    pinned row and column of Ĝ are exactly zero.  A failing class is named
+    by its first triangle.
+    """
+    first = space.mesh.shape_classes()[1]
+    operator = _local_operator(el, space, first, velocity=False)
+    classes = np.arange(len(first))
+    pin = np.argmax(np.abs(el.kernel[first]), axis=1)
+    operator[classes, pin, :] = 0.0
+    operator[classes, :, pin] = 0.0
+    operator[classes, pin, pin] = 1.0
+    eye = np.broadcast_to(np.eye(operator.shape[1]), operator.shape)
+    inverse = _checked_solve(operator, eye, "the local block of element", labels=first, inputs=(operator,))
+    inverse[classes, pin, pin] = 0.0
+    tally(ledger, "class inverse", inverse)
+    return inverse
+
+
+def _element_condensed(el: ElementBlocks, space: HdivSpace, class_inverse, local: np.ndarray, lo: int, hi: int):
     """Write G_K of the elements `lo`..`hi` into ``el.inverse``, and return their condensed (block, rhs) pair.
 
-    G_K is L_K with a unit row and column at the largest |z_K|, inverted,
-    then zero there; a failing element is named by its index in the mesh.
-    Each element's block on its multipliers and c_K is ``[[S G_K S, -S
-    z_K], [z_K^T S, 0]]`` with S = diag(sign); its right-hand side is the
-    jump ``S G_K local_K`` of the local solution, for the local right-hand
-    sides `local` (nt, m), then ``z_K^T local_K``.  The c_K-c_K entry is
-    zero.
+    G_K is L_K with a unit row and column at its class's pin, inverted,
+    then zero there.  L_K differs from the block of its class in its two
+    velocity rows only, by V_K (:func:`_velocity_rows`); Ĝ, the class's
+    inverse (`class_inverse`, :func:`_class_inverses`), is zero in the
+    pinned row, so V_K Ĝ is the same with V_K zero in the pinned column.
+    With U the two velocity columns of the identity, the Woodbury
+    identity then gives ``G_K = Ĝ - (Ĝ U) (I + V_K Ĝ U)^-1 (V_K Ĝ)``, the
+    2x2 inverse in closed form.  A failing element is named by its index
+    in the mesh.  Each element's block on its multipliers and c_K is
+    ``[[S G_K S, -S z_K], [z_K^T S, 0]]`` with S = diag(sign); its
+    right-hand side is the jump ``S G_K local_K`` of the local solution,
+    for the local right-hand sides `local` (nt, m), then ``z_K^T
+    local_K``.  The c_K-c_K entry is zero.
     """
-    operator = _local_operator(el, space, slice(lo, hi))
-    sign, kernel, inverse, local = el.sign[lo:hi], el.kernel[lo:hi], el.inverse[lo:hi], local[lo:hi]
+    rows = slice(lo, hi)
+    member = space.mesh.shape_classes()[0][rows]
+    sign, kernel, inverse, local = el.sign[rows], el.kernel[rows], el.inverse[rows], local[rows]
     nt, ns = sign.shape
-    tris = np.arange(nt)
-    pin = np.argmax(np.abs(kernel), axis=1)
-    operator[tris, pin, :] = 0.0
-    operator[tris, :, pin] = 0.0
-    operator[tris, pin, pin] = 1.0
-    inverse[:] = _checked_solve(
-        operator, np.broadcast_to(np.eye(operator.shape[1]), operator.shape), "the local block of element", first=lo
-    )
-    inverse[tris, pin, pin] = 0.0
+    v = _velocity_rows(el, space, rows)
+    np.take(class_inverse, member, axis=0, out=inverse, mode="clip")
+    vg = v @ inverse
+    x = vg[:, :, ns:]  # V_K Ĝ U
+    adjugate = np.stack([1.0 + x[:, 1, 1], -x[:, 0, 1], -x[:, 1, 0], 1.0 + x[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    det = adjugate[:, 0, 0] * adjugate[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]  # of I + V_K Ĝ U
+    regular = np.isfinite(det) & (det != 0.0)
+    if not regular.all():  # a non-finite V_K makes its det NaN
+        finite = np.isfinite(v).all(axis=(1, 2))
+        defect, k = ("singular", np.argmin(regular)) if finite.all() else ("not finite", np.argmin(finite))
+        raise SingularMatrixError(f"the local block of element {lo + k} is {defect}")
+    inverse -= inverse[:, :, ns:] @ ((adjugate / det[:, None, None]) @ vg)
+
     zs = kernel[:, :ns] * sign
     block = np.zeros((nt, ns + 1, ns + 1))
     block[:, :ns, :ns] = inverse[:, :ns, :ns] * sign[:, :, None] * sign[:, None, :]
@@ -510,7 +610,8 @@ def _condense_step(blocks: tuple, step: CondensationStep, lo: int, hi: int, dept
     Schur complement on the rest is the parent's block.  Every other block
     is its own unit and passes up unchanged, the slots of each edge in the
     first half of the parent-sized edge.  Returns the units' (block, rhs)
-    pair and their first and end row on the level above.
+    pair, their first and end row on the level above, and the groups'
+    rows of ``step.solved``.
 
     Raises
     ------
@@ -538,8 +639,8 @@ def _condense_step(blocks: tuple, step: CondensationStep, lo: int, hi: int, dept
         group[:, kept:, kept:],
         np.concatenate([group[:, kept:, :kept], rhs[:, kept:, None]], axis=2),
         f"condensation at depth {depth}: the group block of parent",
+        labels=range(first, last),
         inputs=(group, rhs),
-        first=first,
     )
     coupling = group[:, :kept, kept:]
     schur = group[:, :kept, :kept] - coupling @ solved[:, :, :kept]
@@ -552,7 +653,7 @@ def _condense_step(blocks: tuple, step: CondensationStep, lo: int, hi: int, dept
     at, padded = unit[alone] - above, step.slots[4]
     block[np.ix_(at, padded, padded)] = block_in[alone]
     parent_rhs[np.ix_(at, padded)] = rhs_in[alone]
-    return (block, parent_rhs), (above, end)
+    return (block, parent_rhs), (above, end), solved
 
 
 def _numbering(ids: np.ndarray, moments: int):
@@ -676,19 +777,21 @@ def _chunks(steps: list, nt: int) -> np.ndarray:
     return np.unique(cuts[np.searchsorted(cuts, np.append(np.arange(0, nt, _CHUNK), nt))])
 
 
-def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: list):
+def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: list, ledger: dict):
     """Condense the element blocks through `steps` (:func:`_hierarchy`), chunk by chunk; the top (block, rhs) pair.
 
-    Each chunk of :func:`_chunks` builds its local blocks, writes their
-    pinned inverses into ``el.inverse`` and condenses them
-    (:func:`_element_condensed`, for local right-hand sides `local`), then
-    goes through every level (:func:`_condense_step`) to its top blocks,
-    which are written into
+    The block of every shape class is inverted first
+    (:func:`_class_inverses`).  Each chunk of :func:`_chunks` then writes
+    its elements' pinned inverses, updated from their classes', into
+    ``el.inverse`` and condenses them (:func:`_element_condensed`, for
+    local right-hand sides `local`), then goes through every level
+    (:func:`_condense_step`) to its top blocks, which are written into
     arrays allocated once at full size, as the steps' solved group blocks
     are.  So no dense block of a whole level below the top is ever held,
-    nor any local block L_K beyond the chunk.  Each level's gather tables
+    nor any local block L_K.  Each level's gather tables
     (:func:`_sum_table`) are built once, before the first chunk, and
-    dropped on return.
+    dropped on return.  Every batched dense solve is counted in `ledger`
+    (:func:`~oseenstress.sparsela.tally`).
     """
     nt, ns = el.sign.shape
     nu = int(steps[-1].unit[-1]) + 1 if steps else nt
@@ -700,11 +803,13 @@ def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: lis
         size = 3 * red.shape[1] + 1
         pairs = red[:, :, None] * size + red[:, None, :]
         step.tables = (_sum_table(pairs.ravel(), size * size), _sum_table(red.ravel(), size))
+    class_inverse = _class_inverses(el, space, ledger)
     try:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            blocks = _element_condensed(el, space, local, lo, hi)
+            blocks = _element_condensed(el, space, class_inverse, local, lo, hi)
             for depth, step in enumerate(steps, 1):
-                blocks, (lo, hi) = _condense_step(blocks, step, lo, hi, depth)
+                blocks, (lo, hi), solved = _condense_step(blocks, step, lo, hi, depth)
+                tally(ledger, f"condensation at depth {depth}", solved)
             top[lo:hi], top_rhs[lo:hi] = blocks
     finally:
         for step in steps:
@@ -757,7 +862,8 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
         )
     lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
     steps, ids, sizes = _hierarchy(mesh.triangles, ids)
-    top, top_rhs = _condense(el, space, el.load - lam * el.trace, steps)
+    ledger = dict(space.ledger)
+    top, top_rhs = _condense(el, space, el.load - lam * el.trace, steps, ledger)
     # the nonzero entries of the top blocks on live unknowns, at every depth
     index, size = _numbering(ids, space.moments)
     inside = index < size
@@ -776,6 +882,7 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
         index=index,
         steps=tuple(steps),
         sizes=(*sizes, size),
+        ledger=ledger,
     )
 
 

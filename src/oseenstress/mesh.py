@@ -26,7 +26,8 @@ leaves behind; any such edge sends the result through one more pass.
 Treat ``Mesh`` instances as immutable; all operations return new meshes.
 :func:`build_mesh` stores read-only arrays, so the per-cell and per-edge
 geometry each mesh computes once and keeps (areas, centroids, vertex
-offsets, edge lengths and normals) cannot go stale.
+offsets, edge lengths and normals, and the shape classes of the
+triangles) cannot go stale.
 """
 
 from dataclasses import dataclass, field
@@ -114,6 +115,47 @@ class Mesh:
         return _read_only(areas, centroids, d.transpose(0, 2, 1) @ d / 12.0)
 
     @cached_property
+    def _shape_classes(self):
+        """The :meth:`shape_classes` arrays, read-only."""
+        d1, d2, _ = _frame(self.vertices[self.triangles])
+        length = np.hypot(d1[:, 0], d1[:, 1])
+        q = np.rint(np.hstack([d1, d2]) * (2.0**40 / length)[:, None])
+        # the key as two complex numbers, which sort by real, then imaginary
+        # part; |q[:, 0]| <= 2**40, so 8 q[:, 0] plus the sign bits is exact
+        keys = (q[:, 0] * 8 + (self.tri_signs > 0) @ _SIGN_BITS + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3])
+        # a stable sort: the first of each run of equal keys is its lowest triangle
+        order = np.lexsort(keys[::-1])
+        new = np.arange(self.nt) == 0
+        for key in keys:
+            key = key[order]
+            new[1:] |= key[1:] != key[:-1]
+        first = order[new]
+        by_first = np.argsort(first)
+        rank = np.empty_like(first)
+        rank[by_first] = np.arange(first.size)
+        classes = np.empty_like(order)
+        classes[order] = rank[np.cumsum(new) - 1]
+        first = first[by_first]
+        return _read_only(classes, first, length / length[first[classes]])
+
+    def shape_classes(self):
+        """The similarity classes of the triangles under scaling and translation, with their tri_signs.
+
+        Two triangles are in one class when their edge vectors ``d1 = x1 -
+        x0``, ``d2 = x2 - x0``, divided by ``|d1|`` and rounded to 2**-40,
+        and their ``tri_signs`` rows agree: then one is the other scaled
+        by ``h = |d1| / |d1'|`` and moved, corner for corner and with the
+        same global edge orientations.  Under red refinement a corner
+        child is its parent halved and the middle child its parent
+        halved and point-reflected, so the middle child of a middle child
+        is its grandparent quartered (Bank, Sherman & Weiser, IMACS 1983).
+        Classes are numbered by their first triangle.  Returns the class
+        of every triangle (nt,), the first triangle of every class, and
+        every triangle's h against that first one.
+        """
+        return self._shape_classes
+
+    @cached_property
     def _edge_geometry(self):
         """Lengths (ne,) and global unit normals (ne, 2), read-only."""
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
@@ -173,6 +215,9 @@ class Mesh:
         tri, loc = np.divmod(sides, 3)  # -1 // 3 is already -1
         loc[sides < 0] = -1
         return tri, loc
+
+
+_SIGN_BITS = np.array([1, 2, 4])  # the +1 entries of a tri_signs row as a number 0..7
 
 
 def _read_only(*arrays):
@@ -324,15 +369,29 @@ def build_mesh(vertices, triangles, region=None) -> Mesh:
     if unused.size:
         raise ValueError(f"vertex {unused[0]} belongs to no triangle")
 
-    d1, d2, area2 = _frame(vertices[triangles])
+    # each triangle's corners scaled by a power of two into [-1, 1]: exactly,
+    # and so that no product below overflows or underflows
+    corners = vertices[triangles]
+    _, exponent = np.frexp(np.abs(corners).max(axis=(1, 2)))
+    d1, d2, area2 = _frame(np.ldexp(corners, -exponent[:, None, None]))
     flip = area2 < 0
     if np.any(flip):
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
         area2 = np.abs(area2)
-    scale = np.maximum(np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1))
+    scale = np.maximum(np.hypot(*d1.T), np.hypot(*d2.T))
     if np.any(area2 <= 1e-14 * scale**2):
         bad = int(np.argmin(area2 / np.maximum(scale**2, 1e-300)))
         raise ValueError(f"zero-area triangle at index {bad}")
+    # log2 of the unscaled doubled area and squared longest edge, which must be normal numbers
+    log_area, log_square = (np.log2(a) + 2 * exponent for a in (area2, scale**2))
+    outside = (log_area < np.finfo(float).minexp) | (log_square >= np.finfo(float).maxexp)
+    if np.any(outside):
+        bad = int(np.argmax(outside))
+        raise ValueError(
+            f"triangle at index {bad} cannot be represented in floating point: its doubled area is "
+            f"about 1e{log_area[bad] * np.log10(2):+.0f} and its longest edge squared about "
+            f"1e{log_square[bad] * np.log10(2):+.0f}"
+        )
 
     keys, inverse = np.unique(_local_edge_keys(triangles), return_inverse=True)
     edges = np.stack(_key_ends(keys), axis=1)

@@ -35,6 +35,9 @@ from .spaces import CellwiseLinear, PseudostressField, VelocityField, apply_devi
 
 __all__ = ["RecoveredTensorField", "postprocess_velocity", "recover_pseudostress"]
 
+# most entries of the distance table of the nearest-donor fallback at a time
+_DONOR_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class RecoveredTensorField:
@@ -174,7 +177,8 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     2. boundary: the fit through the fitted vertices of its 1-ring, or of
        its neighbours' 1-rings if the 1-ring has fewer than 3; it needs at
        least 3 sources, rank 3 and ``sv_min >= 1e-3 sv_max``;
-    3. the nearest fitted interior vertex's polynomial (lowest index on ties);
+    3. the nearest fitted interior vertex's polynomial (lowest index on
+       ties), searched in blocks of at most ``_DONOR_ENTRIES`` distances;
     4. its own patch fit;
     5. the patch average.
 
@@ -218,7 +222,12 @@ def recover_pseudostress(sigma_h: PseudostressField) -> RecoveredTensorField:
     donors = np.flatnonzero(fitted)
     if donors.size:
         need = np.flatnonzero(todo)
-        d = donors[np.argmin(np.linalg.norm(x[donors] - x[need, None], axis=2), axis=1)]
+        # the (vertices, donors) distances in blocks of at most _DONOR_ENTRIES, or one vertex
+        d = np.empty_like(need)
+        step = max(_DONOR_ENTRIES // donors.size, 1)
+        for at in range(0, need.size, step):
+            block = need[at : at + step]
+            d[at : at + step] = donors[np.argmin(np.linalg.norm(x[donors] - x[block, None], axis=2), axis=1)]
         values[need] = at_vertex[d] + np.einsum("ni,nik->nk", x[need] - x[d], grad[d])
         todo[need] = False
     values[todo & own] = at_vertex[todo & own]

@@ -11,14 +11,17 @@ tangent):
   polynomial along the oriented edge.
 
 Local bases are constructed per element as the dual basis of these global
-functionals (a small generalized Vandermonde solve), so normal-trace
-continuity across interior edges holds by construction and orientation
-flips never need explicit sign fixups in assembly.  The moments are taken
-in one place, ``_edge_moments``, for the bases and for the canonical
-interpolant; by the duality, a basis function's normal trace on its own
-edge is ``(2k + 1) P_k / |E|``, which the Dirichlet load uses directly.  Basis functions are
-stored as monomial coefficients over {1, x - cx, y - cy} centered at the
-element centroid; their divergences are elementwise constants.
+functionals, so normal-trace continuity across interior edges holds by
+construction and orientation flips never need explicit sign fixups in
+assembly.  The generalized Vandermonde matrix of the functionals is
+inverted once per shape class of the mesh (``Mesh.shape_classes``), on
+its first triangle, and the inverse is scaled to every other member.
+The moments are taken in one place, ``_edge_moments``, for the bases and
+for the canonical interpolant; by the duality, a basis function's normal
+trace on its own edge is ``(2k + 1) P_k / |E|``, which the Dirichlet load
+uses directly.  Basis functions are stored as monomial coefficients over
+{1, x - cx, y - cy} centered at the element centroid; their divergences
+are elementwise constants.
 
 Every discrete field of the method (a pseudostress row, the cellwise
 constant velocity, the lifted velocity and the recovered pseudostress) is
@@ -39,6 +42,7 @@ import numpy as np
 
 from .mesh import Mesh, _frame, _read_only, _red_children
 from .quadrature import edge_gauss_rule, triangle_rule
+from .sparsela import tally
 
 __all__ = [
     "CellwiseLinear",
@@ -191,6 +195,9 @@ class HdivSpace:
         ``CellwiseLinear(mesh, basis_coeff)`` evaluates the local bases.
     basis_div : ndarray, shape (nt, nl)
         Constant divergence of each local basis function.
+    ledger : dict
+        The batched dense solves of the construction, by kind
+        (:class:`~oseenstress.sparsela.DenseSolves`).
     """
 
     kind: str
@@ -199,6 +206,7 @@ class HdivSpace:
     dof_map: np.ndarray
     basis_coeff: np.ndarray
     basis_div: np.ndarray
+    ledger: dict
 
     @property
     def ndof_local(self) -> int:
@@ -244,31 +252,43 @@ def build_space(mesh: Mesh, kind: str) -> HdivSpace:
 
     The local bases are dual to the edge moments (:func:`_edge_moments`),
     each taken in 2-point Gauss, which is exact for the at most quadratic
-    ``v.n P_k`` of a linear v.
+    ``v.n P_k`` of a linear v.  Their generalized Vandermonde matrix is
+    inverted on the first triangle of every shape class only
+    (:meth:`~oseenstress.mesh.Mesh.shape_classes`).  A member h times that
+    size has the same edge normals and orientations, and a moment of a
+    monomial of degree d over its centroid scales by ``h**(1 + d)``; so
+    its basis is the class's with the constant monomials scaled by
+    ``h**-1`` and the linear ones, and every divergence, by ``h**-2``.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown element kind {kind!r}; expected one of {tuple(_KINDS)}")
     mono, mono_div = _KINDS[kind]
     nl = len(mono)
     moments = nl // 3
-    nt = mesh.nt
-    centroids = mesh.tri_centroids()
-    te = mesh.tri_edges  # (nt, 3)
+    classes, first, scale = mesh.shape_classes()
+    centroids = mesh.tri_centroids()[first]
+    te = mesh.tri_edges
 
-    def monomials(pts):  # (nt, 3, q, 2) -> (nt, 3, q, nl, 2), about each element's centroid
+    def monomials(pts):  # (nc, 3, q, 2) -> (nc, 3, q, nl, 2), about each element's centroid
         dx = pts - centroids[:, None, None, :]
         mono_pts = np.concatenate([np.ones(dx.shape[:-1] + (1,)), dx], axis=3)
         return np.einsum("kcm,teqm->teqkc", mono, mono_pts)
 
-    gmat = _edge_moments(mesh, te, 2, moments, monomials).reshape(nt, nl, nl)
-    ginv = np.linalg.inv(gmat)  # (nt, k, j): coeff of monomial k in basis j
+    gmat = _edge_moments(mesh, te[first], 2, moments, monomials).reshape(len(first), nl, nl)
+    ginv = np.linalg.inv(gmat)  # (nc, k, j): coeff of monomial k in basis j
+    ledger = {}
+    tally(ledger, "class Vandermonde inverse", ginv)
+    shrink = 1.0 / scale
+    per_monomial = np.stack([shrink, shrink * shrink, shrink * shrink], axis=1)  # over {1, dx, dy}
+    nt = mesh.nt
     return HdivSpace(
         kind=kind,
         mesh=mesh,
         n_dofs_per_row=moments * mesh.ne,
         dof_map=(moments * te[:, :, None] + np.arange(moments)).reshape(nt, nl),
-        basis_coeff=np.einsum("tkj,kcm->tjcm", ginv, mono),
-        basis_div=np.einsum("tkj,k->tj", ginv, mono_div),
+        basis_coeff=np.einsum("tkj,kcm->tjcm", ginv, mono)[classes] * per_monomial[:, None, None, :],
+        basis_div=np.einsum("tkj,k->tj", ginv, mono_div)[classes] * per_monomial[:, 1:2],
+        ledger=ledger,
     )
 
 

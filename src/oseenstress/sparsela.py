@@ -6,10 +6,13 @@ equilibrates the matrix, factors it by sparse LU (SuperLU) in the
 numbering it is given, with a preference for diagonal pivots, and checks
 the residual of the solution with :func:`checked_residual`.  The caller
 numbers the unknowns in their elimination order, for instance with
-:func:`minimum_degree`.
+:func:`minimum_degree`.  A ledger, a dict of :class:`DenseSolves` by
+kind, counts the batched dense solves of a space and an assembly
+(:func:`tally`).
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -18,6 +21,7 @@ import scipy.sparse.linalg
 __all__ = [
     "RTOL",
     "CsrMatrix",
+    "DenseSolves",
     "SingularMatrixError",
     "SolverMemoryError",
     "to_csr",
@@ -25,6 +29,7 @@ __all__ = [
     "lu_solve",
     "relative_residual",
     "checked_residual",
+    "tally",
 ]
 
 RTOL = 1e-9  # relative residual bound of every direct solve
@@ -45,6 +50,21 @@ class SolverMemoryError(MemoryError):
         super().__init__(f"sparse LU ran out of memory (n={n}, nnz={nnz}): {detail}")
         self.n = n
         self.nnz = nnz
+
+
+class DenseSolves(NamedTuple):
+    """Batched dense solves of one kind: the calls, the matrices in them, their order and right-hand sides."""
+
+    calls: int
+    matrices: int
+    size: int
+    rhs: int
+
+
+def tally(ledger: dict, kind: str, solution: np.ndarray) -> None:
+    """Add one batched dense solve, of `solution` (k, n, r), to the ``DenseSolves`` of `kind` in `ledger`."""
+    calls, matrices = ledger[kind][:2] if kind in ledger else (0, 0)
+    ledger[kind] = DenseSolves(calls + 1, matrices + solution.shape[0], *solution.shape[1:])
 
 
 @dataclass

@@ -42,6 +42,45 @@ def without_hierarchy(mesh: Mesh) -> Mesh:
     return rotated
 
 
+def jittered(mesh: Mesh, seed: int = 0) -> Mesh:
+    """The mesh with every interior vertex moved by 2% of its shortest edge, in a seeded direction.
+
+    No two triangles that touch an interior vertex keep one shape.
+    """
+    shortest = np.full(mesh.nv, np.inf)
+    np.minimum.at(shortest, mesh.edges.ravel(), np.repeat(mesh.edge_lengths(), 2))
+    angle = 2.0 * np.pi * np.random.default_rng(seed).random(mesh.nv)
+    step = 0.02 * shortest[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    step[mesh.boundary_vertices()] = 0.0
+    return build_mesh(mesh.vertices + step, mesh.triangles, mesh.region)
+
+
+def assert_shape_classes(mesh: Mesh, ulps: int = 0):
+    """``mesh.shape_classes()`` against the edge vectors: every member within 1e-13 of its class's first triangle.
+
+    The edge vectors ``x1 - x0`` and ``x2 - x0`` are divided by the first
+    one's length.  With `ulps`, a member may differ by that many units in
+    the last place of its largest corner coordinate over that length
+    where this is coarser: each midpoint of a refinement rounds once, so
+    a deep adaptive mesh stores its small triangles' shapes no closer.
+    The tri_signs agree, each triangle's scale is that length over its
+    first triangle's, and the classes are numbered by their first
+    triangle, each first triangle its class's lowest.
+    """
+    classes, first, scale = mesh.shape_classes()
+    assert first[0] == 0 and np.all(np.diff(first) > 0)
+    assert np.array_equal(classes[first], np.arange(first.size))
+    assert np.all(first[classes] <= np.arange(mesh.nt))
+    corners = mesh.vertices[mesh.triangles]
+    edges = np.concatenate([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=1)
+    length = np.linalg.norm(edges[:, :2], axis=1)
+    shape = edges / length[:, None]
+    resolution = ulps * np.finfo(float).eps * np.abs(corners).max(axis=(1, 2)) / length
+    assert np.all(np.abs(shape - shape[first[classes]]).max(axis=1) <= np.maximum(1e-13, resolution))
+    assert np.array_equal(mesh.tri_signs, mesh.tri_signs[first[classes]])
+    assert np.abs(scale - length / length[first[classes]]).max() <= 1e-15 * scale.max()
+
+
 def find_tjunctions(mesh: Mesh):
     """Edges whose midpoint coincides with an existing vertex.
 

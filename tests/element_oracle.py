@@ -1,19 +1,38 @@
-"""Reference whole-mesh element blocks of the hybridized system.
+"""Reference per-element bases and whole-mesh element blocks of the hybridized system.
 
-This is how ``assembly`` built the local blocks L_K and their pinned
-inverses G_K before the element work became chunk-local: one pass over
-every triangle of the mesh, the data projected with
-``spaces.project_exact``.  It is kept as the oracle that
-``assembly._local_operator`` and the inverses written chunk by chunk are
-checked against, bit for bit (``tests/test_assembly.py``).
+This is how ``spaces.build_space`` built the local bases, and
+``assembly`` the local blocks L_K and their pinned inverses G_K, before
+the element work became chunk-local and then went by shape class: one
+Vandermonde inverse and one pinned inverse per triangle, in one pass over
+the mesh, the data projected with ``spaces.project_exact``.  It is kept
+as the oracle that ``assembly._local_operator`` is checked against bit
+for bit, and the bases and the inverses G_K, which the shape classes
+scale and update, to 1e-12 relative (``tests/test_spaces.py``,
+``tests/test_assembly.py``).
 """
 
 import numpy as np
 
+from oseenstress.mesh import Mesh
 from oseenstress.problems import ProblemSpec
-from oseenstress.spaces import CellwiseLinear, HdivSpace, identity_coeffs, project_exact
+from oseenstress.spaces import _KINDS, CellwiseLinear, HdivSpace, _edge_moments, identity_coeffs, project_exact
 
 QUAD_DEGREE = 4  # the exactness of the rule that the data b and c are projected in
+
+
+def basis(mesh: Mesh, kind: str):
+    """The local bases (nt, nl, 2, 3) and their divergences (nt, nl), one Vandermonde inverse per triangle."""
+    mono, mono_div = _KINDS[kind]
+    nl = len(mono)
+    centroids = mesh.tri_centroids()
+
+    def monomials(pts):
+        dx = pts - centroids[:, None, None, :]
+        mono_pts = np.concatenate([np.ones(dx.shape[:-1] + (1,)), dx], axis=3)
+        return np.einsum("kcm,teqm->teqkc", mono, mono_pts)
+
+    ginv = np.linalg.inv(_edge_moments(mesh, mesh.tri_edges, 2, nl // 3, monomials).reshape(mesh.nt, nl, nl))
+    return np.einsum("tkj,kcm->tjcm", ginv, mono), np.einsum("tkj,k->tj", ginv, mono_div)
 
 
 def operator(problem: ProblemSpec, space: HdivSpace) -> np.ndarray:

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense_lu_solve, zero_problem
+from conftest import assert_shape_classes, dense_lu_solve, zero_problem
 
 from oseenstress.assembly import solve_oseen
 from oseenstress.adaptive import adaptive_solve
@@ -280,6 +280,20 @@ def test_p2_refinement_concentrates_at_the_corner(p2_history):
 # ----------------------------------------------------------------------
 # criterion 6: adaptive refinement on the convection-dominated problem
 # ----------------------------------------------------------------------
+
+
+def test_adaptive_final_meshes_have_exact_shape_classes(p2_history):
+    # red children and green halves of every start triangle: each member of
+    # a shape class is its first triangle scaled, on the final meshes of
+    # the p2 and p3 benchmark runs (p3 to 40,000 dofs: 771 classes of 8,908
+    # triangles).  p2's members agree to 1e-13 after normalising; p3's
+    # smallest triangles, refined most often near the outflow layer, agree
+    # to 32 ulps of their coordinates (1.1e-13 at most)
+    p3_mesh = adaptive_solve(get_problem("p3"), theta=0.3, max_iters=30, max_dofs=40_000).final_mesh
+    for mesh, classes, ulps in ((p2_history.final_mesh, 66, 0), (p3_mesh, 771, 32)):
+        assert_shape_classes(mesh, ulps)
+        assert len(mesh.shape_classes()[1]) == classes
+    assert p3_mesh.nt == 8908
 
 
 def test_p3_adaptive_resolves_outflow_layer(p3_history):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import colamd_lu_solve, stokes_linear_problem, two_triangle_square, without_hierarchy, zero_problem
+from conftest import colamd_lu_solve, jittered, stokes_linear_problem, two_triangle_square, without_hierarchy, zero_problem
 
 import element_oracle
 import monolithic_oracle
@@ -357,24 +357,49 @@ def test_singular_local_block_raises_singular_matrix_error(monkeypatch):
 
 @pytest.mark.parametrize("factor, defect", [(0.0, "singular"), (np.nan, "not finite")])
 def test_singular_local_block_in_a_later_chunk_is_named_by_its_mesh_index(factor, defect, monkeypatch):
-    # With chunks of 40 fine triangles, cut at the top units of 64, element
-    # 100 lies in the second chunk, whose local blocks start at row 64.  Its
-    # sigma-sigma block, linear in the Gram products of the bases, is scaled.
+    # Element 100 is made a shape class of its own, the last; its class
+    # block, the sigma-sigma block linear in the Gram products of the
+    # bases, is scaled.  The class is named by its first triangle, 100, and
+    # not by its row among the classes; nor by its row in its chunk: with
+    # chunks of 40 fine triangles, cut at the top units of 64, it lies in
+    # the second chunk, whose local blocks start at row 64.
     local_operator = assembly._local_operator
 
-    def doctored(el, space, rows):
-        operator = local_operator(el, space, rows)
-        if rows.start <= 100 < rows.stop:
-            operator[100 - rows.start, :6, :6] *= factor  # 2 nl = 6 sigma unknowns for RT0
+    def doctored(el, space, rows, velocity=True):
+        operator = local_operator(el, space, rows, velocity)
+        if not velocity:  # the class blocks, of the classes' first triangles
+            operator[rows == 100, :6, :6] *= factor  # 2 nl = 6 sigma unknowns for RT0
         return operator
 
     mesh = make_square_piecewise_uniform(3)
     steps = assemble(get_problem("p1"), mesh, build_space(mesh, "rt0")).steps
+    classes, first, scale = mesh.shape_classes()
+    assert first[classes[100]] < 100
+    alone = np.where(np.arange(mesh.nt) == 100, first.size, classes)
+    monkeypatch.setattr(mesh, "_shape_classes", (alone, np.append(first, 100), np.where(alone == first.size, 1.0, scale)))
     monkeypatch.setattr(assembly, "_local_operator", doctored)
     monkeypatch.setattr(assembly, "_CHUNK", 40)
     assert list(assembly._chunks(steps, mesh.nt)[:3]) == [0, 64, 128]
     with pytest.raises(SingularMatrixError, match=f"the local block of element 100 is {defect}"):
         solve_oseen(get_problem("p1"), mesh)
+
+
+def test_non_finite_velocity_rows_are_named_by_the_element_s_mesh_index(monkeypatch):
+    # each element's own convection and reaction rows V_K, which update its
+    # class's inverse, are checked: element 100, in the second chunk, with
+    # its reaction in velocity row 2 not a number
+    velocity_rows = assembly._velocity_rows
+
+    def doctored(el, space, rows):
+        rows_v = velocity_rows(el, space, rows)
+        if rows.start <= 100 < rows.stop:
+            rows_v[100 - rows.start, 1, -1] = np.nan
+        return rows_v
+
+    monkeypatch.setattr(assembly, "_velocity_rows", doctored)
+    monkeypatch.setattr(assembly, "_CHUNK", 40)
+    with pytest.raises(SingularMatrixError, match="the local block of element 100 is not finite"):
+        solve_oseen(get_problem("p1"), make_square_piecewise_uniform(3))
 
 
 def test_solve_passes_memory_errors_through(monkeypatch):
@@ -898,6 +923,7 @@ CHUNKED_CASES = {
     "bdm1-level3": ("p1", "bdm1", lambda: make_square_piecewise_uniform(3), 3),
     "p2-adapted": ("p2", "rt0", _adapted("p2", 8), 1),
     "no-red-group": ("p1", "bdm1", lambda: without_hierarchy(make_square_piecewise_uniform(2)), 0),
+    "no-repeated-shape": ("p1", "rt0", lambda: jittered(make_square_piecewise_uniform(2)), 2),
 }
 
 
@@ -938,8 +964,12 @@ def test_condensation_in_small_chunks_matches_one_chunk(name, monkeypatch):
 def test_chunked_element_blocks_equal_the_whole_mesh_oracle(name, monkeypatch):
     # the pinned inverses written chunk by chunk, and the local blocks the
     # residual rebuilds chunk by chunk, against the whole-mesh formulas,
-    # bit for bit, for one chunk, chunks of a few dozen triangles and
-    # chunks of one top unit
+    # for one chunk, chunks of a few dozen triangles and chunks of one top
+    # unit: the local blocks bit for bit, and the inverses, each updated
+    # from its shape class's, to 1e-12 relative per element.  The class's
+    # pin is each member's own on these meshes; where roundoff broke a tie
+    # the other way the inverses would differ, and only the solutions,
+    # compared with the monolithic solve above, could be.
     problem_name, kind, make_mesh, _ = CHUNKED_CASES[name]
     problem, mesh = get_problem(problem_name), make_mesh()
     space = build_space(mesh, kind)
@@ -951,7 +981,55 @@ def test_chunked_element_blocks_equal_the_whole_mesh_oracle(name, monkeypatch):
         bounds = assembly._chunks(system.steps, mesh.nt)
         rebuilt = [assembly._local_operator(system.elements, space, slice(*r)) for r in zip(bounds[:-1], bounds[1:])]
         assert np.array_equal(np.concatenate(rebuilt), operator)
-        assert np.array_equal(system.elements.inverse, inverse)
+        pin = np.argmax(np.abs(system.elements.kernel), axis=1)
+        classes, first, _ = mesh.shape_classes()
+        assert np.array_equal(pin, pin[first][classes])
+        error = np.abs(system.elements.inverse - inverse).max(axis=(1, 2))
+        assert np.all(error <= 1e-12 * np.abs(inverse).max(axis=(1, 2)))
+
+
+# (element, mesh factory, shape classes)
+LEDGER_CASES = {
+    "rt0-level5": ("rt0", lambda: make_square_piecewise_uniform(5), 469),
+    "bdm1-level4": ("bdm1", lambda: make_square_piecewise_uniform(4), 463),
+    "p2-adapted": ("rt0", _adapted("p2", 8), 58),
+}
+
+
+@pytest.mark.parametrize("name", list(LEDGER_CASES))
+def test_ledger_counts_every_batched_dense_solve(name, monkeypatch):
+    # np.linalg.solve and np.linalg.inv are spied on while the space is
+    # built and the system assembled; the ledger recounts them exactly, by
+    # block size and right-hand sides, and shows one element solve per
+    # shape class: 469 for the 19,456 triangles of RT0 level 5, 463 for the
+    # 4,864 of BDM1 level 4
+    kind, make_mesh, classes = LEDGER_CASES[name]
+    problem = get_problem("p2" if name.startswith("p2") else "p1")
+    mesh = make_mesh()
+    spied = {}
+
+    def spy(real):
+        def counted(a, *b):
+            x = real(a, *b)
+            calls, matrices = spied.get(x.shape[1:], (0, 0))
+            spied[x.shape[1:]] = (calls + 1, matrices + len(x))
+            return x
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", spy(np.linalg.inv))
+    system = assemble(problem, mesh, build_space(mesh, kind))
+    monkeypatch.undo()
+    ledger = system.ledger
+    assert {(d.size, d.rhs): (d.calls, d.matrices) for d in ledger.values()} == spied
+    nl, m = 3 * system.space.moments, system.elements.dofs.shape[1]
+    assert ledger["class Vandermonde inverse"] == (1, classes, nl, nl)
+    assert ledger["class inverse"] == (1, classes, m, m)
+    chunks = len(assembly._chunks(system.steps, mesh.nt)) - 1
+    for depth, step in enumerate(system.steps, 1):
+        assert ledger[f"condensation at depth {depth}"][:2] == (chunks, len(step.groups))
+    assert len(ledger) == 2 + system.depth
 
 
 def _owned_bytes(obj, seen: set) -> int:

@@ -201,6 +201,7 @@ def test_solve_uniform_rejects_problem_without_closed_form(tmp_path, capsys):
         pytest.param(["--mesh", "empty.txt"], "no triangles", id="mesh-empty"),
         pytest.param(["--mesh", "unused.txt"], "vertex 4 belongs to no triangle", id="mesh-unused-vertex"),
         pytest.param(["--mesh", "nonfinite.txt"], "vertex 2 has a non-finite coordinate", id="mesh-nonfinite"),
+        pytest.param(["--mesh", "huge.txt"], "triangle at index 0 cannot be represented", id="mesh-huge"),
         pytest.param(["--mesh", "missing.txt"], "--mesh", id="mesh-missing"),
         pytest.param(["--mesh", "hanging.txt"], "vertex 4 lies inside boundary edge (0, 2)", id="mesh-hanging-node"),
         pytest.param(["--mesh", "twice.txt"], "triangle 0 is in two green pairs", id="mesh-green-pair-twice"),
@@ -216,6 +217,8 @@ def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, a
     (tmp_path / "unused.txt").write_text("5 2\n0 0\n1 0\n1 1\n0 1\n5 5\n0 1 2 0\n0 2 3 0\n")
     # the unit square in two triangles with one coordinate not a number
     (tmp_path / "nonfinite.txt").write_text("4 2\n0 0\n1 0\n1 nan\n0 1\n0 1 2 0\n0 2 3 0\n")
+    # the unit square scaled by 1e200: its area overflows
+    (tmp_path / "huge.txt").write_text("4 2\n0 0\n1e200 0\n1e200 1e200\n0 1e200\n0 1 2 0\n0 2 3 0\n")
     # the unit square with one half bisected at (0.5, 0.5) and the other not
     (tmp_path / "hanging.txt").write_text("5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 2 0\n0 4 3 0\n4 2 3 0\n")
     # a triangle bisected at its hypotenuse's midpoint, the pair listed twice

@@ -1,9 +1,18 @@
 """Mesh construction, uniform refinement, and conforming local refinement."""
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import assert_valid_refinement, find_tjunctions, map_ref_points, two_triangle_square
+from conftest import (
+    assert_shape_classes,
+    assert_valid_refinement,
+    find_tjunctions,
+    jittered,
+    map_ref_points,
+    two_triangle_square,
+)
 
 from oseenstress.mesh import (
     Mesh,
@@ -192,6 +201,40 @@ def test_build_mesh_rejects_meshes_no_solve_can_use(tmp_path):
     path.write_text("0 0\n")
     with pytest.raises(ValueError, match="no triangles"):
         load_mesh(path)
+
+
+def test_build_mesh_rejects_geometry_floating_point_cannot_hold():
+    # the area and the scale are compared on corners scaled by a power of
+    # two, so no product overflows (pytest turns a RuntimeWarning into an
+    # error); areas whose doubled value over- or underflows are named as such
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    for scale, area in ((1e200, "1e+400"), (1e-200, "1e-400")):
+        message = f"triangle at index 0 cannot be represented in floating point: its doubled area is about {area}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_mesh(verts * scale, tris)
+    with pytest.raises(ValueError, match="triangle at index 0 cannot be represented in floating point"):
+        build_mesh([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]], [[0, 1, 2]])
+    with pytest.raises(ValueError, match="zero-area triangle at index 1"):
+        build_mesh([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200], [2e200, 0.0]], [[0, 1, 2], [0, 1, 3]])
+    for scale in (1e100, 1e-100):
+        assert np.allclose(build_mesh(verts * scale, tris).tri_areas(), 0.5 * scale**2, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("level, classes", [(5, 469), (4, 463)])
+def test_shape_classes_of_the_uniform_p1_meshes(level, classes):
+    # the meshes of p1 RT0 at level 5 and of BDM1 at level 4
+    mesh = make_square_piecewise_uniform(level)
+    assert_shape_classes(mesh)
+    assert len(mesh.shape_classes()[1]) == classes
+
+
+def test_a_mesh_without_repeated_shapes_has_one_class_per_triangle():
+    mesh = jittered(make_square_piecewise_uniform(2))
+    classes, first, scale = mesh.shape_classes()
+    assert np.array_equal(classes, np.arange(mesh.nt))
+    assert np.array_equal(first, np.arange(mesh.nt))
+    assert np.all(scale == 1.0)
 
 
 @pytest.mark.parametrize(

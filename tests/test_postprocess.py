@@ -8,6 +8,7 @@ from conftest import eval_cells, map_ref_points, two_triangle_square
 from recovery_oracle import recover_pseudostress as loop_recover_pseudostress
 from test_refine import MARK_ROUNDS, START_MESHES, START_NAMES
 
+from oseenstress import postprocess
 from oseenstress.adaptive import adaptive_solve
 from oseenstress.errors import l2_error
 from oseenstress.mesh import build_mesh, make_lshape_mesh, make_square_piecewise_uniform, refine_marked
@@ -273,6 +274,26 @@ def test_recovery_matches_loop_oracle(name):
     expected = loop_recover_pseudostress(field).values
     got = recover_pseudostress(field).values
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("name", ["p1-level3", "p2-red-green-0", "random-red-green-lshape"])
+def test_nearest_donor_search_in_blocks_of_one_vertex_matches_one_block(name, monkeypatch):
+    # with a cap of one distance, each vertex without a fit searches the
+    # donors alone; the nearest, lowest index on ties, and so the recovered
+    # values stay bit for bit
+    field = ORACLE_FIELDS[name]()
+    norm, searches = np.linalg.norm, []
+
+    def counted(a, *args, **kwargs):
+        searches.append(a.shape[0])
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    whole = recover_pseudostress(field).values
+    assert len(searches) == 1 and searches[0] >= 2
+    monkeypatch.setattr(postprocess, "_DONOR_ENTRIES", 1)
+    assert np.array_equal(recover_pseudostress(field).values, whole)
+    assert searches[1:] == [1] * searches[0]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

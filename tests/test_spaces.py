@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import eval_cells, map_ref_points
+import element_oracle
+from conftest import eval_cells, jittered, map_ref_points
 
-from oseenstress.mesh import make_square_piecewise_uniform
+from oseenstress.mesh import make_lshape_mesh, make_square_piecewise_uniform, refine_marked
 from oseenstress.problems import get_problem
 from oseenstress.quadrature import edge_gauss_rule, triangle_rule
 from oseenstress.spaces import (
@@ -106,6 +107,39 @@ def test_local_basis_is_dual_to_global_edge_moments(kind):
         # Row k applies the functional of local dof k to all local basis
         # functions, so the matrix must be the identity.
         assert np.abs(fm - np.eye(nl)).max() < 1e-13
+
+
+def _red_green_lshape():
+    """The L-shape after three rounds of seeded red-green refinement: red groups, green pairs and unrefined triangles."""
+    rng = np.random.default_rng(3)
+    mesh = make_lshape_mesh()
+    for _ in range(3):
+        mesh = refine_marked(mesh, rng.choice(mesh.nt, size=mesh.nt // 4, replace=False))
+    return mesh
+
+
+CLASS_MESHES = {
+    "uniform-level4": lambda: make_square_piecewise_uniform(4),
+    "red-green-lshape": _red_green_lshape,
+    "no-repeated-shape": lambda: jittered(make_square_piecewise_uniform(2)),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASS_MESHES))
+@pytest.mark.parametrize("kind", KINDS)
+def test_bases_scaled_from_their_shape_class_match_one_inverse_per_triangle(kind, name):
+    # build_space inverts the Vandermonde matrix of each class's first
+    # triangle and scales it to the members; one inverse per triangle is
+    # the oracle, to 1e-12 relative per triangle
+    mesh = CLASS_MESHES[name]()
+    space = build_space(mesh, kind)
+    basis, div = element_oracle.basis(mesh, kind)
+    scale = np.abs(basis).max(axis=(1, 2, 3))
+    assert np.all(np.abs(space.basis_coeff - basis).max(axis=(1, 2, 3)) <= 1e-12 * scale)
+    assert np.all(np.abs(space.basis_div - div).max(axis=1) <= 1e-12 * np.abs(div).max(axis=1))
+    classes = len(mesh.shape_classes()[1])
+    assert classes < mesh.nt or name == "no-repeated-shape"
+    assert space.ledger == {"class Vandermonde inverse": (1, classes, space.ndof_local, space.ndof_local)}
 
 
 @pytest.mark.parametrize("kind", KINDS)
