@@ -193,14 +193,11 @@ class Mesh:
         """Global unit normals (90-degree clockwise rotation of the tangent)."""
         return self._edge_geometry[1]
 
-    def edge_points(self, t: np.ndarray, edges=None) -> np.ndarray:
-        """Points at parameters `t` in [0, 1] along oriented edges.
+    def edge_points(self, t: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Points at parameters `t` in [0, 1] along the oriented edges `edges`.
 
-        Returns an array of shape (len(edges), len(t), 2); `edges` defaults
-        to all edges.
+        Returns an array of shape (len(edges), len(t), 2).
         """
-        if edges is None:
-            edges = np.arange(self.ne)
         va = self.vertices[self.edges[edges, 0]]
         vb = self.vertices[self.edges[edges, 1]]
         return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
@@ -798,14 +795,34 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write(text)
 
 
+def _piece_roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The lowest node of the connected piece of each of n nodes joined by the edges (a, b).
+
+    Hook and compress: every root takes the lowest root an edge offers it,
+    then every node jumps to its root, until no edge joins two roots.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        jump = root[root]
+        while np.any(jump != root):
+            root, jump = jump, jump[jump]
+
+
 def load_mesh(path) -> Mesh:
     """Read a mesh written by :func:`save_mesh`, with or without green pairs.
 
     Raises ``ValueError`` on a file of the wrong length, invalid mesh data,
-    or a green pair that refinement could not merge back into its parent:
-    out of range, not sharing a single edge, sharing a triangle with
-    another pair, or without a shared vertex at the midpoint of its two
-    unshared ones (to 1e-12 times their distance).
+    triangles that form more than one edge-connected piece (the trace mean
+    is fixed once for the whole mesh, so each further piece would leave
+    the solve singular), or a green pair that refinement could not merge
+    back into its parent: out of range, not sharing a single edge, sharing
+    a triangle with another pair, or without a shared vertex at the
+    midpoint of its two unshared ones (to 1e-12 times their distance).
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -822,6 +839,15 @@ def load_mesh(path) -> Mesh:
     coords = np.array(tokens[2 : 2 + 2 * nv], dtype=np.float64).reshape(nv, 2)
     rest = np.array(tokens[2 + 2 * nv : body], dtype=np.int64).reshape(nt, 4)
     mesh = build_mesh(coords, rest[:, :3], rest[:, 3])
+    # the triangles on the +1 and the -1 side of every edge: a scatter, where edge_owners sorts
+    sides = np.full((2, mesh.ne), -1)
+    sides[(mesh.tri_signs < 0).astype(np.int64), mesh.tri_edges] = np.arange(nt)[:, None]
+    root = _piece_roots(*sides[:, sides.min(axis=0) >= 0], nt)
+    if root.any():  # triangle 0 is the lowest of its piece
+        raise ValueError(
+            f"mesh file {path}: the triangles form {np.count_nonzero(root == np.arange(nt))} edge-connected "
+            f"pieces; triangle {np.argmax(root != 0)} is not edge-connected to triangle 0"
+        )
     pairs = np.array(tokens[body + 1 :], dtype=np.int64).reshape(ng, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= nt):
         raise ValueError(f"mesh file {path}: green pair index out of range 0..{nt - 1}")

@@ -3,17 +3,17 @@
 The reference triangle is ``{(x, y) : x >= 0, y >= 0, x + y <= 1}``.
 Triangle rules store points in reference coordinates and weights normalized
 to sum to one, so an integral over a physical triangle ``K`` is approximated
-by ``|K| * sum_q w_q f(x_q)``.  Every rule is validated against exact
-monomial integrals when it is built.
+by ``|K| * sum_q w_q f(x_q)``.  The rules are not checked when they are
+built: ``tests/test_quadrature.py`` checks every one against exact
+monomial integrals.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
-__all__ = ["QuadRule", "triangle_rule", "edge_gauss_rule", "monomial_integral_reference"]
+__all__ = ["QuadRule", "triangle_rule", "edge_gauss_rule"]
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,6 @@ class QuadRule:
     degree: int
     points: np.ndarray
     weights: np.ndarray
-
-
-def monomial_integral_reference(a: int, b: int) -> float:
-    """Exact integral of ``x**a * y**b`` over the reference triangle."""
-    return factorial(a) * factorial(b) / factorial(a + b + 2)
 
 
 def _cyclic(bary):
@@ -82,22 +77,6 @@ _RULE_TABLE = {
 }
 
 
-def _validate(rule: QuadRule, tol: float = 5e-13) -> None:
-    """Check a rule against exact monomial integrals up to its degree."""
-    x = rule.points[:, 0]
-    y = rule.points[:, 1]
-    # the reference triangle has area 1/2, weights are area-normalized
-    for a in range(rule.degree + 1):
-        for b in range(rule.degree + 1 - a):
-            approx = 0.5 * np.sum(rule.weights * x**a * y**b)
-            exact = monomial_integral_reference(a, b)
-            if abs(approx - exact) > tol * max(1.0, abs(exact)):
-                raise ValueError(
-                    f"quadrature rule of degree {rule.degree} fails on "
-                    f"x^{a} y^{b}: {approx!r} vs {exact!r}"
-                )
-
-
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadRule:
     """Return the smallest tabulated rule exact for polynomials of `degree`.
@@ -117,9 +96,7 @@ def triangle_rule(degree: int) -> QuadRule:
     for avail in sorted(_RULE_TABLE):
         if avail >= degree:
             pts, wts = _points_from_barycentric(_RULE_TABLE[avail])
-            rule = QuadRule(degree=avail, points=pts, weights=wts)
-            _validate(rule)
-            return rule
+            return QuadRule(degree=avail, points=pts, weights=wts)
     raise ValueError(
         f"no tabulated triangle rule of degree >= {degree} "
         f"(available: {sorted(_RULE_TABLE)})"
@@ -140,12 +117,4 @@ def edge_gauss_rule(npoints: int):
     if npoints < 1:
         raise ValueError(f"edge rule needs at least one point, got {npoints}")
     nodes, weights = np.polynomial.legendre.leggauss(npoints)
-    pts = 0.5 * (nodes + 1.0)
-    wts = 0.5 * weights
-    # validate against monomials up to the exactness degree 2*npoints - 1
-    for k in range(2 * npoints):
-        approx = float(np.sum(wts * pts**k))
-        exact = 1.0 / (k + 1)
-        if abs(approx - exact) > 1e-13:
-            raise ValueError(f"edge Gauss rule with {npoints} points fails on t^{k}")
-    return pts, wts
+    return 0.5 * (nodes + 1.0), 0.5 * weights

@@ -27,12 +27,13 @@ Every discrete field of the method (a pseudostress row, the cellwise
 constant velocity, the lifted velocity and the recovered pseudostress) is
 a polynomial of degree <= 1 on each triangle.  :class:`CellwiseLinear`
 holds any of them in that monomial basis, and each field type converts to
-it with ``cellwise()``; cell means, exact L2 norms and the exact cell
-integrals of products of two such fields are defined there once.  An
-analytic field enters only through :func:`project_exact`, its projection
-onto cellwise linears in one triangle rule (or that projection's moment
-part, :func:`project_moments`, without the residual); every cell integral
-of the package is then an exact product of cellwise linears.
+it with ``cellwise()``; cell means and exact L2 norms are defined there
+once, and the exact cell integrals of products of two stacks of such
+fields in :func:`cell_gram`.  An analytic field enters only through
+:func:`project_exact`, its projection onto cellwise linears in one
+triangle rule (or that projection's moment part, :func:`project_moments`,
+without the residual); every cell integral of the package is then an
+exact product of cellwise linears.
 """
 
 from dataclasses import dataclass
@@ -149,19 +150,6 @@ class CellwiseLinear:
         a0, gx, gy = c[:, :, 0], c[:, :, 1], c[:, :, 2]
         sq = a0**2 + m[..., 0, 0] * gx**2 + 2.0 * m[..., 0, 1] * gx * gy + m[..., 1, 1] * gy**2
         return mesh.tri_areas() * np.sum(sq, axis=1)
-
-    def inner(self, other: "CellwiseLinear") -> np.ndarray:
-        """Exact integral over each triangle of every product of two components.
-
-        Returns shape (nt, m, k): entry (t, i, j) is the integral over
-        triangle t of component i of this field times component j of
-        `other`, each value shape flattened (:func:`cell_gram`).
-        """
-        if self.mesh is not other.mesh:
-            raise ValueError("cellwise fields live on different meshes")
-        mesh = self.mesh
-        a, b = (field.coeffs.reshape(mesh.nt, -1, 3) for field in (self, other))
-        return cell_gram(mesh.tri_areas(), mesh.tri_second_moments(), a, b)
 
 
 def cell_gram(area: np.ndarray, moments: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -321,9 +309,8 @@ class PseudostressField:
         return self._cellwise
 
     def cell_means(self) -> np.ndarray:
-        """Cell means, shape (2, 2, nt): the coefficients times the bases' cell means."""
-        w = self.coeffs[:, self.space.dof_map, None]  # (2, nt, nl, 1)
-        return np.moveaxis(np.sum(w * self.space.basis_coeff[..., 0], axis=2), 1, 2)
+        """Cell means, shape (2, 2, nt): those of the cellwise form."""
+        return self.cellwise().cell_means()
 
     def div_cells(self) -> np.ndarray:
         """Row-wise divergence, constant per element: (nt, 2)."""

@@ -86,11 +86,6 @@ class CsrMatrix:
     def nnz(self) -> int:
         return int(self.data.size)
 
-    @classmethod
-    def from_scipy(cls, csr: scipy.sparse.csr_matrix) -> "CsrMatrix":
-        """Wrap a square scipy CSR matrix whose indices are sorted, without copying its index arrays."""
-        return cls(n=csr.shape[0], indptr=csr.indptr, indices=csr.indices, data=np.asarray(csr.data, dtype=np.float64))
-
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         return scipy.sparse.csr_matrix(
             (self.data, self.indices, self.indptr), shape=(self.n, self.n)

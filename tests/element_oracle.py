@@ -15,7 +15,7 @@ import numpy as np
 
 from oseenstress.mesh import Mesh
 from oseenstress.problems import ProblemSpec
-from oseenstress.spaces import _KINDS, CellwiseLinear, HdivSpace, _edge_moments, identity_coeffs, project_exact
+from oseenstress.spaces import _KINDS, HdivSpace, _edge_moments, cell_gram, identity_coeffs, project_exact
 
 QUAD_DEGREE = 4  # the exactness of the rule that the data b and c are projected in
 
@@ -41,18 +41,19 @@ def operator(problem: ProblemSpec, space: HdivSpace) -> np.ndarray:
     nt, nl = mesh.nt, space.ndof_local
     ns = 2 * nl
     area = mesh.tri_areas()
-    basis = CellwiseLinear(mesh, space.basis_coeff.transpose(0, 2, 1, 3).reshape(nt, ns, 3))
-    b = project_exact(mesh, problem.b, degree=QUAD_DEGREE).field
+    moments = mesh.tri_second_moments()
+    basis = space.basis_coeff.transpose(0, 2, 1, 3).reshape(nt, ns, 3)
+    b = project_exact(mesh, problem.b, degree=QUAD_DEGREE).field.coeffs
     c = project_exact(mesh, problem.c, degree=QUAD_DEGREE).field
 
     blocks = np.zeros((nt, ns + 2, ns + 2))
-    gram = basis.inner(basis)
+    gram = cell_gram(area, moments, basis, basis)
     mass = gram[:, :nl, :nl] + gram[:, nl:, nl:]
     blocks[:, :ns, :ns] = -0.5 * gram
     blocks[:, :nl, :nl] += mass
     blocks[:, nl:ns, nl:ns] += mass
     divint = area[:, None] * space.basis_div
-    conv = basis.inner(b)
+    conv = cell_gram(area, moments, basis, b)
     blocks[:, ns:, :ns] = -0.5 * conv.transpose(0, 2, 1)
     conv_par = conv[:, :nl, 0] + conv[:, nl:, 1]
     for r in range(2):

@@ -253,7 +253,8 @@ def _solve_bordered(system: LinearSystem):
 
     k = int(np.argmax(np.abs(z)))
     keep = np.flatnonzero(np.arange(m) != k)
-    pinned = CsrMatrix.from_scipy(bordered[keep][:, keep])  # slicing keeps indices sorted
+    sub = bordered[keep][:, keep]  # slicing keeps indices sorted
+    pinned = CsrMatrix(m - 1, sub.indptr, sub.indices, sub.data)
     s = np.zeros(m)
     s[keep], _ = colamd_lu_solve(pinned, (b - lam * t)[keep])
     s += (system.rhs[m] - t @ s) / zt * z

@@ -206,6 +206,8 @@ def test_solve_uniform_rejects_problem_without_closed_form(tmp_path, capsys):
         pytest.param(["--mesh", "hanging.txt"], "vertex 4 lies inside boundary edge (0, 2)", id="mesh-hanging-node"),
         pytest.param(["--mesh", "twice.txt"], "triangle 0 is in two green pairs", id="mesh-green-pair-twice"),
         pytest.param(["--mesh", "diagonal.txt"], "(0, 1) has no shared vertex at the midpoint", id="mesh-green-unsplit"),
+        pytest.param(["--mesh", "two.txt"], "2 edge-connected pieces; triangle 1 is not", id="mesh-two-pieces"),
+        pytest.param(["--mode", "adaptive", "--mesh", "bowtie.txt"], "2 edge-connected pieces", id="mesh-bowtie"),
     ],
 )
 def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, args, message):
@@ -225,6 +227,9 @@ def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, a
     (tmp_path / "twice.txt").write_text("4 2\n0 0\n1 0\n0 1\n0.5 0.5\n0 1 3 0\n0 3 2 0\n2\n0 1\n0 1\n")
     # the unit square's two diagonal halves listed as a pair
     (tmp_path / "diagonal.txt").write_text("4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2 0\n0 2 3 0\n1\n0 1\n")
+    # two triangles apart, and two that share only the vertex (0, 0)
+    (tmp_path / "two.txt").write_text("6 2\n0 0\n1 0\n0 1\n3 0\n4 0\n3 1\n0 1 2 0\n3 4 5 0\n")
+    (tmp_path / "bowtie.txt").write_text("5 2\n0 0\n1 0\n0 1\n-1 0\n0 -1\n0 1 2 0\n0 3 4 0\n")
     args = [str(tmp_path / a) if a.endswith(".txt") else a for a in args]
 
     monkeypatch.setattr(cli, "run_convergence", no_solve)

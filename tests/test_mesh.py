@@ -14,6 +14,7 @@ from conftest import (
     two_triangle_square,
 )
 
+from oseenstress.assembly import solve_oseen
 from oseenstress.mesh import (
     Mesh,
     build_mesh,
@@ -28,6 +29,7 @@ from oseenstress.mesh import (
     save_mesh,
     uniform_quad_refine,
 )
+from oseenstress.problems import get_problem
 
 
 def canonical_triangle_set(mesh: Mesh):
@@ -481,6 +483,37 @@ def test_load_mesh_rejects_truncated_file(tmp_path):
     path.write_text("\n".join(text[:-3]) + "\n")
     with pytest.raises(ValueError):
         load_mesh(path)
+
+
+def test_load_mesh_names_the_second_of_two_pieces(tmp_path):
+    # two copies of the level-3 p1 mesh, side by side: each piece would
+    # leave one more kernel in the solve
+    mesh = make_square_piecewise_uniform(3)
+    vertices = np.vstack([mesh.vertices, mesh.vertices + [2.0, 0.0]])
+    triangles = np.vstack([mesh.triangles, mesh.triangles + mesh.nv])
+    save_mesh(build_mesh(vertices, triangles, np.tile(mesh.region, 2)), tmp_path / "mesh.txt")
+    message = f"the triangles form 2 edge-connected pieces; triangle {mesh.nt} is not edge-connected to triangle 0"
+    with pytest.raises(ValueError, match=message):
+        load_mesh(tmp_path / "mesh.txt")
+
+
+def test_a_mesh_with_a_hole_loads_and_solves(tmp_path):
+    # the unit square without its middle ninth: one piece, two boundary loops
+    x = np.linspace(0.0, 1.0, 4)
+    vertices = np.stack(np.meshgrid(x, x), axis=-1).reshape(-1, 2)  # vertex i + 4 j at (x_i, x_j)
+    a = np.array([i + 4 * j for j in range(3) for i in range(3) if (i, j) != (1, 1)])
+    triangles = np.vstack([np.stack([a, a + 1, a + 5], 1), np.stack([a, a + 5, a + 4], 1)])
+    save_mesh(build_mesh(vertices, triangles), tmp_path / "hole.txt")
+    mesh = load_mesh(tmp_path / "hole.txt")
+    assert (mesh.nt, len(mesh.boundary_edges)) == (16, 16)
+    problem = get_problem("p1")
+    errors = []
+    for _ in range(3):
+        solution = solve_oseen(problem, mesh)
+        assert solution.residual <= 1e-9
+        errors.append(np.abs(solution.u.coeffs.T - problem.exact_u(mesh.tri_centroids())).max())
+        mesh = uniform_quad_refine(mesh)
+    assert errors[0] > 3 * errors[1] > 9 * errors[2]
 
 
 def test_find_tjunctions_detects_constructed_one():

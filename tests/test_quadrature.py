@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oseenstress.quadrature import (
-    edge_gauss_rule,
-    monomial_integral_reference,
-    triangle_rule,
-)
+from oseenstress.quadrature import edge_gauss_rule, triangle_rule
+
+
+def monomial_integral_reference(a: int, b: int) -> float:
+    """Exact integral of ``x**a * y**b`` over the reference triangle."""
+    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
 def test_monomial_integral_reference_formula():
