@@ -3,7 +3,10 @@
 ``oseenstress solve`` runs either a uniform-refinement convergence study
 (error table + fitted orders) or the adaptive loop (per-iteration
 history), writing CSV files into an output directory and printing
-aligned tables.  All output is deterministic: rerunning a configuration
+aligned tables.  Each mode yields its files as (name, content) pairs,
+and every file goes through one loop, which writes it into ``--out``;
+the closing ``wrote:`` line lists the files in the order they were
+written.  All output is deterministic: rerunning a configuration
 reproduces the files byte for byte.  A solve that fails (a singular
 system or out of memory), or an adaptive refinement that loses shape
 regularity, ends the command with a one-line ``error:`` message on
@@ -13,8 +16,9 @@ status 1.
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,46 +173,32 @@ def emit_history(history: AdaptiveHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_rows(path: Path, header: str, row_format: str, columns) -> None:
+def _format_rows(header: str, row_format: str, columns) -> str:
     """`header`, then one line per row: `row_format` applied to that row of `columns`.
 
     The whole body is one ``%``-format over the row-major flattened
     columns; integer columns stay ``int`` for ``%d``.
     """
-    n = len(columns[0])
-    flat = [None] * (n * len(columns))
-    for i, column in enumerate(columns):
-        flat[i :: len(columns)] = column
-    path.write_text(header + "\n" + (row_format + "\n") * n % tuple(flat))
+    return header + "\n" + (row_format + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _write_coeffs_csv(path: Path, header: str, coeffs: np.ndarray) -> None:
-    """One line per column j and row r of the (2, n) `coeffs`: ``j,r,value``."""
-    index = range(coeffs.shape[1])
-    _write_rows(path, header, "%d,0,%.17g\n%d,1,%.17g", [index, coeffs[0].tolist(), index, coeffs[1].tolist()])
+def _field_files(solution, sigmastar) -> Iterator[Tuple[str, str]]:
+    """``(file name, text)`` of each final field, every text built only when asked for.
 
-
-def _write_recovered_csv(path: Path, recovered) -> None:
-    verts = recovered.mesh.vertices
-    vals = recovered.values.reshape(-1, 4)
-    columns = [range(verts.shape[0])] + [verts[:, i].tolist() for i in range(2)] + [vals[:, i].tolist() for i in range(4)]
-    _write_rows(path, "vertex,x,y,s11,s12,s21,s22", "%d" + ",%.17g" * 6, columns)
-
-
-def _dump_fields(out_dir: Path, bundle: dict) -> List[Path]:
-    written = []
-    solution = bundle["solution"]
-    path = out_dir / "field_pseudostress.csv"
-    _write_coeffs_csv(path, "dof_index,row,value", solution.sigma.coeffs)
-    written.append(path)
-    path = out_dir / "field_velocity.csv"
-    _write_coeffs_csv(path, "tri_index,comp,value", solution.u.coeffs)
-    written.append(path)
-    if bundle.get("sigmastar") is not None:
-        path = out_dir / "field_recovered.csv"
-        _write_recovered_csv(path, bundle["sigmastar"])
-        written.append(path)
-    return written
+    The pseudostress and the velocity list ``j,r,value`` for column j and
+    row r of their (2, n) coefficients; the recovered pseudostress, when
+    there is one (RT0), lists each vertex with its four values.
+    """
+    for name, header, coeffs in (
+        ("field_pseudostress.csv", "dof_index,row,value", solution.sigma.coeffs),
+        ("field_velocity.csv", "tri_index,comp,value", solution.u.coeffs),
+    ):
+        index = range(coeffs.shape[1])
+        yield name, _format_rows(header, "%d,0,%.17g\n%d,1,%.17g", [index, coeffs[0].tolist(), index, coeffs[1].tolist()])
+    if sigmastar is not None:
+        mesh = sigmastar.mesh
+        columns = [range(mesh.nv)] + mesh.vertices.T.tolist() + sigmastar.values.reshape(-1, 4).T.tolist()
+        yield "field_recovered.csv", _format_rows("vertex,x,y,s11,s12,s21,s22", "%d" + ",%.17g" * 6, columns)
 
 
 def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -238,23 +228,18 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"--out: {exc}")
-    written: List[Path] = []
 
     if args.mode == "uniform":
         levels = args.levels if args.levels is not None else 6
         rows, bundle = run_convergence(problem, kind=kind, levels=levels, initial_mesh=initial_mesh)
-        errors_path = out_dir / "errors.csv"
-        errors_path.write_text(emit(rows, fmt="csv"))
-        written.append(errors_path)
+        files = [("errors.csv", emit(rows, fmt="csv"))]
         print(f"problem={args.problem} element={kind} mode=uniform levels={levels}")
         print(emit(rows, fmt="table"), end="")
         if len(rows) >= 3:
-            orders_path = out_dir / "orders.csv"
-            orders_path.write_text(emit_orders(rows, fmt="csv"))
-            written.append(orders_path)
+            files.append(("orders.csv", emit_orders(rows, fmt="csv")))
             print("fitted orders (least squares on all but the coarsest level):")
             print(emit_orders(rows, fmt="table"), end="")
-        written.extend(_dump_fields(out_dir, bundle))
+        solution, sigmastar = bundle["solution"], bundle["sigmastar"]
     else:
         max_iters = args.levels if args.levels is not None else 30
         theta = args.theta if args.theta is not None else problem.default_theta
@@ -265,25 +250,24 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             max_iters=max_iters,
             max_dofs=args.max_dofs,
         )
-        history_path = out_dir / "history.csv"
-        history_path.write_text(emit_history(history))
-        written.append(history_path)
-        mesh_path = out_dir / "mesh_final.txt"
-        save_mesh(history.final_mesh, mesh_path)
-        written.append(mesh_path)
+        files = [("history.csv", emit_history(history)), ("mesh_final.txt", history.final_mesh)]
         print(
             f"problem={args.problem} element={kind} mode=adaptive "
             f"theta={theta:g} max_iters={max_iters} max_dofs={args.max_dofs}"
         )
-        print(emit_history(history), end="")
-        written.extend(
-            _dump_fields(
-                out_dir,
-                {"solution": history.final_solution, "sigmastar": history.final_sigmastar},
-            )
-        )
+        print(files[0][1], end="")  # the history.csv text
+        solution, sigmastar = history.final_solution, history.final_sigmastar
 
-    print("wrote: " + " ".join(str(p) for p in written))
+    written = []
+    for name, content in chain(files, _field_files(solution, sigmastar)):
+        path = out_dir / name
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            save_mesh(content, path)
+        written.append(str(path))
+        del content  # so the next field text is built with this one released
+    print("wrote: " + " ".join(written))
     return 0
 
 

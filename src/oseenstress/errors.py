@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import CellwiseLinear, ExactProjection, PseudostressField, project_exact
+from .spaces import ExactProjection, PseudostressField, VelocityField, project_exact
 
 __all__ = [
     "ErrorRow",
@@ -90,13 +90,12 @@ def hdiv_error(sigma_h: PseudostressField, exact_div) -> float:
     `exact_div` is the analytic divergence of the exact pseudostress; for
     a solution of the PDE it equals ``(dev sigma) b + c u - f``.  The
     discrete divergence is constant on each element, so this is
-    :func:`l2_error` of that cellwise constant; ValueError if `exact_div`
+    :func:`l2_error` of that cellwise constant, held as a
+    :class:`~oseenstress.spaces.VelocityField`; ValueError if `exact_div`
     does not return one 2-vector per point.
     """
     mesh = sigma_h.mesh
-    coeffs = np.zeros((mesh.nt, 2, 3))
-    coeffs[:, :, 0] = sigma_h.div_cells()
-    return l2_error(CellwiseLinear(mesh, coeffs), project_exact(mesh, exact_div))
+    return l2_error(VelocityField(mesh, sigma_h.div_cells().T), project_exact(mesh, exact_div))
 
 
 def fit_order(nts, errs) -> float:

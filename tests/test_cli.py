@@ -97,6 +97,14 @@ def test_run_convergence_validation():
 # end-to-end command runs
 # ----------------------------------------------------------------------
 
+FIELD_FILES = ["field_pseudostress.csv", "field_velocity.csv", "field_recovered.csv"]
+
+
+def assert_wrote(stdout, out, names):
+    """The ``wrote:`` line lists `names` in `out` in that order, and `out` holds nothing else."""
+    assert stdout.splitlines()[-1] == "wrote: " + " ".join(str(out / name) for name in names)
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+
 
 def test_solve_uniform_end_to_end(tmp_path, capsys):
     out1 = tmp_path / "run1"
@@ -105,13 +113,11 @@ def test_solve_uniform_end_to_end(tmp_path, capsys):
     )
     assert code == 0
     stdout = capsys.readouterr().out
-    assert "fitted orders" in stdout and "wrote:" in stdout
+    assert "fitted orders" in stdout
+    assert_wrote(stdout, out1, ["errors.csv", "orders.csv", *FIELD_FILES])
 
     errors = (out1 / "errors.csv").read_text().strip().split("\n")
     assert len(errors) == 4
-    assert (out1 / "orders.csv").exists()
-    assert (out1 / "field_pseudostress.csv").exists()
-    assert (out1 / "field_recovered.csv").exists()
     velocity = (out1 / "field_velocity.csv").read_text().strip().split("\n")
     nt_final = int(errors[-1].split(",")[1])
     assert len(velocity) == 1 + 2 * nt_final
@@ -130,9 +136,7 @@ def test_solve_uniform_without_orders_for_short_runs(tmp_path, capsys):
     out = tmp_path / "short"
     code = main(["solve", "--problem", "p1", "--levels", "1", "--out", str(out)])
     assert code == 0
-    capsys.readouterr()
-    assert (out / "errors.csv").exists()
-    assert not (out / "orders.csv").exists()
+    assert_wrote(capsys.readouterr().out, out, ["errors.csv", *FIELD_FILES])
 
 
 def test_solve_adaptive_end_to_end(tmp_path, capsys):
@@ -153,12 +157,11 @@ def test_solve_adaptive_end_to_end(tmp_path, capsys):
         ]
     )
     assert code == 0
-    capsys.readouterr()
+    assert_wrote(capsys.readouterr().out, out, ["history.csv", "mesh_final.txt", *FIELD_FILES])
     history = (out / "history.csv").read_text().strip().split("\n")
     assert len(history) == 5  # header + 4 iterations
     final_mesh = load_mesh(out / "mesh_final.txt")
     assert final_mesh.nt == int(history[-1].split(",")[1])
-    assert (out / "field_recovered.csv").exists()
 
 
 def test_solve_adaptive_coerces_bdm1_to_rt0(tmp_path, capsys):
