@@ -11,7 +11,8 @@ reproduces the files byte for byte.  A solve that fails (a singular
 system or out of memory), or an adaptive refinement that loses shape
 regularity, ends the command with a one-line ``error:`` message on
 stderr (the exception's type name if it has no message) and exit
-status 1.
+status 1; so does an output file that cannot be written, with the
+files before it left in place.
 """
 
 import argparse
@@ -261,10 +262,14 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     written = []
     for name, content in chain(files, _field_files(solution, sigmastar)):
         path = out_dir / name
-        if isinstance(content, str):
-            path.write_text(content)
-        else:
-            save_mesh(content, path)
+        try:
+            if isinstance(content, str):
+                path.write_text(content)
+            else:
+                save_mesh(content, path)
+        except OSError as exc:  # a directory in the way, a full disk
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         written.append(str(path))
         del content  # so the next field text is built with this one released
     print("wrote: " + " ".join(written))

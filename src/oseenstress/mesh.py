@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Mesh",
@@ -75,7 +77,9 @@ class Mesh:
     tri_signs : ndarray, shape (nt, 3)
         +1 where the triangle's outward normal on that edge coincides with
         the global edge normal, else -1.  The two signs stored for an
-        interior edge are opposite.
+        interior edge are opposite, so one scatter by sign finds the two
+        triangles of every edge (the side table of :func:`load_mesh` and
+        :func:`is_piecewise_uniform`).
     boundary_edges : ndarray, shape (nb,)
         Indices of edges lying on the domain boundary.
     region : ndarray, shape (nt,)
@@ -202,17 +206,6 @@ class Mesh:
         vb = self.vertices[self.edges[edges, 1]]
         return va[:, None, :] + t[None, :, None] * (vb - va)[:, None, :]
 
-    def edge_owners(self):
-        """Triangle and local edge index of both sides of every edge.
-
-        Returns ``(tri, loc)``, each of shape (ne, 2).  Side 0 is the
-        triangle of lower index; side 1 is -1 on boundary edges.
-        """
-        sides = group_rows(self.tri_edges, self.ne, width=2)  # flat index 3 t + k
-        tri, loc = np.divmod(sides, 3)  # -1 // 3 is already -1
-        loc[sides < 0] = -1
-        return tri, loc
-
 
 _SIGN_BITS = np.array([1, 2, 4])  # the +1 entries of a tri_signs row as a number 0..7
 
@@ -250,6 +243,19 @@ def group_rows(keys, n: int, width: int = 0, values=None) -> np.ndarray:
     rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[grouped]
     table = np.full((n, max(width, counts.max(initial=0))), -1, dtype=np.int64)
     table[grouped, rank] = order if values is None else np.asarray(values).ravel()[order]
+    return table
+
+
+def _by_side(mesh: Mesh, values) -> np.ndarray:
+    """The side table: int `values` of shape (nt, 3), one per (triangle, local edge), or broadcast to it, by edge.
+
+    Row 0 of the (2, ne) result holds the value of the triangle on the
+    ``tri_signs`` +1 side of each edge, row 1 that of the -1 side, and -1
+    where an edge has no triangle on that side; :func:`build_mesh` puts
+    the two triangles of an interior edge on opposite sides.
+    """
+    table = np.full((2, mesh.ne), -1, dtype=np.int64)
+    table[(mesh.tri_signs < 0).astype(np.int64), mesh.tri_edges] = values
     return table
 
 
@@ -757,21 +763,22 @@ def make_lshape_mesh() -> Mesh:
     return build_mesh(0.5 * points[order], tris, np.arange(tris.shape[0], dtype=np.int64))
 
 
-def is_piecewise_uniform(mesh: Mesh, tol: float = 1e-12) -> bool:
+def is_piecewise_uniform(mesh: Mesh) -> bool:
     """Check that adjacent same-region triangles form exact parallelograms.
 
     For an interior edge (p, q) shared by triangles with opposite vertices
     r1 and r2 of the same region, the union is a parallelogram exactly when
-    v_p + v_q = v_r1 + v_r2.
+    v_p + v_q = v_r1 + v_r2, here to 1e-12 of the largest triangle
+    diameter.  The side table gives r1 and r2 directly, since local edge k
+    is opposite local vertex k, and the regions of both sides.
     """
-    tri, loc = mesh.edge_owners()
-    inner = np.flatnonzero(tri[:, 1] >= 0)
-    e = inner[mesh.region[tri[inner, 0]] == mesh.region[tri[inner, 1]]]
-    opposite = mesh.triangles[tri[e], loc[e]]  # (m, 2): vertex opposite each side
+    opposite = _by_side(mesh, mesh.triangles)
+    region = _by_side(mesh, mesh.region[:, None])
+    e = np.flatnonzero((opposite.min(axis=0) >= 0) & (region[0] == region[1]))
     lhs = mesh.vertices[mesh.edges[e, 0]] + mesh.vertices[mesh.edges[e, 1]]
-    rhs = mesh.vertices[opposite[:, 0]] + mesh.vertices[opposite[:, 1]]
+    rhs = mesh.vertices[opposite[0, e]] + mesh.vertices[opposite[1, e]]
     scale = mesh.tri_diameters().max()
-    return not np.any(np.abs(lhs - rhs).max(axis=1) > tol * scale)
+    return not np.any(np.abs(lhs - rhs).max(axis=1) > 1e-12 * scale)
 
 
 def save_mesh(mesh: Mesh, path) -> None:
@@ -795,34 +802,19 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write(text)
 
 
-def _piece_roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The lowest node of the connected piece of each of n nodes joined by the edges (a, b).
-
-    Hook and compress: every root takes the lowest root an edge offers it,
-    then every node jumps to its root, until no edge joins two roots.
-    """
-    root = np.arange(n)
-    while True:
-        ra, rb = root[a], root[b]
-        apart = ra != rb
-        if not apart.any():
-            return root
-        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
-        jump = root[root]
-        while np.any(jump != root):
-            root, jump = jump, jump[jump]
-
-
 def load_mesh(path) -> Mesh:
     """Read a mesh written by :func:`save_mesh`, with or without green pairs.
 
-    Raises ``ValueError`` on a file of the wrong length, invalid mesh data,
-    triangles that form more than one edge-connected piece (the trace mean
-    is fixed once for the whole mesh, so each further piece would leave
-    the solve singular), or a green pair that refinement could not merge
-    back into its parent: out of range, not sharing a single edge, sharing
-    a triangle with another pair, or without a shared vertex at the
-    midpoint of its two unshared ones (to 1e-12 times their distance).
+    Raises ``ValueError`` on a file of the wrong length, an integer beyond
+    int64, invalid mesh data, triangles that form more than one
+    edge-connected piece (the connected components of the graph of
+    interior edges, whose two triangles the side table gives; the trace
+    mean is fixed once for the whole mesh, so each further piece would
+    leave the solve singular), or a green pair that refinement could not
+    merge back into its parent: out of range, not sharing a single edge,
+    sharing a triangle with another pair, or without a shared vertex at
+    the midpoint of its two unshared ones (to 1e-12 times their
+    distance).
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -837,18 +829,22 @@ def load_mesh(path) -> Mesh:
             f"mesh file {path}: expected {need} tokens for nv={nv}, nt={nt}, got {len(tokens)}"
         )
     coords = np.array(tokens[2 : 2 + 2 * nv], dtype=np.float64).reshape(nv, 2)
-    rest = np.array(tokens[2 + 2 * nv : body], dtype=np.int64).reshape(nt, 4)
+    try:  # the triangle rows, then the green-pair count and the pairs
+        ints = np.array(tokens[2 + 2 * nv :], dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"mesh file {path}: an integer does not fit in int64") from None
+    rest = ints[: 4 * nt].reshape(nt, 4)
     mesh = build_mesh(coords, rest[:, :3], rest[:, 3])
-    # the triangles on the +1 and the -1 side of every edge: a scatter, where edge_owners sorts
-    sides = np.full((2, mesh.ne), -1)
-    sides[(mesh.tri_signs < 0).astype(np.int64), mesh.tri_edges] = np.arange(nt)[:, None]
-    root = _piece_roots(*sides[:, sides.min(axis=0) >= 0], nt)
-    if root.any():  # triangle 0 is the lowest of its piece
+    # the graph on the triangles whose links are the interior edges, read off the side table
+    sides = _by_side(mesh, np.arange(nt)[:, None])
+    a, b = sides[:, sides.min(axis=0) >= 0]
+    count, piece = connected_components(coo_matrix((np.ones(a.size), (a, b)), shape=(nt, nt)), directed=False)
+    if count > 1:
         raise ValueError(
-            f"mesh file {path}: the triangles form {np.count_nonzero(root == np.arange(nt))} edge-connected "
-            f"pieces; triangle {np.argmax(root != 0)} is not edge-connected to triangle 0"
+            f"mesh file {path}: the triangles form {count} edge-connected "
+            f"pieces; triangle {np.argmax(piece != piece[0])} is not edge-connected to triangle 0"
         )
-    pairs = np.array(tokens[body + 1 :], dtype=np.int64).reshape(ng, 2)
+    pairs = ints[4 * nt + 1 :].reshape(ng, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= nt):
         raise ValueError(f"mesh file {path}: green pair index out of range 0..{nt - 1}")
     te = mesh.tri_edges

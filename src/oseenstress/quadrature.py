@@ -57,16 +57,10 @@ def _points_from_barycentric(groups):
 
 # Symmetric rules; weights are normalized so that they sum to 1.
 _RULE_TABLE = {
-    1: [(1.0, (1 / 3, 1 / 3, 1 / 3))],
     2: [(1 / 3, (2 / 3, 1 / 6, 1 / 6))],
     4: [
         (0.223381589678011, (0.108103018168070, 0.445948490915965, 0.445948490915965)),
         (0.109951743655322, (0.816847572980459, 0.091576213509771, 0.091576213509771)),
-    ],
-    5: [
-        (0.225, (1 / 3, 1 / 3, 1 / 3)),
-        (0.132394152788506, (0.059715871789770, 0.470142064105115, 0.470142064105115)),
-        (0.125939180544827, (0.797426985353087, 0.101286507323456, 0.101286507323456)),
     ],
     6: [
         (0.050844906370207, (0.873821971016996, 0.063089014491502, 0.063089014491502)),

@@ -71,7 +71,6 @@ _MONO_RT0 = np.array(
         [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # (dx, dy)
     ]
 )
-_DIV_RT0 = np.array([0.0, 0.0, 2.0])
 
 _MONO_BDM1 = np.array(
     [
@@ -83,10 +82,9 @@ _MONO_BDM1 = np.array(
         [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],  # (0, dy)
     ]
 )
-_DIV_BDM1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
 
-# monomials and their divergences; 3 edges times 1 (RT0) or 2 (BDM1) moments
-_KINDS = {"rt0": (_MONO_RT0, _DIV_RT0), "bdm1": (_MONO_BDM1, _DIV_BDM1)}
+# the monomials of each kind; 3 edges times 1 (RT0) or 2 (BDM1) moments
+_KINDS = {"rt0": _MONO_RT0, "bdm1": _MONO_BDM1}
 
 
 def apply_deviatoric(m: np.ndarray) -> np.ndarray:
@@ -250,7 +248,8 @@ def build_space(mesh: Mesh, kind: str) -> HdivSpace:
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown element kind {kind!r}; expected one of {tuple(_KINDS)}")
-    mono, mono_div = _KINDS[kind]
+    mono = _KINDS[kind]
+    mono_div = mono[:, 0, 1] + mono[:, 1, 2]  # d/dx of the first component plus d/dy of the second
     nl = len(mono)
     moments = nl // 3
     classes, first, scale = mesh.shape_classes()

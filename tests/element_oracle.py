@@ -22,7 +22,8 @@ QUAD_DEGREE = 4  # the exactness of the rule that the data b and c are projected
 
 def basis(mesh: Mesh, kind: str):
     """The local bases (nt, nl, 2, 3) and their divergences (nt, nl), one Vandermonde inverse per triangle."""
-    mono, mono_div = _KINDS[kind]
+    mono = _KINDS[kind]
+    mono_div = mono[:, 0, 1] + mono[:, 1, 2]
     nl = len(mono)
     centroids = mesh.tri_centroids()
 

@@ -61,30 +61,31 @@ class SystemLayout:
         return slice(base, base + self.nt)
 
 
-def _boundary_data(problem: ProblemSpec, mesh: Mesh, edge_points: int, owners):
+def _boundary_data(problem: ProblemSpec, mesh: Mesh, edge_points: int):
     """Dirichlet data at the Gauss points of every boundary edge.
 
-    `owners` is ``mesh.edge_owners()``.  Returns the owning triangle and
-    the length of each boundary edge, the points (nbe, q, 2), the Gauss
-    weights, the values of g there (nbe, q, 2) and the outward unit
-    normals (nbe, 2).
+    Returns the owning triangle and the length of each boundary edge, the
+    points (nbe, q, 2), the Gauss weights, the values of g there (nbe, q,
+    2) and the outward unit normals (nbe, 2).
     """
     bed = mesh.boundary_edges
-    tri, loc = owners
-    tris = tri[bed, 0]
+    # a triangle of every edge and its sign there: the only one on a boundary edge
+    tri, sign = np.empty((2, mesh.ne), dtype=np.int64)
+    tri[mesh.tri_edges], sign[mesh.tri_edges] = np.arange(mesh.nt)[:, None], mesh.tri_signs
+    tris = tri[bed]
     lengths = mesh.edge_lengths()[bed]
     tq, wq = edge_gauss_rule(edge_points)
     pts = mesh.edge_points(tq, bed)
     gv = np.asarray(problem.g(pts), dtype=np.float64)
     if gv.shape != pts.shape[:2] + (2,):
         raise ValueError(f"g must return shape {pts.shape[:2] + (2,)}, got {gv.shape}")
-    n_out = mesh.edge_normals()[bed] * mesh.tri_signs[tris, loc[bed, 0]][:, None]
+    n_out = mesh.edge_normals()[bed] * sign[bed, None]
     return tris, lengths, pts, wq, gv, n_out
 
 
-def _check_compatibility(problem: ProblemSpec, mesh: Mesh, owners) -> None:
+def _check_compatibility(problem: ProblemSpec, mesh: Mesh) -> None:
     """Warn when the Dirichlet data has a nonzero net boundary flux."""
-    _, lengths, _, wq, gv, n_out = _boundary_data(problem, mesh, 5, owners)
+    _, lengths, _, wq, gv, n_out = _boundary_data(problem, mesh, 5)
     flux = float(np.sum(lengths * np.einsum("q,eqc,ec->e", wq, gv, n_out)))
     perimeter = float(lengths.sum())
     scale = (1.0 + float(np.abs(gv).max(initial=0.0))) * perimeter
@@ -97,23 +98,20 @@ def _check_compatibility(problem: ProblemSpec, mesh: Mesh, owners) -> None:
 
 
 def assemble_dirichlet_rhs(
-    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, edge_points: int = 3, owners=None
+    problem: ProblemSpec, mesh: Mesh, space: HdivSpace, edge_points: int = 3
 ) -> np.ndarray:
     """Boundary functional ``<g, tau n>`` of the first equation.
 
     Returns the full-length right-hand side vector with only the
     sigma-block entries filled.  ``n`` is the outward domain normal; the
-    integrals use `edge_points`-point Gauss per boundary edge.  `owners`
-    is ``mesh.edge_owners()``, computed here if not given.
+    integrals use `edge_points`-point Gauss per boundary edge.
     """
     layout = SystemLayout(n_row_dofs=space.n_dofs_per_row, nt=mesh.nt)
     rhs = np.zeros(layout.size)
     if mesh.boundary_edges.size == 0:
         return rhs
 
-    if owners is None:
-        owners = mesh.edge_owners()
-    tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points, owners)
+    tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points)
     basis = eval_cells(CellwiseLinear(mesh, space.basis_coeff), tris, pts)  # (nbe, q, nl, 2)
     flux = np.einsum("eqjc,ec->eqj", basis, n_out)
     # contribution of basis j to the row-r equation: |E| sum_q w g_r flux_j
@@ -153,7 +151,7 @@ def assemble(
         raise ValueError("space was not built on the given mesh")
     if quad_degree < 4:
         raise ValueError(f"element quadrature degree must be >= 4, got {quad_degree}")
-    _check_compatibility(problem, mesh, mesh.edge_owners())
+    _check_compatibility(problem, mesh)
 
     n = space.n_dofs_per_row
     nt = mesh.nt

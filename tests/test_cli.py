@@ -211,6 +211,7 @@ def test_solve_uniform_rejects_problem_without_closed_form(tmp_path, capsys):
         pytest.param(["--mesh", "diagonal.txt"], "(0, 1) has no shared vertex at the midpoint", id="mesh-green-unsplit"),
         pytest.param(["--mesh", "two.txt"], "2 edge-connected pieces; triangle 1 is not", id="mesh-two-pieces"),
         pytest.param(["--mode", "adaptive", "--mesh", "bowtie.txt"], "2 edge-connected pieces", id="mesh-bowtie"),
+        pytest.param(["--mesh", "overflow.txt"], "overflow.txt: an integer does not fit in int64", id="mesh-int64-overflow"),
     ],
 )
 def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, args, message):
@@ -233,6 +234,8 @@ def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, a
     # two triangles apart, and two that share only the vertex (0, 0)
     (tmp_path / "two.txt").write_text("6 2\n0 0\n1 0\n0 1\n3 0\n4 0\n3 1\n0 1 2 0\n3 4 5 0\n")
     (tmp_path / "bowtie.txt").write_text("5 2\n0 0\n1 0\n0 1\n-1 0\n0 -1\n0 1 2 0\n0 3 4 0\n")
+    # one triangle whose region tag is beyond int64
+    (tmp_path / "overflow.txt").write_text("3 1\n0 0\n1 0\n0 1\n0 1 2 99999999999999999999\n")
     args = [str(tmp_path / a) if a.endswith(".txt") else a for a in args]
 
     monkeypatch.setattr(cli, "run_convergence", no_solve)
@@ -257,6 +260,16 @@ def test_solve_rejects_an_out_path_that_is_a_file(tmp_path, capsys, monkeypatch)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"--out: [Errno 17] File exists: '{out}'" in err and "Traceback" not in err
+
+
+def test_an_output_file_that_cannot_be_written_is_one_error_line(tmp_path, capsys):
+    # a directory where errors.csv goes: the solve runs, then the write fails
+    out = tmp_path / "run"
+    (out / "errors.csv").mkdir(parents=True)
+    code = main(["solve", "--problem", "p1", "--levels", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out / 'errors.csv'}: Is a directory\n"
 
 
 def test_solve_with_explicit_mesh_file(tmp_path, capsys):

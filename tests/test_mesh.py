@@ -17,6 +17,7 @@ from conftest import (
 from oseenstress.assembly import solve_oseen
 from oseenstress.mesh import (
     Mesh,
+    _by_side,
     build_mesh,
     group_rows,
     load_mesh,
@@ -98,17 +99,21 @@ def test_uniform_refinement_sequence():
         assert mesh.tri_areas().sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_edge_owners_match_triangle_incidence():
+def test_side_table_matches_triangle_incidence():
+    # the red-green L-shape: red groups, green pairs and unrefined triangles
     mesh = refine_marked(make_lshape_mesh(), [0, 5, 11])
-    tri, loc = mesh.edge_owners()
-    expected = [[] for _ in range(mesh.ne)]
-    for t in range(mesh.nt):
-        for k in range(3):
-            expected[mesh.tri_edges[t, k]].append((t, k))
-    for e, sides in enumerate(expected):
-        sides += [(-1, -1)] * (2 - len(sides))
-        assert list(zip(tri[e].tolist(), loc[e].tolist())) == sides
-    assert np.array_equal(np.flatnonzero(tri[:, 1] < 0), mesh.boundary_edges)
+    assert len(mesh.green_pairs) and len(red_groups(mesh.triangles))
+    edge_of = {tuple(ends): e for e, ends in enumerate(mesh.edges.tolist())}
+    tri, opposite = np.full((2, 2, mesh.ne), -1)
+    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        # the counterclockwise edge p -> q, opposite r, is on the +1 side when it runs low -> high
+        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+            side, e = int(p > q), edge_of[min(p, q), max(p, q)]
+            assert tri[side, e] == -1, "two triangles on one side of an edge"
+            tri[side, e], opposite[side, e] = t, r
+    assert np.array_equal(_by_side(mesh, np.arange(mesh.nt)[:, None]), tri)
+    assert np.array_equal(_by_side(mesh, mesh.triangles), opposite)
+    assert np.array_equal(np.flatnonzero(tri.min(axis=0) < 0), mesh.boundary_edges)
 
 
 def test_group_rows_lists_each_key_in_order():
@@ -129,6 +134,13 @@ def test_edge_points_run_along_oriented_edges():
     assert pts.shape == (mesh.boundary_edges.size, 2, 2)
     assert np.array_equal(pts[:, 0], ends[:, 0])
     assert np.allclose(pts[:, 1], ends.mean(axis=1), rtol=0.0, atol=1e-15)
+
+
+def test_is_piecewise_uniform_on_uniform_and_adapted_meshes():
+    assert is_piecewise_uniform(make_square_piecewise_uniform(2))
+    assert is_piecewise_uniform(uniform_quad_refine(uniform_quad_refine(make_lshape_mesh())))
+    # a green pair and the red children beside it meet in no parallelogram of their region
+    assert not is_piecewise_uniform(refine_marked(uniform_quad_refine(make_lshape_mesh()), [0]))
 
 
 def test_is_piecewise_uniform_detects_a_moved_vertex():
