@@ -125,14 +125,19 @@ which number the top system.  Then runs of about ``_CHUNK`` = 2048 fine
 triangles, each made of whole top units, go from their inverses G_K,
 updated from their classes', through every level to their top blocks;
 only numbers are condensed there, and they are written, with each
-level's solved group blocks and the inverses G_K, into arrays allocated
-once at full size.  So beside what the solve keeps (the element maps,
-loads and inverses, every level's solved group blocks and the top
-system) and the class inverses, the assembly holds the dense blocks of
-one chunk, not those of a whole level.  L_K is never built whole by the
-assembly: the residual check builds it, element by element, chunk by
-chunk.  The top blocks are freed before the CSR conversion, whose int32
-indices are passed on to SuperLU without a copy.
+level's solved group blocks and each element's rank-2 update, into
+arrays allocated once at full size.  So what the solve keeps is the
+element maps and loads, the class inverses Ĝ (nc, m, m) and the updates
+Z_K (nt, 2, m), from which G_K is rebuilt one chunk at a time for the
+back-substitution, every level's solved group blocks and the top
+system: 16 m bytes per triangle and 8 m² per class for the inverses,
+where the G_K themselves would take 8 m² per triangle.  Beside that the
+assembly holds the dense blocks of one chunk, not those of a whole
+level.  Neither L_K nor G_K is ever built whole: the residual check
+builds L_K, element by element, chunk by chunk, as the condensation and
+the back-substitution build G_K.  The top blocks are freed before the
+CSR conversion, whose int32 indices are passed on to SuperLU without a
+copy.
 
 Every batched dense solve is counted in the ``ledger`` of the returned
 ``LinearSystem``, by kind: the class Vandermonde inverse of the space,
@@ -173,15 +178,19 @@ __all__ = [
 
 @dataclass
 class ElementBlocks:
-    """Local maps, loads and inverses of the hybridized system, one row per triangle.
+    """Local maps, loads and pinned inverses of the hybridized system, one row per triangle.
 
     The m = 2 nl + 2 local unknowns are ``[sigma row 1 | sigma row 2 | u_1
-    | u_2]``; the first 2 nl are the pseudostress unknowns.  The local
-    blocks L_K are not kept: :func:`_local_operator` builds them for a run
-    of rows from the data held here.
+    | u_2]``; the first 2 nl are the pseudostress unknowns.  Neither the
+    local blocks L_K nor their pinned inverses G_K are kept: for a run of
+    rows, :func:`_local_operator` builds L_K from the data held here, and
+    :func:`_pinned_inverses` builds G_K from the inverse Ĝ of the
+    element's shape class and its rank-2 update, ``G_K = Ĝ - Ĝ U Z_K``
+    with U the two velocity columns of the identity
+    (:func:`_element_condensed`).
     """
 
-    inverse: np.ndarray  # (nt, m, m) inverse of L_K without its pinned row and column, zero there
+    update: np.ndarray  # (nt, 2, m) Z_K = (I + V_K Ĝ U)^-1 V_K Ĝ of each element
     dofs: np.ndarray  # (nt, m) index of each local unknown in the bordered layout
     kernel: np.ndarray  # (nt, m) local coefficients z_K of sigma = I
     trace: np.ndarray  # (nt, m) local trace-mean column t_K
@@ -189,6 +198,7 @@ class ElementBlocks:
     sign: np.ndarray  # (nt, 2 nl) tri_signs of each sigma unknown's interior edge, 0 on the boundary
     b: np.ndarray  # (nt, 2, 3) the projected convection field's CellwiseLinear coefficients
     reaction: np.ndarray  # (nt,) |K| times the cell mean of the projected c
+    class_inverse: np.ndarray | None = None  # (nc, m, m) Ĝ of every shape class, set by _condense
 
 
 @dataclass
@@ -334,8 +344,9 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichle
 
     `dirichlet` is the boundary functional on the sigma dofs
     (:func:`_dirichlet_load`).  Returns the ``ElementBlocks``, whose
-    `inverse` is allocated but not filled (:func:`_condense` fills it
-    chunk by chunk), and the ids (nt, 2 nl): the multiplier on each sigma
+    `update` is allocated but not filled and whose `class_inverse` is
+    not yet set (:func:`_condense` sets it and fills `update` chunk by
+    chunk), and the ids (nt, 2 nl): the multiplier on each sigma
     unknown's edge moment and row, numbered by interior moment, row 2
     after row 1; -1 on the boundary.
     """
@@ -378,7 +389,7 @@ def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichle
     load[:, :ns] = dirichlet.ravel()[dofs[:, :ns]]
     load[:, ns:] = (area * f.cell_means()).T
     return ElementBlocks(
-        inverse=np.empty((nt, ns + 2, ns + 2)),
+        update=np.empty((nt, 2, ns + 2)),
         dofs=dofs,
         kernel=kernel,
         trace=trace,
@@ -487,30 +498,42 @@ def _class_inverses(el: ElementBlocks, space: HdivSpace, ledger: dict) -> np.nda
     return inverse
 
 
-def _element_condensed(el: ElementBlocks, space: HdivSpace, class_inverse, local: np.ndarray, lo: int, hi: int):
-    """Write G_K of the elements `lo`..`hi` into ``el.inverse``, and return their condensed (block, rhs) pair.
+def _pinned_inverses(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndarray:
+    """G_K (k, m, m) of the elements `rows`: each class's Ĝ less its rank-2 update, ``Ĝ - Ĝ U Z_K``.
+
+    The one place G_K is built, for the condensation and for the
+    back-substitution alike (:func:`_element_condensed`).
+    """
+    ns = el.sign.shape[1]
+    inverse = np.take(el.class_inverse, space.mesh.shape_classes()[0][rows], axis=0)
+    inverse -= inverse[:, :, ns:] @ el.update[rows]
+    return inverse
+
+
+def _element_condensed(el: ElementBlocks, space: HdivSpace, local: np.ndarray, lo: int, hi: int):
+    """Write the updates Z_K of the elements `lo`..`hi` into ``el.update``, and return their condensed (block, rhs) pair.
 
     G_K is L_K with a unit row and column at its class's pin, inverted,
     then zero there.  L_K differs from the block of its class in its two
     velocity rows only, by V_K (:func:`_velocity_rows`); Ĝ, the class's
-    inverse (`class_inverse`, :func:`_class_inverses`), is zero in the
-    pinned row, so V_K Ĝ is the same with V_K zero in the pinned column.
-    With U the two velocity columns of the identity, the Woodbury
-    identity then gives ``G_K = Ĝ - (Ĝ U) (I + V_K Ĝ U)^-1 (V_K Ĝ)``, the
-    2x2 inverse in closed form.  A failing element is named by its index
-    in the mesh.  Each element's block on its multipliers and c_K is
-    ``[[S G_K S, -S z_K], [z_K^T S, 0]]`` with S = diag(sign); its
-    right-hand side is the jump ``S G_K local_K`` of the local solution,
-    for the local right-hand sides `local` (nt, m), then ``z_K^T
-    local_K``.  The c_K-c_K entry is zero.
+    inverse (``el.class_inverse``, :func:`_class_inverses`), is zero in
+    the pinned row, so V_K Ĝ is the same with V_K zero in the pinned
+    column.  With U the two velocity columns of the identity, the
+    Woodbury identity then gives ``G_K = Ĝ - (Ĝ U) Z_K`` with ``Z_K = (I
+    + V_K Ĝ U)^-1 (V_K Ĝ)``, the 2x2 inverse in closed form; Z_K is kept,
+    G_K rebuilt from it (:func:`_pinned_inverses`).  A failing element is
+    named by its index in the mesh.  Each element's block on its
+    multipliers and c_K is ``[[S G_K S, -S z_K], [z_K^T S, 0]]`` with S =
+    diag(sign); its right-hand side is the jump ``S G_K local_K`` of the
+    local solution, for the local right-hand sides `local` (nt, m), then
+    ``z_K^T local_K``.  The c_K-c_K entry is zero.
     """
     rows = slice(lo, hi)
     member = space.mesh.shape_classes()[0][rows]
-    sign, kernel, inverse, local = el.sign[rows], el.kernel[rows], el.inverse[rows], local[rows]
+    sign, kernel, local = el.sign[rows], el.kernel[rows], local[rows]
     nt, ns = sign.shape
     v = _velocity_rows(el, space, rows)
-    np.take(class_inverse, member, axis=0, out=inverse, mode="clip")
-    vg = v @ inverse
+    vg = v @ np.take(el.class_inverse, member, axis=0)
     x = vg[:, :, ns:]  # V_K Ĝ U
     adjugate = np.stack([1.0 + x[:, 1, 1], -x[:, 0, 1], -x[:, 1, 0], 1.0 + x[:, 0, 0]], axis=1).reshape(-1, 2, 2)
     det = adjugate[:, 0, 0] * adjugate[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0]  # of I + V_K Ĝ U
@@ -519,7 +542,8 @@ def _element_condensed(el: ElementBlocks, space: HdivSpace, class_inverse, local
         finite = np.isfinite(v).all(axis=(1, 2))
         defect, k = ("singular", np.argmin(regular)) if finite.all() else ("not finite", np.argmin(finite))
         raise SingularMatrixError(f"the local block of element {lo + k} is {defect}")
-    inverse -= inverse[:, :, ns:] @ ((adjugate / det[:, None, None]) @ vg)
+    el.update[rows] = (adjugate / det[:, None, None]) @ vg
+    inverse = _pinned_inverses(el, space, rows)
 
     zs = kernel[:, :ns] * sign
     block = np.zeros((nt, ns + 1, ns + 1))
@@ -780,15 +804,16 @@ def _chunks(steps: list, nt: int) -> np.ndarray:
 def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: list, ledger: dict):
     """Condense the element blocks through `steps` (:func:`_hierarchy`), chunk by chunk; the top (block, rhs) pair.
 
-    The block of every shape class is inverted first
-    (:func:`_class_inverses`).  Each chunk of :func:`_chunks` then writes
-    its elements' pinned inverses, updated from their classes', into
-    ``el.inverse`` and condenses them (:func:`_element_condensed`, for
-    local right-hand sides `local`), then goes through every level
-    (:func:`_condense_step`) to its top blocks, which are written into
-    arrays allocated once at full size, as the steps' solved group blocks
-    are.  So no dense block of a whole level below the top is ever held,
-    nor any local block L_K.  Each level's gather tables
+    The block of every shape class is inverted first, into
+    ``el.class_inverse`` (:func:`_class_inverses`).  Each chunk of
+    :func:`_chunks` then writes its elements' rank-2 updates into
+    ``el.update`` and condenses their pinned inverses
+    (:func:`_element_condensed`, for local right-hand sides `local`),
+    then goes through every level (:func:`_condense_step`) to its top
+    blocks, which are written into arrays allocated once at full size, as
+    the steps' solved group blocks are.  So no dense block of a whole
+    level below the top is ever held, nor any local block L_K or pinned
+    inverse G_K.  Each level's gather tables
     (:func:`_sum_table`) are built once, before the first chunk, and
     dropped on return.  Every batched dense solve is counted in `ledger`
     (:func:`~oseenstress.sparsela.tally`).
@@ -803,10 +828,10 @@ def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: lis
         size = 3 * red.shape[1] + 1
         pairs = red[:, :, None] * size + red[:, None, :]
         step.tables = (_sum_table(pairs.ravel(), size * size), _sum_table(red.ravel(), size))
-    class_inverse = _class_inverses(el, space, ledger)
+    el.class_inverse = _class_inverses(el, space, ledger)
     try:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            blocks = _element_condensed(el, space, class_inverse, local, lo, hi)
+            blocks = _element_condensed(el, space, local, lo, hi)
             for depth, step in enumerate(steps, 1):
                 blocks, (lo, hi), solved = _condense_step(blocks, step, lo, hi, depth)
                 tally(ledger, f"condensation at depth {depth}", solved)
@@ -894,13 +919,17 @@ def _owned_copies(el: ElementBlocks) -> np.ndarray:
 def _solve_hybrid(system: LinearSystem):
     """Solve the top system and back-substitute level by level, then element by element.
 
+    The element step rebuilds the pinned inverses G_K one chunk at a time
+    (:func:`_pinned_inverses`), as the condensation did.
+
     Returns ``(s, residual)``: the sigma and u coefficients in the bordered
     layout, sigma with zero trace mean, and the relative residual of
     ``(s, lam)`` in the bordered system, computed blockwise.
     """
-    el = system.elements
+    el, space = system.elements, system.space
     ns = el.sign.shape[1]
     lam = system.multiplier
+    bounds = _chunks(system.steps, space.mesh.nt)
 
     y, _ = lu_solve(system.matrix, system.rhs)
     values = np.append(y, 0.0)[system.index]  # the boundary slots and the last top c are zero
@@ -908,10 +937,12 @@ def _solve_hybrid(system: LinearSystem):
         values = step.expand(values)
     local = el.load - lam * el.trace
     local[:, :ns] -= el.sign * values[:, :ns]
-    x = values[:, ns:] * el.kernel + (el.inverse @ local[:, :, None])[:, :, 0]
+    x = values[:, ns:] * el.kernel
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = slice(lo, hi)
+        x[rows] += (_pinned_inverses(el, space, rows) @ local[rows, :, None])[:, :, 0]
 
     owned = _owned_copies(el)
-    space = system.space
     nsigma = 2 * space.n_dofs_per_row
     s = np.empty(nsigma + 2 * space.mesh.nt)
     s[el.dofs[owned]] = x[owned]
@@ -922,7 +953,6 @@ def _solve_hybrid(system: LinearSystem):
     # the bordered residual, from the local blocks rebuilt chunk by chunk
     gathered = s[el.dofs]
     applied = np.empty_like(gathered)
-    bounds = _chunks(system.steps, space.mesh.nt)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rows = slice(lo, hi)
         applied[rows] = (_local_operator(el, space, rows) @ gathered[rows, :, None])[:, :, 0]

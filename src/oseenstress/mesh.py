@@ -802,11 +802,50 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write(text)
 
 
+def _token_place(k: int, nv: int, nt: int) -> str:
+    """Where token `k` (from 0) of a :func:`save_mesh` file of `nv` vertices and `nt` triangles sits."""
+    if k < 2:
+        return ("the vertex count", "the triangle count")[k]
+    k -= 2
+    if k < 2 * nv:
+        return f"the {'xy'[k % 2]} coordinate of vertex {k // 2}"
+    k -= 2 * nv
+    if k < 4 * nt:
+        return f"{('corner 0', 'corner 1', 'corner 2', 'the region')[k % 4]} of triangle {k // 4}"
+    k -= 4 * nt
+    return f"triangle {(k - 1) % 2} of green pair {(k - 1) // 2}" if k else "the green-pair count"
+
+
+def _parsed(path, tokens: list, start: int, stop: int, dtype, nv: int = 0, nt: int = 0) -> np.ndarray:
+    """Tokens `start`..`stop` of the mesh file `path`, of `nv` vertices and `nt` triangles, as `dtype`.
+
+    Raises ``ValueError`` naming the first token that is not an integer,
+    or not a number, or an integer beyond int64, and its place
+    (:func:`_token_place`).
+    """
+    try:
+        return np.array(tokens[start:stop], dtype=dtype)
+    except (ValueError, OverflowError):
+        for k in range(start, stop):
+            try:
+                np.array(tokens[k], dtype=dtype)
+            except OverflowError:
+                defect = "an integer does not fit in int64"
+            except ValueError:
+                defect = "not an integer" if dtype is np.int64 else "not a number"
+            else:
+                continue
+            raise ValueError(f"mesh file {path}: {defect}: {tokens[k]!r}, {_token_place(k, nv, nt)}") from None
+        raise
+
+
 def load_mesh(path) -> Mesh:
     """Read a mesh written by :func:`save_mesh`, with or without green pairs.
 
-    Raises ``ValueError`` on a file of the wrong length, an integer beyond
-    int64, invalid mesh data, triangles that form more than one
+    Raises ``ValueError`` on a file of the wrong length, a token that is
+    not a number, or not an integer where one belongs, or an integer
+    beyond int64 (each named with its place in the file), invalid mesh
+    data, triangles that form more than one
     edge-connected piece (the connected components of the graph of
     interior edges, whose two triangles the side table gives; the trace
     mean is fixed once for the whole mesh, so each further piece would
@@ -820,19 +859,17 @@ def load_mesh(path) -> Mesh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"mesh file {path} is truncated")
-    nv, nt = int(tokens[0]), int(tokens[1])
+    nv, nt = _parsed(path, tokens, 0, 2, np.int64).tolist()
     body = 2 + 2 * nv + 4 * nt
-    ng = int(tokens[body]) if len(tokens) > body else 0
+    ng = int(_parsed(path, tokens, body, body + 1, np.int64, nv, nt)[0]) if len(tokens) > body else 0
     need = body + 1 + 2 * ng if len(tokens) > body else body
     if len(tokens) != need:
         raise ValueError(
             f"mesh file {path}: expected {need} tokens for nv={nv}, nt={nt}, got {len(tokens)}"
         )
-    coords = np.array(tokens[2 : 2 + 2 * nv], dtype=np.float64).reshape(nv, 2)
-    try:  # the triangle rows, then the green-pair count and the pairs
-        ints = np.array(tokens[2 + 2 * nv :], dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"mesh file {path}: an integer does not fit in int64") from None
+    coords = _parsed(path, tokens, 2, 2 + 2 * nv, np.float64, nv, nt).reshape(nv, 2)
+    # the triangle rows, then the green-pair count and the pairs
+    ints = _parsed(path, tokens, 2 + 2 * nv, need, np.int64, nv, nt)
     rest = ints[: 4 * nt].reshape(nt, 4)
     mesh = build_mesh(coords, rest[:, :3], rest[:, 3])
     # the graph on the triangles whose links are the interior edges, read off the side table

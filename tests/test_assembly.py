@@ -962,14 +962,15 @@ def test_condensation_in_small_chunks_matches_one_chunk(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(CHUNKED_CASES))
 def test_chunked_element_blocks_equal_the_whole_mesh_oracle(name, monkeypatch):
-    # the pinned inverses written chunk by chunk, and the local blocks the
+    # the rank-2 updates written chunk by chunk, and the local blocks the
     # residual rebuilds chunk by chunk, against the whole-mesh formulas,
     # for one chunk, chunks of a few dozen triangles and chunks of one top
-    # unit: the local blocks bit for bit, and the inverses, each updated
-    # from its shape class's, to 1e-12 relative per element.  The class's
-    # pin is each member's own on these meshes; where roundoff broke a tie
-    # the other way the inverses would differ, and only the solutions,
-    # compared with the monolithic solve above, could be.
+    # unit: the local blocks bit for bit, and the pinned inverses rebuilt
+    # here from the class inverses and the updates, G_K = Ĝ - Ĝ U Z_K, to
+    # 1e-12 relative per element.  The class's pin is each member's own on
+    # these meshes; where roundoff broke a tie the other way the inverses
+    # would differ, and only the solutions, compared with the monolithic
+    # solve above, could be.
     problem_name, kind, make_mesh, _ = CHUNKED_CASES[name]
     problem, mesh = get_problem(problem_name), make_mesh()
     space = build_space(mesh, kind)
@@ -984,8 +985,44 @@ def test_chunked_element_blocks_equal_the_whole_mesh_oracle(name, monkeypatch):
         pin = np.argmax(np.abs(system.elements.kernel), axis=1)
         classes, first, _ = mesh.shape_classes()
         assert np.array_equal(pin, pin[first][classes])
-        error = np.abs(system.elements.inverse - inverse).max(axis=(1, 2))
+        el = system.elements
+        ns = el.sign.shape[1]
+        assert el.class_inverse.shape == (len(first), ns + 2, ns + 2)
+        rebuilt = el.class_inverse[classes]
+        rebuilt = rebuilt - rebuilt[:, :, ns:] @ el.update
+        error = np.abs(rebuilt - inverse).max(axis=(1, 2))
         assert np.all(error <= 1e-12 * np.abs(inverse).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("name", list(CHUNKED_CASES))
+def test_back_substitution_rebuilds_the_pinned_inverses_the_condensation_used(name, monkeypatch):
+    # G_K is not kept: the condensation and the back-substitution each
+    # rebuild it chunk by chunk from the class inverses and the updates,
+    # and the two must be the same bits, chunk for chunk, in chunks of a
+    # few dozen triangles
+    problem_name, kind, make_mesh, _ = CHUNKED_CASES[name]
+    problem, mesh = get_problem(problem_name), make_mesh()
+    space = build_space(mesh, kind)
+    built = []
+
+    def spy(el, space, rows):
+        inverse = real(el, space, rows)
+        built.append(((rows.start, rows.stop), inverse.copy()))
+        return inverse
+
+    real = assembly._pinned_inverses
+    monkeypatch.setattr(assembly, "_CHUNK", 40)
+    monkeypatch.setattr(assembly, "_pinned_inverses", spy)
+    system = assemble(problem, mesh, space)
+    condensed = built[:]
+    assembly._solve_hybrid(system)
+    substituted = built[len(condensed) :]
+    bounds = assembly._chunks(system.steps, mesh.nt)
+    chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    assert len(chunks) > 2
+    assert [rows for rows, _ in condensed] == [rows for rows, _ in substituted] == chunks
+    for (_, a), (_, b) in zip(condensed, substituted):
+        assert np.array_equal(a, b)
 
 
 # (element, mesh factory, shape classes)
@@ -1075,10 +1112,12 @@ def test_assembly_holds_its_output_and_one_chunk():
 
 
 def test_solve_holds_what_it_keeps_and_one_chunk_of_element_work(monkeypatch):
-    # The BDM1 level-4 hierarchy, 4,864 triangles in three chunks.  Of the
-    # (nt, m, m) arrays only the pinned inverses G_K are kept; the local
-    # blocks L_K exist one chunk at a time, in the condensation and in the
-    # residual check.  So outside the factorization, whose memory is the
+    # The BDM1 level-4 hierarchy, 4,864 triangles in three chunks.  No
+    # (nt, m, m) array is kept: each pinned inverse G_K is kept as its
+    # class's and a rank-2 update (nt, 2, m), and G_K and the local blocks
+    # L_K exist one chunk at a time, in the condensation, the
+    # back-substitution and the residual check.  So outside the
+    # factorization, whose memory is the
     # top system's, the traced peak of `assemble` and `_solve_hybrid` is
     # at most the arrays they keep plus the dense blocks of one chunk and
     # a few chunks' worth of element work (one more whole-mesh L_K would
@@ -1104,8 +1143,8 @@ def test_solve_holds_what_it_keeps_and_one_chunk_of_element_work(monkeypatch):
         tracemalloc.stop()
     el = system.elements
     nt, m = el.dofs.shape
-    blocks = [field.name for field in dataclasses.fields(el) if getattr(el, field.name).shape == (nt, m, m)]
-    assert blocks == ["inverse"] and m == 14
+    assert m == 14 and el.update.shape == (nt, 2, m)
+    assert not [field.name for field in dataclasses.fields(el) if getattr(el, field.name).shape == (nt, m, m)]
     kept = _owned_bytes((system.matrix, system.rhs, system.index, el, system.steps, s), set())
     q, chunk = space.moments, assembly._CHUNK
     element_work = 8 * 5 * chunk * m * m

@@ -212,6 +212,9 @@ def test_solve_uniform_rejects_problem_without_closed_form(tmp_path, capsys):
         pytest.param(["--mesh", "two.txt"], "2 edge-connected pieces; triangle 1 is not", id="mesh-two-pieces"),
         pytest.param(["--mode", "adaptive", "--mesh", "bowtie.txt"], "2 edge-connected pieces", id="mesh-bowtie"),
         pytest.param(["--mesh", "overflow.txt"], "overflow.txt: an integer does not fit in int64", id="mesh-int64-overflow"),
+        pytest.param(["--mesh", "row.txt"], "row.txt: not an integer: '1.5', the region of triangle 0", id="mesh-bad-triangle-row"),
+        pytest.param(["--mesh", "coord.txt"], "coord.txt: not a number: 'abc', the y coordinate of vertex 1", id="mesh-bad-coordinate"),
+        pytest.param(["--mesh", "header.txt"], "header.txt: not an integer: 'x', the triangle count", id="mesh-bad-header"),
     ],
 )
 def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, args, message):
@@ -236,6 +239,10 @@ def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, a
     (tmp_path / "bowtie.txt").write_text("5 2\n0 0\n1 0\n0 1\n-1 0\n0 -1\n0 1 2 0\n0 3 4 0\n")
     # one triangle whose region tag is beyond int64
     (tmp_path / "overflow.txt").write_text("3 1\n0 0\n1 0\n0 1\n0 1 2 99999999999999999999\n")
+    # one triangle with a token that does not parse: in a triangle row, a coordinate and the header
+    (tmp_path / "row.txt").write_text("3 1\n0 0\n1 0\n0 1\n0 1 2 1.5\n")
+    (tmp_path / "coord.txt").write_text("3 1\n0 0\n1 abc\n0 1\n0 1 2 0\n")
+    (tmp_path / "header.txt").write_text("3 x\n0 0\n1 0\n0 1\n0 1 2 0\n")
     args = [str(tmp_path / a) if a.endswith(".txt") else a for a in args]
 
     monkeypatch.setattr(cli, "run_convergence", no_solve)
@@ -244,7 +251,9 @@ def test_solve_rejects_bad_input_before_solving(tmp_path, capsys, monkeypatch, a
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--problem", "p2", *args, "--out", str(out)])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert not out.exists()
 
 

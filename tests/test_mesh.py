@@ -487,6 +487,40 @@ def test_load_mesh_rejects_bad_green_pairs(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("3 x\n0 0\n1 0\n0 1\n0 1 2 0\n", "not an integer: 'x', the triangle count", id="triangle-count"),
+        pytest.param("1e30 1\n0 0\n1 0\n0 1\n0 1 2 0\n", "not an integer: '1e30', the vertex count", id="vertex-count"),
+        pytest.param("3 1\n0 0\n1 abc\n0 1\n0 1 2 0\n", "not a number: 'abc', the y coordinate of vertex 1", id="coordinate"),
+        pytest.param("3 1\n0 0\n1 0\n0 1\n0 1 2 1.5\n", "not an integer: '1.5', the region of triangle 0", id="region"),
+        pytest.param(
+            "3 1\n0 0\n1 0\n0 1\n0 1 2 99999999999999999999\n",
+            "an integer does not fit in int64: '99999999999999999999', the region of triangle 0",
+            id="int64-overflow",
+        ),
+        pytest.param(
+            "4 2\n0 0\n1 0\n0 1\n.5 .5\n0 1 3 0\n0 3 2 0\n1.0\n0 1\n",
+            "not an integer: '1.0', the green-pair count",
+            id="green-pair-count",
+        ),
+        pytest.param("4 2\n0 0\n1 0\n0 1\n.5 .5\n0 1 3 0\n0 x 2 0\n1\n0 1\n", "not an integer: 'x', corner 1 of triangle 1", id="corner"),
+        pytest.param(
+            "4 2\n0 0\n1 0\n0 1\n.5 .5\n0 1 3 0\n0 3 2 0\n1\n0 b\n",
+            "not an integer: 'b', triangle 1 of green pair 0",
+            id="green-pair-entry",
+        ),
+    ],
+)
+def test_load_mesh_names_a_token_that_does_not_parse_and_its_place(tmp_path, text, message):
+    # numpy's own message named neither the file nor the place
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_mesh(path)
+    assert str(exc.value) == f"mesh file {path}: {message}"
+
+
 def test_load_mesh_rejects_truncated_file(tmp_path):
     mesh = make_square_piecewise_uniform()
     path = tmp_path / "mesh.txt"
