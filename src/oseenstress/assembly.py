@@ -126,18 +126,28 @@ triangles, each made of whole top units, go from their inverses G_K,
 updated from their classes', through every level to their top blocks;
 only numbers are condensed there, and they are written, with each
 level's solved group blocks and each element's rank-2 update, into
-arrays allocated once at full size.  So what the solve keeps is the
-element maps and loads, the class inverses Ĝ (nc, m, m) and the updates
-Z_K (nt, 2, m), from which G_K is rebuilt one chunk at a time for the
-back-substitution, every level's solved group blocks and the top
-system: 16 m bytes per triangle and 8 m² per class for the inverses,
-where the G_K themselves would take 8 m² per triangle.  Beside that the
-assembly holds the dense blocks of one chunk, not those of a whole
-level.  Neither L_K nor G_K is ever built whole: the residual check
-builds L_K, element by element, chunk by chunk, as the condensation and
-the back-substitution build G_K.  The top blocks are freed before the
-CSR conversion, whose int32 indices are passed on to SuperLU without a
-copy.
+arrays allocated once at full size.  So what the solve keeps is what it
+reads after the factorization and the mesh and the space do not give:
+the element loads and projected data, the class inverses Ĝ (nc, m, m)
+and the updates Z_K (nt, 2, m), from which G_K is rebuilt one chunk at
+a time for the back-substitution, every level's solved group blocks and
+the top system: 16 m bytes per triangle and 8 m² per class for the
+inverses, where the G_K themselves would take 8 m² per triangle.  The
+space keeps the bases of its shape classes only (``HdivSpace.bases``
+scales them to the triangles asked for).  The element maps (each local
+unknown's place in the bordered layout, z_K, the trace-mean column t_K
+and the edge signs) and the local bases are built per chunk where they
+are read (``_ElementMaps``): by the condensation, by the
+back-substitution, which scatters each chunk's unknowns before the
+trace-mean correction, and by the residual check after it.  Only the
+net flux and ``lam`` are read off maps of the whole mesh, which are
+dropped before the hierarchy is read, so that both keep their bits.
+Beside that the assembly holds the dense blocks of one chunk, not those
+of a whole level.  Neither L_K nor G_K is ever built whole: the residual
+check builds L_K, element by element, chunk by chunk, as the
+condensation and the back-substitution build G_K.  The top blocks are
+freed before the CSR conversion, whose int32 indices are passed on to
+SuperLU without a copy.
 
 Every batched dense solve is counted in the ``ledger`` of the returned
 ``LinearSystem``, by kind: the class Vandermonde inverse of the space,
@@ -148,6 +158,7 @@ calls, matrices, block size and right-hand sides, summed over chunks
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -159,11 +170,11 @@ from .spaces import (
     HdivSpace,
     PseudostressField,
     VelocityField,
+    _identity_moments,
     apply_trace_correction,
     build_space,
     cell_gram,
     edge_rule,
-    identity_coeffs,
     project_moments,
 )
 
@@ -178,24 +189,22 @@ __all__ = [
 
 @dataclass
 class ElementBlocks:
-    """Local maps, loads and pinned inverses of the hybridized system, one row per triangle.
+    """Loads, projected data and pinned inverses of the hybridized system, one row per triangle.
 
     The m = 2 nl + 2 local unknowns are ``[sigma row 1 | sigma row 2 | u_1
-    | u_2]``; the first 2 nl are the pseudostress unknowns.  Neither the
-    local blocks L_K nor their pinned inverses G_K are kept: for a run of
-    rows, :func:`_local_operator` builds L_K from the data held here, and
-    :func:`_pinned_inverses` builds G_K from the inverse Ĝ of the
-    element's shape class and its rank-2 update, ``G_K = Ĝ - Ĝ U Z_K``
-    with U the two velocity columns of the identity
+    | u_2]``; the first 2 nl are the pseudostress unknowns.  Only what the
+    solve reads after the condensation and is no function of the mesh and
+    the space alone is kept.  For a run of rows, :class:`_ElementMaps`
+    builds the element maps (the dofs, z_K, t_K and the signs),
+    :func:`_local_operator` the local blocks L_K from the data held here,
+    and :func:`_pinned_inverses` the pinned inverses G_K from the inverse
+    Ĝ of the element's shape class and its rank-2 update, ``G_K = Ĝ - Ĝ U
+    Z_K`` with U the two velocity columns of the identity
     (:func:`_element_condensed`).
     """
 
     update: np.ndarray  # (nt, 2, m) Z_K = (I + V_K Ĝ U)^-1 V_K Ĝ of each element
-    dofs: np.ndarray  # (nt, m) index of each local unknown in the bordered layout
-    kernel: np.ndarray  # (nt, m) local coefficients z_K of sigma = I
-    trace: np.ndarray  # (nt, m) local trace-mean column t_K
     load: np.ndarray  # (nt, m) local right-hand side b_K; each entry of b sits in one local copy
-    sign: np.ndarray  # (nt, 2 nl) tri_signs of each sigma unknown's interior edge, 0 on the boundary
     b: np.ndarray  # (nt, 2, 3) the projected convection field's CellwiseLinear coefficients
     reaction: np.ndarray  # (nt,) |K| times the cell mean of the projected c
     class_inverse: np.ndarray | None = None  # (nc, m, m) Ĝ of every shape class, set by _condense
@@ -339,81 +348,121 @@ def _projected_data(mesh: Mesh, data, name: str, value_shape: tuple) -> Cellwise
     return field
 
 
+def _interior_edges(mesh: Mesh) -> np.ndarray:
+    """(ne,) True on every interior edge, whose moments carry a multiplier."""
+    interior = np.ones(mesh.ne, dtype=bool)
+    interior[mesh.boundary_edges] = False
+    return interior
+
+
+class _ElementMaps:
+    """What the elements `rows` (a slice or indices) take from the mesh and the space alone.
+
+    Each part is built when first read, with one row per element:
+
+    * `bases`: the areas (k,), the second moments (k, 2, 2), the local
+      bases as one stack (k, 2 nl, 3), component r of basis j at r nl + j,
+      and their divergences (k, nl) (``HdivSpace.bases``);
+    * `dofs` (k, m): the index of each local unknown in the bordered layout;
+    * `kernel` (k, m): the local coefficients z_K of sigma = I;
+    * `trace` (k, m): the local trace-mean column t_K;
+    * `sign` (k, 2 nl): the tri_signs of each sigma unknown's interior
+      edge, 0 on the boundary.
+
+    The condensation, the back-substitution and the residual check build
+    those they read, one chunk at a time; the local blocks of a chunk
+    (:func:`_local_operator`, :func:`_velocity_rows`) read its bases here.
+    """
+
+    def __init__(self, space: HdivSpace, rows):
+        self.space, self.rows = space, rows
+
+    @cached_property
+    def bases(self):
+        mesh, rows = self.space.mesh, self.rows
+        basis, div = self.space.bases(rows)
+        return mesh.tri_areas()[rows], mesh.tri_second_moments()[rows], basis.transpose(0, 2, 1, 3).reshape(len(basis), -1, 3), div
+
+    @cached_property
+    def dofs(self) -> np.ndarray:
+        space, rows = self.space, self.rows
+        n, nt, nl = space.n_dofs_per_row, space.mesh.nt, space.ndof_local
+        dof_map = space.dof_map[rows]
+        dofs = np.empty((len(dof_map), 2 * nl + 2), dtype=np.int64)
+        dofs[:, :nl] = dof_map
+        np.add(dof_map, n, out=dofs[:, nl : 2 * nl])
+        # the velocity unknowns follow the 2 n sigma unknowns, component by component
+        tris = np.arange(nt)[rows]
+        np.add(tris, 2 * n, out=dofs[:, 2 * nl])
+        np.add(tris, 2 * n + nt, out=dofs[:, 2 * nl + 1])
+        return dofs
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        # one multiplier per interior edge moment and row, which ties the two
+        # local copies of that moment, with opposite tri_signs, together
+        mesh, rows = self.space.mesh, self.rows
+        signed = np.where(_interior_edges(mesh)[mesh.tri_edges[rows]], mesh.tri_signs[rows], 0.0)
+        return signed[:, np.tile(np.repeat(np.arange(3), self.space.moments), 2)]  # the local edge of each sigma unknown
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        # the zeroth moment of each edge and row; component r of local edge e at r nl + e moments
+        space, rows = self.space, self.rows
+        nl, moments = space.ndof_local, space.moments
+        first, second = _identity_moments(space.mesh, space.mesh.tri_edges[rows])  # (k, 3) each
+        kernel = np.zeros((len(first), 2 * nl + 2))
+        kernel[:, :nl:moments] = first
+        kernel[:, nl : 2 * nl : moments] = second
+        return kernel
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        # (tr tau, 1): the areas times the cell means of the local bases, their constant coefficients
+        area, _, basis, _ = self.bases
+        trace = np.zeros((len(area), basis.shape[1] + 2))
+        trace[:, :-2] = area[:, None] * basis[:, :, 0]
+        return trace
+
+
 def _element_blocks(problem: ProblemSpec, mesh: Mesh, space: HdivSpace, dirichlet: np.ndarray):
-    """Loads, maps and projected data of every element, and the multiplier ids of its sigma unknowns.
+    """Loads and projected data of every element, the multiplier ids of its sigma unknowns, and the trace-mean multiplier.
 
     `dirichlet` is the boundary functional on the sigma dofs
     (:func:`_dirichlet_load`).  Returns the ``ElementBlocks``, whose
     `update` is allocated but not filled and whose `class_inverse` is
     not yet set (:func:`_condense` sets it and fills `update` chunk by
-    chunk), and the ids (nt, 2 nl): the multiplier on each sigma
-    unknown's edge moment and row, numbered by interior moment, row 2
-    after row 1; -1 on the boundary.
+    chunk); the ids (nt, 2 nl): the multiplier on each sigma unknown's
+    edge moment and row, numbered by interior moment, row 2 after row 1,
+    -1 on the boundary; the net boundary flux ``z^T b`` of g; and the
+    multiplier ``lam = z^T b / z^T t``.  These are read off the maps of
+    the whole mesh (:class:`_ElementMaps`), which are dropped on return.
     """
-    n = space.n_dofs_per_row
     nt = mesh.nt
-    nl = space.ndof_local
-    ns = 2 * nl
-
-    tris = np.arange(nt)
+    ns = 2 * space.ndof_local
     area = mesh.tri_areas()
     b = _projected_data(mesh, problem.b, "b", (2,))
     c = _projected_data(mesh, problem.c, "c", ())
     f = _projected_data(mesh, problem.f, "f", (2,))
 
-    dofs = np.empty((nt, ns + 2), dtype=np.int64)
-    dofs[:, :nl] = space.dof_map
-    dofs[:, nl:ns] = space.dof_map + n
-    dofs[:, ns] = 2 * n + tris
-    dofs[:, ns + 1] = 2 * n + nt + tris
-
-    # one multiplier per interior edge moment and row, which ties the two
-    # local copies of that moment, with opposite tri_signs, together
-    moments = space.moments
-    interior = np.ones(mesh.ne, dtype=bool)
-    interior[mesh.boundary_edges] = False
-    inner = np.repeat(interior, moments)  # (n,) per edge moment
-    sign = np.where(inner[space.dof_map], np.repeat(mesh.tri_signs, moments, axis=1), 0.0)
-    sign = np.concatenate([sign, sign], axis=1)
+    maps = _ElementMaps(space, slice(None))
+    inner = np.repeat(_interior_edges(mesh), space.moments)  # (n,) per edge moment
     rank = np.cumsum(inner) - 1
-    ids = np.where(sign == 0, -1, np.concatenate([rank, int(inner.sum()) + rank])[dofs[:, :ns]])
-
-    kernel = np.zeros((nt, ns + 2))
-    kernel[:, :ns] = identity_coeffs(space).ravel()[dofs[:, :ns]]
-    trace = np.zeros((nt, ns + 2))
-    # (tr tau, 1): the cell means of the local bases, component r of basis j at r nl + j
-    trace[:, :ns] = area[:, None] * space.basis_coeff[..., 0].transpose(0, 2, 1).reshape(nt, ns)
+    ids = np.where(maps.sign == 0, -1, np.concatenate([rank, int(inner.sum()) + rank])[maps.dofs[:, :ns]])
 
     # a boundary edge has one side, so its load sits in one local copy
     load = np.empty((nt, ns + 2))
-    load[:, :ns] = dirichlet.ravel()[dofs[:, :ns]]
+    load[:, :ns] = dirichlet.ravel()[maps.dofs[:, :ns]]
     load[:, ns:] = (area * f.cell_means()).T
-    return ElementBlocks(
-        update=np.empty((nt, 2, ns + 2)),
-        dofs=dofs,
-        kernel=kernel,
-        trace=trace,
-        load=load,
-        sign=sign,
-        b=b.coeffs,
-        reaction=area * c.cell_means(),
-    ), ids
-
-
-def _bases(space: HdivSpace, rows):
-    """Areas, second moments and local bases of the elements `rows`, the bases as one stack (k, 2 nl, 3).
-
-    Component r of basis j is at r nl + j; `rows` is a slice or indices.
-    """
-    mesh = space.mesh
-    basis = space.basis_coeff[rows]
-    return mesh.tri_areas()[rows], mesh.tri_second_moments()[rows], basis.transpose(0, 2, 1, 3).reshape(len(basis), -1, 3)
+    flux = np.sum(maps.kernel * load)  # z^T b, the net boundary flux of g
+    el = ElementBlocks(update=np.empty((nt, 2, ns + 2)), load=load, b=b.coeffs, reaction=area * c.cell_means())
+    return el, ids, flux, flux / np.sum(maps.kernel * maps.trace)
 
 
 def _convection(area, moments, basis, b):
     """The convection terms ((dev tau) b, v) of the row-r trial tensor in velocity row p, in two parts.
 
-    For the elements of :func:`_bases` and their projected b (k, 2, 3):
+    For the bases of some elements (``_ElementMaps.bases``) and their projected b (k, 2, 3):
     ``-1/2 int phi_j[r] b_p`` (k, 2, 2 nl), and ``int phi_j . b`` (k, nl),
     which adds to row r in the sigma unknowns of row r.
     """
@@ -422,51 +471,52 @@ def _convection(area, moments, basis, b):
     return -0.5 * conv.transpose(0, 2, 1), conv[:, :nl, 0] + conv[:, nl:, 1]
 
 
-def _local_operator(el: ElementBlocks, space: HdivSpace, rows, velocity: bool = True) -> np.ndarray:
-    """The local blocks L_K (k, m, m) of the unbordered operator, for the elements `rows` (a slice or indices).
+def _local_operator(el: ElementBlocks, maps: _ElementMaps, velocity: bool = True) -> np.ndarray:
+    """The local blocks L_K (k, m, m) of the unbordered operator, for the elements of `maps`.
 
     Without `velocity`, the convection and the reaction are left out: the
     block ``[[A, B], [-B^T, 0]]`` of the deviatoric mass A and the
     divergence B, which depends on the element's shape alone.
     """
-    nl = space.ndof_local
+    area, moments, basis, div = maps.bases
+    nl = div.shape[1]
     ns = 2 * nl
-    area, moments, basis = _bases(space, rows)
 
     operator = np.zeros((len(area), ns + 2, ns + 2))
     # --- deviatoric block: (dev sigma, tau) = (sigma, tau) - 1/2 (tr sigma, tr tau)
     gram = cell_gram(area, moments, basis, basis)  # int phi_i[r] phi_j[s]
     mass = gram[:, :nl, :nl] + gram[:, nl:, nl:]
-    operator[:, :ns, :ns] = -0.5 * gram
+    np.multiply(gram, -0.5, out=operator[:, :ns, :ns])
     operator[:, :nl, :nl] += mass
     operator[:, nl:ns, nl:ns] += mass
 
     # --- divergence coupling (div tau, u) and its negative transpose, exact
-    divint = area[:, None] * space.basis_div[rows]  # (k, nl)
+    divint = area[:, None] * div  # (k, nl)
     # --- convection ((dev tau) b, v) and reaction (c u, v), diagonal per component
     along = 0.0
     if velocity:
-        half, along = _convection(area, moments, basis, el.b[rows])
+        half, along = _convection(area, moments, basis, el.b[maps.rows])
         operator[:, ns:, :ns] = half
-        operator[:, ns, ns] = operator[:, ns + 1, ns + 1] = el.reaction[rows]
+        operator[:, ns, ns] = operator[:, ns + 1, ns + 1] = el.reaction[maps.rows]
+    coupling = along - divint
     for r in range(2):
         block = slice(r * nl, (r + 1) * nl)
         operator[:, block, ns + r] = divint
-        operator[:, ns + r, block] += along - divint
+        operator[:, ns + r, block] += coupling
     return operator
 
 
-def _velocity_rows(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.ndarray:
-    """V_K (k, 2, m): the convection and reaction in the velocity rows of L_K, for the elements `rows`."""
-    nl = space.ndof_local
-    ns = 2 * nl
-    area, moments, basis = _bases(space, rows)
-    half, along = _convection(area, moments, basis, el.b[rows])
+def _velocity_rows(el: ElementBlocks, maps: _ElementMaps) -> np.ndarray:
+    """V_K (k, 2, m): the convection and reaction in the velocity rows of L_K, for the elements of `maps`."""
+    area, moments, basis, _ = maps.bases
+    ns = basis.shape[1]
+    nl = ns // 2
+    half, along = _convection(area, moments, basis, el.b[maps.rows])
     v = np.zeros((len(area), 2, ns + 2))
     v[:, :, :ns] = half
     v[:, 0, :nl] += along
     v[:, 1, nl:ns] += along
-    v[:, 0, ns] = v[:, 1, ns + 1] = el.reaction[rows]
+    v[:, 0, ns] = v[:, 1, ns + 1] = el.reaction[maps.rows]
     return v
 
 
@@ -485,9 +535,10 @@ def _class_inverses(el: ElementBlocks, space: HdivSpace, ledger: dict) -> np.nda
     by its first triangle.
     """
     first = space.mesh.shape_classes()[1]
-    operator = _local_operator(el, space, first, velocity=False)
+    maps = _ElementMaps(space, first)
+    operator = _local_operator(el, maps, velocity=False)
     classes = np.arange(len(first))
-    pin = np.argmax(np.abs(el.kernel[first]), axis=1)
+    pin = np.argmax(np.abs(maps.kernel), axis=1)
     operator[classes, pin, :] = 0.0
     operator[classes, :, pin] = 0.0
     operator[classes, pin, pin] = 1.0
@@ -504,13 +555,13 @@ def _pinned_inverses(el: ElementBlocks, space: HdivSpace, rows: slice) -> np.nda
     The one place G_K is built, for the condensation and for the
     back-substitution alike (:func:`_element_condensed`).
     """
-    ns = el.sign.shape[1]
+    ns = 2 * space.ndof_local
     inverse = np.take(el.class_inverse, space.mesh.shape_classes()[0][rows], axis=0)
     inverse -= inverse[:, :, ns:] @ el.update[rows]
     return inverse
 
 
-def _element_condensed(el: ElementBlocks, space: HdivSpace, local: np.ndarray, lo: int, hi: int):
+def _element_condensed(el: ElementBlocks, space: HdivSpace, lam: float, lo: int, hi: int):
     """Write the updates Z_K of the elements `lo`..`hi` into ``el.update``, and return their condensed (block, rhs) pair.
 
     G_K is L_K with a unit row and column at its class's pin, inverted,
@@ -525,14 +576,17 @@ def _element_condensed(el: ElementBlocks, space: HdivSpace, local: np.ndarray, l
     named by its index in the mesh.  Each element's block on its
     multipliers and c_K is ``[[S G_K S, -S z_K], [z_K^T S, 0]]`` with S =
     diag(sign); its right-hand side is the jump ``S G_K local_K`` of the
-    local solution, for the local right-hand sides `local` (nt, m), then
-    ``z_K^T local_K``.  The c_K-c_K entry is zero.
+    local solution, for the local right-hand side ``local_K = b_K - lam
+    t_K`` with the trace-mean multiplier `lam`, then ``z_K^T local_K``.
+    The c_K-c_K entry is zero.
     """
     rows = slice(lo, hi)
     member = space.mesh.shape_classes()[0][rows]
-    sign, kernel, local = el.sign[rows], el.kernel[rows], local[rows]
+    maps = _ElementMaps(space, rows)
+    sign, kernel = maps.sign, maps.kernel
+    local = el.load[rows] - lam * maps.trace
     nt, ns = sign.shape
-    v = _velocity_rows(el, space, rows)
+    v = _velocity_rows(el, maps)
     vg = v @ np.take(el.class_inverse, member, axis=0)
     x = vg[:, :, ns:]  # V_K Ĝ U
     adjugate = np.stack([1.0 + x[:, 1, 1], -x[:, 0, 1], -x[:, 1, 0], 1.0 + x[:, 0, 0]], axis=1).reshape(-1, 2, 2)
@@ -547,7 +601,8 @@ def _element_condensed(el: ElementBlocks, space: HdivSpace, local: np.ndarray, l
 
     zs = kernel[:, :ns] * sign
     block = np.zeros((nt, ns + 1, ns + 1))
-    block[:, :ns, :ns] = inverse[:, :ns, :ns] * sign[:, :, None] * sign[:, None, :]
+    # the signs are 0 or ±1, so S G_K S takes each entry's bits whichever product comes first
+    np.multiply(inverse[:, :ns, :ns], sign[:, :, None] * sign[:, None, :], out=block[:, :ns, :ns])
     block[:, :ns, ns] = -zs
     block[:, ns, :ns] = zs
     solved = (inverse[:, :ns] @ local[:, :, None])[:, :, 0]
@@ -801,14 +856,14 @@ def _chunks(steps: list, nt: int) -> np.ndarray:
     return np.unique(cuts[np.searchsorted(cuts, np.append(np.arange(0, nt, _CHUNK), nt))])
 
 
-def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: list, ledger: dict):
+def _condense(el: ElementBlocks, space: HdivSpace, lam: float, steps: list, ledger: dict):
     """Condense the element blocks through `steps` (:func:`_hierarchy`), chunk by chunk; the top (block, rhs) pair.
 
     The block of every shape class is inverted first, into
     ``el.class_inverse`` (:func:`_class_inverses`).  Each chunk of
     :func:`_chunks` then writes its elements' rank-2 updates into
     ``el.update`` and condenses their pinned inverses
-    (:func:`_element_condensed`, for local right-hand sides `local`),
+    (:func:`_element_condensed`, for the trace-mean multiplier `lam`),
     then goes through every level (:func:`_condense_step`) to its top
     blocks, which are written into arrays allocated once at full size, as
     the steps' solved group blocks are.  So no dense block of a whole
@@ -818,7 +873,7 @@ def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: lis
     dropped on return.  Every batched dense solve is counted in `ledger`
     (:func:`~oseenstress.sparsela.tally`).
     """
-    nt, ns = el.sign.shape
+    nt, ns = space.mesh.nt, 2 * space.ndof_local
     nu = int(steps[-1].unit[-1]) + 1 if steps else nt
     s = (ns << len(steps)) + 1
     top, top_rhs = np.empty((nu, s, s)), np.empty((nu, s))
@@ -831,7 +886,7 @@ def _condense(el: ElementBlocks, space: HdivSpace, local: np.ndarray, steps: lis
     el.class_inverse = _class_inverses(el, space, ledger)
     try:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            blocks = _element_condensed(el, space, local, lo, hi)
+            blocks = _element_condensed(el, space, lam, lo, hi)
             for depth, step in enumerate(steps, 1):
                 blocks, (lo, hi), solved = _condense_step(blocks, step, lo, hi, depth)
                 tally(ledger, f"condensation at depth {depth}", solved)
@@ -877,18 +932,16 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
     if space.mesh is not mesh:
         raise ValueError("space was not built on the given mesh")
     dirichlet, scale = _dirichlet_load(problem, space)
-    el, ids = _element_blocks(problem, mesh, space, dirichlet)
-    flux = np.sum(el.kernel * el.load)  # z^T b, the net boundary flux of g
+    el, ids, flux, lam = _element_blocks(problem, mesh, space, dirichlet)
     if abs(flux) > 1e-4 * scale:
         warnings.warn(
             f"boundary data for {problem.name!r} has net flux {flux:.3e}; "
             "the incompressibility constraint is incompatible",
             stacklevel=2,
         )
-    lam = flux / np.sum(el.kernel * el.trace)  # z^T b / z^T t
     steps, ids, sizes = _hierarchy(mesh.triangles, ids)
     ledger = dict(space.ledger)
-    top, top_rhs = _condense(el, space, el.load - lam * el.trace, steps, ledger)
+    top, top_rhs = _condense(el, space, lam, steps, ledger)
     # the nonzero entries of the top blocks on live unknowns, at every depth
     index, size = _numbering(ids, space.moments)
     inside = index < size
@@ -911,55 +964,65 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
     )
 
 
-def _owned_copies(el: ElementBlocks) -> np.ndarray:
-    """(nt, m) mask of one local copy per unknown: an edge's +1 or only side, every velocity."""
-    return np.pad(el.sign, ((0, 0), (0, 2)), constant_values=1.0) >= 0
+def _owned_copies(sign: np.ndarray) -> np.ndarray:
+    """(k, m) mask of one local copy per unknown, for the signs (k, 2 nl) of :class:`_ElementMaps`: an edge's +1 or only side, every velocity."""
+    owned = np.ones((len(sign), sign.shape[1] + 2), dtype=bool)
+    owned[:, :-2] = sign >= 0
+    return owned
 
 
 def _solve_hybrid(system: LinearSystem):
     """Solve the top system and back-substitute level by level, then element by element.
 
-    The element step rebuilds the pinned inverses G_K one chunk at a time
-    (:func:`_pinned_inverses`), as the condensation did.
+    The element step runs chunk by chunk: it rebuilds the element maps
+    (:class:`_ElementMaps`) and the pinned inverses G_K
+    (:func:`_pinned_inverses`), as the condensation did, and scatters the
+    owned copies of each chunk's unknowns into the bordered layout.  The
+    residual check then gathers and applies the local blocks L_K, chunk
+    by chunk again, after the trace-mean correction.  So no array of
+    element work over the whole mesh is held.
 
     Returns ``(s, residual)``: the sigma and u coefficients in the bordered
     layout, sigma with zero trace mean, and the relative residual of
     ``(s, lam)`` in the bordered system, computed blockwise.
     """
     el, space = system.elements, system.space
-    ns = el.sign.shape[1]
+    ns = 2 * space.ndof_local
     lam = system.multiplier
     bounds = _chunks(system.steps, space.mesh.nt)
+    chunks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     y, _ = lu_solve(system.matrix, system.rhs)
     values = np.append(y, 0.0)[system.index]  # the boundary slots and the last top c are zero
     for step in reversed(system.steps):
         values = step.expand(values)
-    local = el.load - lam * el.trace
-    local[:, :ns] -= el.sign * values[:, :ns]
-    x = values[:, ns:] * el.kernel
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows = slice(lo, hi)
-        x[rows] += (_pinned_inverses(el, space, rows) @ local[rows, :, None])[:, :, 0]
-
-    owned = _owned_copies(el)
     nsigma = 2 * space.n_dofs_per_row
     s = np.empty(nsigma + 2 * space.mesh.nt)
-    s[el.dofs[owned]] = x[owned]
+    for rows in chunks:
+        maps = _ElementMaps(space, rows)
+        local = el.load[rows] - lam * maps.trace
+        local[:, :ns] -= maps.sign * values[rows, :ns]
+        x = values[rows, ns:] * maps.kernel
+        x += (_pinned_inverses(el, space, rows) @ local[:, :, None])[:, :, 0]
+        owned = _owned_copies(maps.sign)
+        s[maps.dofs[owned]] = x[owned]
+    del values
     # restore the zero trace mean with a multiple of I, as the interpolant does
     sigma = apply_trace_correction(PseudostressField(space=space, coeffs=s[:nsigma].reshape(2, -1)))
     s[:nsigma] = sigma.coeffs.ravel()
 
-    # the bordered residual, from the local blocks rebuilt chunk by chunk
-    gathered = s[el.dofs]
-    applied = np.empty_like(gathered)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows = slice(lo, hi)
-        applied[rows] = (_local_operator(el, space, rows) @ gathered[rows, :, None])[:, :, 0]
-    applied += lam * el.trace
-    applied -= el.load
-    misfit = np.bincount(el.dofs.ravel(), weights=applied.ravel(), minlength=s.size)
-    misfit = np.append(misfit, np.sum(el.trace * gathered))
+    # the bordered residual, from the local blocks rebuilt chunk by chunk;
+    # each dof's copies are summed in element order, as one bincount would,
+    # and the trace-mean row chunk by chunk
+    misfit = np.zeros(s.size + 1)
+    for rows in chunks:
+        maps = _ElementMaps(space, rows)
+        gathered = s[maps.dofs]
+        applied = (_local_operator(el, maps) @ gathered[:, :, None])[:, :, 0]
+        applied += lam * maps.trace
+        applied -= el.load[rows]
+        np.add.at(misfit, maps.dofs.ravel(), applied.ravel())
+        misfit[-1] += np.sum(maps.trace * gathered)
     residual = checked_residual(misfit, el.load, "bordered")  # each entry of b sits in one local copy
     return s, residual
 

@@ -839,12 +839,21 @@ def _parsed(path, tokens: list, start: int, stop: int, dtype, nv: int = 0, nt: i
         raise
 
 
+def _counts(path, tokens: list, start: int, stop: int, nv: int = 0, nt: int = 0) -> list:
+    """The counts at tokens `start`..`stop` of the mesh file `path` (:func:`_parsed`); ValueError naming the first negative one."""
+    counts = _parsed(path, tokens, start, stop, np.int64, nv, nt).tolist()
+    for k, count in enumerate(counts, start):
+        if count < 0:
+            raise ValueError(f"mesh file {path}: {_token_place(k, nv, nt)} {count} must not be negative")
+    return counts
+
+
 def load_mesh(path) -> Mesh:
     """Read a mesh written by :func:`save_mesh`, with or without green pairs.
 
     Raises ``ValueError`` on a file of the wrong length, a token that is
-    not a number, or not an integer where one belongs, or an integer
-    beyond int64 (each named with its place in the file), invalid mesh
+    not a number, or not an integer where one belongs, an integer beyond
+    int64, or a negative count (each named with its place in the file), invalid mesh
     data, triangles that form more than one
     edge-connected piece (the connected components of the graph of
     interior edges, whose two triangles the side table gives; the trace
@@ -859,9 +868,9 @@ def load_mesh(path) -> Mesh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"mesh file {path} is truncated")
-    nv, nt = _parsed(path, tokens, 0, 2, np.int64).tolist()
+    nv, nt = _counts(path, tokens, 0, 2)
     body = 2 + 2 * nv + 4 * nt
-    ng = int(_parsed(path, tokens, body, body + 1, np.int64, nv, nt)[0]) if len(tokens) > body else 0
+    ng = _counts(path, tokens, body, body + 1, nv, nt)[0] if len(tokens) > body else 0
     need = body + 1 + 2 * ng if len(tokens) > body else body
     if len(tokens) != need:
         raise ValueError(

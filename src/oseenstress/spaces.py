@@ -15,7 +15,8 @@ functionals, so normal-trace continuity across interior edges holds by
 construction and orientation flips never need explicit sign fixups in
 assembly.  The generalized Vandermonde matrix of the functionals is
 inverted once per shape class of the mesh (``Mesh.shape_classes``), on
-its first triangle, and the inverse is scaled to every other member.
+its first triangle; the space keeps these class bases and scales them to
+the members asked for (``HdivSpace.bases``).
 The moments are taken in one place, ``_edge_moments``, for the bases and
 for the canonical interpolant; by the duality, a basis function's normal
 trace on its own edge is ``(2k + 1) P_k / |E|``, which the Dirichlet load
@@ -175,23 +176,28 @@ class HdivSpace:
         Edge-moment count: ne (RT0) or 2*ne (BDM1).
     dof_map : ndarray, shape (nt, nl)
         Global dof index of each local basis function.
-    basis_coeff : ndarray, shape (nt, nl, 2, 3)
-        Monomial coefficients of each local basis function over
-        {1, x-cx, y-cy} centered at the element centroid, so
-        ``CellwiseLinear(mesh, basis_coeff)`` evaluates the local bases.
-    basis_div : ndarray, shape (nt, nl)
-        Constant divergence of each local basis function.
+    class_coeff : ndarray, shape (nc, nl, 2, 3)
+        The local bases of the first triangle of every shape class
+        (:meth:`~oseenstress.mesh.Mesh.shape_classes`), as monomial
+        coefficients over {1, x-cx, y-cy} centered at its centroid.  They
+        are stored component by component, as the assembly stacks them:
+        a view of a C-ordered (nc, 2, nl, 3) array.
+    class_div : ndarray, shape (nc, nl)
+        Their constant divergences.
     ledger : dict
         The batched dense solves of the construction, by kind
         (:class:`~oseenstress.sparsela.DenseSolves`).
+
+    No per-element basis is kept: :meth:`bases` scales the class's to
+    the triangles asked for.
     """
 
     kind: str
     mesh: Mesh
     n_dofs_per_row: int
     dof_map: np.ndarray
-    basis_coeff: np.ndarray
-    basis_div: np.ndarray
+    class_coeff: np.ndarray
+    class_div: np.ndarray
     ledger: dict
 
     @property
@@ -202,6 +208,28 @@ class HdivSpace:
     def moments(self) -> int:
         """Edge moments per edge and row: 1 (RT0) or 2 (BDM1)."""
         return self.n_dofs_per_row // self.mesh.ne
+
+    def bases(self, rows=slice(None)):
+        """The local bases (k, nl, 2, 3) of the triangles `rows` (a slice or indices), and their divergences (k, nl).
+
+        A member h times its class's first triangle has the class's bases
+        with the constant monomials scaled by ``h**-1`` and the linear
+        ones, and every divergence, by ``h**-2`` (:func:`build_space`);
+        ``CellwiseLinear(mesh, space.bases()[0])`` evaluates every local
+        basis.  The bases keep the layout of ``class_coeff``:
+        ``basis.transpose(0, 2, 1, 3)`` is C-ordered.
+        """
+        classes, _, scale = self.mesh.shape_classes()
+        member = classes[rows]
+        shrink = 1.0 / scale[rows]
+        square = shrink * shrink
+        stacked = self.class_coeff.transpose(0, 2, 1, 3).take(member, axis=0)  # (k, 2, nl, 3)
+        constant = stacked[..., 0] * shrink[:, None, None]
+        stacked *= square[:, None, None, None]  # right for the linear monomials, over {dx, dy}
+        stacked[..., 0] = constant
+        div = self.class_div.take(member, axis=0)
+        div *= square[:, None]
+        return stacked.transpose(0, 2, 1, 3), div
 
 
 def edge_rule(npoints: int, moments: int):
@@ -252,7 +280,7 @@ def build_space(mesh: Mesh, kind: str) -> HdivSpace:
     mono_div = mono[:, 0, 1] + mono[:, 1, 2]  # d/dx of the first component plus d/dy of the second
     nl = len(mono)
     moments = nl // 3
-    classes, first, scale = mesh.shape_classes()
+    first = mesh.shape_classes()[1]
     centroids = mesh.tri_centroids()[first]
     te = mesh.tri_edges
 
@@ -265,16 +293,13 @@ def build_space(mesh: Mesh, kind: str) -> HdivSpace:
     ginv = np.linalg.inv(gmat)  # (nc, k, j): coeff of monomial k in basis j
     ledger = {}
     tally(ledger, "class Vandermonde inverse", ginv)
-    shrink = 1.0 / scale
-    per_monomial = np.stack([shrink, shrink * shrink, shrink * shrink], axis=1)  # over {1, dx, dy}
-    nt = mesh.nt
     return HdivSpace(
         kind=kind,
         mesh=mesh,
         n_dofs_per_row=moments * mesh.ne,
-        dof_map=(moments * te[:, :, None] + np.arange(moments)).reshape(nt, nl),
-        basis_coeff=np.einsum("tkj,kcm->tjcm", ginv, mono)[classes] * per_monomial[:, None, None, :],
-        basis_div=np.einsum("tkj,k->tj", ginv, mono_div)[classes] * per_monomial[:, 1:2],
+        dof_map=(moments * te[:, :, None] + np.arange(moments)).reshape(mesh.nt, nl),
+        class_coeff=np.einsum("tkj,kcm->tcjm", ginv, mono).transpose(0, 2, 1, 3),
+        class_div=np.einsum("tkj,k->tj", ginv, mono_div),
         ledger=ledger,
     )
 
@@ -301,7 +326,7 @@ class PseudostressField:
     @cached_property
     def _cellwise(self) -> CellwiseLinear:
         w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
-        return CellwiseLinear(self.mesh, *_read_only(np.einsum("rtj,tjcm->trcm", w, self.space.basis_coeff)))
+        return CellwiseLinear(self.mesh, *_read_only(np.einsum("rtj,tjcm->trcm", w, self.space.bases()[0])))
 
     def cellwise(self) -> CellwiseLinear:
         """The tensor field on every element, value shape (2, 2); read-only."""
@@ -314,7 +339,7 @@ class PseudostressField:
     def div_cells(self) -> np.ndarray:
         """Row-wise divergence, constant per element: (nt, 2)."""
         w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
-        return np.einsum("rtj,tj->tr", w, self.space.basis_div)
+        return np.einsum("rtj,tj->tr", w, self.space.bases()[1])
 
 
 @dataclass
@@ -338,10 +363,19 @@ def identity_coeffs(space: HdivSpace) -> np.ndarray:
     edge its zeroth moment ``|E| e_r . n_E``; the odd Legendre moment of a
     constant is zero.  ``dev`` and ``div`` both annihilate the identity.
     """
-    mesh = space.mesh
     out = np.zeros((2, space.n_dofs_per_row))
-    out[:, :: space.moments] = mesh.edge_lengths() * mesh.edge_normals().T
+    out[:, :: space.moments] = _identity_moments(space.mesh, slice(None))
     return out
+
+
+def _identity_moments(mesh: Mesh, edges) -> tuple:
+    """The zeroth moments ``|E| e_r . n_E`` of the constant fields e_r on the edges `edges`, one array of their shape per r.
+
+    `edges` is a slice or an index array; these are the nonzero
+    coefficients of the identity tensor (:func:`identity_coeffs`).
+    """
+    lengths, normals = mesh.edge_lengths()[edges], mesh.edge_normals()
+    return lengths * normals[:, 0][edges], lengths * normals[:, 1][edges]
 
 
 def trace_mean(field) -> float:

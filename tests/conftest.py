@@ -42,6 +42,11 @@ def without_hierarchy(mesh: Mesh) -> Mesh:
     return rotated
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes, so that a sign of zero counts too."""
+    return a.dtype == b.dtype and a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
 def jittered(mesh: Mesh, seed: int = 0) -> Mesh:
     """The mesh with every interior vertex moved by 2% of its shortest edge, in a seeded direction.
 

@@ -43,7 +43,8 @@ def operator(problem: ProblemSpec, space: HdivSpace) -> np.ndarray:
     ns = 2 * nl
     area = mesh.tri_areas()
     moments = mesh.tri_second_moments()
-    basis = space.basis_coeff.transpose(0, 2, 1, 3).reshape(nt, ns, 3)
+    bases, div = space.bases()
+    basis = bases.transpose(0, 2, 1, 3).reshape(nt, ns, 3)
     b = project_exact(mesh, problem.b, degree=QUAD_DEGREE).field.coeffs
     c = project_exact(mesh, problem.c, degree=QUAD_DEGREE).field
 
@@ -53,7 +54,7 @@ def operator(problem: ProblemSpec, space: HdivSpace) -> np.ndarray:
     blocks[:, :ns, :ns] = -0.5 * gram
     blocks[:, :nl, :nl] += mass
     blocks[:, nl:ns, nl:ns] += mass
-    divint = area[:, None] * space.basis_div
+    divint = area[:, None] * div
     conv = cell_gram(area, moments, basis, b)
     blocks[:, ns:, :ns] = -0.5 * conv.transpose(0, 2, 1)
     conv_par = conv[:, :nl, 0] + conv[:, nl:, 1]

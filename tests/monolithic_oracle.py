@@ -112,7 +112,7 @@ def assemble_dirichlet_rhs(
         return rhs
 
     tris, lengths, pts, wq, gv, n_out = _boundary_data(problem, mesh, edge_points)
-    basis = eval_cells(CellwiseLinear(mesh, space.basis_coeff), tris, pts)  # (nbe, q, nl, 2)
+    basis = eval_cells(CellwiseLinear(mesh, space.bases()[0]), tris, pts)  # (nbe, q, nl, 2)
     flux = np.einsum("eqjc,ec->eqj", basis, n_out)
     # contribution of basis j to the row-r equation: |E| sum_q w g_r flux_j
     contrib = lengths[:, None, None] * np.einsum("q,eqr,eqj->erj", wq, gv, flux)
@@ -164,7 +164,7 @@ def assemble(
     tris = np.arange(nt)
     pts = map_ref_points(mesh, rule.points, tris)  # (nt, nq, 2)
     area = mesh.tri_areas()
-    phi = eval_cells(CellwiseLinear(mesh, space.basis_coeff), tris, pts)  # (nt, nq, nl, 2)
+    phi = eval_cells(CellwiseLinear(mesh, space.bases()[0]), tris, pts)  # (nt, nq, nl, 2)
     bq = np.asarray(problem.b(pts), dtype=np.float64)
     cq = np.asarray(problem.c(pts), dtype=np.float64)
     fq = np.asarray(problem.f(pts), dtype=np.float64)
@@ -187,7 +187,7 @@ def assemble(
     blocks.append((rows, cols, aloc))
 
     # --- divergence coupling: (div tau, u) and its negative transpose
-    divint = area[:, None] * space.basis_div  # (nt, nl): exact, divergences constant
+    divint = area[:, None] * space.bases()[1]  # (nt, nl): exact, divergences constant
     for r in range(2):
         ucol = np.broadcast_to(row_u[r][:, None], (nt, nl))
         blocks.append((row_sigma[r], ucol, divint))

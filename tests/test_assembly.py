@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import colamd_lu_solve, jittered, stokes_linear_problem, two_triangle_square, without_hierarchy, zero_problem
+from conftest import colamd_lu_solve, jittered, same_bits, stokes_linear_problem, two_triangle_square, without_hierarchy, zero_problem
 
 import element_oracle
 import monolithic_oracle
@@ -23,6 +23,7 @@ from oseenstress.spaces import (
     PseudostressField,
     apply_trace_correction,
     build_space,
+    identity_coeffs,
     interpolate_pseudostress,
     project_exact,
     project_velocity,
@@ -270,17 +271,19 @@ def test_element_blocks_add_up_to_the_quadrature_assembled_matrix(name):
     hybrid = assemble(problem, mesh, space)
     el = hybrid.elements
     bounds = assembly._chunks(hybrid.steps, mesh.nt)
-    blocks = np.concatenate([assembly._local_operator(el, space, slice(*r)) for r in zip(bounds[:-1], bounds[1:])])
+    blocks = np.concatenate([assembly._local_operator(el, assembly._ElementMaps(space, slice(*r))) for r in zip(bounds[:-1], bounds[1:])])
+    maps = assembly._ElementMaps(space, slice(None))
+    dofs, trace = maps.dofs, maps.trace
     system = monolithic_oracle.assemble(problem, mesh, space)
     m = system.layout.multiplier
     a = system.matrix.to_scipy()
-    rows = np.broadcast_to(el.dofs[:, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(el.dofs[:, None, :], blocks.shape).ravel()
+    rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
     operator = scipy.sparse.csr_matrix((blocks.ravel(), (rows, cols)), shape=(m, m))
     misfit = (operator - a[:m, :m]).data
     assert np.abs(misfit).max(initial=0.0) <= 1e-12 * np.abs(a[:m, :m].data).max()
-    trace = np.bincount(el.dofs.ravel(), weights=el.trace.ravel(), minlength=m)
-    load = np.bincount(el.dofs.ravel(), weights=el.load.ravel(), minlength=m)
+    trace = np.bincount(dofs.ravel(), weights=trace.ravel(), minlength=m)
+    load = np.bincount(dofs.ravel(), weights=el.load.ravel(), minlength=m)
     border_row = a[m].toarray().ravel()[:m]
     border_col = a[:, [m]].toarray().ravel()[:m]
     for got, want in ((trace, border_row), (trace, border_col), (load, system.rhs[:m])):
@@ -365,10 +368,10 @@ def test_singular_local_block_in_a_later_chunk_is_named_by_its_mesh_index(factor
     # the second chunk, whose local blocks start at row 64.
     local_operator = assembly._local_operator
 
-    def doctored(el, space, rows, velocity=True):
-        operator = local_operator(el, space, rows, velocity)
+    def doctored(el, maps, velocity=True):
+        operator = local_operator(el, maps, velocity)
         if not velocity:  # the class blocks, of the classes' first triangles
-            operator[rows == 100, :6, :6] *= factor  # 2 nl = 6 sigma unknowns for RT0
+            operator[maps.rows == 100, :6, :6] *= factor  # 2 nl = 6 sigma unknowns for RT0
         return operator
 
     mesh = make_square_piecewise_uniform(3)
@@ -390,10 +393,10 @@ def test_non_finite_velocity_rows_are_named_by_the_element_s_mesh_index(monkeypa
     # its reaction in velocity row 2 not a number
     velocity_rows = assembly._velocity_rows
 
-    def doctored(el, space, rows):
-        rows_v = velocity_rows(el, space, rows)
-        if rows.start <= 100 < rows.stop:
-            rows_v[100 - rows.start, 1, -1] = np.nan
+    def doctored(el, maps):
+        rows_v = velocity_rows(el, maps)
+        if maps.rows.start <= 100 < maps.rows.stop:
+            rows_v[100 - maps.rows.start, 1, -1] = np.nan
         return rows_v
 
     monkeypatch.setattr(assembly, "_velocity_rows", doctored)
@@ -524,13 +527,13 @@ def test_elimination_order_keeps_edges_together_and_each_c_after_its_edges(kind,
     mesh = make_mesh()
     space = build_space(mesh, kind)
     system = assemble(get_problem("p1"), mesh, space)
-    el, n = system.elements, system.matrix.n
+    n = system.matrix.n
     edge, c = system.index[:, :-1], system.index[:, -1]
     # every condensed unknown is numbered by its elimination position; the
     # boundary slots and the last element's c point at the sentinel n
     inner = edge < n
     assert system.sizes == (n,) and c[-1] == n and np.all(edge[~inner] == n)
-    assert np.array_equal(inner, el.sign != 0)
+    assert np.array_equal(inner, assembly._ElementMaps(space, slice(None)).sign != 0)
     mult = np.unique(edge[inner])
     assert np.array_equal(np.sort(np.concatenate([mult, c[:-1]])), np.arange(n))
     # the multipliers of each interior edge are consecutive
@@ -558,16 +561,17 @@ def test_owned_copies_partition_the_bordered_unknowns(kind, make_mesh):
     # must be owned exactly once
     mesh = make_mesh()
     space = build_space(mesh, kind)
-    el = assemble(get_problem("p1"), mesh, space).elements
-    owned = assembly._owned_copies(el)
-    counts = np.bincount(el.dofs[owned], minlength=2 * space.n_dofs_per_row + 2 * mesh.nt)
+    maps = assembly._ElementMaps(space, slice(None))
+    dofs, sign = maps.dofs, maps.sign
+    owned = assembly._owned_copies(sign)
+    counts = np.bincount(dofs[owned], minlength=2 * space.n_dofs_per_row + 2 * mesh.nt)
     assert np.all(counts == 1)
     # the two copies of an interior moment sit on opposite sides, the one
     # copy of a boundary moment has sign 0
-    ns = el.sign.shape[1]
-    copies = np.bincount(el.dofs[:, :ns].ravel(), minlength=2 * space.n_dofs_per_row)
-    assert np.array_equal(copies[el.dofs[:, :ns]] == 2, el.sign != 0)
-    assert not np.any(np.bincount(el.dofs[:, :ns].ravel(), weights=el.sign.ravel()))
+    ns = sign.shape[1]
+    copies = np.bincount(dofs[:, :ns].ravel(), minlength=2 * space.n_dofs_per_row)
+    assert np.array_equal(copies[dofs[:, :ns]] == 2, sign != 0)
+    assert not np.any(np.bincount(dofs[:, :ns].ravel(), weights=sign.ravel()))
 
 
 @pytest.mark.parametrize("kind, level", [("bdm1", 3), ("rt0", 4)])
@@ -980,18 +984,65 @@ def test_chunked_element_blocks_equal_the_whole_mesh_oracle(name, monkeypatch):
         monkeypatch.setattr(assembly, "_CHUNK", chunk)
         system = assemble(problem, mesh, space)
         bounds = assembly._chunks(system.steps, mesh.nt)
-        rebuilt = [assembly._local_operator(system.elements, space, slice(*r)) for r in zip(bounds[:-1], bounds[1:])]
+        rebuilt = [assembly._local_operator(system.elements, assembly._ElementMaps(space, slice(*r))) for r in zip(bounds[:-1], bounds[1:])]
         assert np.array_equal(np.concatenate(rebuilt), operator)
-        pin = np.argmax(np.abs(system.elements.kernel), axis=1)
+        pin = np.argmax(np.abs(assembly._ElementMaps(space, slice(None)).kernel), axis=1)
         classes, first, _ = mesh.shape_classes()
         assert np.array_equal(pin, pin[first][classes])
         el = system.elements
-        ns = el.sign.shape[1]
+        ns = 2 * space.ndof_local
         assert el.class_inverse.shape == (len(first), ns + 2, ns + 2)
         rebuilt = el.class_inverse[classes]
         rebuilt = rebuilt - rebuilt[:, :, ns:] @ el.update
         error = np.abs(rebuilt - inverse).max(axis=(1, 2))
         assert np.all(error <= 1e-12 * np.abs(inverse).max(axis=(1, 2)))
+
+
+MAPS = ("dofs", "kernel", "trace", "sign")
+
+
+def _whole_mesh_maps(space):
+    """The dofs, kernel, trace and sign of every element, in the whole-mesh expressions the element blocks once kept."""
+    mesh = space.mesh
+    n, nt, nl = space.n_dofs_per_row, mesh.nt, space.ndof_local
+    ns = 2 * nl
+    tris = np.arange(nt)
+    dofs = np.empty((nt, ns + 2), dtype=np.int64)
+    dofs[:, :nl] = space.dof_map
+    dofs[:, nl:ns] = space.dof_map + n
+    dofs[:, ns] = 2 * n + tris
+    dofs[:, ns + 1] = 2 * n + nt + tris
+    interior = np.ones(mesh.ne, dtype=bool)
+    interior[mesh.boundary_edges] = False
+    inner = np.repeat(interior, space.moments)
+    sign = np.where(inner[space.dof_map], np.repeat(mesh.tri_signs, space.moments, axis=1), 0.0)
+    sign = np.concatenate([sign, sign], axis=1)
+    kernel = np.zeros((nt, ns + 2))
+    kernel[:, :ns] = identity_coeffs(space).ravel()[dofs[:, :ns]]
+    trace = np.zeros((nt, ns + 2))
+    trace[:, :ns] = mesh.tri_areas()[:, None] * space.bases()[0][..., 0].transpose(0, 2, 1).reshape(nt, ns)
+    return dofs, kernel, trace, sign
+
+
+@pytest.mark.parametrize("name", list(CHUNKED_CASES))
+def test_element_maps_of_each_chunk_equal_the_whole_mesh_maps(name, monkeypatch):
+    # the maps are rebuilt chunk by chunk, for one chunk, chunks of a few
+    # dozen triangles and chunks of one top unit, and for the first
+    # triangles of the shape classes: bit for bit the whole-mesh arrays
+    problem_name, kind, make_mesh, _ = CHUNKED_CASES[name]
+    problem, mesh = get_problem(problem_name), make_mesh()
+    space = build_space(mesh, kind)
+    whole = _whole_mesh_maps(space)
+    steps = assemble(problem, mesh, space).steps
+    for chunk in (mesh.nt + 1, 40, 1):
+        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+        bounds = assembly._chunks(steps, mesh.nt)
+        pieces = [assembly._ElementMaps(space, slice(*r)) for r in zip(bounds[:-1], bounds[1:])]
+        for part, a in zip(MAPS, whole):
+            assert same_bits(a, np.concatenate([getattr(piece, part) for piece in pieces]))
+    first = mesh.shape_classes()[1]
+    for part, a in zip(MAPS, whole):
+        assert same_bits(a[first], getattr(assembly._ElementMaps(space, first), part))
 
 
 @pytest.mark.parametrize("name", list(CHUNKED_CASES))
@@ -1060,7 +1111,7 @@ def test_ledger_counts_every_batched_dense_solve(name, monkeypatch):
     monkeypatch.undo()
     ledger = system.ledger
     assert {(d.size, d.rhs): (d.calls, d.matrices) for d in ledger.values()} == spied
-    nl, m = 3 * system.space.moments, system.elements.dofs.shape[1]
+    nl, m = 3 * system.space.moments, system.elements.load.shape[1]
     assert ledger["class Vandermonde inverse"] == (1, classes, nl, nl)
     assert ledger["class inverse"] == (1, classes, m, m)
     chunks = len(assembly._chunks(system.steps, mesh.nt)) - 1
@@ -1142,9 +1193,16 @@ def test_solve_holds_what_it_keeps_and_one_chunk_of_element_work(monkeypatch):
     finally:
         tracemalloc.stop()
     el = system.elements
-    nt, m = el.dofs.shape
+    nt, m = el.load.shape
     assert m == 14 and el.update.shape == (nt, 2, m)
-    assert not [field.name for field in dataclasses.fields(el) if getattr(el, field.name).shape == (nt, m, m)]
+    # no map or basis that the mesh and the space give is kept per element
+    per_element = [
+        field.name
+        for each in (el, space)
+        for field in dataclasses.fields(each)
+        if getattr(getattr(each, field.name), "shape", ())[:1] == (nt,)
+    ]
+    assert sorted(per_element) == ["b", "dof_map", "load", "reaction", "update"]
     kept = _owned_bytes((system.matrix, system.rhs, system.index, el, system.steps, s), set())
     q, chunk = space.moments, assembly._CHUNK
     element_work = 8 * 5 * chunk * m * m

@@ -52,7 +52,7 @@ def quadrature_sq_norms(field, degree=4):
 
 def basis_eval(field: PseudostressField, tris, pts):
     """Tensor values as a sum over the basis functions of the space."""
-    basis = eval_cells(CellwiseLinear(field.mesh, field.space.basis_coeff), tris, pts)  # (m, nq, nl, 2)
+    basis = eval_cells(CellwiseLinear(field.mesh, field.space.bases()[0]), tris, pts)  # (m, nq, nl, 2)
     w = field.coeffs[:, field.space.dof_map[tris]]  # (2, m, nl)
     return np.einsum("rtj,tqjc->tqrc", w, basis)
 

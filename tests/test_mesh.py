@@ -521,6 +521,23 @@ def test_load_mesh_names_a_token_that_does_not_parse_and_its_place(tmp_path, tex
     assert str(exc.value) == f"mesh file {path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("-1 1\n0 0\n1 0\n0 1\n0 1 2 0\n", "the vertex count -1 must not be negative", id="vertex-count"),
+        pytest.param("3 -1\n0 0\n1 0\n0 1\n0 1 2 0\n", "the triangle count -1 must not be negative", id="triangle-count"),
+        pytest.param("3 1\n0 0\n1 0\n0 1\n0 1 2 0\n-1\n", "the green-pair count -1 must not be negative", id="green-pair-count"),
+    ],
+)
+def test_load_mesh_rejects_a_negative_count(tmp_path, text, message):
+    # a negative count once gave a token count that did not match, naming no sign
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_mesh(path)
+    assert str(exc.value) == f"mesh file {path}: {message}"
+
+
 def test_load_mesh_rejects_truncated_file(tmp_path):
     mesh = make_square_piecewise_uniform()
     path = tmp_path / "mesh.txt"

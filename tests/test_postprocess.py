@@ -78,7 +78,7 @@ def lift_by_local_solves(sigma_h, u_h):
     dx = pts - mesh.tri_centroids()[:, None, :]
     mono = np.concatenate([np.ones(dx.shape[:2] + (1,)), dx], axis=2)
     mono_int = area[:, None] * np.einsum("q,tqm->tm", rule.weights, mono)
-    basis = eval_cells(CellwiseLinear(mesh, sigma_h.space.basis_coeff), tris, pts)
+    basis = eval_cells(CellwiseLinear(mesh, sigma_h.space.bases()[0]), tris, pts)
     sig = np.einsum("rtj,tqjc->tqrc", sigma_h.coeffs[:, sigma_h.space.dof_map], basis)
     sig_int = area[:, None, None] * np.einsum("q,tqrc->trc", rule.weights, sig)
     p_int = -0.5 * (sig_int[:, 0, 0] + sig_int[:, 1, 1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import element_oracle
-from conftest import eval_cells, jittered, map_ref_points
+from conftest import eval_cells, jittered, map_ref_points, same_bits
 
 from oseenstress.mesh import make_lshape_mesh, make_square_piecewise_uniform, refine_marked
 from oseenstress.problems import get_problem
@@ -74,8 +74,39 @@ def test_space_shapes(kind):
     assert space.ndof_local == nl
     assert space.n_dofs_per_row == (mesh.ne if kind == "rt0" else 2 * mesh.ne)
     assert space.dof_map.shape == (mesh.nt, nl)
-    assert space.basis_coeff.shape == (mesh.nt, nl, 2, 3)
-    assert space.basis_div.shape == (mesh.nt, nl)
+    classes = len(mesh.shape_classes()[1])
+    assert space.class_coeff.shape == (classes, nl, 2, 3)
+    assert space.class_div.shape == (classes, nl)
+    basis, div = space.bases()
+    assert basis.shape == (mesh.nt, nl, 2, 3)
+    assert div.shape == (mesh.nt, nl)
+
+
+def _whole_mesh_bases(space):
+    """The per-element bases and divergences of the whole mesh, as ``build_space`` stored them before they went by class."""
+    classes, _, scale = space.mesh.shape_classes()
+    shrink = 1.0 / scale
+    per_monomial = np.stack([shrink, shrink * shrink, shrink * shrink], axis=1)
+    return space.class_coeff[classes] * per_monomial[:, None, None, :], space.class_div[classes] * per_monomial[:, 1:2]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "make_mesh, one_class_each",
+    [(lambda: make_square_piecewise_uniform(3), False), (lambda: jittered(make_square_piecewise_uniform(2)), True)],
+    ids=["uniform-level3", "no-repeated-shape"],
+)
+def test_bases_of_some_triangles_equal_the_whole_mesh_arrays(kind, make_mesh, one_class_each):
+    # the accessor scales the class bases to the triangles asked for, a
+    # slice or an index set, bit for bit as the whole-mesh arrays were
+    mesh = make_mesh()
+    space = build_space(mesh, kind)
+    basis, div = _whole_mesh_bases(space)
+    assert (len(space.class_coeff) == mesh.nt) == one_class_each
+    picked = np.random.default_rng(5).choice(mesh.nt, size=mesh.nt // 3, replace=False)
+    for rows in (slice(None), slice(7, mesh.nt - 5), picked, picked[:1]):
+        got_basis, got_div = space.bases(rows)
+        assert same_bits(got_basis, basis[rows]) and same_bits(got_div, div[rows])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -93,7 +124,7 @@ def test_local_basis_is_dual_to_global_edge_moments(kind):
     legendre = 2.0 * tq - 1.0
     moments = 1 if kind == "rt0" else 2
     nl = space.ndof_local
-    basis = CellwiseLinear(mesh, space.basis_coeff)
+    basis = CellwiseLinear(mesh, space.bases()[0])
     for t in range(mesh.nt):
         fm = np.empty((nl, nl))
         for le in range(3):
@@ -135,8 +166,9 @@ def test_bases_scaled_from_their_shape_class_match_one_inverse_per_triangle(kind
     space = build_space(mesh, kind)
     basis, div = element_oracle.basis(mesh, kind)
     scale = np.abs(basis).max(axis=(1, 2, 3))
-    assert np.all(np.abs(space.basis_coeff - basis).max(axis=(1, 2, 3)) <= 1e-12 * scale)
-    assert np.all(np.abs(space.basis_div - div).max(axis=1) <= 1e-12 * np.abs(div).max(axis=1))
+    scaled_basis, scaled_div = space.bases()
+    assert np.all(np.abs(scaled_basis - basis).max(axis=(1, 2, 3)) <= 1e-12 * scale)
+    assert np.all(np.abs(scaled_div - div).max(axis=1) <= 1e-12 * np.abs(div).max(axis=1))
     classes = len(mesh.shape_classes()[1])
     assert classes < mesh.nt or name == "no-repeated-shape"
     assert space.ledger == {"class Vandermonde inverse": (1, classes, space.ndof_local, space.ndof_local)}
@@ -150,7 +182,7 @@ def test_basis_divergence_matches_net_flux(kind):
     mesh = make_square_piecewise_uniform(1)
     space = build_space(mesh, kind)
     areas = mesh.tri_areas()
-    integral = areas[:, None] * space.basis_div
+    integral = areas[:, None] * space.bases()[1]
     if kind == "rt0":
         expected = mesh.tri_signs.astype(float)
     else:
@@ -197,7 +229,7 @@ def test_pseudostress_cell_means_are_those_of_its_cellwise_form(kind):
     means = field.cell_means()
     assert means.shape == (2, 2, mesh.nt)
     # the coefficients times the bases' cell means, without the cellwise form
-    direct = np.sum(field.coeffs[:, space.dof_map, None] * space.basis_coeff[..., 0], axis=2)  # (2, nt, 2)
+    direct = np.sum(field.coeffs[:, space.dof_map, None] * space.bases()[0][..., 0], axis=2)  # (2, nt, 2)
     assert np.abs(means - np.moveaxis(direct, 1, 2)).max() <= 1e-14 * np.abs(means).max()
 
 
