@@ -143,11 +143,12 @@ trace-mean correction, and by the residual check after it.  Only the
 net flux and ``lam`` are read off maps of the whole mesh, which are
 dropped before the hierarchy is read, so that both keep their bits.
 Beside that the assembly holds the dense blocks of one chunk, not those
-of a whole level.  Neither L_K nor G_K is ever built whole: the residual
-check builds L_K, element by element, chunk by chunk, as the
-condensation and the back-substitution build G_K.  The top blocks are
-freed before the CSR conversion, whose int32 indices are passed on to
-SuperLU without a copy.
+of a whole level.  Neither L_K nor G_K is ever built whole: the
+condensation and the back-substitution build G_K, element by element,
+chunk by chunk, and the residual check applies each L_K to its
+element's unknowns without forming it (``_local_products``).  The top
+blocks are freed before the CSR conversion, whose int32 indices are
+passed on to SuperLU without a copy.
 
 Every batched dense solve is counted in the ``ledger`` of the returned
 ``LinearSystem``, by kind: the class Vandermonde inverse of the space,
@@ -365,13 +366,15 @@ class _ElementMaps:
       and their divergences (k, nl) (``HdivSpace.bases``);
     * `dofs` (k, m): the index of each local unknown in the bordered layout;
     * `kernel` (k, m): the local coefficients z_K of sigma = I;
-    * `trace` (k, m): the local trace-mean column t_K;
+    * `trace` (k, m): the local trace-mean column t_K, from the means of
+      the bases alone (``HdivSpace.means``);
     * `sign` (k, 2 nl): the tri_signs of each sigma unknown's interior
       edge, 0 on the boundary.
 
     The condensation, the back-substitution and the residual check build
     those they read, one chunk at a time; the local blocks of a chunk
-    (:func:`_local_operator`, :func:`_velocity_rows`) read its bases here.
+    (:func:`_local_operator`, :func:`_velocity_rows`) and their products
+    (:func:`_local_products`) read its bases here.
     """
 
     def __init__(self, space: HdivSpace, rows):
@@ -392,7 +395,7 @@ class _ElementMaps:
         dofs[:, :nl] = dof_map
         np.add(dof_map, n, out=dofs[:, nl : 2 * nl])
         # the velocity unknowns follow the 2 n sigma unknowns, component by component
-        tris = np.arange(nt)[rows]
+        tris = np.arange(*rows.indices(nt)) if isinstance(rows, slice) else rows
         np.add(tris, 2 * n, out=dofs[:, 2 * nl])
         np.add(tris, 2 * n + nt, out=dofs[:, 2 * nl + 1])
         return dofs
@@ -418,10 +421,10 @@ class _ElementMaps:
 
     @cached_property
     def trace(self) -> np.ndarray:
-        # (tr tau, 1): the areas times the cell means of the local bases, their constant coefficients
-        area, _, basis, _ = self.bases
-        trace = np.zeros((len(area), basis.shape[1] + 2))
-        trace[:, :-2] = area[:, None] * basis[:, :, 0]
+        # (tr tau, 1): the areas times the cell means of the local bases, component r of basis j at r nl + j
+        means = self.space.means(self.rows).transpose(0, 2, 1)  # (k, 2, nl)
+        trace = np.zeros((len(means), means[0].size + 2))
+        trace[:, :-2] = self.space.mesh.tri_areas()[self.rows][:, None] * means.reshape(len(means), -1)
         return trace
 
 
@@ -476,7 +479,9 @@ def _local_operator(el: ElementBlocks, maps: _ElementMaps, velocity: bool = True
 
     Without `velocity`, the convection and the reaction are left out: the
     block ``[[A, B], [-B^T, 0]]`` of the deviatoric mass A and the
-    divergence B, which depends on the element's shape alone.
+    divergence B, which depends on the element's shape alone.  The solve
+    builds that block only, for the class inverses; the residual check
+    applies the whole L_K without forming it (:func:`_local_products`).
     """
     area, moments, basis, div = maps.bases
     nl = div.shape[1]
@@ -486,7 +491,7 @@ def _local_operator(el: ElementBlocks, maps: _ElementMaps, velocity: bool = True
     # --- deviatoric block: (dev sigma, tau) = (sigma, tau) - 1/2 (tr sigma, tr tau)
     gram = cell_gram(area, moments, basis, basis)  # int phi_i[r] phi_j[s]
     mass = gram[:, :nl, :nl] + gram[:, nl:, nl:]
-    np.multiply(gram, -0.5, out=operator[:, :ns, :ns])
+    operator[:, :ns, :ns] = -0.5 * gram
     operator[:, :nl, :nl] += mass
     operator[:, nl:ns, nl:ns] += mass
 
@@ -498,12 +503,41 @@ def _local_operator(el: ElementBlocks, maps: _ElementMaps, velocity: bool = True
         half, along = _convection(area, moments, basis, el.b[maps.rows])
         operator[:, ns:, :ns] = half
         operator[:, ns, ns] = operator[:, ns + 1, ns + 1] = el.reaction[maps.rows]
-    coupling = along - divint
     for r in range(2):
         block = slice(r * nl, (r + 1) * nl)
         operator[:, block, ns + r] = divint
-        operator[:, ns + r, block] += coupling
+        operator[:, ns + r, block] += along - divint
     return operator
+
+
+def _local_products(el: ElementBlocks, maps: _ElementMaps, x: np.ndarray) -> np.ndarray:
+    """``L_K x_K`` (k, m) of the local vectors `x` (k, m) of the elements of `maps`, without forming L_K.
+
+    The sigma unknowns of x_K make a tensor whose row r, component c is
+    a linear q[r, c]; the products are ``(dev q, tau) + (div tau, u)``
+    in the sigma rows and ``((dev q) b, v) - (div q, v) + (c u, v)`` in
+    the velocity rows, each integral exact (``int_K f g = |K| (f0 g0 +
+    grad f . M grad g)``).  They sum the terms of :func:`_local_operator`
+    in another order, so they equal ``L_K x_K`` up to roundoff.
+    """
+    area, moments, basis, div = maps.bases
+    k, ns = basis.shape[:2]
+    sigma, u = x[:, :ns].reshape(k, 2, -1), x[:, ns:]
+    flat = basis.reshape(k, 2, -1, 3).transpose(0, 2, 1, 3).reshape(k, -1, 6)  # basis j: component c, then monomial
+    q = (sigma @ flat).reshape(k, 2, 2, 3)
+    half_trace = 0.5 * (q[:, 0, 0] + q[:, 1, 1])
+    q[:, 0, 0] -= half_trace
+    q[:, 1, 1] -= half_trace
+    m = moments[:, None, None]
+    gx, gy = q[..., 1], q[..., 2]
+    weighted = np.stack([q[..., 0], gx * m[..., 0, 0] + gy * m[..., 1, 0], gx * m[..., 0, 1] + gy * m[..., 1, 1]], axis=-1)
+    weighted = weighted.reshape(k, 2, 6).transpose(0, 2, 1)  # (k, 6, 2): dev q tested as |K| f0 g0 + grad f . M grad g
+    divint = area[:, None] * div  # (k, nl)
+    out = np.empty_like(x)
+    out[:, :ns] = (area[:, None, None] * (flat @ weighted).transpose(0, 2, 1) + divint[:, None, :] * u[:, :, None]).reshape(k, ns)
+    convection = (el.b[maps.rows].reshape(k, 1, 6) @ weighted)[:, 0]
+    out[:, ns:] = area[:, None] * convection - (sigma @ divint[:, :, None])[:, :, 0] + el.reaction[maps.rows][:, None] * u
+    return out
 
 
 def _velocity_rows(el: ElementBlocks, maps: _ElementMaps) -> np.ndarray:
@@ -601,8 +635,7 @@ def _element_condensed(el: ElementBlocks, space: HdivSpace, lam: float, lo: int,
 
     zs = kernel[:, :ns] * sign
     block = np.zeros((nt, ns + 1, ns + 1))
-    # the signs are 0 or ±1, so S G_K S takes each entry's bits whichever product comes first
-    np.multiply(inverse[:, :ns, :ns], sign[:, :, None] * sign[:, None, :], out=block[:, :ns, :ns])
+    block[:, :ns, :ns] = inverse[:, :ns, :ns] * sign[:, :, None] * sign[:, None, :]
     block[:, :ns, ns] = -zs
     block[:, ns, :ns] = zs
     solved = (inverse[:, :ns] @ local[:, :, None])[:, :, 0]
@@ -966,9 +999,7 @@ def assemble(problem: ProblemSpec, mesh: Mesh, space: HdivSpace) -> LinearSystem
 
 def _owned_copies(sign: np.ndarray) -> np.ndarray:
     """(k, m) mask of one local copy per unknown, for the signs (k, 2 nl) of :class:`_ElementMaps`: an edge's +1 or only side, every velocity."""
-    owned = np.ones((len(sign), sign.shape[1] + 2), dtype=bool)
-    owned[:, :-2] = sign >= 0
-    return owned
+    return np.pad(sign, ((0, 0), (0, 2)), constant_values=1.0) >= 0
 
 
 def _solve_hybrid(system: LinearSystem):
@@ -978,9 +1009,10 @@ def _solve_hybrid(system: LinearSystem):
     (:class:`_ElementMaps`) and the pinned inverses G_K
     (:func:`_pinned_inverses`), as the condensation did, and scatters the
     owned copies of each chunk's unknowns into the bordered layout.  The
-    residual check then gathers and applies the local blocks L_K, chunk
-    by chunk again, after the trace-mean correction.  So no array of
-    element work over the whole mesh is held.
+    residual check then gathers and applies the local blocks L_K
+    (:func:`_local_products`), chunk by chunk again, after the
+    trace-mean correction.  So no array of element work over the whole
+    mesh is held.
 
     Returns ``(s, residual)``: the sigma and u coefficients in the bordered
     layout, sigma with zero trace mean, and the relative residual of
@@ -1011,14 +1043,14 @@ def _solve_hybrid(system: LinearSystem):
     sigma = apply_trace_correction(PseudostressField(space=space, coeffs=s[:nsigma].reshape(2, -1)))
     s[:nsigma] = sigma.coeffs.ravel()
 
-    # the bordered residual, from the local blocks rebuilt chunk by chunk;
+    # the bordered residual, from the local blocks applied chunk by chunk;
     # each dof's copies are summed in element order, as one bincount would,
     # and the trace-mean row chunk by chunk
     misfit = np.zeros(s.size + 1)
     for rows in chunks:
         maps = _ElementMaps(space, rows)
         gathered = s[maps.dofs]
-        applied = (_local_operator(el, maps) @ gathered[:, :, None])[:, :, 0]
+        applied = _local_products(el, maps, gathered)
         applied += lam * maps.trace
         applied -= el.load[rows]
         np.add.at(misfit, maps.dofs.ravel(), applied.ravel())

@@ -189,7 +189,8 @@ class HdivSpace:
         (:class:`~oseenstress.sparsela.DenseSolves`).
 
     No per-element basis is kept: :meth:`bases` scales the class's to
-    the triangles asked for.
+    the triangles asked for, and :meth:`means` and :meth:`divergences`
+    the parts that the cell means and the divergences read.
     """
 
     kind: str
@@ -209,6 +210,11 @@ class HdivSpace:
         """Edge moments per edge and row: 1 (RT0) or 2 (BDM1)."""
         return self.n_dofs_per_row // self.mesh.ne
 
+    def _members(self, rows):
+        """The class (k,) of each triangle `rows` and the inverse 1/h (k,) of its size against the class's first."""
+        classes, _, scale = self.mesh.shape_classes()
+        return classes[rows], 1.0 / scale[rows]
+
     def bases(self, rows=slice(None)):
         """The local bases (k, nl, 2, 3) of the triangles `rows` (a slice or indices), and their divergences (k, nl).
 
@@ -217,19 +223,27 @@ class HdivSpace:
         ones, and every divergence, by ``h**-2`` (:func:`build_space`);
         ``CellwiseLinear(mesh, space.bases()[0])`` evaluates every local
         basis.  The bases keep the layout of ``class_coeff``:
-        ``basis.transpose(0, 2, 1, 3)`` is C-ordered.
+        ``basis.transpose(0, 2, 1, 3)`` is C-ordered.  :meth:`means` and
+        :meth:`divergences` give one part alone, with the same bits.
         """
-        classes, _, scale = self.mesh.shape_classes()
-        member = classes[rows]
-        shrink = 1.0 / scale[rows]
-        square = shrink * shrink
+        member, shrink = self._members(rows)
         stacked = self.class_coeff.transpose(0, 2, 1, 3).take(member, axis=0)  # (k, 2, nl, 3)
         constant = stacked[..., 0] * shrink[:, None, None]
-        stacked *= square[:, None, None, None]  # right for the linear monomials, over {dx, dy}
+        stacked *= (shrink * shrink)[:, None, None, None]  # right for the linear monomials, over {dx, dy}
         stacked[..., 0] = constant
+        return stacked.transpose(0, 2, 1, 3), self.divergences(rows)
+
+    def means(self, rows=slice(None)) -> np.ndarray:
+        """The cell means (k, nl, 2) of the local bases of the triangles `rows`: their constant coefficients."""
+        member, shrink = self._members(rows)
+        return self.class_coeff[..., 0].take(member, axis=0) * shrink[:, None, None]
+
+    def divergences(self, rows=slice(None)) -> np.ndarray:
+        """The constant divergences (k, nl) of the local bases of the triangles `rows`."""
+        member, shrink = self._members(rows)
         div = self.class_div.take(member, axis=0)
-        div *= square[:, None]
-        return stacked.transpose(0, 2, 1, 3), div
+        div *= (shrink * shrink)[:, None]
+        return div
 
 
 def edge_rule(npoints: int, moments: int):
@@ -333,13 +347,14 @@ class PseudostressField:
         return self._cellwise
 
     def cell_means(self) -> np.ndarray:
-        """Cell means, shape (2, 2, nt): those of the cellwise form."""
-        return self.cellwise().cell_means()
+        """Cell means, shape (2, 2, nt): those of the cellwise form, summed from the means of the bases alone."""
+        w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
+        return np.einsum("rtj,tjc->rct", w, self.space.means())
 
     def div_cells(self) -> np.ndarray:
         """Row-wise divergence, constant per element: (nt, 2)."""
         w = self.coeffs[:, self.space.dof_map]  # (2, nt, nl)
-        return np.einsum("rtj,tj->tr", w, self.space.bases()[1])
+        return np.einsum("rtj,tj->tr", w, self.space.divergences())
 
 
 @dataclass

@@ -2,8 +2,12 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +40,18 @@ def test_report_counts_wins_and_brackets_the_median():
     assert report["wins"] == 2 and report["median_ratio"] == 1.0
     low, high = report["ci95_median"]
     assert 0.5 <= low <= report["median_ratio"] <= high <= 2.0
+
+
+def _has_git_head() -> bool:
+    if shutil.which("git") is None:
+        return False
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"], capture_output=True).returncode == 0
+
+
+@pytest.mark.skipif(not _has_git_head(), reason="needs git and a repository with a commit")
+def test_extract_gives_the_package_of_a_revision(tmp_path):
+    package = _tool().extract("HEAD", tmp_path)
+    assert package == tmp_path / "src" / "oseenstress"
+    committed = subprocess.run(["git", "-C", str(ROOT), "show", "HEAD:src/oseenstress/__init__.py"], capture_output=True, check=True).stdout
+    assert (package / "__init__.py").read_bytes() == committed
+    assert (package / "assembly.py").is_file()

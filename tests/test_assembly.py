@@ -874,6 +874,23 @@ def test_bordered_residual_check_catches_a_wrong_back_substitution(monkeypatch):
         solve_oseen(get_problem("p1"), make_square_piecewise_uniform(2))
 
 
+@pytest.mark.parametrize("name", ["rt0-level3-hierarchy", "bdm1-level3", "no-repeated-shape"])
+def test_local_products_are_the_local_blocks_applied(name):
+    # the residual check applies each L_K without forming it: the same
+    # terms summed in another order, so equal up to roundoff
+    problem_name, kind, make_mesh, _ = CHUNKED_CASES[name]
+    problem, mesh = get_problem(problem_name), make_mesh()
+    space = build_space(mesh, kind)
+    el = assemble(problem, mesh, space).elements
+    for rows in (slice(None), slice(5, 45)):
+        maps = assembly._ElementMaps(space, rows)
+        operator = assembly._local_operator(el, maps)
+        x = np.random.default_rng(2).standard_normal(operator.shape[:2])
+        want = (operator @ x[:, :, None])[:, :, 0]
+        scale = np.abs(operator).max(axis=(1, 2)) * np.abs(x).max(axis=1)
+        assert np.all(np.abs(assembly._local_products(el, maps, x) - want).max(axis=1) <= 1e-14 * scale)
+
+
 def _nan(block):
     block[0, 0, 0] = np.nan
 

@@ -107,6 +107,8 @@ def test_bases_of_some_triangles_equal_the_whole_mesh_arrays(kind, make_mesh, on
     for rows in (slice(None), slice(7, mesh.nt - 5), picked, picked[:1]):
         got_basis, got_div = space.bases(rows)
         assert same_bits(got_basis, basis[rows]) and same_bits(got_div, div[rows])
+        # each part alone, as the cell means and the divergences read it
+        assert same_bits(space.means(rows), basis[rows][..., 0]) and same_bits(space.divergences(rows), div[rows])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -231,6 +233,8 @@ def test_pseudostress_cell_means_are_those_of_its_cellwise_form(kind):
     # the coefficients times the bases' cell means, without the cellwise form
     direct = np.sum(field.coeffs[:, space.dof_map, None] * space.bases()[0][..., 0], axis=2)  # (2, nt, 2)
     assert np.abs(means - np.moveaxis(direct, 1, 2)).max() <= 1e-14 * np.abs(means).max()
+    # summed from the means of the bases alone, bit for bit those of the cellwise form
+    assert same_bits(means, field.cellwise().cell_means())
 
 
 @pytest.mark.parametrize("kind", KINDS)

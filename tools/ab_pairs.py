@@ -51,8 +51,10 @@ def extract(rev: str, into: Path) -> Path:
         check=True,
         capture_output=True,
     ).stdout
+    # extraction filters came with Python 3.12 and the security releases of 3.10 and 3.11
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(archive)) as fh:
-        fh.extractall(into, filter="data")
+        fh.extractall(into, **safe)
     return into / "src" / "oseenstress"
 
 
