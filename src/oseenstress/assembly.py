@@ -121,9 +121,13 @@ The condensation holds one chunk of the mesh at a time.  Its structure
 is read first, in one pass over whole levels: the red groups of every
 level, the unit each block goes into, the slots of its unknowns there
 and the multiplier ids moved into them, up to the ids of the top units,
-which number the top system.  Then runs of about ``_CHUNK`` = 2048 fine
-triangles, each made of whole top units, go from their inverses G_K,
-updated from their classes', through every level to their top blocks;
+which number the top system.  Then chunks of whole top units go from
+their inverses G_K, updated from their classes', through every level to
+their top blocks.  A chunk is sized by its dense entries, not by a fixed
+count of triangles: ``_CHUNK_ENTRIES`` = 2048 * 8² entries of local
+blocks of size m make runs of about 2,048 fine RT0 triangles (m = 8) and
+668 BDM1 ones (m = 14), each rounded up to the next top unit, so the
+group blocks of a BDM1 chunk take about what an RT0 chunk's do;
 only numbers are condensed there, and they are written, with each
 level's solved group blocks and each element's rank-2 update, into
 arrays allocated once at full size.  So what the solve keeps is what it
@@ -163,7 +167,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import _RED_CHILDREN, Mesh, group_rows, red_groups
+from .mesh import _RED_CHILDREN, Mesh, group_rows, mesh_stats, red_groups
 from .problems import ProblemSpec, spot_check_boundary_data
 from .sparsela import CsrMatrix, SingularMatrixError, checked_residual, lu_solve, minimum_degree, tally, to_csr
 from .spaces import (
@@ -833,7 +837,9 @@ _QUAD_DEGREE = 4  # exactness of the rule the data b, c and f are projected in
 # most multipliers per edge and row of a condensed parent: RT0 condenses 5
 # uniform levels and BDM1 4, and the top unit 1,024 fine triangles at most
 _TOP_EDGE_MULTIPLIERS = 32
-_CHUNK = 2048  # fine triangles condensed at a time, up to the next top unit
+# dense entries condensed at a time: _CHUNK_ENTRIES // m**2 fine triangles
+# with local blocks of size m, up to the next top unit (2,048 for RT0, 668 for BDM1)
+_CHUNK_ENTRIES = 2048 * 8**2
 
 
 def _hierarchy(triangles: np.ndarray, ids: np.ndarray):
@@ -876,17 +882,21 @@ def _hierarchy(triangles: np.ndarray, ids: np.ndarray):
     return steps, ids, sizes
 
 
-def _chunks(steps: list, nt: int) -> np.ndarray:
-    """Bounds of the fine-row chunks: row 0, then every :data:`_CHUNK` rows the start of the next top unit, then `nt`.
+def _chunks(steps: list, nt: int, m: int) -> np.ndarray:
+    """Bounds of the fine-row chunks for local blocks of size `m`: row 0, then every ``_CHUNK_ENTRIES // m**2`` rows the start of the next top unit, then `nt`.
 
     Every level's units keep the order of their blocks, so each top unit
     is a run of fine rows, and a chunk holds whole units on every level.
+    The dense blocks of a chunk grow with m², so a chunk holds about the
+    same number of dense entries for every element: 2,048 RT0 triangles
+    (m = 8), 668 BDM1 ones (m = 14), each rounded up to a top unit.
     """
     unit = np.arange(nt)
     for step in steps:
         unit = step.unit[unit]
     cuts = np.append(np.flatnonzero(np.diff(unit, prepend=-1)), nt)
-    return np.unique(cuts[np.searchsorted(cuts, np.append(np.arange(0, nt, _CHUNK), nt))])
+    rows = _CHUNK_ENTRIES // (m * m)
+    return np.unique(cuts[np.searchsorted(cuts, np.append(np.arange(0, nt, rows), nt))])
 
 
 def _condense(el: ElementBlocks, space: HdivSpace, lam: float, steps: list, ledger: dict):
@@ -910,7 +920,7 @@ def _condense(el: ElementBlocks, space: HdivSpace, lam: float, steps: list, ledg
     nu = int(steps[-1].unit[-1]) + 1 if steps else nt
     s = (ns << len(steps)) + 1
     top, top_rhs = np.empty((nu, s, s)), np.empty((nu, s))
-    bounds = _chunks(steps, nt)
+    bounds = _chunks(steps, nt, ns + 2)
     for step in steps:
         red = step.slots[:4]
         size = 3 * red.shape[1] + 1
@@ -1021,7 +1031,7 @@ def _solve_hybrid(system: LinearSystem):
     el, space = system.elements, system.space
     ns = 2 * space.ndof_local
     lam = system.multiplier
-    bounds = _chunks(system.steps, space.mesh.nt)
+    bounds = _chunks(system.steps, space.mesh.nt, ns + 2)
     chunks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     y, _ = lu_solve(system.matrix, system.rhs)
@@ -1059,6 +1069,19 @@ def _solve_hybrid(system: LinearSystem):
     return s, residual
 
 
+def _mesh_facts(problem: ProblemSpec, mesh: Mesh) -> str:
+    """The worst radius ratio of `mesh` (``mesh_stats``) and its largest cell Peclet number ``max_K |b(c_K)| h_K``, as message text.
+
+    c_K is the centroid and h_K the diameter.  Read on a failed solve
+    only, with floating-point warnings off, so that a mesh whose geometry
+    overflows still gives its one message.
+    """
+    with np.errstate(all="ignore"):
+        ratio = mesh_stats(mesh).max_ratio
+        peclet = np.max(np.linalg.norm(problem.b(mesh.tri_centroids()), axis=-1) * mesh.tri_diameters())
+    return f"max radius ratio {ratio:.4g}, largest cell Peclet number |b| h {peclet:.4g}"
+
+
 def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSolution:
     """Assemble and solve; returns trace-mean-corrected fields.
 
@@ -1078,9 +1101,9 @@ def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSol
     SingularMatrixError
         If a local block, a group block of the multilevel condensation
         (named by depth and parent) or the condensed factorization is
-        singular or not finite, or a relative residual exceeds 1e-9; for
-        convection-dominated data this typically means the mesh is too
-        coarse for the discrete system to be invertible.
+        singular or not finite, or a relative residual exceeds 1e-9.  The
+        message adds two facts of the mesh (:func:`_mesh_facts`): its
+        worst radius ratio and its largest cell Peclet number.
     SolverMemoryError
         If SuperLU runs out of memory; it passes through unchanged.
     """
@@ -1089,10 +1112,7 @@ def solve_oseen(problem: ProblemSpec, mesh: Mesh, kind: str = "rt0") -> OseenSol
         system = assemble(problem, mesh, space)
         s, residual = _solve_hybrid(system)
     except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"Oseen solve failed on mesh with nt={mesh.nt}: {exc}; "
-            "the mesh may be too coarse for this convection field"
-        ) from exc
+        raise SingularMatrixError(f"Oseen solve failed on mesh with nt={mesh.nt}: {exc}; {_mesh_facts(problem, mesh)}") from exc
     nsigma = 2 * space.n_dofs_per_row
     sigma = PseudostressField(space=space, coeffs=s[:nsigma].reshape(2, -1))
     u = VelocityField(mesh=mesh, coeffs=s[nsigma:].reshape(2, mesh.nt))

@@ -31,13 +31,17 @@ def test_a_against_a_reports_every_field(capsys):
     low, high = report["ci95_median"]
     assert 0 < low <= high
     assert report["base_median_s"] > 0 and report["change_median_s"] > 0
+    for side in ("base", "change"):
+        faults = report[f"{side}_median_minflt"]
+        assert isinstance(faults, int) and faults >= 0
     # both aliases are gone again, so the next load imports afresh
     assert not [name for name in sys.modules if name.startswith(("_ab_base", "_ab_change"))]
 
 
 def test_report_counts_wins_and_brackets_the_median():
-    report = _tool().report([1.0, 1.0, 1.0, 1.0], [0.5, 0.9, 1.1, 2.0])
+    report = _tool().report([1.0, 1.0, 1.0, 1.0], [0.5, 0.9, 1.1, 2.0], [10, 20, 30, 40], [0, 1, 2, 3])
     assert report["wins"] == 2 and report["median_ratio"] == 1.0
+    assert (report["base_median_minflt"], report["change_median_minflt"]) == (25, 2)
     low, high = report["ci95_median"]
     assert 0.5 <= low <= report["median_ratio"] <= high <= 2.0
 

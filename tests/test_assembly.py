@@ -31,6 +31,18 @@ from oseenstress.spaces import (
 )
 
 KINDS = ["rt0", "bdm1"]
+# the size m = 2 nl + 2 of the local blocks of each element
+LOCAL_SIZE = {"rt0": 8, "bdm1": 14}
+
+
+def _set_chunk(monkeypatch, triangles: int, kind: str = "rt0"):
+    """Cut the chunks every `triangles` fine triangles of `kind`, up to the next top unit, through the entry budget."""
+    monkeypatch.setattr(assembly, "_CHUNK_ENTRIES", triangles * LOCAL_SIZE[kind] ** 2)
+
+
+def _bounds(system):
+    """The chunk bounds the condensation and the solve of `system` use."""
+    return assembly._chunks(system.steps, system.space.mesh.nt, system.elements.load.shape[1])
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +282,7 @@ def test_element_blocks_add_up_to_the_quadrature_assembled_matrix(name):
     space = build_space(mesh, kind)
     hybrid = assemble(problem, mesh, space)
     el = hybrid.elements
-    bounds = assembly._chunks(hybrid.steps, mesh.nt)
+    bounds = _bounds(hybrid)
     blocks = np.concatenate([assembly._local_operator(el, assembly._ElementMaps(space, slice(*r))) for r in zip(bounds[:-1], bounds[1:])])
     maps = assembly._ElementMaps(space, slice(None))
     dofs, trace = maps.dofs, maps.trace
@@ -381,8 +393,8 @@ def test_singular_local_block_in_a_later_chunk_is_named_by_its_mesh_index(factor
     alone = np.where(np.arange(mesh.nt) == 100, first.size, classes)
     monkeypatch.setattr(mesh, "_shape_classes", (alone, np.append(first, 100), np.where(alone == first.size, 1.0, scale)))
     monkeypatch.setattr(assembly, "_local_operator", doctored)
-    monkeypatch.setattr(assembly, "_CHUNK", 40)
-    assert list(assembly._chunks(steps, mesh.nt)[:3]) == [0, 64, 128]
+    _set_chunk(monkeypatch, 40)
+    assert list(assembly._chunks(steps, mesh.nt, LOCAL_SIZE["rt0"])[:3]) == [0, 64, 128]
     with pytest.raises(SingularMatrixError, match=f"the local block of element 100 is {defect}"):
         solve_oseen(get_problem("p1"), mesh)
 
@@ -400,9 +412,46 @@ def test_non_finite_velocity_rows_are_named_by_the_element_s_mesh_index(monkeypa
         return rows_v
 
     monkeypatch.setattr(assembly, "_velocity_rows", doctored)
-    monkeypatch.setattr(assembly, "_CHUNK", 40)
+    _set_chunk(monkeypatch, 40)
     with pytest.raises(SingularMatrixError, match="the local block of element 100 is not finite"):
         solve_oseen(get_problem("p1"), make_square_piecewise_uniform(3))
+
+
+def test_failed_solve_states_the_radius_ratio_and_the_cell_peclet_number(monkeypatch):
+    # Element 3's Gram block of the bases is zeroed, so its block is
+    # singular.  The message gives two facts of the mesh, not a guess at
+    # the cause: the worst circum/in-radius ratio and the largest cell
+    # Peclet number max_K |b(c_K)| h_K, here recomputed triangle by
+    # triangle from the vertices.
+    gram = assembly.cell_gram
+
+    def doctored(area, moments, a, b):
+        products = gram(area, moments, a, b)
+        if b is a:
+            products[3] = 0.0
+        return products
+
+    monkeypatch.setattr(assembly, "cell_gram", doctored)
+    problem, mesh = get_problem("p1"), make_square_piecewise_uniform(1)
+    ratios, peclets = [], []
+    for corners in mesh.vertices[mesh.triangles]:
+        a, b, c = (float(np.hypot(*(corners[i] - corners[i - 1]))) for i in range(3))
+        (x1, y1), (x2, y2) = corners[1] - corners[0], corners[2] - corners[0]
+        area = 0.5 * abs(x1 * y2 - x2 * y1)
+        ratios.append(a * b * c / (4.0 * area) / (2.0 * area / (a + b + c)))
+        peclets.append(float(np.hypot(*problem.b(corners.mean(axis=0)))) * max(a, b, c))
+    with pytest.raises(SingularMatrixError, match="the local block of element 3 is singular") as info:
+        solve_oseen(problem, mesh)
+    message = str(info.value)
+    assert f"max radius ratio {max(ratios):.4g}," in message
+    assert message.endswith(f"largest cell Peclet number |b| h {max(peclets):.4g}")
+    assert "too coarse" not in message
+    # read with floating-point warnings off, so an overflow under -W error
+    # still leaves the one message
+    huge = dataclasses.replace(problem, b=lambda x: np.full(x.shape, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert assembly._mesh_facts(huge, mesh).endswith("|b| h inf")
 
 
 def test_solve_passes_memory_errors_through(monkeypatch):
@@ -694,7 +743,8 @@ def test_linear_system_records_every_level(kind, moments, depth):
 )
 def test_top_matrix_is_the_sum_of_the_top_blocks_on_live_unknowns(kind, make_mesh, depth, monkeypatch):
     # one entry rule at every depth: the matrix holds the top blocks summed
-    # on their live unknowns, and no position whose contributions all vanish
+    # on their live unknowns, and no position whose contributions all vanish;
+    # the top blocks are the last of each chunk's 1 + depth results
     top = []
     for name in ("_element_condensed", "_condense_step"):
 
@@ -707,7 +757,8 @@ def test_top_matrix_is_the_sum_of_the_top_blocks_on_live_unknowns(kind, make_mes
     mesh = make_mesh()
     system = assemble(get_problem("p1"), mesh, build_space(mesh, kind))
     assert system.depth == depth
-    (block, _), n = top[-1], system.matrix.n
+    block, n = np.concatenate([each[0] for each in top[depth :: depth + 1]]), system.matrix.n
+    assert len(block) == len(system.index)
     live = system.index < n
     on = live[:, :, None] & live[:, None, :]
     rows = np.broadcast_to(system.index[:, :, None], on.shape)[on]
@@ -925,8 +976,8 @@ def test_bad_group_block_raises_singular_matrix_error_naming_depth_and_parent(de
         return condense_step(blocks, step, lo, hi, at)
 
     monkeypatch.setattr(assembly, "_condense_step", doctored)
-    for chunk in (assembly._CHUNK, 64):
-        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+    for entries in (assembly._CHUNK_ENTRIES, 64 * LOCAL_SIZE["rt0"] ** 2):
+        monkeypatch.setattr(assembly, "_CHUNK_ENTRIES", entries)
         with pytest.raises(SingularMatrixError, match=f"depth {depth}: the group block of parent 5 is {defect}"):
             solve_oseen(get_problem("p1"), make_square_piecewise_uniform(3))
     # the first group of parent 5's chunk: one chunk, then one per top unit of 4 ** (3 - depth) groups
@@ -958,9 +1009,9 @@ def test_condensation_in_small_chunks_matches_one_chunk(name, monkeypatch):
     space = build_space(mesh, kind)
     systems, bounds = [], {}
     for chunk in (mesh.nt + 1, 40, 1):
-        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+        _set_chunk(monkeypatch, chunk, kind)
         systems.append(assemble(problem, mesh, space))
-        bounds[chunk] = assembly._chunks(systems[-1].steps, mesh.nt)
+        bounds[chunk] = _bounds(systems[-1])
     assert len(bounds[40]) > 4 and bounds[40][0] == 0 and bounds[40][-1] == mesh.nt
     if name == "p2-adapted":  # some chunk starts with triangles outside any group, and some holds no group
         starts = red_groups(mesh.triangles)
@@ -998,9 +1049,9 @@ def test_chunked_element_blocks_equal_the_whole_mesh_oracle(name, monkeypatch):
     operator = element_oracle.operator(problem, space)
     inverse = element_oracle.pinned_inverse(operator, space)
     for chunk in (mesh.nt + 1, 40, 1):
-        monkeypatch.setattr(assembly, "_CHUNK", chunk)
+        _set_chunk(monkeypatch, chunk, kind)
         system = assemble(problem, mesh, space)
-        bounds = assembly._chunks(system.steps, mesh.nt)
+        bounds = _bounds(system)
         rebuilt = [assembly._local_operator(system.elements, assembly._ElementMaps(space, slice(*r))) for r in zip(bounds[:-1], bounds[1:])]
         assert np.array_equal(np.concatenate(rebuilt), operator)
         pin = np.argmax(np.abs(assembly._ElementMaps(space, slice(None)).kernel), axis=1)
@@ -1052,8 +1103,8 @@ def test_element_maps_of_each_chunk_equal_the_whole_mesh_maps(name, monkeypatch)
     whole = _whole_mesh_maps(space)
     steps = assemble(problem, mesh, space).steps
     for chunk in (mesh.nt + 1, 40, 1):
-        monkeypatch.setattr(assembly, "_CHUNK", chunk)
-        bounds = assembly._chunks(steps, mesh.nt)
+        _set_chunk(monkeypatch, chunk, kind)
+        bounds = assembly._chunks(steps, mesh.nt, LOCAL_SIZE[kind])
         pieces = [assembly._ElementMaps(space, slice(*r)) for r in zip(bounds[:-1], bounds[1:])]
         for part, a in zip(MAPS, whole):
             assert same_bits(a, np.concatenate([getattr(piece, part) for piece in pieces]))
@@ -1079,18 +1130,60 @@ def test_back_substitution_rebuilds_the_pinned_inverses_the_condensation_used(na
         return inverse
 
     real = assembly._pinned_inverses
-    monkeypatch.setattr(assembly, "_CHUNK", 40)
+    _set_chunk(monkeypatch, 40, kind)
     monkeypatch.setattr(assembly, "_pinned_inverses", spy)
     system = assemble(problem, mesh, space)
     condensed = built[:]
     assembly._solve_hybrid(system)
     substituted = built[len(condensed) :]
-    bounds = assembly._chunks(system.steps, mesh.nt)
+    bounds = _bounds(system)
     chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     assert len(chunks) > 2
     assert [rows for rows, _ in condensed] == [rows for rows, _ in substituted] == chunks
     for (_, a), (_, b) in zip(condensed, substituted):
         assert np.array_equal(a, b)
+
+
+def _cut_every(steps: list, nt: int, rows: int) -> list:
+    """Chunk bounds cut every `rows` fine rows, each cut moved up to the first fine row of a top unit, one row at a time."""
+    starts, last = [], -1
+    for row in range(nt):
+        unit = row
+        for step in steps:
+            unit = int(step.unit[unit])
+        if unit != last:
+            starts.append(row)
+        last = unit
+    starts.append(nt)
+    return sorted({min(start for start in starts if start >= cut) for cut in range(0, nt, rows)} | {nt})
+
+
+@pytest.mark.parametrize(
+    "problem_name, kind, make_mesh",
+    [
+        ("p1", "rt0", lambda: make_square_piecewise_uniform(5)),
+        ("p3", "rt0", _adapted("p3", 8)),
+        ("p1", "bdm1", lambda: make_square_piecewise_uniform(4)),
+    ],
+    ids=["rt0-level5", "rt0-p3-adapted", "bdm1-level4"],
+)
+def test_chunks_hold_a_budget_of_dense_entries(problem_name, kind, make_mesh):
+    # a chunk holds _CHUNK_ENTRIES // m**2 fine triangles, cut up to the
+    # next top unit: 2,048 for RT0 (m = 8), the fixed chunks of 2,048
+    # triangles the condensation had before the budget, and 668 for BDM1
+    # (m = 14), seven chunks of at most three top units of 256 at level 4
+    mesh = make_mesh()
+    steps = assemble(get_problem(problem_name), mesh, build_space(mesh, kind)).steps
+    m = LOCAL_SIZE[kind]
+    bounds = assembly._chunks(steps, mesh.nt, m).tolist()
+    if kind == "rt0":
+        assert bounds == _cut_every(steps, mesh.nt, 2048)
+        assert len(bounds) > 3
+    else:
+        rows = assembly._CHUNK_ENTRIES // 196
+        assert rows == 668 and bounds == _cut_every(steps, mesh.nt, rows)
+        assert bounds == [0, 768, 1536, 2048, 2816, 3584, 4096, 4864]
+        assert max(np.diff(bounds)) <= -(-rows // 256) * 256
 
 
 # (element, mesh factory, shape classes)
@@ -1131,7 +1224,7 @@ def test_ledger_counts_every_batched_dense_solve(name, monkeypatch):
     nl, m = 3 * system.space.moments, system.elements.load.shape[1]
     assert ledger["class Vandermonde inverse"] == (1, classes, nl, nl)
     assert ledger["class inverse"] == (1, classes, m, m)
-    chunks = len(assembly._chunks(system.steps, mesh.nt)) - 1
+    chunks = len(_bounds(system)) - 1
     for depth, step in enumerate(system.steps, 1):
         assert ledger[f"condensation at depth {depth}"][:2] == (chunks, len(step.groups))
     assert len(ledger) == 2 + system.depth
@@ -1154,11 +1247,11 @@ def _owned_bytes(obj, seen: set) -> int:
 
 
 def test_assembly_holds_its_output_and_one_chunk():
-    # the BDM1 level-4 hierarchy, 4,864 triangles in three chunks: the
-    # traced peak of `assemble` is at most the arrays it returns plus the
-    # dense blocks of one chunk, on every level its group blocks, their
-    # solved blocks and the parents' blocks; whole-level group blocks
-    # would exceed that by about 8 MB
+    # the BDM1 level-4 hierarchy, 4,864 triangles in seven chunks of at
+    # most 768: the traced peak of `assemble` is at most the arrays it
+    # returns plus the dense blocks of its largest chunk, on every level
+    # its group blocks, their solved blocks and the parents' blocks, 15.6
+    # MB; the depth-1 group blocks of the whole level alone would take 25 MB
     mesh = make_square_piecewise_uniform(4)
     space = build_space(mesh, "bdm1")
     problem = get_problem("p1")
@@ -1168,9 +1261,10 @@ def test_assembly_holds_its_output_and_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert system.depth == 4 and len(assembly._chunks(system.steps, mesh.nt)) == 4
+    bounds = _bounds(system)
+    assert system.depth == 4 and len(bounds) == 8
     output = _owned_bytes((system.matrix, system.rhs, system.index, system.elements, system.steps), set())
-    q, chunk = space.moments, assembly._CHUNK
+    q, chunk = space.moments, int(np.diff(bounds).max())
     dense = chunk * (6 * q + 1) ** 2  # its element blocks
     for level in range(system.depth):
         groups = chunk >> 2 * (level + 1)
@@ -1180,7 +1274,7 @@ def test_assembly_holds_its_output_and_one_chunk():
 
 
 def test_solve_holds_what_it_keeps_and_one_chunk_of_element_work(monkeypatch):
-    # The BDM1 level-4 hierarchy, 4,864 triangles in three chunks.  No
+    # The BDM1 level-4 hierarchy, 4,864 triangles in seven chunks.  No
     # (nt, m, m) array is kept: each pinned inverse G_K is kept as its
     # class's and a rank-2 update (nt, 2, m), and G_K and the local blocks
     # L_K exist one chunk at a time, in the condensation, the
@@ -1221,7 +1315,7 @@ def test_solve_holds_what_it_keeps_and_one_chunk_of_element_work(monkeypatch):
     ]
     assert sorted(per_element) == ["b", "dof_map", "load", "reaction", "update"]
     kept = _owned_bytes((system.matrix, system.rhs, system.index, el, system.steps, s), set())
-    q, chunk = space.moments, assembly._CHUNK
+    q, chunk = space.moments, int(np.diff(_bounds(system)).max())
     element_work = 8 * 5 * chunk * m * m
     dense = chunk * (6 * q + 1) ** 2
     for level in range(system.depth):

@@ -14,10 +14,13 @@ a mesh carries over from one call to the next.
 
 The report is the ratio working tree / base of every pair: its median,
 quartiles, the pairs the working tree won, and a bootstrap 95% interval
-of the median (2,000 resamples, seed 0).  It is printed one field a
-line, then as one JSON object.  One BLAS thread is used when the script
-is run directly, as in the benchmark.  Only the standard library and
-numpy are used.
+of the median (2,000 resamples, seed 0).  Beside it stand each side's
+median seconds and median minor page faults per timed solve, the
+``ru_minflt`` of the process counted around each call: a solve whose
+heap pages are faulted in again runs slower, so a ratio is read with its
+counts.  It is printed one field a line, then as one JSON object.  One
+BLAS thread is used when the script is run directly, as in the
+benchmark.  Only the standard library and numpy are used.
 """
 
 import argparse
@@ -26,6 +29,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -69,18 +73,20 @@ def load(package: Path, alias: str):
     return module
 
 
-def timed_solve(package, kind: str, level: int) -> float:
-    """Seconds of one ``solve_oseen`` of p1 on a fresh uniform mesh of `level`, built untimed."""
+def timed_solve(package, kind: str, level: int) -> tuple:
+    """Seconds and minor page faults of one ``solve_oseen`` of p1 on a fresh uniform mesh of `level`, built untimed."""
     mesh = package.mesh.make_square_piecewise_uniform(level)
     problem = package.problems.get_problem("p1")
     gc.collect()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     package.assembly.solve_oseen(problem, mesh, kind=kind)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
-def report(base: list, change: list) -> dict:
-    """The ratios change / base of the pairs: median, quartiles, wins and a bootstrap 95% interval of the median."""
+def report(base: list, change: list, base_faults: list, change_faults: list) -> dict:
+    """The ratios change / base of the pairs: median, quartiles, wins and a bootstrap 95% interval of the median; each side's median seconds and faults."""
     ratio = np.asarray(change) / np.asarray(base)
     resampled = np.random.default_rng(0).choice(ratio, size=(BOOTSTRAP, ratio.size))
     low, high = np.percentile(np.median(resampled, axis=1), [2.5, 97.5])
@@ -94,6 +100,8 @@ def report(base: list, change: list) -> dict:
         "ci95_median": [float(low), float(high)],
         "base_median_s": float(np.median(base)),
         "change_median_s": float(np.median(change)),
+        "base_median_minflt": round(float(np.median(base_faults))),
+        "change_median_minflt": round(float(np.median(change_faults))),
     }
 
 
@@ -103,14 +111,15 @@ def run_pairs(base_package: Path, change_package: Path, kind: str, level: int, p
     try:
         for package in sides:
             timed_solve(package, kind, level)
-        times = ([], [])
+        measured = ([], [])
         for i in range(pairs):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
-                times[side].append(timed_solve(sides[side], kind, level))
+                measured[side].append(timed_solve(sides[side], kind, level))
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] in ("_ab_base", "_ab_change")]:
             del sys.modules[name]
-    return report(*times)
+    (base, base_faults), (change, change_faults) = (zip(*side) for side in measured)
+    return report(base, change, base_faults, change_faults)
 
 
 def main(argv=None) -> dict:
