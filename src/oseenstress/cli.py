@@ -4,9 +4,10 @@
 (error table + fitted orders) or the adaptive loop (per-iteration
 history), writing CSV files into an output directory and printing
 aligned tables.  Each mode yields its files as (name, content) pairs,
-and every file goes through one loop, which writes it into ``--out``;
-the closing ``wrote:`` line lists the files in the order they were
-written.  All output is deterministic: rerunning a configuration
+the content a text, a mesh, or text pieces (the field files, formatted
+a bounded number of rows at a time), and every file goes through one
+loop, which writes it into ``--out``; the closing ``wrote:`` line lists
+the files in the order they were written.  All output is deterministic: rerunning a configuration
 reproduces the files byte for byte.  A solve that fails (a singular
 system or out of memory), or an adaptive refinement that loses shape
 regularity, ends the command with a one-line ``error:`` message on
@@ -33,6 +34,8 @@ from .spaces import interpolate_pseudostress, project_exact, project_velocity
 from .sparsela import SingularMatrixError
 
 __all__ = ["run_convergence", "emit", "format_sci", "main"]
+
+_FIELD_ROWS = 2**14  # rows of a field file formatted at a time
 
 
 def format_sci(value: Optional[float]) -> str:
@@ -174,17 +177,22 @@ def emit_history(history: AdaptiveHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_rows(header: str, row_format: str, columns) -> str:
-    """`header`, then one line per row: `row_format` applied to that row of `columns`.
+def _format_rows(header: str, row_format: str, columns) -> Iterator[str]:
+    """`header`, then one line per row: `row_format` applied to that row of the arrays `columns`.
 
-    The whole body is one ``%``-format over the row-major flattened
-    columns; integer columns stay ``int`` for ``%d``.
+    The text comes in pieces of at most :data:`_FIELD_ROWS` rows, each one
+    ``%``-format over that slice of the columns, flattened row-major; the
+    integer columns turn into ``int`` for ``%d``.  Only one piece's values
+    exist as Python objects at a time.
     """
-    return header + "\n" + (row_format + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+    yield header + "\n"
+    for start in range(0, len(columns[0]), _FIELD_ROWS):
+        piece = [column[start : start + _FIELD_ROWS].tolist() for column in columns]
+        yield (row_format + "\n") * len(piece[0]) % tuple(chain.from_iterable(zip(*piece)))
 
 
-def _field_files(solution, sigmastar) -> Iterator[Tuple[str, str]]:
-    """``(file name, text)`` of each final field, every text built only when asked for.
+def _field_files(solution, sigmastar) -> Iterator[Tuple[str, Iterator[str]]]:
+    """``(file name, text pieces)`` of each final field, every piece built only when asked for.
 
     The pseudostress and the velocity list ``j,r,value`` for column j and
     row r of their (2, n) coefficients; the recovered pseudostress, when
@@ -194,11 +202,11 @@ def _field_files(solution, sigmastar) -> Iterator[Tuple[str, str]]:
         ("field_pseudostress.csv", "dof_index,row,value", solution.sigma.coeffs),
         ("field_velocity.csv", "tri_index,comp,value", solution.u.coeffs),
     ):
-        index = range(coeffs.shape[1])
-        yield name, _format_rows(header, "%d,0,%.17g\n%d,1,%.17g", [index, coeffs[0].tolist(), index, coeffs[1].tolist()])
+        index = np.arange(coeffs.shape[1])
+        yield name, _format_rows(header, "%d,0,%.17g\n%d,1,%.17g", [index, coeffs[0], index, coeffs[1]])
     if sigmastar is not None:
         mesh = sigmastar.mesh
-        columns = [range(mesh.nv)] + mesh.vertices.T.tolist() + sigmastar.values.reshape(-1, 4).T.tolist()
+        columns = [np.arange(mesh.nv), *mesh.vertices.T, *sigmastar.values.reshape(-1, 4).T]
         yield "field_recovered.csv", _format_rows("vertex,x,y,s11,s12,s21,s22", "%d" + ",%.17g" * 6, columns)
 
 
@@ -263,15 +271,15 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     for name, content in chain(files, _field_files(solution, sigmastar)):
         path = out_dir / name
         try:
-            if isinstance(content, str):
-                path.write_text(content)
-            else:
+            if isinstance(content, Mesh):
                 save_mesh(content, path)
+            else:
+                with path.open("w") as fh:
+                    fh.writelines([content] if isinstance(content, str) else content)
         except OSError as exc:  # a directory in the way, a full disk
             print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
             return 1
         written.append(str(path))
-        del content  # so the next field text is built with this one released
     print("wrote: " + " ".join(written))
     return 0
 

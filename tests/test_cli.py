@@ -1,5 +1,7 @@
 """Command-line interface and report formatting."""
 
+from itertools import chain
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -279,6 +281,58 @@ def test_an_output_file_that_cannot_be_written_is_one_error_line(tmp_path, capsy
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot write {out / 'errors.csv'}: Is a directory\n"
+
+
+def one_shot_rows(header, row_format, columns):
+    """The oracle of a field file: one ``%``-format over every row at once."""
+    columns = [np.asarray(column).tolist() for column in columns]
+    return header + "\n" + (row_format + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def test_field_files_streamed_in_pieces_equal_the_one_shot_format(tmp_path, capsys, monkeypatch):
+    # pieces of 7 rows, which divide none of the three row counts
+    bundles = []
+
+    def keep_bundle(*args, **kwargs):
+        rows, bundle = run_convergence(*args, **kwargs)
+        bundles.append(bundle)
+        return rows, bundle
+
+    monkeypatch.setattr(cli, "_FIELD_ROWS", 7)
+    monkeypatch.setattr(cli, "run_convergence", keep_bundle)
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "p1", "--levels", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    solution, sigmastar = bundles[0]["solution"], bundles[0]["sigmastar"]
+    sigma, u, mesh = solution.sigma.coeffs, solution.u.coeffs, sigmastar.mesh
+    expected = {
+        "field_pseudostress.csv": one_shot_rows(
+            "dof_index,row,value", "%d,0,%.17g\n%d,1,%.17g", [range(sigma.shape[1]), sigma[0], range(sigma.shape[1]), sigma[1]]
+        ),
+        "field_velocity.csv": one_shot_rows(
+            "tri_index,comp,value", "%d,0,%.17g\n%d,1,%.17g", [range(u.shape[1]), u[0], range(u.shape[1]), u[1]]
+        ),
+        "field_recovered.csv": one_shot_rows(
+            "vertex,x,y,s11,s12,s21,s22",
+            "%d" + ",%.17g" * 6,
+            [range(mesh.nv), *mesh.vertices.T, *sigmastar.values.reshape(-1, 4).T],
+        ),
+    }
+    assert all(n % 7 for n in (sigma.shape[1], u.shape[1], mesh.nv))
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode()
+
+
+def test_a_field_file_that_cannot_be_written_is_one_error_line(tmp_path, capsys):
+    # a directory where the first streamed file goes: the files before it stay, none after it is written
+    out = tmp_path / "run"
+    (out / "field_pseudostress.csv").mkdir(parents=True)
+    code = main(["solve", "--problem", "p1", "--levels", "1", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out / 'field_pseudostress.csv'}: Is a directory\n"
+    assert "wrote:" not in captured.out
+    assert sorted(path.name for path in out.iterdir()) == ["errors.csv", "field_pseudostress.csv"]
 
 
 def test_solve_with_explicit_mesh_file(tmp_path, capsys):

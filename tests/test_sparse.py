@@ -6,6 +6,7 @@ import scipy.sparse.linalg
 
 from conftest import dense_lu_solve
 
+from oseenstress import sparsela
 from oseenstress.sparsela import (
     RTOL,
     SingularMatrixError,
@@ -215,3 +216,36 @@ def test_checked_residual_rejects_a_nan_residual():
 def test_checked_residual_rejects_a_nan_rhs():
     with pytest.raises(SingularMatrixError, match="direct solve residual nan"):
         checked_residual(np.array([0.0, 0.0]), np.array([np.nan, 1.0]), "direct solve")
+
+
+def test_lu_solve_releases_the_freed_heap_once_between_the_scaled_copy_and_the_factorization(monkeypatch):
+    events = []
+    equilibrated, splu = sparsela._equilibrated, scipy.sparse.linalg.splu
+
+    def spy(name, call):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sparsela, "_equilibrated", spy("equilibrated", equilibrated))
+    monkeypatch.setattr(sparsela, "_malloc_trim", spy("malloc_trim", sparsela._malloc_trim or (lambda pad: 0)))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy("splu", splu))
+    rng = np.random.default_rng(5)
+    csr = to_csr(*random_triplets(rng, 20), 20)
+    for solves in (1, 2):
+        lu_solve(csr, rng.standard_normal(20))
+        assert events == ["equilibrated", "malloc_trim", "splu"] * solves
+
+
+def test_lu_solve_without_malloc_trim_gives_the_same_bits(monkeypatch):
+    # a C library without malloc_trim (macOS, musl): the release is skipped, the arithmetic is the same
+    rng = np.random.default_rng(9)
+    csr = to_csr(*random_triplets(rng, 30), 30)
+    rhs = rng.standard_normal(30)
+    x, residual = lu_solve(csr, rhs)
+    monkeypatch.setattr(sparsela, "_malloc_trim", None)
+    x_without, residual_without = lu_solve(csr, rhs)
+    assert x.tobytes() == x_without.tobytes()
+    assert residual == residual_without
