@@ -12,8 +12,9 @@ reproduces the files byte for byte.  A solve that fails (a singular
 system or out of memory), or an adaptive refinement that loses shape
 regularity, ends the command with a one-line ``error:`` message on
 stderr (the exception's type name if it has no message) and exit
-status 1; so does an output file that cannot be written, with the
-files before it left in place.
+status 1; so does a warning raised as an error (``python -W error``),
+and an output file that cannot be written, with the files before it
+left in place.
 """
 
 import argparse
@@ -313,7 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "solve":
         try:
             return _cmd_solve(args, parser)
-        except (SingularMatrixError, MemoryError, MeshQualityError) as exc:
+        except (SingularMatrixError, MemoryError, MeshQualityError, Warning) as exc:  # a warning raised under -W error
             print("error: " + (" ".join(str(exc).split()) or type(exc).__name__), file=sys.stderr)
             return 1
     parser.error(f"unknown command {args.command!r}")

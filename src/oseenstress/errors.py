@@ -5,8 +5,9 @@ Every reported error is one distance: the exact cellwise Gram norm
 of two cellwise-linear forms, every discrete field being of degree <= 1
 on each element.  An analytic field f enters through its projection Pi f
 onto cellwise linears in a degree-6 triangle rule
-(:func:`~oseenstress.spaces.project_exact`), whose elements touching a
-singular corner are red-split once.  The rule integrates quadratics
+(:func:`~oseenstress.spaces.project_exact`), whose elements with a
+vertex on a singular corner take the rule on the four red children of
+the reference triangle.  The rule integrates quadratics
 exactly, so its sum splits exactly as
 
     sum w |f_h - f|^2 = ||f_h - Pi f||^2 + sum w |f - Pi f|^2 ,

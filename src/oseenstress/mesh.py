@@ -448,7 +448,14 @@ def mesh_stats(mesh: Mesh) -> MeshStats:
 
 
 def _radius_ratios(a, b, c, area):
-    """Circumradius over inradius of triangles with edge lengths a, b, c and the given areas."""
+    """Circumradius over inradius of triangles with edge lengths a, b, c and the given areas.
+
+    The ratio does not change with the size, so it is taken of the
+    triangles scaled to a longest edge of 1, whose products neither
+    overflow nor underflow.
+    """
+    h = np.maximum(np.maximum(a, b), c)
+    a, b, c, area = a / h, b / h, c / h, area / h / h
     s = 0.5 * (a + b + c)
     circum = a * b * c / (4.0 * area)
     inr = area / s

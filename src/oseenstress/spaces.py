@@ -34,7 +34,10 @@ fields in :func:`cell_gram`.  An analytic field enters only through
 :func:`project_exact`, its projection onto cellwise linears in one
 triangle rule (or that projection's moment part, :func:`project_moments`,
 without the residual); every cell integral of the package is then an
-exact product of cellwise linears.
+exact product of cellwise linears.  The projection is taken on the
+reference triangle, whose Gram matrix is one constant, not the cell's
+``|K| diag(1, M)``; cells at a singular corner take the rule on the
+reference triangle's four red children.
 """
 
 from dataclasses import dataclass
@@ -471,8 +474,9 @@ def project_exact(mesh: Mesh, exact, degree: int = 6, singular_corner=None) -> E
     degree : int
         Triangle quadrature exactness.
     singular_corner : (float, float), optional
-        Corner of a singular solution; the elements touching it are
-        red-split once, and the rule is applied on their four children.
+        Corner of a singular solution; the elements with a vertex on it
+        (to 1e-12 of their longest edge) take the rule on the four red
+        children of the reference triangle instead.
 
     Returns
     -------
@@ -480,14 +484,21 @@ def project_exact(mesh: Mesh, exact, degree: int = 6, singular_corner=None) -> E
         Pi f as a :class:`CellwiseLinear` of the analytic field's value
         shape, and the residual sum.
 
-    The projection's moments are the rule's sums over each element and
-    its subtriangles.  The rule is exact for quadratics, so the Gram
-    matrix of {1, x - cx, y - cy} is ``|K| diag(1, M)`` with M the cell's
-    second moments (:meth:`~oseenstress.mesh.Mesh.tri_second_moments`),
-    and for every cellwise linear v the rule's sum of ``w v f`` is the
-    exact ``int_K v Pi f``.  The moments are taken of f minus its value at
-    the element's first point, which is added back to the mean, so a
-    constant f projects exactly.
+    The L2 projection onto linears commutes with the affine map of each
+    cell, so every cell is projected on the reference triangle, with the
+    rule's points mapped through the cell's frame ``x0 + s d1 + t d2``
+    (:func:`~oseenstress.mesh._frame`).  The rule is exact for
+    quadratics, so the Gram matrix of {1, s - 1/3, t - 1/3} is the one
+    constant ``diag(1, R)`` (weights summing to 1), with R the reference
+    triangle's second moments about its centroid, ``R^-1 = [[24, 12],
+    [12, 24]]``; for every cellwise linear v the rule's sum of ``w v f``
+    is then the exact ``int_K v Pi f``.  The mean is ``sum w f``, the
+    reference gradient ``R^-1 sum w (s - 1/3, t - 1/3) f``, and the
+    physical gradient is ``J^-T`` of it, J = [d1 d2], whose determinant
+    is twice the area: nothing grows faster than the cell size squared.
+    The moments are taken of f minus its value at the element's first
+    point, which is added back to the mean, so a constant f projects
+    exactly.
     """
     field, rest = project_moments(mesh, exact, degree, singular_corner)
     return ExactProjection(field=field, rest=rest())
@@ -501,65 +512,64 @@ def project_moments(mesh: Mesh, exact, degree: int = 6, singular_corner=None):
     data of the assembly do not use it; the function reuses the samples
     in place, so it is called at most once.
     """
-    rule = triangle_rule(degree)
-    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    corners = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     near = np.zeros(mesh.nt, dtype=bool)
     if singular_corner is not None:
-        near = np.all(np.abs(verts - np.asarray(singular_corner, dtype=np.float64)) < 1e-12, axis=2).any(axis=1)
-    # each element's subtriangles are consecutive: itself, or its four red children
-    count = np.where(near, 4, 1)
-    first = np.cumsum(count) - count
-    tris = np.repeat(np.arange(mesh.nt), count)
-    split = verts[near]
-    mids = 0.5 * (split[:, [1, 2, 0]] + split[:, [2, 0, 1]])  # local edge k is opposite vertex k
-    verts = np.repeat(verts, count, axis=0)
-    verts[first[near, None] + np.arange(4)] = _red_children(split, mids)
-
-    def per_element(a):
-        """Sum the last axis over each element's subtriangles."""
-        return a if tris.size == mesh.nt else np.add.reduceat(a, first, axis=-1)
-
-    # point arrays are (nq, m) and values (k, nq, m), so that every
-    # per-element factor broadcasts along the long last axis
-    w = rule.weights[:, None] * (0.5 * np.abs(_frame(verts)[2]))
-    bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (nq, 3)
-    px = bary @ verts[:, :, 0].T
-    py = bary @ verts[:, :, 1].T
-    vals = np.asarray(exact(np.stack([px, py], axis=-1)), dtype=np.float64)
-    if vals.shape[:2] != px.shape:
-        raise ValueError(f"analytic field returned shape {vals.shape}, expected {px.shape} + value shape")
-    value_shape = vals.shape[2:]
-    f = np.ascontiguousarray(np.moveaxis(vals.reshape(px.shape + (-1,)), 2, 0))
-    base = f[:, 0, first]  # (k, nt): f at each element's first point
-    f -= base[:, tris][:, None]
-    centroids = mesh.tri_centroids()[tris]
-    dx = px - centroids[:, 0]
-    dy = py - centroids[:, 1]
-    m0, mx, my = (per_element(np.einsum("kqm,qm->km", f, t)) for t in (w, w * dx, w * dy))
-
-    # Gram |K| diag(1, M); M^-1 in closed form
-    m = mesh.tri_second_moments()
-    mxx, mxy, myy = m[:, 0, 0], m[:, 0, 1], m[:, 1, 1]
-    area = mesh.tri_areas()
-    scale = 1.0 / (area * (mxx * myy - mxy**2))
-    mean = m0 / area
-    gx = scale * (myy * mx - mxy * my)
-    gy = scale * (mxx * my - mxy * mx)
-
-    coeffs = np.stack([mean + base, gx, gy], axis=-1)  # (k, nt, 3)
-    coeffs = np.moveaxis(coeffs, 0, 1).reshape((mesh.nt,) + value_shape + (3,))
+        off = np.abs(corners - np.asarray(singular_corner, dtype=np.float64)).max(axis=2)  # (nt, 3)
+        near = np.any(off < 1e-12 * mesh.tri_diameters()[:, None], axis=1)  # to 1e-12 of the longest edge
+    coeffs, parts = None, []
+    for cells, split in ((~near, False), (near, True)):
+        if not cells.any():
+            continue
+        points, weights = _reference_rule(degree, split)
+        d1, d2, det = _frame(corners[cells])
+        # points are (nq, m, 2) and values (k, nq, m), so that every
+        # per-cell factor broadcasts along the long last axis
+        pts = corners[cells, 0] + points[:, None, :1] * d1 + points[:, None, 1:] * d2
+        vals = np.asarray(exact(pts), dtype=np.float64)
+        if vals.shape[:2] != pts.shape[:2]:
+            raise ValueError(f"analytic field returned shape {vals.shape}, expected {pts.shape[:2]} + value shape")
+        value_shape = vals.shape[2:]
+        f = np.ascontiguousarray(np.moveaxis(vals.reshape(pts.shape[:2] + (-1,)), 2, 0))
+        base = f[:, 0].copy()  # (k, m): f at each cell's first point
+        f -= base[:, None]
+        basis = np.vstack([np.ones_like(weights), (points - 1.0 / 3.0).T])  # {1, s - 1/3, t - 1/3} at the points
+        mean, ms, mt = np.matmul(basis * weights, f).transpose(1, 0, 2)
+        gs, gt = 24.0 * ms + 12.0 * mt, 12.0 * ms + 24.0 * mt  # R^-1 = [[24, 12], [12, 24]]
+        if coeffs is None:
+            coeffs = np.empty((mesh.nt, len(f), 3))
+        gx, gy = (d2[:, 1] * gs - d1[:, 1] * gt) / det, (d1[:, 0] * gt - d2[:, 0] * gs) / det  # J^-T (gs, gt), J = [d1 d2]
+        coeffs[cells] = np.stack([mean + base, gx, gy], axis=-1).transpose(1, 0, 2)
+        parts.append((f, np.stack([mean, gs, gt], axis=1), basis, np.sqrt(np.outer(weights, 0.5 * np.abs(det)))))
 
     def rest() -> float:
         """The weighted squares of f - Pi f at every point, component by component."""
-        root_w = np.sqrt(w)
-        for fk, a0, ax, ay in zip(f, mean[:, tris], gx[:, tris], gy[:, tris]):
-            fk -= a0
-            fk -= ax * dx
-            fk -= ay * dy
-            fk *= root_w
-        return float(np.vdot(f, f))
+        total = 0.0
+        for f, ref, basis, root_w in parts:
+            for fk, ref_k in zip(f, ref):  # ref_k (3, m): Pi f over the reference basis
+                fk -= basis.T @ ref_k
+                fk *= root_w
+            total += np.vdot(f, f)
+        return float(total)
 
-    return CellwiseLinear(mesh, coeffs), rest
+    return CellwiseLinear(mesh, coeffs.reshape((mesh.nt,) + value_shape + (3,))), rest
+
+
+def _reference_rule(degree: int, split: bool):
+    """Points (nq, 2) and weights (nq,) summing to 1 of the degree-`degree` rule on the reference triangle.
+
+    With `split`, the rule is applied on the reference triangle's four red
+    children (:func:`~oseenstress.mesh._red_children`), each child's
+    weights divided by 4.
+    """
+    rule = triangle_rule(degree)
+    if not split:
+        return rule.points, rule.weights
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    children = _red_children(ref[None], 0.5 * (ref[[1, 2, 0]] + ref[[2, 0, 1]])[None])[0]  # (4, 3, 2)
+    d1, d2, _ = _frame(children)
+    points = children[:, None, 0] + rule.points[:, :1] * d1[:, None] + rule.points[:, 1:] * d2[:, None]
+    return points.reshape(-1, 2), np.tile(rule.weights / 4.0, 4)
 
 
 def project_velocity(projection: ExactProjection) -> VelocityField:

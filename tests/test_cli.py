@@ -1,5 +1,6 @@
 """Command-line interface and report formatting."""
 
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -18,7 +19,7 @@ from oseenstress.cli import (
     main,
     run_convergence,
 )
-from oseenstress.mesh import MeshQualityError, load_mesh, make_square_piecewise_uniform, save_mesh
+from oseenstress.mesh import MeshQualityError, build_mesh, load_mesh, make_square_piecewise_uniform, save_mesh
 from oseenstress.problems import get_problem
 
 
@@ -396,6 +397,56 @@ def test_solve_failure_is_one_error_line(tmp_path, capsys, monkeypatch, mode, fa
     err = capsys.readouterr().err
     assert err.startswith(expected) and str(failure) in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "warn, expected",
+    [
+        (lambda: warnings.warn("the data look odd"), "error: the data look odd\n"),
+        (lambda: np.float64(1e300) * 1e300, "error: overflow encountered in scalar multiply\n"),
+    ],
+    ids=["user-warning", "overflow"],
+)
+def test_a_warning_raised_as_an_error_is_one_error_line(tmp_path, capsys, monkeypatch, warn, expected):
+    # pytest raises every warning, as python -W error does; the command
+    # ends with the warning's message on one line and status 1
+    def refine(mesh):
+        warn()
+        return mesh
+
+    monkeypatch.setattr(cli, "uniform_quad_refine", refine)
+    code = main(["solve", "--problem", "p1", "--levels", "2", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("mode", ["uniform", "adaptive"])
+@pytest.mark.parametrize(
+    "scale, levels, cause",
+    [(1.0, 2, None), (1e60, 2, "net flux"), (1e-60, 2, None), (1e-50, 5, None), (1e150, 2, "net flux"), (1e-150, 2, None)],
+    ids=["valid", "1e60", "1e-60", "1e-50", "1e150", "1e-150"],
+)
+def test_the_start_mesh_at_any_scale_solves_or_names_the_cause(tmp_path, capsys, mode, scale, levels, cause):
+    # the p1 start mesh scaled by s, under pytest's warnings-as-errors:
+    # either every output file is finite, or one error line names the
+    # cause (the p1 boundary data far from the unit square have a net flux)
+    start = get_problem("p1").initial_mesh()
+    mesh_file = tmp_path / "start.txt"
+    save_mesh(build_mesh(scale * start.vertices, start.triangles, start.region), mesh_file)
+    out = tmp_path / "run"
+    argv = ["solve", "--problem", "p1", "--mode", mode, "--levels", str(levels), "--mesh", str(mesh_file), "--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if cause is not None:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1 and cause in err
+        return
+    assert code == 0 and err == ""
+    for path in out.iterdir():
+        if path.suffix == ".csv":  # orders.csv names each fitted column in its first field
+            usecols = 1 if path.name == "orders.csv" else None
+            assert np.all(np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols)))
+        else:
+            assert np.all(np.isfinite(load_mesh(path).vertices))
 
 
 def test_a_refinement_that_loses_shape_regularity_is_one_error_line(tmp_path, capsys, monkeypatch):

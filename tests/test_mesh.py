@@ -23,6 +23,7 @@ from oseenstress.mesh import (
     load_mesh,
     make_lshape_mesh,
     make_square_piecewise_uniform,
+    max_ratio_bound,
     mesh_stats,
     is_piecewise_uniform,
     red_groups,
@@ -422,6 +423,24 @@ def test_refine_marked_repeated_corner_marking_keeps_shape_regularity():
         mesh = refine_marked(mesh, marked)
         assert_valid_refinement(mesh)
     assert mesh_stats(mesh).max_ratio <= 8.0
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p2-refined"])
+def test_radius_ratios_do_not_change_with_the_scale(name):
+    # the ratio of a triangle scaled to a longest edge of 1: no product of
+    # three lengths over- or underflows (pytest turns a RuntimeWarning
+    # into an error), and the mesh statistics and the refinement bound
+    # keep their values
+    mesh = get_problem(name[:2]).initial_mesh()
+    if name.endswith("refined"):
+        mesh = refine_marked(refine_marked(mesh, [0]), [1, 2])
+        assert len(mesh.green_pairs)
+    ratio, bound = mesh_stats(mesh).max_ratio, max_ratio_bound(mesh)
+    for scale in (1e150, 1e-150):
+        scaled = build_mesh(scale * mesh.vertices, mesh.triangles, mesh.region)
+        scaled.green_pairs = mesh.green_pairs
+        assert mesh_stats(scaled).max_ratio == pytest.approx(ratio, rel=1e-12)
+        assert max_ratio_bound(scaled) == pytest.approx(bound, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import element_oracle
+import errors_oracle
 from conftest import eval_cells, jittered, map_ref_points, same_bits
 
-from oseenstress.mesh import make_lshape_mesh, make_square_piecewise_uniform, refine_marked
+from oseenstress.mesh import build_mesh, make_lshape_mesh, make_square_piecewise_uniform, refine_marked, uniform_quad_refine
 from oseenstress.problems import get_problem
 from oseenstress.quadrature import edge_gauss_rule, triangle_rule
 from oseenstress.spaces import (
@@ -373,3 +374,77 @@ def test_moment_part_of_the_projection_is_bitwise_the_projected_field(name):
         assert field.mesh is mesh and field.coeffs.dtype == whole.field.coeffs.dtype
         assert np.array_equal(field.coeffs, whole.field.coeffs)
         assert rest() == whole.rest
+
+
+def scalar_field(x):
+    return np.sin(np.pi * x[..., 0]) * np.exp(x[..., 1])
+
+
+def oracle_cases():
+    """(mesh, field, degree, corner) of the reference-triangle projection against the physical-frame oracle."""
+    p1, p2 = get_problem("p1"), get_problem("p2")
+    square = make_square_piecewise_uniform(3)
+    lshape = p2.initial_mesh()
+    for _ in range(3):
+        lshape = uniform_quad_refine(lshape)
+    for degree in (4, 6):
+        for field in (scalar_field, p1.exact_u, p1.exact_sigma):  # value shapes (), (2,) and (2, 2)
+            yield pytest.param(square, field, degree, None, id=f"p1-level3-{field.__name__}-degree{degree}")
+        yield pytest.param(jittered(square), p1.exact_sigma, degree, None, id=f"jittered-degree{degree}")
+        for field in (p2.exact_u, p2.exact_sigma):
+            yield pytest.param(lshape, field, degree, p2.singular_corner, id=f"lshape-corner-{field.__name__}-degree{degree}")
+
+
+@pytest.mark.parametrize("mesh, field, degree, corner", oracle_cases())
+def test_reference_triangle_projection_matches_the_physical_frame_oracle(mesh, field, degree, corner):
+    # every coefficient kind (the mean and the two gradient components) to
+    # 1e-12 of its largest, and the residual sum to 1e-12 relative
+    got, got_rest = project_moments(mesh, field, degree=degree, singular_corner=corner)
+    want, want_rest = errors_oracle.project_moments(mesh, field, degree=degree, singular_corner=corner)
+    assert got.coeffs.shape == want.coeffs.shape
+    for kind in range(3):
+        largest = np.abs(want.coeffs[..., kind]).max()
+        assert np.abs(got.coeffs[..., kind] - want.coeffs[..., kind]).max() <= 1e-12 * largest
+    rest = got_rest()
+    assert rest > 0.0 and abs(rest - want_rest()) <= 1e-12 * want_rest()
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+@pytest.mark.parametrize("corner", [False, True], ids=["square", "lshape-corner"])
+def test_project_exact_reproduces_a_linear_field_at_any_scale(scale, corner):
+    # the Gram matrix is the reference triangle's, so nothing grows faster
+    # than the size squared; a product of six lengths would over- or
+    # underflow here (pytest turns a RuntimeWarning into an error)
+    mesh = get_problem("p2").initial_mesh() if corner else make_square_piecewise_uniform(1)
+    mesh = build_mesh(scale * mesh.vertices, mesh.triangles, mesh.region)
+    gradient = np.array([[2.0, -3.0], [0.5, 1.0]])
+
+    def linear(x):
+        return np.array([1.0, -2.0]) + (x / scale) @ gradient.T
+
+    proj = project_exact(mesh, linear, singular_corner=(0.0, 0.0) if corner else None)
+    means = proj.field.coeffs[..., 0]
+    assert np.abs(means - linear(mesh.tri_centroids())).max() <= 1e-12 * np.abs(means).max()
+    assert np.abs(scale * proj.field.coeffs[..., 1:] - gradient).max() <= 1e-12 * np.abs(gradient).max()
+    assert proj.rest <= 1e-24 * np.sum(mesh.tri_areas() * np.sum(means**2, axis=1))
+
+
+def test_the_singular_corner_is_found_relative_to_the_cell_size():
+    # a vertex within 1e-12 of the corner, measured against the cell's
+    # longest edge: on the L-shape after 3 refinements the same 5 cells take
+    # the rule on the four red children (4 nq points) at any scale
+    problem = get_problem("p2")
+    start = problem.initial_mesh()
+    for _ in range(3):
+        start = uniform_quad_refine(start)
+    nq = len(triangle_rule(6).weights)
+    for scale in (1.0, 1e-20):
+        mesh = build_mesh(scale * start.vertices, start.triangles, start.region)
+        calls = []
+
+        def spy(x):
+            calls.append(x.shape[:2])
+            return problem.exact_u(x / scale)
+
+        project_exact(mesh, spy, singular_corner=scale * np.asarray(problem.singular_corner))
+        assert calls == [(nq, mesh.nt - 5), (4 * nq, 5)]
