@@ -5,10 +5,12 @@
 history), writing CSV files into an output directory and printing
 aligned tables.  Each mode yields its files as (name, content) pairs,
 the content a text, a mesh, or text pieces (the field files, formatted
-a bounded number of rows at a time), and every file goes through one
-loop, which writes it into ``--out``; the closing ``wrote:`` line lists
-the files in the order they were written.  All output is deterministic: rerunning a configuration
-reproduces the files byte for byte.  A solve that fails (a singular
+a bounded number of rows at a time by the row formatter of
+:mod:`~oseenstress.mesh`, which writes the mesh file too), and every
+file goes through one loop, which writes it into ``--out``; the closing
+``wrote:`` line lists the files in the order they were written.  All
+output is deterministic: rerunning a configuration reproduces the files
+byte for byte.  A solve that fails (a singular
 system or out of memory), or an adaptive refinement that loses shape
 regularity, ends the command with a one-line ``error:`` message on
 stderr (the exception's type name if it has no message) and exit
@@ -27,16 +29,14 @@ import numpy as np
 
 from .adaptive import AdaptiveHistory, adaptive_solve
 from .assembly import solve_oseen
-from .errors import ErrorRow, fit_orders, hdiv_error, l2_error, supercloseness
-from .mesh import Mesh, MeshQualityError, load_mesh, save_mesh, uniform_quad_refine
+from .errors import ErrorRow, fit_orders, hdiv_error, l2_error, present_columns, supercloseness
+from .mesh import Mesh, MeshQualityError, _format_rows, load_mesh, save_mesh, uniform_quad_refine
 from .postprocess import postprocess_velocity, recover_pseudostress
 from .problems import ProblemSpec, get_problem, problem_names
 from .spaces import interpolate_pseudostress, project_exact, project_velocity
 from .sparsela import SingularMatrixError
 
 __all__ = ["run_convergence", "emit", "format_sci", "main"]
-
-_FIELD_ROWS = 2**14  # rows of a field file formatted at a time
 
 
 def format_sci(value: Optional[float]) -> str:
@@ -107,7 +107,7 @@ def _measure_level(problem: ProblemSpec, kind: str, level: int, mesh: Mesh) -> T
 
     err_div = None
     if problem.exact_div_sigma is not None:
-        err_div = hdiv_error(solution.sigma, problem.exact_div_sigma)
+        err_div = hdiv_error(solution.sigma, project_exact(mesh, problem.exact_div_sigma, singular_corner=corner))
 
     row = ErrorRow(
         level=level,
@@ -126,17 +126,9 @@ def _measure_level(problem: ProblemSpec, kind: str, level: int, mesh: Mesh) -> T
     return row, {"mesh": mesh, "solution": solution, "ustar": ustar, "sigmastar": sigmastar}
 
 
-def _present_columns(rows: Sequence[ErrorRow]) -> List[str]:
-    cols = []
-    for name in ErrorRow.ERROR_COLUMNS:
-        if all(getattr(row, name) is not None for row in rows):
-            cols.append(name)
-    return cols
-
-
 def emit(rows: Sequence[ErrorRow], fmt: str = "csv") -> str:
     """Render error rows as ``csv`` or an aligned ``table`` string."""
-    cols = _present_columns(rows)
+    cols = present_columns(rows)
     header = ["level", "nt", "dofs"] + cols
     body = [
         [str(row.level), str(row.nt), str(row.ndofs)] + [format_sci(getattr(row, c)) for c in cols]
@@ -178,37 +170,25 @@ def emit_history(history: AdaptiveHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_rows(header: str, row_format: str, columns) -> Iterator[str]:
-    """`header`, then one line per row: `row_format` applied to that row of the arrays `columns`.
-
-    The text comes in pieces of at most :data:`_FIELD_ROWS` rows, each one
-    ``%``-format over that slice of the columns, flattened row-major; the
-    integer columns turn into ``int`` for ``%d``.  Only one piece's values
-    exist as Python objects at a time.
-    """
-    yield header + "\n"
-    for start in range(0, len(columns[0]), _FIELD_ROWS):
-        piece = [column[start : start + _FIELD_ROWS].tolist() for column in columns]
-        yield (row_format + "\n") * len(piece[0]) % tuple(chain.from_iterable(zip(*piece)))
-
-
 def _field_files(solution, sigmastar) -> Iterator[Tuple[str, Iterator[str]]]:
     """``(file name, text pieces)`` of each final field, every piece built only when asked for.
 
     The pseudostress and the velocity list ``j,r,value`` for column j and
     row r of their (2, n) coefficients; the recovered pseudostress, when
-    there is one (RT0), lists each vertex with its four values.
+    there is one (RT0), lists each vertex with its four values.  A file's
+    pieces are its header line, then those of
+    :func:`~oseenstress.mesh._format_rows`.
     """
     for name, header, coeffs in (
         ("field_pseudostress.csv", "dof_index,row,value", solution.sigma.coeffs),
         ("field_velocity.csv", "tri_index,comp,value", solution.u.coeffs),
     ):
         index = np.arange(coeffs.shape[1])
-        yield name, _format_rows(header, "%d,0,%.17g\n%d,1,%.17g", [index, coeffs[0], index, coeffs[1]])
+        yield name, chain([header + "\n"], _format_rows("%d,0,%.17g\n%d,1,%.17g", [index, coeffs[0], index, coeffs[1]]))
     if sigmastar is not None:
         mesh = sigmastar.mesh
         columns = [np.arange(mesh.nv), *mesh.vertices.T, *sigmastar.values.reshape(-1, 4).T]
-        yield "field_recovered.csv", _format_rows("vertex,x,y,s11,s12,s21,s22", "%d" + ",%.17g" * 6, columns)
+        yield "field_recovered.csv", chain(["vertex,x,y,s11,s12,s21,s22\n"], _format_rows("%d" + ",%.17g" * 6, columns))
 
 
 def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

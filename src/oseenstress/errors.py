@@ -15,8 +15,10 @@ exactly, so its sum splits exactly as
 and the second term, the projection's ``rest``, depends on f alone; so a
 projection taken once per mesh serves the error of every field measured
 against f.  The divergence error is such a norm too, of the
-cellwise-constant divergence.  The distance between two discrete fields
-is the first term alone.
+cellwise-constant divergence against the projection of the exact one;
+every projection is taken by the caller, with the problem's singular
+corner.  The distance between two discrete fields is the first term
+alone.
 
 Convergence orders are least-squares slopes of log(error) against log(h)
 with h proportional to nt^(-1/2), excluding the first (coarsest) row.
@@ -27,13 +29,14 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import ExactProjection, PseudostressField, VelocityField, project_exact
+from .spaces import ExactProjection, PseudostressField, VelocityField
 
 __all__ = [
     "ErrorRow",
     "l2_error",
     "supercloseness",
     "hdiv_error",
+    "present_columns",
     "fit_orders",
     "fit_order",
 ]
@@ -85,18 +88,19 @@ def supercloseness(field_a, field_b) -> float:
     return float(np.sqrt(_sq_distance(field_a, field_b)))
 
 
-def hdiv_error(sigma_h: PseudostressField, exact_div) -> float:
+def hdiv_error(sigma_h: PseudostressField, projection: ExactProjection) -> float:
     """L2 norm of ``div(sigma) - div(sigma_h)`` (row-wise divergences).
 
-    `exact_div` is the analytic divergence of the exact pseudostress; for
-    a solution of the PDE it equals ``(dev sigma) b + c u - f``.  The
-    discrete divergence is constant on each element, so this is
-    :func:`l2_error` of that cellwise constant, held as a
-    :class:`~oseenstress.spaces.VelocityField`; ValueError if `exact_div`
-    does not return one 2-vector per point.
+    `projection` is the :func:`~oseenstress.spaces.project_exact` of the
+    analytic divergence of the exact pseudostress on the field's mesh;
+    for a solution of the PDE that divergence equals
+    ``(dev sigma) b + c u - f``.  The discrete divergence is constant on
+    each element, so this is :func:`l2_error` of that cellwise constant,
+    held as a :class:`~oseenstress.spaces.VelocityField`; ValueError if
+    the projection lives on another mesh or is not of one 2-vector per
+    point.
     """
-    mesh = sigma_h.mesh
-    return l2_error(VelocityField(mesh, sigma_h.div_cells().T), project_exact(mesh, exact_div))
+    return l2_error(VelocityField(sigma_h.mesh, sigma_h.div_cells().T), projection)
 
 
 def fit_order(nts, errs) -> float:
@@ -118,19 +122,18 @@ def fit_order(nts, errs) -> float:
     return float(slope)
 
 
+def present_columns(rows) -> list:
+    """The names in ``ErrorRow.ERROR_COLUMNS`` whose value is not None in every row of `rows`, in that order."""
+    return [name for name in ErrorRow.ERROR_COLUMNS if all(getattr(row, name) is not None for row in rows)]
+
+
 def fit_orders(rows) -> dict:
     """Per-column convergence orders for a list of :class:`ErrorRow`.
 
-    Only columns present (not None) in every row are fitted.
+    Only the :func:`present_columns` of the rows are fitted.
     """
     rows = list(rows)
     if len(rows) < 3:
         raise ValueError("need at least three mesh levels to fit orders")
     nts = [row.nt for row in rows]
-    out = {}
-    for name in ErrorRow.ERROR_COLUMNS:
-        vals = [getattr(row, name) for row in rows]
-        if any(v is None for v in vals):
-            continue
-        out[name] = fit_order(nts, vals)
-    return out
+    return {name: fit_order(nts, [getattr(row, name) for row in rows]) for name in present_columns(rows)}

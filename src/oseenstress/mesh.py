@@ -24,7 +24,8 @@ a vertex, which a split on the hidden half-edge of a coalesced pair
 leaves behind; any such edge sends the result through one more pass.
 
 Treat ``Mesh`` instances as immutable; all operations return new meshes.
-:func:`build_mesh` stores read-only arrays, so the per-cell and per-edge
+:func:`build_mesh` stores read-only arrays, and so do :func:`refine_marked`
+and :func:`load_mesh` for the green pairs, so the per-cell and per-edge
 geometry each mesh computes once and keeps (areas, centroids, vertex
 offsets, edge lengths and normals, and the shape classes of the
 triangles) cannot go stale.
@@ -32,6 +33,8 @@ triangles) cannot go stale.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -670,7 +673,7 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
         stale = np.isin(out_keys, known)
         if not stale.any():
             refined = build_mesh(verts, out, out_region)
-            refined.green_pairs = pairs
+            refined.green_pairs = _read_only(pairs)[0]
             return refined
         member = np.zeros(out.shape[0], dtype=bool)
         member[pairs] = True
@@ -788,6 +791,22 @@ def is_piecewise_uniform(mesh: Mesh) -> bool:
     return not np.any(np.abs(lhs - rhs).max(axis=1) > 1e-12 * scale)
 
 
+_TEXT_ROWS = 2**14  # rows of a text file formatted at a time
+
+
+def _format_rows(row_format: str, columns) -> Iterator[str]:
+    """One line per row: `row_format` applied to that row of the arrays `columns`.
+
+    The text comes in pieces of at most :data:`_TEXT_ROWS` rows, each one
+    ``%``-format over that slice of the columns, flattened row-major; the
+    integer columns turn into ``int`` for ``%d``.  Only one piece's values
+    exist as Python objects at a time.
+    """
+    for start in range(0, len(columns[0]), _TEXT_ROWS):
+        piece = [column[start : start + _TEXT_ROWS].tolist() for column in columns]
+        yield (row_format + "\n") * len(piece[0]) % tuple(chain.from_iterable(zip(*piece)))
+
+
 def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh as plain text.
 
@@ -796,17 +815,15 @@ def save_mesh(mesh: Mesh, path) -> None:
     lines ``i0 i1 i2 region``.  A mesh with green pairs ends with a line
     ``ng`` and ``ng`` lines ``t1 t2``, so a reloaded mesh refines exactly
     as the saved one does; a mesh without pairs has no such section.
+    The rows are written in pieces (:func:`_format_rows`).
     """
-
-    def rows(row_format, array):  # one %-format over the flattened rows
-        return (row_format + "\n") * len(array) % tuple(array.ravel().tolist())
-
-    text = f"{mesh.nv} {mesh.nt}\n" + rows("%.17g %.17g", mesh.vertices)
-    text += rows("%d %d %d %d", np.column_stack([mesh.triangles, mesh.region]))
-    if mesh.green_pairs.shape[0]:
-        text += f"{mesh.green_pairs.shape[0]}\n" + rows("%d %d", mesh.green_pairs)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(f"{mesh.nv} {mesh.nt}\n")
+        fh.writelines(_format_rows("%.17g %.17g", mesh.vertices.T))
+        fh.writelines(_format_rows("%d %d %d %d", [*mesh.triangles.T, mesh.region]))
+        if len(mesh.green_pairs):
+            fh.write(f"{len(mesh.green_pairs)}\n")
+            fh.writelines(_format_rows("%d %d", mesh.green_pairs.T))
 
 
 def _token_place(k: int, nv: int, nt: int) -> str:
@@ -915,5 +932,5 @@ def load_mesh(path) -> Mesh:
     if np.any(off):
         t1, t2 = pairs[np.argmax(off)]
         raise ValueError(f"mesh file {path}: green pair ({t1}, {t2}) has no shared vertex at the midpoint of its other two")
-    mesh.green_pairs = pairs
+    mesh.green_pairs = _read_only(pairs)[0]
     return mesh

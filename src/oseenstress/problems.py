@@ -9,7 +9,12 @@ rewritten via the pseudostress ``sigma = grad(u) - p I``.  A problem bundle
 carries the data (b, c, f, g), an initial-mesh factory, and — when a closed
 form exists — the exact velocity, pseudostress and pseudostress divergence
 for error reporting.  All callables are vectorized: they map point arrays
-of shape (..., 2) to arrays with the same leading shape.
+of shape (..., 2) to arrays with the same leading shape; every constant
+field is one :func:`_constant`.
+
+A bundle is frozen data: :func:`get_problem` returns the registered
+:class:`ProblemSpec` itself, and a variant is derived with
+``dataclasses.replace``.
 
 Registry
 --------
@@ -28,7 +33,7 @@ from .mesh import Mesh, make_lshape_mesh, make_square_piecewise_uniform
 __all__ = ["ProblemSpec", "get_problem", "problem_names"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Data bundle describing one Oseen benchmark.
 
@@ -71,6 +76,12 @@ class ProblemSpec:
     @property
     def has_exact(self) -> bool:
         return self.exact_u is not None and self.exact_sigma is not None
+
+
+def _constant(value) -> Callable:
+    """The field equal to `value` at every point: points (..., 2) to (..., *shape of value)."""
+    value = np.asarray(value, dtype=np.float64)
+    return lambda x: np.broadcast_to(value, x.shape[:-1] + value.shape).copy()
 
 
 def spot_check_boundary_data(problem: ProblemSpec, pts: np.ndarray, g_values: np.ndarray) -> None:
@@ -138,22 +149,6 @@ def _p1_div_sigma(x):
     )
 
 
-def _make_p1() -> ProblemSpec:
-    return ProblemSpec(
-        name="p1",
-        b=_p1_b,
-        c=lambda x: np.zeros(x.shape[:-1]),
-        f=_p1_f,
-        g=_p1_u,
-        initial_mesh=make_square_piecewise_uniform,
-        exact_u=_p1_u,
-        exact_sigma=_p1_sigma,
-        exact_div_sigma=_p1_div_sigma,
-        singular_corner=None,
-        default_theta=0.7,
-    )
-
-
 # ----------------------------------------------------------------------
 # Problem 2: corner singularity on the L-shaped domain
 # [-1,1]^2 minus [0,1]x[-1,0], reentrant corner at the origin.
@@ -209,29 +204,6 @@ def _p2_f(x):
     return 1.0 + np.einsum("...rc,c->...r", g, b)
 
 
-def _p2_div_sigma(x):
-    # u harmonic and grad p = (1, 1): div sigma = -(1, 1)
-    out = np.empty(x.shape[:-1] + (2,))
-    out[...] = -1.0
-    return out
-
-
-def _make_p2() -> ProblemSpec:
-    return ProblemSpec(
-        name="p2",
-        b=lambda x: np.broadcast_to(np.array([1.0, 2.0]), x.shape).copy(),
-        c=lambda x: np.zeros(x.shape[:-1]),
-        f=_p2_f,
-        g=_p2_u,
-        initial_mesh=make_lshape_mesh,
-        exact_u=_p2_u,
-        exact_sigma=_p2_sigma,
-        exact_div_sigma=_p2_div_sigma,
-        singular_corner=(0.0, 0.0),
-        default_theta=0.7,
-    )
-
-
 # ----------------------------------------------------------------------
 # Problem 3: boundary layer on the unit square, no closed form.
 #
@@ -246,23 +218,40 @@ def _p3_f(x):
     return 5000.0 * np.stack([x[..., 1], -x[..., 0]], axis=-1)
 
 
-def _make_p3() -> ProblemSpec:
-    return ProblemSpec(
-        name="p3",
-        b=lambda x: np.broadcast_to(np.array([500.0, 1.0]), x.shape).copy(),
-        c=lambda x: np.zeros(x.shape[:-1]),
-        f=_p3_f,
-        g=lambda x: np.zeros(x.shape),
+_REGISTRY = {
+    "p1": ProblemSpec(
+        name="p1",
+        b=_p1_b,
+        c=_constant(0.0),
+        f=_p1_f,
+        g=_p1_u,
         initial_mesh=make_square_piecewise_uniform,
-        exact_u=None,
-        exact_sigma=None,
-        exact_div_sigma=None,
-        singular_corner=None,
+        exact_u=_p1_u,
+        exact_sigma=_p1_sigma,
+        exact_div_sigma=_p1_div_sigma,
+    ),
+    "p2": ProblemSpec(
+        name="p2",
+        b=_constant([1.0, 2.0]),
+        c=_constant(0.0),
+        f=_p2_f,
+        g=_p2_u,
+        initial_mesh=make_lshape_mesh,
+        exact_u=_p2_u,
+        exact_sigma=_p2_sigma,
+        exact_div_sigma=_constant([-1.0, -1.0]),  # u harmonic and grad p = (1, 1)
+        singular_corner=(0.0, 0.0),
+    ),
+    "p3": ProblemSpec(
+        name="p3",
+        b=_constant([500.0, 1.0]),
+        c=_constant(0.0),
+        f=_p3_f,
+        g=_constant([0.0, 0.0]),
+        initial_mesh=make_square_piecewise_uniform,
         default_theta=0.3,
-    )
-
-
-_REGISTRY = {"p1": _make_p1, "p2": _make_p2, "p3": _make_p3}
+    ),
+}
 
 
 def problem_names():
@@ -270,11 +259,10 @@ def problem_names():
 
 
 def get_problem(name: str) -> ProblemSpec:
-    """Instantiate a registered problem by name."""
+    """The registered problem of that name."""
     try:
-        factory = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown problem {name!r}; registered: {', '.join(sorted(_REGISTRY))}"
         ) from None
-    return factory()

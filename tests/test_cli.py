@@ -1,5 +1,7 @@
 """Command-line interface and report formatting."""
 
+import dataclasses
+import inspect
 import warnings
 from itertools import chain
 
@@ -9,7 +11,8 @@ import scipy.sparse.linalg
 
 from conftest import refine_bisecting_green_halves_again
 
-from oseenstress import adaptive, cli
+from oseenstress import adaptive, cli, errors
+from oseenstress import mesh as mesh_module
 from oseenstress.adaptive import adaptive_solve
 from oseenstress.cli import (
     emit,
@@ -19,8 +22,10 @@ from oseenstress.cli import (
     main,
     run_convergence,
 )
+from oseenstress.errors import ErrorRow, fit_orders, present_columns
 from oseenstress.mesh import MeshQualityError, build_mesh, load_mesh, make_square_piecewise_uniform, save_mesh
 from oseenstress.problems import get_problem
+from oseenstress.spaces import project_exact
 
 
 # ----------------------------------------------------------------------
@@ -65,6 +70,44 @@ def test_emit_csv_and_table(tiny_rows):
     assert table.splitlines()[0].split() == header
     with pytest.raises(ValueError):
         emit(tiny_rows, fmt="bogus")
+
+
+@pytest.mark.parametrize(
+    "kind, none, absent",
+    [
+        ("rt0", [], []),
+        ("bdm1", [], ["err_sigmastar"]),  # no recovered pseudostress
+        ("rt0", [0, 1, 2], ["err_div"]),
+        ("rt0", [1], ["err_div"]),  # None in one row only
+    ],
+)
+def test_present_columns_are_the_fitted_and_emitted_columns(tiny_rows, kind, none, absent):
+    rows = tiny_rows if kind == "rt0" else run_convergence(get_problem("p1"), kind=kind, levels=3)[0]
+    rows = [dataclasses.replace(row, err_div=None) if k in none else row for k, row in enumerate(rows)]
+    cols = present_columns(rows)
+    assert cols == [name for name in ErrorRow.ERROR_COLUMNS if name not in absent]
+    assert list(fit_orders(rows)) == cols
+    assert emit(rows, fmt="csv").splitlines()[0].split(",") == ["level", "nt", "dofs", *cols]
+    assert emit(rows, fmt="table").splitlines()[0].split() == ["level", "nt", "dofs", *cols]
+
+
+def test_every_exact_projection_takes_the_singular_corner(monkeypatch):
+    # one p2 uniform level and one adaptive solve: each project_exact call, wherever it is looked up, carries the corner
+    problem = get_problem("p2")
+    corners = []
+    signature = inspect.signature(project_exact)
+
+    def spy(*args, **kwargs):
+        corners.append(signature.bind(*args, **kwargs).arguments.get("singular_corner"))
+        return project_exact(*args, **kwargs)
+
+    for module in (cli, errors, adaptive):
+        if hasattr(module, "project_exact"):
+            monkeypatch.setattr(module, "project_exact", spy)
+    run_convergence(problem, levels=1)
+    assert corners == [problem.singular_corner] * 3  # u, sigma and div sigma
+    adaptive_solve(problem, max_iters=0)
+    assert corners == [problem.singular_corner] * 5  # and the adaptive true error's sigma and u
 
 
 def test_emit_orders_formats_and_validates(tiny_rows):
@@ -284,42 +327,51 @@ def test_an_output_file_that_cannot_be_written_is_one_error_line(tmp_path, capsy
     assert err == f"error: cannot write {out / 'errors.csv'}: Is a directory\n"
 
 
-def one_shot_rows(header, row_format, columns):
-    """The oracle of a field file: one ``%``-format over every row at once."""
+def one_shot_rows(row_format, columns):
+    """The oracle of the rows of a text file: one ``%``-format over every row at once."""
     columns = [np.asarray(column).tolist() for column in columns]
-    return header + "\n" + (row_format + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+    return (row_format + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def test_field_files_streamed_in_pieces_equal_the_one_shot_format(tmp_path, capsys, monkeypatch):
-    # pieces of 7 rows, which divide none of the three row counts
-    bundles = []
+    # pieces of 7 rows, which divide none of the row counts: the field files of a p1 run and the final mesh of
+    # a small adaptive run, whose vertices, triangles and green pairs go through the same row formatter
+    bundles, histories = [], []
 
     def keep_bundle(*args, **kwargs):
         rows, bundle = run_convergence(*args, **kwargs)
         bundles.append(bundle)
         return rows, bundle
 
-    monkeypatch.setattr(cli, "_FIELD_ROWS", 7)
+    def keep_history(*args, **kwargs):
+        histories.append(adaptive_solve(*args, **kwargs))
+        return histories[-1]
+
+    monkeypatch.setattr(mesh_module, "_TEXT_ROWS", 7)
     monkeypatch.setattr(cli, "run_convergence", keep_bundle)
+    monkeypatch.setattr(cli, "adaptive_solve", keep_history)
     out = tmp_path / "run"
     assert main(["solve", "--problem", "p1", "--levels", "2", "--out", str(out)]) == 0
+    assert main(["solve", "--problem", "p2", "--mode", "adaptive", "--levels", "2", "--out", str(out / "adaptive")]) == 0
     capsys.readouterr()
     solution, sigmastar = bundles[0]["solution"], bundles[0]["sigmastar"]
     sigma, u, mesh = solution.sigma.coeffs, solution.u.coeffs, sigmastar.mesh
+    final = histories[0].final_mesh
+    pairs = final.green_pairs
     expected = {
-        "field_pseudostress.csv": one_shot_rows(
-            "dof_index,row,value", "%d,0,%.17g\n%d,1,%.17g", [range(sigma.shape[1]), sigma[0], range(sigma.shape[1]), sigma[1]]
-        ),
-        "field_velocity.csv": one_shot_rows(
-            "tri_index,comp,value", "%d,0,%.17g\n%d,1,%.17g", [range(u.shape[1]), u[0], range(u.shape[1]), u[1]]
-        ),
-        "field_recovered.csv": one_shot_rows(
-            "vertex,x,y,s11,s12,s21,s22",
-            "%d" + ",%.17g" * 6,
-            [range(mesh.nv), *mesh.vertices.T, *sigmastar.values.reshape(-1, 4).T],
-        ),
+        "field_pseudostress.csv": "dof_index,row,value\n"
+        + one_shot_rows("%d,0,%.17g\n%d,1,%.17g", [range(sigma.shape[1]), sigma[0], range(sigma.shape[1]), sigma[1]]),
+        "field_velocity.csv": "tri_index,comp,value\n"
+        + one_shot_rows("%d,0,%.17g\n%d,1,%.17g", [range(u.shape[1]), u[0], range(u.shape[1]), u[1]]),
+        "field_recovered.csv": "vertex,x,y,s11,s12,s21,s22\n"
+        + one_shot_rows("%d" + ",%.17g" * 6, [range(mesh.nv), *mesh.vertices.T, *sigmastar.values.reshape(-1, 4).T]),
+        "adaptive/mesh_final.txt": f"{final.nv} {final.nt}\n"
+        + one_shot_rows("%.17g %.17g", final.vertices.T)
+        + one_shot_rows("%d %d %d %d", [*final.triangles.T, final.region])
+        + f"{len(pairs)}\n"
+        + one_shot_rows("%d %d", pairs.T),
     }
-    assert all(n % 7 for n in (sigma.shape[1], u.shape[1], mesh.nv))
+    assert all(n % 7 for n in (sigma.shape[1], u.shape[1], mesh.nv, final.nv, final.nt, len(pairs)))
     for name, text in expected.items():
         assert (out / name).read_bytes() == text.encode()
 

@@ -170,7 +170,7 @@ def test_hdiv_error_against_analytic_norm():
     mesh = make_square_piecewise_uniform(1)
     field = zero_pseudostress(mesh)
     exact = float(np.sqrt(4.0 * np.pi**4 + 2.0))
-    assert hdiv_error(field, prob.exact_div_sigma) == pytest.approx(exact, rel=1e-8)
+    assert hdiv_error(field, project_exact(mesh, prob.exact_div_sigma)) == pytest.approx(exact, rel=1e-8)
 
 
 @pytest.mark.parametrize("kind", ["rt0", "bdm1"])
@@ -183,15 +183,18 @@ def test_hdiv_error_matches_the_quadrature_oracle(kind):
     coeffs = np.zeros((mesh.nt, 2, 3))
     coeffs[:, :, 0] = sigma_h.div_cells()
     expected = errors_oracle.l2_error(CellwiseLinear(mesh, coeffs), prob.exact_div_sigma)
-    assert hdiv_error(sigma_h, prob.exact_div_sigma) == pytest.approx(expected, rel=1e-12)
+    assert hdiv_error(sigma_h, project_exact(mesh, prob.exact_div_sigma)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_hdiv_error_rejects_wrong_exact_shape():
+    # the projection of a field that is not one 2-vector per point, rejected by CellwiseLinear.__sub__
     mesh = make_square_piecewise_uniform()
-    with pytest.raises(ValueError, match="shape"):
-        hdiv_error(zero_pseudostress(mesh), lambda x: x[..., 0])
-    with pytest.raises(ValueError, match="shape"):
-        hdiv_error(zero_pseudostress(mesh), lambda x: np.zeros(x.shape + (2,)))
+    with pytest.raises(ValueError, match="value shapes"):
+        hdiv_error(zero_pseudostress(mesh), project_exact(mesh, lambda x: x[..., 0]))
+    with pytest.raises(ValueError, match="value shapes"):
+        hdiv_error(zero_pseudostress(mesh), project_exact(mesh, lambda x: np.zeros(x.shape + (2,))))
+    with pytest.raises(ValueError, match="different meshes"):
+        hdiv_error(zero_pseudostress(mesh), project_exact(make_square_piecewise_uniform(), get_problem("p1").exact_div_sigma))
 
 
 def test_supercloseness_exact_norm_and_homogeneity():

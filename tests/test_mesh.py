@@ -460,6 +460,20 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.green_pairs, mesh.green_pairs)
 
 
+def test_refined_and_loaded_green_pairs_are_read_only(tmp_path):
+    mesh = refine_marked(make_lshape_mesh(), np.array([0, 5, 7]))
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    back = load_mesh(path)
+    for pairs in (mesh.green_pairs, back.green_pairs):
+        assert pairs.shape[0] > 0
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[0, 0] = pairs[0, 1]
+    # the attribute itself can still be reassigned, as a mesh without its pairs
+    back.green_pairs = np.empty((0, 2), dtype=np.int64)
+    assert back.green_pairs.shape == (0, 2)
+
+
 def test_save_mesh_without_green_pairs_has_no_pair_section(tmp_path):
     mesh = make_square_piecewise_uniform()
     path = tmp_path / "mesh.txt"

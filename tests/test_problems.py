@@ -1,5 +1,7 @@
 """Benchmark problem data: internal consistency of the closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,36 @@ def test_registry_contents():
     assert problem_names() == ["p1", "p2", "p3"]
     with pytest.raises(KeyError):
         get_problem("p9")
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_a_problem_is_one_frozen_spec(name):
+    prob = get_problem(name)
+    assert get_problem(name) is prob
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.default_theta = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.g = prob.f
+    variant = dataclasses.replace(prob, default_theta=0.5)
+    assert variant.default_theta == 0.5 and get_problem(name).default_theta == prob.default_theta
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+def test_constant_fields_keep_their_values_bit_for_bit(shape):
+    # the oracle of each constant field: its values built without _constant, as np.zeros, a broadcast or a fill
+    x = np.random.default_rng(5).random(shape + (2,))
+    p1, p2, p3 = (get_problem(name) for name in ("p1", "p2", "p3"))
+    old_div = np.empty(x.shape[:-1] + (2,))
+    old_div[...] = -1.0
+    for got, want in [
+        *((prob.c(x), np.zeros(x.shape[:-1])) for prob in (p1, p2, p3)),
+        (p2.b(x), np.broadcast_to(np.array([1.0, 2.0]), x.shape).copy()),
+        (p3.b(x), np.broadcast_to(np.array([500.0, 1.0]), x.shape).copy()),
+        (p3.g(x), np.zeros(x.shape)),
+        (p2.exact_div_sigma(x), old_div),
+    ]:
+        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.writeable
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["p1", "p2"])
